@@ -29,6 +29,7 @@ from .spaces import (
     norm_axioms_max_violation,
     norm_from_dict,
     norm_to_dict,
+    norms,
     space_from_dict,
     space_to_dict,
 )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BankExhausted, CertificationFailed, DimensionMismatch, NotStabilized
 from .pointset import AnnulusDecomposition
-from .spaces import LinearMap, Lp, Space, apply, blend_apply, norm
+from .spaces import LinearMap, Lp, Space, apply, as_rows, blend_apply, norm, norms, row_blocks
 
 _TOL = 1e-12
 _MAX_TUPLES = 20000
@@ -166,9 +166,10 @@ def build_bank(
         raise ValueError("count must be >= 2")
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    vectors = [np.asarray(v, dtype=float) for v in certify_set]
-    vectors = [v for v in vectors if norm(source, v) > 0.0]
-    if not vectors:
+    vectors = as_rows(certify_set, source.dim)
+    source_norms = norms(source, vectors)
+    nonzero = source_norms > 0.0
+    if not nonzero.any():
         raise ValueError("certify_set must contain at least one nonzero vector")
 
     if isinstance(strategy, BlockShift):
@@ -185,7 +186,7 @@ def build_bank(
     lo_margins = []
     hi_margins = []
     for n, lin in enumerate(maps):
-        ratios = np.array([norm(target, apply(lin, v)) / norm(source, v) for v in vectors])
+        ratios = _certify_ratios(lin, vectors, source_norms, nonzero)
         k_lo = int(np.argmin(ratios))
         k_hi = int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - _TOL:
@@ -197,6 +198,21 @@ def build_bank(
     slots = (eps_n,) * count
     assert np.prod(1.0 + np.array(slots)) <= (1.0 + gamma) * (1.0 + _TOL)
     return EmbeddingBank(maps, slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
+
+
+def _certify_ratios(lin: LinearMap, vectors, source_norms, nonzero) -> np.ndarray:
+    """norm(target, lin v) / norm(source, v) over the nonzero rows v, in order.
+
+    Images are formed in row blocks within the batch budget, by stacked
+    matrix-vector products (the same kernel as apply).
+    """
+    out = []
+    for block in row_blocks(len(vectors), lin.target.dim):
+        keep = nonzero[block]
+        v = vectors[block][keep]
+        images = np.matmul(lin.matrix, v[:, :, None])[:, :, 0]
+        out.append(norms(lin.target, images) / source_norms[block][keep])
+    return np.concatenate(out)
 
 
 def spreading_limit_estimate(

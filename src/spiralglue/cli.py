@@ -50,7 +50,7 @@ from .schedule import (
     schedule_to_dict,
     weight_grid,
 )
-from .spaces import Space, norm_from_dict, space_from_dict
+from .spaces import Space, norm_from_dict, row_blocks, space_from_dict
 from .verify import (
     DistortionReport,
     distortion_report,
@@ -157,21 +157,23 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
-def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> list:
-    """All points, all pairwise differences, all recorded directions, plus
-    seeded random unit-scale vectors."""
-    vecs = [row for row in pts.coords]
-    n = len(pts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            vecs.append(pts.coords[a] - pts.coords[b])
-    for level_dirs in decomp.directions:
-        for da in level_dirs:
-            vecs.append(da.u)
+def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> np.ndarray:
+    """All points, all pairwise differences (a < b, row-major), all recorded
+    directions, plus seeded random unit-scale vectors, as one (N, dim) array."""
+    coords = pts.coords
+    n, dim = coords.shape
+    first, second = np.triu_indices(n, 1)
+    dirs = [da.u for level_dirs in decomp.directions for da in level_dirs]
+    out = np.empty((n + len(first) + len(dirs) + cfg.certify_random, dim))
+    out[:n] = coords
+    diffs = out[n : n + len(first)]
+    for block in row_blocks(len(first), dim):
+        np.subtract(coords[first[block]], coords[second[block]], out=diffs[block])
+    out[n + len(first) : n + len(first) + len(dirs)] = np.reshape(dirs, (-1, dim))
+    # one draw of k rows consumes the generator exactly as k draws of one row
     rng = np.random.default_rng(cfg.certify_seed)
-    for _ in range(cfg.certify_random):
-        vecs.append(rng.standard_normal(cfg.source.dim))
-    return vecs
+    out[len(out) - cfg.certify_random :] = rng.standard_normal((cfg.certify_random, dim))
+    return out
 
 
 def _json_safe(value):
@@ -247,7 +249,7 @@ def _write_pairs_csv(path: str, dist: DistortionReport) -> None:
             )
 
 
-def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, workers: int = 1):
+def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     """schedule -> points -> decomposition -> bank -> selection -> glue -> sweep."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -281,7 +283,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, workers: int = 1):
 
     t0 = time.perf_counter()
     g = GlueEmbedding(ws, bank, selection)
-    dist = distortion_report(g, pts, tol=tolerance, workers=workers)
+    dist = distortion_report(g, pts, tol=tolerance)
     timings["sweep"] = time.perf_counter() - t0
 
     report = _report_dict(cfg, sched, bank, selection, dist)
@@ -320,7 +322,7 @@ def cmd_run(args) -> int:
         cfg.generator["seed"] = args.seed
     report_path = args.out or cfg.report_path
     try:
-        report, dist, g, pts = run_pipeline(cfg, tolerance=args.tolerance, workers=args.workers)
+        report, dist, g, pts = run_pipeline(cfg, tolerance=args.tolerance)
     except (BankExhausted, CertificationFailed, BoundViolated, NonPositiveLowerBound) as exc:
         failure = {
             "config": cfg.raw,
@@ -459,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the report path")
     p.add_argument("--seed", type=int, default=None, help="override the generator seed")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_run)
 

@@ -16,7 +16,17 @@ from typing import Union
 import numpy as np
 
 from .schedule import RadiiSchedule, _check_log_t, _ramp_angle_log
-from .spaces import Lp, NormSpec, Space, Vector, norm, norm_from_dict, norm_to_dict
+from .spaces import (
+    Lp,
+    NormSpec,
+    Space,
+    Vector,
+    norm,
+    norm_from_dict,
+    norm_to_dict,
+    norms,
+    row_blocks,
+)
 
 _DIR_TOL = 1e-12  # unit directions matching coordinatewise within this are identified
 
@@ -58,13 +68,15 @@ def make_point_set(space: Space, coords, ids=None) -> LocallyFiniteSet:
 
 
 def point_norms(pts: LocallyFiniteSet) -> np.ndarray:
-    return np.array([norm(pts.space, row) for row in pts.coords])
+    return norms(pts.space, pts.coords)
 
 
 def log_norms(pts: LocallyFiniteSet) -> np.ndarray:
+    """Log norms of the points, -inf at the origin."""
     n = point_norms(pts)
-    with np.errstate(divide="ignore"):
-        return np.where(n > 0.0, np.log(n, where=n > 0.0), -math.inf)
+    out = np.full(n.shape, -math.inf)
+    np.log(n, out=out, where=n > 0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,57 +155,73 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     A direction enters level i for every ordered pair (x, y) of shell members
     with norm(x) > r_i, norm(y) <= R_i, norm(x) >= norm(y), x != y; the origin
     participates as y at every level whether or not the input contains it.
+    Pairs are taken in row-major (x, y) order over the shell sorted by id, and
+    a direction within _DIR_TOL (max-abs) of an earlier one joins the first
+    such direction instead of starting its own.
     """
     m = sched.levels
     logs = log_norms(pts)
     for ln in logs:
         _check_log_t(sched, ln)
     order = np.argsort(np.asarray(pts.ids))
+    dim = pts.space.dim
     members: list[tuple[int, ...]] = []
     dirs: list[tuple[DirectionAngles, ...]] = []
     for level in range(1, m + 1):
         shell_lo = sched.log_R[level - 2] if level >= 2 else -math.inf
         shell_hi = sched.log_r[level] if level < m else sched.log_coverage
-        ids_here = []
-        rows_here = []
-        logs_here = []
-        for k in order:
-            ln = logs[k]
-            in_shell = (shell_lo < ln <= shell_hi) if ln != -math.inf else False
-            if in_shell or ln == -math.inf:
-                ids_here.append(int(pts.ids[k]))
-                rows_here.append(pts.coords[k])
-                logs_here.append(ln)
+        in_shell = (logs == -math.inf) | ((shell_lo < logs) & (logs <= shell_hi))
+        here = order[in_shell[order]]
+        rows = pts.coords[here]
+        logs_here = logs[here]
         if not pts.includes_origin:
-            rows_here.append(np.zeros(pts.space.dim))
-            logs_here.append(-math.inf)
-        found: list[tuple[Vector, list[float]]] = []
+            rows = np.vstack([rows, np.zeros(dim)])
+            logs_here = np.append(logs_here, -math.inf)
         log_ri = sched.log_r[level - 1]
         log_Ri = sched.log_R[level - 1]
-        for a, xa in enumerate(rows_here):
-            if not logs_here[a] > log_ri:
-                continue
-            angle = _ramp_angle_log(sched, level, logs_here[a])
-            for b, yb in enumerate(rows_here):
-                if a == b:
-                    continue
-                if logs_here[b] > log_Ri or logs_here[b] > logs_here[a]:
-                    continue
-                diff = xa - yb
-                u = diff / norm(pts.space, diff)
-                for vec, angles in found:
-                    if np.max(np.abs(vec - u)) <= _DIR_TOL:
-                        angles.append(angle)
-                        break
-                else:
-                    found.append((u, [angle]))
-        packed = tuple(
-            DirectionAngles(u, tuple(np.unique(np.asarray(angles)).tolist()))
-            for u, angles in found
+        found = np.empty((16, dim))  # directions in order of discovery; grows by doubling
+        angles: list[list[float]] = []
+        # a bitwise repeat of a difference always joins the same direction as
+        # its first occurrence, so only distinct differences are scanned
+        seen: dict[bytes, int] = {}
+        for a in np.flatnonzero(logs_here > log_ri).tolist():
+            ys = np.flatnonzero(logs_here <= min(log_Ri, logs_here[a]))
+            ys = ys[ys != a]
+            angle = float(_ramp_angle_log(sched, level, logs_here[a]))
+            for block in row_blocks(len(ys), dim):
+                diff = rows[a] - rows[ys[block]]
+                for u in diff / norms(pts.space, diff)[:, None]:
+                    key = u.tobytes()
+                    k = seen.get(key)
+                    if k is None:
+                        k = _first_match(found[: len(angles)], u)
+                        if k < 0:
+                            k = len(angles)
+                            if k == len(found):
+                                found = np.concatenate([found, np.empty_like(found)])
+                            found[k] = u
+                            angles.append([])
+                        seen[key] = k
+                    angles[k].append(angle)
+        found = found[: len(angles)].copy()
+        found.flags.writeable = False
+        members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
+        dirs.append(
+            tuple(
+                DirectionAngles(u, tuple(sorted(set(ang))))
+                for u, ang in zip(found, angles)
+            )
         )
-        members.append(tuple(ids_here))
-        dirs.append(packed)
     return AnnulusDecomposition(m, tuple(members), tuple(dirs))
+
+
+def _first_match(found: np.ndarray, u: np.ndarray) -> int:
+    """Index of the first row of found within _DIR_TOL of u (max-abs), else -1."""
+    for block in row_blocks(len(found), u.size):
+        hit = np.flatnonzero(np.abs(found[block] - u).max(axis=1) <= _DIR_TOL)
+        if hit.size:
+            return block.start + int(hit[0])
+    return -1
 
 
 def generate_annular(

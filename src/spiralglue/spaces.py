@@ -3,6 +3,10 @@
 Norm evaluation is exact and overflow-safe: p-power sums are computed after
 rescaling by the largest coordinate, so norms of vectors with entries near
 the float range remain finite.
+
+`norm` evaluates one vector; `norms` evaluates the rows of a 2-d array with
+the same floating operations per row. Batched code bounds each block of rows
+it forms by BATCH_ELEMENTS elements via `row_blocks`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,16 @@ import numpy as np
 from .errors import DimensionMismatch
 
 Vector = np.ndarray
+
+BATCH_ELEMENTS = 1 << 14  # element budget of any batched temporary
+
+
+def row_blocks(rows: int, width: int):
+    """Consecutive slices of range(rows), each covering at most
+    BATCH_ELEMENTS elements of a row width `width` (and at least one row)."""
+    step = max(1, BATCH_ELEMENTS // max(width, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 def as_vector(coords, dim: int | None = None) -> Vector:
@@ -151,6 +165,72 @@ def norm(space: Space, x) -> float:
             return 0.0
         return m * float(np.sum(spec.weights * (a / m) ** spec.p) ** (1.0 / spec.p))
     return float(np.max(np.abs(spec.functionals @ x)))
+
+
+def as_rows(vectors, dim: int) -> np.ndarray:
+    """A (k, dim) float array of the given rows; any other width raises
+    DimensionMismatch (rows are never reshaped to fit)."""
+    if not isinstance(vectors, np.ndarray):
+        rows = [np.asarray(v, dtype=float) for v in vectors]
+        bad = next((v.shape for v in rows if v.shape != (dim,)), None)
+        if bad is not None:
+            raise DimensionMismatch(f"vector shape {bad} != ({dim},)")
+        vectors = np.array(rows).reshape(len(rows), dim)
+    X = np.asarray(vectors, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatch(f"rows shape {X.shape} != (k, {dim})")
+    return X
+
+
+def _root(sums: np.ndarray, p: float) -> np.ndarray:
+    # scalar pow, as in norm(): numpy's vectorized pow may differ in the last ulp
+    inv = 1.0 / p
+    return np.array([s**inv for s in sums.tolist()])
+
+
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima of a (non-negative) and a divided by them; zero rows stay zero."""
+    m = a.max(axis=1, initial=0.0)
+    return m, a / np.where(m > 0.0, m, 1.0)[:, None]
+
+
+def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
+    if isinstance(spec, MaxAbsFunctionals):
+        # stacked matrix-vector products: the same kernel as functionals @ x
+        return np.abs(np.matmul(spec.functionals, X[:, :, None])[:, :, 0]).max(axis=1)
+    a = np.abs(X)
+    p = spec.p
+    if isinstance(spec, WeightedLp):
+        if p == math.inf:
+            return (spec.weights * a).max(axis=1)
+        m, a = _rescaled(a)
+        return m * _root(np.sum(spec.weights * a**p, axis=1), p)
+    if p == math.inf:
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.sum(axis=1)
+    m, a = _rescaled(a)
+    if p == 2.0:
+        # stacked row dot products: the same kernel as np.dot(a, a)
+        return m * np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    return m * _root(np.sum(a**p, axis=1), p)
+
+
+def norms(space: Space, X) -> np.ndarray:
+    """Row-wise norms of a (k, dim) array: entry i equals norm(space, X[i]).
+
+    Rows are evaluated in blocks of at most BATCH_ELEMENTS elements, with the
+    same floating operations as norm() on each row.
+    """
+    X = np.ascontiguousarray(as_rows(X, space.dim))
+    spec = space.norm
+    width = space.dim
+    if isinstance(spec, MaxAbsFunctionals):
+        width = max(width, spec.functionals.shape[0])
+    out = np.empty(X.shape[0])
+    for block in row_blocks(X.shape[0], width):
+        out[block] = _norms_block(spec, X[block])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

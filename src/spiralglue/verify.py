@@ -9,7 +9,6 @@ reflects what was actually built, not what was requested.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .schedule import (
     _ramp_angle_log,
     build_schedule,
 )
-from .spaces import Lp, Space, norm
+from .spaces import Lp, Space, norm, norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_TOL = 1e-9
@@ -178,19 +177,35 @@ def check_pair(
     origin on a ramp gets the single-point bracket; far pairs get the norm-gap
     chain and the far bracket. Raises BoundViolated when any slack < -tol.
     """
-    sched = g.ws.schedule
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     space = g.source
-    nx, ny = norm(space, x), norm(space, y)
+    return _judge_pair(
+        g,
+        x,
+        y,
+        norm(space, x),
+        norm(space, y),
+        norm(space, x - y),
+        norm(g.target, embed(g, x) - embed(g, y)),
+        x_id,
+        y_id,
+        tol,
+    )
+
+
+def _judge_pair(g, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol) -> PairCheck:
+    """check_pair's verdict, given the source norms of x, y and x - y and the
+    target norm of embed(x) - embed(y)."""
+    sched = g.ws.schedule
     if ny > nx:
         raise ValueError("caller must order the pair so that norm(x) >= norm(y)")
     log_nx = math.log(nx) if nx > 0.0 else -math.inf
     log_ny = math.log(ny) if ny > 0.0 else -math.inf
     _check_log_t(sched, log_nx)
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    ndiff = norm(space, diff)
     if ndiff == 0.0:
         raise ValueError("points must be distinct")
-    ratio = norm(g.target, embed(g, x) - embed(g, y)) / ndiff
+    ratio = nimage / ndiff
 
     gamma = g.bank.gamma
     zeta = g.selection.zeta
@@ -212,7 +227,7 @@ def check_pair(
             checks.append(("plateau_bracket", 1.0, 1.0 + gamma))
         if ny > 0.0:
             sigma, theta, gsw, gtv, lo, hi = _shell_sandwich(
-                g, cls.level, x, y, nx, ny, diff, ndiff
+                g, cls.level, x, y, nx, ny, x - y, ndiff
             )
             checks.append(("pair_sandwich", lo, hi))
             if log_ny <= sched.log_R[cls.level - 1] and log_nx > sched.log_r[cls.level - 1]:
@@ -298,33 +313,49 @@ def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
 
 
 def distortion_report(
-    g: GlueEmbedding, pts: LocallyFiniteSet, tol: float = DEFAULT_TOL, workers: int = 1
+    g: GlueEmbedding, pts: LocallyFiniteSet, tol: float = DEFAULT_TOL
 ) -> DistortionReport:
     """Sweep all unordered pairs, check every applicable inequality, and
-    assert the measured distortion stays below the closed-form ratio."""
+    assert the measured distortion stays below the closed-form ratio.
+
+    Each point is embedded once; for each row a the source and image
+    difference norms of all pairs (a, b > a) come from the row kernel, and
+    every pair then gets check_pair's verdict, in row-major pair order.
+    """
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    logs = [
-        math.log(v) if (v := norm(pts.space, row)) > 0.0 else -math.inf for row in pts.coords
-    ]
-    jobs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (logs[a], -pts.ids[a]) >= (logs[b], -pts.ids[b]):
-                jobs.append((a, b))
-            else:
-                jobs.append((b, a))
-
-    def run(job):
-        a, b = job
-        return check_pair(g, pts.coords[a], pts.coords[b], pts.ids[a], pts.ids[b], tol=tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    coords = pts.coords
+    source_norms = norms(g.source, coords).tolist()
+    # each pair is ordered by the point set's own norm, larger first
+    own = norms(pts.space, coords).tolist()
+    key = [(math.log(v) if v > 0.0 else -math.inf, -i) for v, i in zip(own, pts.ids)]
+    images = np.empty((n, g.target.dim))
+    for k, row in enumerate(coords):
+        images[k] = embed(g, row)
+    width = max(g.source.dim, g.target.dim)
+    results = []
+    for a in range(n - 1):
+        for block in row_blocks(n - a - 1, width):
+            rest = slice(a + 1 + block.start, a + 1 + block.stop)
+            diff_norms = norms(g.source, coords[a] - coords[rest]).tolist()
+            image_norms = norms(g.target, images[a] - images[rest]).tolist()
+            for b, ndiff, nimage in zip(range(rest.start, rest.stop), diff_norms, image_norms):
+                x, y = (a, b) if key[a] >= key[b] else (b, a)
+                results.append(
+                    _judge_pair(
+                        g,
+                        coords[x],
+                        coords[y],
+                        source_norms[x],
+                        source_norms[y],
+                        ndiff,
+                        nimage,
+                        pts.ids[x],
+                        pts.ids[y],
+                        tol,
+                    )
+                )
 
     lo = min(results, key=lambda pc: pc.ratio)
     hi = max(results, key=lambda pc: pc.ratio)

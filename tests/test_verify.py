@@ -150,15 +150,6 @@ def test_distortion_report_classes_present(l1_pipeline):
         assert summary.min_upper_slack >= -1e-9
 
 
-def test_distortion_workers_agree(l1_pipeline):
-    g, pts, _ = l1_pipeline
-    serial = sg.distortion_report(g, pts, workers=1)
-    threaded = sg.distortion_report(g, pts, workers=4)
-    assert serial.min_ratio == threaded.min_ratio
-    assert serial.max_ratio == threaded.max_ratio
-    assert [pc.ratio for pc in serial.pair_checks] == [pc.ratio for pc in threaded.pair_checks]
-
-
 def test_far_pair_brackets(l1_pipeline):
     g, pts, _ = l1_pipeline
     rep = sg.distortion_report(g, pts)
