@@ -24,7 +24,6 @@ from .spaces import (
     apply,
     as_vector,
     blend_apply,
-    combine,
     norm,
     norm_axioms_max_violation,
     norm_from_dict,
@@ -37,7 +36,6 @@ from .schedule import (
     Params,
     RadiiSchedule,
     WeightConditionReport,
-    WeightSystem,
     build_schedule,
     check_weight_conditions,
     radii,

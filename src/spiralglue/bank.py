@@ -286,6 +286,12 @@ class SelectionResult:
     threshold: float
 
 
+def blend_threshold(zeta: float) -> float:
+    """sqrt(2)/(3(1+zeta)): the blend norm selection must reach, and the
+    start of every lower bracket in verification."""
+    return math.sqrt(2.0) / (3.0 * (1.0 + zeta))
+
+
 def _level_ok(bank, checks, n_lo, n_hi, threshold):
     """Worst margin of the blend norm over a level's checks for a candidate pair."""
     worst = math.inf
@@ -315,7 +321,7 @@ def select_subsequence(
     m = decomp.levels
     if bank.size < m + 1:
         raise ValueError(f"bank size {bank.size} < levels + 1 = {m + 1}")
-    threshold = math.sqrt(2.0) / (3.0 * (1.0 + zeta))
+    threshold = blend_threshold(zeta)
     per_level = [
         [(da.u, angle) for da in decomp.directions[i] for angle in da.angles] for i in range(m)
     ]

@@ -45,7 +45,7 @@ from .pointset import (
 )
 from .schedule import (
     Params,
-    WeightSystem,
+    RadiiSchedule,
     build_schedule,
     schedule_to_dict,
     weight_grid,
@@ -83,60 +83,105 @@ class RunConfig:
     images_path: str | None
 
 
+# the keys each object of a run config may hold, by dotted path ("" is the top level)
+_CONFIG_KEYS = {
+    "": "source target params eps_target schedule points bank output",
+    "params": "eps delta gamma zeta",
+    "schedule": "r1 levels margin",
+    "bank": "strategy count block_width directions seed matrices certify_random certify_seed",
+    "target": "dim norm",
+    "points": "file inline generator",
+    "points.generator": "seed per_level placement",
+    "output": "report pairs_csv images",
+}
+
+
+def _section(parent: dict, path: str) -> dict:
+    """The object at dotted `path` under parent ({} when absent; parent itself
+    for the top level), checked to hold only the keys the config format knows."""
+    section = parent.get(path.rpartition(".")[2], {}) if path else parent
+    if not isinstance(section, dict):
+        raise ValueError(f"{path or 'config'}: expected an object, got {section!r}")
+    known = _CONFIG_KEYS[path].split()
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        name = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ValueError(f"{name}: unknown key; expected one of {known}")
+    return section
+
+
+def _read(section: dict, path: str, key: str, convert, *default):
+    """convert(section[key]), or default[0] when given and the key is absent;
+    a missing or rejected value raises ValueError naming the dotted key."""
+    name = f"{path}.{key}" if path else key
+    if key not in section:
+        if default:
+            return default[0]
+        raise ValueError(f"{name}: missing")
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _build_strategy(bank_cfg: dict, source: Space) -> tuple[BankStrategy, int]:
     """Strategy plus the per-map block width in the target (0 for user maps)."""
     name = bank_cfg.get("strategy")
     if name == "block_shift":
-        width = bank_cfg.get("block_width")
-        bw = source.dim if width is None else int(width)
-        return BlockShift(width), bw
+        width = _read(bank_cfg, "bank", "block_width", int, source.dim)
+        return BlockShift(width), width
     if name == "quadrature_l2_to_l1":
-        directions = int(bank_cfg.get("directions", 64))
-        return QuadratureL2toL1(directions, int(bank_cfg.get("seed", 0))), directions
+        directions = _read(bank_cfg, "bank", "directions", int, 64)
+        return QuadratureL2toL1(directions, _read(bank_cfg, "bank", "seed", int, 0)), directions
     if name == "user_matrices":
-        mats = tuple(np.asarray(m, dtype=float) for m in bank_cfg["matrices"])
-        return UserMatrices(mats), 0
+        return _read(bank_cfg, "bank", "matrices", lambda ms: UserMatrices(tuple(ms))), 0
     raise ValueError(f"unknown bank strategy {name!r}")
 
 
 def parse_config(raw: dict) -> RunConfig:
+    _section(raw, "")
     if ("params" in raw) == ("eps_target" in raw):
         raise ValueError("config must set exactly one of 'params' and 'eps_target'")
     if "params" in raw:
-        p = raw["params"]
-        params = Params(float(p["eps"]), float(p["delta"]), float(p["gamma"]), float(p["zeta"]))
+        p = _section(raw, "params")
+        params = Params(*(_read(p, "params", k, float) for k in ("eps", "delta", "gamma", "zeta")))
     else:
-        params = solve_params(float(raw["eps_target"]))
-    source = space_from_dict(raw["source"])
-    sched_cfg = raw.get("schedule", {})
-    r1 = float(sched_cfg.get("r1", 1.0))
-    levels = int(sched_cfg.get("levels", 3))
-    margin = float(sched_cfg.get("margin", 0.01))
+        params = solve_params(_read(raw, "", "eps_target", float))
+    source = _read(raw, "", "source", space_from_dict)
+    sched_cfg = _section(raw, "schedule")
+    r1 = _read(sched_cfg, "schedule", "r1", float, 1.0)
+    levels = _read(sched_cfg, "schedule", "levels", int, 3)
+    margin = _read(sched_cfg, "schedule", "margin", float, 0.01)
 
-    bank_cfg = raw.get("bank", {})
+    bank_cfg = _section(raw, "bank")
     strategy, block = _build_strategy(bank_cfg, source)
-    count = int(bank_cfg.get("count", levels + 2))
-    target_cfg = raw.get("target", {})
+    count = _read(bank_cfg, "bank", "count", int, levels + 2)
+    target_cfg = _section(raw, "target")
     if isinstance(strategy, UserMatrices):
         tdim = strategy.matrices[0].shape[0]
     else:
-        tdim = int(target_cfg.get("dim", count * block))
-    target_norm = norm_from_dict(target_cfg["norm"]) if "norm" in target_cfg else source.norm
+        tdim = _read(target_cfg, "target", "dim", int, count * block)
+    target_norm = _read(target_cfg, "target", "norm", norm_from_dict, source.norm)
     target = Space(tdim, target_norm)
 
-    pts_cfg = raw.get("points", {})
+    pts_cfg = _section(raw, "points")
     points = None
     generator = None
     if "file" in pts_cfg:
-        points = load_points(pts_cfg["file"])
+        points = _read(pts_cfg, "points", "file", load_points)
     elif "inline" in pts_cfg:
-        points = make_point_set(source, np.asarray(pts_cfg["inline"], dtype=float))
+        points = _read(pts_cfg, "points", "inline", lambda rows: make_point_set(source, rows))
     elif "generator" in pts_cfg:
-        generator = dict(pts_cfg["generator"])
+        gen = _section(pts_cfg, "points.generator")
+        generator = {
+            "seed": _read(gen, "points.generator", "seed", int, 0),
+            "per_level": _read(gen, "points.generator", "per_level", int, 10),
+            "placement": gen.get("placement", "mixed"),
+        }
     else:
         raise ValueError("config 'points' must provide one of file/inline/generator")
 
-    out_cfg = raw.get("output", {})
+    out_cfg = _section(raw, "output")
     return RunConfig(
         raw=raw,
         source=source,
@@ -147,8 +192,8 @@ def parse_config(raw: dict) -> RunConfig:
         margin=margin,
         strategy=strategy,
         bank_count=count,
-        certify_random=int(bank_cfg.get("certify_random", 32)),
-        certify_seed=int(bank_cfg.get("certify_seed", 0)),
+        certify_random=_read(bank_cfg, "bank", "certify_random", int, 32),
+        certify_seed=_read(bank_cfg, "bank", "certify_seed", int, 0),
         points=points,
         generator=generator,
         report_path=out_cfg.get("report"),
@@ -254,7 +299,6 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     sched = build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
-    ws = WeightSystem(sched)
     timings["schedule"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -263,12 +307,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     else:
         gen = cfg.generator
         pts = generate_annular(
-            int(gen.get("seed", 0)),
-            sched,
-            int(gen.get("per_level", 10)),
-            cfg.source.dim,
-            gen.get("placement", "mixed"),
-            cfg.source.norm,
+            gen["seed"], sched, gen["per_level"], cfg.source.dim, gen["placement"], cfg.source.norm
         )
     decomp = decompose(pts, sched)
     timings["points"] = time.perf_counter() - t0
@@ -282,7 +321,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     timings["bank"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    g = GlueEmbedding(ws, bank, selection)
+    g = GlueEmbedding(sched, bank, selection)
     dist = distortion_report(g, pts, tol=tolerance)
     timings["sweep"] = time.perf_counter() - t0
 
@@ -392,15 +431,14 @@ def cmd_theory(args) -> int:
     return 0 if ok else 1
 
 
-def _schedule_from_args(args) -> WeightSystem:
+def _schedule_from_args(args) -> RadiiSchedule:
     params = Params(args.eps, args.delta, args.gamma, args.zeta)
-    return WeightSystem(build_schedule(params, args.r1, args.levels, args.margin))
+    return build_schedule(params, args.r1, args.levels, args.margin)
 
 
 def cmd_weights(args) -> int:
     try:
-        ws = _schedule_from_args(args)
-        ts, table = weight_grid(ws, args.grid)
+        ts, table = weight_grid(_schedule_from_args(args), args.grid)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,9 +453,8 @@ def cmd_weights(args) -> int:
 
 def cmd_gen_points(args) -> int:
     try:
-        ws = _schedule_from_args(args)
         pts = generate_annular(
-            args.seed, ws.schedule, args.per_level, args.dim, args.placement
+            args.seed, _schedule_from_args(args), args.per_level, args.dim, args.placement
         )
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,20 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import EmbeddingBank, SelectionResult
-from .schedule import WeightSystem, _check_log_t, _cos_sin, _ramp_angle_log, active_weights_log
+from .schedule import (
+    RadiiSchedule,
+    active_weights_log,
+    check_log_radius,
+    level_weights_log,
+    log_radius,
+    sandwich_angles,
+)
 from .spaces import LinearMap, Space, Vector, blend_apply, norm
 
 
 @dataclass(frozen=True, eq=False)
 class GlueEmbedding:
-    """The assembled embedding: weight system, bank, and chosen subsequence."""
+    """The assembled embedding: radii schedule, bank, and chosen subsequence."""
 
-    ws: WeightSystem
+    schedule: RadiiSchedule
     bank: EmbeddingBank
     selection: SelectionResult
 
     def __post_init__(self):
-        need = self.ws.levels + 1
+        need = self.schedule.levels + 1
         if len(self.selection.chosen_indices) != need:
             raise ValueError(
                 f"selection must cover {need} levels, got {len(self.selection.chosen_indices)}"
@@ -53,21 +60,18 @@ class GlueEmbedding:
 def level_map(g: GlueEmbedding, level: int, x) -> Vector:
     """The level's interpolated map: blend of maps `level` and `level+1` at the
     ramp angle of norm(x). Agrees with embed() on the level's shell exactly."""
-    sched = g.ws.schedule
+    sched = g.schedule
     if not (1 <= level <= sched.levels):
         raise ValueError(f"level must be in 1..{sched.levels}, got {level}")
-    t = norm(g.source, x)
-    log_t = math.log(t) if t > 0.0 else -math.inf
-    _check_log_t(sched, log_t)
-    c, s = _cos_sin(_ramp_angle_log(sched, level, log_t))
+    log_t = log_radius(norm(g.source, x))
+    check_log_radius(sched, log_t)
+    c, s = level_weights_log(sched, level, log_t)
     return blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
 
 
 def embed(g: GlueEmbedding, x) -> Vector:
     """Evaluate the glued embedding at x; the origin maps to the origin."""
-    t = norm(g.source, x)
-    log_t = math.log(t) if t > 0.0 else -math.inf
-    level, c, s = active_weights_log(g.ws.schedule, log_t)
+    level, c, s = active_weights_log(g.schedule, log_radius(norm(g.source, x)))
     return blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
 
 
@@ -95,13 +99,10 @@ def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y) -> float:
     G_phi the cos/sin blend at angle phi. Returns the floating-point defect
     of this identity scaled by norm(x) + norm(y).
     """
-    sched = g.ws.schedule
     nx, ny = norm(g.source, x), norm(g.source, y)
     if not (nx >= ny > 0.0):
         raise ValueError("need norm(x) >= norm(y) > 0")
-    ax = _ramp_angle_log(sched, level, math.log(nx))
-    ay = _ramp_angle_log(sched, level, math.log(ny))
-    theta = 0.5 * math.pi + 0.5 * (ax + ay)
+    ax, ay, theta = sandwich_angles(g.schedule, level, nx, ny)
     first, second = g.map_at(level), g.map_at(level + 1)
     lhs = level_map(g, level, x) - level_map(g, level, y)
     rhs = blend_apply(math.cos(ax), math.sin(ax), first, second, np.asarray(x) - np.asarray(y))

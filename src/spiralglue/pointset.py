@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .schedule import RadiiSchedule, _check_log_t, _ramp_angle_log
+from .schedule import RadiiSchedule, check_log_radius, log_radius, ramp_angle_log
 from .spaces import (
     Lp,
     NormSpec,
@@ -100,7 +100,7 @@ Classification = Union[SameLevel, Far]
 
 def _level_interval(sched: RadiiSchedule, log_t: float) -> tuple[int, int]:
     """Contiguous 1-based range of shells containing a point of log norm log_t."""
-    _check_log_t(sched, log_t)
+    check_log_radius(sched, log_t)
     m = sched.levels
     if log_t == -math.inf:
         return 1, m
@@ -122,10 +122,7 @@ def classify_lognorms(sched: RadiiSchedule, log_nx: float, log_ny: float) -> Cla
 
 def classify_pair(x, y, sched: RadiiSchedule, space: Space) -> Classification:
     """Classify a point pair with norm(x) >= norm(y)."""
-    nx, ny = norm(space, x), norm(space, y)
-    lx = math.log(nx) if nx > 0 else -math.inf
-    ly = math.log(ny) if ny > 0 else -math.inf
-    return classify_lognorms(sched, lx, ly)
+    return classify_lognorms(sched, log_radius(norm(space, x)), log_radius(norm(space, y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +159,7 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     m = sched.levels
     logs = log_norms(pts)
     for ln in logs:
-        _check_log_t(sched, ln)
+        check_log_radius(sched, ln)
     order = np.argsort(np.asarray(pts.ids))
     dim = pts.space.dim
     members: list[tuple[int, ...]] = []
@@ -187,7 +184,7 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
         for a in np.flatnonzero(logs_here > log_ri).tolist():
             ys = np.flatnonzero(logs_here <= min(log_Ri, logs_here[a]))
             ys = ys[ys != a]
-            angle = float(_ramp_angle_log(sched, level, logs_here[a]))
+            angle = float(ramp_angle_log(sched, level, logs_here[a]))
             for block in row_blocks(len(ys), dim):
                 diff = rows[a] - rows[ys[block]]
                 for u in diff / norms(pts.space, diff)[:, None]:

@@ -121,38 +121,38 @@ def radii(sched: RadiiSchedule) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(sched.log_r), np.exp(sched.log_R)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Evaluators for the ramp angles and gluing weights of a schedule."""
-
-    schedule: RadiiSchedule
-
-    @property
-    def levels(self) -> int:
-        return self.schedule.levels
-
-    @property
-    def weight_count(self) -> int:
-        return self.schedule.levels + 1
+def log_radius(t: float) -> float:
+    """ln t, or -inf at the origin."""
+    return math.log(t) if t > 0.0 else -math.inf
 
 
-def _check_log_t(sched: RadiiSchedule, log_t: float) -> None:
+def check_log_radius(sched: RadiiSchedule, log_t: float) -> None:
+    """Raise OutOfScheduleRange when log_t lies beyond the schedule's coverage."""
     if log_t > sched.log_coverage + 1e-12 * max(1.0, abs(sched.log_coverage)):
         raise OutOfScheduleRange(
             f"log norm {log_t!r} exceeds schedule coverage {sched.log_coverage!r}"
         )
 
 
-def _ramp_angle_log(sched: RadiiSchedule, level: int, log_t: float) -> float:
+def ramp_angle_log(sched: RadiiSchedule, level: int, log_t: float) -> float:
+    """The level's clamped ramp angle at log radius log_t: exactly 0 up to
+    r_level and exactly pi/2 from R_level on, where the ramp ends even when
+    eps * (log R_level - log r_level) rounds below pi/2."""
+    if log_t >= sched.log_R[level - 1]:
+        return HALF_PI
     a = sched.params.eps * (log_t - sched.log_r[level - 1])
     if a <= 0.0:
         return 0.0
     return min(a, HALF_PI)
 
 
-def _cos_sin(angle: float) -> tuple[float, float]:
-    # Exact endpoints: the clamped angle must yield weights exactly 0/1 there,
-    # otherwise supports and plateaus would only hold approximately.
+def level_weights_log(sched: RadiiSchedule, level: int, log_t: float) -> tuple[float, float]:
+    """(cos, sin) of the level's ramp angle at log radius log_t.
+
+    At the clamp endpoints the pair is exactly (1.0, 0.0) or (0.0, 1.0), so
+    supports and plateaus hold exactly in floating point.
+    """
+    angle = ramp_angle_log(sched, level, log_t)
     if angle <= 0.0:
         return 1.0, 0.0
     if angle >= HALF_PI:
@@ -160,61 +160,56 @@ def _cos_sin(angle: float) -> tuple[float, float]:
     return math.cos(angle), math.sin(angle)
 
 
+def sandwich_angles(
+    sched: RadiiSchedule, level: int, nx: float, ny: float
+) -> tuple[float, float, float]:
+    """Ramp angles (sigma, alpha) of the level at norms nx >= ny > 0, and
+    theta = pi/2 + (sigma + alpha)/2: the angles of the per-pair sandwich."""
+    sigma = ramp_angle_log(sched, level, math.log(nx))
+    alpha = ramp_angle_log(sched, level, math.log(ny))
+    return sigma, alpha, 0.5 * math.pi + 0.5 * (sigma + alpha)
+
+
 def _log_of(t: float) -> float:
     if t < 0.0 or not (t < math.inf):
         raise ValueError(f"radius must be a finite non-negative real, got {t!r}")
-    return math.log(t) if t > 0.0 else -math.inf
+    return log_radius(t)
 
 
-def ramp_angle(ws: WeightSystem, level: int, t: float) -> float:
+def ramp_angle(sched: RadiiSchedule, level: int, t: float) -> float:
     """Turning angle of the given level at radius t, clamped to [0, pi/2]."""
-    sched = ws.schedule
     if not (1 <= level <= sched.levels):
         raise ValueError(f"level must be in 1..{sched.levels}, got {level}")
-    return _ramp_angle_log(sched, level, _log_of(t))
-
-
-def _weight_log(sched: RadiiSchedule, index: int, log_t: float) -> float:
-    m = sched.levels
-    if index == 1:
-        if log_t > sched.log_R[0]:
-            return 0.0
-        return _cos_sin(_ramp_angle_log(sched, 1, log_t))[0]
-    if log_t < sched.log_r[index - 2]:
-        return 0.0
-    if index <= m:
-        if log_t < sched.log_R[index - 2]:
-            return _cos_sin(_ramp_angle_log(sched, index - 1, log_t))[1]
-        if log_t <= sched.log_r[index - 1]:
-            return 1.0
-        if log_t <= sched.log_R[index - 1]:
-            return _cos_sin(_ramp_angle_log(sched, index, log_t))[0]
-        return 0.0
-    # terminal weight: rises on the last ramp, then stays 1 up to coverage
-    return _cos_sin(_ramp_angle_log(sched, m, log_t))[1]
-
-
-def weight(ws: WeightSystem, index: int, t: float) -> float:
-    """Gluing weight mu_index at radius t; index runs in 1..levels+1."""
-    sched = ws.schedule
-    if not (1 <= index <= sched.levels + 1):
-        raise ValueError(f"weight index must be in 1..{sched.levels + 1}, got {index}")
-    log_t = _log_of(t)
-    _check_log_t(sched, log_t)
-    return _weight_log(sched, index, log_t)
+    return ramp_angle_log(sched, level, _log_of(t))
 
 
 def active_weights_log(sched: RadiiSchedule, log_t: float) -> tuple[int, float, float]:
     """Level i and the weight pair (mu_i, mu_{i+1}) at log radius log_t.
 
-    The returned pair is cos/sin of the level's clamped angle, so a plateau
-    yields exactly (1.0, 0.0) or (0.0, 1.0). All other weights vanish.
+    This is the one weight evaluator: level i is the ramp whose range
+    (r_i, r_{i+1}] holds the radius (clamped to 1..levels) and the pair is
+    level_weights_log there. All other weights vanish.
     """
-    _check_log_t(sched, log_t)
+    check_log_radius(sched, log_t)
     i = int(np.searchsorted(sched.log_r, log_t, side="left"))
     i = min(max(i, 1), sched.levels)
-    c, s = _cos_sin(_ramp_angle_log(sched, i, log_t))
-    return i, c, s
+    return (i, *level_weights_log(sched, i, log_t))
+
+
+def _weights_row(sched: RadiiSchedule, log_t: float) -> np.ndarray:
+    """All levels + 1 weights at log_t, read off active_weights_log."""
+    level, c, s = active_weights_log(sched, log_t)
+    row = np.zeros(sched.levels + 1)
+    row[level - 1] = c
+    row[level] = s
+    return row
+
+
+def weight(sched: RadiiSchedule, index: int, t: float) -> float:
+    """Gluing weight mu_index at radius t; index runs in 1..levels+1."""
+    if not (1 <= index <= sched.levels + 1):
+        raise ValueError(f"weight index must be in 1..{sched.levels + 1}, got {index}")
+    return float(_weights_row(sched, _log_of(t))[index - 1])
 
 
 @dataclass(frozen=True)
@@ -232,11 +227,12 @@ class WeightConditionReport:
     samples: int
 
 
-def check_weight_conditions(ws: WeightSystem, samples_per_interval: int) -> WeightConditionReport:
+def check_weight_conditions(
+    sched: RadiiSchedule, samples_per_interval: int
+) -> WeightConditionReport:
     """Finite-difference check of the angle slope cap and the paired-weight slope cap."""
     if samples_per_interval < 2:
         raise ValueError("samples_per_interval must be >= 2")
-    sched = ws.schedule
     eps = sched.params.eps
     h = 1e-6  # step in log radius
     slope_min = math.inf
@@ -249,21 +245,18 @@ def check_weight_conditions(ws: WeightSystem, samples_per_interval: int) -> Weig
         pad = 10.0 * h
         grid = np.linspace(lo + pad, hi - pad, samples_per_interval)
         for lt in grid:
-            a_plus = _ramp_angle_log(sched, i, lt + h)
-            a_minus = _ramp_angle_log(sched, i, lt - h)
+            a_plus = ramp_angle_log(sched, i, lt + h)
+            a_minus = ramp_angle_log(sched, i, lt - h)
             slope = (a_plus - a_minus) / (2.0 * h)
             slope_min = min(slope_min, slope)
             angle_viol = max(angle_viol, slope - eps)
-            d_lo = (_weight_log(sched, i, lt + h) - _weight_log(sched, i, lt - h)) / (2.0 * h)
-            d_hi = (_weight_log(sched, i + 1, lt + h) - _weight_log(sched, i + 1, lt - h)) / (
-                2.0 * h
-            )
-            weight_viol = max(weight_viol, math.hypot(d_lo, d_hi) - eps)
+            dw = (_weights_row(sched, lt + h) - _weights_row(sched, lt - h)) / (2.0 * h)
+            weight_viol = max(weight_viol, math.hypot(dw[i - 1], dw[i]) - eps)
             total += 1
     defect = -math.inf
     span = np.linspace(sched.log_r[0] - 2.0, sched.log_coverage, samples_per_interval)
     for lt in span:
-        sq = sum(_weight_log(sched, k, lt) ** 2 for k in range(1, sched.levels + 2))
+        sq = sum(v**2 for v in _weights_row(sched, lt).tolist())
         defect = max(defect, abs(sq - 1.0))
     return WeightConditionReport(
         float(slope_min), float(angle_viol), float(weight_viol), float(defect), total
@@ -295,20 +288,19 @@ def schedule_from_dict(d: dict) -> RadiiSchedule:
 
 
 def weight_grid(
-    ws: WeightSystem, grid_size: int, log_lo: float | None = None, log_hi: float | None = None
+    sched: RadiiSchedule,
+    grid_size: int,
+    log_lo: float | None = None,
+    log_hi: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced grid of radii and the full weight table, for plotting/export."""
-    sched = ws.schedule
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     lo = sched.log_r[0] - math.log(100.0) if log_lo is None else float(log_lo)
     hi = sched.log_coverage if log_hi is None else float(log_hi)
-    _check_log_t(sched, hi)
+    check_log_radius(sched, hi)
     if hi > _MAX_LOG:
         raise OverflowError("grid radii exceed the floating range")
     logs = np.linspace(lo, hi, grid_size)
-    table = np.empty((grid_size, sched.levels + 1))
-    for row, lt in enumerate(logs):
-        for k in range(1, sched.levels + 2):
-            table[row, k - 1] = _weight_log(sched, k, lt)
+    table = np.array([_weights_row(sched, lt) for lt in logs])
     return np.exp(logs), table

@@ -269,16 +269,6 @@ def blend_apply(c: float, s: float, first: LinearMap, second: LinearMap, x) -> V
     return c * apply(first, x) + s * apply(second, x)
 
 
-def combine(theta: float, first: LinearMap, second: LinearMap) -> LinearMap:
-    """cos(theta)*first + sin(theta)*second as an explicit map."""
-    if not (-1e-9 <= theta <= math.pi + 1e-9):
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    if first.source != second.source or first.target != second.target:
-        raise DimensionMismatch("maps must share source and target spaces")
-    mat = math.cos(theta) * first.matrix + math.sin(theta) * second.matrix
-    return LinearMap(mat, first.source, first.target)
-
-
 def norm_axioms_max_violation(space: Space, samples: int = 200, seed: int = 0) -> float:
     """Worst violation of the triangle inequality and absolute homogeneity
     over random unit-scale samples. Used by the test suite."""

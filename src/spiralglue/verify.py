@@ -13,17 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import BlockShift, SelectionResult, UserMatrices, build_bank
+from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, direction_gain, embed, level_map
 from .pointset import Far, LocallyFiniteSet, SameLevel, classify_lognorms
-from .schedule import (
-    Params,
-    WeightSystem,
-    _check_log_t,
-    _ramp_angle_log,
-    build_schedule,
-)
+from .schedule import Params, build_schedule, check_log_radius, log_radius, sandwich_angles
 from .spaces import Lp, Space, norm, norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
@@ -48,7 +42,7 @@ class TheoreticalBounds:
 
 def bounds_from_values(eps: float, delta: float, gamma: float, zeta: float) -> TheoreticalBounds:
     """Evaluate the four closed forms; gamma and zeta may be zero."""
-    base = SQRT2 / (3.0 * (1.0 + zeta))
+    base = blend_threshold(zeta)
     l_same = base - eps * SQRT2 * (1.0 + gamma)
     u_same = SQRT2 * (1.0 + gamma) * (1.0 + eps)
     l_far = (base - SQRT2 * (1.0 + gamma) * delta) / (1.0 + delta)
@@ -153,16 +147,13 @@ def _plateau_index(sched, log_t: float) -> int | None:
     return None
 
 
-def _shell_sandwich(g: GlueEmbedding, level: int, x, y, nx, ny, diff, ndiff):
+def _shell_sandwich(g: GlueEmbedding, level: int, y, nx, ny, diff, ndiff):
     """The per-pair sandwich ingredients on a shared shell with ny > 0."""
-    sched = g.ws.schedule
-    sigma = _ramp_angle_log(sched, level, math.log(nx))
-    ay = _ramp_angle_log(sched, level, math.log(ny))
-    theta = 0.5 * math.pi + 0.5 * (sigma + ay)
+    sigma, _, theta = sandwich_angles(g.schedule, level, nx, ny)
     first, second = g.map_at(level), g.map_at(level + 1)
     gsw = direction_gain(sigma, diff / ndiff, first, second)
     gtv = direction_gain(theta, np.asarray(y) / ny, first, second)
-    eps = sched.params.eps
+    eps = g.schedule.params.eps
     return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
 
@@ -182,6 +173,7 @@ def check_pair(
     space = g.source
     return _judge_pair(
         g,
+        embedding_bounds(g),
         x,
         y,
         norm(space, x),
@@ -194,22 +186,20 @@ def check_pair(
     )
 
 
-def _judge_pair(g, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol) -> PairCheck:
-    """check_pair's verdict, given the source norms of x, y and x - y and the
-    target norm of embed(x) - embed(y)."""
-    sched = g.ws.schedule
+def _judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol) -> PairCheck:
+    """check_pair's verdict, given the embedding's bounds, the source norms of
+    x, y and x - y and the target norm of embed(x) - embed(y)."""
+    sched = g.schedule
     if ny > nx:
         raise ValueError("caller must order the pair so that norm(x) >= norm(y)")
-    log_nx = math.log(nx) if nx > 0.0 else -math.inf
-    log_ny = math.log(ny) if ny > 0.0 else -math.inf
-    _check_log_t(sched, log_nx)
+    log_nx = log_radius(nx)
+    log_ny = log_radius(ny)
+    check_log_radius(sched, log_nx)
     if ndiff == 0.0:
         raise ValueError("points must be distinct")
     ratio = nimage / ndiff
 
     gamma = g.bank.gamma
-    zeta = g.selection.zeta
-    eps = sched.params.eps
     delta = sched.params.delta
 
     cls = classify_lognorms(sched, log_nx, log_ny)
@@ -227,22 +217,16 @@ def _judge_pair(g, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol) -> PairCheck:
             checks.append(("plateau_bracket", 1.0, 1.0 + gamma))
         if ny > 0.0:
             sigma, theta, gsw, gtv, lo, hi = _shell_sandwich(
-                g, cls.level, x, y, nx, ny, x - y, ndiff
+                g, cls.level, y, nx, ny, x - y, ndiff
             )
             checks.append(("pair_sandwich", lo, hi))
             if log_ny <= sched.log_R[cls.level - 1] and log_nx > sched.log_r[cls.level - 1]:
-                checks.append(
-                    (
-                        "shell_bracket",
-                        SQRT2 / (3.0 * (1.0 + zeta)) - eps * SQRT2 * (1.0 + gamma),
-                        SQRT2 * (1.0 + gamma) * (1.0 + eps),
-                    )
-                )
+                checks.append(("shell_bracket", bounds.l_same, bounds.u_same))
         elif kx is None:
             # smaller point is the origin and the larger sits on a ramp
             kind = f"ray:{cls.level}"
             checks.append(
-                ("ray_bracket", SQRT2 / (3.0 * (1.0 + zeta)), SQRT2 * (1.0 + gamma))
+                ("ray_bracket", blend_threshold(g.selection.zeta), SQRT2 * (1.0 + gamma))
             )
     else:
         assert isinstance(cls, Far)
@@ -260,14 +244,7 @@ def _judge_pair(g, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol) -> PairCheck:
                 min(lo_gap, hi_gap) / nx,
                 f"pair ({x_id}, {y_id}): |x-y| outside (1 +- delta)|x|",
             )
-        base = SQRT2 / (3.0 * (1.0 + zeta))
-        checks.append(
-            (
-                "far_bracket",
-                (base - SQRT2 * (1.0 + gamma) * delta) / (1.0 + delta),
-                SQRT2 * (1.0 + gamma) * (1.0 + delta) / (1.0 - delta),
-            )
-        )
+        checks.append(("far_bracket", bounds.l_far, bounds.u_far))
 
     lower_slack = math.inf
     upper_slack = math.inf
@@ -308,7 +285,7 @@ class DistortionReport:
 
 def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
     """Bounds evaluated at the parameters the artifacts actually carry."""
-    sched = g.ws.schedule
+    sched = g.schedule
     return bounds_from_values(sched.params.eps, sched.params.delta, g.bank.gamma, g.selection.zeta)
 
 
@@ -325,11 +302,12 @@ def distortion_report(
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
+    bounds = embedding_bounds(g)
     coords = pts.coords
     source_norms = norms(g.source, coords).tolist()
     # each pair is ordered by the point set's own norm, larger first
     own = norms(pts.space, coords).tolist()
-    key = [(math.log(v) if v > 0.0 else -math.inf, -i) for v, i in zip(own, pts.ids)]
+    key = [(log_radius(v), -i) for v, i in zip(own, pts.ids)]
     images = np.empty((n, g.target.dim))
     for k, row in enumerate(coords):
         images[k] = embed(g, row)
@@ -345,6 +323,7 @@ def distortion_report(
                 results.append(
                     _judge_pair(
                         g,
+                        bounds,
                         coords[x],
                         coords[y],
                         source_norms[x],
@@ -374,7 +353,6 @@ def distortion_report(
                 min(prev.min_lower_slack, pc.lower_slack),
                 min(prev.min_upper_slack, pc.upper_slack),
             )
-    bounds = embedding_bounds(g)
     if distortion > bounds.ratio + tol:
         raise BoundViolated(
             "distortion_vs_bounds",
@@ -432,15 +410,14 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
     rng = np.random.default_rng(seed)
     banks = _fuzz_banks(seed)
     params = Params(0.05, 0.1, 0.05, 0.05)
-    ws = WeightSystem(build_schedule(params, 1.0, levels))
-    sched = ws.schedule
+    sched = build_schedule(params, 1.0, levels)
     worst_lo = math.inf
     worst_hi = math.inf
     worst_res = 0.0
+    sel = SelectionResult(tuple(range(levels + 1)), (math.inf,) * levels, 0.0, blend_threshold(0.0))
     for k in range(n_pairs):
         bank = banks[k % len(banks)]
-        sel = SelectionResult(tuple(range(levels + 1)), (math.inf,) * levels, 0.0, SQRT2 / 3.0)
-        g = GlueEmbedding(ws, bank, sel)
+        g = GlueEmbedding(sched, bank, sel)
         level = int(rng.integers(1, levels + 1))
         lo = sched.log_R[level - 2] if level >= 2 else sched.log_r[0] - 1.0
         hi = sched.log_r[level] if level < levels else sched.log_coverage
@@ -456,7 +433,7 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
         if ndiff < 1e-6 * nx:
             continue
         ratio = norm(bank.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
-        _, _, _, _, lo_b, hi_b = _shell_sandwich(g, level, x, y, nx, ny, diff, ndiff)
+        _, _, _, _, lo_b, hi_b = _shell_sandwich(g, level, y, nx, ny, diff, ndiff)
         worst_lo = min(worst_lo, ratio - lo_b)
         worst_hi = min(worst_hi, hi_b - ratio)
         worst_res = max(worst_res, blend_decomposition_residual(g, level, x, y))

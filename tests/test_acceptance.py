@@ -38,7 +38,6 @@ def test_criterion_1_end_to_end_distortion():
     t0 = time.perf_counter()
     params = sg.Params(0.01, 0.01, 0.01, 0.01)
     sched = sg.build_schedule(params, 1.0, 3)
-    ws = sg.WeightSystem(sched)
     source = sg.Space(3, sg.Lp(1.0))
     target = sg.Space(18, sg.Lp(1.0))
     pts = sg.generate_annular(7, sched, 13, 3, "mixed", sg.Lp(1.0))
@@ -46,7 +45,7 @@ def test_criterion_1_end_to_end_distortion():
     decomp = sg.decompose(pts, sched)
     bank = sg.build_bank(sg.BlockShift(), source, target, params.gamma, 6, _certify_vectors(pts, decomp))
     selection = sg.select_subsequence(bank, decomp, params.zeta)
-    g = sg.GlueEmbedding(ws, bank, selection)
+    g = sg.GlueEmbedding(sched, bank, selection)
     rep = sg.distortion_report(g, pts)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -142,7 +141,6 @@ def test_criterion_5_plateau_isometry():
     # eps small enough that the attached closed-form bounds stay positive
     params = sg.Params(0.1, 0.05, 0.01, 0.01)
     sched = sg.build_schedule(params, 1.0, 3)
-    ws = sg.WeightSystem(sched)
     source = sg.Space(3, sg.Lp(1.0))
     target = sg.Space(15, sg.Lp(1.0))
     # all points in the single plateau [R_1, r_2], plus the origin
@@ -159,7 +157,7 @@ def test_criterion_5_plateau_isometry():
     )
     assert all(e == 0.0 for e in bank.eps_n)
     selection = sg.select_subsequence(bank, decomp, params.zeta)
-    g = sg.GlueEmbedding(ws, bank, selection)
+    g = sg.GlueEmbedding(sched, bank, selection)
     rep = sg.distortion_report(g, pts)
     in_bracket = all(
         1.0 - 1e-12 <= pc.ratio <= 1.0 + bank.gamma + 1e-12 for pc in rep.pair_checks
@@ -178,9 +176,8 @@ def test_criterion_6_weight_system_laws():
     t0 = time.perf_counter()
     params = sg.Params(0.5, 0.1, 0.01, 0.01)
     sched = sg.build_schedule(params, 1.0, 3)
-    ws = sg.WeightSystem(sched)
     eps = params.eps
-    ts, table = sg.weight_grid(ws, 10_000)
+    ts, table = sg.weight_grid(sched, 10_000)
     sq = (table**2).sum(axis=1)
     partition_ok = bool(np.max(np.abs(sq - 1.0)) <= 1e-12)
 
@@ -191,11 +188,11 @@ def test_criterion_6_weight_system_laws():
         grid = np.exp(np.linspace(sched.log_r[i - 1] + 1e-4, sched.log_R[i - 1] - 1e-4, 1000))
         for t in grid:
             h = t * 1e-6
-            d_lo = (sg.weight(ws, i, t + h) - sg.weight(ws, i, t - h)) / (2 * h)
-            d_hi = (sg.weight(ws, i + 1, t + h) - sg.weight(ws, i + 1, t - h)) / (2 * h)
+            d_lo = (sg.weight(sched, i, t + h) - sg.weight(sched, i, t - h)) / (2 * h)
+            d_hi = (sg.weight(sched, i + 1, t + h) - sg.weight(sched, i + 1, t - h)) / (2 * h)
             if math.hypot(d_lo, d_hi) > eps / t + 1e-6:
                 slope_ok = False
-            da = (sg.ramp_angle(ws, i, t + h) - sg.ramp_angle(ws, i, t - h)) / (2 * h)
+            da = (sg.ramp_angle(sched, i, t + h) - sg.ramp_angle(sched, i, t - h)) / (2 * h)
             if not (-1e-9 <= da <= eps / t + 1e-6):
                 angle_ok = False
 

@@ -161,7 +161,7 @@ def _decomp_for(space, sched, coords):
 
 
 def test_selection_accepts_first_indices_for_block_shift(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     src = sg.Space(2, sg.Lp(1.0))
     tgt = sg.Space(10, sg.Lp(1.0))
     pts = sg.generate_annular(17, sched, 4, 2, "mixed", sg.Lp(1.0))
@@ -178,7 +178,7 @@ def test_selection_accepts_first_indices_for_block_shift(small_ws):
 
 
 def test_selection_vacuous_for_origin_only(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     src = sg.Space(2, sg.Lp(2.0))
     tgt = sg.Space(10, sg.Lp(2.0))
     dec = _decomp_for(src, sched, [[0.0, 0.0]])
@@ -222,7 +222,7 @@ def test_selection_skips_poisoned_candidate():
 def test_selection_requires_enough_maps(small_ws):
     src = sg.Space(2, sg.Lp(2.0))
     tgt = sg.Space(6, sg.Lp(2.0))
-    dec = _decomp_for(src, small_ws.schedule, [[0.0, 0.0]])
+    dec = _decomp_for(src, small_ws, [[0.0, 0.0]])
     bank = sg.build_bank(sg.BlockShift(), src, tgt, 0.01, 3, [np.ones(2)])
     with pytest.raises(ValueError):
         sg.select_subsequence(bank, dec, 0.01)

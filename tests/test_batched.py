@@ -17,7 +17,7 @@ import spiralglue as sg
 from spiralglue.cli import _certify_vectors, parse_config, run_pipeline
 from spiralglue.errors import CertificationFailed, DimensionMismatch
 from spiralglue.pointset import _DIR_TOL
-from spiralglue.schedule import _check_log_t, _ramp_angle_log
+from spiralglue.schedule import check_log_radius, ramp_angle_log
 
 # ---------------------------------------------------------------- norms
 
@@ -185,7 +185,7 @@ def decompose_scan(pts, sched):
     m = sched.levels
     logs = sg.log_norms(pts)
     for ln in logs:
-        _check_log_t(sched, ln)
+        check_log_radius(sched, ln)
     order = np.argsort(np.asarray(pts.ids))
     members, dirs = [], []
     for level in range(1, m + 1):
@@ -208,7 +208,7 @@ def decompose_scan(pts, sched):
         for a, xa in enumerate(rows_here):
             if not logs_here[a] > log_ri:
                 continue
-            angle = _ramp_angle_log(sched, level, logs_here[a])
+            angle = ramp_angle_log(sched, level, logs_here[a])
             for b, yb in enumerate(rows_here):
                 if a == b:
                     continue
@@ -243,7 +243,7 @@ def _assert_decompositions_agree(pts, sched):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_decompose_matches_scan(data, small_ws, wide_ws):
-    sched = data.draw(st.sampled_from([small_ws, wide_ws])).schedule
+    sched = data.draw(st.sampled_from([small_ws, wide_ws]))
     space = data.draw(_spaces())
     placement = data.draw(st.sampled_from(["plateau", "ramp", "mixed"]))
     per_level = data.draw(st.integers(1, 10))
@@ -258,7 +258,7 @@ def test_decompose_matches_scan(data, small_ws, wide_ws):
 def test_decompose_matches_scan_on_collinear_points(small_ws):
     # differences along one ray agree only up to rounding, which exercises
     # the tolerance match rather than bitwise repeats
-    sched = small_ws.schedule
+    sched = small_ws
     base = np.array([0.3, -0.7, 1.1])
     radii = np.exp(np.linspace(sched.log_r[0] - 1.0, sched.log_R[2], 25))
     coords = np.vstack([np.zeros(3), np.outer(radii, base), np.outer(radii[::3], -base[::-1])])

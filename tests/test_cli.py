@@ -228,3 +228,37 @@ def test_gen_points_round_trip(tmp_path):
     pts = sg.load_points(str(out))
     assert len(pts) == 3 * 4 + 1
     assert pts.includes_origin
+
+
+def _run_with(tmp_path, dotted, value):
+    """Exit code of `run` on the base config with the value at a dotted key set."""
+    path, cfg = _base_config(tmp_path)
+    *parents, key = dotted.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    path.write_text(json.dumps(cfg))
+    return main(["run", "--config", str(path)])
+
+
+@pytest.mark.parametrize("dotted, value", [("schedule.levels", None), ("schedule.margin", [1])])
+def test_run_config_type_error_names_key(tmp_path, capsys, dotted, value):
+    assert _run_with(tmp_path, dotted, value) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {dotted}: ")
+
+
+@pytest.mark.parametrize("dotted", ["bank.cuont", "points.generator.per_levle", "shedule"])
+def test_run_rejects_unknown_config_key(tmp_path, capsys, dotted):
+    assert _run_with(tmp_path, dotted, 6) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {dotted}: unknown key")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_nonpositive_lower_bound_exits_nonzero(tmp_path):
+    path, _ = _base_config(
+        tmp_path, params={"eps": 0.9, "delta": 0.01, "gamma": 0.01, "zeta": 0.01}
+    )
+    assert main(["run", "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "NonPositiveLowerBound"

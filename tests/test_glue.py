@@ -24,7 +24,7 @@ def test_embed_origin_is_zero(l1_pipeline):
 
 def test_embed_plateau_is_single_certified_map(l1_pipeline):
     g, _, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     lt = 0.5 * (sched.log_R[0] + sched.log_r[1])  # plateau of level 2
     x = _at_norm(src, [1.0, -2.0, 0.5], lt)
@@ -36,7 +36,7 @@ def test_embed_plateau_is_single_certified_map(l1_pipeline):
 
 def test_embed_matches_level_map_on_every_shared_shell(l1_pipeline):
     g, _, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     rng = np.random.default_rng(23)
     for _ in range(60):
@@ -53,7 +53,7 @@ def test_embed_matches_level_map_on_every_shared_shell(l1_pipeline):
 
 def test_embed_out_of_coverage(l1_pipeline):
     g, _, _ = l1_pipeline
-    x = _at_norm(g.source, [1.0, 1.0, 1.0], g.ws.schedule.log_coverage + 1.0)
+    x = _at_norm(g.source, [1.0, 1.0, 1.0], g.schedule.log_coverage + 1.0)
     with pytest.raises(OutOfScheduleRange):
         sg.embed(g, x)
     with pytest.raises(OutOfScheduleRange):
@@ -62,7 +62,7 @@ def test_embed_out_of_coverage(l1_pipeline):
 
 def test_level_map_endpoints(l1_pipeline):
     g, _, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     below = _at_norm(src, [1.0, 0.5, 0.25], sched.log_r[1] - 0.5)
     above = _at_norm(src, [1.0, 0.5, 0.25], sched.log_R[1] + 0.5)
@@ -72,7 +72,7 @@ def test_level_map_endpoints(l1_pipeline):
 
 def test_ray_formula(l1_pipeline):
     g, _, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     rng = np.random.default_rng(31)
     for level in (1, 2, 3):
@@ -80,7 +80,7 @@ def test_ray_formula(l1_pipeline):
             lt = rng.uniform(sched.log_r[level - 1] - 0.5, sched.log_R[level - 1] + 0.5)
             x = _at_norm(src, rng.standard_normal(3), lt)
             t = sg.norm(src, x)
-            sigma = sg.ramp_angle(g.ws, level, t)
+            sigma = sg.ramp_angle(g.schedule, level, t)
             lhs = sg.norm(g.target, sg.level_map(g, level, x)) / t
             rhs = sg.direction_gain(sigma, x / t, g.map_at(level), g.map_at(level + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -140,7 +140,7 @@ def test_gain_requires_unit_vector(l1_pipeline):
 
 def test_blend_decomposition_residual_fuzz(l1_pipeline):
     g, _, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     rng = np.random.default_rng(43)
     worst = 0.0
@@ -166,7 +166,7 @@ def test_glue_validates_selection(l1_pipeline):
     g, _, _ = l1_pipeline
     bad = sg.SelectionResult((0, 1), (math.inf,), 0.01, 0.46)
     with pytest.raises(ValueError):
-        sg.GlueEmbedding(g.ws, g.bank, bad)
+        sg.GlueEmbedding(g.schedule, g.bank, bad)
     decreasing = sg.SelectionResult((0, 2, 1, 3), (math.inf,) * 3, 0.01, 0.46)
     with pytest.raises(ValueError):
-        sg.GlueEmbedding(g.ws, g.bank, decreasing)
+        sg.GlueEmbedding(g.schedule, g.bank, decreasing)

@@ -29,7 +29,7 @@ def test_origin_detection():
 def test_decompose_origin_only(small_ws):
     space = sg.Space(2, sg.Lp(2.0))
     pts = sg.make_point_set(space, [[0.0, 0.0]])
-    dec = sg.decompose(pts, small_ws.schedule)
+    dec = sg.decompose(pts, small_ws)
     assert dec.levels == 3
     for ids, dirs in zip(dec.member_ids, dec.directions):
         assert ids == (0,)
@@ -39,7 +39,7 @@ def test_decompose_origin_only(small_ws):
 def test_decompose_two_point_example(small_ws):
     # one pair satisfying the recording conditions at level 1:
     # r_1 < |x| <= r_2, |y| <= R_1
-    sched = small_ws.schedule
+    sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     r, big_r = sg.radii(sched)
     x = _norm_point(space, [1.0, 1.0], 50.0)
@@ -60,7 +60,7 @@ def test_decompose_two_point_example(small_ws):
 
 
 def test_shell_membership_boundary_strict(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     r, big_r = sg.radii(sched)
     x = _norm_point(space, [3.0, 4.0], big_r[0])  # norm exactly R_1
@@ -72,15 +72,15 @@ def test_shell_membership_boundary_strict(small_ws):
 
 def test_decompose_rejects_uncovered_points(small_ws):
     space = sg.Space(2, sg.Lp(2.0))
-    cov = math.exp(small_ws.schedule.log_coverage)
+    cov = math.exp(small_ws.log_coverage)
     pts = sg.make_point_set(space, [_norm_point(space, [1.0, 0.5], 2 * cov)])
     with pytest.raises(OutOfScheduleRange):
-        sg.decompose(pts, small_ws.schedule)
+        sg.decompose(pts, small_ws)
 
 
 def test_direction_count_bound(small_ws):
-    pts = sg.generate_annular(3, small_ws.schedule, 4, 2, "mixed")
-    dec = sg.decompose(pts, small_ws.schedule)
+    pts = sg.generate_annular(3, small_ws, 4, 2, "mixed")
+    dec = sg.decompose(pts, small_ws)
     for ids, dirs in zip(dec.member_ids, dec.directions):
         # the synthetic origin joins the shell when the input origin is absent
         n = len(ids) if pts.includes_origin else len(ids) + 1
@@ -89,17 +89,17 @@ def test_direction_count_bound(small_ws):
 
 @pytest.mark.parametrize("placement", ["plateau", "ramp", "mixed"])
 def test_generator_counts_and_determinism(small_ws, placement):
-    pts1 = sg.generate_annular(9, small_ws.schedule, 2, 3, placement)
-    pts2 = sg.generate_annular(9, small_ws.schedule, 2, 3, placement)
+    pts1 = sg.generate_annular(9, small_ws, 2, 3, placement)
+    pts2 = sg.generate_annular(9, small_ws, 2, 3, placement)
     assert len(pts1) == 3 * 2 + 1
     assert pts1.includes_origin
     assert np.array_equal(pts1.coords, pts2.coords)
-    pts3 = sg.generate_annular(10, small_ws.schedule, 2, 3, placement)
+    pts3 = sg.generate_annular(10, small_ws, 2, 3, placement)
     assert not np.array_equal(pts1.coords, pts3.coords)
 
 
 def test_generator_plateau_placement(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     pts = sg.generate_annular(4, sched, 5, 2, "plateau")
     logs = sg.log_norms(pts)
     for ln in logs:
@@ -112,7 +112,7 @@ def test_generator_plateau_placement(small_ws):
 
 
 def test_generator_ramp_placement(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     pts = sg.generate_annular(4, sched, 5, 2, "ramp")
     logs = sg.log_norms(pts)
     for ln in logs:
@@ -123,7 +123,7 @@ def test_generator_ramp_placement(small_ws):
 
 def test_generator_rejects_bad_placement(small_ws):
     with pytest.raises(ValueError):
-        sg.generate_annular(1, small_ws.schedule, 2, 2, "spiral")
+        sg.generate_annular(1, small_ws, 2, 2, "spiral")
 
 
 def test_generator_overflow_guard():
@@ -134,7 +134,7 @@ def test_generator_overflow_guard():
 
 
 def test_classify_same_level(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     r, big_r = sg.radii(sched)
     # both inside (R_1, r_3], so shell 2 is the least shared level
@@ -149,7 +149,7 @@ def test_classify_same_level(small_ws):
 
 
 def test_classify_far_with_level_gap(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     r, big_r = sg.radii(sched)
     x = _norm_point(space, [1.0, 0.1], math.exp(0.5 * (sched.log_r[2] + sched.log_R[2])))
@@ -162,7 +162,7 @@ def test_classify_far_with_level_gap(small_ws):
 
 
 def test_classify_origin_is_always_same_level(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     x = _norm_point(space, [1.0, 1.0], math.exp(0.5 * (sched.log_r[2] + sched.log_R[2])))
     cls = sg.classify_pair(x, np.zeros(2), sched, space)
@@ -170,14 +170,14 @@ def test_classify_origin_is_always_same_level(small_ws):
 
 
 def test_classify_requires_order(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     with pytest.raises(ValueError):
         sg.classify_pair([1.0, 0.0], [5.0, 0.0], sched, space)
 
 
 def test_every_point_in_contiguous_levels(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     pts = sg.generate_annular(12, sched, 6, 2, "mixed")
     dec = sg.decompose(pts, sched)
     for pid in pts.ids:
@@ -187,7 +187,7 @@ def test_every_point_in_contiguous_levels(small_ws):
 
 
 def test_far_pairs_satisfy_norm_gap(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     pts = sg.generate_annular(21, sched, 8, 2, "mixed")
     norms = sg.point_norms(pts)
     logs = sg.log_norms(pts)
@@ -204,7 +204,7 @@ def test_far_pairs_satisfy_norm_gap(small_ws):
 
 
 def test_points_json_round_trip(tmp_path, small_ws):
-    pts = sg.generate_annular(5, small_ws.schedule, 3, 2, "mixed")
+    pts = sg.generate_annular(5, small_ws, 3, 2, "mixed")
     path = tmp_path / "pts.json"
     sg.save_points(pts, str(path))
     again = sg.load_points(str(path))

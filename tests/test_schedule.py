@@ -56,9 +56,9 @@ def test_radii_overflow_guard():
 
 
 def test_log_round_trip(small_ws):
-    r, big_r = sg.radii(small_ws.schedule)
-    assert np.allclose(np.log(r), small_ws.schedule.log_r, rtol=1e-12)
-    assert np.allclose(np.log(big_r), small_ws.schedule.log_R, rtol=1e-12)
+    r, big_r = sg.radii(small_ws)
+    assert np.allclose(np.log(r), small_ws.log_r, rtol=1e-12)
+    assert np.allclose(np.log(big_r), small_ws.log_R, rtol=1e-12)
 
 
 def test_schedule_invariants_rejected():
@@ -75,26 +75,26 @@ def test_schedule_invariants_rejected():
 
 
 def test_ramp_angle_clamps(small_ws):
-    r, big_r = sg.radii(small_ws.schedule)
+    r, big_r = sg.radii(small_ws)
     assert sg.ramp_angle(small_ws, 1, 0.0) == 0.0
     assert sg.ramp_angle(small_ws, 1, 0.5 * r[0]) == 0.0
     assert sg.ramp_angle(small_ws, 1, big_r[0]) == math.pi / 2
     assert sg.ramp_angle(small_ws, 1, 10.0 * big_r[0]) == math.pi / 2
-    mid = math.exp(0.5 * (small_ws.schedule.log_r[0] + small_ws.schedule.log_R[0]))
+    mid = math.exp(0.5 * (small_ws.log_r[0] + small_ws.log_R[0]))
     assert sg.ramp_angle(small_ws, 1, mid) == pytest.approx(math.pi / 4, rel=1e-12)
 
 
 def test_weight_examples(small_ws):
-    r, big_r = sg.radii(small_ws.schedule)
+    r, big_r = sg.radii(small_ws)
     assert sg.weight(small_ws, 1, 0.0) == 1.0
     # plateau of the second weight
-    mid = math.exp(0.5 * (small_ws.schedule.log_R[0] + small_ws.schedule.log_r[1]))
+    mid = math.exp(0.5 * (small_ws.log_R[0] + small_ws.log_r[1]))
     assert sg.weight(small_ws, 2, mid) == 1.0
     # cos^2 + sin^2 on a ramp
-    t = math.exp(0.3 * small_ws.schedule.log_r[0] + 0.7 * small_ws.schedule.log_R[0])
+    t = math.exp(0.3 * small_ws.log_r[0] + 0.7 * small_ws.log_R[0])
     for level in (1, 2, 3):
         tt = math.exp(
-            0.3 * small_ws.schedule.log_r[level - 1] + 0.7 * small_ws.schedule.log_R[level - 1]
+            0.3 * small_ws.log_r[level - 1] + 0.7 * small_ws.log_R[level - 1]
         )
         sq = sg.weight(small_ws, level, tt) ** 2 + sg.weight(small_ws, level + 1, tt) ** 2
         assert sq == pytest.approx(1.0, abs=1e-12)
@@ -104,7 +104,7 @@ def test_weight_examples(small_ws):
 
 
 def test_weight_out_of_range(small_ws):
-    cov = math.exp(small_ws.schedule.log_coverage)
+    cov = math.exp(small_ws.log_coverage)
     with pytest.raises(OutOfScheduleRange):
         sg.weight(small_ws, 1, cov * 1.01)
     with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ def test_weight_out_of_range(small_ws):
 
 
 def test_partition_of_unity_dense(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     logs = np.linspace(sched.log_r[0] - 3.0, sched.log_coverage, 2000)
     for lt in logs:
         t = math.exp(lt)
@@ -124,7 +124,7 @@ def test_partition_of_unity_dense(small_ws):
 
 
 def test_supports_exact(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     eps_pad = 1e-6
     # mu_1 vanishes beyond R_1
     for lt in np.linspace(sched.log_R[0] + eps_pad, sched.log_coverage, 50):
@@ -140,7 +140,7 @@ def test_supports_exact(small_ws):
 
 
 def test_monotone_on_ramps(small_ws):
-    sched = small_ws.schedule
+    sched = small_ws
     for i in (1, 2, 3):
         grid = np.linspace(sched.log_r[i - 1] + 1e-9, sched.log_R[i - 1] - 1e-9, 200)
         falling = [sg.weight(small_ws, i, math.exp(lt)) for lt in grid]
@@ -153,8 +153,7 @@ def test_monotone_on_ramps(small_ws):
 
 @pytest.mark.parametrize("ws_name", ["small_ws", "wide_ws"])
 def test_weight_conditions_report(ws_name, request):
-    ws = request.getfixturevalue(ws_name)
-    rep = sg.check_weight_conditions(ws, 400)
+    rep = sg.check_weight_conditions(request.getfixturevalue(ws_name), 400)
     assert rep.angle_slope_min >= -1e-9
     assert rep.angle_slope_max_violation <= 1e-6
     assert rep.weight_slope_max_violation <= 1e-6
@@ -162,13 +161,13 @@ def test_weight_conditions_report(ws_name, request):
 
 
 def test_schedule_json_round_trip(small_ws):
-    d = sg.schedule_to_dict(small_ws.schedule)
+    d = sg.schedule_to_dict(small_ws)
     again = sg.schedule_from_dict(d)
-    assert again.levels == small_ws.schedule.levels
-    assert np.array_equal(again.log_r, small_ws.schedule.log_r)
-    assert np.array_equal(again.log_R, small_ws.schedule.log_R)
-    assert again.log_coverage == small_ws.schedule.log_coverage
-    assert again.params == small_ws.schedule.params
+    assert again.levels == small_ws.levels
+    assert np.array_equal(again.log_r, small_ws.log_r)
+    assert np.array_equal(again.log_R, small_ws.log_R)
+    assert again.log_coverage == small_ws.log_coverage
+    assert again.params == small_ws.params
 
 
 def test_weight_grid_shape_and_overlap(small_ws):

@@ -78,44 +78,6 @@ def test_apply_dimension_mismatch():
         sg.apply(ident, [1.0, 2.0, 3.0])
 
 
-def test_combine_endpoints_and_diagonal():
-    space = sg.Space(2, sg.Lp(2.0))
-    e = sg.LinearMap(np.array([[1.0, 2.0], [0.0, 1.0]]), space, space)
-    f = sg.LinearMap(np.array([[0.0, 1.0], [3.0, 0.0]]), space, space)
-    assert np.array_equal(sg.combine(0.0, e, f).matrix, e.matrix)
-    assert np.allclose(sg.combine(math.pi / 2, e, f).matrix, f.matrix, atol=1e-15)
-    ident = sg.LinearMap(np.eye(2), space, space)
-    g = sg.combine(math.pi / 4, ident, ident)
-    assert np.allclose(g.matrix, math.sqrt(2.0) * np.eye(2), rtol=1e-15)
-
-
-def test_combine_rejects_mismatched_spaces():
-    s2 = sg.Space(2, sg.Lp(2.0))
-    s3 = sg.Space(3, sg.Lp(2.0))
-    e = sg.LinearMap(np.eye(2), s2, s2)
-    f = sg.LinearMap(np.eye(3), s3, s3)
-    with pytest.raises(DimensionMismatch):
-        sg.combine(0.3, e, f)
-    g = sg.LinearMap(np.eye(2), s2, sg.Space(2, sg.Lp(1.0)))
-    with pytest.raises(DimensionMismatch):
-        sg.combine(0.3, e, g)
-
-
-def test_combine_matches_blend_order():
-    # combine materializes the matrix; applying it must agree with the mandated
-    # two-term order within float distributivity error
-    rng = np.random.default_rng(5)
-    space = sg.Space(4, sg.Lp(2.0))
-    e = sg.LinearMap(rng.standard_normal((4, 4)), space, space)
-    f = sg.LinearMap(rng.standard_normal((4, 4)), space, space)
-    for theta in rng.uniform(0.0, math.pi, size=25):
-        x = rng.standard_normal(4)
-        lhs = sg.apply(sg.combine(theta, e, f), x)
-        rhs = sg.blend_apply(math.cos(theta), math.sin(theta), e, f, x)
-        scale = sg.norm(space, x)
-        assert sg.norm(space, lhs - rhs) <= 1e-12 * scale
-
-
 def test_vectors_and_maps_are_read_only():
     space = sg.Space(2, sg.Lp(2.0))
     v = sg.as_vector([1.0, 2.0], 2)

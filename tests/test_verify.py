@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spiralglue as sg
+import spiralglue.verify
 from spiralglue.errors import BoundViolated, NonPositiveLowerBound
 
 SQRT2 = math.sqrt(2.0)
@@ -42,7 +43,7 @@ def test_bounds_nonpositive_lower_bound():
 def test_bounds_level_independent_of_artifacts(l1_pipeline):
     g, _, _ = l1_pipeline
     b = sg.embedding_bounds(g)
-    sched = g.ws.schedule
+    sched = g.schedule
     again = sg.bounds_from_values(
         sched.params.eps, sched.params.delta, g.bank.gamma, g.selection.zeta
     )
@@ -100,7 +101,7 @@ def test_check_pair_records_sandwich_fields(l1_pipeline):
         for b in range(len(pts)):
             if a == b or logs[a] < logs[b] or logs[b] == -math.inf:
                 continue
-            cls = sg.classify_lognorms(g.ws.schedule, logs[a], logs[b])
+            cls = sg.classify_lognorms(g.schedule, logs[a], logs[b])
             if isinstance(cls, sg.SameLevel):
                 found = (a, b)
                 break
@@ -153,7 +154,7 @@ def test_distortion_report_classes_present(l1_pipeline):
 def test_far_pair_brackets(l1_pipeline):
     g, pts, _ = l1_pipeline
     rep = sg.distortion_report(g, pts)
-    sched = g.ws.schedule
+    sched = g.schedule
     far = [pc for pc in rep.pair_checks if pc.kind.startswith("far")]
     assert far
     b = rep.bounds
@@ -175,7 +176,7 @@ def test_origin_pair_brackets(l1_pipeline):
     # against the origin: sharp bracket when x sits in a plateau, the wider
     # single-point bracket when it sits on a ramp
     g, _, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     zero = np.zeros(3)
     lt_plateau = 0.5 * (sched.log_R[1] + sched.log_r[2])
@@ -198,7 +199,7 @@ def test_bound_violated_on_inconsistent_embedding(l1_pipeline):
     # swapping in a selection the search never certified must surface as a
     # violated lower bound, not a silent pass: use negated copies of one map
     g, pts, _ = l1_pipeline
-    sched = g.ws.schedule
+    sched = g.schedule
     src = g.source
     mats = []
     for k in range(4):
@@ -209,7 +210,7 @@ def test_bound_violated_on_inconsistent_embedding(l1_pipeline):
     certify = [row for row in pts.coords if np.any(row)]
     bank = sg.build_bank(sg.UserMatrices(tuple(mats)), src, g.target, 0.01, 4, certify)
     sel = sg.SelectionResult((0, 1, 2, 3), (math.inf,) * 3, 0.01, SQRT2 / (3 * 1.01))
-    fake = sg.GlueEmbedding(g.ws, bank, sel)
+    fake = sg.GlueEmbedding(g.schedule, bank, sel)
     with pytest.raises(BoundViolated):
         sg.distortion_report(fake, pts)
 
@@ -219,3 +220,14 @@ def test_fuzz_pair_inequalities_clean():
     assert rep.min_lower_slack >= -1e-9
     assert rep.min_upper_slack >= -1e-9
     assert rep.max_identity_residual <= 1e-9
+
+
+def test_distortion_report_checks_bounds_before_any_pair(l1_pipeline, small_ws, monkeypatch):
+    # at eps = 0.5 the shell lower bound is negative; no pair may be judged
+    g, _, _ = l1_pipeline
+    pts = sg.generate_annular(3, small_ws, 4, 3, "mixed", sg.Lp(1.0))
+    judged = []
+    monkeypatch.setattr(spiralglue.verify, "_judge_pair", lambda *args: judged.append(args))
+    with pytest.raises(NonPositiveLowerBound):
+        sg.distortion_report(sg.GlueEmbedding(small_ws, g.bank, g.selection), pts)
+    assert judged == []
