@@ -31,6 +31,7 @@ from .errors import (
     BankExhausted,
     BoundViolated,
     CertificationFailed,
+    DimensionMismatch,
     NonPositiveLowerBound,
     SpiralGlueError,
 )
@@ -50,7 +51,7 @@ from .schedule import (
     schedule_to_dict,
     weight_grid,
 )
-from .spaces import Space, norm_from_dict, row_blocks, space_from_dict
+from .spaces import NormSpec, Space, norm_from_dict, row_blocks
 from .verify import (
     DistortionReport,
     distortion_report,
@@ -83,9 +84,11 @@ class RunConfig:
     images_path: str | None
 
 
-# the keys each object of a run config may hold, by dotted path ("" is the top level)
+# the keys each object of a run config may hold, by dotted path ("" is the top
+# level), and those of a norm object, by its kind ("norm=<kind>")
 _CONFIG_KEYS = {
     "": "source target params eps_target schedule points bank output",
+    "source": "dim norm",
     "params": "eps delta gamma zeta",
     "schedule": "r1 levels margin",
     "bank": "strategy count block_width directions seed matrices certify_random certify_seed",
@@ -93,16 +96,20 @@ _CONFIG_KEYS = {
     "points": "file inline generator",
     "points.generator": "seed per_level placement",
     "output": "report pairs_csv images",
+    "norm=lp": "norm p",
+    "norm=weighted_lp": "norm p weights",
+    "norm=max_abs": "norm functionals",
 }
 
 
-def _section(parent: dict, path: str) -> dict:
+def _section(parent: dict, path: str, table: str | None = None) -> dict:
     """The object at dotted `path` under parent ({} when absent; parent itself
-    for the top level), checked to hold only the keys the config format knows."""
+    for the top level), checked to hold only the keys that _CONFIG_KEYS lists
+    under `table` (by default, under the path)."""
     section = parent.get(path.rpartition(".")[2], {}) if path else parent
     if not isinstance(section, dict):
         raise ValueError(f"{path or 'config'}: expected an object, got {section!r}")
-    known = _CONFIG_KEYS[path].split()
+    known = _CONFIG_KEYS[path if table is None else table].split()
     unknown = sorted(set(section) - set(known))
     if unknown:
         name = f"{path}.{unknown[0]}" if path else unknown[0]
@@ -124,6 +131,37 @@ def _read(section: dict, path: str, key: str, convert, *default):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _read_norm(section: dict, path: str, *default) -> NormSpec:
+    """The norm object at path.norm, or default[0] when absent and given; it
+    may hold only the keys of its kind (an unknown kind is reported as such)."""
+    raw = section.get("norm")
+    kind = raw.get("norm") if isinstance(raw, dict) else None
+    if f"norm={kind}" in _CONFIG_KEYS:
+        _section(section, f"{path}.norm", f"norm={kind}")
+    return _read(section, path, "norm", norm_from_dict, *default)
+
+
+def _space(path: str, dim: int, spec: NormSpec) -> Space:
+    """Space(dim, spec), with a mismatch between the two named by path."""
+    try:
+        return Space(dim, spec)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _user_matrices(matrices, source: Space) -> UserMatrices:
+    """The caller's matrices: a non-empty list of 2-d arrays of one shape,
+    each with a column per source coordinate."""
+    strategy = UserMatrices(tuple(matrices))
+    if not strategy.matrices or strategy.matrices[0].ndim != 2:
+        raise ValueError("expected a non-empty list of 2-d matrices")
+    want = (strategy.matrices[0].shape[0], source.dim)
+    bad = next((m.shape for m in strategy.matrices if m.shape != want), None)
+    if bad is not None:
+        raise ValueError(f"matrix shape {bad} != {want}")
+    return strategy
+
+
 def _build_strategy(bank_cfg: dict, source: Space) -> tuple[BankStrategy, int]:
     """Strategy plus the per-map block width in the target (0 for user maps)."""
     name = bank_cfg.get("strategy")
@@ -134,7 +172,7 @@ def _build_strategy(bank_cfg: dict, source: Space) -> tuple[BankStrategy, int]:
         directions = _read(bank_cfg, "bank", "directions", int, 64)
         return QuadratureL2toL1(directions, _read(bank_cfg, "bank", "seed", int, 0)), directions
     if name == "user_matrices":
-        return _read(bank_cfg, "bank", "matrices", lambda ms: UserMatrices(tuple(ms))), 0
+        return _read(bank_cfg, "bank", "matrices", lambda ms: _user_matrices(ms, source)), 0
     raise ValueError(f"unknown bank strategy {name!r}")
 
 
@@ -147,7 +185,10 @@ def parse_config(raw: dict) -> RunConfig:
         params = Params(*(_read(p, "params", k, float) for k in ("eps", "delta", "gamma", "zeta")))
     else:
         params = solve_params(_read(raw, "", "eps_target", float))
-    source = _read(raw, "", "source", space_from_dict)
+    source_cfg = _section(raw, "source")
+    source = _space(
+        "source", _read(source_cfg, "source", "dim", int), _read_norm(source_cfg, "source")
+    )
     sched_cfg = _section(raw, "schedule")
     r1 = _read(sched_cfg, "schedule", "r1", float, 1.0)
     levels = _read(sched_cfg, "schedule", "levels", int, 3)
@@ -161,8 +202,7 @@ def parse_config(raw: dict) -> RunConfig:
         tdim = strategy.matrices[0].shape[0]
     else:
         tdim = _read(target_cfg, "target", "dim", int, count * block)
-    target_norm = _read(target_cfg, "target", "norm", norm_from_dict, source.norm)
-    target = Space(tdim, target_norm)
+    target = _space("target", tdim, _read_norm(target_cfg, "target", source.norm))
 
     pts_cfg = _section(raw, "points")
     points = None

@@ -98,26 +98,37 @@ class Far:
 Classification = Union[SameLevel, Far]
 
 
-def _level_interval(sched: RadiiSchedule, log_t: float) -> tuple[int, int]:
-    """Contiguous 1-based range of shells containing a point of log norm log_t."""
-    check_log_radius(sched, log_t)
+def level_intervals(sched: RadiiSchedule, log_t) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of log norm log_t, the contiguous 1-based range [lo, hi] of
+    shells containing it (the origin lies in every shell)."""
+    log_t = np.asarray(log_t, dtype=float)
+    for value in log_t.tolist():
+        check_log_radius(sched, value)
     m = sched.levels
-    if log_t == -math.inf:
-        return 1, m
-    lo = 1 + int(np.searchsorted(sched.log_r[1:], log_t, side="left"))
-    hi = 1 + int(np.searchsorted(sched.log_R[: m - 1], log_t, side="left"))
-    return lo, hi
+    lo = 1 + np.searchsorted(sched.log_r[1:], log_t, side="left")
+    hi = 1 + np.searchsorted(sched.log_R[: m - 1], log_t, side="left")
+    return lo, np.where(log_t == -math.inf, m, hi)
+
+
+def classify_levels(lo_x, hi_x, lo_y, hi_y):
+    """Classify ordered pairs (norm(x) >= norm(y)) from their level intervals.
+
+    Returns (same, level, y_level, x_level) arrays: a pair with same set is
+    SameLevel(level), any other pair is Far(y_level, x_level).
+    """
+    level = np.maximum(lo_x, lo_y)
+    return level <= np.minimum(hi_x, hi_y), level, hi_y, lo_x - 1
 
 
 def classify_lognorms(sched: RadiiSchedule, log_nx: float, log_ny: float) -> Classification:
     """Classify an ordered pair by its log norms (log_nx >= log_ny)."""
     if log_ny > log_nx:
         raise ValueError("caller must order the pair so the first norm is the larger")
-    lo_x, hi_x = _level_interval(sched, log_nx)
-    lo_y, hi_y = _level_interval(sched, log_ny)
-    if max(lo_x, lo_y) <= min(hi_x, hi_y):
-        return SameLevel(max(lo_x, lo_y))
-    return Far(y_level=hi_y, x_level=lo_x - 1)
+    (lo_x, lo_y), (hi_x, hi_y) = level_intervals(sched, [log_nx, log_ny])
+    same, level, y_level, x_level = classify_levels(lo_x, hi_x, lo_y, hi_y)
+    if same:
+        return SameLevel(int(level))
+    return Far(y_level=int(y_level), x_level=int(x_level))
 
 
 def classify_pair(x, y, sched: RadiiSchedule, space: Space) -> Classification:

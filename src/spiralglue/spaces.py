@@ -304,7 +304,7 @@ def _parse_p(raw) -> float:
 
 
 def norm_from_dict(d: dict) -> NormSpec:
-    kind = d.get("norm")
+    kind = d.get("norm") if isinstance(d, dict) else None
     if kind == "lp":
         return Lp(_parse_p(d["p"]))
     if kind == "weighted_lp":

@@ -16,8 +16,8 @@ import numpy as np
 from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, direction_gain, embed, level_map
-from .pointset import Far, LocallyFiniteSet, SameLevel, classify_lognorms
-from .schedule import Params, build_schedule, check_log_radius, log_radius, sandwich_angles
+from .pointset import LocallyFiniteSet, classify_levels, level_intervals
+from .schedule import Params, build_schedule, log_radius, sandwich_angles
 from .spaces import Lp, Space, norm, norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
@@ -134,27 +134,53 @@ class PairCheck:
     upper_slack: float
 
 
-def _plateau_index(sched, log_t: float) -> int | None:
-    """1-based plateau index k with log radius in [log R_{k-1}, log r_k], else None."""
-    m = sched.levels
-    if log_t <= sched.log_r[0]:
-        return 1
-    if log_t >= sched.log_R[m - 1]:
-        return m + 1
-    for k in range(2, m + 1):
-        if sched.log_R[k - 2] <= log_t <= sched.log_r[k - 1]:
-            return k
-    return None
+def _plateau_index(sched, log_t: np.ndarray) -> np.ndarray:
+    """Per log radius, the 1-based plateau index k with log_t in
+    [log R_{k-1}, log r_k] (k = 1 up to r_1, k = levels + 1 from R_levels on),
+    and 0 off the plateaus."""
+    k = np.searchsorted(sched.log_r, log_t, side="left")
+    # k ramps start below log_t, so plateau k + 1 is the only one that can hold it
+    return np.where((k == 0) | (log_t >= sched.log_R[k - 1]), k + 1, 0)
 
 
-def _shell_sandwich(g: GlueEmbedding, level: int, y, nx, ny, diff, ndiff):
-    """The per-pair sandwich ingredients on a shared shell with ny > 0."""
-    sigma, _, theta = sandwich_angles(g.schedule, level, nx, ny)
-    first, second = g.map_at(level), g.map_at(level + 1)
-    gsw = direction_gain(sigma, diff / ndiff, first, second)
-    gtv = direction_gain(theta, np.asarray(y) / ny, first, second)
-    eps = g.schedule.params.eps
-    return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
+@dataclass(frozen=True, eq=False)
+class _Points:
+    """What the pair judge reads of each point, computed once per point: the
+    coordinates, ids, source norms and their log radii, the level interval
+    [lo, hi] and the plateau index (0 off the plateaus)."""
+
+    coords: np.ndarray
+    ids: list
+    norms: np.ndarray
+    logs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    plateau: np.ndarray
+
+
+def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
+    sched = g.schedule
+    logs = np.array([log_radius(v) for v in source_norms.tolist()])
+    lo, hi = level_intervals(sched, logs)
+    return _Points(coords, list(ids), source_norms, logs, lo, hi, _plateau_index(sched, logs))
+
+
+def _sandwich(g: GlueEmbedding, level: int, nx, ny, diff, ndiff, y):
+    """The per-pair sandwich of shared-shell pairs on one level, for rows of
+    pairs with nx >= ny > 0: the (sigma, alpha, theta) angles of each pair,
+    the gains G_sigma(diff/ndiff) and G_theta(y/ny), and the bracket
+    G_sigma -+ eps G_theta."""
+    sched = g.schedule
+    angles = [sandwich_angles(sched, level, a, b) for a, b in zip(nx.tolist(), ny.tolist())]
+    # sigma and theta rows alternate, so a non-unit row is reported in pair order
+    units = np.empty((2 * len(angles), diff.shape[1]))
+    units[0::2] = diff / ndiff[:, None]
+    units[1::2] = y / ny[:, None]
+    turns = [t for sigma, _, theta in angles for t in (sigma, theta)]
+    gains = direction_gain(turns, units, g.map_at(level), g.map_at(level + 1))
+    gsw, gtv = gains[0::2], gains[1::2]
+    eps = sched.params.eps
+    return angles, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
 
 def check_pair(
@@ -167,97 +193,144 @@ def check_pair(
     plateau pairs get the sharp near-isometry bracket; a pair against the
     origin on a ramp gets the single-point bracket; far pairs get the norm-gap
     chain and the far bracket. Raises BoundViolated when any slack < -tol.
+    This is the one-pair call of the sweep's row judge.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    bounds = embedding_bounds(g)
     space = g.source
-    return _judge_pair(
-        g,
-        embedding_bounds(g),
-        x,
-        y,
-        norm(space, x),
-        norm(space, y),
-        norm(space, x - y),
-        norm(g.target, embed(g, x) - embed(g, y)),
-        x_id,
-        y_id,
-        tol,
+    nx, ny = norm(space, x), norm(space, y)
+    diff = x - y
+    ndiff = norm(space, diff)
+    nimage = norm(g.target, embed(g, x) - embed(g, y))
+    table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
+    pair = np.array([0]), np.array([1])
+    (pc,) = _judge_pairs(
+        g, bounds, table, *pair, diff[None], np.array([ndiff]), np.array([nimage]), tol
     )
+    return pc
 
 
-def _judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol) -> PairCheck:
-    """check_pair's verdict, given the embedding's bounds, the source norms of
-    x, y and x - y and the target norm of embed(x) - embed(y)."""
+def _judge_pairs(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> list[PairCheck]:
+    """check_pair's verdict on each ordered pair (xs[j], ys[j]) of the point
+    table, given diff[j] = x - y, its source norm ndiff[j] and the target norm
+    nimage[j] of embed(x) - embed(y). Raises the error of the first offending
+    pair, and within it of its first failing check, as check_pair would."""
+    try:
+        return _judge_block(g, bounds, pts, xs, ys, diff, ndiff, nimage, tol)
+    except ValueError:
+        # the order and distinctness checks and the gains run over the whole
+        # block before any bracket, so a ValueError at pair j may hide a
+        # bracket violation at an earlier pair: judge one pair at a time
+        if len(xs) > 1:
+            for j in range(len(xs)):
+                one = slice(j, j + 1)
+                _judge_block(
+                    g, bounds, pts, xs[one], ys[one], diff[one], ndiff[one], nimage[one], tol
+                )
+        raise
+
+
+# the pair kinds by class code; str.format ignores the unused second level
+_KINDS = ("plateau:{}", "same:{}", "ray:{}", "far:{}-{}")
+
+
+def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> list[PairCheck]:
+    """_judge_pairs over the whole block at once: a BoundViolated is that of
+    the first offending pair, a ValueError may be of any pair."""
     sched = g.schedule
-    if ny > nx:
+    nx, ny = pts.norms[xs], pts.norms[ys]
+    if np.any(ny > nx):
         raise ValueError("caller must order the pair so that norm(x) >= norm(y)")
-    log_nx = log_radius(nx)
-    log_ny = log_radius(ny)
-    check_log_radius(sched, log_nx)
-    if ndiff == 0.0:
+    if np.any(ndiff == 0.0):
         raise ValueError("points must be distinct")
     ratio = nimage / ndiff
-
     gamma = g.bank.gamma
     delta = sched.params.delta
+    k = len(xs)
 
-    cls = classify_lognorms(sched, log_nx, log_ny)
-    checks: list[tuple[str, float, float]] = []
-    sigma = theta = gsw = gtv = None
+    kx, ky = pts.plateau[xs], pts.plateau[ys]
+    same, level, y_level, x_level = classify_levels(
+        pts.lo[xs], pts.hi[xs], pts.lo[ys], pts.hi[ys]
+    )
+    # the sharp bracket needs a single active certified map: either both
+    # points share a plateau, or the smaller one is the origin
+    plateau = same & (kx > 0) & ((kx == ky) | (ny == 0.0))
+    sandwich = same & (ny > 0.0)
+    # smaller point is the origin and the larger sits on a ramp
+    ray = same & (ny == 0.0) & (kx == 0)
+    far = ~same
+    shell = (
+        sandwich
+        & (pts.logs[ys] <= sched.log_R[level - 1])
+        & (pts.logs[xs] > sched.log_r[level - 1])
+    )
 
-    if isinstance(cls, SameLevel):
-        kind = f"same:{cls.level}"
-        kx = _plateau_index(sched, log_nx)
-        ky = _plateau_index(sched, log_ny)
-        # the sharp bracket needs a single active certified map: either both
-        # points share a plateau, or the smaller one is the origin
-        if kx is not None and (kx == ky or ny == 0.0):
-            kind = f"plateau:{kx}"
-            checks.append(("plateau_bracket", 1.0, 1.0 + gamma))
-        if ny > 0.0:
-            sigma, theta, gsw, gtv, lo, hi = _shell_sandwich(
-                g, cls.level, y, nx, ny, x - y, ndiff
-            )
-            checks.append(("pair_sandwich", lo, hi))
-            if log_ny <= sched.log_R[cls.level - 1] and log_nx > sched.log_r[cls.level - 1]:
-                checks.append(("shell_bracket", bounds.l_same, bounds.u_same))
-        elif kx is None:
-            # smaller point is the origin and the larger sits on a ramp
-            kind = f"ray:{cls.level}"
-            checks.append(
-                ("ray_bracket", blend_threshold(g.selection.zeta), SQRT2 * (1.0 + gamma))
-            )
-    else:
-        assert isinstance(cls, Far)
-        kind = f"far:{cls.y_level}-{cls.x_level}"
-        gap = delta * nx - ny
-        if gap < -tol * nx:
-            raise BoundViolated(
-                "far_norm_gap", gap / nx, f"pair ({x_id}, {y_id}): |y| > delta |x|"
-            )
-        lo_gap = ndiff - nx * (1.0 - delta)
-        hi_gap = nx * (1.0 + delta) - ndiff
-        if min(lo_gap, hi_gap) < -tol * nx:
+    sigma, theta, gsw, gtv = [None] * k, [None] * k, [None] * k, [None] * k
+    sandwich_lo, sandwich_hi = np.zeros(k), np.zeros(k)
+    for lv in np.unique(level[sandwich]).tolist():
+        rows = np.flatnonzero(sandwich & (level == lv))
+        angles, gs, gt, lo, hi = _sandwich(
+            g, lv, nx[rows], ny[rows], diff[rows], ndiff[rows], pts.coords[ys[rows]]
+        )
+        sandwich_lo[rows], sandwich_hi[rows] = lo, hi
+        for j, (s, _, t), a, b in zip(rows.tolist(), angles, gs.tolist(), gt.tolist()):
+            sigma[j], theta[j], gsw[j], gtv[j] = s, t, a, b
+
+    gap = delta * nx - ny
+    lo_gap = ndiff - nx * (1.0 - delta)
+    hi_gap = nx * (1.0 + delta) - ndiff
+    gap_bad = far & (gap < -tol * nx)
+    norm_bad = far & (np.minimum(lo_gap, hi_gap) < -tol * nx)
+    checks = (
+        ("plateau_bracket", plateau, 1.0, 1.0 + gamma),
+        ("pair_sandwich", sandwich, sandwich_lo, sandwich_hi),
+        ("shell_bracket", shell, bounds.l_same, bounds.u_same),
+        ("ray_bracket", ray, blend_threshold(g.selection.zeta), SQRT2 * (1.0 + gamma)),
+        ("far_bracket", far, bounds.l_far, bounds.u_far),
+    )
+    lower_slack = np.full(k, math.inf)
+    upper_slack = np.full(k, math.inf)
+    bad = gap_bad | norm_bad
+    for _, applies, lo, hi in checks:
+        sl, su = ratio - lo, hi - ratio
+        bad |= applies & ((sl < -tol) | (su < -tol))
+        lower_slack = np.minimum(lower_slack, np.where(applies, sl, math.inf))
+        upper_slack = np.minimum(upper_slack, np.where(applies, su, math.inf))
+
+    if bad.any():
+        j = int(np.argmax(bad))
+        where = f"pair ({pts.ids[xs[j]]}, {pts.ids[ys[j]]})"
+        nxj = float(nx[j])
+        if gap_bad[j]:
+            raise BoundViolated("far_norm_gap", float(gap[j]) / nxj, f"{where}: |y| > delta |x|")
+        if norm_bad[j]:
             raise BoundViolated(
                 "far_norm_bracket",
-                min(lo_gap, hi_gap) / nx,
-                f"pair ({x_id}, {y_id}): |x-y| outside (1 +- delta)|x|",
+                min(float(lo_gap[j]), float(hi_gap[j])) / nxj,
+                f"{where}: |x-y| outside (1 +- delta)|x|",
             )
-        checks.append(("far_bracket", bounds.l_far, bounds.u_far))
+        r = float(ratio[j])
+        for name, applies, lo, hi in checks:
+            if not applies[j]:
+                continue
+            lo, hi = (float(v[j]) if isinstance(v, np.ndarray) else v for v in (lo, hi))
+            if r - lo < -tol:
+                raise BoundViolated(name, r - lo, f"{where}: ratio {r!r} below {lo!r}")
+            if hi - r < -tol:
+                raise BoundViolated(name, hi - r, f"{where}: ratio {r!r} above {hi!r}")
 
-    lower_slack = math.inf
-    upper_slack = math.inf
-    for name, lo, hi in checks:
-        sl, su = ratio - lo, hi - ratio
-        if sl < -tol:
-            raise BoundViolated(name, sl, f"pair ({x_id}, {y_id}): ratio {ratio!r} below {lo!r}")
-        if su < -tol:
-            raise BoundViolated(name, su, f"pair ({x_id}, {y_id}): ratio {ratio!r} above {hi!r}")
-        lower_slack = min(lower_slack, sl)
-        upper_slack = min(upper_slack, su)
-
-    return PairCheck(x_id, y_id, kind, ratio, sigma, theta, gsw, gtv, lower_slack, upper_slack)
+    tag = np.where(plateau, 0, np.where(ray, 2, np.where(same, 1, 3)))
+    first = np.where(plateau, kx, np.where(same, level, y_level))
+    kinds = [
+        _KINDS[t].format(a, b) for t, a, b in zip(tag.tolist(), first.tolist(), x_level.tolist())
+    ]
+    ids = pts.ids
+    columns = (ratio.tolist(), sigma, theta, gsw, gtv, lower_slack.tolist(), upper_slack.tolist())
+    return [
+        PairCheck(ids[x], ids[y], kind, r, s, t, a, b, lo, hi)
+        for x, y, kind, r, s, t, a, b, lo, hi in zip(xs.tolist(), ys.tolist(), kinds, *columns)
+    ]
 
 
 @dataclass(frozen=True)
@@ -295,64 +368,74 @@ def distortion_report(
     """Sweep all unordered pairs, check every applicable inequality, and
     assert the measured distortion stays below the closed-form ratio.
 
-    Each point is embedded once; for each row a the source and image
-    difference norms of all pairs (a, b > a) come from the row kernel, and
-    every pair then gets check_pair's verdict, in row-major pair order.
+    Each point is embedded, normed and classified once; each row a of pairs
+    (a, b > a) is then judged at once, with check_pair's verdict on every
+    pair in row-major pair order. Only the target-width temporaries (image
+    differences, blend images) are formed in row blocks.
     """
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
     bounds = embedding_bounds(g)
     coords = pts.coords
-    source_norms = norms(g.source, coords).tolist()
-    # each pair is ordered by the point set's own norm, larger first
-    own = norms(pts.space, coords).tolist()
-    key = [(log_radius(v), -i) for v, i in zip(own, pts.ids)]
+    source_norms = norms(g.source, coords)
+    # each pair is ordered by the point set's own norm, larger first, and by
+    # the smaller id on ties
+    own_logs = np.array([log_radius(v) for v in norms(pts.space, coords).tolist()])
+    ids = np.asarray(pts.ids)
     images = np.empty((n, g.target.dim))
     for k, row in enumerate(coords):
         images[k] = embed(g, row)
-    width = max(g.source.dim, g.target.dim)
+    table = _points(g, coords, pts.ids, source_norms)
     results = []
     for a in range(n - 1):
-        for block in row_blocks(n - a - 1, width):
-            rest = slice(a + 1 + block.start, a + 1 + block.stop)
-            diff_norms = norms(g.source, coords[a] - coords[rest]).tolist()
-            image_norms = norms(g.target, images[a] - images[rest]).tolist()
-            for b, ndiff, nimage in zip(range(rest.start, rest.stop), diff_norms, image_norms):
-                x, y = (a, b) if key[a] >= key[b] else (b, a)
-                results.append(
-                    _judge_pair(
-                        g,
-                        bounds,
-                        coords[x],
-                        coords[y],
-                        source_norms[x],
-                        source_norms[y],
-                        ndiff,
-                        nimage,
-                        pts.ids[x],
-                        pts.ids[y],
-                        tol,
-                    )
-                )
+        rest = np.arange(a + 1, n)
+        keep = (own_logs[a] > own_logs[rest]) | (
+            (own_logs[a] == own_logs[rest]) & (ids[a] <= ids[rest])
+        )
+        diff = coords[a] - coords[a + 1 :]
+        np.negative(diff, out=diff, where=~keep[:, None])
+        image_norms = np.empty(len(rest))
+        for block in row_blocks(len(rest), g.target.dim):
+            others = images[a + 1 + block.start : a + 1 + block.stop]
+            image_norms[block] = norms(g.target, images[a] - others)
+        results += _judge_pairs(
+            g,
+            bounds,
+            table,
+            np.where(keep, a, rest),
+            np.where(keep, rest, a),
+            diff,
+            norms(g.source, diff),
+            image_norms,
+            tol,
+        )
 
-    lo = min(results, key=lambda pc: pc.ratio)
-    hi = max(results, key=lambda pc: pc.ratio)
-    distortion = hi.ratio / lo.ratio
-    by_class: dict[str, ClassSummary] = {}
+    # one pass with the semantics of min/max: the first extreme pair wins
+    lo = hi = results[0]
+    stats: dict[str, list] = {}
     for pc in results:
+        r = pc.ratio
+        if r < lo.ratio:
+            lo = pc
+        if r > hi.ratio:
+            hi = pc
         key = pc.kind.split(":")[0]
-        prev = by_class.get(key)
-        if prev is None:
-            by_class[key] = ClassSummary(1, pc.ratio, pc.ratio, pc.lower_slack, pc.upper_slack)
-        else:
-            by_class[key] = ClassSummary(
-                prev.count + 1,
-                min(prev.min_ratio, pc.ratio),
-                max(prev.max_ratio, pc.ratio),
-                min(prev.min_lower_slack, pc.lower_slack),
-                min(prev.min_upper_slack, pc.upper_slack),
-            )
+        s = stats.get(key)
+        if s is None:
+            stats[key] = [1, r, r, pc.lower_slack, pc.upper_slack]
+            continue
+        s[0] += 1
+        if r < s[1]:
+            s[1] = r
+        if r > s[2]:
+            s[2] = r
+        if pc.lower_slack < s[3]:
+            s[3] = pc.lower_slack
+        if pc.upper_slack < s[4]:
+            s[4] = pc.upper_slack
+    distortion = hi.ratio / lo.ratio
+    by_class = {key: ClassSummary(*s) for key, s in stats.items()}
     if distortion > bounds.ratio + tol:
         raise BoundViolated(
             "distortion_vs_bounds",
@@ -433,8 +516,10 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
         if ndiff < 1e-6 * nx:
             continue
         ratio = norm(bank.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
-        _, _, _, _, lo_b, hi_b = _shell_sandwich(g, level, y, nx, ny, diff, ndiff)
-        worst_lo = min(worst_lo, ratio - lo_b)
-        worst_hi = min(worst_hi, hi_b - ratio)
+        *_, lo_b, hi_b = _sandwich(
+            g, level, np.array([nx]), np.array([ny]), diff[None], np.array([ndiff]), y[None]
+        )
+        worst_lo = min(worst_lo, ratio - float(lo_b[0]))
+        worst_hi = min(worst_hi, float(hi_b[0]) - ratio)
         worst_res = max(worst_res, blend_decomposition_residual(g, level, x, y))
     return FuzzReport(n_pairs, worst_lo, worst_hi, worst_res)

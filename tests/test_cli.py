@@ -248,11 +248,62 @@ def test_run_config_type_error_names_key(tmp_path, capsys, dotted, value):
     assert capsys.readouterr().err.startswith(f"config error: {dotted}: ")
 
 
-@pytest.mark.parametrize("dotted", ["bank.cuont", "points.generator.per_levle", "shedule"])
+@pytest.mark.parametrize(
+    "dotted",
+    ["bank.cuont", "points.generator.per_levle", "shedule", "source.dimm", "source.norm.wieghts"],
+)
 def test_run_rejects_unknown_config_key(tmp_path, capsys, dotted):
     assert _run_with(tmp_path, dotted, 6) == 2
     assert capsys.readouterr().err.startswith(f"config error: {dotted}: unknown key")
     assert not (tmp_path / "report.json").exists()
+
+
+_EYE3 = np.eye(3).tolist()
+# the l1 norm of each 3-wide block of the 18-wide target, as a max of functionals
+_L1_BLOCKS = np.kron(np.eye(6), [[a, b, 1.0] for a in (1.0, -1.0) for b in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize(
+    "norm, stray",
+    [
+        ({"norm": "lp", "p": 1.0, "q": 2.0}, "q"),
+        ({"norm": "weighted_lp", "p": 1.0, "weights": [1.0] * 18, "wieghts": [1.0]}, "wieghts"),
+        ({"norm": "max_abs", "functionals": _L1_BLOCKS.tolist(), "p": 1.0}, "p"),
+    ],
+    ids=["lp", "weighted_lp", "max_abs"],
+)
+def test_run_rejects_unknown_norm_key(tmp_path, capsys, norm, stray):
+    # each norm kind has its own keys: those of another kind are typos too,
+    # and without the stray key the same config runs
+    path, _ = _base_config(tmp_path, target={"norm": norm})
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: target.norm.{stray}: unknown key")
+    del norm[stray]
+    path, _ = _base_config(tmp_path, target={"norm": norm})
+    assert main(["run", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "matrices", [[], [1], [[1.0, 0.0, 0.0]], [_EYE3, np.eye(2).tolist()]], ids=repr
+)
+def test_run_rejects_bad_user_matrices(tmp_path, capsys, matrices):
+    bank = {"strategy": "user_matrices", "count": 2, "matrices": matrices}
+    path, _ = _base_config(tmp_path, bank=bank)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bank.matrices: ")
+
+
+@pytest.mark.parametrize(
+    "dotted, norm",
+    [
+        ("source", {"norm": "weighted_lp", "p": 2.0, "weights": [1.0, 2.0]}),
+        ("source", {"norm": "max_abs", "functionals": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("source.norm", 5),
+    ],
+)
+def test_run_rejects_norm_not_fitting_space(tmp_path, capsys, dotted, norm):
+    assert _run_with(tmp_path, "source.norm", norm) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {dotted}: ")
 
 
 def test_run_nonpositive_lower_bound_exits_nonzero(tmp_path):

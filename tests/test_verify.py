@@ -227,7 +227,7 @@ def test_distortion_report_checks_bounds_before_any_pair(l1_pipeline, small_ws, 
     g, _, _ = l1_pipeline
     pts = sg.generate_annular(3, small_ws, 4, 3, "mixed", sg.Lp(1.0))
     judged = []
-    monkeypatch.setattr(spiralglue.verify, "_judge_pair", lambda *args: judged.append(args))
+    monkeypatch.setattr(spiralglue.verify, "_judge_pairs", lambda *args: judged.append(args))
     with pytest.raises(NonPositiveLowerBound):
         sg.distortion_report(sg.GlueEmbedding(small_ws, g.bank, g.selection), pts)
     assert judged == []
