@@ -24,6 +24,7 @@ from .spaces import (
     apply,
     as_vector,
     blend_apply,
+    direction_gain,
     norm,
     norm_axioms_max_violation,
     norm_from_dict,
@@ -78,7 +79,6 @@ from .bank import (
 from .glue import (
     GlueEmbedding,
     blend_decomposition_residual,
-    direction_gain,
     embed,
     embed_all,
     level_map,
@@ -86,6 +86,7 @@ from .glue import (
 from .verify import (
     DistortionReport,
     PairCheck,
+    PairTable,
     TheoreticalBounds,
     bounds_from_values,
     check_pair,

@@ -25,7 +25,19 @@ import numpy as np
 
 from .errors import BankExhausted, CertificationFailed, DimensionMismatch, NotStabilized
 from .pointset import AnnulusDecomposition
-from .spaces import LinearMap, Lp, Space, apply, as_rows, blend_apply, norm, norms, row_blocks
+# blend_apply is not called here, but bench/spans.py wraps bank.blend_apply
+from .spaces import (  # noqa: F401
+    LinearMap,
+    Lp,
+    Space,
+    apply,
+    as_rows,
+    blend_apply,
+    direction_gain,
+    norm,
+    norms,
+    row_blocks,
+)
 
 _TOL = 1e-12
 _MAX_TUPLES = 20000
@@ -293,18 +305,24 @@ def blend_threshold(zeta: float) -> float:
 
 
 def _level_ok(bank, checks, n_lo, n_hi, threshold):
-    """Worst margin of the blend norm over a level's checks for a candidate pair."""
-    worst = math.inf
-    worst_item = None
-    for u, angle in checks:
-        val = norm(
-            bank.target,
-            blend_apply(math.cos(angle), math.sin(angle), bank.maps[n_lo], bank.maps[n_hi], u),
-        )
-        if val - threshold < worst:
-            worst = val - threshold
-            worst_item = (u, angle, val)
-    return worst, worst_item
+    """Worst margin of the blend norm over a level's checks for a candidate
+    pair, with its (direction, angle, norm); checks holds the level's unit
+    directions as rows and one angle per row, judged in one direction_gain
+    call. The first of equal worst margins is the witness."""
+    units, angles = checks
+    if not angles:
+        return math.inf, None
+    vals = direction_gain(angles, units, bank.maps[n_lo], bank.maps[n_hi])
+    margins = vals - threshold
+    k = int(np.argmin(margins))
+    return float(margins[k]), (units[k], angles[k], float(vals[k]))
+
+
+def _level_checks(directions, dim: int):
+    """A level's (direction, angle) checks as (k, dim) unit rows and k angles."""
+    angles = [angle for da in directions for angle in da.angles]
+    units = [da.u for da in directions for _ in da.angles]
+    return np.reshape(units, (len(angles), dim)), angles
 
 
 def select_subsequence(
@@ -322,9 +340,7 @@ def select_subsequence(
     if bank.size < m + 1:
         raise ValueError(f"bank size {bank.size} < levels + 1 = {m + 1}")
     threshold = blend_threshold(zeta)
-    per_level = [
-        [(da.u, angle) for da in decomp.directions[i] for angle in da.angles] for i in range(m)
-    ]
+    per_level = [_level_checks(decomp.directions[i], bank.source.dim) for i in range(m)]
 
     chosen: list[int] = []
     margins: list[float] = []

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .glue import GlueEmbedding, embed_all
 from .pointset import (
+    PLACEMENTS,
     LocallyFiniteSet,
     decompose,
     generate_annular,
@@ -141,6 +142,23 @@ def _read_norm(section: dict, path: str, *default) -> NormSpec:
     return _read(section, path, "norm", norm_from_dict, *default)
 
 
+def _only(want: int, what: str):
+    """A converter that accepts the integer want and nothing else."""
+
+    def convert(value) -> int:
+        if int(value) != want:
+            raise ValueError(f"{value!r} != {what} {want}")
+        return want
+
+    return convert
+
+
+def _placement(name) -> str:
+    if name not in PLACEMENTS:
+        raise ValueError(f"unknown placement {name!r}; expected one of {list(PLACEMENTS)}")
+    return name
+
+
 def _space(path: str, dim: int, spec: NormSpec) -> Space:
     """Space(dim, spec), with a mismatch between the two named by path."""
     try:
@@ -199,7 +217,8 @@ def parse_config(raw: dict) -> RunConfig:
     count = _read(bank_cfg, "bank", "count", int, levels + 2)
     target_cfg = _section(raw, "target")
     if isinstance(strategy, UserMatrices):
-        tdim = strategy.matrices[0].shape[0]
+        rows = strategy.matrices[0].shape[0]
+        tdim = _read(target_cfg, "target", "dim", _only(rows, "matrix rows"), rows)
     else:
         tdim = _read(target_cfg, "target", "dim", int, count * block)
     target = _space("target", tdim, _read_norm(target_cfg, "target", source.norm))
@@ -216,7 +235,7 @@ def parse_config(raw: dict) -> RunConfig:
         generator = {
             "seed": _read(gen, "points.generator", "seed", int, 0),
             "per_level": _read(gen, "points.generator", "per_level", int, 10),
-            "placement": gen.get("placement", "mixed"),
+            "placement": _read(gen, "points.generator", "placement", _placement, "mixed"),
         }
     else:
         raise ValueError("config 'points' must provide one of file/inline/generator")
@@ -324,14 +343,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+_PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
+# a row as csv.writer writes it: ids, kind and float reprs need no quoting
+_PAIRS_ROW = "%d,%d,%s,%r,%r,%r\r\n"
+
+
 def _write_pairs_csv(path: str, dist: DistortionReport) -> None:
+    """One row per pair, written from the report's pair columns a block of
+    rows at a time."""
+    pairs = dist.pair_checks
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack"])
-        for pc in dist.pair_checks:
-            writer.writerow(
-                [pc.x_id, pc.y_id, pc.kind, repr(pc.ratio), repr(pc.lower_slack), repr(pc.upper_slack)]
-            )
+        fh.write(",".join(_PAIRS_HEADER) + "\r\n")
+        for rows in row_blocks(len(pairs), len(_PAIRS_HEADER)):
+            ids = (pairs.x_id[rows].tolist(), pairs.y_id[rows].tolist())
+            floats = (c[rows].tolist() for c in (pairs.ratio, pairs.lower_slack, pairs.upper_slack))
+            fh.write("".join([_PAIRS_ROW % row for row in zip(*ids, pairs.kinds(rows), *floats)]))
 
 
 def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
@@ -560,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-level", dest="per_level", type=int, default=10)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--placement", choices=["plateau", "ramp", "mixed"], default="mixed")
+    p.add_argument("--placement", choices=PLACEMENTS, default="mixed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_points)
     return parser

@@ -22,7 +22,7 @@ from .schedule import (
     log_radius,
     sandwich_angles,
 )
-from .spaces import LinearMap, Space, Vector, blend_apply, norm, norms, row_blocks
+from .spaces import LinearMap, Space, Vector, blend_apply, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,38 +73,6 @@ def embed(g: GlueEmbedding, x) -> Vector:
     """Evaluate the glued embedding at x; the origin maps to the origin."""
     level, c, s = active_weights_log(g.schedule, log_radius(norm(g.source, x)))
     return blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
-
-
-def direction_gain(theta, u, first: LinearMap, second: LinearMap):
-    """Target norm of cos(theta)*first(u) + sin(theta)*second(u) for unit u.
-
-    A 1-d u with one angle gives a float. A (k, dim) array of rows with k
-    angles gives the k gains as an array, each bit-equal to the one-row call:
-    cos and sin come from math per angle, the blend is the stacked
-    matrix-vector product of apply, and blend images are formed in row blocks
-    of twice the target width. The first non-unit row raises ValueError.
-    """
-    U = np.asarray(u, dtype=float)
-    if U.ndim == 1:
-        return float(direction_gain([theta], U[None, :], first, second)[0])
-    nu = norms(first.source, U)
-    bad = np.flatnonzero(np.abs(nu - 1.0) > 1e-12)
-    if bad.size:
-        raise ValueError(f"u must be a unit vector, got norm {float(nu[bad[0]])!r}")
-    c = np.array([math.cos(t) for t in theta])
-    s = np.array([math.sin(t) for t in theta])
-    if c.shape != nu.shape:
-        raise ValueError(f"need one angle per row, got {c.size} for {nu.size} rows")
-    out = np.empty(len(U))
-    for block in row_blocks(len(U), 2 * first.target.dim):
-        rows = U[block, :, None]
-        blend = np.matmul(first.matrix, rows)[:, :, 0]
-        blend *= c[block, None]
-        other = np.matmul(second.matrix, rows)[:, :, 0]
-        other *= s[block, None]
-        blend += other
-        out[block] = norms(first.target, blend)
-    return out
 
 
 def embed_all(g: GlueEmbedding, pts) -> dict[int, Vector]:

@@ -29,6 +29,7 @@ from .spaces import (
 )
 
 _DIR_TOL = 1e-12  # unit directions matching coordinatewise within this are identified
+PLACEMENTS = ("plateau", "ramp", "mixed")  # the norm sub-regions generate_annular draws from
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +188,7 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
             logs_here = np.append(logs_here, -math.inf)
         log_ri = sched.log_r[level - 1]
         log_Ri = sched.log_R[level - 1]
+        ramp = ramp_angle_log(sched, level, logs_here).tolist()
         found = np.empty((16, dim))  # directions in order of discovery; grows by doubling
         angles: list[list[float]] = []
         # a bitwise repeat of a difference always joins the same direction as
@@ -195,7 +197,6 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
         for a in np.flatnonzero(logs_here > log_ri).tolist():
             ys = np.flatnonzero(logs_here <= min(log_Ri, logs_here[a]))
             ys = ys[ys != a]
-            angle = float(ramp_angle_log(sched, level, logs_here[a]))
             for block in row_blocks(len(ys), dim):
                 diff = rows[a] - rows[ys[block]]
                 for u in diff / norms(pts.space, diff)[:, None]:
@@ -210,7 +211,7 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
                             found[k] = u
                             angles.append([])
                         seen[key] = k
-                    angles[k].append(angle)
+                    angles[k].append(ramp[a])
         found = found[: len(angles)].copy()
         found.flags.writeable = False
         members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
@@ -248,7 +249,7 @@ def generate_annular(
     """
     if per_level < 1:
         raise ValueError("per_level must be >= 1")
-    if placement not in ("plateau", "ramp", "mixed"):
+    if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
     space = Space(dim, norm_spec)
     rng = np.random.default_rng(seed)

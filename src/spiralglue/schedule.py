@@ -134,16 +134,20 @@ def check_log_radius(sched: RadiiSchedule, log_t: float) -> None:
         )
 
 
-def ramp_angle_log(sched: RadiiSchedule, level: int, log_t: float) -> float:
+def ramp_angle_log(sched: RadiiSchedule, level: int, log_t):
     """The level's clamped ramp angle at log radius log_t: exactly 0 up to
     r_level and exactly pi/2 from R_level on, where the ramp ends even when
-    eps * (log R_level - log r_level) rounds below pi/2."""
-    if log_t >= sched.log_R[level - 1]:
-        return HALF_PI
+    eps * (log R_level - log r_level) rounds below pi/2.
+
+    A float log_t gives a float; an array gives the angles as an array, each
+    bit-equal to the float call (never -0.0; the origin, -inf, gives 0.0).
+    """
+    log_t = np.asarray(log_t, dtype=float)
     a = sched.params.eps * (log_t - sched.log_r[level - 1])
-    if a <= 0.0:
-        return 0.0
-    return min(a, HALF_PI)
+    angle = np.where(
+        log_t >= sched.log_R[level - 1], HALF_PI, np.where(a > 0.0, np.minimum(a, HALF_PI), 0.0)
+    )
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def level_weights_log(sched: RadiiSchedule, level: int, log_t: float) -> tuple[float, float]:
@@ -160,14 +164,21 @@ def level_weights_log(sched: RadiiSchedule, level: int, log_t: float) -> tuple[f
     return math.cos(angle), math.sin(angle)
 
 
+def sandwich_angles_log(sched: RadiiSchedule, level: int, log_x, log_y):
+    """Ramp angles (sigma, alpha) of the level at log radii log_x >= log_y,
+    and theta = pi/2 + (sigma + alpha)/2: the angles of the per-pair sandwich.
+    Floats give floats; arrays of pairs give arrays, each bit-equal to the
+    float call."""
+    sigma = ramp_angle_log(sched, level, log_x)
+    alpha = ramp_angle_log(sched, level, log_y)
+    return sigma, alpha, 0.5 * math.pi + 0.5 * (sigma + alpha)
+
+
 def sandwich_angles(
     sched: RadiiSchedule, level: int, nx: float, ny: float
 ) -> tuple[float, float, float]:
-    """Ramp angles (sigma, alpha) of the level at norms nx >= ny > 0, and
-    theta = pi/2 + (sigma + alpha)/2: the angles of the per-pair sandwich."""
-    sigma = ramp_angle_log(sched, level, math.log(nx))
-    alpha = ramp_angle_log(sched, level, math.log(ny))
-    return sigma, alpha, 0.5 * math.pi + 0.5 * (sigma + alpha)
+    """sandwich_angles_log at the norms nx >= ny > 0."""
+    return sandwich_angles_log(sched, level, math.log(nx), math.log(ny))
 
 
 def _log_of(t: float) -> float:

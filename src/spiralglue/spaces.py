@@ -269,6 +269,39 @@ def blend_apply(c: float, s: float, first: LinearMap, second: LinearMap, x) -> V
     return c * apply(first, x) + s * apply(second, x)
 
 
+def direction_gain(theta, u, first: LinearMap, second: LinearMap):
+    """Target norm of cos(theta)*first(u) + sin(theta)*second(u) for unit u.
+
+    A 1-d u with one angle gives a float. A (k, dim) array of rows with k
+    angles gives the k gains as an array, each bit-equal to the one-row call:
+    cos and sin come from math per angle, the blend is the stacked
+    matrix-vector product of apply, and blend images are formed in row blocks
+    of twice the target width. The first non-unit row raises ValueError.
+    """
+    U = np.asarray(u, dtype=float)
+    if U.ndim == 1:
+        return float(direction_gain([theta], U[None, :], first, second)[0])
+    nu = norms(first.source, U)
+    bad = np.flatnonzero(np.abs(nu - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"u must be a unit vector, got norm {float(nu[bad[0]])!r}")
+    angles = np.asarray(theta, dtype=float).tolist()
+    c = np.array([math.cos(t) for t in angles])
+    s = np.array([math.sin(t) for t in angles])
+    if c.shape != nu.shape:
+        raise ValueError(f"need one angle per row, got {c.size} for {nu.size} rows")
+    out = np.empty(len(U))
+    for block in row_blocks(len(U), 2 * first.target.dim):
+        rows = U[block, :, None]
+        blend = np.matmul(first.matrix, rows)[:, :, 0]
+        blend *= c[block, None]
+        other = np.matmul(second.matrix, rows)[:, :, 0]
+        other *= s[block, None]
+        blend += other
+        out[block] = norms(first.target, blend)
+    return out
+
+
 def norm_axioms_max_violation(space: Space, samples: int = 200, seed: int = 0) -> float:
     """Worst violation of the triangle inequality and absolute homogeneity
     over random unit-scale samples. Used by the test suite."""

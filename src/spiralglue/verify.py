@@ -9,16 +9,17 @@ reflects what was actually built, not what was requested.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
-from .glue import GlueEmbedding, blend_decomposition_residual, direction_gain, embed, level_map
+from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
 from .pointset import LocallyFiniteSet, classify_levels, level_intervals
-from .schedule import Params, build_schedule, log_radius, sandwich_angles
-from .spaces import Lp, Space, norm, norms, row_blocks
+from .schedule import Params, build_schedule, log_radius, sandwich_angles_log
+from .spaces import Lp, Space, direction_gain, norm, norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_TOL = 1e-9
@@ -150,7 +151,7 @@ class _Points:
     [lo, hi] and the plateau index (0 off the plateaus)."""
 
     coords: np.ndarray
-    ids: list
+    ids: np.ndarray
     norms: np.ndarray
     logs: np.ndarray
     lo: np.ndarray
@@ -162,25 +163,110 @@ def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
     sched = g.schedule
     logs = np.array([log_radius(v) for v in source_norms.tolist()])
     lo, hi = level_intervals(sched, logs)
-    return _Points(coords, list(ids), source_norms, logs, lo, hi, _plateau_index(sched, logs))
+    return _Points(
+        coords, np.asarray(ids), source_norms, logs, lo, hi, _plateau_index(sched, logs)
+    )
 
 
-def _sandwich(g: GlueEmbedding, level: int, nx, ny, diff, ndiff, y):
+# pair kinds by class code, formatted with the code's levels, and class names
+_KINDS = ("plateau:{}", "same:{}", "ray:{}", "far:{}-{}")
+_CLASSES = tuple(kind.split(":")[0] for kind in _KINDS)
+_PLATEAU, _SAME, _RAY, _FAR = range(4)
+_SANDWICH_FIELDS = ("sigma", "theta", "g_sigma_w", "g_theta_v")
+# blocks of pairs are sized as rows of at least this many elements: the block
+# judge keeps a few dozen 1-d arrays of its block alive at once, which for a
+# narrow source would otherwise be many times the batch budget
+_PAIR_WIDTH = 16
+
+
+class PairTable(Sequence):
+    """The judged pairs as 1-d columns, one entry per pair in sweep order.
+
+    Columns: x_id, y_id; the class code (plateau, same, ray, far) with its
+    level (the plateau index, the shared level, or a far pair's y level)
+    and x_level (a far pair's x level, else 0); ratio; sigma, theta,
+    g_sigma_w and g_theta_v, NaN where the pair has no sandwich; and the
+    lower and upper slacks. As a sequence it holds PairCheck objects, built
+    only when indexed or iterated.
+    """
+
+    def __init__(self, size: int):
+        self.x_id = np.empty(size, dtype=np.int64)
+        self.y_id = np.empty(size, dtype=np.int64)
+        self.code = np.empty(size, dtype=np.int8)
+        self.level = np.empty(size, dtype=np.int64)
+        self.x_level = np.empty(size, dtype=np.int64)
+        self.ratio = np.empty(size)
+        for name in _SANDWICH_FIELDS:
+            setattr(self, name, np.empty(size))
+        self.lower_slack = np.empty(size)
+        self.upper_slack = np.empty(size)
+
+    def _freeze(self) -> None:
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ratio)
+
+    def kinds(self, rows: slice = slice(None)) -> list[str]:
+        """The kind string of each pair in rows, formatted once per distinct
+        class and levels."""
+        code, level, x_level = self.code[rows], self.level[rows], self.x_level[rows]
+        if not len(code):
+            return []
+        span = int(max(level.max(), x_level.max())) + 1
+        key = (code.astype(np.int64) * span + level) * span + x_level
+        distinct, inverse = np.unique(key, return_inverse=True)
+        names = [_KINDS[k // span**2].format(k // span % span, k % span) for k in distinct.tolist()]
+        return np.array(names, dtype=object)[inverse].tolist()
+
+    def _checks(self, rows: slice):
+        def optional(name):
+            return [None if math.isnan(v) else v for v in getattr(self, name)[rows].tolist()]
+
+        columns = (
+            self.x_id[rows].tolist(),
+            self.y_id[rows].tolist(),
+            self.kinds(rows),
+            self.ratio[rows].tolist(),
+            *map(optional, _SANDWICH_FIELDS),
+            self.lower_slack[rows].tolist(),
+            self.upper_slack[rows].tolist(),
+        )
+        return map(PairCheck, *columns)
+
+    def __iter__(self):
+        return self._checks(slice(None))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._checks(index))
+        j = range(len(self))[index]
+        return next(self._checks(slice(j, j + 1)))
+
+
+def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, y, ny):
     """The per-pair sandwich of shared-shell pairs on one level, for rows of
-    pairs with nx >= ny > 0: the (sigma, alpha, theta) angles of each pair,
-    the gains G_sigma(diff/ndiff) and G_theta(y/ny), and the bracket
-    G_sigma -+ eps G_theta."""
-    sched = g.schedule
-    angles = [sandwich_angles(sched, level, a, b) for a, b in zip(nx.tolist(), ny.tolist())]
+    pairs with log radii log_x >= log_y > -inf: the angles sigma and theta of
+    each pair, the gains G_sigma(diff/ndiff) and G_theta(y/ny), and the
+    bracket G_sigma -+ eps G_theta. The unit rows go to direction_gain in
+    row blocks."""
+    sigma, _, theta = sandwich_angles_log(g.schedule, level, log_x, log_y)
+    k, dim = diff.shape
     # sigma and theta rows alternate, so a non-unit row is reported in pair order
-    units = np.empty((2 * len(angles), diff.shape[1]))
-    units[0::2] = diff / ndiff[:, None]
-    units[1::2] = y / ny[:, None]
-    turns = [t for sigma, _, theta in angles for t in (sigma, theta)]
-    gains = direction_gain(turns, units, g.map_at(level), g.map_at(level + 1))
+    turns = np.empty(2 * k)
+    turns[0::2], turns[1::2] = sigma, theta
+    gains = np.empty(2 * k)
+    for block in row_blocks(k, 2 * dim):
+        units = np.empty((2 * (block.stop - block.start), dim))
+        units[0::2] = diff[block] / ndiff[block, None]
+        units[1::2] = y[block] / ny[block, None]
+        both = slice(2 * block.start, 2 * block.stop)
+        gains[both] = direction_gain(turns[both], units, g.map_at(level), g.map_at(level + 1))
     gsw, gtv = gains[0::2], gains[1::2]
-    eps = sched.params.eps
-    return angles, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
+    eps = g.schedule.params.eps
+    return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
 
 def check_pair(
@@ -193,7 +279,7 @@ def check_pair(
     plateau pairs get the sharp near-isometry bracket; a pair against the
     origin on a ramp gets the single-point bracket; far pairs get the norm-gap
     chain and the far bracket. Raises BoundViolated when any slack < -tol.
-    This is the one-pair call of the sweep's row judge.
+    This is element 0 of the sweep's judge on a one-pair table.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -204,20 +290,22 @@ def check_pair(
     ndiff = norm(space, diff)
     nimage = norm(g.target, embed(g, x) - embed(g, y))
     table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
+    out = PairTable(1)
     pair = np.array([0]), np.array([1])
-    (pc,) = _judge_pairs(
-        g, bounds, table, *pair, diff[None], np.array([ndiff]), np.array([nimage]), tol
+    _judge_pairs(
+        g, bounds, table, *pair, diff[None], np.array([ndiff]), np.array([nimage]), tol, out, 0
     )
-    return pc
+    return out[0]
 
 
-def _judge_pairs(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> list[PairCheck]:
-    """check_pair's verdict on each ordered pair (xs[j], ys[j]) of the point
-    table, given diff[j] = x - y, its source norm ndiff[j] and the target norm
-    nimage[j] of embed(x) - embed(y). Raises the error of the first offending
-    pair, and within it of its first failing check, as check_pair would."""
+def _judge_pairs(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out, at) -> None:
+    """Write check_pair's verdict on each ordered pair (xs[j], ys[j]) of the
+    point table into rows at, at + 1, ... of the PairTable out, given
+    diff[j] = x - y, its source norm ndiff[j] and the target norm nimage[j]
+    of embed(x) - embed(y). Raises the error of the first offending pair,
+    and within it of its first failing check, as check_pair would."""
     try:
-        return _judge_block(g, bounds, pts, xs, ys, diff, ndiff, nimage, tol)
+        _judge_block(g, bounds, pts, xs, ys, diff, ndiff, nimage, tol, out, at)
     except ValueError:
         # the order and distinctness checks and the gains run over the whole
         # block before any bracket, so a ValueError at pair j may hide a
@@ -225,17 +313,12 @@ def _judge_pairs(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> l
         if len(xs) > 1:
             for j in range(len(xs)):
                 one = slice(j, j + 1)
-                _judge_block(
-                    g, bounds, pts, xs[one], ys[one], diff[one], ndiff[one], nimage[one], tol
-                )
+                pair = (xs[one], ys[one], diff[one], ndiff[one], nimage[one])
+                _judge_block(g, bounds, pts, *pair, tol, PairTable(1), 0)
         raise
 
 
-# the pair kinds by class code; str.format ignores the unused second level
-_KINDS = ("plateau:{}", "same:{}", "ray:{}", "far:{}-{}")
-
-
-def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> list[PairCheck]:
+def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out, at) -> None:
     """_judge_pairs over the whole block at once: a BoundViolated is that of
     the first offending pair, a ValueError may be of any pair."""
     sched = g.schedule
@@ -266,16 +349,16 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> l
         & (pts.logs[xs] > sched.log_r[level - 1])
     )
 
-    sigma, theta, gsw, gtv = [None] * k, [None] * k, [None] * k, [None] * k
+    sigma, theta, gsw, gtv = (np.full(k, math.nan) for _ in _SANDWICH_FIELDS)
     sandwich_lo, sandwich_hi = np.zeros(k), np.zeros(k)
     for lv in np.unique(level[sandwich]).tolist():
         rows = np.flatnonzero(sandwich & (level == lv))
-        angles, gs, gt, lo, hi = _sandwich(
-            g, lv, nx[rows], ny[rows], diff[rows], ndiff[rows], pts.coords[ys[rows]]
+        xr, yr = xs[rows], ys[rows]
+        (
+            sigma[rows], theta[rows], gsw[rows], gtv[rows], sandwich_lo[rows], sandwich_hi[rows]
+        ) = _sandwich(
+            g, lv, pts.logs[xr], pts.logs[yr], diff[rows], ndiff[rows], pts.coords[yr], ny[rows]
         )
-        sandwich_lo[rows], sandwich_hi[rows] = lo, hi
-        for j, (s, _, t), a, b in zip(rows.tolist(), angles, gs.tolist(), gt.tolist()):
-            sigma[j], theta[j], gsw[j], gtv[j] = s, t, a, b
 
     gap = delta * nx - ny
     lo_gap = ndiff - nx * (1.0 - delta)
@@ -320,17 +403,15 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol) -> l
             if hi - r < -tol:
                 raise BoundViolated(name, hi - r, f"{where}: ratio {r!r} above {hi!r}")
 
-    tag = np.where(plateau, 0, np.where(ray, 2, np.where(same, 1, 3)))
-    first = np.where(plateau, kx, np.where(same, level, y_level))
-    kinds = [
-        _KINDS[t].format(a, b) for t, a, b in zip(tag.tolist(), first.tolist(), x_level.tolist())
-    ]
-    ids = pts.ids
-    columns = (ratio.tolist(), sigma, theta, gsw, gtv, lower_slack.tolist(), upper_slack.tolist())
-    return [
-        PairCheck(ids[x], ids[y], kind, r, s, t, a, b, lo, hi)
-        for x, y, kind, r, s, t, a, b, lo, hi in zip(xs.tolist(), ys.tolist(), kinds, *columns)
-    ]
+    rows = slice(at, at + k)
+    out.x_id[rows], out.y_id[rows] = pts.ids[xs], pts.ids[ys]
+    out.code[rows] = np.where(plateau, _PLATEAU, np.where(ray, _RAY, np.where(same, _SAME, _FAR)))
+    out.level[rows] = np.where(plateau, kx, np.where(same, level, y_level))
+    out.x_level[rows] = np.where(far, x_level, 0)
+    out.ratio[rows] = ratio
+    for name, column in zip(_SANDWICH_FIELDS, (sigma, theta, gsw, gtv)):
+        getattr(out, name)[rows] = column
+    out.lower_slack[rows], out.upper_slack[rows] = lower_slack, upper_slack
 
 
 @dataclass(frozen=True)
@@ -344,7 +425,8 @@ class ClassSummary:
 
 @dataclass(frozen=True, eq=False)
 class DistortionReport:
-    """All pair ratios of a point set under the embedding, with witnesses."""
+    """All pair ratios of a point set under the embedding, with witnesses;
+    pair_checks holds every judged pair as columns."""
 
     min_ratio: float
     max_ratio: float
@@ -353,7 +435,7 @@ class DistortionReport:
     witness_max: tuple[int, int]
     bounds: TheoreticalBounds
     by_class: dict
-    pair_checks: tuple[PairCheck, ...]
+    pair_checks: PairTable
 
 
 def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
@@ -362,95 +444,91 @@ def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
     return bounds_from_values(sched.params.eps, sched.params.delta, g.bank.gamma, g.selection.zeta)
 
 
+def _first_min(values: np.ndarray) -> float:
+    # argmin returns the first extreme, as a running min that keeps ties would
+    return float(values[np.argmin(values)])
+
+
+def _first_max(values: np.ndarray) -> float:
+    return float(values[np.argmax(values)])
+
+
 def distortion_report(
     g: GlueEmbedding, pts: LocallyFiniteSet, tol: float = DEFAULT_TOL
 ) -> DistortionReport:
     """Sweep all unordered pairs, check every applicable inequality, and
     assert the measured distortion stays below the closed-form ratio.
 
-    Each point is embedded, normed and classified once; each row a of pairs
-    (a, b > a) is then judged at once, with check_pair's verdict on every
-    pair in row-major pair order. Only the target-width temporaries (image
-    differences, blend images) are formed in row blocks.
+    Each point is embedded, normed and classified once. The pairs (a, b > a)
+    are taken in row-major order and judged in blocks of pairs, with
+    check_pair's verdict on every pair written into the columns of a
+    PairTable; class summaries and witnesses are reductions over the
+    columns. Every temporary of pairs times a row width is formed in row
+    blocks.
     """
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
     bounds = embedding_bounds(g)
     coords = pts.coords
-    source_norms = norms(g.source, coords)
+    table = _points(g, coords, pts.ids, norms(g.source, coords))
     # each pair is ordered by the point set's own norm, larger first, and by
     # the smaller id on ties
     own_logs = np.array([log_radius(v) for v in norms(pts.space, coords).tolist()])
-    ids = np.asarray(pts.ids)
+    ids = table.ids
     images = np.empty((n, g.target.dim))
     for k, row in enumerate(coords):
         images[k] = embed(g, row)
-    table = _points(g, coords, pts.ids, source_norms)
-    results = []
+    # pair (a, b) sits at row_start[a] + (b - a - 1)
+    lengths = np.arange(n - 1, -1, -1)
+    row_start = np.cumsum(lengths) - lengths
+    size = n * (n - 1) // 2
+    nimage = np.empty(size)
     for a in range(n - 1):
-        rest = np.arange(a + 1, n)
-        keep = (own_logs[a] > own_logs[rest]) | (
-            (own_logs[a] == own_logs[rest]) & (ids[a] <= ids[rest])
-        )
-        diff = coords[a] - coords[a + 1 :]
-        np.negative(diff, out=diff, where=~keep[:, None])
-        image_norms = np.empty(len(rest))
-        for block in row_blocks(len(rest), g.target.dim):
+        for block in row_blocks(n - 1 - a, g.target.dim):
             others = images[a + 1 + block.start : a + 1 + block.stop]
-            image_norms[block] = norms(g.target, images[a] - others)
-        results += _judge_pairs(
-            g,
-            bounds,
-            table,
-            np.where(keep, a, rest),
-            np.where(keep, rest, a),
-            diff,
-            norms(g.source, diff),
-            image_norms,
-            tol,
+            start = row_start[a] + block.start
+            nimage[start : start + len(others)] = norms(g.target, images[a] - others)
+    out = PairTable(size)
+    for block in row_blocks(size, max(g.source.dim, _PAIR_WIDTH)):
+        index = np.arange(block.start, block.stop)
+        a = np.searchsorted(row_start, index, side="right") - 1
+        b = index - row_start[a] + a + 1
+        keep = (own_logs[a] > own_logs[b]) | ((own_logs[a] == own_logs[b]) & (ids[a] <= ids[b]))
+        diff = coords[a] - coords[b]
+        np.negative(diff, out=diff, where=~keep[:, None])
+        xs, ys = np.where(keep, a, b), np.where(keep, b, a)
+        _judge_pairs(
+            g, bounds, table, xs, ys, diff, norms(g.source, diff), nimage[block], tol,
+            out, block.start,
         )
+    out._freeze()
 
-    # one pass with the semantics of min/max: the first extreme pair wins
-    lo = hi = results[0]
-    stats: dict[str, list] = {}
-    for pc in results:
-        r = pc.ratio
-        if r < lo.ratio:
-            lo = pc
-        if r > hi.ratio:
-            hi = pc
-        key = pc.kind.split(":")[0]
-        s = stats.get(key)
-        if s is None:
-            stats[key] = [1, r, r, pc.lower_slack, pc.upper_slack]
-            continue
-        s[0] += 1
-        if r < s[1]:
-            s[1] = r
-        if r > s[2]:
-            s[2] = r
-        if pc.lower_slack < s[3]:
-            s[3] = pc.lower_slack
-        if pc.upper_slack < s[4]:
-            s[4] = pc.upper_slack
-    distortion = hi.ratio / lo.ratio
-    by_class = {key: ClassSummary(*s) for key, s in stats.items()}
+    by_class = {}
+    codes, first = np.unique(out.code, return_index=True)
+    for code in codes[np.argsort(first)].tolist():
+        rows = out.code == code
+        r = out.ratio[rows]
+        by_class[_CLASSES[code]] = ClassSummary(
+            int(np.count_nonzero(rows)),
+            _first_min(r),
+            _first_max(r),
+            _first_min(out.lower_slack[rows]),
+            _first_min(out.upper_slack[rows]),
+        )
+    lo, hi = int(np.argmin(out.ratio)), int(np.argmax(out.ratio))
+    witness_min = (int(out.x_id[lo]), int(out.y_id[lo]))
+    witness_max = (int(out.x_id[hi]), int(out.y_id[hi]))
+    min_ratio, max_ratio = float(out.ratio[lo]), float(out.ratio[hi])
+    distortion = max_ratio / min_ratio
     if distortion > bounds.ratio + tol:
         raise BoundViolated(
             "distortion_vs_bounds",
             bounds.ratio + tol - distortion,
-            f"witnesses ({hi.x_id}, {hi.y_id}) / ({lo.x_id}, {lo.y_id})",
+            f"witnesses {witness_max} / {witness_min}",
         )
     return DistortionReport(
-        lo.ratio,
-        hi.ratio,
-        distortion,
-        (lo.x_id, lo.y_id),
-        (hi.x_id, hi.y_id),
-        bounds,
-        by_class,
-        tuple(results),
+        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, out
     )
 
 
@@ -516,8 +594,9 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
         if ndiff < 1e-6 * nx:
             continue
         ratio = norm(bank.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
+        logs = np.array([math.log(nx)]), np.array([math.log(ny)])
         *_, lo_b, hi_b = _sandwich(
-            g, level, np.array([nx]), np.array([ny]), diff[None], np.array([ndiff]), y[None]
+            g, level, *logs, diff[None], np.array([ndiff]), y[None], np.array([ny])
         )
         worst_lo = min(worst_lo, ratio - float(lo_b[0]))
         worst_hi = min(worst_hi, float(hi_b[0]) - ratio)

@@ -1,12 +1,17 @@
 """Batched kernels against the scalar computations they replace.
 
 The row kernel `norms`, the batched `decompose`, the certification array,
-the row gain and the row judge of the pair sweep must reproduce the
-one-vector-at-a-time results. The scalar scans kept in this file (decompose's
-direction scan and the per-pair judge) serve as oracles.
+the row gain, the selection's level judge, the array ramp angle and the
+block judge of the pair sweep with its column reductions and column CSV
+writer must reproduce the one-at-a-time results. The scalar code kept in
+this file (decompose's direction scan, the per-pair judge, the per-check
+level loop, the float ramp angle, the first-wins stats loop and the
+csv.writer loop over PairCheck objects) serves as oracles.
 """
 
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,11 +21,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spiralglue as sg
-from spiralglue.bank import blend_threshold
-from spiralglue.cli import _certify_vectors, parse_config, run_pipeline
+import spiralglue.verify
+from spiralglue.bank import _level_ok, blend_threshold
+from spiralglue.cli import _certify_vectors, _write_pairs_csv, main, parse_config, run_pipeline
 from spiralglue.errors import BoundViolated, CertificationFailed, DimensionMismatch
 from spiralglue.pointset import _DIR_TOL
-from spiralglue.schedule import check_log_radius, log_radius, ramp_angle_log, sandwich_angles
+from spiralglue.schedule import (
+    HALF_PI,
+    check_log_radius,
+    log_radius,
+    ramp_angle_log,
+    sandwich_angles,
+)
 from spiralglue.verify import DEFAULT_TOL, SQRT2
 
 # ---------------------------------------------------------------- norms
@@ -351,7 +363,7 @@ def direction_gain_scalar(theta, u, first, second):
 
 
 def judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol):
-    """The per-pair judge that the row judge replaced: check_pair's verdict,
+    """The per-pair judge that the batched judge replaced: check_pair's verdict,
     given the embedding's bounds, the source norms of x, y and x - y and the
     target norm of embed(x) - embed(y)."""
     sched = g.schedule
@@ -567,3 +579,251 @@ def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
     assert _outcome(lambda: sg.direction_gain(thetas, bad, first, second)) == want
     with pytest.raises(ValueError, match="one angle per row"):
         sg.direction_gain(thetas[:-1], rows, first, second)
+
+
+# ---------------------------------------------------------------- level judge
+
+
+def level_ok_scalar(bank, checks, n_lo, n_hi, threshold):
+    """The per-check loop that the one-call level judge replaced."""
+    worst = math.inf
+    worst_item = None
+    for u, angle in checks:
+        val = sg.norm(
+            bank.target,
+            sg.blend_apply(math.cos(angle), math.sin(angle), bank.maps[n_lo], bank.maps[n_hi], u),
+        )
+        if val - threshold < worst:
+            worst = val - threshold
+            worst_item = (u, angle, val)
+    return worst, worst_item
+
+
+def _verdict(result):
+    worst, item = result
+    if item is None:
+        return repr(worst), None
+    u, angle, val = item
+    return repr(worst), np.asarray(u).tobytes(), repr(angle), repr(val)
+
+
+def test_level_judge_matches_check_loop(l1_pipeline):
+    g, _, decomp = l1_pipeline
+    bank = g.bank
+    threshold = blend_threshold(0.01)
+    for directions in decomp.directions:
+        checks = [(da.u, angle) for da in directions for angle in da.angles]
+        worst_u, worst_angle, _ = level_ok_scalar(bank, checks, 0, 1, threshold)[1]
+        # -u has the same gain as u: the first of the two tied worst checks wins
+        for extra in ([], [(-worst_u, worst_angle)]):
+            rows = extra + checks
+            packed = (np.array([u for u, _ in rows]), [angle for _, angle in rows])
+            for n_lo in range(bank.size):
+                for n_hi in range(n_lo + 1, bank.size):
+                    want = level_ok_scalar(bank, rows, n_lo, n_hi, threshold)
+                    got = _level_ok(bank, packed, n_lo, n_hi, threshold)
+                    assert _verdict(got) == _verdict(want)
+            if extra:
+                assert _verdict(got)[1] == (-worst_u).tobytes()
+    empty = (np.empty((0, bank.source.dim)), [])
+    assert _level_ok(bank, empty, 0, 1, threshold) == (math.inf, None)
+
+
+# ---------------------------------------------------------------- ramp angle
+
+
+def ramp_angle_scalar(sched, level, log_t):
+    """The float-only ramp angle that the array form replaced (its result
+    cast to float: it returned a numpy scalar on the ramp)."""
+    if log_t >= sched.log_R[level - 1]:
+        return HALF_PI
+    a = sched.params.eps * (log_t - sched.log_r[level - 1])
+    if a <= 0.0:
+        return 0.0
+    return float(min(a, HALF_PI))
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ramp_angle_array_bit_equal_to_float_call(data):
+    eps, delta = data.draw(st.floats(0.005, 0.9)), data.draw(st.floats(0.01, 0.9))
+    r1, levels = data.draw(st.floats(1e-3, 1e3)), data.draw(st.integers(1, 4))
+    sched = sg.build_schedule(sg.Params(eps, delta, 0.01, 0.01), r1, levels)
+    level = data.draw(st.integers(1, sched.levels))
+    log_r, log_R = float(sched.log_r[level - 1]), float(sched.log_R[level - 1])
+    near_edge = st.builds(_ulps, st.sampled_from([log_r, log_R]), st.integers(-3, 3))
+    inside = st.floats(log_r - 3.0, log_R + 3.0)
+    logs = data.draw(
+        st.lists(st.one_of(st.just(-math.inf), near_edge, inside), min_size=1, max_size=12)
+    )
+    got = ramp_angle_log(sched, level, np.array(logs))
+    assert isinstance(got, np.ndarray) and got.shape == (len(logs),)
+    want = [repr(ramp_angle_scalar(sched, level, t)) for t in logs]
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    assert [repr(v) for v in got.tolist()] == want
+    assert [repr(ramp_angle_log(sched, level, t)) for t in logs] == want
+    for t, v in zip(logs, got.tolist()):
+        if t <= log_r:
+            assert repr(v) == "0.0"
+        if t >= log_R:
+            assert v == HALF_PI
+
+
+# ---------------------------------------------------------------- pair table
+
+
+def write_pairs_csv_rows(path, dist):
+    """The csv.writer loop over PairCheck objects that the column writer replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack"])
+        for pc in dist.pair_checks:
+            floats = (pc.ratio, pc.lower_slack, pc.upper_slack)
+            writer.writerow([pc.x_id, pc.y_id, pc.kind, *map(repr, floats)])
+
+
+def stats_loop(pair_checks):
+    """The first-wins loop that the column reductions replaced: the class
+    summaries and the pairs of smallest and largest ratio."""
+    lo = hi = pair_checks[0]
+    stats = {}
+    for pc in pair_checks:
+        r = pc.ratio
+        if r < lo.ratio:
+            lo = pc
+        if r > hi.ratio:
+            hi = pc
+        key = pc.kind.split(":")[0]
+        s = stats.get(key)
+        if s is None:
+            stats[key] = [1, r, r, pc.lower_slack, pc.upper_slack]
+            continue
+        s[0] += 1
+        if r < s[1]:
+            s[1] = r
+        if r > s[2]:
+            s[2] = r
+        if pc.lower_slack < s[3]:
+            s[3] = pc.lower_slack
+        if pc.upper_slack < s[4]:
+            s[4] = pc.upper_slack
+    return {key: sg.verify.ClassSummary(*s) for key, s in stats.items()}, lo, hi
+
+
+@pytest.fixture(scope="module")
+def plateau_run():
+    """A plateau-only l2 run whose plateau pairs tie at ratio exactly 1.0."""
+    cfg = parse_config(
+        {
+            "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
+            "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+            "points": {"generator": {"seed": 7, "per_level": 12, "placement": "plateau"}},
+            "bank": {"strategy": "block_shift", "count": 6},
+        }
+    )
+    return run_pipeline(cfg)[1]
+
+
+def _reports(l1_pipeline, plateau_run):
+    g, pts, _ = l1_pipeline
+    return {"mixed-l1": sg.distortion_report(g, pts), "plateau-l2": plateau_run}
+
+
+def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_run):
+    for name, dist in _reports(l1_pipeline, plateau_run).items():
+        _write_pairs_csv(str(tmp_path / f"{name}.csv"), dist)
+        write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), dist)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}-rows.csv").read_bytes()
+        assert got.count(b"\r\n") == len(dist.pair_checks) + 1
+
+
+def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_run):
+    reports = _reports(l1_pipeline, plateau_run)
+    assert {"plateau", "same", "ray", "far"} <= set(reports["mixed-l1"].by_class)
+    for dist in reports.values():
+        by_class, lo, hi = stats_loop(dist.pair_checks)
+        # repr tells a float from a numpy scalar; dicts compare in insertion order
+        assert repr(list(dist.by_class.items())) == repr(list(by_class.items()))
+        assert dist.witness_min == (lo.x_id, lo.y_id)
+        assert dist.witness_max == (hi.x_id, hi.y_id)
+        assert repr((dist.min_ratio, dist.max_ratio)) == repr((lo.ratio, hi.ratio))
+        assert repr(dist.distortion) == repr(hi.ratio / lo.ratio)
+    # ties at both extremes, and most plateau pairs at exactly 1.0
+    ratios = plateau_run.pair_checks.ratio
+    assert np.count_nonzero(ratios == ratios.min()) > 1
+    assert np.count_nonzero(ratios == ratios.max()) > 1
+    assert np.count_nonzero(ratios == 1.0) > len(ratios) // 2
+
+
+def test_pair_table_builds_pair_checks_on_demand(l1_pipeline, monkeypatch):
+    g, pts, _ = l1_pipeline
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return sg.PairCheck(*args)
+
+    monkeypatch.setattr(spiralglue.verify, "PairCheck", counted)
+    table = sg.distortion_report(g, pts).pair_checks
+    n = len(pts)
+    assert len(table) == n * (n - 1) // 2 and built == []
+    every = list(table)
+    assert len(built) == len(every) == len(table)
+    assert table[0] == every[0] and table[-1] == every[-1]
+    assert table[3:9:2] == tuple(every[3:9:2])
+    with pytest.raises(IndexError):
+        table[len(every)]
+    with pytest.raises(ValueError):
+        table.ratio[0] = 2.0
+    # the sandwich fields are None exactly where the pair has no sandwich
+    assert not pts.coords[0].any()
+    for pc in every:
+        sandwich = not pc.kind.startswith(("far", "ray")) and pc.y_id != pts.ids[0]
+        fields = (pc.sigma, pc.theta, pc.g_sigma_w, pc.g_theta_v)
+        assert all((v is not None) == sandwich for v in fields)
+
+
+def test_run_builds_no_pair_check(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("PairCheck built on the run path")
+
+    monkeypatch.setattr(spiralglue.verify, "PairCheck", forbidden)
+    cfg = {
+        "source": {"dim": 3, "norm": {"norm": "lp", "p": 1.0}},
+        "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+        "points": {"generator": {"seed": 7, "per_level": 6, "placement": "mixed"}},
+        "bank": {"strategy": "block_shift", "count": 6},
+        "output": {key: str(tmp_path / key) for key in ("report", "pairs_csv", "images")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+
+
+def test_sweep_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
+    # every array of pairs the sweep forms is blocked: only the per-point
+    # arrays (coordinates, images) may exceed the budget
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    g, pts, _ = l1_pipeline
+    sizes = []
+
+    def sized(fn):
+        def wrapper(*args):
+            rows = args[1]
+            if rows is not pts.coords:
+                sizes.append(np.asarray(rows).size)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(spiralglue.verify, "norms", sized(sg.norms))
+    monkeypatch.setattr(spiralglue.verify, "direction_gain", sized(sg.direction_gain))
+    sg.distortion_report(g, pts)
+    assert sizes and max(sizes) <= 64

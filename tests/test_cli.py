@@ -313,3 +313,43 @@ def test_run_nonpositive_lower_bound_exits_nonzero(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "NonPositiveLowerBound"
+
+
+def _user_bank(count=6):
+    """Block-shift matrices of the 3-dim source into an 18-wide target."""
+    return [np.kron(np.eye(6)[:, [k]], np.eye(3)).tolist() for k in range(count)]
+
+
+@pytest.mark.parametrize("dim, code", [(18, 0), (99, 2), (17, 2)])
+def test_run_user_matrices_target_dim_must_match(tmp_path, capsys, dim, code):
+    bank = {"strategy": "user_matrices", "count": 6, "matrices": _user_bank()}
+    path, _ = _base_config(tmp_path, bank=bank, target={"dim": dim})
+    assert main(["run", "--config", str(path)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith(f"config error: target.dim: {dim} != ")
+
+
+@pytest.mark.parametrize("placement", ["bogus", 5, None])
+def test_run_rejects_unknown_placement(tmp_path, capsys, placement):
+    assert _run_with(tmp_path, "points.generator.placement", placement) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: points.generator.placement: unknown placement")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_placements_have_one_owner():
+    from spiralglue.cli import build_parser
+    from spiralglue.pointset import PLACEMENTS
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    option = next(a for a in sub.choices["gen-points"]._actions if a.dest == "placement")
+    assert tuple(option.choices) == PLACEMENTS
+    for name in PLACEMENTS:
+        parse_config(
+            {
+                "source": {"dim": 2, "norm": {"norm": "lp", "p": 2.0}},
+                "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+                "bank": {"strategy": "block_shift"},
+                "points": {"generator": {"placement": name}},
+            }
+        )
