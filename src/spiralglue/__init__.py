@@ -26,7 +26,6 @@ from .spaces import (
     blend_apply,
     direction_gain,
     norm,
-    norm_axioms_max_violation,
     norm_from_dict,
     norm_to_dict,
     norms,
@@ -40,7 +39,6 @@ from .schedule import (
     build_schedule,
     check_weight_conditions,
     radii,
-    ramp_angle,
     schedule_from_dict,
     schedule_to_dict,
     weight,
@@ -48,13 +46,8 @@ from .schedule import (
 )
 from .pointset import (
     AnnulusDecomposition,
-    Classification,
     DirectionAngles,
-    Far,
     LocallyFiniteSet,
-    SameLevel,
-    classify_lognorms,
-    classify_pair,
     decompose,
     generate_annular,
     load_points,

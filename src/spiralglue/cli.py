@@ -35,7 +35,8 @@ from .errors import (
     NonPositiveLowerBound,
     SpiralGlueError,
 )
-from .glue import GlueEmbedding, embed_all
+# embed_all is not called here, but bench/spans.py wraps cli.embed_all
+from .glue import GlueEmbedding, embed_all  # noqa: F401
 from .pointset import (
     PLACEMENTS,
     LocallyFiniteSet,
@@ -52,7 +53,7 @@ from .schedule import (
     schedule_to_dict,
     weight_grid,
 )
-from .spaces import NormSpec, Space, norm_from_dict, row_blocks
+from .spaces import NormSpec, Space, norm_from_dict, row_blocks, space_to_dict
 from .verify import (
     DistortionReport,
     distortion_report,
@@ -167,6 +168,17 @@ def _space(path: str, dim: int, spec: NormSpec) -> Space:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _points_in(path: str, source: Space) -> LocallyFiniteSet:
+    """The point set saved at path, which must lie in the source space."""
+    pts = load_points(path)
+    if pts.space != source:
+        raise ValueError(
+            f"the points' space {space_to_dict(pts.space)} differs from source "
+            f"{space_to_dict(source)}"
+        )
+    return pts
+
+
 def _user_matrices(matrices, source: Space) -> UserMatrices:
     """The caller's matrices: a non-empty list of 2-d arrays of one shape,
     each with a column per source coordinate."""
@@ -227,7 +239,7 @@ def parse_config(raw: dict) -> RunConfig:
     points = None
     generator = None
     if "file" in pts_cfg:
-        points = _read(pts_cfg, "points", "file", load_points)
+        points = _read(pts_cfg, "points", "file", lambda path: _points_in(path, source))
     elif "inline" in pts_cfg:
         points = _read(pts_cfg, "points", "inline", lambda rows: make_point_set(source, rows))
     elif "generator" in pts_cfg:
@@ -427,7 +439,7 @@ def cmd_run(args) -> int:
         cfg.generator["seed"] = args.seed
     report_path = args.out or cfg.report_path
     try:
-        report, dist, g, pts = run_pipeline(cfg, tolerance=args.tolerance)
+        report, dist, _, pts = run_pipeline(cfg, tolerance=args.tolerance)
     except (BankExhausted, CertificationFailed, BoundViolated, NonPositiveLowerBound) as exc:
         failure = {
             "config": cfg.raw,
@@ -449,8 +461,7 @@ def cmd_run(args) -> int:
     if cfg.pairs_csv_path:
         _write_pairs_csv(cfg.pairs_csv_path, dist)
     if cfg.images_path:
-        images = {str(k): v.tolist() for k, v in sorted(embed_all(g, pts).items())}
-        _write_json(cfg.images_path, images)
+        _write_json(cfg.images_path, dict(zip(map(str, pts.ids), dist.images.tolist())))
     print(
         f"distortion {dist.distortion!r} <= bound {dist.bounds.ratio!r} "
         f"over {len(dist.pair_checks)} pairs"

@@ -22,7 +22,7 @@ from .schedule import (
     log_radius,
     sandwich_angles,
 )
-from .spaces import LinearMap, Space, Vector, blend_apply, norm
+from .spaces import LinearMap, Space, Vector, as_rows, blend_apply, norm, norms, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +70,36 @@ def level_map(g: GlueEmbedding, level: int, x) -> Vector:
 
 
 def embed(g: GlueEmbedding, x) -> Vector:
-    """Evaluate the glued embedding at x; the origin maps to the origin."""
-    level, c, s = active_weights_log(g.schedule, log_radius(norm(g.source, x)))
-    return blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
+    """Evaluate the glued embedding at x; the origin maps to the origin.
+
+    A 1-d x gives its image. A (k, source.dim) array gives the (k, target.dim)
+    images, each bit-equal to the one-row call: one active_weights_log call
+    on the log radii of all rows, then per active level one blend of its rows
+    by the stacked matrix-vector product of apply (np.matmul(M, X[:, :, None])),
+    in row blocks of at most BATCH_ELEMENTS elements.
+    """
+    x = np.asarray(x, dtype=float)
+    X = as_rows(x[None] if x.ndim == 1 else x, g.source.dim)
+    level, c, s = active_weights_log(g.schedule, log_radius(norms(g.source, X)))
+    out = np.empty((len(X), g.target.dim))
+    for lv in np.unique(level).tolist():
+        here = np.flatnonzero(level == lv)
+        first, second = g.map_at(lv).matrix, g.map_at(lv + 1).matrix
+        for block in row_blocks(len(here), max(g.source.dim, 2 * g.target.dim)):
+            k = here[block]
+            rows = X[k, :, None]
+            blend = np.matmul(first, rows)[:, :, 0]
+            blend *= c[k, None]
+            other = np.matmul(second, rows)[:, :, 0]
+            other *= s[k, None]
+            blend += other
+            out[k] = blend
+    return out[0] if x.ndim == 1 else out
 
 
 def embed_all(g: GlueEmbedding, pts) -> dict[int, Vector]:
     """Images of a whole point set, keyed by point id."""
-    return {pid: embed(g, row) for pid, row in zip(pts.ids, pts.coords)}
+    return dict(zip(pts.ids, embed(g, pts.coords)))
 
 
 def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y) -> float:

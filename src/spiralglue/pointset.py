@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -73,38 +72,15 @@ def point_norms(pts: LocallyFiniteSet) -> np.ndarray:
 
 
 def log_norms(pts: LocallyFiniteSet) -> np.ndarray:
-    """Log norms of the points, -inf at the origin."""
-    n = point_norms(pts)
-    out = np.full(n.shape, -math.inf)
-    np.log(n, out=out, where=n > 0.0)
-    return out
-
-
-@dataclass(frozen=True)
-class SameLevel:
-    """Both points share shell `level`."""
-
-    level: int
-
-
-@dataclass(frozen=True)
-class Far:
-    """The smaller norm sits in (R_{y_level-1}, R_{y_level}], the larger in
-    (r_{x_level+1}, r_{x_level+2}]; at least one full level separates them."""
-
-    y_level: int
-    x_level: int
-
-
-Classification = Union[SameLevel, Far]
+    """Log radii of the points' norms, -inf at the origin."""
+    return log_radius(point_norms(pts))
 
 
 def level_intervals(sched: RadiiSchedule, log_t) -> tuple[np.ndarray, np.ndarray]:
     """Per point of log norm log_t, the contiguous 1-based range [lo, hi] of
     shells containing it (the origin lies in every shell)."""
     log_t = np.asarray(log_t, dtype=float)
-    for value in log_t.tolist():
-        check_log_radius(sched, value)
+    check_log_radius(sched, log_t)
     m = sched.levels
     lo = 1 + np.searchsorted(sched.log_r[1:], log_t, side="left")
     hi = 1 + np.searchsorted(sched.log_R[: m - 1], log_t, side="left")
@@ -114,27 +90,13 @@ def level_intervals(sched: RadiiSchedule, log_t) -> tuple[np.ndarray, np.ndarray
 def classify_levels(lo_x, hi_x, lo_y, hi_y):
     """Classify ordered pairs (norm(x) >= norm(y)) from their level intervals.
 
-    Returns (same, level, y_level, x_level) arrays: a pair with same set is
-    SameLevel(level), any other pair is Far(y_level, x_level).
+    Returns (same, level, y_level, x_level) arrays: a pair with same set
+    shares shell `level`; the smaller norm of any other pair sits in
+    (R_{y_level-1}, R_{y_level}] and the larger in (r_{x_level+1},
+    r_{x_level+2}], so at least one full level separates them.
     """
     level = np.maximum(lo_x, lo_y)
     return level <= np.minimum(hi_x, hi_y), level, hi_y, lo_x - 1
-
-
-def classify_lognorms(sched: RadiiSchedule, log_nx: float, log_ny: float) -> Classification:
-    """Classify an ordered pair by its log norms (log_nx >= log_ny)."""
-    if log_ny > log_nx:
-        raise ValueError("caller must order the pair so the first norm is the larger")
-    (lo_x, lo_y), (hi_x, hi_y) = level_intervals(sched, [log_nx, log_ny])
-    same, level, y_level, x_level = classify_levels(lo_x, hi_x, lo_y, hi_y)
-    if same:
-        return SameLevel(int(level))
-    return Far(y_level=int(y_level), x_level=int(x_level))
-
-
-def classify_pair(x, y, sched: RadiiSchedule, space: Space) -> Classification:
-    """Classify a point pair with norm(x) >= norm(y)."""
-    return classify_lognorms(sched, log_radius(norm(space, x)), log_radius(norm(space, y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +132,7 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     """
     m = sched.levels
     logs = log_norms(pts)
-    for ln in logs:
-        check_log_radius(sched, ln)
+    check_log_radius(sched, logs)
     order = np.argsort(np.asarray(pts.ids))
     dim = pts.space.dim
     members: list[tuple[int, ...]] = []

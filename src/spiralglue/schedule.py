@@ -121,16 +121,23 @@ def radii(sched: RadiiSchedule) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(sched.log_r), np.exp(sched.log_R)
 
 
-def log_radius(t: float) -> float:
-    """ln t, or -inf at the origin."""
-    return math.log(t) if t > 0.0 else -math.inf
+def log_radius(t):
+    """ln t, or -inf at the origin. A float gives a float; an array gives an
+    array of math.log per value (numpy's vectorized log may differ in the
+    last ulp), so every caller shares one log-radius rule."""
+    values = np.asarray(t, dtype=float)
+    logs = [math.log(v) if v > 0.0 else -math.inf for v in values.ravel().tolist()]
+    return logs[0] if values.ndim == 0 else np.array(logs).reshape(values.shape)
 
 
-def check_log_radius(sched: RadiiSchedule, log_t: float) -> None:
-    """Raise OutOfScheduleRange when log_t lies beyond the schedule's coverage."""
-    if log_t > sched.log_coverage + 1e-12 * max(1.0, abs(sched.log_coverage)):
+def check_log_radius(sched: RadiiSchedule, log_t) -> None:
+    """Raise OutOfScheduleRange when log_t, a float or an array, lies beyond
+    the schedule's coverage; the message names the first offending value."""
+    log_t = np.asarray(log_t, dtype=float).ravel()
+    bad = np.flatnonzero(log_t > sched.log_coverage + 1e-12 * max(1.0, abs(sched.log_coverage)))
+    if bad.size:
         raise OutOfScheduleRange(
-            f"log norm {log_t!r} exceeds schedule coverage {sched.log_coverage!r}"
+            f"log norm {float(log_t[bad[0]])!r} exceeds schedule coverage {sched.log_coverage!r}"
         )
 
 
@@ -150,18 +157,22 @@ def ramp_angle_log(sched: RadiiSchedule, level: int, log_t):
     return float(angle) if angle.ndim == 0 else angle
 
 
-def level_weights_log(sched: RadiiSchedule, level: int, log_t: float) -> tuple[float, float]:
+def level_weights_log(sched: RadiiSchedule, level, log_t):
     """(cos, sin) of the level's ramp angle at log radius log_t.
 
     At the clamp endpoints the pair is exactly (1.0, 0.0) or (0.0, 1.0), so
-    supports and plateaus hold exactly in floating point.
+    supports and plateaus hold exactly in floating point. A float log_t gives
+    floats; an array (with one level, or a level per entry) gives arrays,
+    each entry bit-equal to the float call: cos and sin come from math per
+    angle (numpy's vectorized cos may differ in the last ulp).
     """
     angle = ramp_angle_log(sched, level, log_t)
-    if angle <= 0.0:
-        return 1.0, 0.0
-    if angle >= HALF_PI:
-        return 0.0, 1.0
-    return math.cos(angle), math.sin(angle)
+    angles = np.ravel(angle).tolist()
+    c = [1.0 if a <= 0.0 else 0.0 if a >= HALF_PI else math.cos(a) for a in angles]
+    s = [0.0 if a <= 0.0 else 1.0 if a >= HALF_PI else math.sin(a) for a in angles]
+    if np.ndim(angle) == 0:
+        return c[0], s[0]
+    return np.array(c), np.array(s)
 
 
 def sandwich_angles_log(sched: RadiiSchedule, level: int, log_x, log_y):
@@ -181,46 +192,40 @@ def sandwich_angles(
     return sandwich_angles_log(sched, level, math.log(nx), math.log(ny))
 
 
-def _log_of(t: float) -> float:
-    if t < 0.0 or not (t < math.inf):
-        raise ValueError(f"radius must be a finite non-negative real, got {t!r}")
-    return log_radius(t)
-
-
-def ramp_angle(sched: RadiiSchedule, level: int, t: float) -> float:
-    """Turning angle of the given level at radius t, clamped to [0, pi/2]."""
-    if not (1 <= level <= sched.levels):
-        raise ValueError(f"level must be in 1..{sched.levels}, got {level}")
-    return ramp_angle_log(sched, level, _log_of(t))
-
-
-def active_weights_log(sched: RadiiSchedule, log_t: float) -> tuple[int, float, float]:
+def active_weights_log(sched: RadiiSchedule, log_t):
     """Level i and the weight pair (mu_i, mu_{i+1}) at log radius log_t.
 
     This is the one weight evaluator: level i is the ramp whose range
     (r_i, r_{i+1}] holds the radius (clamped to 1..levels) and the pair is
-    level_weights_log there. All other weights vanish.
+    level_weights_log there. All other weights vanish. A float log_t gives
+    an int and two floats; an array gives three arrays, each entry bit-equal
+    to the float call.
     """
     check_log_radius(sched, log_t)
-    i = int(np.searchsorted(sched.log_r, log_t, side="left"))
-    i = min(max(i, 1), sched.levels)
-    return (i, *level_weights_log(sched, i, log_t))
+    level = np.clip(np.searchsorted(sched.log_r, log_t, side="left"), 1, sched.levels)
+    if np.ndim(level) == 0:
+        level = int(level)
+    return (level, *level_weights_log(sched, level, log_t))
 
 
-def _weights_row(sched: RadiiSchedule, log_t: float) -> np.ndarray:
-    """All levels + 1 weights at log_t, read off active_weights_log."""
+def _weight_table(sched: RadiiSchedule, log_t: np.ndarray) -> np.ndarray:
+    """All levels + 1 weights at each entry of the 1-d log_t, one row per
+    entry, from one active_weights_log call."""
     level, c, s = active_weights_log(sched, log_t)
-    row = np.zeros(sched.levels + 1)
-    row[level - 1] = c
-    row[level] = s
-    return row
+    table = np.zeros((len(log_t), sched.levels + 1))
+    rows = np.arange(len(log_t))
+    table[rows, level - 1] = c
+    table[rows, level] = s
+    return table
 
 
 def weight(sched: RadiiSchedule, index: int, t: float) -> float:
     """Gluing weight mu_index at radius t; index runs in 1..levels+1."""
     if not (1 <= index <= sched.levels + 1):
         raise ValueError(f"weight index must be in 1..{sched.levels + 1}, got {index}")
-    return float(_weights_row(sched, _log_of(t))[index - 1])
+    if t < 0.0 or not (t < math.inf):
+        raise ValueError(f"radius must be a finite non-negative real, got {t!r}")
+    return float(_weight_table(sched, log_radius(np.array([t])))[0, index - 1])
 
 
 @dataclass(frozen=True)
@@ -246,31 +251,25 @@ def check_weight_conditions(
         raise ValueError("samples_per_interval must be >= 2")
     eps = sched.params.eps
     h = 1e-6  # step in log radius
-    slope_min = math.inf
-    angle_viol = -math.inf
-    weight_viol = -math.inf
-    total = 0
+    slopes, gains = [], []
     for i in range(1, sched.levels + 1):
-        lo = sched.log_r[i - 1]
-        hi = sched.log_R[i - 1]
         pad = 10.0 * h
-        grid = np.linspace(lo + pad, hi - pad, samples_per_interval)
-        for lt in grid:
-            a_plus = ramp_angle_log(sched, i, lt + h)
-            a_minus = ramp_angle_log(sched, i, lt - h)
-            slope = (a_plus - a_minus) / (2.0 * h)
-            slope_min = min(slope_min, slope)
-            angle_viol = max(angle_viol, slope - eps)
-            dw = (_weights_row(sched, lt + h) - _weights_row(sched, lt - h)) / (2.0 * h)
-            weight_viol = max(weight_viol, math.hypot(dw[i - 1], dw[i]) - eps)
-            total += 1
-    defect = -math.inf
+        grid = np.linspace(
+            sched.log_r[i - 1] + pad, sched.log_R[i - 1] - pad, samples_per_interval
+        )
+        da = ramp_angle_log(sched, i, grid + h) - ramp_angle_log(sched, i, grid - h)
+        slopes.append(da / (2.0 * h))
+        dw = (_weight_table(sched, grid + h) - _weight_table(sched, grid - h)) / (2.0 * h)
+        gains.append(np.hypot(dw[:, i - 1], dw[:, i]))
+    slope, gain = np.concatenate(slopes), np.concatenate(gains)
     span = np.linspace(sched.log_r[0] - 2.0, sched.log_coverage, samples_per_interval)
-    for lt in span:
-        sq = sum(v**2 for v in _weights_row(sched, lt).tolist())
-        defect = max(defect, abs(sq - 1.0))
+    defect = np.abs((_weight_table(sched, span) ** 2).sum(axis=1) - 1.0)
     return WeightConditionReport(
-        float(slope_min), float(angle_viol), float(weight_viol), float(defect), total
+        float(slope.min()),
+        float(slope.max() - eps),
+        float(gain.max() - eps),
+        float(defect.max()),
+        len(slope),
     )
 
 
@@ -313,5 +312,4 @@ def weight_grid(
     if hi > _MAX_LOG:
         raise OverflowError("grid radii exceed the floating range")
     logs = np.linspace(lo, hi, grid_size)
-    table = np.array([_weights_row(sched, lt) for lt in logs])
-    return np.exp(logs), table
+    return np.exp(logs), _weight_table(sched, logs)

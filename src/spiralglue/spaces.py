@@ -302,22 +302,6 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     return out
 
 
-def norm_axioms_max_violation(space: Space, samples: int = 200, seed: int = 0) -> float:
-    """Worst violation of the triangle inequality and absolute homogeneity
-    over random unit-scale samples. Used by the test suite."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(space.dim)
-        y = rng.standard_normal(space.dim)
-        a = rng.uniform(-3.0, 3.0)
-        nx, ny = norm(space, x), norm(space, y)
-        worst = max(worst, norm(space, x + y) - nx - ny)
-        if nx > 0:
-            worst = max(worst, abs(norm(space, a * x) - abs(a) * nx) / nx)
-    return worst
-
-
 def norm_to_dict(spec: NormSpec) -> dict:
     if isinstance(spec, Lp):
         return {"norm": "lp", "p": "inf" if spec.p == math.inf else spec.p}

@@ -161,7 +161,7 @@ class _Points:
 
 def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
     sched = g.schedule
-    logs = np.array([log_radius(v) for v in source_norms.tolist()])
+    logs = log_radius(source_norms)
     lo, hi = level_intervals(sched, logs)
     return _Points(
         coords, np.asarray(ids), source_norms, logs, lo, hi, _plateau_index(sched, logs)
@@ -288,7 +288,8 @@ def check_pair(
     nx, ny = norm(space, x), norm(space, y)
     diff = x - y
     ndiff = norm(space, diff)
-    nimage = norm(g.target, embed(g, x) - embed(g, y))
+    images = embed(g, np.array([x, y]))
+    nimage = norm(g.target, images[0] - images[1])
     table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
     out = PairTable(1)
     pair = np.array([0]), np.array([1])
@@ -426,7 +427,8 @@ class ClassSummary:
 @dataclass(frozen=True, eq=False)
 class DistortionReport:
     """All pair ratios of a point set under the embedding, with witnesses;
-    pair_checks holds every judged pair as columns."""
+    pair_checks holds every judged pair as columns, and images the read-only
+    (n, target.dim) images of the points in point-set order."""
 
     min_ratio: float
     max_ratio: float
@@ -436,6 +438,7 @@ class DistortionReport:
     bounds: TheoreticalBounds
     by_class: dict
     pair_checks: PairTable
+    images: np.ndarray
 
 
 def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
@@ -459,12 +462,12 @@ def distortion_report(
     """Sweep all unordered pairs, check every applicable inequality, and
     assert the measured distortion stays below the closed-form ratio.
 
-    Each point is embedded, normed and classified once. The pairs (a, b > a)
-    are taken in row-major order and judged in blocks of pairs, with
-    check_pair's verdict on every pair written into the columns of a
-    PairTable; class summaries and witnesses are reductions over the
-    columns. Every temporary of pairs times a row width is formed in row
-    blocks.
+    The points are embedded in one call, and each is normed and classified
+    once. The pairs (a, b > a) are taken in row-major order and judged in
+    blocks of pairs, with check_pair's verdict on every pair written into
+    the columns of a PairTable; class summaries and witnesses are reductions
+    over the columns. Every temporary of pairs times a row width is formed
+    in row blocks.
     """
     n = len(pts)
     if n < 2:
@@ -474,11 +477,10 @@ def distortion_report(
     table = _points(g, coords, pts.ids, norms(g.source, coords))
     # each pair is ordered by the point set's own norm, larger first, and by
     # the smaller id on ties
-    own_logs = np.array([log_radius(v) for v in norms(pts.space, coords).tolist()])
+    own_logs = log_radius(norms(pts.space, coords))
     ids = table.ids
-    images = np.empty((n, g.target.dim))
-    for k, row in enumerate(coords):
-        images[k] = embed(g, row)
+    images = embed(g, coords)
+    images.flags.writeable = False
     # pair (a, b) sits at row_start[a] + (b - a - 1)
     lengths = np.arange(n - 1, -1, -1)
     row_start = np.cumsum(lengths) - lengths
@@ -528,7 +530,7 @@ def distortion_report(
             f"witnesses {witness_max} / {witness_min}",
         )
     return DistortionReport(
-        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, out
+        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, out, images
     )
 
 

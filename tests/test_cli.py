@@ -353,3 +353,32 @@ def test_placements_have_one_owner():
                 "points": {"generator": {"placement": name}},
             }
         )
+
+
+@pytest.mark.parametrize(
+    "file_dim, source_p, code",
+    [(3, 2.0, 0), (4, 2.0, 2), (3, 1.0, 2)],
+    ids=["same-space", "wider-file", "other-norm"],
+)
+def test_run_points_file_must_lie_in_source(tmp_path, capsys, file_dim, source_p, code):
+    # gen-points writes l2 points: a file of another width or norm than the
+    # source is a config error naming the key, not a late exit 1 or a failed
+    # unit-vector guard
+    points = tmp_path / "points.json"
+    gen = ["gen-points", "--seed", "6", "--per-level", "4", "--dim", str(file_dim)]
+    assert main([*gen, "--out", str(points)]) == 0
+    source = {"dim": 3, "norm": {"norm": "lp", "p": source_p}}
+    path, _ = _base_config(tmp_path, source=source, points={"file": str(points)})
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: points.file: ")
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_run_point_beyond_coverage_names_a_float(tmp_path, capsys):
+    path, _ = _base_config(tmp_path, points={"inline": [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]]})
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: log norm {math.log(1e300)!r} exceeds schedule coverage ")
+    assert "np.float64(" not in err

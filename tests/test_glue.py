@@ -6,6 +6,8 @@ import pytest
 import spiralglue as sg
 from spiralglue.errors import OutOfScheduleRange
 
+from oracles import ramp_angle
+
 
 def _unit(space, direction):
     d = np.asarray(direction, dtype=float)
@@ -80,7 +82,7 @@ def test_ray_formula(l1_pipeline):
             lt = rng.uniform(sched.log_r[level - 1] - 0.5, sched.log_R[level - 1] + 0.5)
             x = _at_norm(src, rng.standard_normal(3), lt)
             t = sg.norm(src, x)
-            sigma = sg.ramp_angle(g.schedule, level, t)
+            sigma = ramp_angle(g.schedule, level, t)
             lhs = sg.norm(g.target, sg.level_map(g, level, x)) / t
             rhs = sg.direction_gain(sigma, x / t, g.map_at(level), g.map_at(level + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12)

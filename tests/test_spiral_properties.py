@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import spiralglue as sg
 from spiralglue.schedule import HALF_PI, active_weights_log, log_radius, ramp_angle_log
 
+from oracles import Far, SameLevel, classify_pair
+
 
 @st.composite
 def schedules(draw):
@@ -136,7 +138,7 @@ def test_classify_pair_matches_shell_membership(data):
     in_y = shells(sched, log_radius(sg.norm(space, y)))
     common = sorted(set(in_x) & set(in_y))
     if common:
-        want = sg.SameLevel(common[0])
+        want = SameLevel(common[0])
     else:
-        want = sg.Far(y_level=max(in_y), x_level=min(in_x) - 1)
-    assert sg.classify_pair(x, y, sched, space) == want
+        want = Far(y_level=max(in_y), x_level=min(in_x) - 1)
+    assert classify_pair(x, y, sched, space) == want
