@@ -22,7 +22,6 @@ from .spaces import (
     Space,
     WeightedLp,
     apply,
-    as_vector,
     blend_apply,
     direction_gain,
     norm,

@@ -215,14 +215,12 @@ def build_bank(
 def _certify_ratios(lin: LinearMap, vectors, source_norms, nonzero) -> np.ndarray:
     """norm(target, lin v) / norm(source, v) over the nonzero rows v, in order.
 
-    Images are formed in row blocks within the batch budget, by stacked
-    matrix-vector products (the same kernel as apply).
+    Images are formed by apply in row blocks within the batch budget.
     """
     out = []
     for block in row_blocks(len(vectors), lin.target.dim):
         keep = nonzero[block]
-        v = vectors[block][keep]
-        images = np.matmul(lin.matrix, v[:, :, None])[:, :, 0]
+        images = apply(lin, vectors[block][keep])
         out.append(norms(lin.target, images) / source_norms[block][keep])
     return np.concatenate(out)
 

@@ -428,6 +428,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if not (0.0 <= args.tolerance < math.inf):
+        print(
+            f"config error: --tolerance must be finite and >= 0, got {args.tolerance!r}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)

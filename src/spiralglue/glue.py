@@ -74,9 +74,8 @@ def embed(g: GlueEmbedding, x) -> Vector:
 
     A 1-d x gives its image. A (k, source.dim) array gives the (k, target.dim)
     images, each bit-equal to the one-row call: one active_weights_log call
-    on the log radii of all rows, then per active level one blend of its rows
-    by the stacked matrix-vector product of apply (np.matmul(M, X[:, :, None])),
-    in row blocks of at most BATCH_ELEMENTS elements.
+    on the log radii of all rows, then per active level one blend_apply of its
+    rows, in row blocks of at most BATCH_ELEMENTS elements.
     """
     x = np.asarray(x, dtype=float)
     X = as_rows(x[None] if x.ndim == 1 else x, g.source.dim)
@@ -84,16 +83,10 @@ def embed(g: GlueEmbedding, x) -> Vector:
     out = np.empty((len(X), g.target.dim))
     for lv in np.unique(level).tolist():
         here = np.flatnonzero(level == lv)
-        first, second = g.map_at(lv).matrix, g.map_at(lv + 1).matrix
+        first, second = g.map_at(lv), g.map_at(lv + 1)
         for block in row_blocks(len(here), max(g.source.dim, 2 * g.target.dim)):
             k = here[block]
-            rows = X[k, :, None]
-            blend = np.matmul(first, rows)[:, :, 0]
-            blend *= c[k, None]
-            other = np.matmul(second, rows)[:, :, 0]
-            other *= s[k, None]
-            blend += other
-            out[k] = blend
+            out[k] = blend_apply(c[k], s[k], first, second, X[k])
     return out[0] if x.ndim == 1 else out
 
 

@@ -4,9 +4,11 @@ Norm evaluation is exact and overflow-safe: p-power sums are computed after
 rescaling by the largest coordinate, so norms of vectors with entries near
 the float range remain finite.
 
-`norm` evaluates one vector; `norms` evaluates the rows of a 2-d array with
-the same floating operations per row. Batched code bounds each block of rows
-it forms by BATCH_ELEMENTS elements via `row_blocks`.
+Each rule has one row kernel, and its one-vector call is the one-row case:
+`norms` evaluates the rows of a 2-d array and `norm` one vector; `apply` maps
+rows by one stacked matrix-vector product and `blend_apply` forms the
+two-map blend of rows from it. Batched code bounds each block of rows it
+forms by BATCH_ELEMENTS elements via `row_blocks`.
 """
 
 from __future__ import annotations
@@ -30,20 +32,6 @@ def row_blocks(rows: int, width: int):
     step = max(1, BATCH_ELEMENTS // max(width, 1))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
-
-
-def as_vector(coords, dim: int | None = None) -> Vector:
-    """Coerce input to a read-only float64 vector with finite entries."""
-    x = np.asarray(coords, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {x.shape}")
-    if dim is not None and x.shape[0] != dim:
-        raise DimensionMismatch(f"expected length {dim}, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector has non-finite coordinates")
-    x = x.copy()
-    x.flags.writeable = False
-    return x
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -133,40 +121,6 @@ class Space:
                 raise ValueError("functionals do not span the space")
 
 
-def _lp_value(a: np.ndarray, p: float) -> float:
-    # a is already elementwise non-negative
-    if p == math.inf:
-        return float(a.max()) if a.size else 0.0
-    if p == 1.0:
-        return float(a.sum())
-    m = float(a.max(initial=0.0))
-    if m == 0.0:
-        return 0.0
-    a = a / m
-    if p == 2.0:
-        return m * float(math.sqrt(np.dot(a, a)))
-    return m * float(np.sum(a**p) ** (1.0 / p))
-
-
-def norm(space: Space, x) -> float:
-    """Evaluate the norm of x in the given space; zero iff x is the zero vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.dim,):
-        raise DimensionMismatch(f"vector shape {x.shape} != ({space.dim},)")
-    spec = space.norm
-    if isinstance(spec, Lp):
-        return _lp_value(np.abs(x), spec.p)
-    if isinstance(spec, WeightedLp):
-        a = np.abs(x)
-        if spec.p == math.inf:
-            return float((spec.weights * a).max())
-        m = float(a.max(initial=0.0))
-        if m == 0.0:
-            return 0.0
-        return m * float(np.sum(spec.weights * (a / m) ** spec.p) ** (1.0 / spec.p))
-    return float(np.max(np.abs(spec.functionals @ x)))
-
-
 def as_rows(vectors, dim: int) -> np.ndarray:
     """A (k, dim) float array of the given rows; any other width raises
     DimensionMismatch (rows are never reshaped to fit)."""
@@ -183,7 +137,7 @@ def as_rows(vectors, dim: int) -> np.ndarray:
 
 
 def _root(sums: np.ndarray, p: float) -> np.ndarray:
-    # scalar pow, as in norm(): numpy's vectorized pow may differ in the last ulp
+    # scalar pow per row: numpy's vectorized pow may differ in the last ulp
     inv = 1.0 / p
     return np.array([s**inv for s in sums.tolist()])
 
@@ -217,11 +171,8 @@ def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
 
 
 def norms(space: Space, X) -> np.ndarray:
-    """Row-wise norms of a (k, dim) array: entry i equals norm(space, X[i]).
-
-    Rows are evaluated in blocks of at most BATCH_ELEMENTS elements, with the
-    same floating operations as norm() on each row.
-    """
+    """Row-wise norms of a (k, dim) array, evaluated in blocks of at most
+    BATCH_ELEMENTS elements with the same floating operations on each row."""
     X = np.ascontiguousarray(as_rows(X, space.dim))
     spec = space.norm
     width = space.dim
@@ -231,6 +182,15 @@ def norms(space: Space, X) -> np.ndarray:
     for block in row_blocks(X.shape[0], width):
         out[block] = _norms_block(spec, X[block])
     return out
+
+
+def norm(space: Space, x) -> float:
+    """Evaluate the norm of x in the given space; zero iff x is the zero vector.
+    This is the one-row call of norms."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (space.dim,):
+        raise DimensionMismatch(f"vector shape {x.shape} != ({space.dim},)")
+    return float(norms(space, x[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,20 +213,33 @@ class LinearMap:
 
 
 def apply(m: LinearMap, x) -> Vector:
-    """Matrix-vector product, landing in the map's target space."""
+    """The image of x in the map's target space: m x for a 1-d x, or the
+    (k, target.dim) images of the rows of a (k, source.dim) array, by the one
+    stacked matrix-vector product, so each row's image is bit-equal to the
+    one-row call."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (m.source.dim,):
-        raise DimensionMismatch(f"vector shape {x.shape} != ({m.source.dim},)")
-    return m.matrix @ x
+    X = x[None] if x.ndim == 1 else x
+    if X.ndim != 2 or X.shape[1] != m.source.dim:
+        raise DimensionMismatch(f"shape {x.shape} != ({m.source.dim},) or (k, {m.source.dim})")
+    images = np.matmul(m.matrix, X[:, :, None])[:, :, 0]
+    return images[0] if x.ndim == 1 else images
 
 
-def blend_apply(c: float, s: float, first: LinearMap, second: LinearMap, x) -> Vector:
-    """c*(first x) + s*(second x).
+def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:
+    """c*(first x) + s*(second x): floats c and s for a 1-d x, or one (c, s)
+    pair per row of a (k, source.dim) array.
 
     Every code path that interpolates two maps goes through this function so
     that results agree bit-for-bit across modules.
     """
-    return c * apply(first, x) + s * apply(second, x)
+    blend = apply(first, x)
+    other = apply(second, x)
+    if blend.ndim == 2:
+        c, s = np.asarray(c)[:, None], np.asarray(s)[:, None]
+    blend *= c
+    other *= s
+    blend += other
+    return blend
 
 
 def direction_gain(theta, u, first: LinearMap, second: LinearMap):
@@ -274,9 +247,9 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
 
     A 1-d u with one angle gives a float. A (k, dim) array of rows with k
     angles gives the k gains as an array, each bit-equal to the one-row call:
-    cos and sin come from math per angle, the blend is the stacked
-    matrix-vector product of apply, and blend images are formed in row blocks
-    of twice the target width. The first non-unit row raises ValueError.
+    cos and sin come from math per angle, and blend_apply forms the blend
+    images in row blocks of twice the target width. The first non-unit row
+    raises ValueError.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:
@@ -292,13 +265,8 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
         raise ValueError(f"need one angle per row, got {c.size} for {nu.size} rows")
     out = np.empty(len(U))
     for block in row_blocks(len(U), 2 * first.target.dim):
-        rows = U[block, :, None]
-        blend = np.matmul(first.matrix, rows)[:, :, 0]
-        blend *= c[block, None]
-        other = np.matmul(second.matrix, rows)[:, :, 0]
-        other *= s[block, None]
-        blend += other
-        out[block] = norms(first.target, blend)
+        # the blend goes straight into norms, so no block outlives its iteration
+        out[block] = norms(first.target, blend_apply(c[block], s[block], first, second, U[block]))
     return out
 
 

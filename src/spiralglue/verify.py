@@ -269,6 +269,12 @@ def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, y, ny):
     return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
 
+def _check_tol(tol: float) -> None:
+    # with a NaN or infinite tol no `slack < -tol` holds, so no check could fail
+    if not (0.0 <= tol < math.inf):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def check_pair(
     g: GlueEmbedding, x, y, x_id: int = -1, y_id: int = -1, tol: float = DEFAULT_TOL
 ) -> PairCheck:
@@ -278,9 +284,11 @@ def check_pair(
     plus the parameter-level bracket when the shell side conditions hold;
     plateau pairs get the sharp near-isometry bracket; a pair against the
     origin on a ramp gets the single-point bracket; far pairs get the norm-gap
-    chain and the far bracket. Raises BoundViolated when any slack < -tol.
-    This is element 0 of the sweep's judge on a one-pair table.
+    chain and the far bracket. Raises BoundViolated when any slack < -tol,
+    and ValueError for a tol that is not finite and >= 0. This is element 0
+    of the sweep's judge on a one-pair table.
     """
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     bounds = embedding_bounds(g)
@@ -467,8 +475,9 @@ def distortion_report(
     blocks of pairs, with check_pair's verdict on every pair written into
     the columns of a PairTable; class summaries and witnesses are reductions
     over the columns. Every temporary of pairs times a row width is formed
-    in row blocks.
+    in row blocks. A tol that is not finite and >= 0 raises ValueError.
     """
+    _check_tol(tol)
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
@@ -477,7 +486,7 @@ def distortion_report(
     table = _points(g, coords, pts.ids, norms(g.source, coords))
     # each pair is ordered by the point set's own norm, larger first, and by
     # the smaller id on ties
-    own_logs = log_radius(norms(pts.space, coords))
+    own = norms(pts.space, coords)
     ids = table.ids
     images = embed(g, coords)
     images.flags.writeable = False
@@ -496,7 +505,7 @@ def distortion_report(
         index = np.arange(block.start, block.stop)
         a = np.searchsorted(row_start, index, side="right") - 1
         b = index - row_start[a] + a + 1
-        keep = (own_logs[a] > own_logs[b]) | ((own_logs[a] == own_logs[b]) & (ids[a] <= ids[b]))
+        keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
         diff = coords[a] - coords[b]
         np.negative(diff, out=diff, where=~keep[:, None])
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)

@@ -9,7 +9,8 @@ one-at-a-time results. The scalar code kept in this file (decompose's
 direction scan, the per-pair judge, the per-check level loop, the float
 ramp angle and weight evaluator, the per-radius weight row, the per-point
 embedding and images writer, numpy's log of the norms, the first-wins stats
-loop and the csv.writer loop over PairCheck objects) serves as oracles.
+loop and the csv.writer loop over PairCheck objects) serves as oracles, with
+the one-vector norm, map image and blend of `tests/oracles.py`.
 """
 
 import csv
@@ -53,6 +54,8 @@ from spiralglue.schedule import (
 )
 from spiralglue.verify import DEFAULT_TOL, SQRT2
 
+from oracles import apply_scalar, blend_apply_scalar, norm_scalar
+
 # ---------------------------------------------------------------- norms
 
 
@@ -95,7 +98,7 @@ def test_norms_match_scalar_norm(data):
     got = sg.norms(space, X)
     assert got.shape == (len(X),)
     for row, value in zip(X, got):
-        assert _close(value, sg.norm(space, row))
+        assert _close(value, norm_scalar(space, row))
 
 
 _SPECS = [
@@ -119,7 +122,7 @@ def test_norms_edge_rows(spec):
     got = sg.norms(space, X)
     assert got[0] == 0.0
     for row, value in zip(X, got):
-        assert _close(value, sg.norm(space, row))
+        assert _close(value, norm_scalar(space, row))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -129,7 +132,7 @@ def test_norms_across_row_blocks(p):
     X = np.random.default_rng(3).standard_normal((40, 1536))
     assert 40 * 1536 > 2 * sg.spaces.BATCH_ELEMENTS
     got = sg.norms(space, X)
-    assert [sg.norm(space, row) for row in X] == got.tolist()
+    assert [norm_scalar(space, row) for row in X] == got.tolist()
 
 
 def test_norms_reject_wrong_width():
@@ -372,11 +375,11 @@ def _plateau_index(sched, log_t):
 
 def direction_gain_scalar(theta, u, first, second):
     """Target norm of cos(theta)*first(u) + sin(theta)*second(u) for unit u."""
-    nu = sg.norm(first.source, u)
+    nu = norm_scalar(first.source, u)
     if abs(nu - 1.0) > 1e-12:
         raise ValueError(f"u must be a unit vector, got norm {nu!r}")
-    return sg.norm(
-        first.target, sg.blend_apply(math.cos(theta), math.sin(theta), first, second, u)
+    return norm_scalar(
+        first.target, blend_apply_scalar(math.cos(theta), math.sin(theta), first, second, u)
     )
 
 
@@ -463,7 +466,7 @@ def sweep_oracle(g, pts, tol=DEFAULT_TOL):
     bounds = sg.embedding_bounds(g)
     coords, ids = pts.coords, pts.ids
     source_norms = sg.norms(g.source, coords).tolist()
-    own = [log_radius(v) for v in sg.norms(pts.space, coords).tolist()]
+    own = sg.norms(pts.space, coords).tolist()
     images = np.array([sg.embed(g, row) for row in coords])
     out = []
     for a in range(len(pts) - 1):
@@ -558,11 +561,11 @@ def _negated_glue(sched):
     return sg.GlueEmbedding(sched, bank, sel)
 
 
-@pytest.mark.parametrize("own_norm", [sg.Lp(2.0), sg.Lp(1.0)], ids=["l2", "l1"])
-def test_failure_matches_scalar_judge(own_norm):
+def _negated_case(own_norm):
+    """The negated glue with a point at ramp angle pi/4, whose image vanishes,
+    and three more points in a point set of the given norm."""
     sched = sg.build_schedule(sg.Params(0.1, 0.1, 0.01, 0.01), 1.0, 1)
-    g = _negated_glue(sched)
-    quarter = math.exp(0.25 * math.pi / 0.1)  # ramp angle pi/4: the image vanishes
+    quarter = math.exp(0.25 * math.pi / 0.1)
     coords = [
         quarter * np.array([1.0, 1.0]) / math.sqrt(2.0),
         math.exp(5.0) * np.array([0.6, -0.8]),
@@ -571,7 +574,12 @@ def test_failure_matches_scalar_judge(own_norm):
         # point set, this pair fails the order check after the rows above
         1.2 * quarter * np.array([1.0, 0.0]),
     ]
-    pts = sg.make_point_set(sg.Space(2, own_norm), coords)
+    return _negated_glue(sched), sg.make_point_set(sg.Space(2, own_norm), coords)
+
+
+@pytest.mark.parametrize("own_norm", [sg.Lp(2.0), sg.Lp(1.0)], ids=["l2", "l1"])
+def test_failure_matches_scalar_judge(own_norm):
+    g, pts = _negated_case(own_norm)
     want = _outcome(lambda: sweep_oracle(g, pts))
     assert want[0] is BoundViolated and want[3] < 0.0
     with pytest.raises(BoundViolated) as exc:
@@ -580,6 +588,53 @@ def test_failure_matches_scalar_judge(own_norm):
     # the single pair through check_pair raises the same
     x, y = (pts.coords[0], pts.coords[1])
     assert _outcome(lambda: sg.check_pair(g, x, y, 0, 1)) == want
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=repr)
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    # a NaN or infinite tolerance would let the vanishing image pass every check
+    g, pts = _negated_case(sg.Lp(2.0))
+    with pytest.raises(BoundViolated):
+        sg.distortion_report(g, pts, tol=DEFAULT_TOL)
+    x, y = pts.coords[0], pts.coords[1]
+    for judge in (
+        lambda: sg.distortion_report(g, pts, tol=tol),
+        lambda: sg.check_pair(g, x, y, 0, 1, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            judge()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_and_blend_bit_equal_to_scalar_bodies(data):
+    source = sg.Space(data.draw(st.integers(1, 6)))
+    target = sg.Space(data.draw(st.integers(1, 8)))
+    entries = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    first, second = (
+        sg.LinearMap(
+            data.draw(hnp.arrays(float, (target.dim, source.dim), elements=entries)),
+            source,
+            target,
+        )
+        for _ in range(2)
+    )
+    k = data.draw(st.integers(0, 6))
+    X = data.draw(hnp.arrays(float, (k, source.dim), elements=entries))
+    angles = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k))
+    c = [math.cos(t) for t in angles]
+    s = [math.sin(t) for t in angles]
+    want_images = [apply_scalar(first, x).tobytes() for x in X]
+    want_blends = [blend_apply_scalar(*cs, first, second, x).tobytes() for *cs, x in zip(c, s, X)]
+    images = sg.apply(first, X)
+    blends = sg.blend_apply(np.array(c), np.array(s), first, second, X)
+    assert images.shape == blends.shape == (k, target.dim)
+    assert [row.tobytes() for row in images] == want_images
+    assert [row.tobytes() for row in blends] == want_blends
+    # the 1-d call is the one-row case
+    assert [sg.apply(first, x).tobytes() for x in X] == want_images
+    one = [sg.blend_apply(*cs, first, second, x).tobytes() for *cs, x in zip(c, s, X)]
+    assert one == want_blends
 
 
 def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
@@ -607,9 +662,11 @@ def level_ok_scalar(bank, checks, n_lo, n_hi, threshold):
     worst = math.inf
     worst_item = None
     for u, angle in checks:
-        val = sg.norm(
+        val = norm_scalar(
             bank.target,
-            sg.blend_apply(math.cos(angle), math.sin(angle), bank.maps[n_lo], bank.maps[n_hi], u),
+            blend_apply_scalar(
+                math.cos(angle), math.sin(angle), bank.maps[n_lo], bank.maps[n_hi], u
+            ),
         )
         if val - threshold < worst:
             worst = val - threshold
@@ -721,9 +778,9 @@ def weights_row(sched, log_t):
 
 def embed_point(g, x):
     """The per-point embedding that the row form replaced."""
-    nx = sg.norm(g.source, x)
+    nx = norm_scalar(g.source, x)
     level, c, s = active_weights_scalar(g.schedule, math.log(nx) if nx > 0.0 else -math.inf)
-    return sg.blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
+    return blend_apply_scalar(c, s, g.map_at(level), g.map_at(level + 1), x)
 
 
 def write_images_per_point(path, g, pts):

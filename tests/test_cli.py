@@ -382,3 +382,22 @@ def test_run_point_beyond_coverage_names_a_float(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"run failed: log norm {math.log(1e300)!r} exceeds schedule coverage ")
     assert "np.float64(" not in err
+
+
+def test_run_orders_pairs_on_norms_with_tied_log_radii(tmp_path, capsys):
+    # two norms one ulp apart share a math.log: the pair is still ordered
+    # larger norm first
+    above = math.nextafter(1e3, math.inf)
+    assert math.log(above) == math.log(1e3)
+    inline = [[0.0, 0.0, 0.0], [1e3, 0.0, 0.0], [0.0, above, 0.0]]
+    path, _ = _base_config(tmp_path, points={"inline": inline})
+    assert main(["run", "--config", str(path)]) == 0
+    assert "over 3 pairs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_run_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    path, _ = _base_config(tmp_path)
+    assert main(["run", "--config", str(path), "--tolerance", tolerance]) == 2
+    assert capsys.readouterr().err.startswith("config error: --tolerance must be finite and >= 0")
+    assert not (tmp_path / "report.json").exists()

@@ -1,4 +1,5 @@
-"""Package structure: modules reach each other only through public names."""
+"""Package structure: modules reach each other only through public names, and
+only `spaces` reads the matrix of a linear map."""
 
 import ast
 import importlib
@@ -40,6 +41,35 @@ def test_no_private_cross_module_imports():
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
         if (names := private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def matrix_reads(source: str) -> list[int]:
+    """Line numbers of every `.matrix` attribute a module reads."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    )
+
+
+def test_guard_flags_matrix_reads():
+    src = (
+        "images = np.matmul(lin.matrix, v)\n"
+        "first = g.map_at(1).matrix\n"
+        "matrix = lin.matrices\n"
+    )
+    assert matrix_reads(src) == [1, 2]
+
+
+def test_only_spaces_reads_a_map_matrix():
+    # spaces.apply owns the matrix-vector product: every other module maps
+    # vectors through apply or blend_apply
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "spaces.py" and (lines := matrix_reads(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 

@@ -90,23 +90,16 @@ def test_apply_examples():
 def test_apply_dimension_mismatch():
     space = sg.Space(2, sg.Lp(2.0))
     ident = sg.LinearMap(np.eye(2), space, space)
-    with pytest.raises(DimensionMismatch):
-        sg.apply(ident, [1.0, 2.0, 3.0])
+    for bad in ([1.0, 2.0, 3.0], np.ones((4, 3)), np.ones((1, 2, 2)), 1.0):
+        with pytest.raises(DimensionMismatch):
+            sg.apply(ident, bad)
 
 
 def test_vectors_and_maps_are_read_only():
     space = sg.Space(2, sg.Lp(2.0))
-    v = sg.as_vector([1.0, 2.0], 2)
-    with pytest.raises(ValueError):
-        v[0] = 3.0
     m = sg.LinearMap(np.eye(2), space, space)
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 5.0
-
-
-def test_as_vector_rejects_nan():
-    with pytest.raises(ValueError):
-        sg.as_vector([1.0, math.nan])
 
 
 @pytest.mark.parametrize(
