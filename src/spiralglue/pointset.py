@@ -33,7 +33,7 @@ PLACEMENTS = ("plateau", "ramp", "mixed")  # the norm sub-regions generate_annul
 
 @dataclass(frozen=True, eq=False)
 class LocallyFiniteSet:
-    """A finite batch of distinct points in a source space."""
+    """A finite batch of distinct points with finite coordinates in a source space."""
 
     space: Space
     ids: tuple[int, ...]
@@ -47,6 +47,10 @@ class LocallyFiniteSet:
         n = len(self.ids)
         if c.shape != (n, self.space.dim):
             raise ValueError(f"coords shape {c.shape} != ({n}, {self.space.dim})")
+        bad = np.flatnonzero(~np.isfinite(c).all(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"point {k} has a non-finite coordinate: {c[k].tolist()}")
         if len(set(self.ids)) != n:
             raise ValueError("point ids must be distinct")
         seen = {tuple(row) for row in c}
@@ -129,6 +133,14 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     Pairs are taken in row-major (x, y) order over the shell sorted by id, and
     a direction within _DIR_TOL (max-abs) of an earlier one joins the first
     such direction instead of starting its own.
+
+    Each level is a few array passes. One mask of x rows against the shell
+    gives the pairs in row-major order; their unit differences are formed in
+    row blocks of at most BATCH_ELEMENTS elements, and each block's bitwise
+    repeats are matched against the distinct rows found so far, numbered in
+    discovery (first occurrence) order. `_leaders` groups the distinct rows
+    by sort-and-sweep on their coordinate of widest spread, and the sorted
+    distinct (direction, angle) pairs are one sort of an integer key.
     """
     m = sched.levels
     logs = log_norms(pts)
@@ -147,51 +159,119 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
         if not pts.includes_origin:
             rows = np.vstack([rows, np.zeros(dim)])
             logs_here = np.append(logs_here, -math.inf)
-        log_ri = sched.log_r[level - 1]
-        log_Ri = sched.log_R[level - 1]
-        ramp = ramp_angle_log(sched, level, logs_here).tolist()
-        found = np.empty((16, dim))  # directions in order of discovery; grows by doubling
-        angles: list[list[float]] = []
-        # a bitwise repeat of a difference always joins the same direction as
-        # its first occurrence, so only distinct differences are scanned
-        seen: dict[bytes, int] = {}
-        for a in np.flatnonzero(logs_here > log_ri).tolist():
-            ys = np.flatnonzero(logs_here <= min(log_Ri, logs_here[a]))
-            ys = ys[ys != a]
-            for block in row_blocks(len(ys), dim):
-                diff = rows[a] - rows[ys[block]]
-                for u in diff / norms(pts.space, diff)[:, None]:
-                    key = u.tobytes()
-                    k = seen.get(key)
-                    if k is None:
-                        k = _first_match(found[: len(angles)], u)
-                        if k < 0:
-                            k = len(angles)
-                            if k == len(found):
-                                found = np.concatenate([found, np.empty_like(found)])
-                            found[k] = u
-                            angles.append([])
-                        seen[key] = k
-                    angles[k].append(ramp[a])
-        found = found[: len(angles)].copy()
+        xs = np.flatnonzero(logs_here > sched.log_r[level - 1])
+        pair_ok = (logs_here <= sched.log_R[level - 1]) & (logs_here <= logs_here[xs, None])
+        pair_ok[np.arange(len(xs)), xs] = False
+        xi, ys = np.nonzero(pair_ok)
+        src = xs[xi]
+        keys = np.empty(len(src), dtype=np.intp)
+        seen = _DistinctRows(dim)
+        for block in row_blocks(len(src), dim):
+            diff = rows[src[block]] - rows[ys[block]]
+            keys[block] = seen.add(diff / norms(pts.space, diff)[:, None])
+        distinct = seen.rows()
+        lead = _leaders(distinct)
+        is_leader = lead == np.arange(len(lead))
+        direction = (np.cumsum(is_leader) - 1)[lead][keys]
+        # the distinct (direction, angle) pairs, sorted, as one integer key of
+        # the direction and the angle's rank (ramp angles are never NaN or -0.0)
+        values, rank = np.unique(ramp_angle_log(sched, level, logs_here), return_inverse=True)
+        direction, angle = np.divmod(np.unique(direction * len(values) + rank[src]), len(values))
+        angle = values[angle].tolist()
+        cuts = np.flatnonzero(np.diff(direction)) + 1
+        bounds = [0, *cuts.tolist(), len(angle)]
+        found = distinct[is_leader]
         found.flags.writeable = False
         members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
         dirs.append(
             tuple(
-                DirectionAngles(u, tuple(sorted(set(ang))))
-                for u, ang in zip(found, angles)
+                DirectionAngles(u, tuple(angle[bounds[k] : bounds[k + 1]]))
+                for k, u in enumerate(found)
             )
         )
     return AnnulusDecomposition(m, tuple(members), tuple(dirs))
 
 
-def _first_match(found: np.ndarray, u: np.ndarray) -> int:
-    """Index of the first row of found within _DIR_TOL of u (max-abs), else -1."""
-    for block in row_blocks(len(found), u.size):
-        hit = np.flatnonzero(np.abs(found[block] - u).max(axis=1) <= _DIR_TOL)
-        if hit.size:
-            return block.start + int(hit[0])
-    return -1
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One opaque void item per row, equal exactly when the rows' bytes are."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
+class _DistinctRows:
+    """The bitwise distinct rows seen so far, in order of first occurrence.
+
+    Their keys are kept sorted, so that each block of rows is sorted once and
+    matched against them by binary search.
+    """
+
+    def __init__(self, dim: int):
+        self._dim = dim
+        self._keys = _row_keys(np.empty((0, dim)))
+        self._index = np.empty(0, dtype=np.intp)  # of each sorted key
+
+    def add(self, u: np.ndarray) -> np.ndarray:
+        """Each row's index among the distinct rows, after adding u's new rows."""
+        keys, first, inverse = np.unique(_row_keys(u), return_index=True, return_inverse=True)
+        at = np.searchsorted(self._keys, keys)
+        known = at < len(self._keys)
+        known[known] = self._keys[at[known]] == keys[known]
+        index = np.empty(len(keys), dtype=np.intp)
+        index[known] = self._index[at[known]]
+        new = np.flatnonzero(~known)
+        fresh = new[np.argsort(first[new])]
+        index[fresh] = len(self._index) + np.arange(len(fresh))
+        self._keys = np.insert(self._keys, at[new], keys[new])
+        self._index = np.insert(self._index, at[new], index[new])
+        return index[inverse]
+
+    def rows(self) -> np.ndarray:
+        """The distinct rows as a (k, dim) array, in order of first occurrence."""
+        keys = np.empty_like(self._keys)
+        keys[self._index] = self._keys
+        return keys.view(float).reshape(len(keys), self._dim)
+
+
+def _leaders(rows: np.ndarray) -> np.ndarray:
+    """Per row, the index of the direction row it joins.
+
+    Rows are taken in order: a row joins the first earlier leader within
+    _DIR_TOL (max-abs), and leads its own direction when there is none, so a
+    row maps to itself exactly when it is a leader. Close pairs are found by
+    sort-and-sweep on one coordinate: a close pair's coordinates differ by at
+    most _DIR_TOL, so a window of 2 * _DIR_TOL in the sorted order holds every
+    close partner (the doubling absorbs the rounding of the difference and of
+    the window bound), and the exact max-abs test decides. The candidate pairs are tested in
+    blocks of at most BATCH_ELEMENTS elements of differences.
+    """
+    n, dim = rows.shape
+    if n < 2:
+        return np.arange(n)
+    # sweep the coordinate of widest spread: a coordinate the rows share (the
+    # differences of points in a plane x_k = c) would put every row in one window
+    key = rows[:, int(np.argmax(rows.max(axis=0) - rows.min(axis=0)))]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    width = np.searchsorted(key, key + 2 * _DIR_TOL, side="right") - np.arange(n) - 1
+    ends = np.cumsum(width)
+    later, earlier = [], []
+    for block in row_blocks(int(ends[-1]), dim):
+        f = np.arange(block.start, block.stop)
+        p = np.searchsorted(ends, f, side="right")
+        i, j = order[p], order[p + 1 + f - (ends[p] - width[p])]
+        # every |difference| <= _DIR_TOL: the max-abs test, NaN never close
+        close = (np.abs(rows[i] - rows[j]) <= _DIR_TOL).all(axis=1)
+        later.append(np.maximum(i, j)[close])
+        earlier.append(np.minimum(i, j)[close])
+    lead = list(range(n))
+    if later:
+        # the close pairs by later row, then earlier row (each pair occurs
+        # once): each row is settled before any later row asks whether it leads
+        pairs = np.sort(np.concatenate(later) * n + np.concatenate(earlier))
+        for j, i in zip((pairs // n).tolist(), (pairs % n).tolist()):
+            if lead[j] == j and lead[i] == i:
+                lead[j] = i
+    return np.array(lead, dtype=np.intp)
 
 
 def generate_annular(

@@ -247,9 +247,9 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
 
     A 1-d u with one angle gives a float. A (k, dim) array of rows with k
     angles gives the k gains as an array, each bit-equal to the one-row call:
-    cos and sin come from math per angle, and blend_apply forms the blend
-    images in row blocks of twice the target width. The first non-unit row
-    raises ValueError.
+    cos and sin come from math once per distinct angle, and blend_apply forms
+    the blend images in row blocks of twice the target width. The first
+    non-unit row raises ValueError.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:
@@ -258,9 +258,12 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     bad = np.flatnonzero(np.abs(nu - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"u must be a unit vector, got norm {float(nu[bad[0]])!r}")
-    angles = np.asarray(theta, dtype=float).tolist()
-    c = np.array([math.cos(t) for t in angles])
-    s = np.array([math.sin(t) for t in angles])
+    # cos and sin once per distinct angle bit pattern (so -0.0 and 0.0 stay
+    # apart), gathered back to the rows
+    bits, inverse = np.unique(np.asarray(theta, dtype=float).view(np.uint64), return_inverse=True)
+    distinct = bits.view(float).tolist()
+    c = np.array([math.cos(t) for t in distinct])[inverse]
+    s = np.array([math.sin(t) for t in distinct])[inverse]
     if c.shape != nu.shape:
         raise ValueError(f"need one angle per row, got {c.size} for {nu.size} rows")
     out = np.empty(len(U))

@@ -1,9 +1,11 @@
 """Float-only evaluators that the package no longer exports, kept as test
 oracles: the pair classification by its shell rule, the ramp angle at a
-linear radius, and the one-vector norm, map image and two-map blend. The
-pipeline uses `pointset.classify_levels` on arrays of level intervals,
-`schedule.ramp_angle_log` on log radii, and the row kernels `spaces.norms`,
-`spaces.apply` and `spaces.blend_apply` instead.
+linear radius, the one-vector norm, map image and two-map blend, and the
+decompose that scans every direction found so far for each distinct unit
+difference. The pipeline uses `pointset.classify_levels` on arrays of level
+intervals, `schedule.ramp_angle_log` on log radii, the row kernels
+`spaces.norms`, `spaces.apply` and `spaces.blend_apply`, and a decompose
+that groups the directions by sort-and-sweep instead.
 """
 
 import math
@@ -12,9 +14,16 @@ from typing import Union
 
 import numpy as np
 
-from spiralglue.pointset import classify_levels, level_intervals
-from spiralglue.schedule import log_radius, ramp_angle_log
-from spiralglue.spaces import Lp, WeightedLp, norm
+from spiralglue.pointset import (
+    _DIR_TOL,
+    AnnulusDecomposition,
+    DirectionAngles,
+    classify_levels,
+    level_intervals,
+    log_norms,
+)
+from spiralglue.schedule import check_log_radius, log_radius, ramp_angle_log
+from spiralglue.spaces import Lp, WeightedLp, norm, norms, row_blocks
 
 
 @dataclass(frozen=True)
@@ -104,3 +113,86 @@ def apply_scalar(m, x) -> np.ndarray:
 def blend_apply_scalar(c: float, s: float, first, second, x) -> np.ndarray:
     """c*(first x) + s*(second x) for one vector."""
     return c * apply_scalar(first, x) + s * apply_scalar(second, x)
+
+
+def decompose_first_match(pts, sched) -> AnnulusDecomposition:
+    """The decompose with a per-difference loop: a bitwise repeat joins the
+    direction of its first occurrence (the `seen` dict), and every other
+    difference scans the directions found so far for the first within
+    _DIR_TOL."""
+    m = sched.levels
+    logs = log_norms(pts)
+    check_log_radius(sched, logs)
+    order = np.argsort(np.asarray(pts.ids))
+    dim = pts.space.dim
+    members = []
+    dirs = []
+    for level in range(1, m + 1):
+        shell_lo = sched.log_R[level - 2] if level >= 2 else -math.inf
+        shell_hi = sched.log_r[level] if level < m else sched.log_coverage
+        in_shell = (logs == -math.inf) | ((shell_lo < logs) & (logs <= shell_hi))
+        here = order[in_shell[order]]
+        rows = pts.coords[here]
+        logs_here = logs[here]
+        if not pts.includes_origin:
+            rows = np.vstack([rows, np.zeros(dim)])
+            logs_here = np.append(logs_here, -math.inf)
+        log_ri = sched.log_r[level - 1]
+        log_Ri = sched.log_R[level - 1]
+        ramp = ramp_angle_log(sched, level, logs_here).tolist()
+        found = np.empty((16, dim))  # directions in order of discovery; grows by doubling
+        angles = []
+        seen = {}
+        for a in np.flatnonzero(logs_here > log_ri).tolist():
+            ys = np.flatnonzero(logs_here <= min(log_Ri, logs_here[a]))
+            ys = ys[ys != a]
+            for block in row_blocks(len(ys), dim):
+                diff = rows[a] - rows[ys[block]]
+                for u in diff / norms(pts.space, diff)[:, None]:
+                    key = u.tobytes()
+                    k = seen.get(key)
+                    if k is None:
+                        k = _first_match(found[: len(angles)], u)
+                        if k < 0:
+                            k = len(angles)
+                            if k == len(found):
+                                found = np.concatenate([found, np.empty_like(found)])
+                            found[k] = u
+                            angles.append([])
+                        seen[key] = k
+                    angles[k].append(ramp[a])
+        found = found[: len(angles)].copy()
+        found.flags.writeable = False
+        members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
+        dirs.append(
+            tuple(
+                DirectionAngles(u, tuple(sorted(set(ang))))
+                for u, ang in zip(found, angles)
+            )
+        )
+    return AnnulusDecomposition(m, tuple(members), tuple(dirs))
+
+
+def _first_match(found: np.ndarray, u: np.ndarray) -> int:
+    """Index of the first row of found within _DIR_TOL of u (max-abs), else -1."""
+    for block in row_blocks(len(found), u.size):
+        hit = np.flatnonzero(np.abs(found[block] - u).max(axis=1) <= _DIR_TOL)
+        if hit.size:
+            return block.start + int(hit[0])
+    return -1
+
+
+def leaders_scan(rows) -> list[int]:
+    """Per row, in order, the first earlier leader within _DIR_TOL, found by
+    scanning the leaders so far; a row without one leads itself."""
+    rows = np.asarray(rows, dtype=float)
+    leaders: list[int] = []
+    lead = []
+    for j, u in enumerate(rows):
+        k = _first_match(rows[leaders], u)
+        if k < 0:
+            leaders.append(j)
+            lead.append(j)
+        else:
+            lead.append(leaders[k])
+    return lead

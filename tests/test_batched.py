@@ -1,16 +1,18 @@
 """Batched kernels against the scalar computations they replace.
 
-The row kernel `norms`, the batched `decompose`, the certification array,
-the row gain, the selection's level judge, the array ramp angle and weight
-evaluator, the one-call weight table, the row embedding with the images
-file written from the report, and the block judge of the pair sweep with
-its column reductions and column CSV writer must reproduce the
+The row kernel `norms`, the batched `decompose` with its sort-and-sweep
+direction grouping, the certification array, the row gain with cos and sin
+once per distinct angle, the selection's level judge, the array ramp angle
+and weight evaluator, the one-call weight table, the row embedding with the
+images file written from the report, and the block judge of the pair sweep
+with its column reductions and column CSV writer must reproduce the
 one-at-a-time results. The scalar code kept in this file (decompose's
 direction scan, the per-pair judge, the per-check level loop, the float
 ramp angle and weight evaluator, the per-radius weight row, the per-point
 embedding and images writer, numpy's log of the norms, the first-wins stats
 loop and the csv.writer loop over PairCheck objects) serves as oracles, with
-the one-vector norm, map image and blend of `tests/oracles.py`.
+the one-vector norm, map image and blend and the per-difference decompose
+and leader scan of `tests/oracles.py`.
 """
 
 import csv
@@ -27,6 +29,7 @@ from hypothesis.extra import numpy as hnp
 import spiralglue as sg
 import spiralglue.cli
 import spiralglue.glue
+import spiralglue.pointset
 import spiralglue.verify
 from spiralglue.bank import _level_ok, blend_threshold
 from spiralglue.cli import (
@@ -43,7 +46,7 @@ from spiralglue.errors import (
     DimensionMismatch,
     OutOfScheduleRange,
 )
-from spiralglue.pointset import _DIR_TOL, PLACEMENTS
+from spiralglue.pointset import _DIR_TOL, PLACEMENTS, _leaders
 from spiralglue.schedule import (
     HALF_PI,
     active_weights_log,
@@ -54,7 +57,13 @@ from spiralglue.schedule import (
 )
 from spiralglue.verify import DEFAULT_TOL, SQRT2
 
-from oracles import apply_scalar, blend_apply_scalar, norm_scalar
+from oracles import (
+    apply_scalar,
+    blend_apply_scalar,
+    decompose_first_match,
+    leaders_scan,
+    norm_scalar,
+)
 
 # ---------------------------------------------------------------- norms
 
@@ -266,6 +275,10 @@ def decompose_scan(pts, sched):
     return tuple(members), tuple(dirs)
 
 
+def _directions_bytes(decomp):
+    return [[(da.u.tobytes(), da.angles) for da in level] for level in decomp.directions]
+
+
 def _assert_decompositions_agree(pts, sched):
     dec = sg.decompose(pts, sched)
     members, dirs = decompose_scan(pts, sched)
@@ -275,6 +288,12 @@ def _assert_decompositions_agree(pts, sched):
         for got, (u, angles) in zip(got_level, want_level):
             assert got.angles == angles
             assert np.max(np.abs(got.u - u)) <= 1e-15 * max(1.0, np.max(np.abs(u)))
+    # the sort-and-sweep grouping reproduces the per-difference loop bit for bit
+    want = decompose_first_match(pts, sched)
+    assert dec.member_ids == want.member_ids
+    assert _directions_bytes(dec) == _directions_bytes(want)
+    for level in dec.directions:
+        assert all(not da.u.flags.writeable for da in level)
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,6 +320,104 @@ def test_decompose_matches_scan_on_collinear_points(small_ws):
     coords = np.vstack([np.zeros(3), np.outer(radii, base), np.outer(radii[::3], -base[::-1])])
     pts = sg.make_point_set(sg.Space(3, sg.Lp(2.0)), coords)
     _assert_decompositions_agree(pts, sched)
+
+
+def test_decompose_matches_first_match_at_481_points(wide_ws):
+    # about 7000 directions over three levels, most differences bitwise repeats
+    pts = sg.generate_annular(7, wide_ws, 160, 3, "mixed", sg.Lp(1.0))
+    dec = sg.decompose(pts, wide_ws)
+    want = decompose_first_match(pts, wide_ws)
+    assert dec.member_ids == want.member_ids
+    assert _directions_bytes(dec) == _directions_bytes(want)
+
+
+def test_decompose_matches_first_match_in_a_coordinate_plane(wide_ws):
+    # every difference has coordinate 0 equal to 0.0, so the grouping sweeps
+    # another coordinate
+    pts = sg.generate_annular(7, wide_ws, 40, 3, "mixed", sg.Lp(1.0))
+    coords = pts.coords.copy()
+    coords[:, 0] = 0.0
+    pts = sg.make_point_set(pts.space, coords)
+    dec = sg.decompose(pts, wide_ws)
+    assert _directions_bytes(dec) == _directions_bytes(decompose_first_match(pts, wide_ws))
+
+
+def test_decompose_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
+    # every array of differences decompose forms is blocked: only the point
+    # norms, the 1-d per-difference columns and the distinct rows are not
+    g, pts, _ = l1_pipeline
+    want = _directions_bytes(decompose_first_match(pts, g.schedule))
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    sizes = []
+
+    def sized(space, rows):
+        if rows is not pts.coords:
+            sizes.append(np.asarray(rows).size)
+        return sg.norms(space, rows)
+
+    monkeypatch.setattr(spiralglue.pointset, "norms", sized)
+    dec = sg.decompose(pts, g.schedule)
+    assert sizes and max(sizes) <= 64
+    # the running dedup and the grouping hold across many blocks
+    assert len(sizes) > 3 * len(dec.directions) // 2
+    assert _directions_bytes(dec) == want
+
+
+_HALF_TOL = _DIR_TOL / 2
+
+
+@st.composite
+def _clustered_rows(draw):
+    """Rows near a few centres, jittered by multiples of _DIR_TOL / 2.
+
+    Where a coordinate's centre is 0.0 its gaps are exact multiples of
+    _DIR_TOL / 2, so draws hold gaps of exactly _DIR_TOL (close), twice that
+    (not close) and, with the one-ulp nudge of coordinate 0, one ulp above
+    _DIR_TOL; chains A~B~C with A, C apart, and rows close to two leaders,
+    follow."""
+    dim = draw(st.integers(1, 3))
+    centres = draw(
+        st.lists(
+            hnp.arrays(float, dim, elements=st.sampled_from([0.0, 0.5, -0.75, 1e-3])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    n = draw(st.integers(0, 24))
+    rows = []
+    for _ in range(n):
+        centre = draw(st.sampled_from(centres))
+        steps = draw(hnp.arrays(np.int64, dim, elements=st.integers(-4, 4)))
+        row = centre + steps * _HALF_TOL
+        if draw(st.booleans()):
+            row[0] = np.nextafter(row[0], math.inf)
+        rows.append(row)
+    rows = np.array(rows).reshape(n, dim)
+    # decompose groups distinct rows only, in order of first occurrence
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_clustered_rows())
+def test_leaders_match_scan(rows):
+    assert _leaders(rows).tolist() == leaders_scan(rows)
+
+
+def test_leaders_chain_and_first_leader():
+    t = _DIR_TOL
+    # B is within tol of A and of C, A and C are 2 tol apart: B joins A and
+    # C leads, since its only close earlier row does not lead; D lies within
+    # tol of both leaders and joins the first
+    rows = np.array([[0.0, 1.0], [t, 1.0], [2 * t, 1.0], [t, 1.0 + t / 2]])
+    assert _leaders(rows).tolist() == leaders_scan(rows) == [0, 0, 2, 0]
+    # a gap of exactly tol is close; one ulp above it is not
+    above = np.nextafter(t, math.inf)
+    assert above - 0.0 > t
+    rows = np.array([[0.0], [t], [above]])
+    assert _leaders(rows).tolist() == leaders_scan(rows) == [0, 0, 2]
+    rows = np.array([[above], [0.0], [t]])
+    assert _leaders(rows).tolist() == leaders_scan(rows) == [0, 1, 0]
 
 
 # ---------------------------------------------------------------- sweep
@@ -652,6 +769,45 @@ def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
     assert _outcome(lambda: sg.direction_gain(thetas, bad, first, second)) == want
     with pytest.raises(ValueError, match="one angle per row"):
         sg.direction_gain(thetas[:-1], rows, first, second)
+
+
+def direction_gain_per_angle(theta, U, first, second):
+    """The row gain with cos and sin taken once per angle, repeats included."""
+    c = np.array([math.cos(t) for t in theta])
+    s = np.array([math.sin(t) for t in theta])
+    return sg.norms(first.target, sg.blend_apply(c, s, first, second, U))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_gain_bit_equal_to_per_angle_comprehension(data):
+    source = sg.Space(data.draw(st.integers(1, 4)))
+    target = sg.Space(data.draw(st.integers(1, 6)), sg.Lp(data.draw(st.sampled_from([1.0, 2.0]))))
+    entries = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
+    first, second = (
+        sg.LinearMap(
+            data.draw(hnp.arrays(float, (target.dim, source.dim), elements=entries)),
+            source,
+            target,
+        )
+        for _ in range(2)
+    )
+    # a few angles, -0.0 and 0.0 among them, each repeated over many rows
+    pool = data.draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.just(-0.0), st.just(HALF_PI), st.floats(-7.0, 7.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    k = data.draw(st.integers(0, 40))
+    theta = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    U = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (k, source.dim)
+    )
+    U /= sg.norms(source, U)[:, None]
+    got = sg.direction_gain(theta, U, first, second)
+    assert got.tobytes() == direction_gain_per_angle(theta, U, first, second).tobytes()
 
 
 # ---------------------------------------------------------------- level judge

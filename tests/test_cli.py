@@ -384,6 +384,23 @@ def test_run_point_beyond_coverage_names_a_float(tmp_path, capsys):
     assert "np.float64(" not in err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["inline", "file"])
+def test_run_rejects_non_finite_points(tmp_path, capsys, key, bad):
+    # a NaN point used to fail late with a -inf norm, and an infinite one
+    # beyond the schedule's coverage; json reads NaN, Infinity and -Infinity
+    rows = [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]
+    if key == "file":
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"dim": 3, "norm": {"norm": "lp", "p": 1.0}, "points": rows}))
+        rows = str(points)
+    path, _ = _base_config(tmp_path, points={key: rows})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: points.{key}: point 1 has a non-finite coordinate")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_orders_pairs_on_norms_with_tied_log_radii(tmp_path, capsys):
     # two norms one ulp apart share a math.log: the pair is still ordered
     # larger norm first

@@ -20,6 +20,13 @@ def test_make_point_set_rejects_duplicates():
         sg.make_point_set(space, [[1.0, 0.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_point_set_rejects_non_finite_coordinates(bad):
+    space = sg.Space(3, sg.Lp(2.0))
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        sg.make_point_set(space, [[0.0, 0.0, 0.0], [1.0, bad, 0.0]])
+
+
 def test_origin_detection():
     space = sg.Space(2, sg.Lp(2.0))
     pts = sg.make_point_set(space, [[0.0, 0.0], [1.0, 0.0]])
