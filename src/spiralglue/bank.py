@@ -183,6 +183,7 @@ def build_bank(
     nonzero = source_norms > 0.0
     if not nonzero.any():
         raise ValueError("certify_set must contain at least one nonzero vector")
+    vectors, source_norms = vectors[nonzero], source_norms[nonzero]
 
     if isinstance(strategy, BlockShift):
         mats = _block_shift_matrices(source, target, count, strategy.block_width)
@@ -198,7 +199,7 @@ def build_bank(
     lo_margins = []
     hi_margins = []
     for n, lin in enumerate(maps):
-        ratios = _certify_ratios(lin, vectors, source_norms, nonzero)
+        ratios = _certify_ratios(lin, vectors, source_norms)
         k_lo = int(np.argmin(ratios))
         k_hi = int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - _TOL:
@@ -212,17 +213,17 @@ def build_bank(
     return EmbeddingBank(maps, slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
 
 
-def _certify_ratios(lin: LinearMap, vectors, source_norms, nonzero) -> np.ndarray:
-    """norm(target, lin v) / norm(source, v) over the nonzero rows v, in order.
+def _certify_ratios(lin: LinearMap, vectors, source_norms) -> np.ndarray:
+    """norm(target, lin v) / norm(source, v) over the (nonzero) rows v, in
+    order, given their source norms.
 
     Images are formed by apply in row blocks within the batch budget.
     """
-    out = []
+    out = np.empty(len(vectors))
     for block in row_blocks(len(vectors), lin.target.dim):
-        keep = nonzero[block]
-        images = apply(lin, vectors[block][keep])
-        out.append(norms(lin.target, images) / source_norms[block][keep])
-    return np.concatenate(out)
+        out[block] = norms(lin.target, apply(lin, vectors[block]))
+    out /= source_norms
+    return out
 
 
 def spreading_limit_estimate(

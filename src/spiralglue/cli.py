@@ -143,11 +143,26 @@ def _read_norm(section: dict, path: str, *default) -> NormSpec:
     return _read(section, path, "norm", norm_from_dict, *default)
 
 
+def _integer(minimum: int):
+    """A converter that accepts an integral number of at least minimum: not a
+    bool, a string or a float with a fractional part."""
+
+    def convert(value) -> int:
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise ValueError(f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return int(value)
+
+    return convert
+
+
 def _only(want: int, what: str):
     """A converter that accepts the integer want and nothing else."""
 
     def convert(value) -> int:
-        if int(value) != want:
+        if _integer(1)(value) != want:
             raise ValueError(f"{value!r} != {what} {want}")
         return want
 
@@ -196,11 +211,12 @@ def _build_strategy(bank_cfg: dict, source: Space) -> tuple[BankStrategy, int]:
     """Strategy plus the per-map block width in the target (0 for user maps)."""
     name = bank_cfg.get("strategy")
     if name == "block_shift":
-        width = _read(bank_cfg, "bank", "block_width", int, source.dim)
+        width = _read(bank_cfg, "bank", "block_width", _integer(1), source.dim)
         return BlockShift(width), width
     if name == "quadrature_l2_to_l1":
-        directions = _read(bank_cfg, "bank", "directions", int, 64)
-        return QuadratureL2toL1(directions, _read(bank_cfg, "bank", "seed", int, 0)), directions
+        directions = _read(bank_cfg, "bank", "directions", _integer(2), 64)
+        seed = _read(bank_cfg, "bank", "seed", _integer(0), 0)
+        return QuadratureL2toL1(directions, seed), directions
     if name == "user_matrices":
         return _read(bank_cfg, "bank", "matrices", lambda ms: _user_matrices(ms, source)), 0
     raise ValueError(f"unknown bank strategy {name!r}")
@@ -217,22 +233,22 @@ def parse_config(raw: dict) -> RunConfig:
         params = solve_params(_read(raw, "", "eps_target", float))
     source_cfg = _section(raw, "source")
     source = _space(
-        "source", _read(source_cfg, "source", "dim", int), _read_norm(source_cfg, "source")
+        "source", _read(source_cfg, "source", "dim", _integer(1)), _read_norm(source_cfg, "source")
     )
     sched_cfg = _section(raw, "schedule")
     r1 = _read(sched_cfg, "schedule", "r1", float, 1.0)
-    levels = _read(sched_cfg, "schedule", "levels", int, 3)
+    levels = _read(sched_cfg, "schedule", "levels", _integer(1), 3)
     margin = _read(sched_cfg, "schedule", "margin", float, 0.01)
 
     bank_cfg = _section(raw, "bank")
     strategy, block = _build_strategy(bank_cfg, source)
-    count = _read(bank_cfg, "bank", "count", int, levels + 2)
+    count = _read(bank_cfg, "bank", "count", _integer(2), levels + 2)
     target_cfg = _section(raw, "target")
     if isinstance(strategy, UserMatrices):
         rows = strategy.matrices[0].shape[0]
         tdim = _read(target_cfg, "target", "dim", _only(rows, "matrix rows"), rows)
     else:
-        tdim = _read(target_cfg, "target", "dim", int, count * block)
+        tdim = _read(target_cfg, "target", "dim", _integer(1), count * block)
     target = _space("target", tdim, _read_norm(target_cfg, "target", source.norm))
 
     pts_cfg = _section(raw, "points")
@@ -245,8 +261,8 @@ def parse_config(raw: dict) -> RunConfig:
     elif "generator" in pts_cfg:
         gen = _section(pts_cfg, "points.generator")
         generator = {
-            "seed": _read(gen, "points.generator", "seed", int, 0),
-            "per_level": _read(gen, "points.generator", "per_level", int, 10),
+            "seed": _read(gen, "points.generator", "seed", _integer(0), 0),
+            "per_level": _read(gen, "points.generator", "per_level", _integer(1), 10),
             "placement": _read(gen, "points.generator", "placement", _placement, "mixed"),
         }
     else:
@@ -263,8 +279,8 @@ def parse_config(raw: dict) -> RunConfig:
         margin=margin,
         strategy=strategy,
         bank_count=count,
-        certify_random=_read(bank_cfg, "bank", "certify_random", int, 32),
-        certify_seed=_read(bank_cfg, "bank", "certify_seed", int, 0),
+        certify_random=_read(bank_cfg, "bank", "certify_random", _integer(0), 32),
+        certify_seed=_read(bank_cfg, "bank", "certify_seed", _integer(0), 0),
         points=points,
         generator=generator,
         report_path=out_cfg.get("report"),
@@ -353,6 +369,28 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_images(path: str, ids, images: np.ndarray) -> None:
+    """The images file, {str(id): image row}, with the bytes _write_json
+    gives (keys sorted as strings, so "10" before "9"; inf as null, NaN as
+    NaN), written one row at a time: json.dump with an indent runs the
+    stdlib's pure-Python encoder."""
+    keys = [str(i) for i in ids]
+    with open(path, "w", encoding="utf-8") as fh:
+        if not keys:
+            fh.write("{}\n")
+            return
+        fh.write("{")
+        sep = "\n"
+        for k in sorted(range(len(keys)), key=keys.__getitem__):
+            values = [
+                repr(v) if math.isfinite(v) else "NaN" if math.isnan(v) else "null"
+                for v in images[k].tolist()
+            ]
+            fh.write(f'{sep}  "{keys[k]}": [\n    ' + ",\n    ".join(values) + "\n  ]")
+            sep = ",\n"
+        fh.write("\n}\n")
 
 
 _PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
@@ -467,7 +505,7 @@ def cmd_run(args) -> int:
     if cfg.pairs_csv_path:
         _write_pairs_csv(cfg.pairs_csv_path, dist)
     if cfg.images_path:
-        _write_json(cfg.images_path, dict(zip(map(str, pts.ids), dist.images.tolist())))
+        _write_images(cfg.images_path, pts.ids, dist.images)
     print(
         f"distortion {dist.distortion!r} <= bound {dist.bounds.ratio!r} "
         f"over {len(dist.pair_checks)} pairs"

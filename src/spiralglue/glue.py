@@ -20,9 +20,19 @@ from .schedule import (
     check_log_radius,
     level_weights_log,
     log_radius,
-    sandwich_angles,
+    sandwich_angles_log,
 )
-from .spaces import LinearMap, Space, Vector, as_rows, blend_apply, norm, norms, row_blocks
+# norm is not called here, but bench/spans.py wraps glue.norm
+from .spaces import (  # noqa: F401
+    LinearMap,
+    Space,
+    Vector,
+    as_rows,
+    blend_apply,
+    norm,
+    norms,
+    row_blocks,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +69,25 @@ class GlueEmbedding:
 
 def level_map(g: GlueEmbedding, level: int, x) -> Vector:
     """The level's interpolated map: blend of maps `level` and `level+1` at the
-    ramp angle of norm(x). Agrees with embed() on the level's shell exactly."""
+    ramp angle of norm(x). Agrees with embed() on the level's shell exactly.
+
+    A 1-d x gives its image. A (k, source.dim) array gives the k images, each
+    bit-equal to the one-row call, blended in row blocks of at most
+    BATCH_ELEMENTS elements.
+    """
     sched = g.schedule
     if not (1 <= level <= sched.levels):
         raise ValueError(f"level must be in 1..{sched.levels}, got {level}")
-    log_t = log_radius(norm(g.source, x))
+    x = np.asarray(x, dtype=float)
+    X = as_rows(x[None] if x.ndim == 1 else x, g.source.dim)
+    log_t = log_radius(norms(g.source, X))
     check_log_radius(sched, log_t)
     c, s = level_weights_log(sched, level, log_t)
-    return blend_apply(c, s, g.map_at(level), g.map_at(level + 1), x)
+    first, second = g.map_at(level), g.map_at(level + 1)
+    out = np.empty((len(X), g.target.dim))
+    for block in row_blocks(len(X), max(g.source.dim, 2 * g.target.dim)):
+        out[block] = blend_apply(c[block], s[block], first, second, X[block])
+    return out[0] if x.ndim == 1 else out
 
 
 def embed(g: GlueEmbedding, x) -> Vector:
@@ -95,7 +116,7 @@ def embed_all(g: GlueEmbedding, pts) -> dict[int, Vector]:
     return dict(zip(pts.ids, embed(g, pts.coords)))
 
 
-def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y) -> float:
+def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y):
     """Relative residual of the exact two-term difference decomposition.
 
     For norm(x) >= norm(y) > 0 the level map T satisfies
@@ -104,16 +125,28 @@ def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y) -> float:
 
     with sigma the ramp angle at norm(x), theta = pi/2 + (ax + ay)/2, and
     G_phi the cos/sin blend at angle phi. Returns the floating-point defect
-    of this identity scaled by norm(x) + norm(y).
+    of this identity scaled by norm(x) + norm(y): a float for 1-d x and y,
+    or one residual per row pair of two (k, source.dim) arrays, each
+    bit-equal to the one-row call (cos and sin come from math per angle).
     """
-    nx, ny = norm(g.source, x), norm(g.source, y)
-    if not (nx >= ny > 0.0):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    X, Y = (as_rows(v[None] if v.ndim == 1 else v, g.source.dim) for v in (x, y))
+    nx, ny = norms(g.source, X), norms(g.source, Y)
+    if not np.all((nx >= ny) & (ny > 0.0)):
         raise ValueError("need norm(x) >= norm(y) > 0")
-    ax, ay, theta = sandwich_angles(g.schedule, level, nx, ny)
+    ax, ay, theta = sandwich_angles_log(g.schedule, level, log_radius(nx), log_radius(ny))
     first, second = g.map_at(level), g.map_at(level + 1)
-    lhs = level_map(g, level, x) - level_map(g, level, y)
-    rhs = blend_apply(math.cos(ax), math.sin(ax), first, second, np.asarray(x) - np.asarray(y))
-    rhs = rhs + 2.0 * math.sin(0.5 * (ax - ay)) * blend_apply(
-        math.cos(theta), math.sin(theta), first, second, y
-    )
-    return norm(g.target, lhs - rhs) / (nx + ny)
+    out = np.empty(len(X))
+    for block in row_blocks(len(X), 2 * g.target.dim):
+        lhs = level_map(g, level, X[block]) - level_map(g, level, Y[block])
+        turn = 2.0 * _cos_sin(0.5 * (ax[block] - ay[block]))[1]
+        rhs = blend_apply(*_cos_sin(ax[block]), first, second, X[block] - Y[block])
+        rhs = rhs + turn[:, None] * blend_apply(*_cos_sin(theta[block]), first, second, Y[block])
+        out[block] = norms(g.target, lhs - rhs) / (nx[block] + ny[block])
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin from math per angle (numpy's may differ in the last ulp)."""
+    values = angles.tolist()
+    return np.array([math.cos(a) for a in values]), np.array([math.sin(a) for a in values])

@@ -185,13 +185,6 @@ def sandwich_angles_log(sched: RadiiSchedule, level: int, log_x, log_y):
     return sigma, alpha, 0.5 * math.pi + 0.5 * (sigma + alpha)
 
 
-def sandwich_angles(
-    sched: RadiiSchedule, level: int, nx: float, ny: float
-) -> tuple[float, float, float]:
-    """sandwich_angles_log at the norms nx >= ny > 0."""
-    return sandwich_angles_log(sched, level, math.log(nx), math.log(ny))
-
-
 def active_weights_log(sched: RadiiSchedule, log_t):
     """Level i and the weight pair (mu_i, mu_{i+1}) at log radius log_t.
 

@@ -9,12 +9,19 @@ Each rule has one row kernel, and its one-vector call is the one-row case:
 rows by one stacked matrix-vector product and `blend_apply` forms the
 two-map blend of rows from it. Batched code bounds each block of rows it
 forms by BATCH_ELEMENTS elements via `row_blocks`.
+
+A map multiplies only its hull: the rows from its first to its last nonzero
+row, widened to multiples of _HULL_ALIGN. The rows outside it are zero, so
+their images are the zeros `apply` starts from. The images inside it are
+bit-equal to the full product's because the BLAS matrix-vector kernel forms
+outputs in aligned groups (of 4 in OpenBLAS's dgemv_t), and a row's bits
+depend on its place in its group; a property test guards this.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -24,6 +31,9 @@ from .errors import DimensionMismatch
 Vector = np.ndarray
 
 BATCH_ELEMENTS = 1 << 14  # element budget of any batched temporary
+# the row alignment of a map's hull: a multiple of the BLAS kernel's group of
+# output rows, with headroom for wider kernels
+_HULL_ALIGN = 16
 
 
 def row_blocks(rows: int, width: int):
@@ -193,13 +203,36 @@ def norm(space: Space, x) -> float:
     return float(norms(space, x[None])[0])
 
 
+def _hull_rows(m: np.ndarray) -> slice:
+    """The rows [lo, hi) from the first to the last row of m holding a nonzero
+    bit pattern (so -0.0 counts), with lo rounded down and hi rounded up to a
+    multiple of _HULL_ALIGN and capped at the row count; empty for a zero m.
+    A one-row hull short of the whole matrix takes one more aligned group
+    below it: numpy sends a one-row product to dot, not to the matrix-vector
+    kernel that forms the full product's rows."""
+    rows = np.flatnonzero(np.any(m.view(np.uint64) != 0, axis=1))
+    if rows.size == 0:
+        return slice(0, 0)
+    lo = int(rows[0]) // _HULL_ALIGN * _HULL_ALIGN
+    hi = min(-(-(int(rows[-1]) + 1) // _HULL_ALIGN) * _HULL_ALIGN, m.shape[0])
+    if hi - lo == 1 and m.shape[0] > 1:
+        lo -= _HULL_ALIGN
+    return slice(lo, hi)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearMap:
-    """A dense linear map between two spaces, stored as a (target.dim, source.dim) matrix."""
+    """A dense linear map between two spaces, stored as a (target.dim, source.dim) matrix.
+
+    `rows` is the map's hull (see `_hull_rows`) and `hull` the view of the
+    matrix on it: every row outside the hull is zero.
+    """
 
     matrix: np.ndarray
     source: Space
     target: Space
+    rows: slice = field(init=False, repr=False)
+    hull: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _freeze(self.matrix)
@@ -210,18 +243,25 @@ class LinearMap:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
         object.__setattr__(self, "matrix", m)
+        rows = _hull_rows(m)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "hull", m[rows])
 
 
 def apply(m: LinearMap, x) -> Vector:
     """The image of x in the map's target space: m x for a 1-d x, or the
-    (k, target.dim) images of the rows of a (k, source.dim) array, by the one
-    stacked matrix-vector product, so each row's image is bit-equal to the
-    one-row call."""
+    (k, target.dim) images of the rows of a (k, source.dim) array.
+
+    The images start as zeros, and one stacked matrix-vector product of the
+    map's hull writes the hull's columns, so each row's image is bit-equal to
+    the one-row call and, for finite rows, to the product of the whole
+    matrix. A dense matrix's hull is all its rows."""
     x = np.asarray(x, dtype=float)
     X = x[None] if x.ndim == 1 else x
     if X.ndim != 2 or X.shape[1] != m.source.dim:
         raise DimensionMismatch(f"shape {x.shape} != ({m.source.dim},) or (k, {m.source.dim})")
-    images = np.matmul(m.matrix, X[:, :, None])[:, :, 0]
+    images = np.zeros((len(X), m.target.dim))
+    images[:, m.rows] = np.matmul(m.hull, X[:, :, None])[:, :, 0]
     return images[0] if x.ndim == 1 else images
 
 

@@ -577,39 +577,57 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
 
     The sandwich and the decomposition identity hold for any pair of linear
     maps, so no subsequence selection is involved; the glue object is built
-    with the identity selection.
+    with the identity selection. Pair k uses bank k mod the bank count. The
+    pairs are drawn a chunk at a time in the order of one pair at a time,
+    and each bank's pairs on each level in a chunk are judged as rows.
+    Pairs closer than 1e-6 of norm(x) are skipped.
     """
     rng = np.random.default_rng(seed)
     banks = _fuzz_banks(seed)
     params = Params(0.05, 0.1, 0.05, 0.05)
     sched = build_schedule(params, 1.0, levels)
+    sel = SelectionResult(tuple(range(levels + 1)), (math.inf,) * levels, 0.0, blend_threshold(0.0))
     worst_lo = math.inf
     worst_hi = math.inf
     worst_res = 0.0
-    sel = SelectionResult(tuple(range(levels + 1)), (math.inf,) * levels, 0.0, blend_threshold(0.0))
-    for k in range(n_pairs):
-        bank = banks[k % len(banks)]
-        g = GlueEmbedding(sched, bank, sel)
-        level = int(rng.integers(1, levels + 1))
-        lo = sched.log_R[level - 2] if level >= 2 else sched.log_r[0] - 1.0
-        hi = sched.log_r[level] if level < levels else sched.log_coverage
-        lx, ly = sorted(rng.uniform(lo + 0.01, hi - 0.01, size=2), reverse=True)
-        dim = bank.source.dim
-        dx = rng.standard_normal(dim)
-        dy = rng.standard_normal(dim)
-        x = dx * math.exp(lx - math.log(norm(bank.source, dx)))
-        y = dy * math.exp(ly - math.log(norm(bank.source, dy)))
-        nx, ny = norm(bank.source, x), norm(bank.source, y)
-        diff = x - y
-        ndiff = norm(bank.source, diff)
-        if ndiff < 1e-6 * nx:
-            continue
-        ratio = norm(bank.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
-        logs = np.array([math.log(nx)]), np.array([math.log(ny)])
-        *_, lo_b, hi_b = _sandwich(
-            g, level, *logs, diff[None], np.array([ndiff]), y[None], np.array([ny])
-        )
-        worst_lo = min(worst_lo, ratio - float(lo_b[0]))
-        worst_hi = min(worst_hi, float(hi_b[0]) - ratio)
-        worst_res = max(worst_res, blend_decomposition_residual(g, level, x, y))
+    # pairs are drawn and judged in chunks, so that no chunk's images exceed
+    # the batch budget
+    for chunk in row_blocks(n_pairs, 2 * max(bank.target.dim for bank in banks)):
+        draws = {}  # (bank index, level) -> log radii and directions, in draw order
+        for k in range(chunk.start, chunk.stop):
+            level = int(rng.integers(1, levels + 1))
+            lo = sched.log_R[level - 2] if level >= 2 else sched.log_r[0] - 1.0
+            hi = sched.log_r[level] if level < levels else sched.log_coverage
+            lx, ly = sorted(rng.uniform(lo + 0.01, hi - 0.01, size=2), reverse=True)
+            dim = banks[k % len(banks)].source.dim
+            dx = rng.standard_normal(dim)
+            dy = rng.standard_normal(dim)
+            draws.setdefault((k % len(banks), level), []).append((lx, ly, dx, dy))
+        for (b, level), pairs in draws.items():
+            g = GlueEmbedding(sched, banks[b], sel)
+            lx, ly, dx, dy = zip(*pairs)
+            x = _at_log_norms(g.source, lx, np.array(dx))
+            y = _at_log_norms(g.source, ly, np.array(dy))
+            nx = norms(g.source, x)
+            diff = x - y
+            ndiff = norms(g.source, diff)
+            keep = ~(ndiff < 1e-6 * nx)
+            if not keep.any():
+                continue
+            x, y, nx, diff, ndiff = x[keep], y[keep], nx[keep], diff[keep], ndiff[keep]
+            ny = norms(g.source, y)
+            ratio = norms(g.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
+            logs = log_radius(nx), log_radius(ny)
+            *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, ndiff, y, ny)
+            worst_lo = min(worst_lo, float(np.min(ratio - lo_b)))
+            worst_hi = min(worst_hi, float(np.min(hi_b - ratio)))
+            residuals = blend_decomposition_residual(g, level, x, y)
+            worst_res = max(worst_res, float(np.max(residuals)))
     return FuzzReport(n_pairs, worst_lo, worst_hi, worst_res)
+
+
+def _at_log_norms(space: Space, logs, rows: np.ndarray) -> np.ndarray:
+    """Each row rescaled to the norm exp(log) of its entry in logs, by the
+    scalar factor math.exp(log - math.log(norm(row)))."""
+    scale = [math.exp(t - math.log(n)) for t, n in zip(logs, norms(space, rows).tolist())]
+    return rows * np.array(scale)[:, None]

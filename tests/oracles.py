@@ -1,11 +1,12 @@
 """Float-only evaluators that the package no longer exports, kept as test
-oracles: the pair classification by its shell rule, the ramp angle at a
-linear radius, the one-vector norm, map image and two-map blend, and the
-decompose that scans every direction found so far for each distinct unit
-difference. The pipeline uses `pointset.classify_levels` on arrays of level
-intervals, `schedule.ramp_angle_log` on log radii, the row kernels
-`spaces.norms`, `spaces.apply` and `spaces.blend_apply`, and a decompose
-that groups the directions by sort-and-sweep instead.
+oracles: the pair classification by its shell rule, the ramp angle and the
+sandwich angles at linear radii, the one-vector norm, map image, two-map
+blend, level map and decomposition residual, and the decompose that scans every direction found so far for each
+distinct unit difference. The pipeline uses `pointset.classify_levels` on
+arrays of level intervals, `schedule.ramp_angle_log` and
+`schedule.sandwich_angles_log` on log radii, the row kernels `spaces.norms`,
+`spaces.apply` and `spaces.blend_apply`, and a decompose that groups the
+directions by sort-and-sweep instead.
 """
 
 import math
@@ -22,7 +23,13 @@ from spiralglue.pointset import (
     level_intervals,
     log_norms,
 )
-from spiralglue.schedule import check_log_radius, log_radius, ramp_angle_log
+from spiralglue.schedule import (
+    check_log_radius,
+    level_weights_log,
+    log_radius,
+    ramp_angle_log,
+    sandwich_angles_log,
+)
 from spiralglue.spaces import Lp, WeightedLp, norm, norms, row_blocks
 
 
@@ -70,6 +77,11 @@ def ramp_angle(sched, level: int, t: float) -> float:
     return ramp_angle_log(sched, level, log_radius(t))
 
 
+def sandwich_angles(sched, level: int, nx: float, ny: float) -> tuple[float, float, float]:
+    """sandwich_angles_log at the norms nx >= ny > 0."""
+    return sandwich_angles_log(sched, level, math.log(nx), math.log(ny))
+
+
 def _lp_value(a: np.ndarray, p: float) -> float:
     # a is already elementwise non-negative
     if p == math.inf:
@@ -113,6 +125,29 @@ def apply_scalar(m, x) -> np.ndarray:
 def blend_apply_scalar(c: float, s: float, first, second, x) -> np.ndarray:
     """c*(first x) + s*(second x) for one vector."""
     return c * apply_scalar(first, x) + s * apply_scalar(second, x)
+
+
+def level_map_scalar(g, level: int, x) -> np.ndarray:
+    """The level's blend of maps `level` and `level+1` at the ramp angle of
+    norm(x), for one vector."""
+    log_t = log_radius(norm(g.source, x))
+    check_log_radius(g.schedule, log_t)
+    c, s = level_weights_log(g.schedule, level, log_t)
+    return blend_apply_scalar(c, s, g.map_at(level), g.map_at(level + 1), x)
+
+
+def blend_decomposition_residual_scalar(g, level: int, x, y) -> float:
+    """The defect of T(x) - T(y) = G_sigma(x - y) + 2 sin((ax - ay)/2) G_theta(y)
+    for one pair, scaled by norm(x) + norm(y)."""
+    nx, ny = norm(g.source, x), norm(g.source, y)
+    ax, ay, theta = sandwich_angles(g.schedule, level, nx, ny)
+    first, second = g.map_at(level), g.map_at(level + 1)
+    lhs = level_map_scalar(g, level, x) - level_map_scalar(g, level, y)
+    rhs = blend_apply_scalar(math.cos(ax), math.sin(ax), first, second, x - y)
+    rhs = rhs + 2.0 * math.sin(0.5 * (ax - ay)) * blend_apply_scalar(
+        math.cos(theta), math.sin(theta), first, second, y
+    )
+    return norm(g.target, lhs - rhs) / (nx + ny)
 
 
 def decompose_first_match(pts, sched) -> AnnulusDecomposition:

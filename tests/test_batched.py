@@ -53,7 +53,6 @@ from spiralglue.schedule import (
     check_log_radius,
     log_radius,
     ramp_angle_log,
-    sandwich_angles,
 )
 from spiralglue.verify import DEFAULT_TOL, SQRT2
 
@@ -63,6 +62,7 @@ from oracles import (
     decompose_first_match,
     leaders_scan,
     norm_scalar,
+    sandwich_angles,
 )
 
 # ---------------------------------------------------------------- norms
@@ -754,6 +754,85 @@ def test_apply_and_blend_bit_equal_to_scalar_bodies(data):
     assert one == want_blends
 
 
+def _assert_hull_bit_equal(first, second, X, c, s):
+    """apply and blend_apply on the maps' hulls give the bits of the full
+    stacked product, of the one-vector product and of its blend."""
+    for m in (first, second):
+        lo, hi = m.rows.start, m.rows.stop
+        assert not m.matrix[:lo].any() and not m.matrix[hi:].any()
+        assert hi == lo or np.shares_memory(m.hull, m.matrix)
+        full = np.matmul(m.matrix, X[:, :, None])[:, :, 0]
+        images = sg.apply(m, X)
+        assert images.tobytes() == full.tobytes()
+        assert [row.tobytes() for row in images] == [apply_scalar(m, x).tobytes() for x in X]
+    want = [blend_apply_scalar(*cs, first, second, x).tobytes() for *cs, x in zip(c, s, X)]
+    blends = sg.blend_apply(np.array(c), np.array(s), first, second, X)
+    assert [row.tobytes() for row in blends] == want
+
+
+def _banded(target_dim: int, source_dim: int, lo: int, rows: np.ndarray) -> sg.LinearMap:
+    m = np.zeros((target_dim, source_dim))
+    m[lo : lo + len(rows)] = rows
+    return sg.LinearMap(m, sg.Space(source_dim), sg.Space(target_dim))
+
+
+@pytest.mark.parametrize("offset", range(16))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_apply_on_hull_bit_equal_to_full_product(offset, data):
+    # the hull's rows keep their place mod 16 in the BLAS kernel's groups of
+    # outputs, so each band start mod 16 is its own case; the entries are
+    # seeded normal draws (with exact zeros), whose products round
+    source_dim = data.draw(st.integers(1, 8))
+    target_dim = data.draw(st.integers(offset + 1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def normal(*shape):
+        return np.where(rng.random(shape) < 0.1, 0.0, rng.standard_normal(shape))
+
+    maps = []
+    for _ in range(2):
+        lo = offset + 16 * data.draw(st.integers(0, (target_dim - 1 - offset) // 16))
+        width = data.draw(st.integers(1, min(target_dim - lo, 40)))
+        maps.append(_banded(target_dim, source_dim, lo, normal(width, source_dim)))
+    X = normal(data.draw(st.integers(1, 5)), source_dim)
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(X)).tolist()
+    _assert_hull_bit_equal(*maps, X, [math.cos(t) for t in angles], [math.sin(t) for t in angles])
+
+
+@pytest.mark.parametrize(
+    "target_dim, support",
+    [
+        (1, [0]),
+        (1, []),
+        (17, [16]),
+        (33, [32]),
+        (273, [272]),
+        (273, [271]),
+        (40, [0]),
+        (40, [39]),
+        (16, [15]),
+        (97, []),
+        (97, range(97)),
+        (18, range(18)),
+    ],
+)
+def test_apply_on_hull_edge_cases(target_dim, support):
+    # one-row supports (the last row of a dim = 1 mod 16 is a one-row aligned
+    # group), the empty hull of a zero matrix and the full matrix
+    rng = np.random.default_rng(target_dim)
+    maps = []
+    for _ in range(2):
+        m = np.zeros((target_dim, 3))
+        m[list(support)] = rng.standard_normal((len(support), 3))
+        maps.append(sg.LinearMap(m, sg.Space(3), sg.Space(target_dim)))
+    X = rng.standard_normal((200, 3))
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(X)).tolist()
+    _assert_hull_bit_equal(*maps, X, [math.cos(t) for t in angles], [math.sin(t) for t in angles])
+    if not support:
+        assert maps[0].hull.shape == (0, 3)
+
+
 def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
     g, pts, _ = l1_pipeline
     first, second = g.map_at(1), g.map_at(2)
@@ -1027,17 +1106,19 @@ def test_row_embed_bit_equal_to_point_embed(data, batch, wide_ws):
 
 def test_row_embed_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
     # 64 elements hold one row of the two 18-wide blends: every stacked
-    # product of a selected map takes and gives at most a block of rows
+    # product of a selected map's hull takes a block of rows, and the images
+    # it fills (zeros outside the hull) hold at most a block of rows
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     g, pts, _ = l1_pipeline
-    maps = {id(g.map_at(k).matrix) for k in range(1, g.schedule.levels + 2)}
+    hulls = {id(g.map_at(k).hull) for k in range(1, g.schedule.levels + 2)}
     sizes = []
     matmul = np.matmul
 
     def sized(a, b, *args, **kwargs):
         out = matmul(a, b, *args, **kwargs)
-        if id(a) in maps:
-            sizes.append((b.size, out.size))
+        if id(a) in hulls:
+            assert out.size <= b.shape[0] * g.target.dim
+            sizes.append((b.size, b.shape[0] * g.target.dim))
         return out
 
     monkeypatch.setattr(np, "matmul", sized)
@@ -1080,6 +1161,22 @@ def test_images_file_matches_per_point_writer(tmp_path, placement):
     _, _, g, pts = run_pipeline(parse_config(raw))
     write_images_per_point(str(tmp_path / "want.json"), g, pts)
     assert (tmp_path / "images.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def test_images_writer_matches_json_dump(tmp_path):
+    # 130 ids sort as strings ("10" before "9"); inf and -inf become null
+    # and NaN stays NaN, as _write_json writes them
+    rng = np.random.default_rng(3)
+    ids = rng.permutation(130).tolist() + [-4]
+    images = rng.standard_normal((len(ids), 5)) * 10.0 ** rng.integers(-300, 300, (len(ids), 5))
+    images[[3, 77, 128], [0, 4, 2]] = [math.inf, -math.inf, math.nan]
+    images[5, 1] = -0.0
+    images[6, 2] = 5e-324
+    for k in (0, 1, len(ids)):
+        got, want = tmp_path / f"got{k}.json", tmp_path / f"want{k}.json"
+        spiralglue.cli._write_images(str(got), ids[:k], images[:k])
+        _write_json(str(want), dict(zip(map(str, ids[:k]), images[:k].tolist())))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_run_embeds_once(tmp_path, monkeypatch):

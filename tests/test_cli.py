@@ -249,6 +249,31 @@ def test_run_config_type_error_names_key(tmp_path, capsys, dotted, value):
 
 
 @pytest.mark.parametrize(
+    "dotted, value",
+    [
+        ("bank.count", 6.7),
+        ("schedule.levels", 3.9),
+        ("bank.certify_random", 2.5),
+        ("bank.certify_random", True),
+        ("bank.certify_random", -1),
+        ("bank.certify_seed", -3),
+        ("bank.block_width", -2),
+        ("bank.count", "6"),
+    ],
+)
+def test_run_rejects_bad_integer(tmp_path, capsys, dotted, value):
+    # each of these ran as its truncation (a string as the integer it
+    # spells) or failed naming no key
+    assert _run_with(tmp_path, dotted, value) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {dotted}: expected an integer")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_accepts_integral_float(tmp_path):
+    assert _run_with(tmp_path, "bank.count", 6.0) == 0
+
+
+@pytest.mark.parametrize(
     "dotted",
     ["bank.cuont", "points.generator.per_levle", "shedule", "source.dimm", "source.norm.wieghts"],
 )

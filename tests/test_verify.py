@@ -6,8 +6,14 @@ import pytest
 import spiralglue as sg
 import spiralglue.verify
 from spiralglue.errors import BoundViolated, NonPositiveLowerBound
+from spiralglue.verify import FuzzReport, _fuzz_banks, _sandwich
 
-from oracles import SameLevel, classify_lognorms
+from oracles import (
+    SameLevel,
+    blend_decomposition_residual_scalar,
+    classify_lognorms,
+    level_map_scalar,
+)
 
 SQRT2 = math.sqrt(2.0)
 # closed forms evaluated independently ahead of time at eps=delta=gamma=zeta=0.01
@@ -222,6 +228,64 @@ def test_fuzz_pair_inequalities_clean():
     assert rep.min_lower_slack >= -1e-9
     assert rep.min_upper_slack >= -1e-9
     assert rep.max_identity_residual <= 1e-9
+
+
+def fuzz_per_pair(seed: int, n_pairs: int, levels: int = 3) -> FuzzReport:
+    """fuzz_pair_inequalities judging each pair as it is drawn, by the
+    one-vector norm, level map and decomposition residual."""
+    rng = np.random.default_rng(seed)
+    banks = _fuzz_banks(seed)
+    sched = sg.build_schedule(sg.Params(0.05, 0.1, 0.05, 0.05), 1.0, levels)
+    worst_lo = worst_hi = math.inf
+    worst_res = 0.0
+    sel = sg.SelectionResult(tuple(range(levels + 1)), (math.inf,) * levels, 0.0, SQRT2 / 3.0)
+    for k in range(n_pairs):
+        bank = banks[k % len(banks)]
+        g = sg.GlueEmbedding(sched, bank, sel)
+        level = int(rng.integers(1, levels + 1))
+        lo = sched.log_R[level - 2] if level >= 2 else sched.log_r[0] - 1.0
+        hi = sched.log_r[level] if level < levels else sched.log_coverage
+        lx, ly = sorted(rng.uniform(lo + 0.01, hi - 0.01, size=2), reverse=True)
+        dx = rng.standard_normal(bank.source.dim)
+        dy = rng.standard_normal(bank.source.dim)
+        x = dx * math.exp(lx - math.log(sg.norm(bank.source, dx)))
+        y = dy * math.exp(ly - math.log(sg.norm(bank.source, dy)))
+        nx, ny = sg.norm(bank.source, x), sg.norm(bank.source, y)
+        ndiff = sg.norm(bank.source, x - y)
+        if ndiff < 1e-6 * nx:
+            continue
+        image = level_map_scalar(g, level, x) - level_map_scalar(g, level, y)
+        ratio = sg.norm(bank.target, image) / ndiff
+        logs = np.array([math.log(nx)]), np.array([math.log(ny)])
+        diff, nd = (x - y)[None], np.array([ndiff])
+        *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, nd, y[None], np.array([ny]))
+        worst_lo = min(worst_lo, ratio - float(lo_b[0]))
+        worst_hi = min(worst_hi, float(hi_b[0]) - ratio)
+        worst_res = max(worst_res, blend_decomposition_residual_scalar(g, level, x, y))
+    return FuzzReport(n_pairs, worst_lo, worst_hi, worst_res)
+
+
+@pytest.mark.parametrize("seed, n_pairs", [(0, 0), (0, 1), (2, 300), (9, 1000)])
+def test_fuzz_rows_equal_per_pair_judge(seed, n_pairs):
+    # the same draws judged as rows of a bank and level give the same worst
+    # slacks and residual, to the bit
+    assert sg.fuzz_pair_inequalities(seed, n_pairs) == fuzz_per_pair(seed, n_pairs)
+
+
+def test_level_map_and_residual_rows_equal_one_row_calls(l1_pipeline):
+    g, pts, _ = l1_pipeline
+    order = np.argsort(sg.norms(g.source, pts.coords))[::-1]
+    x, y = pts.coords[order[:-1]][::2], pts.coords[order[1:]][::2]
+    level = 2
+    images = sg.level_map(g, level, x)
+    assert [row.tobytes() for row in images] == [
+        level_map_scalar(g, level, row).tobytes() for row in x
+    ]
+    keep = sg.norms(g.source, y) > 0.0
+    got = sg.blend_decomposition_residual(g, level, x[keep], y[keep]).tolist()
+    assert got == [
+        blend_decomposition_residual_scalar(g, level, a, b) for a, b in zip(x[keep], y[keep])
+    ]
 
 
 def test_distortion_report_checks_bounds_before_any_pair(l1_pipeline, small_ws, monkeypatch):
