@@ -24,6 +24,7 @@ from .spaces import (
     apply,
     blend_apply,
     direction_gain,
+    image_norms,
     norm,
     norm_from_dict,
     norm_to_dict,

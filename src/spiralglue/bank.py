@@ -34,9 +34,9 @@ from .spaces import (  # noqa: F401
     as_rows,
     blend_apply,
     direction_gain,
+    image_norms,
     norm,
     norms,
-    row_blocks,
 )
 
 _TOL = 1e-12
@@ -199,7 +199,8 @@ def build_bank(
     lo_margins = []
     hi_margins = []
     for n, lin in enumerate(maps):
-        ratios = _certify_ratios(lin, vectors, source_norms)
+        # norm(target, lin v) / norm(source, v) over the nonzero rows v, in order
+        ratios = image_norms(lin, vectors) / source_norms
         k_lo = int(np.argmin(ratios))
         k_hi = int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - _TOL:
@@ -211,19 +212,6 @@ def build_bank(
     slots = (eps_n,) * count
     assert np.prod(1.0 + np.array(slots)) <= (1.0 + gamma) * (1.0 + _TOL)
     return EmbeddingBank(maps, slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
-
-
-def _certify_ratios(lin: LinearMap, vectors, source_norms) -> np.ndarray:
-    """norm(target, lin v) / norm(source, v) over the (nonzero) rows v, in
-    order, given their source norms.
-
-    Images are formed by apply in row blocks within the batch budget.
-    """
-    out = np.empty(len(vectors))
-    for block in row_blocks(len(vectors), lin.target.dim):
-        out[block] = norms(lin.target, apply(lin, vectors[block]))
-    out /= source_norms
-    return out
 
 
 def spreading_limit_estimate(

@@ -103,6 +103,10 @@ _CONFIG_KEYS = {
     "norm=max_abs": "norm functionals",
 }
 
+# the most matrix elements a generated bank (block_shift, quadrature) may
+# hold: count maps of target.dim x source.dim each, built densely (1 GiB)
+MAX_BANK_ELEMENTS = 1 << 27
+
 
 def _section(parent: dict, path: str, table: str | None = None) -> dict:
     """The object at dotted `path` under parent ({} when absent; parent itself
@@ -249,6 +253,12 @@ def parse_config(raw: dict) -> RunConfig:
         tdim = _read(target_cfg, "target", "dim", _only(rows, "matrix rows"), rows)
     else:
         tdim = _read(target_cfg, "target", "dim", _integer(1), count * block)
+        elements = count * tdim * source.dim
+        if elements > MAX_BANK_ELEMENTS:
+            raise ValueError(
+                f"bank.count: {count} maps of {tdim} x {source.dim} hold {elements} matrix "
+                f"elements, more than {MAX_BANK_ELEMENTS}"
+            )
     target = _space("target", tdim, _read_norm(target_cfg, "target", source.norm))
 
     pts_cfg = _section(raw, "points")
@@ -371,11 +381,27 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+# the JSON spelling of the non-finite floats, as _write_json writes them
+_JSON_NON_FINITE = {"inf": "null", "-inf": "null", "nan": "NaN"}
+
+
+def _float_texts(values: np.ndarray, spelling: dict | None = None) -> list[str]:
+    """repr(v), or spelling[repr(v)] where given, for each float v of a 1-d
+    array, in order: each distinct bit pattern (np.unique on the uint64 view,
+    so -0.0 and 0.0 stay apart) is formatted once and gathered back."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = list(map(repr, bits.view(float).tolist()))
+    if spelling:
+        texts = [spelling.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def _write_images(path: str, ids, images: np.ndarray) -> None:
     """The images file, {str(id): image row}, with the bytes _write_json
     gives (keys sorted as strings, so "10" before "9"; inf as null, NaN as
     NaN), written one row at a time: json.dump with an indent runs the
-    stdlib's pure-Python encoder."""
+    stdlib's pure-Python encoder. The rows are formatted a block at a time,
+    each distinct float once."""
     keys = [str(i) for i in ids]
     with open(path, "w", encoding="utf-8") as fh:
         if not keys:
@@ -383,31 +409,34 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
             return
         fh.write("{")
         sep = "\n"
-        for k in sorted(range(len(keys)), key=keys.__getitem__):
-            values = [
-                repr(v) if math.isfinite(v) else "NaN" if math.isnan(v) else "null"
-                for v in images[k].tolist()
-            ]
-            fh.write(f'{sep}  "{keys[k]}": [\n    ' + ",\n    ".join(values) + "\n  ]")
-            sep = ",\n"
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+        width = images.shape[1]
+        for block in row_blocks(len(order), width):
+            rows = order[block]
+            texts = _float_texts(images[rows].ravel(), _JSON_NON_FINITE)
+            for j, k in enumerate(rows.tolist()):
+                values = texts[j * width : (j + 1) * width]
+                fh.write(f'{sep}  "{keys[k]}": [\n    ' + ",\n    ".join(values) + "\n  ]")
+                sep = ",\n"
         fh.write("\n}\n")
 
 
 _PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
-# a row as csv.writer writes it: ids, kind and float reprs need no quoting
-_PAIRS_ROW = "%d,%d,%s,%r,%r,%r\r\n"
 
 
 def _write_pairs_csv(path: str, dist: DistortionReport) -> None:
-    """One row per pair, written from the report's pair columns a block of
-    rows at a time."""
+    """One row per pair, as csv.writer writes ids, kinds and float reprs
+    (none needs quoting), from the report's pair columns a block of rows at
+    a time, each distinct float formatted once."""
     pairs = dist.pair_checks
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_PAIRS_HEADER) + "\r\n")
         for rows in row_blocks(len(pairs), len(_PAIRS_HEADER)):
             ids = (pairs.x_id[rows].tolist(), pairs.y_id[rows].tolist())
-            floats = (c[rows].tolist() for c in (pairs.ratio, pairs.lower_slack, pairs.upper_slack))
-            fh.write("".join([_PAIRS_ROW % row for row in zip(*ids, pairs.kinds(rows), *floats)]))
+            columns = (pairs.ratio, pairs.lower_slack, pairs.upper_slack)
+            floats = (_float_texts(c[rows]) for c in columns)
+            table = zip(*ids, pairs.kinds(rows), *floats)
+            fh.write("".join([f"{x},{y},{k},{r},{lo},{hi}\r\n" for x, y, k, r, lo, hi in table]))
 
 
 def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):

@@ -16,6 +16,16 @@ their images are the zeros `apply` starts from. The images inside it are
 bit-equal to the full product's because the BLAS matrix-vector kernel forms
 outputs in aligned groups (of 4 in OpenBLAS's dgemv_t), and a row's bits
 depend on its place in its group; a property test guards this.
+
+`image_norms` gives the norms of a map's images, as certification needs
+them, bit-equal to `norms` of `apply`: one zero buffer of a block of images
+is reused for every block, only the hull's columns are ever written, and the
+norm's elementwise passes (max, rescaling, power, weights) run in place on
+those columns. Only the final reduction (the sum, or the stacked dot of the
+l2 norm) runs over every column: its bits depend on the full width, through
+numpy's pairwise summation tree and the BLAS dot's grouping, and the zeros
+it adds are those `apply` would have written. `blend_apply` and
+`direction_gain` still form full-width images.
 """
 
 from __future__ import annotations
@@ -152,45 +162,58 @@ def _root(sums: np.ndarray, p: float) -> np.ndarray:
     return np.array([s**inv for s in sums.tolist()])
 
 
-def _rescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima of a (non-negative) and a divided by them; zero rows stay zero."""
-    m = a.max(axis=1, initial=0.0)
-    return m, a / np.where(m > 0.0, m, 1.0)[:, None]
+def _abs_norms_block(spec: NormSpec, a: np.ndarray, cols) -> np.ndarray:
+    """Row norms of a block `a` of absolute values that are zero outside the
+    columns `cols`, for an Lp or weighted Lp norm; `a` is overwritten.
+
+    The row maxima, the division by them, the p-th power and the weights run
+    in place on a[:, cols] only; the final sum or stacked dot runs over every
+    column. The bits are those of the full-width passes: max is exact, 0/m,
+    0**p and w*0 are 0, so the final reduction sees the same array, and its
+    bits depend on that array's full width (numpy's pairwise summation tree,
+    the BLAS dot's grouping)."""
+    h = a[:, cols]
+    p = spec.p
+    weights = spec.weights[cols] if isinstance(spec, WeightedLp) else None
+    if p == math.inf:
+        if weights is not None:
+            h *= weights
+        return h.max(axis=1, initial=0.0)
+    if p == 1.0 and weights is None:
+        return a.sum(axis=1)
+    m = h.max(axis=1, initial=0.0)
+    h /= np.where(m > 0.0, m, 1.0)[:, None]
+    if p == 2.0 and weights is None:
+        # stacked row dot products: the same kernel as np.dot(a, a)
+        return m * np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    h **= p
+    if weights is not None:
+        h *= weights
+    return m * _root(a.sum(axis=1), p)
 
 
 def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     if isinstance(spec, MaxAbsFunctionals):
         # stacked matrix-vector products: the same kernel as functionals @ x
         return np.abs(np.matmul(spec.functionals, X[:, :, None])[:, :, 0]).max(axis=1)
-    a = np.abs(X)
-    p = spec.p
-    if isinstance(spec, WeightedLp):
-        if p == math.inf:
-            return (spec.weights * a).max(axis=1)
-        m, a = _rescaled(a)
-        return m * _root(np.sum(spec.weights * a**p, axis=1), p)
-    if p == math.inf:
-        return a.max(axis=1)
-    if p == 1.0:
-        return a.sum(axis=1)
-    m, a = _rescaled(a)
-    if p == 2.0:
-        # stacked row dot products: the same kernel as np.dot(a, a)
-        return m * np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
-    return m * _root(np.sum(a**p, axis=1), p)
+    return _abs_norms_block(spec, np.abs(X), slice(None))
+
+
+def _block_width(space: Space) -> int:
+    """The row width that bounds a block of norms: the dimension, or the
+    count of functionals of a max-abs norm when larger."""
+    if isinstance(space.norm, MaxAbsFunctionals):
+        return max(space.dim, space.norm.functionals.shape[0])
+    return space.dim
 
 
 def norms(space: Space, X) -> np.ndarray:
     """Row-wise norms of a (k, dim) array, evaluated in blocks of at most
     BATCH_ELEMENTS elements with the same floating operations on each row."""
     X = np.ascontiguousarray(as_rows(X, space.dim))
-    spec = space.norm
-    width = space.dim
-    if isinstance(spec, MaxAbsFunctionals):
-        width = max(width, spec.functionals.shape[0])
     out = np.empty(X.shape[0])
-    for block in row_blocks(X.shape[0], width):
-        out[block] = _norms_block(spec, X[block])
+    for block in row_blocks(X.shape[0], _block_width(space)):
+        out[block] = _norms_block(space.norm, X[block])
     return out
 
 
@@ -263,6 +286,32 @@ def apply(m: LinearMap, x) -> Vector:
     images = np.zeros((len(X), m.target.dim))
     images[:, m.rows] = np.matmul(m.hull, X[:, :, None])[:, :, 0]
     return images[0] if x.ndim == 1 else images
+
+
+def image_norms(m: LinearMap, X) -> np.ndarray:
+    """norms(m.target, apply(m, X)) for the rows of a (k, source.dim) array,
+    bit for bit, without forming the images anew per block.
+
+    One zero buffer of a block's images serves every block. The hull's
+    stacked product is written into the hull's columns, as absolute values
+    (signed for a max-abs norm, which takes its own products); the other
+    columns are never written and stay zero, and the norm's elementwise
+    passes run on the hull's columns only (see _abs_norms_block)."""
+    X = as_rows(X, m.source.dim)
+    spec = m.target.norm
+    blocks = list(row_blocks(len(X), _block_width(m.target)))
+    buffer = np.zeros((blocks[0].stop if blocks else 0, m.target.dim))
+    out = np.empty(len(X))
+    for block in blocks:
+        images = buffer[: block.stop - block.start]
+        product = np.matmul(m.hull, X[block, :, None])[:, :, 0]
+        if isinstance(spec, MaxAbsFunctionals):
+            images[:, m.rows] = product
+            out[block] = _norms_block(spec, images)
+        else:
+            np.abs(product, out=images[:, m.rows])
+            out[block] = _abs_norms_block(spec, images, m.rows)
+    return out
 
 
 def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:

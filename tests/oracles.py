@@ -1,12 +1,15 @@
 """Float-only evaluators that the package no longer exports, kept as test
 oracles: the pair classification by its shell rule, the ramp angle and the
 sandwich angles at linear radii, the one-vector norm, map image, two-map
-blend, level map and decomposition residual, and the decompose that scans every direction found so far for each
-distinct unit difference. The pipeline uses `pointset.classify_levels` on
-arrays of level intervals, `schedule.ramp_angle_log` and
-`schedule.sandwich_angles_log` on log radii, the row kernels `spaces.norms`,
-`spaces.apply` and `spaces.blend_apply`, and a decompose that groups the
-directions by sort-and-sweep instead.
+blend, level map and decomposition residual, the row norms with every
+elementwise pass over every column, and the decompose that scans every
+direction found so far for each distinct unit difference. The pipeline uses
+`pointset.classify_levels` on arrays of level intervals,
+`schedule.ramp_angle_log` and `schedule.sandwich_angles_log` on log radii,
+the row kernels `spaces.norms`, `spaces.image_norms`, `spaces.apply` and
+`spaces.blend_apply`, whose norms run their elementwise passes in place on
+the columns that can be nonzero, and a decompose that groups the directions
+by sort-and-sweep instead.
 """
 
 import math
@@ -30,7 +33,16 @@ from spiralglue.schedule import (
     ramp_angle_log,
     sandwich_angles_log,
 )
-from spiralglue.spaces import Lp, WeightedLp, norm, norms, row_blocks
+from spiralglue.spaces import (
+    Lp,
+    MaxAbsFunctionals,
+    WeightedLp,
+    _root,
+    as_rows,
+    norm,
+    norms,
+    row_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -113,6 +125,46 @@ def norm_scalar(space, x) -> float:
             return 0.0
         return m * float(np.sum(spec.weights * (a / m) ** spec.p) ** (1.0 / spec.p))
     return float(np.max(np.abs(spec.functionals @ x)))
+
+
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima of a (non-negative) and a divided by them; zero rows stay zero."""
+    m = a.max(axis=1, initial=0.0)
+    return m, a / np.where(m > 0.0, m, 1.0)[:, None]
+
+
+def _norms_block_full_width(spec, X: np.ndarray) -> np.ndarray:
+    if isinstance(spec, MaxAbsFunctionals):
+        return np.abs(np.matmul(spec.functionals, X[:, :, None])[:, :, 0]).max(axis=1)
+    a = np.abs(X)
+    p = spec.p
+    if isinstance(spec, WeightedLp):
+        if p == math.inf:
+            return (spec.weights * a).max(axis=1)
+        m, a = _rescaled(a)
+        return m * _root(np.sum(spec.weights * a**p, axis=1), p)
+    if p == math.inf:
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.sum(axis=1)
+    m, a = _rescaled(a)
+    if p == 2.0:
+        return m * np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    return m * _root(np.sum(a**p, axis=1), p)
+
+
+def norms_full_width(space, X) -> np.ndarray:
+    """Row norms with every elementwise pass (max, rescaling, power, weights)
+    forming a new array over every column, in blocks of the batch budget."""
+    X = np.ascontiguousarray(as_rows(X, space.dim))
+    spec = space.norm
+    width = space.dim
+    if isinstance(spec, MaxAbsFunctionals):
+        width = max(width, spec.functionals.shape[0])
+    out = np.empty(X.shape[0])
+    for block in row_blocks(X.shape[0], width):
+        out[block] = _norms_block_full_width(spec, X[block])
+    return out
 
 
 def apply_scalar(m, x) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Batched kernels against the scalar computations they replace.
 
-The row kernel `norms`, the batched `decompose` with its sort-and-sweep
-direction grouping, the certification array, the row gain with cos and sin
-once per distinct angle, the selection's level judge, the array ramp angle
+The row kernel `norms`, the certification kernel `image_norms`, the batched
+`decompose` with its sort-and-sweep direction grouping, the certification
+array, the row gain with cos and sin once per distinct angle, the selection's level judge, the array ramp angle
 and weight evaluator, the one-call weight table, the row embedding with the
 images file written from the report, and the block judge of the pair sweep
 with its column reductions and column CSV writer must reproduce the
@@ -11,14 +11,15 @@ direction scan, the per-pair judge, the per-check level loop, the float
 ramp angle and weight evaluator, the per-radius weight row, the per-point
 embedding and images writer, numpy's log of the norms, the first-wins stats
 loop and the csv.writer loop over PairCheck objects) serves as oracles, with
-the one-vector norm, map image and blend and the per-difference decompose
-and leader scan of `tests/oracles.py`.
+the one-vector norm, map image and blend, the full-width row norms and the
+per-difference decompose and leader scan of `tests/oracles.py`.
 """
 
 import csv
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ from oracles import (
     decompose_first_match,
     leaders_scan,
     norm_scalar,
+    norms_full_width,
     sandwich_angles,
 )
 
@@ -108,6 +110,8 @@ def test_norms_match_scalar_norm(data):
     assert got.shape == (len(X),)
     for row, value in zip(X, got):
         assert _close(value, norm_scalar(space, row))
+    # the in-place passes give the bits of the passes over new arrays
+    assert got.tobytes() == norms_full_width(space, X).tobytes()
 
 
 _SPECS = [
@@ -132,6 +136,7 @@ def test_norms_edge_rows(spec):
     assert got[0] == 0.0
     for row, value in zip(X, got):
         assert _close(value, norm_scalar(space, row))
+    assert got.tobytes() == norms_full_width(space, X).tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -142,6 +147,7 @@ def test_norms_across_row_blocks(p):
     assert 40 * 1536 > 2 * sg.spaces.BATCH_ELEMENTS
     got = sg.norms(space, X)
     assert [norm_scalar(space, row) for row in X] == got.tolist()
+    assert got.tobytes() == norms_full_width(space, X).tobytes()
 
 
 def test_norms_reject_wrong_width():
@@ -754,9 +760,39 @@ def test_apply_and_blend_bit_equal_to_scalar_bodies(data):
     assert one == want_blends
 
 
+_POWERS = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+
+def _target_norms(dim: int) -> list:
+    """A norm of every kind on a dim-wide target: lp and weighted lp at each
+    of _POWERS, and the max of the coordinates and two more functionals."""
+    rng = np.random.default_rng(dim)
+    lp = [sg.Lp(p) for p in _POWERS]
+    weighted = [sg.WeightedLp(p, rng.uniform(1e-3, 1e3, dim)) for p in _POWERS]
+    functionals = np.vstack([np.eye(dim), rng.standard_normal((2, dim))])
+    return lp + weighted + [sg.MaxAbsFunctionals(functionals)]
+
+
+def _assert_image_norms_bit_equal(m, X):
+    """image_norms gives the bits of the norms of apply's images for a target
+    norm of every kind, also in blocks of three rows with a short last one."""
+    for spec in _target_norms(m.target.dim):
+        lin = sg.LinearMap(m.matrix, m.source, sg.Space(m.target.dim, spec))
+        want = sg.norms(lin.target, sg.apply(lin, X)).tobytes()
+        assert sg.image_norms(lin, X).tobytes() == want
+        assert sg.image_norms(lin, X[:0]).shape == (0,)
+        width = m.target.dim
+        if isinstance(spec, sg.MaxAbsFunctionals):
+            width = max(width, len(spec.functionals))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sg.spaces, "BATCH_ELEMENTS", 3 * width)
+            assert sg.image_norms(lin, X).tobytes() == want
+
+
 def _assert_hull_bit_equal(first, second, X, c, s):
     """apply and blend_apply on the maps' hulls give the bits of the full
-    stacked product, of the one-vector product and of its blend."""
+    stacked product, of the one-vector product and of its blend, and
+    image_norms the bits of the norms of those images."""
     for m in (first, second):
         lo, hi = m.rows.start, m.rows.stop
         assert not m.matrix[:lo].any() and not m.matrix[hi:].any()
@@ -765,6 +801,7 @@ def _assert_hull_bit_equal(first, second, X, c, s):
         images = sg.apply(m, X)
         assert images.tobytes() == full.tobytes()
         assert [row.tobytes() for row in images] == [apply_scalar(m, x).tobytes() for x in X]
+        _assert_image_norms_bit_equal(m, X)
     want = [blend_apply_scalar(*cs, first, second, x).tobytes() for *cs, x in zip(c, s, X)]
     blends = sg.blend_apply(np.array(c), np.array(s), first, second, X)
     assert [row.tobytes() for row in blends] == want
@@ -831,6 +868,39 @@ def test_apply_on_hull_edge_cases(target_dim, support):
     _assert_hull_bit_equal(*maps, X, [math.cos(t) for t in angles], [math.sin(t) for t in angles])
     if not support:
         assert maps[0].hull.shape == (0, 3)
+
+
+def test_image_norms_temporaries_stay_within_batch(monkeypatch):
+    # 64 elements hold three rows of the 18-wide images and of the 20
+    # functionals' products: the one image buffer and every product of a
+    # block stay within the budget, with the bits of the default blocks
+    target_dim = 18
+    m = np.zeros((target_dim, 3))
+    m[4:10] = np.random.default_rng(1).standard_normal((6, 3))
+    X = np.random.default_rng(2).standard_normal((40, 3))
+    maps = [
+        sg.LinearMap(m, sg.Space(3), sg.Space(target_dim, spec))
+        for spec in _target_norms(target_dim)
+    ]
+    assert len(maps[-1].target.norm.functionals) == 20
+    want = [sg.image_norms(lin, X).tobytes() for lin in maps]
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    sizes = []
+    matmul, zeros = np.matmul, np.zeros
+
+    def sized(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(np, "matmul", sized(matmul))
+    monkeypatch.setattr(np, "zeros", sized(zeros))
+    got = [sg.image_norms(lin, X).tobytes() for lin in maps]
+    assert got == want
+    assert sizes and max(sizes) <= 64
 
 
 def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
@@ -1172,11 +1242,19 @@ def test_images_writer_matches_json_dump(tmp_path):
     images[[3, 77, 128], [0, 4, 2]] = [math.inf, -math.inf, math.nan]
     images[5, 1] = -0.0
     images[6, 2] = 5e-324
-    for k in (0, 1, len(ids)):
-        got, want = tmp_path / f"got{k}.json", tmp_path / f"want{k}.json"
-        spiralglue.cli._write_images(str(got), ids[:k], images[:k])
-        _write_json(str(want), dict(zip(map(str, ids[:k]), images[:k].tolist())))
-        assert got.read_bytes() == want.read_bytes()
+    # repeated values: each distinct float is formatted once, with -0.0 and
+    # 0.0 apart and every NaN and infinity spelled as json writes it
+    repeated = rng.choice([0.0, -0.0, 1.5, -2.25e-7, math.inf, -math.inf, math.nan], images.shape)
+    for name, values in (("distinct", images), ("repeated", repeated)):
+        for k in (0, 1, len(ids)):
+            for batch in (None, 64):
+                got, want = tmp_path / f"got{k}.json", tmp_path / f"want{k}.json"
+                with pytest.MonkeyPatch.context() as mp:
+                    if batch is not None:
+                        mp.setattr(sg.spaces, "BATCH_ELEMENTS", batch)
+                    spiralglue.cli._write_images(str(got), ids[:k], values[:k])
+                _write_json(str(want), dict(zip(map(str, ids[:k]), values[:k].tolist())))
+                assert got.read_bytes() == want.read_bytes(), (name, k, batch)
 
 
 def test_run_embeds_once(tmp_path, monkeypatch):
@@ -1268,13 +1346,46 @@ def _reports(l1_pipeline, plateau_run):
     return {"mixed-l1": sg.distortion_report(g, pts), "plateau-l2": plateau_run}
 
 
+def _pair_table(rng, size, ratio, lower, upper):
+    """A PairTable of random ids and kinds with the given float columns and
+    no sandwich."""
+    table = sg.verify.PairTable(size)
+    table.x_id[:] = rng.integers(0, 1000, size)
+    table.y_id[:] = rng.integers(0, 1000, size)
+    table.code[:] = rng.integers(0, 4, size)
+    table.level[:] = rng.integers(1, 4, size)
+    table.x_level[:] = rng.integers(1, 4, size)
+    table.ratio[:], table.lower_slack[:], table.upper_slack[:] = ratio, lower, upper
+    for name in ("sigma", "theta", "g_sigma_w", "g_theta_v"):
+        getattr(table, name)[:] = math.nan
+    return table
+
+
+def _edge_float_report():
+    """A report of only a pair table, of several row blocks with a short last
+    one: a column of distinct floats across the float range, one of a few
+    repeated values with -0.0 and 0.0, infinities and NaN, and one that mixes
+    both."""
+    rng = np.random.default_rng(11)
+    size = 2 * (sg.spaces.BATCH_ELEMENTS // 6) + 17
+    distinct = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    special = [0.0, -0.0, 1.0, -1.5e-300, 5e-324, math.inf, -math.inf, math.nan]
+    repeated = rng.choice(special, size)
+    mixed = np.where(rng.random(size) < 0.5, distinct, repeated)
+    assert len(np.unique(distinct)) == size
+    return SimpleNamespace(pair_checks=_pair_table(rng, size, distinct, repeated, mixed))
+
+
 def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_run):
-    for name, dist in _reports(l1_pipeline, plateau_run).items():
+    reports = {**_reports(l1_pipeline, plateau_run), "edge-floats": _edge_float_report()}
+    for name, dist in reports.items():
         _write_pairs_csv(str(tmp_path / f"{name}.csv"), dist)
         write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), dist)
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}-rows.csv").read_bytes()
         assert got.count(b"\r\n") == len(dist.pair_checks) + 1
+    edge = (tmp_path / "edge-floats.csv").read_bytes()
+    assert b",-0.0," in edge and b",nan," in edge and b",-inf\r\n" in edge
 
 
 def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_run):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spiralglue as sg
+import spiralglue.cli
 from spiralglue.cli import main, parse_config
 
 
@@ -352,6 +353,31 @@ def test_run_user_matrices_target_dim_must_match(tmp_path, capsys, dim, code):
     assert main(["run", "--config", str(path)]) == code
     if code:
         assert capsys.readouterr().err.startswith(f"config error: target.dim: {dim} != ")
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [{"strategy": "block_shift"}, {"strategy": "quadrature_l2_to_l1", "directions": 2}],
+    ids=["block_shift", "quadrature"],
+)
+def test_run_rejects_oversized_generated_bank(tmp_path, capsys, strategy):
+    # a generated bank holds count dense target.dim x source.dim matrices:
+    # one element over the cap is a config error before any is built, and
+    # the cap itself parses (running it would build 1 GiB of matrices)
+    cap = spiralglue.cli.MAX_BANK_ELEMENTS
+    source = {"dim": 1, "norm": {"norm": "lp", "p": 2.0}}
+    bank = {**strategy, "count": 2}
+    _, cfg = _base_config(tmp_path, source=source, bank=bank, target={"dim": cap // 2})
+    assert parse_config(cfg).target.dim * 2 == cap
+    path, _ = _base_config(tmp_path, source=source, bank=bank, target={"dim": cap // 2 + 1})
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bank.count: 2 maps of ")
+    # the default target width, count * block width, is capped the same way
+    bank = {"strategy": "block_shift", "count": 100000}
+    path, _ = _base_config(tmp_path, source={**source, "dim": 2}, bank=bank)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bank.count: 100000 maps of 200000 x 2")
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("placement", ["bogus", 5, None])
