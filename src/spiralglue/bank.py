@@ -34,6 +34,7 @@ from .spaces import (  # noqa: F401
     as_rows,
     blend_apply,
     direction_gain,
+    distinct_rows,
     image_norms,
     norm,
     norms,
@@ -172,18 +173,28 @@ def build_bank(
 
     The per-map slack is the uniform split eps_n = (1+gamma)^(1/count) - 1.
     Raises CertificationFailed with the worst offending vector if any map
-    falls outside its sandwich.
+    falls outside its sandwich; its index counts the nonzero vectors.
+
+    Each distinct nonzero vector (by bit pattern, see distinct_rows) is
+    normed and imaged once per map, and the ratios are gathered back to the
+    nonzero vectors in order, so the margins and the first worst vector are
+    those of evaluating every vector.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
     vectors = as_rows(certify_set, source.dim)
-    source_norms = norms(source, vectors)
+    # each distinct row is normed and imaged once: `distinct` holds the
+    # distinct nonzero rows, and `where` the one of each nonzero row, in order
+    take, inverse = distinct_rows(vectors)
+    distinct = vectors[take]
+    source_norms = norms(source, distinct)
     nonzero = source_norms > 0.0
     if not nonzero.any():
         raise ValueError("certify_set must contain at least one nonzero vector")
-    vectors, source_norms = vectors[nonzero], source_norms[nonzero]
+    distinct, source_norms = distinct[nonzero], source_norms[nonzero]
+    where = (np.cumsum(nonzero) - 1)[inverse[nonzero[inverse]]]
 
     if isinstance(strategy, BlockShift):
         mats = _block_shift_matrices(source, target, count, strategy.block_width)
@@ -200,7 +211,7 @@ def build_bank(
     hi_margins = []
     for n, lin in enumerate(maps):
         # norm(target, lin v) / norm(source, v) over the nonzero rows v, in order
-        ratios = image_norms(lin, vectors) / source_norms
+        ratios = (image_norms(lin, distinct) / source_norms)[where]
         k_lo = int(np.argmin(ratios))
         k_hi = int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - _TOL:

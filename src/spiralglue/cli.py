@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -162,6 +163,35 @@ def _integer(minimum: int):
     return convert
 
 
+def _real(rule: str, holds):
+    """A converter that accepts a finite real number (not a bool, a string or
+    a non-finite float) for which holds(value) is true; rule says which."""
+
+    def convert(value) -> float:
+        try:
+            real = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # a string, a list; an int beyond floats
+            real = False
+        if not real:
+            raise ValueError(f"expected a finite real number, got {value!r}")
+        if not holds(value):
+            raise ValueError(f"expected a real number {rule}, got {value!r}")
+        return float(value)
+
+    return convert
+
+
+def _output_path(path) -> str:
+    """A file path whose directory exists, so the run's outputs can be
+    written once it has run."""
+    if not isinstance(path, str) or not path:
+        raise ValueError(f"expected a file path, got {path!r}")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"directory {directory!r} does not exist")
+    return path
+
+
 def _only(want: int, what: str):
     """A converter that accepts the integer want and nothing else."""
 
@@ -215,7 +245,7 @@ def _build_strategy(bank_cfg: dict, source: Space) -> tuple[BankStrategy, int]:
     """Strategy plus the per-map block width in the target (0 for user maps)."""
     name = bank_cfg.get("strategy")
     if name == "block_shift":
-        width = _read(bank_cfg, "bank", "block_width", _integer(1), source.dim)
+        width = _read(bank_cfg, "bank", "block_width", _integer(source.dim), source.dim)
         return BlockShift(width), width
     if name == "quadrature_l2_to_l1":
         directions = _read(bank_cfg, "bank", "directions", _integer(2), 64)
@@ -232,27 +262,37 @@ def parse_config(raw: dict) -> RunConfig:
         raise ValueError("config must set exactly one of 'params' and 'eps_target'")
     if "params" in raw:
         p = _section(raw, "params")
-        params = Params(*(_read(p, "params", k, float) for k in ("eps", "delta", "gamma", "zeta")))
+        unit = _real("in (0, 1)", lambda v: 0.0 < v < 1.0)
+        params = Params(*(_read(p, "params", k, unit) for k in ("eps", "delta", "gamma", "zeta")))
     else:
-        params = solve_params(_read(raw, "", "eps_target", float))
+        eps_target = _read(raw, "", "eps_target", _real("> 0", lambda v: v > 0.0))
+        params = solve_params(eps_target)
     source_cfg = _section(raw, "source")
     source = _space(
         "source", _read(source_cfg, "source", "dim", _integer(1)), _read_norm(source_cfg, "source")
     )
     sched_cfg = _section(raw, "schedule")
-    r1 = _read(sched_cfg, "schedule", "r1", float, 1.0)
+    r1 = _read(sched_cfg, "schedule", "r1", _real("> 0", lambda v: v > 0.0), 1.0)
     levels = _read(sched_cfg, "schedule", "levels", _integer(1), 3)
-    margin = _read(sched_cfg, "schedule", "margin", float, 0.01)
+    margin = _read(sched_cfg, "schedule", "margin", _real(">= 0", lambda v: v >= 0.0), 0.01)
 
     bank_cfg = _section(raw, "bank")
     strategy, block = _build_strategy(bank_cfg, source)
     count = _read(bank_cfg, "bank", "count", _integer(2), levels + 2)
+    # selection takes one map per level and one more
+    if count < levels + 1:
+        raise ValueError(f"bank.count: {count} < schedule.levels + 1 = {levels + 1}")
     target_cfg = _section(raw, "target")
     if isinstance(strategy, UserMatrices):
+        if len(strategy.matrices) < count:
+            raise ValueError(f"bank.count: {count} > {len(strategy.matrices)} matrices given")
         rows = strategy.matrices[0].shape[0]
         tdim = _read(target_cfg, "target", "dim", _only(rows, "matrix rows"), rows)
     else:
         tdim = _read(target_cfg, "target", "dim", _integer(1), count * block)
+        if tdim < count * block:
+            what = "directions" if isinstance(strategy, QuadratureL2toL1) else "columns"
+            raise ValueError(f"target.dim: {tdim} cannot hold {count} blocks of {block} {what}")
         elements = count * tdim * source.dim
         if elements > MAX_BANK_ELEMENTS:
             raise ValueError(
@@ -293,9 +333,9 @@ def parse_config(raw: dict) -> RunConfig:
         certify_seed=_read(bank_cfg, "bank", "certify_seed", _integer(0), 0),
         points=points,
         generator=generator,
-        report_path=out_cfg.get("report"),
-        pairs_csv_path=out_cfg.get("pairs_csv"),
-        images_path=out_cfg.get("images"),
+        report_path=_read(out_cfg, "output", "report", _output_path, None),
+        pairs_csv_path=_read(out_cfg, "output", "pairs_csv", _output_path, None),
+        images_path=_read(out_cfg, "output", "images", _output_path, None),
     )
 
 
@@ -475,6 +515,17 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     return report, dist, g, pts
 
 
+def _written(key: str, write, path: str, *payload) -> bool:
+    """write(path, *payload); False, with a config error naming key, when the
+    file cannot be written."""
+    try:
+        write(path, *payload)
+    except OSError as exc:
+        print(f"config error: {key}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_bounds(args) -> int:
     try:
         if args.target is not None:
@@ -510,7 +561,12 @@ def cmd_run(args) -> int:
         return 2
     if args.seed is not None and cfg.generator is not None:
         cfg.generator["seed"] = args.seed
-    report_path = args.out or cfg.report_path
+    report_key = "--out" if args.out is not None else "output.report"
+    try:
+        report_path = cfg.report_path if args.out is None else _output_path(args.out)
+    except ValueError as exc:
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return 2
     try:
         report, dist, _, pts = run_pipeline(cfg, tolerance=args.tolerance)
     except (BankExhausted, CertificationFailed, BoundViolated, NonPositiveLowerBound) as exc:
@@ -519,8 +575,8 @@ def cmd_run(args) -> int:
             "status": type(exc).__name__,
             "error": str(exc),
         }
-        if report_path:
-            _write_json(report_path, failure)
+        if report_path and not _written(report_key, _write_json, report_path, failure):
+            return 2
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except SpiralGlueError as exc:
@@ -529,12 +585,14 @@ def cmd_run(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if report_path:
-        _write_json(report_path, report)
-    if cfg.pairs_csv_path:
-        _write_pairs_csv(cfg.pairs_csv_path, dist)
-    if cfg.images_path:
-        _write_images(cfg.images_path, pts.ids, dist.images)
+    outputs = (
+        (report_key, _write_json, report_path, report),
+        ("output.pairs_csv", _write_pairs_csv, cfg.pairs_csv_path, dist),
+        ("output.images", _write_images, cfg.images_path, pts.ids, dist.images),
+    )
+    for key, write, path, *payload in outputs:
+        if path and not _written(key, write, path, *payload):
+            return 2
     print(
         f"distortion {dist.distortion!r} <= bound {dist.bounds.ratio!r} "
         f"over {len(dist.pair_checks)} pairs"

@@ -26,6 +26,12 @@ l2 norm) runs over every column: its bits depend on the full width, through
 numpy's pairwise summation tree and the BLAS dot's grouping, and the zeros
 it adds are those `apply` would have written. `blend_apply` and
 `direction_gain` still form full-width images.
+
+`distinct_rows` groups rows by bit pattern, exactly, so that a caller can
+evaluate each distinct row once and gather the results back: certification
+images each distinct nonzero certify row once per map, and `direction_gain`
+blends each distinct (theta, u) row once. Every kernel here is row-wise, so
+the gathered values are the bits of evaluating every row.
 """
 
 from __future__ import annotations
@@ -52,6 +58,86 @@ def row_blocks(rows: int, width: int):
     step = max(1, BATCH_ELEMENTS // max(width, 1))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
+
+
+# the odd multiplier of distinct_rows' hash (the 64-bit golden ratio); column
+# j of a row is weighted by its (j + 1)-th power
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of equal-length 1-d or 2-d float arrays by bit pattern.
+
+    Row i is the concatenation of row i of every array. Returns (take,
+    inverse): take holds the first row of each group, ascending, and
+    inverse[i] the group of row i, so that each array's `a[take][inverse]`
+    has the bits of `a`. Rows of one group have equal bits in every column
+    (so -0.0 and 0.0, and NaNs of different payloads, stay apart).
+
+    Each row's bits are folded into a hash (each column's bits xored with
+    their high half, times the column's power of _HASH_MULTIPLIER, summed),
+    whose top bits, with the row index in the low bits, make one sort key
+    per row. Sorting the keys orders the rows by hash and, within a hash,
+    by index; a row joins its predecessor's group only when the bits of the
+    two rows are equal, so a collision costs a missed merge, never a wrong
+    group. Rows are hashed and compared in row blocks, so the extra memory
+    is a few arrays of one entry per row."""
+    tables = [np.ascontiguousarray(a, dtype=float) for a in arrays]
+    rows = len(tables[0])
+    if any(t.ndim not in (1, 2) or len(t) != rows for t in tables):
+        raise ValueError("distinct_rows needs 1-d or 2-d arrays of equal length")
+    bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
+    # each row's bits as one item: a gather of items copies one block per row
+    items = [b.view(f"V{8 * b.shape[1]}")[:, 0] for b in bits]
+    spans = np.cumsum([0] + [b.shape[1] for b in bits])
+    width = int(spans[-1])
+    weights = np.cumprod(np.full(width, _HASH_MULTIPLIER))
+    key = np.zeros(rows, dtype=np.uint64)
+    for block in row_blocks(rows, 2 * width):
+        for b, start, stop in zip(bits, spans, spans[1:]):
+            mixed = b[block] >> np.uint64(32)
+            mixed ^= b[block]
+            key[block] += mixed @ weights[start:stop]
+    shift = np.uint64(max(rows - 1, 1).bit_length())
+    key >>= shift
+    key <<= shift
+    key |= np.arange(rows, dtype=np.uint64)
+    key.sort()
+    order = (key & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
+    key >>= shift
+    new = np.ones(rows, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    # only a row whose hash equals its predecessor's may join its group
+    ties = np.flatnonzero(~new)
+    for block in row_blocks(len(ties), 2 * width):
+        at = ties[block]
+        here, before = order[at], order[at - 1]
+        differ = np.zeros(len(at), dtype=bool)
+        for b, item in zip(bits, items):
+            unequal = item[here].view(np.uint64) != item[before].view(np.uint64)
+            # a boolean matrix-vector product is the row-wise any
+            differ |= unequal.reshape(len(at), b.shape[1]) @ np.ones(b.shape[1], dtype=bool)
+        new[at] = differ
+    # number the groups by their first rows, which the sort put first
+    heads = order[new]
+    first = np.zeros(rows, dtype=bool)
+    first[heads] = True
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = (np.cumsum(first) - 1)[heads][np.cumsum(new) - 1]
+    return np.flatnonzero(first), inverse
+
+
+def cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin from math (numpy's may differ in the last ulp) of each
+    angle of a 1-d array, evaluated once per distinct bit pattern (so -0.0
+    and 0.0 stay apart) and gathered back."""
+    bits, inverse = np.unique(
+        np.asarray(angles, dtype=float).reshape(-1).view(np.uint64), return_inverse=True
+    )
+    values = bits.view(float).tolist()
+    c = np.array([math.cos(a) for a in values], dtype=float)
+    s = np.array([math.sin(a) for a in values], dtype=float)
+    return c[inverse], s[inverse]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -335,31 +421,40 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     """Target norm of cos(theta)*first(u) + sin(theta)*second(u) for unit u.
 
     A 1-d u with one angle gives a float. A (k, dim) array of rows with k
-    angles gives the k gains as an array, each bit-equal to the one-row call:
-    cos and sin come from math once per distinct angle, and blend_apply forms
-    the blend images in row blocks of twice the target width. The first
-    non-unit row raises ValueError.
+    angles gives the k gains as an array, each bit-equal to the one-row call.
+    Each distinct (theta, u) row (see distinct_rows) is evaluated once and its
+    gain gathered back to its rows: cos and sin come from cos_sin, and
+    blend_apply forms the blend images of the distinct rows in row blocks of
+    twice the target width. The first non-unit row raises ValueError.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:
         return float(direction_gain([theta], U[None, :], first, second)[0])
-    nu = norms(first.source, U)
+    U = as_rows(U, first.source.dim)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != len(U):
+        # a non-unit row is reported before a miscount
+        _check_unit(norms(first.source, U))
+        raise ValueError(f"need one angle per row, got {theta.size} for {len(U)} rows")
+    take, inverse = distinct_rows(theta, U)
+    # groups are numbered by their first row, so the first non-unit group
+    # holds the first non-unit row
+    _check_unit(norms(first.source, U[take]))
+    c, s = cos_sin(theta[take])
+    gains = np.empty(len(take))
+    for block in row_blocks(len(take), 2 * first.target.dim):
+        rows = take[block]
+        # the blend goes straight into norms, so no block outlives its iteration
+        gains[block] = norms(first.target, blend_apply(c[block], s[block], first, second, U[rows]))
+    return gains[inverse]
+
+
+def _check_unit(nu: np.ndarray) -> None:
+    """Raise ValueError naming the first of the norms nu that is not 1
+    within 1e-12."""
     bad = np.flatnonzero(np.abs(nu - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"u must be a unit vector, got norm {float(nu[bad[0]])!r}")
-    # cos and sin once per distinct angle bit pattern (so -0.0 and 0.0 stay
-    # apart), gathered back to the rows
-    bits, inverse = np.unique(np.asarray(theta, dtype=float).view(np.uint64), return_inverse=True)
-    distinct = bits.view(float).tolist()
-    c = np.array([math.cos(t) for t in distinct])[inverse]
-    s = np.array([math.sin(t) for t in distinct])[inverse]
-    if c.shape != nu.shape:
-        raise ValueError(f"need one angle per row, got {c.size} for {nu.size} rows")
-    out = np.empty(len(U))
-    for block in row_blocks(len(U), 2 * first.target.dim):
-        # the blend goes straight into norms, so no block outlives its iteration
-        out[block] = norms(first.target, blend_apply(c[block], s[block], first, second, U[block]))
-    return out
 
 
 def norm_to_dict(spec: NormSpec) -> dict:

@@ -2,14 +2,16 @@
 oracles: the pair classification by its shell rule, the ramp angle and the
 sandwich angles at linear radii, the one-vector norm, map image, two-map
 blend, level map and decomposition residual, the row norms with every
-elementwise pass over every column, and the decompose that scans every
-direction found so far for each distinct unit difference. The pipeline uses
-`pointset.classify_levels` on arrays of level intervals,
+elementwise pass over every column, the decompose that scans every
+direction found so far for each distinct unit difference, and the
+certification and row gain that evaluate every row, repeats included. The
+pipeline uses `pointset.classify_levels` on arrays of level intervals,
 `schedule.ramp_angle_log` and `schedule.sandwich_angles_log` on log radii,
 the row kernels `spaces.norms`, `spaces.image_norms`, `spaces.apply` and
 `spaces.blend_apply`, whose norms run their elementwise passes in place on
-the columns that can be nonzero, and a decompose that groups the directions
-by sort-and-sweep instead.
+the columns that can be nonzero, a decompose that groups the directions by
+sort-and-sweep instead, and a certification and row gain that evaluate each
+distinct row once (`spaces.distinct_rows`).
 """
 
 import math
@@ -18,6 +20,7 @@ from typing import Union
 
 import numpy as np
 
+from spiralglue.errors import CertificationFailed
 from spiralglue.pointset import (
     _DIR_TOL,
     AnnulusDecomposition,
@@ -34,11 +37,14 @@ from spiralglue.schedule import (
     sandwich_angles_log,
 )
 from spiralglue.spaces import (
+    LinearMap,
     Lp,
     MaxAbsFunctionals,
     WeightedLp,
     _root,
+    apply,
     as_rows,
+    blend_apply,
     norm,
     norms,
     row_blocks,
@@ -177,6 +183,42 @@ def apply_scalar(m, x) -> np.ndarray:
 def blend_apply_scalar(c: float, s: float, first, second, x) -> np.ndarray:
     """c*(first x) + s*(second x) for one vector."""
     return c * apply_scalar(first, x) + s * apply_scalar(second, x)
+
+
+def certify_all_rows(matrices, source, target, gamma: float, vectors):
+    """build_bank's certification with every nonzero row imaged, repeats
+    included: the (lower, upper) margins per map, or the CertificationFailed
+    build_bank raises, with the vector index counting the nonzero rows."""
+    maps = [LinearMap(m, source, target) for m in matrices]
+    eps_n = (1.0 + gamma) ** (1.0 / len(maps)) - 1.0
+    X = as_rows(vectors, source.dim)
+    source_norms = norms(source, X)
+    X, source_norms = X[source_norms > 0.0], source_norms[source_norms > 0.0]
+    lower, upper = [], []
+    for n, lin in enumerate(maps):
+        ratios = norms(target, apply(lin, X)) / source_norms
+        k_lo, k_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
+        if ratios[k_lo] < 1.0 - 1e-12:
+            raise CertificationFailed(n, k_lo, float(ratios[k_lo]))
+        if ratios[k_hi] > (1.0 + eps_n) * (1.0 + 1e-12):
+            raise CertificationFailed(n, k_hi, float(ratios[k_hi]))
+        lower.append(float(ratios[k_lo]) - 1.0)
+        upper.append((1.0 + eps_n) - float(ratios[k_hi]))
+    return tuple(lower), tuple(upper)
+
+
+def direction_gain_all_rows(theta, U, first, second) -> np.ndarray:
+    """The row gain with every row evaluated, repeats included: the unit
+    check on every row, cos and sin from math per angle, and one blend and
+    norm of all rows."""
+    U = np.asarray(U, dtype=float)
+    nu = norms(first.source, U)
+    bad = np.flatnonzero(np.abs(nu - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"u must be a unit vector, got norm {float(nu[bad[0]])!r}")
+    c = np.array([math.cos(t) for t in theta], dtype=float)
+    s = np.array([math.sin(t) for t in theta], dtype=float)
+    return norms(first.target, blend_apply(c, s, first, second, U))
 
 
 def level_map_scalar(g, level: int, x) -> np.ndarray:

@@ -61,6 +61,7 @@ from oracles import (
     apply_scalar,
     blend_apply_scalar,
     decompose_first_match,
+    direction_gain_all_rows,
     leaders_scan,
     norm_scalar,
     norms_full_width,
@@ -920,13 +921,6 @@ def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
         sg.direction_gain(thetas[:-1], rows, first, second)
 
 
-def direction_gain_per_angle(theta, U, first, second):
-    """The row gain with cos and sin taken once per angle, repeats included."""
-    c = np.array([math.cos(t) for t in theta])
-    s = np.array([math.sin(t) for t in theta])
-    return sg.norms(first.target, sg.blend_apply(c, s, first, second, U))
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_row_gain_bit_equal_to_per_angle_comprehension(data):
@@ -951,12 +945,15 @@ def test_row_gain_bit_equal_to_per_angle_comprehension(data):
     )
     k = data.draw(st.integers(0, 40))
     theta = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
-    U = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
-        (k, source.dim)
+    # the rows too come from a few unit rows, so whole (angle, row) rows repeat
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (data.draw(st.integers(1, 4)), source.dim)
     )
-    U /= sg.norms(source, U)[:, None]
+    rows /= sg.norms(source, rows)[:, None]
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=k, max_size=k))
+    U = rows[picks].reshape(k, source.dim)
     got = sg.direction_gain(theta, U, first, second)
-    assert got.tobytes() == direction_gain_per_angle(theta, U, first, second).tobytes()
+    assert got.tobytes() == direction_gain_all_rows(theta, U, first, second).tobytes()
 
 
 # ---------------------------------------------------------------- level judge

@@ -364,12 +364,18 @@ def test_run_rejects_oversized_generated_bank(tmp_path, capsys, strategy):
     # a generated bank holds count dense target.dim x source.dim matrices:
     # one element over the cap is a config error before any is built, and
     # the cap itself parses (running it would build 1 GiB of matrices)
+    # (one level, so that two maps are enough for selection)
     cap = spiralglue.cli.MAX_BANK_ELEMENTS
     source = {"dim": 1, "norm": {"norm": "lp", "p": 2.0}}
+    schedule = {"r1": 1.0, "levels": 1, "margin": 0.01}
     bank = {**strategy, "count": 2}
-    _, cfg = _base_config(tmp_path, source=source, bank=bank, target={"dim": cap // 2})
+    _, cfg = _base_config(
+        tmp_path, source=source, schedule=schedule, bank=bank, target={"dim": cap // 2}
+    )
     assert parse_config(cfg).target.dim * 2 == cap
-    path, _ = _base_config(tmp_path, source=source, bank=bank, target={"dim": cap // 2 + 1})
+    path, _ = _base_config(
+        tmp_path, source=source, schedule=schedule, bank=bank, target={"dim": cap // 2 + 1}
+    )
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: bank.count: 2 maps of ")
     # the default target width, count * block width, is capped the same way
@@ -469,3 +475,139 @@ def test_run_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     assert main(["run", "--config", str(path), "--tolerance", tolerance]) == 2
     assert capsys.readouterr().err.startswith("config error: --tolerance must be finite and >= 0")
     assert not (tmp_path / "report.json").exists()
+
+
+def _forbid_pipeline(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(spiralglue.cli, "run_pipeline", forbidden)
+
+
+@pytest.mark.parametrize("key", ["output.report", "output.pairs_csv", "output.images", "--out"])
+def test_run_rejects_missing_output_directory_before_running(tmp_path, capsys, monkeypatch, key):
+    # each of these used to run the whole pipeline and then die with a
+    # FileNotFoundError traceback at the write
+    missing = str(tmp_path / "nonexistent" / "out")
+    path, cfg = _base_config(tmp_path)
+    argv = ["run", "--config", str(path)]
+    if key == "--out":
+        argv += ["--out", missing]
+    else:
+        cfg["output"][key.split(".")[1]] = missing
+        path.write_text(json.dumps(cfg))
+    _forbid_pipeline(monkeypatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: directory ") and "does not exist" in err
+
+
+@pytest.mark.parametrize("key", ["output.report", "output.pairs_csv", "output.images", "--out"])
+def test_run_unwritable_output_exits_2_naming_key(tmp_path, capsys, key):
+    # the directory exists, but the path is a directory itself: open fails
+    # only at the write, after the run
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    path, cfg = _base_config(tmp_path)
+    argv = ["run", "--config", str(path)]
+    if key == "--out":
+        argv += ["--out", str(taken)]
+    else:
+        cfg["output"][key.split(".")[1]] = str(taken)
+        path.write_text(json.dumps(cfg))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {key}: ")
+    assert captured.out == ""
+
+
+def test_run_unwritable_failure_report_exits_2_naming_key(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    half = (0.5 * np.eye(2)).tolist()
+    path, _ = _base_config(
+        tmp_path,
+        source={"dim": 2, "norm": {"norm": "lp", "p": 2.0}},
+        params={"eps": 0.5, "delta": 0.1, "gamma": 0.01, "zeta": 0.01},
+        schedule={"r1": 1.0, "levels": 1, "margin": 0.01},
+        points={"inline": [[2.0, 0.0], [0.0, 0.0]]},
+        bank={"strategy": "user_matrices", "count": 2, "matrices": [half, half]},
+        output={"report": str(taken)},
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output.report: ")
+
+
+@pytest.mark.parametrize(
+    "dotted, value, message",
+    [
+        ("params.eps", 5.0, "expected a real number in (0, 1), got 5.0"),
+        ("params.eps", "0.01", "expected a finite real number, got '0.01'"),
+        ("params.zeta", True, "expected a finite real number, got True"),
+        ("schedule.r1", -1, "expected a real number > 0, got -1"),
+        ("schedule.r1", math.inf, "expected a finite real number, got inf"),
+        ("schedule.margin", math.nan, "expected a finite real number, got nan"),
+        ("schedule.margin", math.inf, "expected a finite real number, got inf"),
+        ("schedule.margin", True, "expected a finite real number, got True"),
+        ("schedule.margin", -0.5, "expected a real number >= 0, got -0.5"),
+        ("schedule.margin", 10**400, "expected a finite real number, got 1000"),
+        ("bank.count", 3, "3 < schedule.levels + 1 = 4"),
+        ("bank.block_width", 2, "expected an integer >= 3, got 2"),
+    ],
+)
+def test_run_rejects_bad_real_or_count_naming_key(
+    tmp_path, capsys, monkeypatch, dotted, value, message
+):
+    # each of these was accepted (a string or a bool read by float), failed
+    # naming no key, or failed only after points, decomposition or
+    # certification had run
+    _forbid_pipeline(monkeypatch)
+    assert _run_with(tmp_path, dotted, value) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {dotted}: {message}")
+
+
+@pytest.mark.parametrize("value", [-0.5, "0.5", False, math.nan])
+def test_run_rejects_bad_eps_target(tmp_path, capsys, value):
+    path, cfg = _base_config(tmp_path)
+    del cfg["params"]
+    cfg["eps_target"] = value
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: eps_target: expected a ")
+
+
+@pytest.mark.parametrize(
+    "source, target, bank, message",
+    [
+        (
+            {"dim": 3, "norm": {"norm": "lp", "p": 1.0}},
+            {"dim": 17},
+            {"strategy": "block_shift", "count": 6},
+            "17 cannot hold 6 blocks of 3 columns",
+        ),
+        # the shape of the l2-to-l1-wide benchmark workload with a narrow target
+        (
+            {"dim": 2, "norm": {"norm": "lp", "p": 2.0}},
+            {"dim": 100, "norm": {"norm": "lp", "p": 1.0}},
+            {"strategy": "quadrature_l2_to_l1", "count": 6, "directions": 256, "seed": 3},
+            "100 cannot hold 6 blocks of 256 directions",
+        ),
+    ],
+    ids=["block_shift", "quadrature"],
+)
+def test_run_rejects_target_too_narrow_for_blocks(
+    tmp_path, capsys, monkeypatch, source, target, bank, message
+):
+    # this exited 1 once points were generated and decomposed
+    path, _ = _base_config(tmp_path, source=source, target=target, bank=bank)
+    _forbid_pipeline(monkeypatch)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: target.dim: {message}\n"
+
+
+def test_run_rejects_fewer_user_matrices_than_count(tmp_path, capsys, monkeypatch):
+    bank = {"strategy": "user_matrices", "count": 6, "matrices": _user_bank(5)}
+    path, _ = _base_config(tmp_path, bank=bank)
+    _forbid_pipeline(monkeypatch)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: bank.count: 6 > 5 matrices given\n"
