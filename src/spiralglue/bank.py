@@ -38,6 +38,7 @@ from .spaces import (  # noqa: F401
     image_norms,
     norm,
     norms,
+    row_blocks,
 )
 
 _TOL = 1e-12
@@ -105,7 +106,8 @@ class EmbeddingBank:
         return self.maps[0].target
 
 
-def _block_shift_matrices(source: Space, target: Space, count: int, width: int | None):
+def _block_shift_maps(source: Space, target: Space, count: int, width: int | None):
+    """psi_n as the identity band at target row n * width, built from the band alone."""
     bw = source.dim if width is None else int(width)
     if bw < source.dim:
         raise DimensionMismatch(f"block width {bw} smaller than source dim {source.dim}")
@@ -113,16 +115,13 @@ def _block_shift_matrices(source: Space, target: Space, count: int, width: int |
         raise DimensionMismatch(
             f"target dim {target.dim} cannot hold {count} blocks of width {bw}"
         )
-    mats = []
     eye = np.eye(source.dim)
-    for n in range(count):
-        m = np.zeros((target.dim, source.dim))
-        m[n * bw : n * bw + source.dim, :] = eye
-        mats.append(m)
-    return mats
+    return [LinearMap.from_band(eye, n * bw, source, target) for n in range(count)]
 
 
-def _quadrature_matrices(source: Space, target: Space, count: int, spec: QuadratureL2toL1):
+def _quadrature_maps(source: Space, target: Space, count: int, spec: QuadratureL2toL1):
+    """psi_n as the band of `directions` quadrature rows at target row
+    n * directions, built from the band alone."""
     if source.norm != Lp(2.0):
         raise ValueError("quadrature strategy requires an l2 source norm")
     if target.norm != Lp(1.0):
@@ -136,9 +135,8 @@ def _quadrature_matrices(source: Space, target: Space, count: int, spec: Quadrat
         )
     d = source.dim
     rng = np.random.default_rng(spec.seed)
-    mats = []
+    maps = []
     for n in range(count):
-        block = np.zeros((target.dim, d))
         if d == 1:
             rows = np.full((nd, 1), 1.0 / nd)
         elif d == 2:
@@ -156,9 +154,8 @@ def _quadrature_matrices(source: Space, target: Space, count: int, spec: Quadrat
             probe /= np.linalg.norm(probe, axis=1, keepdims=True)
             sums = np.abs(probe @ theta.T).sum(axis=1)
             rows = ((1.0 + 1e-9) / float(sums.min())) * theta
-        block[n * nd : (n + 1) * nd, :] = rows
-        mats.append(block)
-    return mats
+        maps.append(LinearMap.from_band(rows, n * nd, source, target))
+    return maps
 
 
 def build_bank(
@@ -185,33 +182,38 @@ def build_bank(
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
     vectors = as_rows(certify_set, source.dim)
-    # each distinct row is normed and imaged once: `distinct` holds the
-    # distinct nonzero rows, and `where` the one of each nonzero row, in order
+    # each distinct row is normed and imaged once: `take` holds the distinct
+    # nonzero rows, and `where` the one of each nonzero row, in order; the
+    # rows are gathered a chunk at a time, so no copy of them outlives a chunk
     take, inverse = distinct_rows(vectors)
-    distinct = vectors[take]
-    source_norms = norms(source, distinct)
+    source_norms = np.empty(len(take))
+    for chunk in row_blocks(len(take), source.dim):
+        source_norms[chunk] = norms(source, vectors[take[chunk]])
     nonzero = source_norms > 0.0
     if not nonzero.any():
         raise ValueError("certify_set must contain at least one nonzero vector")
-    distinct, source_norms = distinct[nonzero], source_norms[nonzero]
+    take, source_norms = take[nonzero], source_norms[nonzero]
     where = (np.cumsum(nonzero) - 1)[inverse[nonzero[inverse]]]
+    chunks = list(row_blocks(len(take), source.dim))
 
     if isinstance(strategy, BlockShift):
-        mats = _block_shift_matrices(source, target, count, strategy.block_width)
+        maps = _block_shift_maps(source, target, count, strategy.block_width)
     elif isinstance(strategy, QuadratureL2toL1):
-        mats = _quadrature_matrices(source, target, count, strategy)
+        maps = _quadrature_maps(source, target, count, strategy)
     else:
         if len(strategy.matrices) < count:
             raise ValueError(f"strategy provides {len(strategy.matrices)} < count {count} maps")
-        mats = [np.asarray(m, dtype=float) for m in strategy.matrices[:count]]
+        maps = [LinearMap(m, source, target) for m in strategy.matrices[:count]]
 
     eps_n = (1.0 + gamma) ** (1.0 / count) - 1.0
-    maps = tuple(LinearMap(m, source, target) for m in mats)
     lo_margins = []
     hi_margins = []
+    image = np.empty(len(take))
     for n, lin in enumerate(maps):
+        for chunk in chunks:
+            image[chunk] = image_norms(lin, vectors[take[chunk]])
         # norm(target, lin v) / norm(source, v) over the nonzero rows v, in order
-        ratios = (image_norms(lin, distinct) / source_norms)[where]
+        ratios = (image / source_norms)[where]
         k_lo = int(np.argmin(ratios))
         k_hi = int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - _TOL:
@@ -222,7 +224,7 @@ def build_bank(
         hi_margins.append((1.0 + eps_n) - float(ratios[k_hi]))
     slots = (eps_n,) * count
     assert np.prod(1.0 + np.array(slots)) <= (1.0 + gamma) * (1.0 + _TOL)
-    return EmbeddingBank(maps, slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
+    return EmbeddingBank(tuple(maps), slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
 
 
 def spreading_limit_estimate(

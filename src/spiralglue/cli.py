@@ -104,8 +104,9 @@ _CONFIG_KEYS = {
     "norm=max_abs": "norm functionals",
 }
 
-# the most matrix elements a generated bank (block_shift, quadrature) may
-# hold: count maps of target.dim x source.dim each, built densely (1 GiB)
+# the most matrix elements of a generated bank (block_shift, quadrature):
+# count maps of target.dim x source.dim each (1 GiB dense). The maps keep only
+# their hulls, but the target width sets the width of every image a run forms
 MAX_BANK_ELEMENTS = 1 << 27
 
 
@@ -480,13 +481,23 @@ def _write_pairs_csv(path: str, dist: DistortionReport) -> None:
 
 
 def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
-    """schedule -> points -> decomposition -> bank -> selection -> glue -> sweep."""
+    """schedule -> points -> decomposition -> certified bank -> selection ->
+    glue -> sweep, with the time of each stage under `timings`.
+
+    The certification vectors (every pair difference among them) live only
+    while build_bank certifies, and the decomposition only until selection,
+    so neither is held through the sweep."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    sched = build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
-    timings["schedule"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
+    def lap(stage: str) -> None:
+        nonlocal t0
+        t1 = time.perf_counter()
+        timings[stage] = t1 - t0
+        t0 = t1
+
+    sched = build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
+    lap("schedule")
     if cfg.points is not None:
         pts = cfg.points
     else:
@@ -494,21 +505,24 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
         pts = generate_annular(
             gen["seed"], sched, gen["per_level"], cfg.source.dim, gen["placement"], cfg.source.norm
         )
+    lap("generate")
     decomp = decompose(pts, sched)
-    timings["points"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    certify = _certify_vectors(cfg, pts, decomp)
+    lap("decompose")
     bank = build_bank(
-        cfg.strategy, cfg.source, cfg.target, cfg.params.gamma, cfg.bank_count, certify
+        cfg.strategy,
+        cfg.source,
+        cfg.target,
+        cfg.params.gamma,
+        cfg.bank_count,
+        _certify_vectors(cfg, pts, decomp),
     )
+    lap("certify")
     selection = select_subsequence(bank, decomp, cfg.params.zeta)
-    timings["bank"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    del decomp
+    lap("select")
     g = GlueEmbedding(sched, bank, selection)
     dist = distortion_report(g, pts, tol=tolerance)
-    timings["sweep"] = time.perf_counter() - t0
+    lap("sweep")
 
     report = _report_dict(cfg, sched, bank, selection, dist)
     report["timings"] = timings
@@ -559,7 +573,15 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None and cfg.generator is not None:
+    if args.seed is not None:
+        if cfg.generator is None:
+            given = "file" if "file" in cfg.raw["points"] else "inline"
+            print(
+                f"config error: --seed: the points come from points.{given}; "
+                "only points.generator takes a seed",
+                file=sys.stderr,
+            )
+            return 2
         cfg.generator["seed"] = args.seed
     report_key = "--out" if args.out is not None else "output.report"
     try:

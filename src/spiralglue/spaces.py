@@ -10,12 +10,16 @@ rows by one stacked matrix-vector product and `blend_apply` forms the
 two-map blend of rows from it. Batched code bounds each block of rows it
 forms by BATCH_ELEMENTS elements via `row_blocks`.
 
-A map multiplies only its hull: the rows from its first to its last nonzero
-row, widened to multiples of _HULL_ALIGN. The rows outside it are zero, so
-their images are the zeros `apply` starts from. The images inside it are
-bit-equal to the full product's because the BLAS matrix-vector kernel forms
-outputs in aligned groups (of 4 in OpenBLAS's dgemv_t), and a row's bits
-depend on its place in its group; a property test guards this.
+A map stores and multiplies only its hull: the rows from its first to its
+last nonzero row, widened to multiples of _HULL_ALIGN. `LinearMap.from_band`
+builds a map from its nonzero band alone, so a generated bank never forms a
+dense matrix; `LinearMap(matrix, ...)` keeps a copy of a dense matrix's hull,
+and `.matrix` forms the dense matrix anew on each read. The rows outside the
+hull are zero, so their images are the zeros `apply` starts from. The
+images inside it are bit-equal to the full product's because the BLAS
+matrix-vector kernel forms outputs in aligned groups (of 4 in OpenBLAS's
+dgemv_t), and a row's bits depend on its place in its group; a property
+test guards this.
 
 `image_norms` gives the norms of a map's images, as certification needs
 them, bit-equal to `norms` of `apply`: one zero buffer of a block of images
@@ -29,9 +33,11 @@ it adds are those `apply` would have written. `blend_apply` and
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: certification
-images each distinct nonzero certify row once per map, and `direction_gain`
-blends each distinct (theta, u) row once. Every kernel here is row-wise, so
-the gathered values are the bits of evaluating every row.
+images each distinct nonzero certify row once per map, and the sweep's
+sandwich blends each distinct (theta, u) row once. `direction_gain` itself
+does not group: selection's level checks never repeat a row. Every kernel
+here is row-wise, so the gathered values are the bits of evaluating every
+row.
 """
 
 from __future__ import annotations
@@ -312,49 +318,84 @@ def norm(space: Space, x) -> float:
     return float(norms(space, x[None])[0])
 
 
-def _hull_rows(m: np.ndarray) -> slice:
-    """The rows [lo, hi) from the first to the last row of m holding a nonzero
-    bit pattern (so -0.0 counts), with lo rounded down and hi rounded up to a
-    multiple of _HULL_ALIGN and capped at the row count; empty for a zero m.
+def _hull_rows(band: np.ndarray, start: int = 0, total: int | None = None) -> slice:
+    """The hull of a matrix of `total` rows (by default len(band)) whose rows
+    start, start + 1, ... are those of `band` and whose other rows are zero:
+    the rows [lo, hi) from the first to the last row holding a nonzero bit
+    pattern (so -0.0 counts), with lo rounded down and hi rounded up to a
+    multiple of _HULL_ALIGN and capped at the row count; empty for a zero band.
     A one-row hull short of the whole matrix takes one more aligned group
     below it: numpy sends a one-row product to dot, not to the matrix-vector
     kernel that forms the full product's rows."""
-    rows = np.flatnonzero(np.any(m.view(np.uint64) != 0, axis=1))
+    total = len(band) if total is None else total
+    rows = np.flatnonzero(np.any(band.view(np.uint64) != 0, axis=1))
     if rows.size == 0:
         return slice(0, 0)
-    lo = int(rows[0]) // _HULL_ALIGN * _HULL_ALIGN
-    hi = min(-(-(int(rows[-1]) + 1) // _HULL_ALIGN) * _HULL_ALIGN, m.shape[0])
-    if hi - lo == 1 and m.shape[0] > 1:
+    lo = (start + int(rows[0])) // _HULL_ALIGN * _HULL_ALIGN
+    hi = min(-(-(start + int(rows[-1]) + 1) // _HULL_ALIGN) * _HULL_ALIGN, total)
+    if hi - lo == 1 and total > 1:
         lo -= _HULL_ALIGN
     return slice(lo, hi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearMap:
-    """A dense linear map between two spaces, stored as a (target.dim, source.dim) matrix.
+    """A linear map between two spaces, a (target.dim, source.dim) matrix
+    stored as its hull: `rows` is the hull's slice of the matrix rows (see
+    `_hull_rows`) and `hull` the read-only matrix rows on it; every row outside
+    the hull is zero.
 
-    `rows` is the map's hull (see `_hull_rows`) and `hull` the view of the
-    matrix on it: every row outside the hull is zero.
+    LinearMap(matrix, source, target) takes a dense matrix and keeps a copy of
+    its hull; LinearMap.from_band builds a map from its nonzero band alone, so
+    no dense matrix is ever formed. `matrix` forms the dense read-only matrix
+    anew on each read.
     """
 
-    matrix: np.ndarray
     source: Space
     target: Space
-    rows: slice = field(init=False, repr=False)
-    hull: np.ndarray = field(init=False, repr=False)
+    rows: slice = field(repr=False)
+    hull: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        m = _freeze(self.matrix)
-        if m.shape != (self.target.dim, self.source.dim):
+    def __init__(self, matrix, source: Space, target: Space):
+        m = np.asarray(matrix, dtype=float)
+        if m.shape != (target.dim, source.dim):
+            raise DimensionMismatch(f"matrix shape {m.shape} != ({target.dim}, {source.dim})")
+        self._keep(m, 0, source, target)
+
+    @classmethod
+    def from_band(cls, band, start: int, source: Space, target: Space) -> LinearMap:
+        """The map whose matrix rows start, start + 1, ... are the rows of
+        `band` and whose other rows are zero."""
+        b = np.asarray(band, dtype=float)
+        if b.ndim != 2 or b.shape[1] != source.dim or not 0 <= start <= target.dim - len(b):
             raise DimensionMismatch(
-                f"matrix shape {m.shape} != ({self.target.dim}, {self.source.dim})"
+                f"band shape {b.shape} at row {start} does not fit ({target.dim}, {source.dim})"
             )
-        if not np.all(np.isfinite(m)):
+        lin = cls.__new__(cls)
+        lin._keep(b, start, source, target)
+        return lin
+
+    def _keep(self, band: np.ndarray, start: int, source: Space, target: Space) -> None:
+        if not np.all(np.isfinite(band)):
             raise ValueError("matrix has non-finite entries")
-        object.__setattr__(self, "matrix", m)
-        rows = _hull_rows(m)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "hull", m[rows])
+        rows = _hull_rows(band, start, target.dim)
+        hull = np.zeros((rows.stop - rows.start, source.dim))
+        # the band's rows outside the hull are zero
+        lo, hi = max(rows.start, start), min(rows.stop, start + len(band))
+        if lo < hi:
+            hull[lo - rows.start : hi - rows.start] = band[lo - start : hi - start]
+        hull.flags.writeable = False
+        for name, value in (("source", source), ("target", target), ("rows", rows), ("hull", hull)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (target.dim, source.dim) matrix, read-only, formed on
+        each read: zeros with the hull in its rows."""
+        m = np.zeros((self.target.dim, self.source.dim))
+        m[self.rows] = self.hull
+        m.flags.writeable = False
+        return m
 
 
 def apply(m: LinearMap, x) -> Vector:
@@ -421,32 +462,27 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     """Target norm of cos(theta)*first(u) + sin(theta)*second(u) for unit u.
 
     A 1-d u with one angle gives a float. A (k, dim) array of rows with k
-    angles gives the k gains as an array, each bit-equal to the one-row call.
-    Each distinct (theta, u) row (see distinct_rows) is evaluated once and its
-    gain gathered back to its rows: cos and sin come from cos_sin, and
-    blend_apply forms the blend images of the distinct rows in row blocks of
-    twice the target width. The first non-unit row raises ValueError.
+    angles gives the k gains as an array, each bit-equal to the one-row call:
+    cos and sin come from cos_sin, and blend_apply forms the blend images in
+    row blocks of twice the target width. The first non-unit row raises
+    ValueError. Rows are not grouped here: a caller whose rows repeat groups
+    them with distinct_rows and gathers the gains back.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:
         return float(direction_gain([theta], U[None, :], first, second)[0])
     U = as_rows(U, first.source.dim)
     theta = np.asarray(theta, dtype=float).reshape(-1)
+    # a non-unit row is reported before a miscount
+    _check_unit(norms(first.source, U))
     if theta.size != len(U):
-        # a non-unit row is reported before a miscount
-        _check_unit(norms(first.source, U))
         raise ValueError(f"need one angle per row, got {theta.size} for {len(U)} rows")
-    take, inverse = distinct_rows(theta, U)
-    # groups are numbered by their first row, so the first non-unit group
-    # holds the first non-unit row
-    _check_unit(norms(first.source, U[take]))
-    c, s = cos_sin(theta[take])
-    gains = np.empty(len(take))
-    for block in row_blocks(len(take), 2 * first.target.dim):
-        rows = take[block]
+    c, s = cos_sin(theta)
+    gains = np.empty(len(U))
+    for block in row_blocks(len(U), 2 * first.target.dim):
         # the blend goes straight into norms, so no block outlives its iteration
-        gains[block] = norms(first.target, blend_apply(c[block], s[block], first, second, U[rows]))
-    return gains[inverse]
+        gains[block] = norms(first.target, blend_apply(c[block], s[block], first, second, U[block]))
+    return gains
 
 
 def _check_unit(nu: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
 from .pointset import LocallyFiniteSet, classify_levels, level_intervals
 from .schedule import Params, build_schedule, log_radius, sandwich_angles_log
-from .spaces import Lp, Space, direction_gain, norm, norms, row_blocks
+from .spaces import Lp, Space, direction_gain, distinct_rows, norm, norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_TOL = 1e-9
@@ -251,7 +251,7 @@ def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, y, ny):
     pairs with log radii log_x >= log_y > -inf: the angles sigma and theta of
     each pair, the gains G_sigma(diff/ndiff) and G_theta(y/ny), and the
     bracket G_sigma -+ eps G_theta. The unit rows go to direction_gain in
-    row blocks."""
+    row blocks, each distinct (theta, u) row of a block once."""
     sigma, _, theta = sandwich_angles_log(g.schedule, level, log_x, log_y)
     k, dim = diff.shape
     # sigma and theta rows alternate, so a non-unit row is reported in pair order
@@ -263,7 +263,12 @@ def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, y, ny):
         units[0::2] = diff[block] / ndiff[block, None]
         units[1::2] = y[block] / ny[block, None]
         both = slice(2 * block.start, 2 * block.stop)
-        gains[both] = direction_gain(turns[both], units, g.map_at(level), g.map_at(level + 1))
+        # each distinct (theta, u) row is blended once; groups are numbered by
+        # their first row, so the first non-unit group holds the first non-unit row
+        take, inverse = distinct_rows(turns[both], units)
+        gains[both] = direction_gain(
+            turns[both][take], units[take], g.map_at(level), g.map_at(level + 1)
+        )[inverse]
     gsw, gtv = gains[0::2], gains[1::2]
     eps = g.schedule.params.eps
     return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv

@@ -4,14 +4,16 @@ sandwich angles at linear radii, the one-vector norm, map image, two-map
 blend, level map and decomposition residual, the row norms with every
 elementwise pass over every column, the decompose that scans every
 direction found so far for each distinct unit difference, and the
-certification and row gain that evaluate every row, repeats included. The
+certification and row gain that evaluate every row, repeats included, and
+the generated banks' dense matrices. The
 pipeline uses `pointset.classify_levels` on arrays of level intervals,
 `schedule.ramp_angle_log` and `schedule.sandwich_angles_log` on log radii,
 the row kernels `spaces.norms`, `spaces.image_norms`, `spaces.apply` and
 `spaces.blend_apply`, whose norms run their elementwise passes in place on
 the columns that can be nonzero, a decompose that groups the directions by
 sort-and-sweep instead, and a certification and row gain that evaluate each
-distinct row once (`spaces.distinct_rows`).
+distinct row once (`spaces.distinct_rows`), and maps built from their
+nonzero band alone (`LinearMap.from_band`).
 """
 
 import math
@@ -325,3 +327,42 @@ def leaders_scan(rows) -> list[int]:
         else:
             lead.append(leaders[k])
     return lead
+
+
+def block_shift_matrices(source, target, count: int, width) -> list[np.ndarray]:
+    """The dense matrices of a BlockShift bank: the identity at target row
+    n * width of map n."""
+    bw = source.dim if width is None else int(width)
+    mats = []
+    for n in range(count):
+        m = np.zeros((target.dim, source.dim))
+        m[n * bw : n * bw + source.dim, :] = np.eye(source.dim)
+        mats.append(m)
+    return mats
+
+
+def quadrature_matrices(source, target, count: int, spec) -> list[np.ndarray]:
+    """The dense matrices of a QuadratureL2toL1 bank, drawn from the seeded
+    generator in the same order as the bank."""
+    nd, d = spec.directions, source.dim
+    rng = np.random.default_rng(spec.seed)
+    mats = []
+    for n in range(count):
+        block = np.zeros((target.dim, d))
+        if d == 1:
+            rows = np.full((nd, 1), 1.0 / nd)
+        elif d == 2:
+            offset = rng.uniform(0.0, 2.0 * math.pi)
+            phi = offset + 2.0 * math.pi * np.arange(nd) / nd
+            w = math.tan(math.pi / nd) / 2.0
+            rows = w * np.column_stack([np.cos(phi), np.sin(phi)])
+        else:
+            theta = rng.standard_normal((nd, d))
+            theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+            probe = rng.standard_normal((4096, d))
+            probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+            sums = np.abs(probe @ theta.T).sum(axis=1)
+            rows = ((1.0 + 1e-9) / float(sums.min())) * theta
+        block[n * nd : (n + 1) * nd, :] = rows
+        mats.append(block)
+    return mats

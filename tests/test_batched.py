@@ -797,7 +797,7 @@ def _assert_hull_bit_equal(first, second, X, c, s):
     for m in (first, second):
         lo, hi = m.rows.start, m.rows.stop
         assert not m.matrix[:lo].any() and not m.matrix[hi:].any()
-        assert hi == lo or np.shares_memory(m.hull, m.matrix)
+        assert m.matrix[m.rows].tobytes() == m.hull.tobytes()
         full = np.matmul(m.matrix, X[:, :, None])[:, :, 0]
         images = sg.apply(m, X)
         assert images.tobytes() == full.tobytes()

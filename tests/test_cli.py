@@ -412,6 +412,32 @@ def test_placements_have_one_owner():
         )
 
 
+@pytest.mark.parametrize("key", ["inline", "file"])
+def test_run_rejects_seed_with_given_points(tmp_path, capsys, monkeypatch, key):
+    # --seed used to be ignored in silence when no generator makes the points
+    rows = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+    if key == "file":
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"dim": 3, "norm": {"norm": "lp", "p": 1.0}, "points": rows}))
+        rows = str(points)
+    path, _ = _base_config(tmp_path, points={key: rows})
+    _forbid_pipeline(monkeypatch)
+    assert main(["run", "--config", str(path), "--seed", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: --seed: the points come from points.{key}")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_times_each_stage(tmp_path):
+    path, _ = _base_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    timings = json.loads((tmp_path / "report.json").read_text())["timings"]
+    stages = ["schedule", "generate", "decompose", "certify", "select", "sweep"]
+    assert list(timings) == sorted(stages)
+    assert all(v >= 0.0 for v in timings.values())
+
+
 @pytest.mark.parametrize(
     "file_dim, source_p, code",
     [(3, 2.0, 0), (4, 2.0, 2), (3, 1.0, 2)],
