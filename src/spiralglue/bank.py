@@ -35,6 +35,7 @@ from .spaces import (  # noqa: F401
     blend_apply,
     direction_gain,
     distinct_rows,
+    image_chunks,
     image_norms,
     norm,
     norms,
@@ -194,7 +195,7 @@ def build_bank(
         raise ValueError("certify_set must contain at least one nonzero vector")
     take, source_norms = take[nonzero], source_norms[nonzero]
     where = (np.cumsum(nonzero) - 1)[inverse[nonzero[inverse]]]
-    chunks = list(row_blocks(len(take), source.dim))
+    chunks = list(image_chunks(len(take), source, target))
 
     if isinstance(strategy, BlockShift):
         maps = _block_shift_maps(source, target, count, strategy.block_width)

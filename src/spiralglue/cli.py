@@ -468,7 +468,8 @@ _PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
 def _write_pairs_csv(path: str, dist: DistortionReport) -> None:
     """One row per pair, as csv.writer writes ids, kinds and float reprs
     (none needs quoting), from the report's pair columns a block of rows at
-    a time, each distinct float formatted once."""
+    a time, each distinct float formatted once. The report must have kept
+    its pair table (distortion_report's keep_pairs)."""
     pairs = dist.pair_checks
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_PAIRS_HEADER) + "\r\n")
@@ -486,7 +487,8 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
 
     The certification vectors (every pair difference among them) live only
     while build_bank certifies, and the decomposition only until selection,
-    so neither is held through the sweep."""
+    so neither is held through the sweep. The sweep keeps its table of every
+    judged pair only when a pairs CSV is to be written from it."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
@@ -521,7 +523,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     del decomp
     lap("select")
     g = GlueEmbedding(sched, bank, selection)
-    dist = distortion_report(g, pts, tol=tolerance)
+    dist = distortion_report(g, pts, tol=tolerance, keep_pairs=cfg.pairs_csv_path is not None)
     lap("sweep")
 
     report = _report_dict(cfg, sched, bank, selection, dist)
@@ -617,7 +619,7 @@ def cmd_run(args) -> int:
             return 2
     print(
         f"distortion {dist.distortion!r} <= bound {dist.bounds.ratio!r} "
-        f"over {len(dist.pair_checks)} pairs"
+        f"over {sum(c.count for c in dist.by_class.values())} pairs"
     )
     return 0
 

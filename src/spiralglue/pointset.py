@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import RadiiSchedule, check_log_radius, log_radius, ramp_angle_log
-from .spaces import (
+# norm is not called here, but bench/spans.py wraps pointset.norm
+from .spaces import (  # noqa: F401
     Lp,
     NormSpec,
     Space,
@@ -286,7 +287,9 @@ def generate_annular(
 
     placement selects the norm sub-region per level: "plateau" lands in
     [R_{i-1}, r_i], "ramp" in (r_i, R_i), "mixed" alternates. The origin is
-    always included, as point id 0.
+    always included, as point id 0. Each point draws its log norm, then its
+    direction (drawn again while zero); the directions are normed in one
+    call and each row is scaled by math.exp(log norm - math.log(its norm)).
     """
     if per_level < 1:
         raise ValueError("per_level must be >= 1")
@@ -294,7 +297,8 @@ def generate_annular(
         raise ValueError(f"unknown placement {placement!r}")
     space = Space(dim, norm_spec)
     rng = np.random.default_rng(seed)
-    rows = [np.zeros(dim)]
+    rows = np.zeros((1 + sched.levels * per_level, dim))
+    log_targets = []
     for level in range(1, sched.levels + 1):
         plateau_lo = sched.log_R[level - 2] if level >= 2 else sched.log_r[0] - math.log(4.0)
         plateau_hi = sched.log_r[level - 1]
@@ -310,12 +314,17 @@ def generate_annular(
             if log_target > math.log(np.finfo(float).max) - 1.0:
                 raise OverflowError("requested norms exceed the floating range")
             d = rng.standard_normal(dim)
-            nd = norm(space, d)
-            while nd == 0.0:  # pragma: no cover - probability zero
+            # a norm is zero exactly on the zero vector
+            while not d.any():  # pragma: no cover - probability zero
                 d = rng.standard_normal(dim)
-                nd = norm(space, d)
-            rows.append(d * math.exp(log_target - math.log(nd)))
-    return make_point_set(space, np.asarray(rows))
+            log_targets.append(log_target)
+            rows[len(log_targets)] = d
+    drawn = rows[1:]
+    scale = [
+        math.exp(t - math.log(nd)) for t, nd in zip(log_targets, norms(space, drawn).tolist())
+    ]
+    drawn *= np.array(scale)[:, None]
+    return make_point_set(space, rows)
 
 
 def points_to_dict(pts: LocallyFiniteSet) -> dict:

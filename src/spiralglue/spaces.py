@@ -441,6 +441,18 @@ def image_norms(m: LinearMap, X) -> np.ndarray:
     return out
 
 
+def image_chunks(rows: int, source: Space, target: Space):
+    """row_blocks(rows, source.dim), each cut down to a whole number of the
+    blocks in which image_norms images rows into target, where one fits: only
+    the last chunk then ends in a short block of images."""
+    step = max(1, BATCH_ELEMENTS // source.dim)
+    images = max(1, BATCH_ELEMENTS // _block_width(target))
+    if images < step:
+        step -= step % images
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
 def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:
     """c*(first x) + s*(second x): floats c and s for a 1-d x, or one (c, s)
     pair per row of a (k, source.dim) array.

@@ -8,6 +8,7 @@ reflects what was actually built, not what was requested.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -439,9 +440,12 @@ class ClassSummary:
 
 @dataclass(frozen=True, eq=False)
 class DistortionReport:
-    """All pair ratios of a point set under the embedding, with witnesses;
-    pair_checks holds every judged pair as columns, and images the read-only
-    (n, target.dim) images of the points in point-set order."""
+    """All pair ratios of a point set under the embedding, with witnesses.
+
+    by_class holds one ClassSummary per class, in order of first appearance
+    in the sweep. pair_checks holds every judged pair as columns when the
+    sweep kept them, else it is an empty PairTable; images holds the
+    read-only (n, target.dim) images of the points in point-set order."""
 
     min_ratio: float
     max_ratio: float
@@ -460,17 +464,94 @@ def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
     return bounds_from_values(sched.params.eps, sched.params.delta, g.bank.gamma, g.selection.zeta)
 
 
-def _first_min(values: np.ndarray) -> float:
-    # argmin returns the first extreme, as a running min that keeps ties would
-    return float(values[np.argmin(values)])
+def _keeps_min(kept: float, new: float) -> bool:
+    """Whether argmin over (kept, new), in that order, picks kept: it wins
+    ties, and the first NaN wins over any number."""
+    return kept <= new or kept != kept
 
 
-def _first_max(values: np.ndarray) -> float:
-    return float(values[np.argmax(values)])
+def _keeps_max(kept: float, new: float) -> bool:
+    return kept >= new or kept != kept
+
+
+# the rule of each running extreme of a ClassSummary, after its count
+_SUMMARY_KEEPS = (_keeps_min, _keeps_max, _keeps_min, _keeps_min)
+
+
+class _Summaries:
+    """The class summaries and ratio witnesses of a sweep, fed one block of
+    judged pairs at a time, equal to reductions over the whole sweep's
+    columns: classes in order of first appearance, and the first extreme
+    pair (the first NaN, as argmin and argmax take it) wins ties.
+
+    A block's classes are reduced as the contiguous runs of a stable sort by
+    class, with np.minimum/np.maximum.reduceat. Where values tie, any of
+    them has the bits of the first: ratios are norms over positive norms and
+    slacks are differences that round an exact 0 to +0.0, so no column holds
+    a -0.0 (and a NaN propagates, as it does through argmin)."""
+
+    def __init__(self):
+        # class code -> [count, min ratio, max ratio, min lower slack, min upper slack]
+        self.classes: dict[int, list] = {}
+        self.lo = self.hi = None  # (ratio, (x_id, y_id)) of the witnesses
+
+    def add(self, table: PairTable, rows: slice) -> None:
+        code, ratio = table.code[rows], table.ratio[rows]
+        order = np.argsort(code, kind="stable")
+        counts = np.bincount(code, minlength=len(_CLASSES)).tolist()
+        present = [c for c, count in enumerate(counts) if count]
+        starts = list(itertools.accumulate((counts[c] for c in present[:-1]), initial=0))
+        ratios = ratio[order]
+        extremes = zip(
+            np.minimum.reduceat(ratios, starts).tolist(),
+            np.maximum.reduceat(ratios, starts).tolist(),
+            np.minimum.reduceat(table.lower_slack[rows][order], starts).tolist(),
+            np.minimum.reduceat(table.upper_slack[rows][order], starts).tolist(),
+        )
+        found = []
+        for c, first, values in zip(present, order[starts].tolist(), extremes):
+            kept = self.classes.get(c)
+            if kept is None:
+                found.append((first, c, [counts[c], *values]))
+                continue
+            kept[0] += counts[c]
+            for k, (keeps, new) in enumerate(zip(_SUMMARY_KEEPS, values), 1):
+                if not keeps(kept[k], new):
+                    kept[k] = new
+        for _, c, summary in sorted(found):
+            self.classes[c] = summary
+        x_id, y_id = table.x_id[rows], table.y_id[rows]
+        lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
+        if self.lo is None or not _keeps_min(self.lo[0], float(ratio[lo])):
+            self.lo = (float(ratio[lo]), (int(x_id[lo]), int(y_id[lo])))
+        if self.hi is None or not _keeps_max(self.hi[0], float(ratio[hi])):
+            self.hi = (float(ratio[hi]), (int(x_id[hi]), int(y_id[hi])))
+
+    def by_class(self) -> dict:
+        return {_CLASSES[c]: ClassSummary(*summary) for c, summary in self.classes.items()}
+
+
+def _image_norms(target: Space, images, a: int, block: slice, out) -> None:
+    """out[j] = the target norm of images[a_j] - images[b_j] for the j-th
+    pair (a_j, b_j) of a block of the row-major pairs of the n images that
+    starts in row a. Each run of equal a is a broadcast difference of slice
+    views, in blocks of rows of the target width."""
+    n = len(images)
+    at = block.start
+    first = a * (2 * n - a - 1) // 2  # the index of pair (a, a + 1)
+    while at < block.stop:
+        end = first + n - 1 - a
+        stop = min(end, block.stop)
+        b = a + 1 + at - first
+        j = at - block.start
+        for rows in row_blocks(stop - at, target.dim):
+            others = images[b + rows.start : b + rows.stop]
+            out[j + rows.start : j + rows.stop] = norms(target, images[a] - others)
+        at, a, first = stop, a + 1, end
 
 
 def distortion_report(
-    g: GlueEmbedding, pts: LocallyFiniteSet, tol: float = DEFAULT_TOL
+    g: GlueEmbedding, pts: LocallyFiniteSet, tol: float = DEFAULT_TOL, keep_pairs: bool = True
 ) -> DistortionReport:
     """Sweep all unordered pairs, check every applicable inequality, and
     assert the measured distortion stays below the closed-form ratio.
@@ -478,9 +559,13 @@ def distortion_report(
     The points are embedded in one call, and each is normed and classified
     once. The pairs (a, b > a) are taken in row-major order and judged in
     blocks of pairs, with check_pair's verdict on every pair written into
-    the columns of a PairTable; class summaries and witnesses are reductions
-    over the columns. Every temporary of pairs times a row width is formed
-    in row blocks. A tol that is not finite and >= 0 raises ValueError.
+    the columns of a PairTable, and each block's columns are folded into the
+    class summaries and witnesses. With keep_pairs the table holds every
+    pair and is the report's pair_checks; without it, one table of a block
+    is reused, the report's pair_checks is empty, and the sweep keeps no
+    array of one entry per pair. Every temporary of pairs times a row width
+    is formed in row blocks. A tol that is not finite and >= 0 raises
+    ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -495,47 +580,35 @@ def distortion_report(
     ids = table.ids
     images = embed(g, coords)
     images.flags.writeable = False
-    # pair (a, b) sits at row_start[a] + (b - a - 1)
-    lengths = np.arange(n - 1, -1, -1)
-    row_start = np.cumsum(lengths) - lengths
+    # pair (a, b) sits at row_start[a] + (b - a - 1), row_start[a] the sum
+    # of the row lengths n - 1 - k for k < a
+    row_start = np.cumsum(np.arange(n, 0, -1)) - n
     size = n * (n - 1) // 2
-    nimage = np.empty(size)
-    for a in range(n - 1):
-        for block in row_blocks(n - 1 - a, g.target.dim):
-            others = images[a + 1 + block.start : a + 1 + block.stop]
-            start = row_start[a] + block.start
-            nimage[start : start + len(others)] = norms(g.target, images[a] - others)
-    out = PairTable(size)
-    for block in row_blocks(size, max(g.source.dim, _PAIR_WIDTH)):
+    width = max(g.source.dim, _PAIR_WIDTH)
+    step = next(row_blocks(size, width)).stop
+    out = PairTable(size if keep_pairs else step)
+    nimage = np.empty(step)
+    summaries = _Summaries()
+    for block in row_blocks(size, width):
         index = np.arange(block.start, block.stop)
         a = np.searchsorted(row_start, index, side="right") - 1
         b = index - row_start[a] + a + 1
+        _image_norms(g.target, images, int(a[0]), block, nimage)
         keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
         diff = coords[a] - coords[b]
         np.negative(diff, out=diff, where=~keep[:, None])
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)
+        k = block.stop - block.start
+        at = block.start if keep_pairs else 0
         _judge_pairs(
-            g, bounds, table, xs, ys, diff, norms(g.source, diff), nimage[block], tol,
-            out, block.start,
+            g, bounds, table, xs, ys, diff, norms(g.source, diff), nimage[:k], tol, out, at
         )
+        summaries.add(out, slice(at, at + k))
+    if not keep_pairs:
+        out = PairTable(0)
     out._freeze()
 
-    by_class = {}
-    codes, first = np.unique(out.code, return_index=True)
-    for code in codes[np.argsort(first)].tolist():
-        rows = out.code == code
-        r = out.ratio[rows]
-        by_class[_CLASSES[code]] = ClassSummary(
-            int(np.count_nonzero(rows)),
-            _first_min(r),
-            _first_max(r),
-            _first_min(out.lower_slack[rows]),
-            _first_min(out.upper_slack[rows]),
-        )
-    lo, hi = int(np.argmin(out.ratio)), int(np.argmax(out.ratio))
-    witness_min = (int(out.x_id[lo]), int(out.y_id[lo]))
-    witness_max = (int(out.x_id[hi]), int(out.y_id[hi]))
-    min_ratio, max_ratio = float(out.ratio[lo]), float(out.ratio[hi])
+    (min_ratio, witness_min), (max_ratio, witness_max) = summaries.lo, summaries.hi
     distortion = max_ratio / min_ratio
     if distortion > bounds.ratio + tol:
         raise BoundViolated(
@@ -543,6 +616,7 @@ def distortion_report(
             bounds.ratio + tol - distortion,
             f"witnesses {witness_max} / {witness_min}",
         )
+    by_class = summaries.by_class()
     return DistortionReport(
         min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, out, images
     )

@@ -625,6 +625,7 @@ def _assert_sweep_matches_oracle(g, pts):
     got = _outcome(lambda: list(sg.distortion_report(g, pts).pair_checks))
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
+        assert _outcome(lambda: sg.distortion_report(g, pts, keep_pairs=False)) == want
         return
     assert [_fields(pc) for pc in got] == [_fields(pc) for pc in want]
 
@@ -1325,8 +1326,10 @@ def stats_loop(pair_checks):
 
 
 @pytest.fixture(scope="module")
-def plateau_run():
-    """A plateau-only l2 run whose plateau pairs tie at ratio exactly 1.0."""
+def plateau_pipeline():
+    """The glue and points of a plateau-only l2 run whose plateau pairs tie
+    at ratio exactly 1.0. The run names no pairs CSV, so its own report keeps
+    no pair table: the tests sweep again."""
     cfg = parse_config(
         {
             "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
@@ -1335,12 +1338,15 @@ def plateau_run():
             "bank": {"strategy": "block_shift", "count": 6},
         }
     )
-    return run_pipeline(cfg)[1]
+    _, _, g, pts = run_pipeline(cfg)
+    return g, pts
 
 
-def _reports(l1_pipeline, plateau_run):
-    g, pts, _ = l1_pipeline
-    return {"mixed-l1": sg.distortion_report(g, pts), "plateau-l2": plateau_run}
+def _reports(l1_pipeline, plateau_pipeline, keep_pairs=True):
+    runs = {"mixed-l1": l1_pipeline[:2], "plateau-l2": plateau_pipeline}
+    return {
+        name: sg.distortion_report(g, pts, keep_pairs=keep_pairs) for name, (g, pts) in runs.items()
+    }
 
 
 def _pair_table(rng, size, ratio, lower, upper):
@@ -1373,8 +1379,8 @@ def _edge_float_report():
     return SimpleNamespace(pair_checks=_pair_table(rng, size, distinct, repeated, mixed))
 
 
-def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_run):
-    reports = {**_reports(l1_pipeline, plateau_run), "edge-floats": _edge_float_report()}
+def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_pipeline):
+    reports = {**_reports(l1_pipeline, plateau_pipeline), "edge-floats": _edge_float_report()}
     for name, dist in reports.items():
         _write_pairs_csv(str(tmp_path / f"{name}.csv"), dist)
         write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), dist)
@@ -1385,19 +1391,25 @@ def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_run):
     assert b",-0.0," in edge and b",nan," in edge and b",-inf\r\n" in edge
 
 
-def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_run):
-    reports = _reports(l1_pipeline, plateau_run)
+def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_pipeline, monkeypatch):
+    reports = _reports(l1_pipeline, plateau_pipeline)
+    # without the table, the summaries are folded in block by block: blocks
+    # of 4 pairs put every class and extreme in many blocks
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    streamed = _reports(l1_pipeline, plateau_pipeline, keep_pairs=False)
     assert {"plateau", "same", "ray", "far"} <= set(reports["mixed-l1"].by_class)
-    for dist in reports.values():
+    for name, dist in reports.items():
         by_class, lo, hi = stats_loop(dist.pair_checks)
-        # repr tells a float from a numpy scalar; dicts compare in insertion order
-        assert repr(list(dist.by_class.items())) == repr(list(by_class.items()))
-        assert dist.witness_min == (lo.x_id, lo.y_id)
-        assert dist.witness_max == (hi.x_id, hi.y_id)
-        assert repr((dist.min_ratio, dist.max_ratio)) == repr((lo.ratio, hi.ratio))
-        assert repr(dist.distortion) == repr(hi.ratio / lo.ratio)
+        for got in (dist, streamed[name]):
+            # repr tells a float from a numpy scalar; dicts compare in insertion order
+            assert repr(list(got.by_class.items())) == repr(list(by_class.items()))
+            assert got.witness_min == (lo.x_id, lo.y_id)
+            assert got.witness_max == (hi.x_id, hi.y_id)
+            assert repr((got.min_ratio, got.max_ratio)) == repr((lo.ratio, hi.ratio))
+            assert repr(got.distortion) == repr(hi.ratio / lo.ratio)
+        assert len(streamed[name].pair_checks) == 0
     # ties at both extremes, and most plateau pairs at exactly 1.0
-    ratios = plateau_run.pair_checks.ratio
+    ratios = reports["plateau-l2"].pair_checks.ratio
     assert np.count_nonzero(ratios == ratios.min()) > 1
     assert np.count_nonzero(ratios == ratios.max()) > 1
     assert np.count_nonzero(ratios == 1.0) > len(ratios) // 2
@@ -1446,6 +1458,30 @@ def test_run_builds_no_pair_check(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 0
+
+
+def test_tolerance_zero_violation_same_with_and_without_pairs_csv(tmp_path, monkeypatch, capsys):
+    # blocks of 4 pairs, so that the first violation lies many blocks into the sweep
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    outcomes = []
+    for outputs in (("report",), ("report", "pairs_csv")):
+        cfg = {
+            "source": {"dim": 3, "norm": {"norm": "lp", "p": 1.0}},
+            "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+            "points": {"generator": {"seed": 7, "per_level": 13, "placement": "mixed"}},
+            "bank": {"strategy": "block_shift", "count": 6},
+            "output": {key: str(tmp_path / key) for key in outputs},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--tolerance", "0"])
+        report = json.loads((tmp_path / "report").read_text())
+        outcomes.append((code, capsys.readouterr(), report["status"], report["error"]))
+    assert outcomes[0] == outcomes[1]
+    code, printed, status, error = outcomes[0]
+    assert (code, status, printed.out) == (1, "BoundViolated", "")
+    assert "'plateau_bracket'" in error and "pair (24, 14)" in error
+    assert not (tmp_path / "pairs_csv").exists()
 
 
 def test_sweep_temporaries_stay_within_batch(l1_pipeline, monkeypatch):

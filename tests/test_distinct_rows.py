@@ -206,6 +206,27 @@ def test_certification_images_each_distinct_nonzero_row_once(case):
         assert {row.tobytes() for row in X} == distinct
 
 
+def test_certification_chunks_are_whole_image_blocks(monkeypatch):
+    # at 64 elements a chunk gathers at most 32 rows of the 2-wide source,
+    # and image_norms images 3 rows of the 20-wide target a block: chunks of
+    # 30 rows leave only the last chunk's last block short
+    source, target = sg.Space(2, sg.Lp(1.0)), sg.Space(20, sg.Lp(1.0))
+    vectors = np.random.default_rng(3).standard_normal((100, 2))
+    want = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    seen = []
+
+    def counted(lin, X):
+        seen.append(len(X))
+        return sg.image_norms(lin, X)
+
+    monkeypatch.setattr(spiralglue.bank, "image_norms", counted)
+    got = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)
+    assert seen == [30, 30, 30, 10] * 4
+    margins = (want.cert_lower_margin, want.cert_upper_margin)
+    assert repr((got.cert_lower_margin, got.cert_upper_margin)) == repr(margins)
+
+
 # ---------------------------------------------------------------- row gain
 
 

@@ -1,9 +1,11 @@
 """Memory of certification and of the maps, measured with tracemalloc.
 
-A generated map keeps only its hull, and the certification vectors (every
-pair difference among them) live only while build_bank certifies. The
-bounds here are fixed numbers of bytes for fixed small inputs: a dense map
-or a certification array held past its stage exceeds them several times.
+A generated map keeps only its hull, the certification vectors (every
+pair difference among them) live only while build_bank certifies, and a
+sweep that keeps no pair table holds no array of one entry per pair. The
+bounds here are fixed numbers of bytes for fixed small inputs: a dense map,
+a certification array held past its stage or a column per pair exceeds
+them.
 """
 
 import json
@@ -50,13 +52,13 @@ def test_block_shift_bank_keeps_only_hulls():
     assert peak <= 1.0 * MB
 
 
-def _plateau_config() -> cli.RunConfig:
+def _config(dim: int, p: float, per_level: int, placement: str) -> cli.RunConfig:
     raw = {
-        "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
+        "source": {"dim": dim, "norm": {"norm": "lp", "p": p}},
         "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
         "schedule": {"r1": 1.0, "levels": 3, "margin": 0.01},
         "bank": {"strategy": "block_shift", "count": 6},
-        "points": {"generator": {"seed": 7, "per_level": 50, "placement": "plateau"}},
+        "points": {"generator": {"seed": 7, "per_level": per_level, "placement": placement}},
     }
     return cli.parse_config(json.loads(json.dumps(raw)))
 
@@ -78,7 +80,7 @@ def test_sweep_starts_without_certification_arrays(monkeypatch):
 
     monkeypatch.setattr(cli, "_certify_vectors", sized)
     monkeypatch.setattr(cli, "distortion_report", entered)
-    cfg = _plateau_config()
+    cfg = _config(16, 2.0, 50, "plateau")
     cli.run_pipeline(cfg)  # imports and caches of a first run are not counted
     tracemalloc.start()
     try:
@@ -88,6 +90,18 @@ def test_sweep_starts_without_certification_arrays(monkeypatch):
         tracemalloc.stop()
     assert seen["certify_bytes"] == 11_608 * 16 * 8
     assert seen["held"] - start < seen["certify_bytes"]
+
+
+def test_sweep_without_pair_table_keeps_no_column_per_pair():
+    # 121 points make 7260 pairs; a table of them (89 bytes a pair) and a
+    # column of their image difference norms (8 bytes) took the sweep's peak
+    # to 1.31 MB above its start
+    _, dist, g, pts = cli.run_pipeline(_config(3, 1.0, 40, "mixed"))
+    assert len(pts) == 121 and len(dist.pair_checks) == 0
+    report, kept, peak = _traced(sg.distortion_report, g, pts, sg.verify.DEFAULT_TOL, False)
+    assert len(report.pair_checks) == 0
+    assert kept <= 0.1 * MB
+    assert peak <= 1.0 * MB
 
 
 def _assert_maps_match_dense(maps, dense):
