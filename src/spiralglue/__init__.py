@@ -23,6 +23,7 @@ from .spaces import (
     WeightedLp,
     apply,
     blend_apply,
+    blend_norms,
     direction_gain,
     image_norms,
     norm,

@@ -195,7 +195,6 @@ def build_bank(
         raise ValueError("certify_set must contain at least one nonzero vector")
     take, source_norms = take[nonzero], source_norms[nonzero]
     where = (np.cumsum(nonzero) - 1)[inverse[nonzero[inverse]]]
-    chunks = list(image_chunks(len(take), source, target))
 
     if isinstance(strategy, BlockShift):
         maps = _block_shift_maps(source, target, count, strategy.block_width)
@@ -211,7 +210,7 @@ def build_bank(
     hi_margins = []
     image = np.empty(len(take))
     for n, lin in enumerate(maps):
-        for chunk in chunks:
+        for chunk in image_chunks(len(take), lin):
             image[chunk] = image_norms(lin, vectors[take[chunk]])
         # norm(target, lin v) / norm(source, v) over the nonzero rows v, in order
         ratios = (image / source_norms)[where]

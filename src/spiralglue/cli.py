@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -561,6 +562,16 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _with_seed(cfg: RunConfig, seed: int) -> RunConfig:
+    """cfg with its generator seed replaced, in the parsed generator and in
+    the raw config the report records, so that a report's config reruns the
+    run; the caller's dicts are left as they were."""
+    raw_points = cfg.raw["points"]
+    raw_generator = {**raw_points["generator"], "seed": seed}
+    raw = {**cfg.raw, "points": {**raw_points, "generator": raw_generator}}
+    return replace(cfg, raw=raw, generator={**cfg.generator, "seed": seed})
+
+
 def cmd_run(args) -> int:
     if not (0.0 <= args.tolerance < math.inf):
         print(
@@ -584,7 +595,7 @@ def cmd_run(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        cfg.generator["seed"] = args.seed
+        cfg = _with_seed(cfg, args.seed)
     report_key = "--out" if args.out is not None else "output.report"
     try:
         report_path = cfg.report_path if args.out is None else _output_path(args.out)
@@ -713,7 +724,11 @@ def _add_schedule_flags(p):
     p.add_argument("--margin", type=float, default=0.01)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a cyclic
+    structure, so one built per call would linger as garbage until the
+    cyclic collector runs, at a moment set by allocation counts."""
     parser = argparse.ArgumentParser(
         prog="spiralglue",
         description="Construct and verify low-distortion glued embeddings.",

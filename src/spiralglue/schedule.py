@@ -133,11 +133,15 @@ def log_radius(t):
 def check_log_radius(sched: RadiiSchedule, log_t) -> None:
     """Raise OutOfScheduleRange when log_t, a float or an array, lies beyond
     the schedule's coverage; the message names the first offending value."""
-    log_t = np.asarray(log_t, dtype=float).ravel()
-    bad = np.flatnonzero(log_t > sched.log_coverage + 1e-12 * max(1.0, abs(sched.log_coverage)))
-    if bad.size:
+    limit = sched.log_coverage + 1e-12 * max(1.0, abs(sched.log_coverage))
+    if np.ndim(log_t) == 0:
+        bad = [float(log_t)] if log_t > limit else []
+    else:
+        log_t = np.asarray(log_t, dtype=float).ravel()
+        bad = log_t[np.flatnonzero(log_t > limit)[:1]].tolist()
+    if bad:
         raise OutOfScheduleRange(
-            f"log norm {float(log_t[bad[0]])!r} exceeds schedule coverage {sched.log_coverage!r}"
+            f"log norm {bad[0]!r} exceeds schedule coverage {sched.log_coverage!r}"
         )
 
 
@@ -148,7 +152,14 @@ def ramp_angle_log(sched: RadiiSchedule, level: int, log_t):
 
     A float log_t gives a float; an array gives the angles as an array, each
     bit-equal to the float call (never -0.0; the origin, -inf, gives 0.0).
+    The float call runs the same IEEE operations on Python floats.
     """
+    if np.ndim(log_t) == 0 and np.ndim(level) == 0:
+        log_t = float(log_t)
+        if log_t >= float(sched.log_R[level - 1]):
+            return HALF_PI
+        a = sched.params.eps * (log_t - float(sched.log_r[level - 1]))
+        return min(a, HALF_PI) if a > 0.0 else 0.0
     log_t = np.asarray(log_t, dtype=float)
     a = sched.params.eps * (log_t - sched.log_r[level - 1])
     angle = np.where(
@@ -167,10 +178,11 @@ def level_weights_log(sched: RadiiSchedule, level, log_t):
     angle (numpy's vectorized cos may differ in the last ulp).
     """
     angle = ramp_angle_log(sched, level, log_t)
-    angles = np.ravel(angle).tolist()
+    one = isinstance(angle, float)
+    angles = [angle] if one else angle.tolist()
     c = [1.0 if a <= 0.0 else 0.0 if a >= HALF_PI else math.cos(a) for a in angles]
     s = [0.0 if a <= 0.0 else 1.0 if a >= HALF_PI else math.sin(a) for a in angles]
-    if np.ndim(angle) == 0:
+    if one:
         return c[0], s[0]
     return np.array(c), np.array(s)
 
@@ -195,9 +207,11 @@ def active_weights_log(sched: RadiiSchedule, log_t):
     to the float call.
     """
     check_log_radius(sched, log_t)
-    level = np.clip(np.searchsorted(sched.log_r, log_t, side="left"), 1, sched.levels)
+    level = np.searchsorted(sched.log_r, log_t, side="left")
     if np.ndim(level) == 0:
-        level = int(level)
+        level = min(max(int(level), 1), sched.levels)
+    else:
+        level = np.clip(level, 1, sched.levels)
     return (level, *level_weights_log(sched, level, log_t))
 
 
@@ -218,7 +232,8 @@ def weight(sched: RadiiSchedule, index: int, t: float) -> float:
         raise ValueError(f"weight index must be in 1..{sched.levels + 1}, got {index}")
     if t < 0.0 or not (t < math.inf):
         raise ValueError(f"radius must be a finite non-negative real, got {t!r}")
-    return float(_weight_table(sched, log_radius(np.array([t])))[0, index - 1])
+    level, c, s = active_weights_log(sched, log_radius(t))
+    return c if index == level else s if index == level + 1 else 0.0
 
 
 @dataclass(frozen=True)

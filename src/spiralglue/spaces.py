@@ -22,14 +22,21 @@ dgemv_t), and a row's bits depend on its place in its group; a property
 test guards this.
 
 `image_norms` gives the norms of a map's images, as certification needs
-them, bit-equal to `norms` of `apply`: one zero buffer of a block of images
-is reused for every block, only the hull's columns are ever written, and the
-norm's elementwise passes (max, rescaling, power, weights) run in place on
-those columns. Only the final reduction (the sum, or the stacked dot of the
-l2 norm) runs over every column: its bits depend on the full width, through
-numpy's pairwise summation tree and the BLAS dot's grouping, and the zeros
-it adds are those `apply` would have written. `blend_apply` and
-`direction_gain` still form full-width images.
+them, bit-equal to `norms` of `apply`, and `blend_norms` those of
+`blend_apply`'s blends, as `direction_gain` needs them: one zero buffer of a
+block of images is reused for every block, only the hull's columns are ever
+written, and the norm's elementwise passes (max, rescaling, power, weights)
+run in place on those columns. The buffer is only as wide as the node of
+numpy's pairwise summation tree that holds the hull (`_sum_span`): numpy
+reduces each row over that tree from column 0, every subtree outside the
+node sums exact zeros to +0.0, and adding +0.0 to the node's non-negative
+sum is exact, so the node's sum is the full-width sum, in the same order.
+The l-infinity max is exact over any columns and takes the node too. The
+l2 norm's stacked dot (whose bits depend on the BLAS dot's grouping over
+the full width) and the max-abs functionals keep a full-width buffer. A
+blend's buffer spans the node of the two hulls' union; outside a hull the
+full-width blend adds c*0 or s*0, which changes at most the sign of a zero,
+and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: certification
@@ -254,19 +261,25 @@ def _root(sums: np.ndarray, p: float) -> np.ndarray:
     return np.array([s**inv for s in sums.tolist()])
 
 
-def _abs_norms_block(spec: NormSpec, a: np.ndarray, cols) -> np.ndarray:
+def _abs_norms_block(spec: NormSpec, a: np.ndarray, cols: slice, start: int = 0) -> np.ndarray:
     """Row norms of a block `a` of absolute values that are zero outside the
-    columns `cols`, for an Lp or weighted Lp norm; `a` is overwritten.
+    columns `cols`, for an Lp or weighted Lp norm; `a` holds the target
+    columns start, start + 1, ... and is overwritten.
 
     The row maxima, the division by them, the p-th power and the weights run
-    in place on a[:, cols] only; the final sum or stacked dot runs over every
-    column. The bits are those of the full-width passes: max is exact, 0/m,
-    0**p and w*0 are 0, so the final reduction sees the same array, and its
-    bits depend on that array's full width (numpy's pairwise summation tree,
-    the BLAS dot's grouping)."""
+    in place on a[:, cols] only; the final sum, max or stacked dot runs over
+    every column of `a`. The bits are those of the full-width passes: max is
+    exact, 0/m, 0**p and w*0 are 0, so the final reduction sees the same
+    entries. A sum or max may run on a narrower `a`, the node of numpy's
+    pairwise summation tree that holds `cols` (see _sum_span), because the
+    zeros outside it add +0.0 to the node's sum; the l2 norm's stacked dot
+    groups its terms by the full width (the BLAS dot's grouping), so its `a`
+    spans every target column."""
     h = a[:, cols]
     p = spec.p
-    weights = spec.weights[cols] if isinstance(spec, WeightedLp) else None
+    weights = None
+    if isinstance(spec, WeightedLp):
+        weights = spec.weights[start + cols.start : start + cols.stop]
     if p == math.inf:
         if weights is not None:
             h *= weights
@@ -288,7 +301,7 @@ def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     if isinstance(spec, MaxAbsFunctionals):
         # stacked matrix-vector products: the same kernel as functionals @ x
         return np.abs(np.matmul(spec.functionals, X[:, :, None])[:, :, 0]).max(axis=1)
-    return _abs_norms_block(spec, np.abs(X), slice(None))
+    return _abs_norms_block(spec, np.abs(X), slice(0, X.shape[1]))
 
 
 def _block_width(space: Space) -> int:
@@ -297,6 +310,49 @@ def _block_width(space: Space) -> int:
     if isinstance(space.norm, MaxAbsFunctionals):
         return max(space.dim, space.norm.functionals.shape[0])
     return space.dim
+
+
+# numpy's pairwise summation: a range of at most _PAIRWISE_LEAF entries is
+# summed as a leaf; a longer one splits after half its length, rounded down to
+# a multiple of _PAIRWISE_UNROLL
+_PAIRWISE_LEAF = 128
+_PAIRWISE_UNROLL = 8
+
+
+def _sum_span(width: int, cols: slice) -> slice:
+    """The smallest node of numpy's pairwise summation tree over `width`
+    entries that holds the columns `cols` (an empty slice for empty cols).
+
+    numpy sums each row of a block over that tree from column 0, so when a
+    row of non-negative entries is zero outside `cols`, every subtree outside
+    the node sums to +0.0, which adds exactly to the node's sum: the sum over
+    the node alone has the bits of the full-width sum."""
+    lo, hi = 0, width
+    if cols.start >= cols.stop:
+        return slice(0, 0)
+    while hi - lo > _PAIRWISE_LEAF:
+        mid = (hi - lo) // 2
+        mid = lo + mid - mid % _PAIRWISE_UNROLL
+        if cols.stop <= mid:
+            hi = mid
+        elif cols.start >= mid:
+            lo = mid
+        else:
+            break
+    return slice(lo, hi)
+
+
+def _reduce_span(target: Space, cols: slice) -> tuple[slice, int]:
+    """The target columns over which a block of images that is zero outside
+    `cols` is normed with the bits of the full width, and the row width that
+    bounds the block of its norm: the node of _sum_span for a norm whose final
+    reduction is a sum or a max; every column for the l2 norm's stacked dot
+    and the max-abs functionals (whose width counts their products)."""
+    spec = target.norm
+    if isinstance(spec, Lp) and spec.p == 2.0 or isinstance(spec, MaxAbsFunctionals):
+        return slice(0, target.dim), _block_width(target)
+    span = _sum_span(target.dim, cols)
+    return span, span.stop - span.start
 
 
 def norms(space: Space, X) -> np.ndarray:
@@ -415,38 +471,56 @@ def apply(m: LinearMap, x) -> Vector:
     return images[0] if x.ndim == 1 else images
 
 
+def _shifted(cols: slice, start: int) -> slice:
+    """The columns cols of a buffer whose column 0 is target column start."""
+    return slice(cols.start - start, cols.stop - start) if cols.start < cols.stop else slice(0, 0)
+
+
+def _image_buffer(m: LinearMap) -> tuple[slice, int]:
+    """The target columns image_norms' buffer holds for map m (see
+    _reduce_span), and the row width of a block of images: the buffer's
+    width plus the hull's product, so both stay within BATCH_ELEMENTS."""
+    span, width = _reduce_span(m.target, m.rows)
+    return span, width + len(m.hull)
+
+
 def image_norms(m: LinearMap, X) -> np.ndarray:
     """norms(m.target, apply(m, X)) for the rows of a (k, source.dim) array,
     bit for bit, without forming the images anew per block.
 
-    One zero buffer of a block's images serves every block. The hull's
-    stacked product is written into the hull's columns, as absolute values
-    (signed for a max-abs norm, which takes its own products); the other
-    columns are never written and stay zero, and the norm's elementwise
-    passes run on the hull's columns only (see _abs_norms_block)."""
+    One zero buffer of a block's images, as wide as _reduce_span's columns of
+    the hull, serves every block. The hull's stacked product is written into
+    the hull's columns, as absolute values (signed for a max-abs norm, which
+    takes its own products); the other columns are never written and stay
+    zero, and the norm's elementwise passes run on the hull's columns only
+    (see _abs_norms_block)."""
     X = as_rows(X, m.source.dim)
     spec = m.target.norm
-    blocks = list(row_blocks(len(X), _block_width(m.target)))
-    buffer = np.zeros((blocks[0].stop if blocks else 0, m.target.dim))
+    span, width = _image_buffer(m)
+    cols = _shifted(m.rows, span.start)
+    blocks = list(row_blocks(len(X), width))
+    buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
     out = np.empty(len(X))
     for block in blocks:
         images = buffer[: block.stop - block.start]
         product = np.matmul(m.hull, X[block, :, None])[:, :, 0]
         if isinstance(spec, MaxAbsFunctionals):
-            images[:, m.rows] = product
+            images[:, cols] = product
             out[block] = _norms_block(spec, images)
         else:
-            np.abs(product, out=images[:, m.rows])
-            out[block] = _abs_norms_block(spec, images, m.rows)
+            # abs in place on the contiguous product: a ufunc writing into
+            # strided columns takes a buffer of up to a block's size
+            images[:, cols] = np.abs(product, out=product)
+            out[block] = _abs_norms_block(spec, images, cols, span.start)
     return out
 
 
-def image_chunks(rows: int, source: Space, target: Space):
-    """row_blocks(rows, source.dim), each cut down to a whole number of the
-    blocks in which image_norms images rows into target, where one fits: only
+def image_chunks(rows: int, m: LinearMap):
+    """row_blocks(rows, m.source.dim), each cut down to a whole number of the
+    blocks in which image_norms images rows under m, where one fits: only
     the last chunk then ends in a short block of images."""
-    step = max(1, BATCH_ELEMENTS // source.dim)
-    images = max(1, BATCH_ELEMENTS // _block_width(target))
+    step = max(1, BATCH_ELEMENTS // m.source.dim)
+    images = max(1, BATCH_ELEMENTS // _image_buffer(m)[1])
     if images < step:
         step -= step % images
     for start in range(0, rows, step):
@@ -470,15 +544,60 @@ def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:
     return blend
 
 
+def blend_norms(c, s, first: LinearMap, second: LinearMap, U) -> np.ndarray:
+    """norms(first.target, blend_apply(c, s, first, second, U)) for the rows
+    of a (k, source.dim) array with one (c, s) pair per row, bit for bit,
+    through one reused buffer of a block's blends.
+
+    The buffer holds _reduce_span's columns of the two hulls' union. Per
+    block, c times first's hull product is written into first's hull
+    columns, and s times second's is added into second's, zeroed first;
+    then the norm's passes run as in image_norms. Outside a hull the full
+    blend adds c*0 or s*0, which changes at most the sign of a zero: abs
+    removes it, and a max-abs dot passes it only to an all-zero sum."""
+    U = as_rows(U, first.source.dim)
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    spec = first.target.norm
+    hulls = [m.rows for m in (first, second) if m.rows.start < m.rows.stop]
+    union = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
+    span, width = _reduce_span(first.target, union)
+    union, first_cols, second_cols = (
+        _shifted(cols, span.start) for cols in (union, first.rows, second.rows)
+    )
+    blocks = list(row_blocks(len(U), width + len(first.hull) + len(second.hull)))
+    buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
+    out = np.empty(len(U))
+    for block in blocks:
+        blends = buffer[: block.stop - block.start]
+        # each product is dropped once written, so that it is not alive
+        # through the next product or the norm's passes
+        product = np.matmul(first.hull, U[block, :, None])[:, :, 0]
+        product *= c[block, None]
+        blends[:, second_cols] = 0.0
+        blends[:, first_cols] = product
+        del product
+        product = np.matmul(second.hull, U[block, :, None])[:, :, 0]
+        product *= s[block, None]
+        blends[:, second_cols] += product
+        del product
+        if isinstance(spec, MaxAbsFunctionals):
+            out[block] = _norms_block(spec, blends)
+        else:
+            # abs of the whole contiguous block (zeros outside the union)
+            # takes no ufunc buffer, as a strided column range would
+            out[block] = _abs_norms_block(spec, np.abs(blends, out=blends), union, span.start)
+    return out
+
+
 def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     """Target norm of cos(theta)*first(u) + sin(theta)*second(u) for unit u.
 
     A 1-d u with one angle gives a float. A (k, dim) array of rows with k
     angles gives the k gains as an array, each bit-equal to the one-row call:
-    cos and sin come from cos_sin, and blend_apply forms the blend images in
-    row blocks of twice the target width. The first non-unit row raises
-    ValueError. Rows are not grouped here: a caller whose rows repeat groups
-    them with distinct_rows and gathers the gains back.
+    cos and sin come from cos_sin, and blend_norms takes the norms of the
+    blends. The first non-unit row raises ValueError. Rows are not grouped
+    here: a caller whose rows repeat groups them with distinct_rows and
+    gathers the gains back.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:
@@ -489,12 +608,7 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     _check_unit(norms(first.source, U))
     if theta.size != len(U):
         raise ValueError(f"need one angle per row, got {theta.size} for {len(U)} rows")
-    c, s = cos_sin(theta)
-    gains = np.empty(len(U))
-    for block in row_blocks(len(U), 2 * first.target.dim):
-        # the blend goes straight into norms, so no block outlives its iteration
-        gains[block] = norms(first.target, blend_apply(c[block], s[block], first, second, U[block]))
-    return gains
+    return blend_norms(*cos_sin(theta), first, second, U)
 
 
 def _check_unit(nu: np.ndarray) -> None:

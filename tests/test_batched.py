@@ -1,6 +1,7 @@
 """Batched kernels against the scalar computations they replace.
 
-The row kernel `norms`, the certification kernel `image_norms`, the batched
+The row kernel `norms`, the certification kernel `image_norms`, the blend
+kernel `blend_norms` on the node of the pairwise sum, the batched
 `decompose` with its sort-and-sweep direction grouping, the certification
 array, the row gain with cos and sin once per distinct angle, the selection's level judge, the array ramp angle
 and weight evaluator, the one-call weight table, the row embedding with the
@@ -17,6 +18,7 @@ per-difference decompose and leader scan of `tests/oracles.py`.
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from types import SimpleNamespace
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spiralglue as sg
+import spiralglue.bank
 import spiralglue.cli
 import spiralglue.glue
 import spiralglue.pointset
@@ -807,6 +810,17 @@ def _assert_hull_bit_equal(first, second, X, c, s):
     want = [blend_apply_scalar(*cs, first, second, x).tobytes() for *cs, x in zip(c, s, X)]
     blends = sg.blend_apply(np.array(c), np.array(s), first, second, X)
     assert [row.tobytes() for row in blends] == want
+    # blend_norms gives the bits of the norms of those blends
+    for spec in _target_norms(first.target.dim):
+        target = sg.Space(first.target.dim, spec)
+        maps = _retarget(target, first, second)
+        want = sg.norms(target, sg.blend_apply(np.array(c), np.array(s), *maps, X)).tobytes()
+        assert sg.blend_norms(np.array(c), np.array(s), *maps, X).tobytes() == want
+
+
+def _retarget(target: sg.Space, *maps) -> list:
+    """Each map's hull as a map into target."""
+    return [sg.LinearMap.from_band(m.hull, m.rows.start, m.source, target) for m in maps]
 
 
 def _banded(target_dim: int, source_dim: int, lo: int, rows: np.ndarray) -> sg.LinearMap:
@@ -872,10 +886,30 @@ def test_apply_on_hull_edge_cases(target_dim, support):
         assert maps[0].hull.shape == (0, 3)
 
 
-def test_image_norms_temporaries_stay_within_batch(monkeypatch):
-    # 64 elements hold three rows of the 18-wide images and of the 20
-    # functionals' products: the one image buffer and every product of a
-    # block stay within the budget, with the bits of the default blocks
+def _sized(sizes, fn):
+    """fn, recording the size of every array it returns in sizes."""
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    return wrapper
+
+
+def _temporaries_case(wide: bool):
+    """(budget, maps, rows): 64 elements hold three rows of the 18-wide
+    images and of the 20 functionals' products; 4096 hold two to six rows
+    of a 1536-wide target's buffer (the node of a 256-row quadrature hull,
+    384 or 768 columns, or all 1536 for an l2 or max-abs norm) and the
+    hull's products."""
+    if wide:
+        source = sg.Space(2, sg.Lp(2.0))
+        quadrature = spiralglue.bank._quadrature_maps(
+            source, sg.Space(1536, sg.Lp(1.0)), 6, sg.QuadratureL2toL1(256, seed=3)
+        )
+        maps = [m for target in _targets(1536) for m in _retarget(target, *quadrature)]
+        return 4096, maps, np.random.default_rng(2).standard_normal((40, 2))
     target_dim = 18
     m = np.zeros((target_dim, 3))
     m[4:10] = np.random.default_rng(1).standard_normal((6, 3))
@@ -885,24 +919,183 @@ def test_image_norms_temporaries_stay_within_batch(monkeypatch):
         for spec in _target_norms(target_dim)
     ]
     assert len(maps[-1].target.norm.functionals) == 20
-    want = [sg.image_norms(lin, X).tobytes() for lin in maps]
-    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
-    sizes = []
-    matmul, zeros = np.matmul, np.zeros
+    return 64, maps, X
 
-    def sized(fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            sizes.append(out.size)
-            return out
 
-        return wrapper
+def _assert_temporaries_within_batch(norms_of):
+    """norms_of(maps, X) on each case of _temporaries_case at its budget:
+    every array of np.matmul and np.zeros stays within the budget, and the
+    bits are those of the default blocks."""
+    for wide in (False, True):
+        budget, maps, X = _temporaries_case(wide)
+        want = norms_of(maps, X)
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
+            mp.setattr(np, "matmul", _sized(sizes, np.matmul))
+            mp.setattr(np, "zeros", _sized(sizes, np.zeros))
+            got = norms_of(maps, X)
+        assert got == want
+        assert sizes and max(sizes) <= budget
 
-    monkeypatch.setattr(np, "matmul", sized(matmul))
-    monkeypatch.setattr(np, "zeros", sized(zeros))
-    got = [sg.image_norms(lin, X).tobytes() for lin in maps]
-    assert got == want
-    assert sizes and max(sizes) <= 64
+
+def test_image_norms_temporaries_stay_within_batch():
+    # the one image buffer and every product of a block
+    _assert_temporaries_within_batch(
+        lambda maps, X: [sg.image_norms(lin, X).tobytes() for lin in maps]
+    )
+
+
+def test_blend_norms_temporaries_stay_within_batch():
+    # the one blend buffer and both hulls' products of a block
+    def blend_norms(maps, X):
+        angles = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, len(X)).tolist()
+        c, s = np.cos(angles), np.sin(angles)
+        pairs = zip(maps, maps[1:] + maps[:1])
+        return [sg.blend_norms(c, s, *pair, X).tobytes() for pair in pairs]
+
+    _assert_temporaries_within_batch(blend_norms)
+
+
+# ------------------------------------------- the node of the pairwise sum
+
+
+def _pairwise_nodes(width: int) -> list[tuple[int, int]]:
+    """Every node (lo, hi) of numpy's pairwise summation tree over `width`
+    entries: a range of at most 128 is a leaf, a longer one of n entries
+    splits after n // 2 rounded down to a multiple of 8."""
+    nodes, todo = [], [(0, width)]
+    while todo:
+        lo, hi = todo.pop()
+        nodes.append((lo, hi))
+        if hi - lo > 128:
+            mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+            todo += [(lo, mid), (mid, hi)]
+    return nodes
+
+
+def _magnitudes(rng, kind: str, shape) -> np.ndarray:
+    """Non-negative entries of one kind: below 1, subnormal, near overflow,
+    or each entry of a kind drawn at random."""
+    if kind == "mixed":
+        pick = rng.integers(0, 3, shape)
+        parts = [_magnitudes(rng, k, shape) for k in ("unit", "subnormal", "huge")]
+        return np.choose(pick, parts)
+    if kind == "subnormal":
+        return rng.integers(1, 1 << 52, shape, dtype=np.uint64).view(float)
+    if kind == "huge":
+        return rng.random(shape) * np.finfo(float).max
+    return rng.random(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sum_over_the_node_has_the_bits_of_the_full_width_sum(data):
+    width = data.draw(st.integers(1, 5000))
+    lo = data.draw(st.integers(0, width))
+    hi = data.draw(st.integers(lo, width))
+    rows = data.draw(st.integers(0, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["unit", "subnormal", "huge", "mixed"]))
+    a = np.zeros((rows, width))
+    a[:, lo:hi] = _magnitudes(rng, kind, (rows, hi - lo))
+    a[:, lo:hi][rng.random((rows, hi - lo)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    if rows:
+        a[rng.integers(0, rows)] = 0.0
+    span = sg.spaces._sum_span(width, slice(lo, hi))
+    if lo == hi:
+        assert span == slice(0, 0)
+    else:
+        # the smallest node that holds the columns
+        nodes = _pairwise_nodes(width)
+        assert (span.start, span.stop) in nodes and span.start <= lo and hi <= span.stop
+        assert not any(
+            a0 <= lo and hi <= b0 and b0 - a0 < span.stop - span.start for a0, b0 in nodes
+        )
+    with np.errstate(over="ignore"):
+        want = a.sum(axis=1).tobytes()
+        assert a[:, span].sum(axis=1).tobytes() == want
+        assert np.ascontiguousarray(a[:, span]).sum(axis=1).tobytes() == want
+
+
+@functools.cache
+def _targets(dim: int) -> list:
+    """A dim-wide space for each of _target_norms(dim), built once: the rank
+    check of a wide max-abs norm takes about a second."""
+    return [sg.Space(dim, spec) for spec in _target_norms(dim)]
+
+
+def _assert_node_norms_bit_equal(first, second, X, angles):
+    """image_norms and blend_norms give the bits of the norms of apply's
+    images and of blend_apply's blends, for a target norm of every kind,
+    also in blocks of at least three rows with a short last one."""
+    c = np.array([math.cos(t) for t in angles])
+    s = np.array([math.sin(t) for t in angles])
+    for target in _targets(first.target.dim):
+        maps = _retarget(target, first, second)
+        want = [sg.norms(target, sg.apply(m, X)).tobytes() for m in maps]
+        want_blend = sg.norms(target, sg.blend_apply(c, s, *maps, X)).tobytes()
+        width = sg.spaces._block_width(target) + len(first.hull) + len(second.hull)
+        for budget in (sg.spaces.BATCH_ELEMENTS, 3 * width):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
+                assert [sg.image_norms(m, X).tobytes() for m in maps] == want
+                assert sg.blend_norms(c, s, *maps, X).tobytes() == want_blend
+
+
+def _rows_with_signed_zeros(rng, k: int, dim: int) -> np.ndarray:
+    X = rng.standard_normal((k, dim))
+    X[rng.random((k, dim)) < 0.2] = 0.0
+    X[rng.random((k, dim)) < 0.2] = -0.0
+    X[0] = 0.0
+    return X
+
+
+def test_node_norms_on_a_wide_quadrature_bank():
+    # six 256-row maps in a 1536-wide target: the maps' nodes are 384 or 768
+    # wide (maps 1 and 4 straddle a split), and the unions of two hulls
+    # reach every level of the tree, up to the root
+    source, target = sg.Space(2, sg.Lp(2.0)), sg.Space(1536, sg.Lp(1.0))
+    spec = sg.QuadratureL2toL1(256, seed=3)
+    maps = spiralglue.bank._quadrature_maps(source, target, 6, spec)
+    nodes = [sg.spaces._sum_span(1536, m.rows) for m in maps]
+    assert [n.stop - n.start for n in nodes] == [384, 768, 384, 384, 768, 384]
+    empty = sg.LinearMap.from_band(np.zeros((1, 2)), 700, source, target)
+    rng = np.random.default_rng(11)
+    X = _rows_with_signed_zeros(rng, 20, 2)
+    # c < 0 and s < 0 on some rows; one pair repeats a map, so the hulls overlap
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(X)).tolist()
+    for i, j in ((0, 1), (1, 4), (2, 3), (4, 5), (3, 3), (5, 0)):
+        _assert_node_norms_bit_equal(maps[i], maps[j], X, angles)
+    for pair in ((empty, maps[2]), (maps[4], empty), (empty, empty)):
+        _assert_node_norms_bit_equal(*pair, X, angles)
+
+
+@pytest.mark.parametrize("target_dim", [130, 257, 640, 1100])
+def test_node_norms_on_block_bands_straddling_a_split(target_dim):
+    # bands across the split of a node at every level of the tree, next to
+    # it, overlapping each other, and the empty hull; entries include -0.0
+    rng = np.random.default_rng(target_dim)
+    source_dim = 3
+    splits = sorted(
+        {lo + (hi - lo) // 2 - (hi - lo) // 2 % 8 for lo, hi in _pairwise_nodes(target_dim)
+         if hi - lo > 128}
+    )
+    assert splits
+
+    def band(lo, hi):
+        rows = _rows_with_signed_zeros(rng, hi - lo, source_dim)
+        rows[-1] = rng.standard_normal(source_dim)
+        return _banded(target_dim, source_dim, lo, rows)
+
+    bands = [band(max(m - 5, 0), min(m + 5, target_dim)) for m in splits]
+    bands += [band(0, 4), band(target_dim - 3, target_dim), band(splits[0], splits[0] + 9)]
+    bands.append(_banded(target_dim, source_dim, 0, np.zeros((1, source_dim))))
+    X = _rows_with_signed_zeros(rng, 12, source_dim)
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(X)).tolist()
+    for first, second in zip(bands, bands[1:] + bands[:1]):
+        _assert_node_norms_bit_equal(first, second, X, angles)
+    _assert_node_norms_bit_equal(bands[0], bands[0], X, angles)
 
 
 def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):
@@ -1130,6 +1323,24 @@ def test_active_weights_array_bit_equal_to_float_call(data):
         active_weights_log(sched, np.float64(beyond[0]))
     assert str(exc.value) == str(first.value)
     assert str(exc.value).startswith(f"log norm {beyond[0]!r} exceeds")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_weight_is_the_weight_grid_row_at_its_radius(data):
+    # weight takes the float path of active_weights_log, weight_grid the
+    # array path: at the same radius they give the same bits
+    eps, delta = data.draw(st.floats(0.05, 0.9)), data.draw(st.floats(0.01, 0.9))
+    r1, levels = data.draw(st.floats(1e-3, 1e3)), data.draw(st.integers(1, 4))
+    sched = sg.build_schedule(sg.Params(eps, delta, 0.01, 0.01), r1, levels)
+    edges = [*sched.log_r.tolist(), *sched.log_R.tolist()]
+    near_edge = st.builds(_ulps, st.sampled_from(edges), st.integers(-3, 3))
+    inside = st.floats(edges[0] - 3.0, sched.log_coverage - 1e-9)
+    t = math.exp(data.draw(st.one_of(near_edge, inside)))
+    log_t = math.log(t)
+    _, table = sg.weight_grid(sched, 2, log_t, log_t)
+    want = [repr(w) for w in table[0].tolist()]
+    assert [repr(sg.weight(sched, k, t)) for k in range(1, levels + 2)] == want
 
 
 @pytest.mark.parametrize(

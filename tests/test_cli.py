@@ -78,6 +78,31 @@ def test_run_seed_override_changes_points(tmp_path):
     assert shifted["distortion"]["distortion"] != base["distortion"]["distortion"]
 
 
+@pytest.mark.parametrize("seed", [None, 11])
+def test_report_config_reruns_the_run(tmp_path, seed):
+    # the report's config is the one the run used: parsed and rerun (output
+    # paths aside), it gives the same report, also under --seed
+    path, cfg = _base_config(tmp_path)
+    given = json.dumps(cfg, sort_keys=True)
+    flags = [] if seed is None else ["--seed", str(seed)]
+    assert main(["run", "--config", str(path), *flags]) == 0
+    first = json.loads((tmp_path / "report.json").read_text())
+    assert json.dumps(cfg, sort_keys=True) == given
+    recorded = first["config"]
+    assert parse_config(recorded).generator["seed"] == (7 if seed is None else seed)
+    rerun = tmp_path / "rerun"
+    rerun.mkdir()
+    again = dict(recorded, output={"report": str(rerun / "report.json")})
+    parse_config(again)
+    (rerun / "config.json").write_text(json.dumps(again))
+    assert main(["run", "--config", str(rerun / "config.json")]) == 0
+    second = json.loads((rerun / "report.json").read_text())
+    for report in (first, second):
+        report.pop("timings")
+        report["config"].pop("output")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
 def test_run_plateau_only_stays_near_isometric(tmp_path):
     path, cfg = _base_config(
         tmp_path, points={"generator": {"seed": 3, "per_level": 6, "placement": "plateau"}}
