@@ -162,10 +162,9 @@ def ramp_angle_log(sched: RadiiSchedule, level: int, log_t):
         return min(a, HALF_PI) if a > 0.0 else 0.0
     log_t = np.asarray(log_t, dtype=float)
     a = sched.params.eps * (log_t - sched.log_r[level - 1])
-    angle = np.where(
+    return np.where(
         log_t >= sched.log_R[level - 1], HALF_PI, np.where(a > 0.0, np.minimum(a, HALF_PI), 0.0)
     )
-    return float(angle) if angle.ndim == 0 else angle
 
 
 def level_weights_log(sched: RadiiSchedule, level, log_t):
