@@ -344,42 +344,26 @@ def select_subsequence(
 
     chosen: list[int] = []
     margins: list[float] = []
-    # first level fixes two indices at once
-    first_checks = per_level[0]
-    best = (-math.inf, None)
-    found = None
-    for n1, n2 in itertools.combinations(range(bank.size - m + 1), 2):
-        worst, item = _level_ok(bank, first_checks, n1, n2, threshold)
-        if worst >= 0.0:
-            found = (n1, n2, worst)
-            break
-        if worst > best[0]:
-            best = (worst, item)
-    if found is None:
-        _, item = best
-        u, angle, val = item if item is not None else (None, math.nan, -math.inf)
-        raise BankExhausted(1, u, angle, val if item else -math.inf, threshold)
-    chosen.extend([found[0], found[1]])
-    margins.append(found[2])
-
-    for level in range(2, m + 1):
-        checks = per_level[level - 1]
-        n_prev = chosen[-1]
+    for level in range(1, m + 1):
+        if level == 1:
+            # the first level fixes two indices at once
+            candidates = itertools.combinations(range(bank.size - m + 1), 2)
+        else:
+            # leave room for the remaining m - level indices
+            n_prev = chosen[-1]
+            candidates = ((n_prev, n) for n in range(n_prev + 1, bank.size - (m - level)))
         best = (-math.inf, None)
-        accepted = None
-        # leave room for the remaining m - level indices
-        for n in range(n_prev + 1, bank.size - (m - level)):
-            worst, item = _level_ok(bank, checks, n_prev, n, threshold)
+        for pair in candidates:
+            worst, item = _level_ok(bank, per_level[level - 1], *pair, threshold)
             if worst >= 0.0:
-                accepted = (n, worst)
                 break
             if worst > best[0]:
                 best = (worst, item)
-        if accepted is None:
+        else:
             _, item = best
             u, angle, val = item if item is not None else (None, math.nan, -math.inf)
-            raise BankExhausted(level, u, angle, val if item else -math.inf, threshold)
-        chosen.append(accepted[0])
-        margins.append(accepted[1])
+            raise BankExhausted(level, u, angle, val, threshold)
+        chosen[level - 1 :] = pair
+        margins.append(worst)
 
     return SelectionResult(tuple(chosen), tuple(margins), float(zeta), threshold)

@@ -46,7 +46,7 @@ from .pointset import (
     generate_annular,
     load_points,
     make_point_set,
-    points_to_dict,
+    save_points,
 )
 from .schedule import (
     Params,
@@ -635,16 +635,30 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_theory(args) -> int:
-    ok = True
+def _spreading_verdict(grid: int) -> tuple[bool, str]:
+    """Whether the spreading bound's minimum on the grid is sqrt(2)/3, and
+    its detail line; a grid of fewer than 3 points raises ValueError."""
     try:
-        value, arg = spreading_bound_minimum(args.grid)
-        target = math.sqrt(2.0) / 3.0
-        good = abs(value - target) <= 1e-6
-        detail = f"minimum {value!r} at {arg!r}"
+        value, arg = spreading_bound_minimum(grid)
     except SpiralGlueError as exc:
-        good, detail = False, str(exc)
-    ok &= good
+        return False, str(exc)
+    return abs(value - math.sqrt(2.0) / 3.0) <= 1e-6, f"minimum {value!r} at {arg!r}"
+
+
+def cmd_theory(args) -> int:
+    # a verdict over no pairs would pass vacuously
+    if args.pairs < 1:
+        print(f"error: --pairs must be >= 1, got {args.pairs}", file=sys.stderr)
+        return 2
+    # both computations run before any verdict is printed, so that a bad
+    # --grid or --seed exits 2 alone
+    try:
+        good, detail = _spreading_verdict(args.grid)
+        fuzz = fuzz_pair_inequalities(args.seed, args.pairs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    ok = good
     print(f"[{'PASS' if good else 'FAIL'}] spreading bound {detail}")
 
     ratios = []
@@ -659,7 +673,6 @@ def cmd_theory(args) -> int:
         f"{ratios[0]!r} -> {ratios[-1]!r} toward 3"
     )
 
-    fuzz = fuzz_pair_inequalities(args.seed, args.pairs)
     good = (
         fuzz.min_lower_slack >= -1e-9
         and fuzz.min_upper_slack >= -1e-9
@@ -679,22 +692,53 @@ def _schedule_from_args(args) -> RadiiSchedule:
     return build_schedule(params, args.r1, args.levels, args.margin)
 
 
+def _out_ok(path) -> bool:
+    """Whether --out names a file path whose directory exists; if not, an
+    error naming --out is printed."""
+    try:
+        _output_path(path)
+    except ValueError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _wrote_out(write) -> bool:
+    """write(), which writes the --out file; False, with an error naming
+    --out, when the file cannot be written (a directory, say)."""
+    try:
+        write()
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_weights(path: str, ts, table) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"mu_{k}" for k in range(1, table.shape[1] + 1)])
+        for t, row in zip(ts, table):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+
+
 def cmd_weights(args) -> int:
+    if not _out_ok(args.out):
+        return 2
     try:
         ts, table = weight_grid(_schedule_from_args(args), args.grid)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"mu_{k}" for k in range(1, table.shape[1] + 1)])
-        for t, row in zip(ts, table):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    if not _wrote_out(lambda: _write_weights(args.out, ts, table)):
+        return 2
     print(f"wrote {len(ts)} rows x {table.shape[1]} weights to {args.out}")
     return 0
 
 
 def cmd_gen_points(args) -> int:
+    if not _out_ok(args.out):
+        return 2
     try:
         pts = generate_annular(
             args.seed, _schedule_from_args(args), args.per_level, args.dim, args.placement
@@ -702,10 +746,8 @@ def cmd_gen_points(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = points_to_dict(pts)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if not _wrote_out(lambda: save_points(pts, args.out)):
+        return 2
     print(f"wrote {len(pts)} points to {args.out}")
     return 0
 

@@ -21,6 +21,7 @@ from .spaces import (  # noqa: F401
     NormSpec,
     Space,
     Vector,
+    distinct_rows,
     norm,
     norm_from_dict,
     norm_to_dict,
@@ -137,11 +138,11 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
 
     Each level is a few array passes. One mask of x rows against the shell
     gives the pairs in row-major order; their unit differences are formed in
-    row blocks of at most BATCH_ELEMENTS elements, and each block's bitwise
-    repeats are matched against the distinct rows found so far, numbered in
-    discovery (first occurrence) order. `_leaders` groups the distinct rows
-    by sort-and-sweep on their coordinate of widest spread, and the sorted
-    distinct (direction, angle) pairs are one sort of an integer key.
+    row blocks of at most BATCH_ELEMENTS elements into one array, whose
+    bitwise distinct rows `distinct_rows` numbers in order of first
+    occurrence. `_leaders` groups the distinct rows by sort-and-sweep on
+    their coordinate of widest spread, and the sorted distinct (direction,
+    angle) pairs are one sort of an integer key.
     """
     m = sched.levels
     logs = log_norms(pts)
@@ -165,12 +166,13 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
         pair_ok[np.arange(len(xs)), xs] = False
         xi, ys = np.nonzero(pair_ok)
         src = xs[xi]
-        keys = np.empty(len(src), dtype=np.intp)
-        seen = _DistinctRows(dim)
+        units = np.empty((len(src), dim))
         for block in row_blocks(len(src), dim):
             diff = rows[src[block]] - rows[ys[block]]
-            keys[block] = seen.add(diff / norms(pts.space, diff)[:, None])
-        distinct = seen.rows()
+            units[block] = diff / norms(pts.space, diff)[:, None]
+        take, keys = distinct_rows(units)
+        distinct = units[take]
+        del units
         lead = _leaders(distinct)
         is_leader = lead == np.arange(len(lead))
         direction = (np.cumsum(is_leader) - 1)[lead][keys]
@@ -191,46 +193,6 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
             )
         )
     return AnnulusDecomposition(m, tuple(members), tuple(dirs))
-
-
-def _row_keys(a: np.ndarray) -> np.ndarray:
-    """One opaque void item per row, equal exactly when the rows' bytes are."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-
-
-class _DistinctRows:
-    """The bitwise distinct rows seen so far, in order of first occurrence.
-
-    Their keys are kept sorted, so that each block of rows is sorted once and
-    matched against them by binary search.
-    """
-
-    def __init__(self, dim: int):
-        self._dim = dim
-        self._keys = _row_keys(np.empty((0, dim)))
-        self._index = np.empty(0, dtype=np.intp)  # of each sorted key
-
-    def add(self, u: np.ndarray) -> np.ndarray:
-        """Each row's index among the distinct rows, after adding u's new rows."""
-        keys, first, inverse = np.unique(_row_keys(u), return_index=True, return_inverse=True)
-        at = np.searchsorted(self._keys, keys)
-        known = at < len(self._keys)
-        known[known] = self._keys[at[known]] == keys[known]
-        index = np.empty(len(keys), dtype=np.intp)
-        index[known] = self._index[at[known]]
-        new = np.flatnonzero(~known)
-        fresh = new[np.argsort(first[new])]
-        index[fresh] = len(self._index) + np.arange(len(fresh))
-        self._keys = np.insert(self._keys, at[new], keys[new])
-        self._index = np.insert(self._index, at[new], index[new])
-        return index[inverse]
-
-    def rows(self) -> np.ndarray:
-        """The distinct rows as a (k, dim) array, in order of first occurrence."""
-        keys = np.empty_like(self._keys)
-        keys[self._index] = self._keys
-        return keys.view(float).reshape(len(keys), self._dim)
 
 
 def _leaders(rows: np.ndarray) -> np.ndarray:

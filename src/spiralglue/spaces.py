@@ -21,30 +21,31 @@ matrix-vector kernel forms outputs in aligned groups (of 4 in OpenBLAS's
 dgemv_t), and a row's bits depend on its place in its group; a property
 test guards this.
 
-`image_norms` gives the norms of a map's images, as certification needs
-them, bit-equal to `norms` of `apply`, and `blend_norms` those of
-`blend_apply`'s blends, as `direction_gain` needs them: one zero buffer of a
-block of images is reused for every block, only the hull's columns are ever
-written, and the norm's elementwise passes (max, rescaling, power, weights)
-run in place on those columns. The buffer is only as wide as the node of
-numpy's pairwise summation tree that holds the hull (`_sum_span`): numpy
-reduces each row over that tree from column 0, every subtree outside the
-node sums exact zeros to +0.0, and adding +0.0 to the node's non-negative
-sum is exact, so the node's sum is the full-width sum, in the same order.
-The l-infinity max is exact over any columns and takes the node too. The
-l2 norm's stacked dot (whose bits depend on the BLAS dot's grouping over
-the full width) and the max-abs functionals keep a full-width buffer. A
-blend's buffer spans the node of the two hulls' union; outside a hull the
-full-width blend adds c*0 or s*0, which changes at most the sign of a zero,
-and abs removes it.
+One kernel, `_hull_norms`, gives the norms of sums of maps' images,
+bit-equal to `norms` of the same sums formed by `apply`: `image_norms` is
+its one-term call, the norms of a map's images, as certification needs
+them, and `blend_norms` its two-term call, the norms of `blend_apply`'s
+blends, as `direction_gain` needs them. One zero buffer of a block of sums
+is reused for every block, only the hulls' columns are ever written, and
+the norm's elementwise passes (max, rescaling, power, weights) run in place
+on those columns. The buffer is only as wide as the node of numpy's
+pairwise summation tree that holds the union of the hulls (`_sum_span`):
+numpy reduces each row over that tree from column 0, every subtree outside
+the node sums exact zeros to +0.0, and adding +0.0 to the node's
+non-negative sum is exact, so the node's sum is the full-width sum, in the
+same order. The l-infinity max is exact over any columns and takes the
+node too. The l2 norm's stacked dot (whose bits depend on the BLAS dot's
+grouping over the full width) and the max-abs functionals keep a
+full-width buffer. Outside a term's hull the full-width sum adds c*0,
+which changes at most the sign of a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
-evaluate each distinct row once and gather the results back: certification
-images each distinct nonzero certify row once per map, and the sweep's
-sandwich blends each distinct (theta, u) row once. `direction_gain` itself
-does not group: selection's level checks never repeat a row. Every kernel
-here is row-wise, so the gathered values are the bits of evaluating every
-row.
+evaluate each distinct row once and gather the results back: decompose
+groups a level's unit differences with it, certification images each
+distinct nonzero certify row once per map, and the sweep's sandwich blends
+each distinct (theta, u) row once. `direction_gain` itself does not
+group: selection's level checks never repeat a row. Every kernel here is
+row-wise, so the gathered values are the bits of evaluating every row.
 """
 
 from __future__ import annotations
@@ -476,43 +477,75 @@ def _shifted(cols: slice, start: int) -> slice:
     return slice(cols.start - start, cols.stop - start) if cols.start < cols.stop else slice(0, 0)
 
 
-def _image_buffer(m: LinearMap) -> tuple[slice, int]:
-    """The target columns image_norms' buffer holds for map m (see
-    _reduce_span), and the row width of a block of images: the buffer's
-    width plus the hull's product, so both stay within BATCH_ELEMENTS."""
-    span, width = _reduce_span(m.target, m.rows)
-    return span, width + len(m.hull)
+def _hull_layout(maps) -> tuple[slice, slice, int]:
+    """The union of the maps' hulls, the target columns _hull_norms' buffer
+    holds for them (see _reduce_span), and the row width of a block: the
+    buffer's width plus every hull's product, so that the buffer and the
+    products stay within BATCH_ELEMENTS."""
+    hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
+    union = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
+    span, width = _reduce_span(maps[0].target, union)
+    return union, span, width + sum(len(m.hull) for m in maps)
+
+
+def _hull_norms(terms, U) -> np.ndarray:
+    """norms(target, sum of c * apply(m, U) over the terms (c, m)) for the
+    rows of a (k, source.dim) array, bit for bit, where c is None (for 1) or
+    one coefficient per row, through one reused buffer of a block's sums.
+
+    The buffer holds _reduce_span's columns of the union of the hulls (see
+    _hull_layout). Per block, the first term's hull product, times c, is
+    written into its hull's columns, and each later term's is added into
+    its own, zeroed first; the columns outside the union are never written
+    and stay zero. Outside a hull the full-width sum adds c*0, which changes
+    at most the sign of a zero: abs removes it, and a max-abs dot passes it
+    only to an all-zero sum. abs runs on the smallest contiguous array, a
+    lone term's product or else the whole block (a ufunc writing into
+    strided columns takes a buffer of up to a block's size), and a max-abs
+    norm takes its own products of the signed sums. The norm's elementwise
+    passes run on the union's columns only (see _abs_norms_block)."""
+    maps = [m for _, m in terms]
+    U = as_rows(U, maps[0].source.dim)
+    spec = maps[0].target.norm
+    signed = isinstance(spec, MaxAbsFunctionals)
+    lone = len(terms) == 1
+    union, span, width = _hull_layout(maps)
+    union = _shifted(union, span.start)
+    cols = [_shifted(m.rows, span.start) for m in maps]
+    blocks = list(row_blocks(len(U), width))
+    buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
+    out = np.empty(len(U))
+    for block in blocks:
+        sums = buffer[: block.stop - block.start]
+        for later in cols[1:]:
+            sums[:, later] = 0.0
+        for k, ((c, m), at) in enumerate(zip(terms, cols)):
+            # each product is dropped once written, so that it is not alive
+            # through the next product or the norm's passes
+            product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
+            if c is not None:
+                product *= c[block, None]
+            if lone and not signed:
+                np.abs(product, out=product)
+            if k == 0:
+                sums[:, at] = product
+            else:
+                sums[:, at] += product
+            del product
+        if signed:
+            out[block] = _norms_block(spec, sums)
+        else:
+            if not lone:
+                np.abs(sums, out=sums)
+            out[block] = _abs_norms_block(spec, sums, union, span.start)
+    return out
 
 
 def image_norms(m: LinearMap, X) -> np.ndarray:
     """norms(m.target, apply(m, X)) for the rows of a (k, source.dim) array,
-    bit for bit, without forming the images anew per block.
-
-    One zero buffer of a block's images, as wide as _reduce_span's columns of
-    the hull, serves every block. The hull's stacked product is written into
-    the hull's columns, as absolute values (signed for a max-abs norm, which
-    takes its own products); the other columns are never written and stay
-    zero, and the norm's elementwise passes run on the hull's columns only
-    (see _abs_norms_block)."""
-    X = as_rows(X, m.source.dim)
-    spec = m.target.norm
-    span, width = _image_buffer(m)
-    cols = _shifted(m.rows, span.start)
-    blocks = list(row_blocks(len(X), width))
-    buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
-    out = np.empty(len(X))
-    for block in blocks:
-        images = buffer[: block.stop - block.start]
-        product = np.matmul(m.hull, X[block, :, None])[:, :, 0]
-        if isinstance(spec, MaxAbsFunctionals):
-            images[:, cols] = product
-            out[block] = _norms_block(spec, images)
-        else:
-            # abs in place on the contiguous product: a ufunc writing into
-            # strided columns takes a buffer of up to a block's size
-            images[:, cols] = np.abs(product, out=product)
-            out[block] = _abs_norms_block(spec, images, cols, span.start)
-    return out
+    bit for bit, without forming the images anew per block: the one-term
+    call of _hull_norms."""
+    return _hull_norms(((None, m),), X)
 
 
 def image_chunks(rows: int, m: LinearMap):
@@ -520,7 +553,7 @@ def image_chunks(rows: int, m: LinearMap):
     blocks in which image_norms images rows under m, where one fits: only
     the last chunk then ends in a short block of images."""
     step = max(1, BATCH_ELEMENTS // m.source.dim)
-    images = max(1, BATCH_ELEMENTS // _image_buffer(m)[1])
+    images = max(1, BATCH_ELEMENTS // _hull_layout([m])[2])
     if images < step:
         step -= step % images
     for start in range(0, rows, step):
@@ -546,47 +579,10 @@ def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:
 
 def blend_norms(c, s, first: LinearMap, second: LinearMap, U) -> np.ndarray:
     """norms(first.target, blend_apply(c, s, first, second, U)) for the rows
-    of a (k, source.dim) array with one (c, s) pair per row, bit for bit,
-    through one reused buffer of a block's blends.
-
-    The buffer holds _reduce_span's columns of the two hulls' union. Per
-    block, c times first's hull product is written into first's hull
-    columns, and s times second's is added into second's, zeroed first;
-    then the norm's passes run as in image_norms. Outside a hull the full
-    blend adds c*0 or s*0, which changes at most the sign of a zero: abs
-    removes it, and a max-abs dot passes it only to an all-zero sum."""
-    U = as_rows(U, first.source.dim)
+    of a (k, source.dim) array with one (c, s) pair per row, bit for bit:
+    the two-term call of _hull_norms."""
     c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
-    spec = first.target.norm
-    hulls = [m.rows for m in (first, second) if m.rows.start < m.rows.stop]
-    union = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
-    span, width = _reduce_span(first.target, union)
-    union, first_cols, second_cols = (
-        _shifted(cols, span.start) for cols in (union, first.rows, second.rows)
-    )
-    blocks = list(row_blocks(len(U), width + len(first.hull) + len(second.hull)))
-    buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
-    out = np.empty(len(U))
-    for block in blocks:
-        blends = buffer[: block.stop - block.start]
-        # each product is dropped once written, so that it is not alive
-        # through the next product or the norm's passes
-        product = np.matmul(first.hull, U[block, :, None])[:, :, 0]
-        product *= c[block, None]
-        blends[:, second_cols] = 0.0
-        blends[:, first_cols] = product
-        del product
-        product = np.matmul(second.hull, U[block, :, None])[:, :, 0]
-        product *= s[block, None]
-        blends[:, second_cols] += product
-        del product
-        if isinstance(spec, MaxAbsFunctionals):
-            out[block] = _norms_block(spec, blends)
-        else:
-            # abs of the whole contiguous block (zeros outside the union)
-            # takes no ufunc buffer, as a strided column range would
-            out[block] = _abs_norms_block(spec, np.abs(blends, out=blends), union, span.start)
-    return out
+    return _hull_norms(((c, first), (s, second)), U)
 
 
 def direction_gain(theta, u, first: LinearMap, second: LinearMap):

@@ -659,8 +659,11 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
     with the identity selection. Pair k uses bank k mod the bank count. The
     pairs are drawn a chunk at a time in the order of one pair at a time,
     and each bank's pairs on each level in a chunk are judged as rows.
-    Pairs closer than 1e-6 of norm(x) are skipped.
+    Pairs closer than 1e-6 of norm(x) are skipped. A negative n_pairs
+    raises ValueError; zero pairs give the empty report.
     """
+    if n_pairs < 0:
+        raise ValueError(f"n_pairs must be >= 0, got {n_pairs!r}")
     rng = np.random.default_rng(seed)
     banks = _fuzz_banks(seed)
     params = Params(0.05, 0.1, 0.05, 0.05)

@@ -5,15 +5,18 @@ blend, level map and decomposition residual, the row norms with every
 elementwise pass over every column, the decompose that scans every
 direction found so far for each distinct unit difference, and the
 certification and row gain that evaluate every row, repeats included, and
-the generated banks' dense matrices. The
-pipeline uses `pointset.classify_levels` on arrays of level intervals,
+the generated banks' dense matrices. The pipeline uses
+`pointset.classify_levels` on arrays of level intervals,
 `schedule.ramp_angle_log` and `schedule.sandwich_angles_log` on log radii,
-the row kernels `spaces.norms`, `spaces.image_norms`, `spaces.apply` and
-`spaces.blend_apply`, whose norms run their elementwise passes in place on
-the columns that can be nonzero, a decompose that groups the directions by
-sort-and-sweep instead, and a certification and row gain that evaluate each
-distinct row once (`spaces.distinct_rows`), and maps built from their
-nonzero band alone (`LinearMap.from_band`).
+the row kernels `spaces.norms`, `spaces.apply` and `spaces.blend_apply`,
+one kernel for the norms of images and blends (`spaces.image_norms` and
+`spaces.blend_norms`, the one- and two-term calls of `spaces._hull_norms`),
+whose norms run their elementwise passes in place on the columns that can
+be nonzero, a decompose that groups its unit differences by bit pattern
+with `spaces.distinct_rows` and the directions by sort-and-sweep instead,
+and a certification and row gain that evaluate each distinct row once
+(`spaces.distinct_rows`), and maps built from their nonzero band alone
+(`LinearMap.from_band`).
 """
 
 import math

@@ -205,6 +205,32 @@ def test_selection_exhausts_on_negated_pair():
     assert exc.value.angle == pytest.approx(math.pi / 4, rel=1e-12)
 
 
+def test_selection_exhausts_at_a_later_level():
+    # bank [E, E, -E, R], R the rotation by pi - 0.3: level 1 takes (0, 1),
+    # then level 2 tries (1, 2), whose blend cancels at pi/4, and (1, 3),
+    # whose blend at pi/4 has norm sqrt(1 - cos 0.3), the best failing witness
+    params = sg.Params(0.5, 0.1, 0.01, 0.01)
+    sched = sg.build_schedule(params, 1.0, 2)
+    src = sg.Space(2, sg.Lp(2.0))
+    phi = math.pi - 0.3
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    bank = sg.build_bank(
+        sg.UserMatrices((np.eye(2), np.eye(2), -np.eye(2), rot)), src, src, 0.01, 4, [np.ones(2)]
+    )
+    # one point on each level, each at the level's ramp angle pi/4
+    x1 = [math.exp(0.5 * math.pi), 0.0]
+    x2 = [math.exp(float(sched.log_r[1]) + 0.5 * math.pi), 0.0]
+    dec = _decomp_for(src, sched, [x1, x2, [0.0, 0.0]])
+    assert all(len(level) == 1 for level in dec.directions)
+    with pytest.raises(BankExhausted) as exc:
+        sg.select_subsequence(bank, dec, 0.01)
+    assert exc.value.level == 2
+    assert exc.value.angle == pytest.approx(math.pi / 4, rel=1e-12)
+    assert exc.value.achieved == pytest.approx(math.sqrt(1.0 - math.cos(0.3)), rel=1e-12)
+    assert exc.value.achieved < exc.value.threshold
+    assert exc.value.direction.tolist() == [1.0, 0.0]
+
+
 def test_selection_skips_poisoned_candidate():
     # bank [E, -E, E]: the pair (0, 1) collapses but (0, 2) works
     params = sg.Params(0.5, 0.1, 0.01, 0.01)

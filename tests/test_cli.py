@@ -215,6 +215,35 @@ def test_theory_command(capsys):
     assert out.count("[PASS]") == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", "2"], "error: grid_size must be >= 3"),
+        (["--pairs", "-3"], "error: --pairs must be >= 1, got -3"),
+        (["--pairs", "0"], "error: --pairs must be >= 1, got 0"),
+        # numpy's seed check words the message
+        (["--seed", "-1"], "error: "),
+    ],
+)
+def test_theory_rejects_bad_arguments(capsys, argv, message):
+    # exit 2 before any verdict is printed, not a traceback or a vacuous PASS
+    assert main(["theory", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["weights", "gen-points"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.file"
+    assert main([command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: directory ")
+    assert not out.parent.exists()
+    # a directory is not a file that can be written
+    assert main([command, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: [Errno ")
+
+
 def test_weights_csv(tmp_path):
     out = tmp_path / "weights.csv"
     assert (

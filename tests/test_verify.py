@@ -230,6 +230,11 @@ def test_fuzz_pair_inequalities_clean():
     assert rep.max_identity_residual <= 1e-9
 
 
+def test_fuzz_pair_inequalities_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="n_pairs must be >= 0, got -3"):
+        sg.fuzz_pair_inequalities(2, -3)
+
+
 def fuzz_per_pair(seed: int, n_pairs: int, levels: int = 3) -> FuzzReport:
     """fuzz_pair_inequalities judging each pair as it is drawn, by the
     one-vector norm, level map and decomposition residual."""
