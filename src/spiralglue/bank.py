@@ -27,19 +27,19 @@ from .errors import BankExhausted, CertificationFailed, DimensionMismatch, NotSt
 from .pointset import AnnulusDecomposition
 # blend_apply is not called here, but bench/spans.py wraps bank.blend_apply
 from .spaces import (  # noqa: F401
+    DistinctRows,
     LinearMap,
     Lp,
+    RowBlocks,
     Space,
     apply,
     as_rows,
     blend_apply,
     direction_gain,
-    distinct_rows,
     image_chunks,
     image_norms,
     norm,
     norms,
-    row_blocks,
 )
 
 _TOL = 1e-12
@@ -165,36 +165,24 @@ def build_bank(
     target: Space,
     gamma: float,
     count: int,
-    certify_set: Sequence,
+    certify_set: Sequence | RowBlocks,
 ) -> EmbeddingBank:
-    """Construct `count` maps and certify each one on the given vector set.
+    """Construct `count` maps and certify each one on the given vector set:
+    rows as an array or a sequence of vectors, or a RowBlocks stream of them.
 
     The per-map slack is the uniform split eps_n = (1+gamma)^(1/count) - 1.
     Raises CertificationFailed with the worst offending vector if any map
     falls outside its sandwich; its index counts the nonzero vectors.
 
-    Each distinct nonzero vector (by bit pattern, see distinct_rows) is
-    normed and imaged once per map, and the ratios are gathered back to the
-    nonzero vectors in order, so the margins and the first worst vector are
-    those of evaluating every vector.
+    Each distinct nonzero vector (by bit pattern, see DistinctRows) is
+    normed and imaged once per map, so the margins and the first worst
+    vector are those of evaluating every vector (see _certify_rows).
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    vectors = as_rows(certify_set, source.dim)
-    # each distinct row is normed and imaged once: `take` holds the distinct
-    # nonzero rows, and `where` the one of each nonzero row, in order; the
-    # rows are gathered a chunk at a time, so no copy of them outlives a chunk
-    take, inverse = distinct_rows(vectors)
-    source_norms = np.empty(len(take))
-    for chunk in row_blocks(len(take), source.dim):
-        source_norms[chunk] = norms(source, vectors[take[chunk]])
-    nonzero = source_norms > 0.0
-    if not nonzero.any():
-        raise ValueError("certify_set must contain at least one nonzero vector")
-    take, source_norms = take[nonzero], source_norms[nonzero]
-    where = (np.cumsum(nonzero) - 1)[inverse[nonzero[inverse]]]
+    groups, keep, first, source_norms = _certify_rows(source, certify_set)
 
     if isinstance(strategy, BlockShift):
         maps = _block_shift_maps(source, target, count, strategy.block_width)
@@ -208,23 +196,62 @@ def build_bank(
     eps_n = (1.0 + gamma) ** (1.0 / count) - 1.0
     lo_margins = []
     hi_margins = []
-    image = np.empty(len(take))
+    image = np.empty(len(keep))
     for n, lin in enumerate(maps):
-        for chunk in image_chunks(len(take), lin):
-            image[chunk] = image_norms(lin, vectors[take[chunk]])
-        # norm(target, lin v) / norm(source, v) over the nonzero rows v, in order
-        ratios = (image / source_norms)[where]
+        for chunk in image_chunks(len(keep), lin):
+            image[chunk] = image_norms(lin, groups.rows(keep[chunk]))
+        # norm(target, lin v) / norm(source, v) over the distinct nonzero rows
+        # v; groups are in order of their first rows, so the first extreme
+        # group holds the first extreme nonzero row
+        ratios = image / source_norms
         k_lo = int(np.argmin(ratios))
         k_hi = int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - _TOL:
-            raise CertificationFailed(n, k_lo, float(ratios[k_lo]))
+            raise CertificationFailed(n, int(first[k_lo]), float(ratios[k_lo]))
         if ratios[k_hi] > (1.0 + eps_n) * (1.0 + _TOL):
-            raise CertificationFailed(n, k_hi, float(ratios[k_hi]))
+            raise CertificationFailed(n, int(first[k_hi]), float(ratios[k_hi]))
         lo_margins.append(float(ratios[k_lo]) - 1.0)
         hi_margins.append((1.0 + eps_n) - float(ratios[k_hi]))
     slots = (eps_n,) * count
     assert np.prod(1.0 + np.array(slots)) <= (1.0 + gamma) * (1.0 + _TOL)
     return EmbeddingBank(tuple(maps), slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
+
+
+def _certify_rows(source: Space, certify_set):
+    """The distinct nonzero rows of a certify set, grouped a block at a time.
+
+    Returns (groups, keep, first, source_norms): the DistinctRows of every
+    row, the groups of nonzero norm in order, the index of each one's first
+    row among the nonzero rows, and its source norm. Only the groups' first
+    rows are kept, never an array of every row: each block is grouped
+    against the groups found so far, and the rows of the groups it opens are
+    normed."""
+    if not isinstance(certify_set, RowBlocks):
+        certify_set = RowBlocks.of(as_rows(certify_set, source.dim))
+    groups = DistinctRows(len(certify_set))
+    # the groups of no positive norm (the signed zero rows, and any NaN row),
+    # ascending, after a -1 that no group is
+    zero = np.array([-1])
+    keep, first, kept_norms = [], [], []
+    nonzero_rows = 0
+    for block in certify_set:
+        block = as_rows(block, source.dim)
+        opened = groups.count
+        heads, inverse = groups.add(block)
+        block_norms = norms(source, groups.rows(np.arange(opened, groups.count)))
+        nonzero = block_norms > 0.0
+        zero = np.append(zero, opened + np.flatnonzero(~nonzero))
+        # the index of each of the block's rows among the nonzero rows
+        counted = zero[np.searchsorted(zero, inverse, side="right") - 1] != inverse
+        index = np.cumsum(counted) + (nonzero_rows - 1)
+        nonzero_rows += int(np.count_nonzero(counted))
+        keep.append(opened + np.flatnonzero(nonzero))
+        first.append(index[heads[nonzero]])
+        kept_norms.append(block_norms[nonzero])
+        del block  # not alive while the next block is formed
+    if not nonzero_rows:
+        raise ValueError("certify_set must contain at least one nonzero vector")
+    return groups, np.concatenate(keep), np.concatenate(first), np.concatenate(kept_norms)
 
 
 def spreading_limit_estimate(

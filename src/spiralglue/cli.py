@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import secrets
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -46,6 +47,7 @@ from .pointset import (
     generate_annular,
     load_points,
     make_point_set,
+    pairs_at,
     save_points,
 )
 from .schedule import (
@@ -55,9 +57,10 @@ from .schedule import (
     schedule_to_dict,
     weight_grid,
 )
-from .spaces import NormSpec, Space, norm_from_dict, row_blocks, space_to_dict
+from .spaces import NormSpec, RowBlocks, Space, norm_from_dict, row_blocks, space_to_dict
 from .verify import (
     DistortionReport,
+    PairTable,
     distortion_report,
     fuzz_pair_inequalities,
     solve_params,
@@ -341,23 +344,45 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
-def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> np.ndarray:
+def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks:
     """All points, all pairwise differences (a < b, row-major), all recorded
-    directions, plus seeded random unit-scale vectors, as one (N, dim) array."""
+    directions, plus seeded random unit-scale vectors, as the (k, dim) blocks
+    of row_blocks over all of them, each formed only as it is read: len()
+    counts every row, and no array of them all is formed. A block's pair
+    differences are formed at once from their pairs (pairs_at, as the sweep
+    derives them), and its random rows are drawn into it: draws of k1 and
+    then k2 rows consume the generator exactly as one draw of k1 + k2 rows."""
     coords = pts.coords
     n, dim = coords.shape
-    first, second = np.triu_indices(n, 1)
     dirs = [da.u for level_dirs in decomp.directions for da in level_dirs]
-    out = np.empty((n + len(first) + len(dirs) + cfg.certify_random, dim))
-    out[:n] = coords
-    diffs = out[n : n + len(first)]
-    for block in row_blocks(len(first), dim):
-        np.subtract(coords[first[block]], coords[second[block]], out=diffs[block])
-    out[n + len(first) : n + len(first) + len(dirs)] = np.reshape(dirs, (-1, dim))
-    # one draw of k rows consumes the generator exactly as k draws of one row
-    rng = np.random.default_rng(cfg.certify_seed)
-    out[len(out) - cfg.certify_random :] = rng.standard_normal((cfg.certify_random, dim))
-    return out
+    pairs = n * (n - 1) // 2
+    # the first row of each part: points, differences, directions, random rows
+    starts = np.cumsum([0, n, pairs, len(dirs), cfg.certify_random]).tolist()
+
+    def blocks():
+        rng = np.random.default_rng(cfg.certify_seed)
+        for block in row_blocks(starts[-1], dim):
+            out = np.empty((block.stop - block.start, dim))
+            for part, (lo, hi) in enumerate(zip(starts, starts[1:])):
+                lo, hi = max(lo, block.start), min(hi, block.stop)
+                if lo >= hi:
+                    continue
+                rows = out[lo - block.start : hi - block.start]
+                lo, hi = lo - starts[part], hi - starts[part]
+                if part == 0:
+                    rows[:] = coords[lo:hi]
+                elif part == 1:
+                    a, b = pairs_at(n, np.arange(lo, hi))
+                    np.take(coords, a, axis=0, out=rows)
+                    rows -= coords[b]
+                elif part == 2:
+                    rows[:] = np.reshape(dirs[lo:hi], (-1, dim))
+                else:
+                    rng.standard_normal(out=rows)
+            yield out
+            del out, rows  # not alive while the next block is formed
+
+    return RowBlocks(starts[-1], blocks)
 
 
 def _json_safe(value):
@@ -466,30 +491,99 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
 _PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
 
 
-def _write_pairs_csv(path: str, dist: DistortionReport) -> None:
-    """One row per pair, as csv.writer writes ids, kinds and float reprs
-    (none needs quoting), from the report's pair columns a block of rows at
-    a time, each distinct float formatted once. The report must have kept
-    its pair table (distortion_report's keep_pairs)."""
-    pairs = dist.pair_checks
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_PAIRS_HEADER) + "\r\n")
-        for rows in row_blocks(len(pairs), len(_PAIRS_HEADER)):
-            ids = (pairs.x_id[rows].tolist(), pairs.y_id[rows].tolist())
-            columns = (pairs.ratio, pairs.lower_slack, pairs.upper_slack)
-            floats = (_float_texts(c[rows]) for c in columns)
-            table = zip(*ids, pairs.kinds(rows), *floats)
-            fh.write("".join([f"{x},{y},{k},{r},{lo},{hi}\r\n" for x, y, k, r, lo, hi in table]))
+def _write_pairs_csv(fh, pairs: PairTable, rows: slice) -> None:
+    """The pairs CSV's lines of the given rows of a pair table, as
+    csv.writer writes ids, kinds and float reprs (none needs quoting), a
+    block of rows at a time, each distinct float formatted once."""
+    columns = (pairs.ratio, pairs.lower_slack, pairs.upper_slack)
+    for part in row_blocks(rows.stop - rows.start, len(_PAIRS_HEADER)):
+        block = slice(rows.start + part.start, rows.start + part.stop)
+        ids = (pairs.x_id[block].tolist(), pairs.y_id[block].tolist())
+        floats = (_float_texts(c[block]) for c in columns)
+        table = zip(*ids, pairs.kinds(block), *floats)
+        fh.write("".join([f"{x},{y},{k},{r},{lo},{hi}\r\n" for x, y, k, r, lo, hi in table]))
 
 
-def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
+def _create_beside(path: str) -> tuple[str, int]:
+    """A new file in the directory of path, named .<name>.<random>.tmp and
+    created with the mode open() gives a new file (mkstemp's is 0o600): its
+    path and file descriptor."""
+    directory, name = os.path.split(path)
+    while True:
+        temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+        try:
+            return temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+class _PairsCsv:
+    """A pairs CSV written while the sweep runs: the header at once, then
+    each judged block of pairs as the sweep passes it (call the object as
+    the sweep's on_block), into a new temporary file beside the CSV's path.
+    _place_pairs_csv moves the file to its path; discard() removes it if it
+    was not moved, so that a run that fails leaves no CSV and an existing
+    file untouched. An OSError while writing is kept, and _place_pairs_csv
+    raises it, naming the CSV's path, at the CSV's turn among the outputs."""
+
+    def __init__(self, path: str):
+        self.error: OSError | None = None
+        self.temp = self.fh = None
+        try:
+            self.temp, fd = _create_beside(path)
+            self.fh = open(fd, "w", encoding="utf-8", newline="")
+            self.fh.write(",".join(_PAIRS_HEADER) + "\r\n")
+        except OSError as exc:
+            self.error = exc
+
+    def __call__(self, pairs: PairTable, rows: slice) -> None:
+        if self.error is None:
+            try:
+                _write_pairs_csv(self.fh, pairs, rows)
+            except OSError as exc:
+                self.error = exc
+
+    def close(self) -> None:
+        if self.fh is not None:
+            fh, self.fh = self.fh, None
+            try:
+                fh.close()
+            except OSError as exc:
+                self.error = self.error or exc
+
+    def discard(self) -> None:
+        self.close()
+        if self.temp is not None:
+            temp, self.temp = self.temp, None
+            try:
+                os.remove(temp)
+            except FileNotFoundError:
+                pass
+
+
+def _place_pairs_csv(path: str, pairs: _PairsCsv) -> None:
+    """Move the pairs CSV that pairs wrote during the sweep to path,
+    replacing any file there; an error names path."""
+    pairs.close()
+    try:
+        if pairs.error is not None:
+            raise pairs.error
+        os.replace(pairs.temp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    pairs.temp = None
+
+
+def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
     """schedule -> points -> decomposition -> certified bank -> selection ->
     glue -> sweep, with the time of each stage under `timings`.
 
-    The certification vectors (every pair difference among them) live only
-    while build_bank certifies, and the decomposition only until selection,
-    so neither is held through the sweep. The sweep keeps its table of every
-    judged pair only when a pairs CSV is to be written from it."""
+    No stage holds an array of one row per pair or per certification
+    vector. build_bank groups the certification vectors a block at a time
+    as _certify_vectors forms them and keeps only the distinct ones; the
+    decomposition lives only until selection; the sweep keeps no pair table
+    and passes each judged block of pairs to on_block, when given (see
+    distortion_report), which is how a pairs CSV is written."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
@@ -524,7 +618,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9):
     del decomp
     lap("select")
     g = GlueEmbedding(sched, bank, selection)
-    dist = distortion_report(g, pts, tol=tolerance, keep_pairs=cfg.pairs_csv_path is not None)
+    dist = distortion_report(g, pts, tol=tolerance, keep_pairs=False, on_block=on_block)
     lap("sweep")
 
     report = _report_dict(cfg, sched, bank, selection, dist)
@@ -602,8 +696,20 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
+    pairs = _PairsCsv(cfg.pairs_csv_path) if cfg.pairs_csv_path else None
     try:
-        report, dist, _, pts = run_pipeline(cfg, tolerance=args.tolerance)
+        return _run(cfg, args.tolerance, report_key, report_path, pairs)
+    finally:
+        if pairs is not None:
+            pairs.discard()
+
+
+def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) -> int:
+    """cmd_run's pipeline and outputs, in order: the report, the pairs CSV
+    (written during the sweep by pairs, a _PairsCsv, and moved into place
+    here) and the images."""
+    try:
+        report, dist, _, pts = run_pipeline(cfg, tolerance=tolerance, on_block=pairs)
     except (BankExhausted, CertificationFailed, BoundViolated, NonPositiveLowerBound) as exc:
         failure = {
             "config": cfg.raw,
@@ -622,7 +728,7 @@ def cmd_run(args) -> int:
         return 2
     outputs = (
         (report_key, _write_json, report_path, report),
-        ("output.pairs_csv", _write_pairs_csv, cfg.pairs_csv_path, dist),
+        ("output.pairs_csv", _place_pairs_csv, cfg.pairs_csv_path, pairs),
         ("output.images", _write_images, cfg.images_path, pts.ids, dist.images),
     )
     for key, write, path, *payload in outputs:

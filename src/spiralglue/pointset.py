@@ -105,6 +105,23 @@ def classify_levels(lo_x, hi_x, lo_y, hi_y):
     return level <= np.minimum(hi_x, hi_y), level, hi_y, lo_x - 1
 
 
+def pairs_at(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b > a) of n points at the given indices of their
+    row-major order: pair (a, b) has index row_start[a] + (b - a - 1),
+    row_start[a] the sum of the row lengths n - 1 - k for k < a."""
+    row_start = np.cumsum(np.arange(n, 0, -1)) - n
+    a = np.searchsorted(row_start, index, side="right") - 1
+    return a, index - row_start[a] + a + 1
+
+
+def pair_blocks(n: int, width: int):
+    """The pairs (a, b > a) of n points in row-major order, in the blocks of
+    row_blocks(n (n - 1) / 2, width): yields (block, a, b), the block's
+    slice of the pair indices and its pairs' two index arrays."""
+    for block in row_blocks(n * (n - 1) // 2, width):
+        yield (block, *pairs_at(n, np.arange(block.start, block.stop)))
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionAngles:
     """A unit difference direction with the ramp angles recorded against it."""

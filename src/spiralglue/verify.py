@@ -18,7 +18,7 @@ import numpy as np
 from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
-from .pointset import LocallyFiniteSet, classify_levels, level_intervals
+from .pointset import LocallyFiniteSet, classify_levels, level_intervals, pair_blocks
 from .schedule import Params, build_schedule, log_radius, sandwich_angles_log
 from .spaces import Lp, Space, direction_gain, distinct_rows, norm, norms, row_blocks
 
@@ -98,25 +98,27 @@ def spreading_lower_bound(c: float, s: float) -> float:
 def spreading_bound_minimum(grid_size: int) -> tuple[float, float]:
     """Minimum of the spreading lower bound over angles in [0, pi/2].
 
-    Also asserts the left branch is non-increasing up to pi/4 and the right
-    branch non-decreasing after, on the grid. Returns (minimum, argmin angle).
+    The minimum is taken at pi/4 in closed form, where the two branches
+    meet: the left branch bounds the maximum up to pi/4 and the right branch
+    after it. On a grid of grid_size angles and pi/4 itself, it asserts the
+    left branch non-increasing up to pi/4 and the right branch
+    non-decreasing after, so that no grid angle holds a smaller value.
+    Returns (minimum, argmin angle).
     """
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
-    taus = np.linspace(0.0, 0.5 * math.pi, grid_size)
+    quarter = 0.25 * math.pi
+    taus = np.union1d(np.linspace(0.0, 0.5 * math.pi, grid_size), [quarter])
     c, s = np.cos(taus), np.sin(taus)
     left = c * (c + s) / (c + 2.0 * s)
     right = s * (c + s) / (2.0 * c + s)
-    vals = np.maximum(left, right)
-    quarter = 0.25 * math.pi
     dl = np.diff(left[taus <= quarter])
     if dl.size and dl.max() > 1e-12:
         raise BoundViolated("left_branch_monotone", float(-dl.max()))
     dr = np.diff(right[taus >= quarter])
     if dr.size and dr.min() < -1e-12:
         raise BoundViolated("right_branch_monotone", float(dr.min()))
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(taus[k])
+    return spreading_lower_bound(math.cos(quarter), math.sin(quarter)), quarter
 
 
 @dataclass(frozen=True)
@@ -551,21 +553,28 @@ def _image_norms(target: Space, images, a: int, block: slice, out) -> None:
 
 
 def distortion_report(
-    g: GlueEmbedding, pts: LocallyFiniteSet, tol: float = DEFAULT_TOL, keep_pairs: bool = True
+    g: GlueEmbedding,
+    pts: LocallyFiniteSet,
+    tol: float = DEFAULT_TOL,
+    keep_pairs: bool = True,
+    on_block=None,
 ) -> DistortionReport:
     """Sweep all unordered pairs, check every applicable inequality, and
     assert the measured distortion stays below the closed-form ratio.
 
     The points are embedded in one call, and each is normed and classified
     once. The pairs (a, b > a) are taken in row-major order and judged in
-    blocks of pairs, with check_pair's verdict on every pair written into
-    the columns of a PairTable, and each block's columns are folded into the
-    class summaries and witnesses. With keep_pairs the table holds every
-    pair and is the report's pair_checks; without it, one table of a block
-    is reused, the report's pair_checks is empty, and the sweep keeps no
-    array of one entry per pair. Every temporary of pairs times a row width
-    is formed in row blocks. A tol that is not finite and >= 0 raises
-    ValueError.
+    blocks of pairs (pointset.pair_blocks), with check_pair's verdict on
+    every pair written into the columns of a PairTable, and each block's
+    columns are folded into the class summaries and witnesses. With
+    keep_pairs the table holds every pair and is the report's pair_checks;
+    without it, one table of a block is reused, the report's pair_checks is
+    empty, and the sweep keeps no array of one entry per pair. on_block,
+    when given, is called as on_block(table, rows) with each judged block's
+    rows of the table, in sweep order, before the next block overwrites a
+    reused table; a block that raises is not passed. Every temporary of
+    pairs times a row width is formed in row blocks. A tol that is not
+    finite and >= 0 raises ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -580,19 +589,13 @@ def distortion_report(
     ids = table.ids
     images = embed(g, coords)
     images.flags.writeable = False
-    # pair (a, b) sits at row_start[a] + (b - a - 1), row_start[a] the sum
-    # of the row lengths n - 1 - k for k < a
-    row_start = np.cumsum(np.arange(n, 0, -1)) - n
     size = n * (n - 1) // 2
     width = max(g.source.dim, _PAIR_WIDTH)
     step = next(row_blocks(size, width)).stop
     out = PairTable(size if keep_pairs else step)
     nimage = np.empty(step)
     summaries = _Summaries()
-    for block in row_blocks(size, width):
-        index = np.arange(block.start, block.stop)
-        a = np.searchsorted(row_start, index, side="right") - 1
-        b = index - row_start[a] + a + 1
+    for block, a, b in pair_blocks(n, width):
         _image_norms(g.target, images, int(a[0]), block, nimage)
         keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
         diff = coords[a] - coords[b]
@@ -604,6 +607,8 @@ def distortion_report(
             g, bounds, table, xs, ys, diff, norms(g.source, diff), nimage[:k], tol, out, at
         )
         summaries.add(out, slice(at, at + k))
+        if on_block is not None:
+            on_block(out, slice(at, at + k))
     if not keep_pairs:
         out = PairTable(0)
     out._freeze()

@@ -3,10 +3,10 @@
 The row kernel `norms`, the certification kernel `image_norms`, the blend
 kernel `blend_norms` on the node of the pairwise sum, the batched
 `decompose` with its sort-and-sweep direction grouping, the certification
-array, the row gain with cos and sin once per distinct angle, the selection's level judge, the array ramp angle
+blocks, the row gain with cos and sin once per distinct angle, the selection's level judge, the array ramp angle
 and weight evaluator, the one-call weight table, the row embedding with the
 images file written from the report, and the block judge of the pair sweep
-with its column reductions and column CSV writer must reproduce the
+with its column reductions and block CSV writer must reproduce the
 one-at-a-time results. The scalar code kept in this file (decompose's
 direction scan, the per-pair judge, the per-check level loop, the float
 ramp angle and weight evaluator, the per-radius weight row, the per-point
@@ -39,7 +39,6 @@ from spiralglue.bank import _level_ok, blend_threshold
 from spiralglue.cli import (
     _certify_vectors,
     _write_json,
-    _write_pairs_csv,
     main,
     parse_config,
     run_pipeline,
@@ -221,14 +220,49 @@ def _config(dim, norm, strategy, per_level, certify_random=40, **extra):
     )
 
 
-def test_certify_array_bit_equal_to_list():
+def _certify_case():
     cfg = _config(3, {"norm": "lp", "p": 1.0}, {"strategy": "block_shift"}, 12)
     sched = sg.build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
     pts = sg.generate_annular(7, sched, 12, 3, "mixed", cfg.source.norm)
-    decomp = sg.decompose(pts, sched)
-    got = _certify_vectors(cfg, pts, decomp)
+    return cfg, pts, sg.decompose(pts, sched)
+
+
+def _assert_blocks_are_list(cfg, pts, decomp):
+    """The certify blocks, concatenated, are the list's rows."""
+    certify = _certify_vectors(cfg, pts, decomp)
+    blocks = list(certify)
     want = np.array(_certify_list(cfg, pts, decomp))
+    assert len(certify) == len(want)
+    assert max(len(b) for b in blocks) <= sg.spaces.BATCH_ELEMENTS // 3
+    got = np.concatenate(blocks)
     assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a second pass forms the same blocks anew
+    assert np.concatenate(list(certify)).tobytes() == want.tobytes()
+
+
+def test_certify_array_bit_equal_to_list():
+    _assert_blocks_are_list(*_certify_case())
+
+
+@pytest.mark.parametrize("batch", [64, 100])
+def test_certify_blocks_bit_equal_to_list_in_small_blocks(batch, monkeypatch):
+    # blocks of 21 and 33 rows straddle the points, differences, directions
+    # and random rows, whose draws then come a few at a time
+    case = _certify_case()
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", batch)
+    _assert_blocks_are_list(*case)
+
+
+@pytest.mark.parametrize("cuts", [[], [1], [5, 6, 40], list(range(1, 40))])
+def test_random_rows_drawn_in_blocks_are_one_draw(cuts):
+    # the certify stream draws its random rows a block at a time, which must
+    # consume the generator exactly as one draw of all of them
+    want = np.random.default_rng(3).standard_normal((40, 3))
+    rng = np.random.default_rng(3)
+    got = np.empty((40, 3))
+    for lo, hi in zip([0, *cuts], [*cuts, 40]):
+        rng.standard_normal(out=got[lo:hi])
     assert got.tobytes() == want.tobytes()
 
 
@@ -1590,10 +1624,22 @@ def _edge_float_report():
     return SimpleNamespace(pair_checks=_pair_table(rng, size, distinct, repeated, mixed))
 
 
+def _write_in_blocks(path, dist, cuts):
+    """The pairs CSV of a report's pair table, written through the sweep's
+    block writer with the table cut at cuts."""
+    pairs = spiralglue.cli._PairsCsv(path)
+    size = len(dist.pair_checks)
+    for lo, hi in zip([0, *cuts], [*cuts, size]):
+        pairs(dist.pair_checks, slice(lo, hi))
+    spiralglue.cli._place_pairs_csv(path, pairs)
+
+
 def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_pipeline):
     reports = {**_reports(l1_pipeline, plateau_pipeline), "edge-floats": _edge_float_report()}
     for name, dist in reports.items():
-        _write_pairs_csv(str(tmp_path / f"{name}.csv"), dist)
+        # blocks of one row, and blocks across the writer's own row blocks
+        size = len(dist.pair_checks)
+        _write_in_blocks(str(tmp_path / f"{name}.csv"), dist, [1, 2, size // 3, size - 17])
         write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), dist)
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}-rows.csv").read_bytes()

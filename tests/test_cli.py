@@ -215,6 +215,17 @@ def test_theory_command(capsys):
     assert out.count("[PASS]") == 3
 
 
+@pytest.mark.parametrize("grid", [3, 4, 10, 10000, None])
+def test_theory_spreading_bound_passes_on_every_grid(capsys, grid):
+    # an even grid misses pi/4, where the bound has its kink and minimum;
+    # the minimum is taken there in closed form, on any grid
+    argv = ["theory", "--pairs", "20"] + ([] if grid is None else ["--grid", str(grid)])
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("[PASS] spreading bound minimum ")
+    assert first.endswith(f"at {math.pi / 4!r}")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -599,6 +610,38 @@ def test_run_unwritable_output_exits_2_naming_key(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {key}: ")
     assert captured.out == ""
+
+
+def test_failed_run_leaves_existing_pairs_csv_untouched(tmp_path, capsys, monkeypatch):
+    # the CSV is written while the sweep runs, into a temporary file beside
+    # it: a run that fails in the sweep, many blocks in, leaves the file
+    # named by output.pairs_csv as it was, and no temporary file behind
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    path, cfg = _base_config(
+        tmp_path, points={"generator": {"seed": 7, "per_level": 13, "placement": "mixed"}}
+    )
+    old = b"x_id,y_id\r\nan earlier run's rows\r\n"
+    (tmp_path / "pairs.csv").write_bytes(old)
+    before = set(tmp_path.iterdir())
+    assert main(["run", "--config", str(path), "--tolerance", "0"]) == 1
+    assert "BoundViolated" in (tmp_path / "report.json").read_text()
+    assert capsys.readouterr().err.startswith("run failed: inequality 'plateau_bracket'")
+    assert (tmp_path / "pairs.csv").read_bytes() == old
+    # the failure report is the only new file
+    assert set(tmp_path.iterdir()) == before | {tmp_path / "report.json"}
+
+
+def test_run_leaves_only_its_outputs(tmp_path, capsys):
+    path, cfg = _base_config(tmp_path)
+    cfg["output"]["images"] = str(tmp_path / "images.json")
+    path.write_text(json.dumps(cfg))
+    (tmp_path / "pairs.csv").write_text("an earlier run's rows\n")
+    assert main(["run", "--config", str(path)]) == 0
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"config.json", "report.json", "pairs.csv", "images.json"}
+    rows = (tmp_path / "pairs.csv").read_text().splitlines()
+    assert rows[0] == "x_id,y_id,class,ratio,lower_slack,upper_slack"
+    assert len(rows) == 1 + 25 * 24 // 2
 
 
 def test_run_unwritable_failure_report_exits_2_naming_key(tmp_path, capsys):

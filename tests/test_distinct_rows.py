@@ -2,9 +2,11 @@
 
 `spaces.distinct_rows` must put two rows in one group only when every bit
 of them is equal, and gathering each group's first row back must give the
-input's bits. Certification and the row gain evaluate each distinct row once
-and must match `tests/oracles.py`, which evaluates every row (the row gain's
-bit-equality on repeated rows is held in `tests/test_batched.py`).
+input's bits; `spaces.DistinctRows` fed the same rows in blocks must give
+the groups of one call. Certification, which groups its rows in blocks, and
+the row gain evaluate each distinct row once and must match
+`tests/oracles.py`, which evaluates every row (the row gain's bit-equality
+on repeated rows is held in `tests/test_batched.py`).
 """
 
 import math
@@ -18,7 +20,7 @@ import spiralglue as sg
 import spiralglue.bank
 import spiralglue.spaces
 from spiralglue.errors import CertificationFailed
-from spiralglue.spaces import distinct_rows
+from spiralglue.spaces import DistinctRows, distinct_rows
 
 from oracles import certify_all_rows, direction_gain_all_rows
 
@@ -106,6 +108,79 @@ def test_distinct_rows_exact_under_forced_collisions(arrays):
     keys = _row_keys(arrays)
     runs = 1 + sum(a != b for a, b in zip(keys, keys[1:])) if keys else 0
     assert len(take) == runs
+
+
+def _grouped_in_blocks(arrays, cuts):
+    """(take, inverse, first rows) of DistinctRows fed the arrays cut into
+    blocks at the row indices cuts."""
+    n = len(arrays[0])
+    groups = DistinctRows(n)
+    take, inverse = [], []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        heads, block_inverse = groups.add(*(a[lo:hi] for a in arrays))
+        take.append(heads + lo)
+        inverse.append(block_inverse)
+    take = np.concatenate(take) if take else np.empty(0, dtype=np.intp)
+    return take, np.concatenate(inverse), groups.rows(np.arange(groups.count))
+
+
+@st.composite
+def _cut_arrays(draw):
+    arrays = draw(_row_arrays(max_rows=60))
+    n = len(arrays[0])
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    return arrays, cuts
+
+
+def _check_blocks_match_one_call(arrays, cuts):
+    take, inverse = distinct_rows(*arrays)
+    got_take, got_inverse, first_rows = _grouped_in_blocks(arrays, cuts)
+    assert got_take.tolist() == take.tolist()
+    assert got_inverse.tolist() == inverse.tolist()
+    # the groups' first rows, as kept, are the bits of the rows take names
+    want = np.concatenate([_bits(a) for a in arrays], axis=1)[take]
+    assert first_rows.view(np.uint64).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cut_arrays())
+def test_distinct_rows_in_blocks_match_one_call(case):
+    # blocks cut anywhere (empty blocks, one-row blocks, repeats across
+    # blocks) give the groups of one call on all rows
+    _check_blocks_match_one_call(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cut_arrays())
+def test_distinct_rows_in_blocks_match_one_call_under_forced_collisions(case):
+    # every row hashes to 0, so only the bit comparison separates groups:
+    # a block's first row must be compared with the last row of the earlier
+    # blocks, and only consecutive repeats merge, as in one call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(0))
+        _check_blocks_match_one_call(*case)
+
+
+def test_distinct_rows_in_blocks_join_the_latest_row_of_a_class(monkeypatch):
+    # with the multiplier 1 a row's hash is the sum of its mixed columns, so
+    # (1, 2) and (2, 1) share a class with different bits. The first block
+    # holds (1, 2) among many classes, the second (2, 1) alone, so their
+    # runs do not merge; the third block's (2, 1) must be compared with the
+    # class's latest row, the second block's, and join its group
+    monkeypatch.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(1))
+    rows = np.array([[k, 10.0 * k] for k in range(3, 13)] + [[1.0, 2.0], [2.0, 1.0], [2.0, 1.0]])
+    _check_blocks_match_one_call([rows], [11, 12])
+    take, inverse = distinct_rows(rows)
+    assert inverse[-1] == inverse[-2] != inverse[-3]
+
+
+def test_distinct_rows_in_blocks_check_their_input():
+    groups = DistinctRows(3)
+    groups.add(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="columns"):
+        groups.add(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="left to group"):
+        groups.add(np.zeros((2, 2)))
 
 
 def test_distinct_rows_edge_cases():
@@ -226,6 +301,58 @@ def test_certification_chunks_are_whole_image_blocks(monkeypatch):
     assert seen == [30, 30, 30, 10] * 4
     margins = (want.cert_lower_margin, want.cert_upper_margin)
     assert repr((got.cert_lower_margin, got.cert_upper_margin)) == repr(margins)
+
+
+@st.composite
+def _certification_in_blocks(draw):
+    """Certify rows across many blocks of 64 elements (64 // dim rows): rows
+    of a small pool, so that repeats span blocks, with zero rows of either
+    sign among them, and one map that halves the last coordinate, so that
+    the pool's rows along it fail certification; each is placed after zero
+    rows, and repeated later."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [np.eye(2 * dim, dim) + 1e-6 * rng.standard_normal((2 * dim, dim)) for _ in range(count)]
+    if draw(st.booleans()):
+        matrices[draw(st.integers(0, count - 1))][dim - 1, dim - 1] = 0.5
+    pool = rng.standard_normal((draw(st.integers(1, 6)), dim))
+    if draw(st.booleans()):
+        pool[0] = 0.0
+        pool[0, -1] = 1.0 + rng.random()
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=150))
+    rows = [pool[k] for k in picks]
+    zero = np.zeros(dim)
+    for place in draw(st.lists(st.integers(0, len(rows)), max_size=12)):
+        rows.insert(place, -zero if draw(st.booleans()) else zero)
+    return dim, matrices, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_certification_in_blocks(), gamma=st.sampled_from([0.01, 4.0]))
+def test_build_bank_in_many_blocks_matches_all_rows_oracle(case, gamma):
+    # margins, or the failing (map, nonzero-row index, ratio), bit for bit,
+    # with the certify rows grouped a few at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+        got, want = _certify(*case, gamma)
+    assert repr(got) == repr(want)
+
+
+def test_build_bank_failure_index_counts_rows_of_earlier_blocks(monkeypatch):
+    # 32 rows of 2 a block: the failing row first comes in the third block,
+    # after zero rows of either sign and repeats that span blocks, and again
+    # in the fourth; its index counts the nonzero rows of every block
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    good = np.eye(4, 2)
+    bad = np.eye(4, 2) * [1.0, 0.5]
+    pool = [[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]]
+    rows = [pool[k % 3] for k in range(100)]
+    for k in (5, 33, 40, 66, 68, 69):
+        rows[k] = [-0.0 if k % 2 else 0.0, 0.0]
+    rows[70] = rows[99] = [0.0, 3.0]
+    got, want = _certify(2, [good, bad], np.array(rows, dtype=float), 0.1)
+    assert got == want == (1, 64, 0.5)
 
 
 # ---------------------------------------------------------------- row gain

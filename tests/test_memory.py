@@ -1,11 +1,11 @@
 """Memory of certification and of the maps, measured with tracemalloc.
 
-A generated map keeps only its hull, the certification vectors (every
-pair difference among them) live only while build_bank certifies, and a
-sweep that keeps no pair table holds no array of one entry per pair. The
-bounds here are fixed numbers of bytes for fixed small inputs: a dense map,
-a certification array held past its stage or a column per pair exceeds
-them.
+A generated map keeps only its hull, certification forms its vectors (every
+pair difference among them) a block at a time and keeps only the distinct
+ones, and a sweep that keeps no pair table holds no array of one entry per
+pair, also when it writes a pairs CSV. The bounds here are fixed numbers of
+bytes for fixed small inputs: a dense map, an array of every certification
+vector or a column per pair exceeds them.
 """
 
 import json
@@ -63,22 +63,37 @@ def _config(dim: int, p: float, per_level: int, placement: str) -> cli.RunConfig
     return cli.parse_config(json.loads(json.dumps(raw)))
 
 
-def test_sweep_starts_without_certification_arrays(monkeypatch):
-    # the certify array of 151 points (11 608 rows of 16 floats, 1.49 MB)
-    # used to stay alive through selection and the sweep
-    seen = {}
-    certify_vectors, distortion_report = cli._certify_vectors, cli.distortion_report
+# the certify array of the 151-point plateau config (11 608 rows of 16
+# floats), which certification used to form whole
+CERTIFY_ARRAY_BYTES = 11_608 * 16 * 8
 
-    def sized(*args):
-        out = certify_vectors(*args)
-        seen["certify_bytes"] = out.nbytes
-        return out
+
+def test_sweep_starts_without_certification_arrays(monkeypatch):
+    # the certify array used to stay alive through selection and the sweep;
+    # now no array of every certify row is formed at all: the certify
+    # stage's peak stays below what that array alone took
+    seen = {}
+    certify_vectors, build_bank = cli._certify_vectors, cli.build_bank
+    distortion_report = cli.distortion_report
+
+    def certify_started(*args):
+        seen["certify_start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        certify = certify_vectors(*args)
+        seen["rows"] = len(certify)
+        return certify
+
+    def certified(*args):
+        bank = build_bank(*args)
+        seen["certify_peak"] = tracemalloc.get_traced_memory()[1] - seen["certify_start"]
+        return bank
 
     def entered(*args, **kwargs):
         seen["held"] = tracemalloc.get_traced_memory()[0]
         return distortion_report(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_certify_vectors", sized)
+    monkeypatch.setattr(cli, "_certify_vectors", certify_started)
+    monkeypatch.setattr(cli, "build_bank", certified)
     monkeypatch.setattr(cli, "distortion_report", entered)
     cfg = _config(16, 2.0, 50, "plateau")
     cli.run_pipeline(cfg)  # imports and caches of a first run are not counted
@@ -88,8 +103,29 @@ def test_sweep_starts_without_certification_arrays(monkeypatch):
         cli.run_pipeline(cfg)
     finally:
         tracemalloc.stop()
-    assert seen["certify_bytes"] == 11_608 * 16 * 8
-    assert seen["held"] - start < seen["certify_bytes"]
+    assert seen["rows"] == 11_608
+    assert seen["certify_peak"] < CERTIFY_ARRAY_BYTES
+    assert seen["held"] - start < CERTIFY_ARRAY_BYTES
+
+
+def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):
+    # with a pairs CSV the run used to hold the table of all 11 325 pairs
+    # (0.92 MB) through the sweep, after the 1.49 MB certify array; the
+    # whole run, writes included, now peaks below either one's share of it
+    cfg = {
+        "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
+        "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+        "schedule": {"r1": 1.0, "levels": 3, "margin": 0.01},
+        "bank": {"strategy": "block_shift", "count": 6},
+        "points": {"generator": {"seed": 7, "per_level": 50, "placement": "plateau"}},
+        "output": {key: str(tmp_path / key) for key in ("report", "pairs_csv", "images")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, _, peak = _traced(cli.main, ["run", "--config", str(path)])
+    assert code == 0
+    assert (tmp_path / "pairs_csv").read_bytes().count(b"\r\n") == 11_325 + 1
+    assert peak <= 1.6 * MB
 
 
 def test_sweep_without_pair_table_keeps_no_column_per_pair():
