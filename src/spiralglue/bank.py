@@ -27,7 +27,6 @@ from .errors import BankExhausted, CertificationFailed, DimensionMismatch, NotSt
 from .pointset import AnnulusDecomposition
 # blend_apply is not called here, but bench/spans.py wraps bank.blend_apply
 from .spaces import (  # noqa: F401
-    DistinctRows,
     LinearMap,
     Lp,
     RowBlocks,
@@ -36,10 +35,12 @@ from .spaces import (  # noqa: F401
     as_rows,
     blend_apply,
     direction_gain,
+    distinct_rows,
     image_chunks,
     image_norms,
     norm,
     norms,
+    row_blocks,
 )
 
 _TOL = 1e-12
@@ -174,15 +175,16 @@ def build_bank(
     Raises CertificationFailed with the worst offending vector if any map
     falls outside its sandwich; its index counts the nonzero vectors.
 
-    Each distinct nonzero vector (by bit pattern, see DistinctRows) is
-    normed and imaged once per map, so the margins and the first worst
-    vector are those of evaluating every vector (see _certify_rows).
+    Each distinct nonzero vector (by bit pattern, see distinct_rows) is
+    normed and imaged once per map, in order of first occurrence, so the
+    margins and the first worst vector are those of evaluating every vector
+    (see _certify_rows).
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    groups, keep, first, source_norms = _certify_rows(source, certify_set)
+    rows, first, source_norms = _certify_rows(source, certify_set)
 
     if isinstance(strategy, BlockShift):
         maps = _block_shift_maps(source, target, count, strategy.block_width)
@@ -196,10 +198,10 @@ def build_bank(
     eps_n = (1.0 + gamma) ** (1.0 / count) - 1.0
     lo_margins = []
     hi_margins = []
-    image = np.empty(len(keep))
+    image = np.empty(len(rows))
     for n, lin in enumerate(maps):
-        for chunk in image_chunks(len(keep), lin):
-            image[chunk] = image_norms(lin, groups.rows(keep[chunk]))
+        for chunk in image_chunks(len(rows), lin):
+            image[chunk] = image_norms(lin, rows[chunk])
         # norm(target, lin v) / norm(source, v) over the distinct nonzero rows
         # v; groups are in order of their first rows, so the first extreme
         # group holds the first extreme nonzero row
@@ -218,40 +220,45 @@ def build_bank(
 
 
 def _certify_rows(source: Space, certify_set):
-    """The distinct nonzero rows of a certify set, grouped a block at a time.
+    """The distinct nonzero rows of a certify set, in order of their first
+    rows: (rows, first, source_norms), with the index of each one's first
+    row among the nonzero rows, and its source norm. They are the groups of
+    positive norm of one distinct_rows call on every row.
 
-    Returns (groups, keep, first, source_norms): the DistinctRows of every
-    row, the groups of nonzero norm in order, the index of each one's first
-    row among the nonzero rows, and its source norm. Only the groups' first
-    rows are kept, never an array of every row: each block is grouped
-    against the groups found so far, and the rows of the groups it opens are
-    normed."""
-    if not isinstance(certify_set, RowBlocks):
-        certify_set = RowBlocks.of(as_rows(certify_set, source.dim))
-    groups = DistinctRows(len(certify_set))
-    # the groups of no positive norm (the signed zero rows, and any NaN row),
-    # ascending, after a -1 that no group is
-    zero = np.array([-1])
-    keep, first, kept_norms = [], [], []
+    An array or a sequence of vectors is one block; a RowBlocks stream is
+    grouped a block at a time. Each block keeps the first rows of its
+    groups, with their norms and indices, and these are grouped together
+    once more: the first of a group's first rows in its blocks is its first
+    row in the stream, so no array of every row is formed."""
+    blocks = certify_set if isinstance(certify_set, RowBlocks) else [certify_set]
+    heads, firsts, head_norms = [], [], []
     nonzero_rows = 0
-    for block in certify_set:
+    for block in blocks:
         block = as_rows(block, source.dim)
-        opened = groups.count
-        heads, inverse = groups.add(block)
-        block_norms = norms(source, groups.rows(np.arange(opened, groups.count)))
-        nonzero = block_norms > 0.0
-        zero = np.append(zero, opened + np.flatnonzero(~nonzero))
+        take, inverse = distinct_rows(block)
+        heads.append(block[take])
+        head_norms.append(norms(source, heads[-1]))
         # the index of each of the block's rows among the nonzero rows
-        counted = zero[np.searchsorted(zero, inverse, side="right") - 1] != inverse
-        index = np.cumsum(counted) + (nonzero_rows - 1)
+        counted = (head_norms[-1] > 0.0)[inverse]
+        firsts.append((np.cumsum(counted) + (nonzero_rows - 1))[take])
         nonzero_rows += int(np.count_nonzero(counted))
-        keep.append(opened + np.flatnonzero(nonzero))
-        first.append(index[heads[nonzero]])
-        kept_norms.append(block_norms[nonzero])
         del block  # not alive while the next block is formed
     if not nonzero_rows:
         raise ValueError("certify_set must contain at least one nonzero vector")
-    return groups, np.concatenate(keep), np.concatenate(first), np.concatenate(kept_norms)
+    if len(heads) == 1:
+        rows, first, source_norms = heads[0], firsts[0], head_norms[0]
+        take = np.arange(len(rows))
+    else:
+        rows = np.concatenate(heads)
+        del heads
+        first, source_norms = np.concatenate(firsts), np.concatenate(head_norms)
+        take = distinct_rows(rows)[0]
+    take = take[source_norms[take] > 0.0]
+    # gather the kept rows to the front in place: take ascends, so take[i]
+    # >= i, and no block reads a row that an earlier block wrote
+    for block in row_blocks(len(take), source.dim):
+        rows[block] = rows[take[block]]
+    return rows[: len(take)], first[take], source_norms[take]
 
 
 def spreading_limit_estimate(

@@ -14,8 +14,8 @@ import functools
 import json
 import math
 import os
-import secrets
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, replace
 
@@ -491,87 +491,81 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
 _PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
 
 
-def _write_pairs_csv(fh, pairs: PairTable, rows: slice) -> None:
-    """The pairs CSV's lines of the given rows of a pair table, as
-    csv.writer writes ids, kinds and float reprs (none needs quoting), a
-    block of rows at a time, each distinct float formatted once."""
-    columns = (pairs.ratio, pairs.lower_slack, pairs.upper_slack)
-    for part in row_blocks(rows.stop - rows.start, len(_PAIRS_HEADER)):
-        block = slice(rows.start + part.start, rows.start + part.stop)
-        ids = (pairs.x_id[block].tolist(), pairs.y_id[block].tolist())
-        floats = (_float_texts(c[block]) for c in columns)
-        table = zip(*ids, pairs.kinds(block), *floats)
-        fh.write("".join([f"{x},{y},{k},{r},{lo},{hi}\r\n" for x, y, k, r, lo, hi in table]))
+# the columns of a PairTable that the pairs CSV reads, and the binary record
+# of one pair's values in them that _PairsSpool writes
+_PAIRS_COLUMNS = ("x_id", "y_id", "code", "level", "x_level", "ratio", "lower_slack", "upper_slack")
+_PAIRS_RECORD = np.dtype([(name, getattr(PairTable(0), name).dtype) for name in _PAIRS_COLUMNS])
 
 
-def _create_beside(path: str) -> tuple[str, int]:
-    """A new file in the directory of path, named .<name>.<random>.tmp and
-    created with the mode open() gives a new file (mkstemp's is 0o600): its
-    path and file descriptor."""
-    directory, name = os.path.split(path)
-    while True:
-        temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
-        try:
-            return temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except FileExistsError:
-            continue
+class _PairsSpool:
+    """The pairs of a sweep, spooled for the pairs CSV. Called as the
+    sweep's on_block, it appends each judged block's pairs, as binary
+    records of the CSV's columns, to an anonymous temporary file (in
+    tempfile's directory), which is gone once closed or once the process
+    ends. So the sweep keeps no array of one entry per pair, and nothing is
+    written at the CSV's path until _write_pairs_csv reads the spool back at
+    the CSV's turn among the outputs. An OSError of the spool is kept and
+    raised there."""
 
-
-class _PairsCsv:
-    """A pairs CSV written while the sweep runs: the header at once, then
-    each judged block of pairs as the sweep passes it (call the object as
-    the sweep's on_block), into a new temporary file beside the CSV's path.
-    _place_pairs_csv moves the file to its path; discard() removes it if it
-    was not moved, so that a run that fails leaves no CSV and an existing
-    file untouched. An OSError while writing is kept, and _place_pairs_csv
-    raises it, naming the CSV's path, at the CSV's turn among the outputs."""
-
-    def __init__(self, path: str):
+    def __init__(self):
+        self.rows = 0
         self.error: OSError | None = None
-        self.temp = self.fh = None
+        self.fh = None
         try:
-            self.temp, fd = _create_beside(path)
-            self.fh = open(fd, "w", encoding="utf-8", newline="")
-            self.fh.write(",".join(_PAIRS_HEADER) + "\r\n")
+            self.fh = tempfile.TemporaryFile()
         except OSError as exc:
             self.error = exc
 
     def __call__(self, pairs: PairTable, rows: slice) -> None:
-        if self.error is None:
-            try:
-                _write_pairs_csv(self.fh, pairs, rows)
-            except OSError as exc:
-                self.error = exc
+        if self.error is not None:
+            return
+        record = np.empty(rows.stop - rows.start, dtype=_PAIRS_RECORD)
+        for name in _PAIRS_COLUMNS:
+            record[name] = getattr(pairs, name)[rows]
+        try:
+            self.fh.write(record.tobytes())
+        except OSError as exc:
+            self.error = exc
+        self.rows += len(record)
+
+    def tables(self):
+        """The spooled pairs in order, as PairTables of the CSV's columns
+        (their sandwich columns are not set), one per row block of the CSV;
+        the spool's error, if any, is raised at once."""
+        if self.error is not None:
+            raise self.error
+        self.fh.seek(0)
+        blocks = row_blocks(self.rows, len(_PAIRS_HEADER))
+        return (self._table(block.stop - block.start) for block in blocks)
+
+    def _table(self, rows: int) -> PairTable:
+        record = np.frombuffer(self.fh.read(rows * _PAIRS_RECORD.itemsize), dtype=_PAIRS_RECORD)
+        table = PairTable(rows)
+        for name in _PAIRS_COLUMNS:
+            getattr(table, name)[:] = record[name]
+        return table
 
     def close(self) -> None:
         if self.fh is not None:
-            fh, self.fh = self.fh, None
-            try:
-                fh.close()
-            except OSError as exc:
-                self.error = self.error or exc
-
-    def discard(self) -> None:
-        self.close()
-        if self.temp is not None:
-            temp, self.temp = self.temp, None
-            try:
-                os.remove(temp)
-            except FileNotFoundError:
-                pass
+            self.fh.close()
 
 
-def _place_pairs_csv(path: str, pairs: _PairsCsv) -> None:
-    """Move the pairs CSV that pairs wrote during the sweep to path,
-    replacing any file there; an error names path."""
-    pairs.close()
-    try:
-        if pairs.error is not None:
-            raise pairs.error
-        os.replace(pairs.temp, path)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    pairs.temp = None
+def _write_pairs_csv(path: str, pairs: _PairsSpool) -> None:
+    """One row per pair, as csv.writer writes ids, kinds and float reprs
+    (none needs quoting), from the pairs spooled during the sweep, read back
+    a block of rows at a time, each distinct float of a block formatted
+    once. A spool error is raised before path is opened; path is opened
+    and written like every other output, so a device, a FIFO or a link
+    there is written through."""
+    tables = pairs.tables()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_PAIRS_HEADER) + "\r\n")
+        for table in tables:
+            ids = (table.x_id.tolist(), table.y_id.tolist())
+            columns = (table.ratio, table.lower_slack, table.upper_slack)
+            floats = (_float_texts(c) for c in columns)
+            rows = zip(*ids, table.kinds(), *floats)
+            fh.write("".join([f"{x},{y},{k},{r},{lo},{hi}\r\n" for x, y, k, r, lo, hi in rows]))
 
 
 def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
@@ -583,7 +577,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
     as _certify_vectors forms them and keeps only the distinct ones; the
     decomposition lives only until selection; the sweep keeps no pair table
     and passes each judged block of pairs to on_block, when given (see
-    distortion_report), which is how a pairs CSV is written."""
+    distortion_report), which is how `run` spools the pairs for its CSV."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
@@ -696,17 +690,17 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
-    pairs = _PairsCsv(cfg.pairs_csv_path) if cfg.pairs_csv_path else None
+    pairs = _PairsSpool() if cfg.pairs_csv_path else None
     try:
         return _run(cfg, args.tolerance, report_key, report_path, pairs)
     finally:
         if pairs is not None:
-            pairs.discard()
+            pairs.close()
 
 
 def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) -> int:
     """cmd_run's pipeline and outputs, in order: the report, the pairs CSV
-    (written during the sweep by pairs, a _PairsCsv, and moved into place
+    (spooled during the sweep by pairs, a _PairsSpool, and written from it
     here) and the images."""
     try:
         report, dist, _, pts = run_pipeline(cfg, tolerance=tolerance, on_block=pairs)
@@ -728,7 +722,7 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
         return 2
     outputs = (
         (report_key, _write_json, report_path, report),
-        ("output.pairs_csv", _place_pairs_csv, cfg.pairs_csv_path, pairs),
+        ("output.pairs_csv", _write_pairs_csv, cfg.pairs_csv_path, pairs),
         ("output.images", _write_images, cfg.images_path, pts.ids, dist.images),
     )
     for key, write, path, *payload in outputs:

@@ -41,19 +41,17 @@ which changes at most the sign of a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
-groups a level's unit differences with it, and the sweep's sandwich blends
-each distinct (theta, u) row once. It is the one-block call of
-`DistinctRows`, which groups a stream of row blocks against the groups
-found so far and keeps each group's first row: certification groups its
-vectors so, a `RowBlocks` stream, and images each distinct nonzero one
-once per map. `direction_gain` itself does not
-group: selection's level checks never repeat a row. Every kernel here is
-row-wise, so the gathered values are the bits of evaluating every row.
+groups a level's unit differences with it, certification images each
+distinct nonzero certify row once per map (grouping a `RowBlocks` stream
+block by block, then the blocks' first rows together), and the sweep's
+sandwich blends each distinct (theta, u) row once. `direction_gain` itself
+does not group: selection's level checks never repeat a row. Every kernel
+here is row-wise, so the gathered values are the bits of evaluating every
+row.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -86,11 +84,6 @@ class RowBlocks:
         self.rows = rows
         self.blocks = blocks
 
-    @classmethod
-    def of(cls, X: np.ndarray) -> RowBlocks:
-        """The rows of a 2-d array, in the blocks of row_blocks."""
-        return cls(len(X), lambda: (X[block] for block in row_blocks(len(X), X.shape[1])))
-
     def __len__(self) -> int:
         return self.rows
 
@@ -98,231 +91,71 @@ class RowBlocks:
         return iter(self.blocks())
 
 
-# above every class of DistinctRows, whose classes keep at least one bit
-# less than the hash
-_ABOVE = np.uint64(2**64 - 1)
-
 # the odd multiplier of distinct_rows' hash (the 64-bit golden ratio); column
 # j of a row is weighted by its (j + 1)-th power
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-class DistinctRows:
-    """Groups of rows by bit pattern, formed a block of rows at a time.
+def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of equal-length 1-d or 2-d float arrays by bit pattern.
 
-    The rows of a block are the concatenated rows of equal-length 1-d or 2-d
-    float arrays, of the same widths in every block, and `rows` bounds the
-    rows of all blocks together. add(*arrays) groups a block against the
-    groups found so far and returns (heads, inverse): heads holds the rows of
-    the block, ascending, that open a group, and inverse[i] the group of row
-    i. Groups are numbered from 0 in order of their first rows, so that a
-    group that a block opens gets the next number. Rows of one group have
-    equal bits in every column (so -0.0 and 0.0, and NaNs of different
-    payloads, stay apart). rows(ids) gives the first row of each given group,
-    as floats of the concatenated columns.
+    Row i is the concatenation of row i of every array. Returns (take,
+    inverse): take holds the first row of each group, ascending, and
+    inverse[i] the group of row i, so that each array's `a[take][inverse]`
+    has the bits of `a`. Rows of one group have equal bits in every column
+    (so -0.0 and 0.0, and NaNs of different payloads, stay apart).
 
     Each row's bits are folded into a hash (each column's bits xored with
-    their high half, times the column's power of _HASH_MULTIPLIER, summed).
-    Its top bits, those above the bit length of rows - 1, are the row's
-    class; with the row's index in the block in the low bits, they make one
-    sort key per row. Sorting the keys orders a block's rows by class and,
-    within a class, by index. A row joins the group of the row before it in
-    its class, in row order over every block, when the bits of the two rows
-    are equal, and opens a group when they are not; so a collision costs a
-    missed merge, never a wrong group, and the blocks' groups are those of
-    one call on all their rows. The class of each earlier block's last row,
-    with its group, is kept in sorted runs that merge as they grow (about
-    log2 of the block count runs), and each group's first row as bits, in
-    one piece per block. Rows are hashed and compared in row blocks, so the
-    extra memory is a few arrays of one entry per row of a block, besides
-    the groups' first rows.
-
-    The block that fills `rows` (the only block of distinct_rows) is kept
-    only when rows() or add is called next, so that a one-block call keeps
-    nothing; its arrays must not change until then."""
-
-    def __init__(self, rows: int):
-        self._rows = rows
-        self._shift = np.uint64(max(rows - 1, 1).bit_length())
-        self.count = 0  # groups so far
-        self._width = None
-        # runs of (sorted classes, then _ABOVE; the group of each class's last
-        # row, then -1), newest last
-        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
-        # each group's first row as bits, one piece per block, and the group
-        # count at the end of each piece
-        self._pieces: list[np.ndarray] = []
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-        self._last = None  # what the last block leaves for the next call
-
-    def add(self, *arrays) -> tuple[np.ndarray, np.ndarray]:
-        tables = [np.ascontiguousarray(a, dtype=float) for a in arrays]
-        rows = len(tables[0])
-        if any(t.ndim not in (1, 2) or len(t) != rows for t in tables):
-            raise ValueError("distinct_rows needs 1-d or 2-d arrays of equal length")
-        bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
-        spans = np.cumsum([0] + [b.shape[1] for b in bits])
-        width = int(spans[-1])
-        if self._width not in (None, width):
-            raise ValueError(f"a block of {width} columns after blocks of {self._width}")
-        self._keep_last()
-        if rows > self._rows:
-            raise ValueError(f"a block of {rows} rows with {self._rows} left to group")
-        self._rows -= rows
-        self._width = width
-        # each row's bits as one item: a gather of items copies one block per row
-        items = [b.view(f"V{8 * b.shape[1]}")[:, 0] for b in bits]
-        weights = np.cumprod(np.full(width, _HASH_MULTIPLIER))
-        key = np.zeros(rows, dtype=np.uint64)
-        for block in row_blocks(rows, 2 * width):
-            for b, start, stop in zip(bits, spans, spans[1:]):
-                mixed = b[block] >> np.uint64(32)
-                mixed ^= b[block]
-                key[block] += mixed @ weights[start:stop]
-        shift = self._shift
-        key >>= shift
-        key <<= shift
-        key |= np.arange(rows, dtype=np.uint64)
-        key.sort()
-        order = (key & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
-        key >>= shift
-        new = np.ones(rows, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        classes = np.flatnonzero(new) if self._runs else None
-        # only a row whose class equals its predecessor's may join its group
-        ties = np.flatnonzero(~new)
-        for block in row_blocks(len(ties), 2 * width):
-            at = ties[block]
-            here, before = order[at], order[at - 1]
-            differ = np.zeros(len(at), dtype=bool)
-            for b, item in zip(bits, items):
-                unequal = item[here].view(np.uint64) != item[before].view(np.uint64)
-                # a boolean matrix-vector product is the row-wise any
-                differ |= unequal.reshape(len(at), b.shape[1]) @ np.ones(b.shape[1], dtype=bool)
-            new[at] = differ
-        # each run of rows that join their predecessors is one group; a run
-        # that starts a class may join the group of its class's last earlier row
-        run = np.cumsum(new) - 1
-        opening = order[new]  # the first row of each run
-        first = np.zeros(rows, dtype=bool)
-        if not self._runs:
-            first[opening] = True
-            group = (np.cumsum(first) - 1)[opening]
-        else:
-            group = self._join(bits, items, spans, key, order, run, classes, len(opening))
-            # the other runs open groups, numbered by their first rows
-            fresh = group < 0
-            first[opening[fresh]] = True
-            group[fresh] = (np.cumsum(first) - 1 + self.count)[opening[fresh]]
-        inverse = np.empty(rows, dtype=np.intp)
-        inverse[order] = group[run]
-        heads = np.flatnonzero(first)
-        self.count += len(heads)
-        self._last = (bits, heads, key, order, inverse)
-        if self._rows:
-            self._keep_last()
-        return heads, inverse
-
-    def _join(self, bits, items, spans, key, order, run, classes, runs: int) -> np.ndarray:
-        """Per run of a block's sorted rows, the earlier group it joins, or
-        -1: a run that starts a class joins the group of the class's last
-        earlier row when the bits of the two rows are equal."""
-        group = np.full(runs, -1, dtype=np.intp)
-        earlier = self._find(key[classes])
-        found = np.flatnonzero(earlier >= 0)
-        at, earlier = classes[found], earlier[found]
-        for block in row_blocks(len(at), 2 * int(spans[-1])):
-            here, reps = order[at[block]], self._gather(earlier[block])
-            differ = np.zeros(len(here), dtype=bool)
-            for b, item, start, stop in zip(bits, items, spans, spans[1:]):
-                mine = item[here].view(np.uint64).reshape(len(here), b.shape[1])
-                differ |= (mine != reps[:, start:stop]) @ np.ones(b.shape[1], dtype=bool)
-            same = ~differ
-            group[run[at[block][same]]] = earlier[block][same]
-        return group
-
-    def _keep_last(self) -> None:
-        """Keep the first rows of the groups the last block opened, and the
-        group of its last row in each of its classes."""
-        if self._last is None:
-            return
-        bits, heads, key, order, inverse = self._last
-        self._last = None
-        if not len(key):
-            return
-        piece = bits[0][heads] if len(bits) == 1 else np.hstack([b[heads] for b in bits])
-        piece.flags.writeable = False
-        self._pieces.append(piece)
-        self._starts.append(self._ends[-1] if self._ends else 0)
-        self._ends.append(self.count)
-        self._runs.append(_run(key, inverse[order]))
-        # merge the newest runs while the older is at most twice the newer, so
-        # that run sizes halve from the oldest and each class is merged
-        # about log2(blocks) times; a class in both keeps the newer group
-        while len(self._runs) > 1 and len(self._runs[-2][1]) <= 2 * len(self._runs[-1][1]):
-            (old, old_groups), (young, young_groups) = self._runs[-2:]
-            classes = np.concatenate([old[:-1], young[:-1]])
-            order = np.argsort(classes, kind="stable")
-            groups = np.concatenate([old_groups[:-1], young_groups[:-1]])
-            self._runs[-2:] = [_run(classes[order], groups[order])]
-
-    def _find(self, classes: np.ndarray) -> np.ndarray:
-        """The group of the last earlier row of each of the sorted classes,
-        or -1 for a class no earlier block held; a newer run overrides."""
-        group = np.full(len(classes), -1, dtype=np.intp)
-        for known, groups in self._runs:
-            # a run ends in _ABOVE, above every class, and its groups in -1
-            at = np.searchsorted(known, classes)
-            group = np.where(known[at] == classes, groups[at], group)
-        return group
-
-    def _gather(self, ids: np.ndarray) -> np.ndarray:
-        """The first rows of the groups ids, as bits, a piece at a time."""
-        piece = np.searchsorted(self._ends, ids, side="right")
-        order = np.argsort(piece, kind="stable")
-        bounds = np.searchsorted(piece[order], np.arange(len(self._pieces) + 1))
-        out = np.empty((len(ids), self._width), dtype=np.uint64)
-        for p in np.flatnonzero(np.diff(bounds)).tolist():
-            at = order[bounds[p] : bounds[p + 1]]
-            out[at] = self._pieces[p][ids[at] - self._starts[p]]
-        return out
-
-    def rows(self, ids) -> np.ndarray:
-        """The first row of each of the groups ids, strictly ascending, as
-        a (len(ids), columns) float array: consecutive groups as a read-only
-        view of one block's first rows, or a concatenation of such views."""
-        self._keep_last()
-        ids = np.asarray(ids, dtype=np.intp)
-        if not len(ids) or int(ids[-1]) - int(ids[0]) != len(ids) - 1:
-            return self._gather(ids).view(float)
-        lo, hi = int(ids[0]), int(ids[-1]) + 1
-        first = bisect.bisect_right(self._ends, lo)
-        last = bisect.bisect_right(self._ends, hi - 1)
-        parts = [
-            self._pieces[p][max(lo - self._starts[p], 0) : hi - self._starts[p]]
-            for p in range(first, last + 1)
-        ]
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).view(float)
-
-
-def _run(classes: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A run of DistinctRows: of sorted classes with a group each, the last
-    entry of each class, then _ABOVE with the group -1."""
-    last = np.append(np.flatnonzero(classes[1:] != classes[:-1]), [len(classes) - 1] * 2)
-    known, kept = classes[last], groups[last]
-    known[-1], kept[-1] = _ABOVE, -1
-    return known, kept
-
-
-def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of equal-length 1-d or 2-d float arrays by bit pattern:
-    the one-block call of DistinctRows. Row i is the concatenation of row i
-    of every array. Returns (take, inverse): take holds the first row of
-    each group, ascending, and inverse[i] the group of row i, so that each
-    array's `a[take][inverse]` has the bits of `a`."""
-    rows = len(arrays[0]) if arrays else 0
-    return DistinctRows(rows).add(*arrays)
+    their high half, times the column's power of _HASH_MULTIPLIER, summed),
+    whose top bits, with the row index in the low bits, make one sort key
+    per row. Sorting the keys orders the rows by hash and, within a hash,
+    by index; a row joins its predecessor's group only when the bits of the
+    two rows are equal, so a collision costs a missed merge, never a wrong
+    group. Rows are hashed and compared in row blocks, so the extra memory
+    is a few arrays of one entry per row."""
+    tables = [np.ascontiguousarray(a, dtype=float) for a in arrays]
+    rows = len(tables[0])
+    if any(t.ndim not in (1, 2) or len(t) != rows for t in tables):
+        raise ValueError("distinct_rows needs 1-d or 2-d arrays of equal length")
+    bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
+    # each row's bits as one item: a gather of items copies one block per row
+    items = [b.view(f"V{8 * b.shape[1]}")[:, 0] for b in bits]
+    spans = np.cumsum([0] + [b.shape[1] for b in bits])
+    width = int(spans[-1])
+    weights = np.cumprod(np.full(width, _HASH_MULTIPLIER))
+    key = np.zeros(rows, dtype=np.uint64)
+    for block in row_blocks(rows, 2 * width):
+        for b, start, stop in zip(bits, spans, spans[1:]):
+            mixed = b[block] >> np.uint64(32)
+            mixed ^= b[block]
+            key[block] += mixed @ weights[start:stop]
+    shift = np.uint64(max(rows - 1, 1).bit_length())
+    key >>= shift
+    key <<= shift
+    key |= np.arange(rows, dtype=np.uint64)
+    key.sort()
+    order = (key & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
+    key >>= shift
+    new = np.ones(rows, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    # only a row whose hash equals its predecessor's may join its group
+    ties = np.flatnonzero(~new)
+    for block in row_blocks(len(ties), 2 * width):
+        at = ties[block]
+        here, before = order[at], order[at - 1]
+        differ = np.zeros(len(at), dtype=bool)
+        for b, item in zip(bits, items):
+            unequal = item[here].view(np.uint64) != item[before].view(np.uint64)
+            # a boolean matrix-vector product is the row-wise any
+            differ |= unequal.reshape(len(at), b.shape[1]) @ np.ones(b.shape[1], dtype=bool)
+        new[at] = differ
+    # number the groups by their first rows, which the sort put first
+    heads = order[new]
+    first = np.zeros(rows, dtype=bool)
+    first[heads] = True
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = (np.cumsum(first) - 1)[heads][np.cumsum(new) - 1]
+    return np.flatnonzero(first), inverse
 
 
 def cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:

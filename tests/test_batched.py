@@ -1625,13 +1625,16 @@ def _edge_float_report():
 
 
 def _write_in_blocks(path, dist, cuts):
-    """The pairs CSV of a report's pair table, written through the sweep's
-    block writer with the table cut at cuts."""
-    pairs = spiralglue.cli._PairsCsv(path)
+    """The pairs CSV of a report's pair table, spooled as the sweep spools
+    it, with the table cut at cuts, and written from the spool."""
+    pairs = spiralglue.cli._PairsSpool()
     size = len(dist.pair_checks)
-    for lo, hi in zip([0, *cuts], [*cuts, size]):
-        pairs(dist.pair_checks, slice(lo, hi))
-    spiralglue.cli._place_pairs_csv(path, pairs)
+    try:
+        for lo, hi in zip([0, *cuts], [*cuts, size]):
+            pairs(dist.pair_checks, slice(lo, hi))
+        spiralglue.cli._write_pairs_csv(path, pairs)
+    finally:
+        pairs.close()
 
 
 def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_pipeline):

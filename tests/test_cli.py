@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import stat
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -612,11 +616,21 @@ def test_run_unwritable_output_exits_2_naming_key(tmp_path, capsys, key):
     assert captured.out == ""
 
 
+def _spool_in(tmp_path, monkeypatch):
+    """A new directory that tempfile, and so the pairs spool, uses."""
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool))
+    return spool
+
+
 def test_failed_run_leaves_existing_pairs_csv_untouched(tmp_path, capsys, monkeypatch):
-    # the CSV is written while the sweep runs, into a temporary file beside
-    # it: a run that fails in the sweep, many blocks in, leaves the file
-    # named by output.pairs_csv as it was, and no temporary file behind
+    # the pairs are spooled while the sweep runs, and the CSV is written
+    # only at its turn among the outputs: a run that fails in the sweep,
+    # many blocks in, leaves the file named by output.pairs_csv as it was,
+    # and no spool behind
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    spool = _spool_in(tmp_path, monkeypatch)
     path, cfg = _base_config(
         tmp_path, points={"generator": {"seed": 7, "per_level": 13, "placement": "mixed"}}
     )
@@ -629,19 +643,74 @@ def test_failed_run_leaves_existing_pairs_csv_untouched(tmp_path, capsys, monkey
     assert (tmp_path / "pairs.csv").read_bytes() == old
     # the failure report is the only new file
     assert set(tmp_path.iterdir()) == before | {tmp_path / "report.json"}
+    assert list(spool.iterdir()) == []
 
 
-def test_run_leaves_only_its_outputs(tmp_path, capsys):
+def test_run_leaves_only_its_outputs(tmp_path, capsys, monkeypatch):
+    spool = _spool_in(tmp_path, monkeypatch)
     path, cfg = _base_config(tmp_path)
     cfg["output"]["images"] = str(tmp_path / "images.json")
     path.write_text(json.dumps(cfg))
     (tmp_path / "pairs.csv").write_text("an earlier run's rows\n")
     assert main(["run", "--config", str(path)]) == 0
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"config.json", "report.json", "pairs.csv", "images.json"}
+    assert names == {"config.json", "report.json", "pairs.csv", "images.json", "spool"}
+    assert list(spool.iterdir()) == []
     rows = (tmp_path / "pairs.csv").read_text().splitlines()
     assert rows[0] == "x_id,y_id,class,ratio,lower_slack,upper_slack"
     assert len(rows) == 1 + 25 * 24 // 2
+
+
+def test_pairs_csv_written_through_links(tmp_path, capsys):
+    # the CSV is opened at its turn and written through its path, as every
+    # output is: a symlink stays a link, and its target, hardlinked and of
+    # mode 0o640, keeps both names and its mode
+    path, cfg = _base_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    want = (tmp_path / "pairs.csv").read_bytes()
+    real, twin, link = (tmp_path / name for name in ("real.csv", "twin.csv", "link.csv"))
+    real.write_bytes(b"an earlier run's rows\r\n")
+    real.chmod(0o640)
+    os.link(real, twin)
+    link.symlink_to(real)
+    cfg["output"]["pairs_csv"] = str(link)
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+    assert link.is_symlink() and real.read_bytes() == twin.read_bytes() == want
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640 and real.stat().st_nlink == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pairs_csv_written_into_a_fifo(tmp_path, capsys):
+    # a FIFO at output.pairs_csv stays a FIFO, and its reader gets the CSV
+    path, cfg = _base_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    want = (tmp_path / "pairs.csv").read_bytes()
+    fifo = tmp_path / "pairs.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cfg["output"]["pairs_csv"] = str(fifo)
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+    reader.join(timeout=30)
+    assert got == [want]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+def test_pairs_spool_error_exits_2_naming_key(tmp_path, capsys, monkeypatch):
+    # no spool can be made: the run goes on, and at the CSV's turn, after
+    # the report, exits 2 naming output.pairs_csv with the CSV untouched
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    path, cfg = _base_config(tmp_path)
+    (tmp_path / "pairs.csv").write_bytes(b"an earlier run's rows\r\n")
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: output.pairs_csv: ")
+    assert captured.out == ""
+    assert json.loads((tmp_path / "report.json").read_text())["status"] == "ok"
+    assert (tmp_path / "pairs.csv").read_bytes() == b"an earlier run's rows\r\n"
 
 
 def test_run_unwritable_failure_report_exits_2_naming_key(tmp_path, capsys):

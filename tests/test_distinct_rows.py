@@ -2,11 +2,12 @@
 
 `spaces.distinct_rows` must put two rows in one group only when every bit
 of them is equal, and gathering each group's first row back must give the
-input's bits; `spaces.DistinctRows` fed the same rows in blocks must give
-the groups of one call. Certification, which groups its rows in blocks, and
-the row gain evaluate each distinct row once and must match
-`tests/oracles.py`, which evaluates every row (the row gain's bit-equality
-on repeated rows is held in `tests/test_batched.py`).
+input's bits. Certification groups a stream of rows a block at a time and
+then the blocks' first rows together, which must give the groups of one
+call on all rows. Certification and the row gain evaluate each
+distinct row once and must match `tests/oracles.py`, which evaluates every
+row (the row gain's bit-equality on repeated rows is held in
+`tests/test_batched.py`).
 """
 
 import math
@@ -20,7 +21,8 @@ import spiralglue as sg
 import spiralglue.bank
 import spiralglue.spaces
 from spiralglue.errors import CertificationFailed
-from spiralglue.spaces import DistinctRows, distinct_rows
+from spiralglue.bank import _certify_rows
+from spiralglue.spaces import RowBlocks, distinct_rows, norms, row_blocks
 
 from oracles import certify_all_rows, direction_gain_all_rows
 
@@ -110,77 +112,64 @@ def test_distinct_rows_exact_under_forced_collisions(arrays):
     assert len(take) == runs
 
 
-def _grouped_in_blocks(arrays, cuts):
-    """(take, inverse, first rows) of DistinctRows fed the arrays cut into
-    blocks at the row indices cuts."""
-    n = len(arrays[0])
-    groups = DistinctRows(n)
-    take, inverse = [], []
-    for lo, hi in zip([0, *cuts], [*cuts, n]):
-        heads, block_inverse = groups.add(*(a[lo:hi] for a in arrays))
-        take.append(heads + lo)
-        inverse.append(block_inverse)
-    take = np.concatenate(take) if take else np.empty(0, dtype=np.intp)
-    return take, np.concatenate(inverse), groups.rows(np.arange(groups.count))
+def _stream(X, cuts):
+    """The rows of X as a RowBlocks stream, cut into blocks at the row
+    indices cuts."""
+    bounds = list(zip([0, *cuts], [*cuts, len(X)]))
+    return RowBlocks(len(X), lambda: (X[lo:hi] for lo, hi in bounds))
 
 
 @st.composite
-def _cut_arrays(draw):
-    arrays = draw(_row_arrays(max_rows=60))
-    n = len(arrays[0])
-    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
-    return arrays, cuts
+def _cut_rows(draw):
+    """Rows of one to three columns drawn from a small pool (signed zeros,
+    NaNs of different payloads and infinities among their entries, and a
+    zero row of either sign), so that rows repeat within and across blocks,
+    and the cuts of a RowBlocks stream of them."""
+    width = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(_FLOATS, min_size=width, max_size=width), min_size=1, max_size=5))
+    pool += [[0.0] * width, [-0.0] * width]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    X = np.array([pool[k] for k in picks], dtype=float).reshape(len(picks), width)
+    cuts = sorted(draw(st.lists(st.integers(0, len(X)), max_size=8)))
+    return X, cuts
 
 
-def _check_blocks_match_one_call(arrays, cuts):
-    take, inverse = distinct_rows(*arrays)
-    got_take, got_inverse, first_rows = _grouped_in_blocks(arrays, cuts)
-    assert got_take.tolist() == take.tolist()
-    assert got_inverse.tolist() == inverse.tolist()
-    # the groups' first rows, as kept, are the bits of the rows take names
-    want = np.concatenate([_bits(a) for a in arrays], axis=1)[take]
-    assert first_rows.view(np.uint64).tobytes() == want.tobytes()
+@np.errstate(invalid="ignore")  # the norm of a row with an inf or a NaN may be NaN
+def _check_certify_rows_in_blocks(X, cuts):
+    # the groups of one call on every row, those of positive norm (each row
+    # normed on its own), with their first rows' index among such rows
+    source = sg.Space(X.shape[1])
+    nonzero = norms(source, X) > 0.0
+    if not nonzero.any():
+        with pytest.raises(ValueError, match="nonzero"):
+            _certify_rows(source, _stream(X, cuts))
+        return
+    take, _ = distinct_rows(X)
+    take = take[nonzero[take]]
+    rows, first, source_norms = _certify_rows(source, _stream(X, cuts))
+    assert first.tolist() == (np.cumsum(nonzero) - 1)[take].tolist()
+    assert rows.view(np.uint64).tobytes() == X[take].view(np.uint64).tobytes()
+    assert source_norms.tobytes() == norms(source, X[take]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_cut_arrays())
-def test_distinct_rows_in_blocks_match_one_call(case):
+@given(case=_cut_rows())
+def test_certify_rows_in_blocks_match_one_call(case):
     # blocks cut anywhere (empty blocks, one-row blocks, repeats across
-    # blocks) give the groups of one call on all rows
-    _check_blocks_match_one_call(*case)
+    # blocks) give the groups of one call, with their first rows' bits,
+    # indices among the nonzero rows, and norms
+    _check_certify_rows_in_blocks(*case)
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_cut_arrays())
-def test_distinct_rows_in_blocks_match_one_call_under_forced_collisions(case):
-    # every row hashes to 0, so only the bit comparison separates groups:
-    # a block's first row must be compared with the last row of the earlier
-    # blocks, and only consecutive repeats merge, as in one call
+@given(case=_cut_rows())
+def test_certify_rows_in_blocks_match_one_call_under_forced_collisions(case):
+    # every row hashes to 0, so only the bit comparison separates groups and
+    # only consecutive repeats merge: in a block, among the blocks' first
+    # rows (zero rows among them) and in one call alike
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(0))
-        _check_blocks_match_one_call(*case)
-
-
-def test_distinct_rows_in_blocks_join_the_latest_row_of_a_class(monkeypatch):
-    # with the multiplier 1 a row's hash is the sum of its mixed columns, so
-    # (1, 2) and (2, 1) share a class with different bits. The first block
-    # holds (1, 2) among many classes, the second (2, 1) alone, so their
-    # runs do not merge; the third block's (2, 1) must be compared with the
-    # class's latest row, the second block's, and join its group
-    monkeypatch.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(1))
-    rows = np.array([[k, 10.0 * k] for k in range(3, 13)] + [[1.0, 2.0], [2.0, 1.0], [2.0, 1.0]])
-    _check_blocks_match_one_call([rows], [11, 12])
-    take, inverse = distinct_rows(rows)
-    assert inverse[-1] == inverse[-2] != inverse[-3]
-
-
-def test_distinct_rows_in_blocks_check_their_input():
-    groups = DistinctRows(3)
-    groups.add(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="columns"):
-        groups.add(np.zeros((1, 3)))
-    with pytest.raises(ValueError, match="left to group"):
-        groups.add(np.zeros((2, 2)))
+        _check_certify_rows_in_blocks(*case)
 
 
 def test_distinct_rows_edge_cases():
@@ -226,11 +215,19 @@ def _certification(draw):
     return dim, matrices, np.array(rows)
 
 
-def _certify(dim, matrices, vectors, gamma):
+def _certify(dim, matrices, vectors, gamma, in_blocks=False):
+    """(build_bank's margins or failure, the oracle's) on the vectors, passed
+    to build_bank as an array, or in_blocks as a RowBlocks stream in the
+    blocks of row_blocks."""
     source, target = sg.Space(dim), sg.Space(2 * dim, sg.Lp(1.0))
+    certify_set = vectors
+    if in_blocks:
+        certify_set = RowBlocks(
+            len(vectors), lambda: (vectors[b] for b in row_blocks(len(vectors), dim))
+        )
     try:
         bank = sg.build_bank(
-            sg.UserMatrices(tuple(matrices)), source, target, gamma, len(matrices), vectors
+            sg.UserMatrices(tuple(matrices)), source, target, gamma, len(matrices), certify_set
         )
         got = (bank.cert_lower_margin, bank.cert_upper_margin)
     except CertificationFailed as exc:
@@ -335,7 +332,7 @@ def test_build_bank_in_many_blocks_matches_all_rows_oracle(case, gamma):
     # with the certify rows grouped a few at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
-        got, want = _certify(*case, gamma)
+        got, want = _certify(*case, gamma, in_blocks=True)
     assert repr(got) == repr(want)
 
 
@@ -351,7 +348,7 @@ def test_build_bank_failure_index_counts_rows_of_earlier_blocks(monkeypatch):
     for k in (5, 33, 40, 66, 68, 69):
         rows[k] = [-0.0 if k % 2 else 0.0, 0.0]
     rows[70] = rows[99] = [0.0, 3.0]
-    got, want = _certify(2, [good, bad], np.array(rows, dtype=float), 0.1)
+    got, want = _certify(2, [good, bad], np.array(rows, dtype=float), 0.1, in_blocks=True)
     assert got == want == (1, 64, 0.5)
 
 
