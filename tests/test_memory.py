@@ -3,9 +3,9 @@
 A generated map keeps only its hull, certification forms its vectors (every
 pair difference among them) a block at a time and keeps only the distinct
 ones, and a sweep that keeps no pair table holds no array of one entry per
-pair, also when `run` spools a pairs CSV. The bounds here are fixed numbers of
-bytes for fixed small inputs: a dense map, an array of every certification
-vector or a column per pair exceeds them.
+pair, also when `run` spools a pairs CSV. The bounds here are fixed numbers
+of bytes for fixed small inputs: a dense map, an array of every
+certification vector or a column per pair exceeds them.
 """
 
 import json
@@ -111,8 +111,8 @@ def test_sweep_starts_without_certification_arrays(monkeypatch):
 def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):
     # with a pairs CSV the run used to hold the table of all 11 325 pairs
     # (0.92 MB) in the sweep and peak at 2.32 MB; the pairs are now spooled
-    # to a file, and the whole run, writes included, peaks in certification
-    # (about 1.5 MB)
+    # to a file, and the whole run, writes included, peaks at about 1.41 MB,
+    # in certification and in the sweep alike
     cfg = {
         "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
         "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
