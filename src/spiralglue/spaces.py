@@ -25,19 +25,27 @@ One kernel, `_hull_norms`, gives the norms of sums of maps' images,
 bit-equal to `norms` of the same sums formed by `apply`: `image_norms` is
 its one-term call, the norms of a map's images, as certification needs
 them, and `blend_norms` its two-term call, the norms of `blend_apply`'s
-blends, as `direction_gain` needs them. One zero buffer of a block of sums
-is reused for every block, only the hulls' columns are ever written, and
-the norm's elementwise passes (max, rescaling, power, weights) run in place
-on those columns. The buffer is only as wide as the node of numpy's
-pairwise summation tree that holds the union of the hulls (`_sum_span`):
-numpy reduces each row over that tree from column 0, every subtree outside
-the node sums exact zeros to +0.0, and adding +0.0 to the node's
-non-negative sum is exact, so the node's sum is the full-width sum, in the
-same order. The l-infinity max is exact over any columns and takes the
-node too. The l2 norm's stacked dot (whose bits depend on the BLAS dot's
-grouping over the full width) and the max-abs functionals keep a
-full-width buffer. Outside a term's hull the full-width sum adds c*0,
-which changes at most the sign of a zero, and abs removes it.
+blends, as `direction_gain` needs them. numpy reduces each row over its
+pairwise summation tree from column 0; every subtree that holds only
+zeros sums to +0.0, and adding +0.0 to a non-negative sum is exact, so a
+sum of a row that is zero outside the hulls can skip those subtrees and
+keep the full-width sum's bits, in the same order. A lone map whose norm
+ends in a sum (lp with p other than 2, every weighted lp) or in a max
+(l-infinity) takes its block straight from its contiguous hull product:
+abs and the norm's elementwise passes (max, rescaling, power, weights) run
+on it in place, the max is exact over any columns, and the sum adds the
+hull's parts of the tree's leaves in the tree's order (`_leaf_plan`), each
+with the bits of its whole leaf. Every other call (a blend, an l2 or
+max-abs norm, or a lone sum without a leaf plan: a target narrower than 8
+or a hull whose last leaf part is short) writes its sums into one zero
+buffer of a block, reused for every block, in which only the hulls'
+columns are ever written and the passes run on those columns. For a sum
+or a max the buffer is only as wide as the node of the tree that holds
+the union of the hulls (`_sum_span`). The l2 norm's stacked dot (whose
+bits depend on the BLAS dot's grouping over the full width) and the
+max-abs functionals keep a full-width buffer. Outside a term's hull the
+full-width sum adds c*0, which changes at most the sign of a zero, and
+abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
@@ -279,20 +287,26 @@ def _root(sums: np.ndarray, p: float) -> np.ndarray:
     return np.array([s**inv for s in sums.tolist()])
 
 
-def _abs_norms_block(spec: NormSpec, a: np.ndarray, cols: slice, start: int = 0) -> np.ndarray:
+def _abs_norms_block(
+    spec: NormSpec, a: np.ndarray, cols: slice, start: int = 0, plan=None
+) -> np.ndarray:
     """Row norms of a block `a` of absolute values that are zero outside the
     columns `cols`, for an Lp or weighted Lp norm; `a` holds the target
     columns start, start + 1, ... and is overwritten.
 
     The row maxima, the division by them, the p-th power and the weights run
-    in place on a[:, cols] only; the final sum, max or stacked dot runs over
-    every column of `a`. The bits are those of the full-width passes: max is
+    in place on a[:, cols] only; the final max or stacked dot runs over every
+    column of `a`, and the final sum too, or by `plan` where one is given
+    (see _plan_sum). The bits are those of the full-width passes: max is
     exact, 0/m, 0**p and w*0 are 0, so the final reduction sees the same
-    entries. A sum or max may run on a narrower `a`, the node of numpy's
-    pairwise summation tree that holds `cols` (see _sum_span), because the
-    zeros outside it add +0.0 to the node's sum; the l2 norm's stacked dot
-    groups its terms by the full width (the BLAS dot's grouping), so its `a`
-    spans every target column."""
+    entries. A sum or max may run on a narrower `a`: a buffer on the node of
+    numpy's pairwise summation tree that holds `cols` (see _sum_span),
+    because the zeros outside it add +0.0 to the node's sum, or a lone map's
+    product, `cols` alone, summed by its leaf plan (see _leaf_plan). The l2
+    norm's stacked dot groups its terms by the full width (the BLAS dot's
+    grouping), so its `a` spans every target column. The passes are
+    contiguous only when `cols` is every column of `a`: on a strided view,
+    numpy gives each in-place ufunc iterator buffers."""
     h = a[:, cols]
     p = spec.p
     weights = None
@@ -303,7 +317,7 @@ def _abs_norms_block(spec: NormSpec, a: np.ndarray, cols: slice, start: int = 0)
             h *= weights
         return h.max(axis=1, initial=0.0)
     if p == 1.0 and weights is None:
-        return a.sum(axis=1)
+        return _plan_sum(a, plan)
     m = h.max(axis=1, initial=0.0)
     h /= np.where(m > 0.0, m, 1.0)[:, None]
     if p == 2.0 and weights is None:
@@ -312,7 +326,7 @@ def _abs_norms_block(spec: NormSpec, a: np.ndarray, cols: slice, start: int = 0)
     h **= p
     if weights is not None:
         h *= weights
-    return m * _root(a.sum(axis=1), p)
+    return m * _root(_plan_sum(a, plan), p)
 
 
 def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
@@ -337,6 +351,13 @@ _PAIRWISE_LEAF = 128
 _PAIRWISE_UNROLL = 8
 
 
+def _pairwise_split(lo: int, hi: int) -> int:
+    """Where numpy's pairwise summation splits the range [lo, hi) of more
+    than _PAIRWISE_LEAF entries."""
+    half = (hi - lo) // 2
+    return lo + half - half % _PAIRWISE_UNROLL
+
+
 def _sum_span(width: int, cols: slice) -> slice:
     """The smallest node of numpy's pairwise summation tree over `width`
     entries that holds the columns `cols` (an empty slice for empty cols).
@@ -349,8 +370,7 @@ def _sum_span(width: int, cols: slice) -> slice:
     if cols.start >= cols.stop:
         return slice(0, 0)
     while hi - lo > _PAIRWISE_LEAF:
-        mid = (hi - lo) // 2
-        mid = lo + mid - mid % _PAIRWISE_UNROLL
+        mid = _pairwise_split(lo, hi)
         if cols.stop <= mid:
             hi = mid
         elif cols.start >= mid:
@@ -360,17 +380,57 @@ def _sum_span(width: int, cols: slice) -> slice:
     return slice(lo, hi)
 
 
-def _reduce_span(target: Space, cols: slice) -> tuple[slice, int]:
-    """The target columns over which a block of images that is zero outside
-    `cols` is normed with the bits of the full width, and the row width that
-    bounds the block of its norm: the node of _sum_span for a norm whose final
-    reduction is a sum or a max; every column for the l2 norm's stacked dot
-    and the max-abs functionals (whose width counts their products)."""
-    spec = target.norm
-    if isinstance(spec, Lp) and spec.p == 2.0 or isinstance(spec, MaxAbsFunctionals):
-        return slice(0, target.dim), _block_width(target)
-    span = _sum_span(target.dim, cols)
-    return span, span.stop - span.start
+def _leaf_plan(width: int, cols: slice):
+    """How a row of `width` non-negative entries that is zero outside the
+    columns `cols` is summed from those columns alone, with the bits of
+    numpy's sum of the whole row; None where no plan is known to keep them.
+
+    A plan is a leaf part, the columns where `cols` meets a leaf of numpy's
+    pairwise summation tree, counted from cols.start, or a pair (left,
+    right) of the plans of a node's two subtrees, added left + right as
+    numpy adds them. A subtree outside `cols` is dropped: it sums to +0.0,
+    which adds exactly. numpy sums a leaf of at least _PAIRWISE_UNROLL
+    entries in _PAIRWISE_UNROLL interleaved accumulators, adds them in a
+    fixed tree and then adds the ragged end one by one; a part that starts a
+    multiple of _PAIRWISE_UNROLL from its leaf's start, holds at least
+    _PAIRWISE_UNROLL entries and ends at the leaf's end or after a multiple
+    of _PAIRWISE_UNROLL entries meets the same accumulators after exact
+    zeros, and the same ragged end, so its sum has the bits of the leaf's.
+    Hulls start on multiples of _HULL_ALIGN, so a plan is missing only for
+    a width below _PAIRWISE_UNROLL, or for a hull of fewer than
+    _PAIRWISE_UNROLL rows at the end of a width that is not a multiple of
+    _PAIRWISE_UNROLL."""
+    return _node_plan(cols, 0, width) if cols.start < cols.stop else slice(0, 0)
+
+
+def _node_plan(cols: slice, lo: int, hi: int):
+    """_leaf_plan's plan for the node [lo, hi) of the tree, which meets the
+    non-empty columns `cols`."""
+    if hi - lo > _PAIRWISE_LEAF:
+        mid = _pairwise_split(lo, hi)
+        if cols.stop <= mid:
+            return _node_plan(cols, lo, mid)
+        if cols.start >= mid:
+            return _node_plan(cols, mid, hi)
+        left, right = _node_plan(cols, lo, mid), _node_plan(cols, mid, hi)
+        return None if left is None or right is None else (left, right)
+    a, b = max(lo, cols.start), min(hi, cols.stop)
+    unroll = _PAIRWISE_UNROLL
+    if (a - lo) % unroll or b - a < unroll or b < hi and (b - a) % unroll:
+        return None
+    return slice(a - cols.start, b - cols.start)
+
+
+def _plan_sum(a: np.ndarray, plan) -> np.ndarray:
+    """The row sums of a block: over every column for plan None, or else
+    each leaf part of the plan (see _leaf_plan) summed on its own and the
+    parts added in the tree's order."""
+    if plan is None:
+        return a.sum(axis=1)
+    if isinstance(plan, slice):
+        return a[:, plan].sum(axis=1)
+    left, right = plan
+    return _plan_sum(a, left) + _plan_sum(a, right)
 
 
 def norms(space: Space, X) -> np.ndarray:
@@ -494,44 +554,77 @@ def _shifted(cols: slice, start: int) -> slice:
     return slice(cols.start - start, cols.stop - start) if cols.start < cols.stop else slice(0, 0)
 
 
-def _hull_layout(maps) -> tuple[slice, slice, int]:
-    """The union of the maps' hulls, the target columns _hull_norms' buffer
-    holds for them (see _reduce_span), and the row width of a block: the
-    buffer's width plus every hull's product, so that the buffer and the
-    products stay within BATCH_ELEMENTS."""
+def _hull_layout(maps) -> tuple[slice, slice, object, int]:
+    """How _hull_norms forms a block of the maps' sums: the union of their
+    hulls, the target columns the block holds, the plan of its final sum
+    (see _abs_norms_block) and the row width that bounds a block.
+
+    A lone map whose norm ends in a sum with a leaf plan for its hull (see
+    _leaf_plan), or in a max, which needs none, has its abs hull product
+    for the block: the block holds the hull's columns and is as wide as the
+    hull. Any other block is a buffer, summed whole (plan None), on the node
+    of numpy's pairwise summation tree that holds the union (see _sum_span)
+    for a sum or a max, and on every column for the l2 norm's stacked dot
+    and the max-abs functionals (whose width counts their products); its
+    row width is the buffer's plus every hull's product, so that the buffer
+    and the products stay within BATCH_ELEMENTS."""
     hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
     union = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
-    span, width = _reduce_span(maps[0].target, union)
-    return union, span, width + sum(len(m.hull) for m in maps)
+    target = maps[0].target
+    spec = target.norm
+    products = sum(len(m.hull) for m in maps)
+    if isinstance(spec, Lp) and spec.p == 2.0 or isinstance(spec, MaxAbsFunctionals):
+        return union, slice(0, target.dim), None, _block_width(target) + products
+    if len(maps) == 1:
+        plan = slice(0, products) if spec.p == math.inf else _leaf_plan(target.dim, union)
+        if plan is not None:
+            return union, union, plan, products
+    span = _sum_span(target.dim, union)
+    return union, span, None, span.stop - span.start + products
 
 
 def _hull_norms(terms, U) -> np.ndarray:
     """norms(target, sum of c * apply(m, U) over the terms (c, m)) for the
     rows of a (k, source.dim) array, bit for bit, where c is None (for 1) or
-    one coefficient per row, through one reused buffer of a block's sums.
+    one coefficient per row, in the blocks of _hull_layout.
 
-    The buffer holds _reduce_span's columns of the union of the hulls (see
-    _hull_layout). Per block, the first term's hull product, times c, is
-    written into its hull's columns, and each later term's is added into
-    its own, zeroed first; the columns outside the union are never written
-    and stay zero. Outside a hull the full-width sum adds c*0, which changes
-    at most the sign of a zero: abs removes it, and a max-abs dot passes it
-    only to an all-zero sum. abs runs on the smallest contiguous array, a
-    lone term's product or else the whole block (a ufunc writing into
-    strided columns takes a buffer of up to a block's size), and a max-abs
-    norm takes its own products of the signed sums. The norm's elementwise
-    passes run on the union's columns only (see _abs_norms_block)."""
+    A lone term whose norm ends in a sum or a max, with a plan, takes its
+    block straight from its contiguous hull product: abs and the norm's
+    elementwise passes run on it in place, and the final sum adds its leaf
+    parts in the tree's order (see _leaf_plan). Otherwise one buffer of a
+    block's sums is reused for every block. Per block, the first term's
+    hull product, times c, is written into its hull's columns, and each
+    later term's is added into its own, zeroed first; the columns outside
+    the union are never written and stay zero. Outside a hull the
+    full-width sum adds c*0, which changes at most the sign of a zero: abs
+    removes it, and a max-abs dot passes it only to an all-zero sum. abs
+    runs on the smallest contiguous array, a lone term's product or else the
+    whole block (a ufunc writing into strided columns takes a buffer of up
+    to a block's size), and a max-abs norm takes its own products of the
+    signed sums. The norm's elementwise passes run on the union's columns
+    only (see _abs_norms_block)."""
     maps = [m for _, m in terms]
     U = as_rows(U, maps[0].source.dim)
     spec = maps[0].target.norm
     signed = isinstance(spec, MaxAbsFunctionals)
     lone = len(terms) == 1
-    union, span, width = _hull_layout(maps)
+    union, span, plan, width = _hull_layout(maps)
     union = _shifted(union, span.start)
+    out = np.empty(len(U))
+    if plan is not None:
+        ((c, m),) = terms
+        for block in row_blocks(len(U), width):
+            product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
+            if c is not None:
+                product *= c[block, None]
+            np.abs(product, out=product)
+            out[block] = _abs_norms_block(spec, product, union, span.start, plan)
+            # not alive through the next block's product
+            del product
+        return out
     cols = [_shifted(m.rows, span.start) for m in maps]
     blocks = list(row_blocks(len(U), width))
     buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
-    out = np.empty(len(U))
     for block in blocks:
         sums = buffer[: block.stop - block.start]
         for later in cols[1:]:
@@ -567,10 +660,11 @@ def image_norms(m: LinearMap, X) -> np.ndarray:
 
 def image_chunks(rows: int, m: LinearMap):
     """row_blocks(rows, m.source.dim), each cut down to a whole number of the
-    blocks in which image_norms images rows under m, where one fits: only
-    the last chunk then ends in a short block of images."""
+    blocks in which image_norms images rows under m (their row width is
+    _hull_layout's), where one fits: only the last chunk then ends in a
+    short block of images."""
     step = max(1, BATCH_ELEMENTS // m.source.dim)
-    images = max(1, BATCH_ELEMENTS // _hull_layout([m])[2])
+    images = max(1, BATCH_ELEMENTS // max(_hull_layout([m])[3], 1))
     if images < step:
         step -= step % images
     for start in range(0, rows, step):

@@ -61,6 +61,18 @@ def test_user_matrices_below_isometry_fails_certification():
     assert exc.value.ratio == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_user_zero_matrix_fails_certification(p):
+    # a zero map has an empty hull: its images are certified (and fail) like
+    # any other map's, for a norm that images on the hull alone too
+    src = sg.Space(2, sg.Lp(p))
+    mats = (np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(CertificationFailed) as exc:
+        sg.build_bank(sg.UserMatrices(mats), src, src, 0.1, 2, _rand_vectors(2, 5, 5))
+    assert exc.value.map_index == 0
+    assert exc.value.ratio == 0.0
+
+
 def test_user_matrices_above_budget_fails_certification():
     src = sg.Space(2, sg.Lp(2.0))
     mats = (np.eye(2), 1.5 * np.eye(2))

@@ -932,11 +932,13 @@ def _sized(sizes, fn):
 
 
 def _temporaries_case(wide: bool):
-    """(budget, maps, rows): 64 elements hold three rows of the 18-wide
-    images and of the 20 functionals' products; 4096 hold two to six rows
-    of a 1536-wide target's buffer (the node of a 256-row quadrature hull,
-    384 or 768 columns, or all 1536 for an l2 or max-abs norm) and the
-    hull's products."""
+    """(budget, maps, rows): where a lone map's norm ends in a sum or a
+    max, 64 elements hold four rows of the 16-row hull's products and 4096
+    sixteen rows of a 256-row quadrature hull's products; else 64 hold one
+    row of the 18-wide buffer (20 wide for the functionals' products) and
+    the hulls' products, and 4096 one to three rows of a 1536-wide
+    target's buffer (the node of the hulls, 768 or 1536 columns, or all
+    1536 for an l2 or max-abs norm) and the hulls' products."""
     if wide:
         source = sg.Space(2, sg.Lp(2.0))
         quadrature = spiralglue.bank._quadrature_maps(
@@ -978,6 +980,42 @@ def test_image_norms_temporaries_stay_within_batch():
     _assert_temporaries_within_batch(
         lambda maps, X: [sg.image_norms(lin, X).tobytes() for lin in maps]
     )
+
+
+def _hull_products(hull, rows, fn):
+    """fn, recording in rows the row count of every product of `hull`."""
+
+    def wrapper(a, b, *args, **kwargs):
+        if a is hull:
+            rows.append(len(b))
+        return fn(a, b, *args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_image_chunks_are_whole_image_blocks(wide):
+    # for a target norm of every kind, on the quadrature bank too, every
+    # chunk but the last is the most whole blocks of _hull_layout's row
+    # width that a chunk of the source width holds, and image_norms forms
+    # exactly those blocks: only the last chunk ends in a short block
+    budget, maps, X = _temporaries_case(wide)
+    step = budget // maps[0].source.dim
+    rows = 2 * step + 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
+        for m in maps:
+            images = budget // sg.spaces._hull_layout([m])[3]
+            assert 1 <= images <= step
+            chunks = list(sg.spaces.image_chunks(rows, m))
+            assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+            assert (chunks[0].start, chunks[-1].stop) == (0, rows)
+            assert {c.stop - c.start for c in chunks[:-1]} == {step - step % images}
+            blocks = []
+            with pytest.MonkeyPatch.context() as counted:
+                counted.setattr(np, "matmul", _hull_products(m.hull, blocks, np.matmul))
+                sg.image_norms(m, np.resize(X, (2 * images + 1, X.shape[1])))
+            assert blocks == [images, images, 1]
 
 
 def test_blend_norms_temporaries_stay_within_batch():
@@ -1050,6 +1088,79 @@ def test_sum_over_the_node_has_the_bits_of_the_full_width_sum(data):
         want = a.sum(axis=1).tobytes()
         assert a[:, span].sum(axis=1).tobytes() == want
         assert np.ascontiguousarray(a[:, span]).sum(axis=1).tobytes() == want
+
+
+def _leaf_parts(plan) -> list[slice]:
+    """The leaf parts of a plan of spaces._leaf_plan, left to right."""
+    if isinstance(plan, slice):
+        return [plan]
+    return [part for half in plan for part in _leaf_parts(half)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_leaf_plan_sum_has_the_bits_of_the_full_width_sum(data):
+    # hulls as maps have them, 16-aligned and the last one capped at the
+    # width, and columns at any offset
+    width = data.draw(st.integers(1, 5000))
+    align = data.draw(st.sampled_from([16, 1]))
+    lo = align * data.draw(st.integers(0, (width - 1) // align))
+    hi = min(lo + align * data.draw(st.integers(1, 640 // align)), width)
+    rows = data.draw(st.integers(0, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["unit", "subnormal", "huge", "mixed"]))
+    a = np.zeros((rows, width))
+    a[:, lo:hi] = _magnitudes(rng, kind, (rows, hi - lo))
+    a[:, lo:hi][rng.random((rows, hi - lo)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    if rows:
+        a[rng.integers(0, rows)] = 0.0
+    plan = sg.spaces._leaf_plan(width, slice(lo, hi))
+    # each leaf the hull meets, cut to the hull, counted from its start
+    leaves = [(a0, b0) for a0, b0 in _pairwise_nodes(width) if b0 - a0 <= 128]
+    met = sorted((a0, max(a0, lo), min(b0, hi), b0) for a0, b0 in leaves if a0 < hi and lo < b0)
+    keeps = [
+        (start - a0) % 8 == 0 and stop - start >= 8 and (stop == b0 or (stop - start) % 8 == 0)
+        for a0, start, stop, b0 in met
+    ]
+    if not all(keeps):
+        assert plan is None
+        if align == 16:
+            # a hull's only misses: a narrow target, or a short last part
+            assert width < 8 or not keeps[-1] and all(keeps[:-1])
+        return
+    assert [(p.start + lo, p.stop + lo) for p in _leaf_parts(plan)] == [m[1:3] for m in met]
+    with np.errstate(over="ignore"):
+        got = sg.spaces._plan_sum(np.ascontiguousarray(a[:, lo:hi]), plan)
+        assert got.tobytes() == a.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "width, rows",
+    [
+        (7, slice(0, 7)),  # a target narrower than 8: one leaf summed entry by entry
+        (133, slice(128, 133)),  # a 5-column last part of the leaf [64, 133)
+        (1029, slice(1024, 1029)),  # the same at the end of a wider tree
+    ],
+)
+def test_leaf_plan_falls_back_to_the_node_buffer(width, rows):
+    # no plan: a lone map's sums keep the buffer on the node of its hull,
+    # with the bits of norms of its images
+    assert sg.spaces._leaf_plan(width, rows) is None
+    rng = np.random.default_rng(width)
+    band = rng.standard_normal((rows.stop - rows.start, 2))
+    for spec in (sg.Lp(1.0), sg.Lp(3.0), sg.WeightedLp(1.5, rng.uniform(0.5, 2.0, width))):
+        target = sg.Space(width, spec)
+        m = sg.LinearMap.from_band(band, rows.start, sg.Space(2), target)
+        assert m.rows == rows
+        span = sg.spaces._sum_span(width, rows)
+        width_of_block = span.stop - span.start + len(m.hull)
+        assert sg.spaces._hull_layout([m]) == (rows, span, None, width_of_block)
+        X = _rows_with_signed_zeros(rng, 40, 2)
+        assert sg.image_norms(m, X).tobytes() == sg.norms(target, sg.apply(m, X)).tobytes()
+    # a max needs no plan
+    target = sg.Space(width, sg.Lp(math.inf))
+    m = sg.LinearMap.from_band(band, rows.start, sg.Space(2), target)
+    assert sg.spaces._hull_layout([m]) == (rows, rows, slice(0, len(m.hull)), len(m.hull))
 
 
 @functools.cache

@@ -280,9 +280,9 @@ def test_certification_images_each_distinct_nonzero_row_once(case):
 
 def test_certification_chunks_are_whole_image_blocks(monkeypatch):
     # at 64 elements a chunk gathers at most 32 rows of the 2-wide source,
-    # and image_norms images 3 rows of the 10-wide target a block (a 10-wide
-    # buffer and the 10-row hull's products): chunks of 30 rows leave only
-    # the last chunk's last block short
+    # and image_norms images 6 rows of the 10-wide target a block (the
+    # 10-row hull's products, summed by its leaf plan): chunks of 30 rows
+    # leave only the last chunk's last block short
     source, target = sg.Space(2, sg.Lp(1.0)), sg.Space(10, sg.Lp(1.0))
     vectors = np.random.default_rng(3).standard_normal((100, 2))
     want = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)

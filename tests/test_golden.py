@@ -1,4 +1,4 @@
-"""Byte-identity of `spiralglue run`'s outputs on small runs of three shapes.
+"""Byte-identity of `spiralglue run`'s outputs on small runs of five shapes.
 
 Each case runs the whole pipeline at a fixed seed and compares SHA-256
 digests of the masked report (the `timings` key and `config.output`
@@ -48,6 +48,18 @@ CASES = {
         },
         "points": {"generator": {"seed": 7, "per_level": 10, "placement": "mixed"}},
     },
+    # lp with p other than 1 and 2, and the max: the certify kernel's
+    # elementwise passes and its max, on a 48-wide target
+    "block-shift-l3": {
+        "source": {"dim": 8, "norm": {"norm": "lp", "p": 3.0}},
+        "bank": {"strategy": "block_shift", "count": 6},
+        "points": {"generator": {"seed": 7, "per_level": 12, "placement": "mixed"}},
+    },
+    "block-shift-linf": {
+        "source": {"dim": 8, "norm": {"norm": "lp", "p": "inf"}},
+        "bank": {"strategy": "block_shift", "count": 6},
+        "points": {"generator": {"seed": 7, "per_level": 12, "placement": "mixed"}},
+    },
 }
 
 DIGESTS = {
@@ -68,6 +80,18 @@ DIGESTS = {
         "pairs_csv": "8c30304826101d117051ef35ad82b775d75bbd32f906300f54dc510d4d0b7c43",
         "images": "cdd717f844913097628fa558ce0c31459ee3c3043ef91f23df486f61d02d5c86",
         "stdout": "a4f5e3c878bb6f09010d036465515300cf4d18aa143c6516960df84dad32fdb7",
+    },
+    "block-shift-l3": {
+        "report": "b12cd5efd1ad61b04d28dd1653e4a315c27e15a038a3336cd41f89293cf4aab1",
+        "pairs_csv": "03a1768ec8eb8c238e16efab81aa470ce7629e542f4a05660f372caf2ea710d6",
+        "images": "6527351afd7e7a717706a29780c605ecea643b042bf400d1c8d492547983e067",
+        "stdout": "48afed8e1ce579ca7a44a1a0bf044fd58ec0d09b1dc5f59742a31c551b37e269",
+    },
+    "block-shift-linf": {
+        "report": "b9f11ddbf80173ffa4aa3c045bd5a59f76de466f7671028f20b0c9ff9ef9255e",
+        "pairs_csv": "746ebb09450bdd1019f50c44cc3ba43f53ca93fccf1dccfb9182724f717ffe03",
+        "images": "d182b02cb6d04f045aafb3262d1840e3c751aa013e9fcf244b43d82bb1e1a2d5",
+        "stdout": "8730e11ba3831a04ed048067d6063014a1bfda857f000406fc6a47eaa1af3102",
     },
 }
 

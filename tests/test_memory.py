@@ -2,10 +2,12 @@
 
 A generated map keeps only its hull, certification forms its vectors (every
 pair difference among them) a block at a time and keeps only the distinct
-ones, and a sweep that keeps no pair table holds no array of one entry per
-pair, also when `run` spools a pairs CSV. The bounds here are fixed numbers
-of bytes for fixed small inputs: a dense map, an array of every
-certification vector or a column per pair exceeds them.
+ones, a lone map's norms are taken on its hull product without a buffer
+beside it, and a sweep that keeps no pair table holds no array of one entry
+per pair, also when `run` spools a pairs CSV. The bounds here are fixed
+numbers of bytes for fixed small inputs: a dense map, an array of every
+certification vector, a buffer beside the product or a column per pair
+exceeds them.
 """
 
 import json
@@ -139,6 +141,26 @@ def test_sweep_without_pair_table_keeps_no_column_per_pair():
     assert len(report.pair_checks) == 0
     assert kept <= 0.1 * MB
     assert peak <= 1.0 * MB
+
+
+def test_weighted_image_norms_take_no_buffer_beside_the_product():
+    # a lone map's norm is taken on its contiguous hull product: no zero
+    # buffer of the node beside it, and no ufunc buffers for passes on
+    # strided columns; what is left is the block of products, the one numpy
+    # iterator buffer that a pass with a broadcast operand (the row maxima,
+    # the weights) takes, and the result: about 211 KB with numpy 2.4.6,
+    # where the node buffer and the strided passes peaked at 215 to 246 KB
+    source = sg.Space(2, sg.Lp(2.0))
+    target = sg.Space(1536, sg.WeightedLp(3.0, np.linspace(0.5, 2.0, 1536)))
+    maps = bank_module._quadrature_maps(
+        source, sg.Space(1536, sg.Lp(1.0)), 6, sg.QuadratureL2toL1(256, seed=3)
+    )
+    X = np.random.default_rng(4).standard_normal((1024, 2))
+    bound = 8 * (sg.spaces.BATCH_ELEMENTS + np.getbufsize() + len(X)) + 16_000
+    for m in maps:
+        lin = sg.LinearMap.from_band(m.hull, m.rows.start, source, target)
+        _, _, peak = _traced(sg.image_norms, lin, X)
+        assert peak <= bound
 
 
 def _assert_maps_match_dense(maps, dense):
