@@ -35,17 +35,15 @@ ends in a sum (lp with p other than 2, every weighted lp) or in a max
 abs and the norm's elementwise passes (max, rescaling, power, weights) run
 on it in place, the max is exact over any columns, and the sum adds the
 hull's parts of the tree's leaves in the tree's order (`_leaf_plan`), each
-with the bits of its whole leaf. Every other call (a blend, an l2 or
-max-abs norm, or a lone sum without a leaf plan: a target narrower than 8
-or a hull whose last leaf part is short) writes its sums into one zero
-buffer of a block, reused for every block, in which only the hulls'
-columns are ever written and the passes run on those columns. For a sum
-or a max the buffer is only as wide as the node of the tree that holds
-the union of the hulls (`_sum_span`). The l2 norm's stacked dot (whose
-bits depend on the BLAS dot's grouping over the full width) and the
-max-abs functionals keep a full-width buffer. Outside a term's hull the
-full-width sum adds c*0, which changes at most the sign of a zero, and
-abs removes it.
+with the bits of its whole leaf. Every other call (a blend, or an l2 or
+max-abs norm) writes its sums into one zero buffer of a block, reused for
+every block, in which only the hulls' columns are ever written and the
+passes run on those columns. For a sum or a max the buffer is only as
+wide as the node of the tree that holds the union of the hulls
+(`_sum_span`). The l2 norm's stacked dot (whose bits depend on the BLAS
+dot's grouping over the full width) and the max-abs functionals keep a
+full-width buffer. Outside a term's hull the full-width sum adds c*0,
+which changes at most the sign of a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
@@ -383,23 +381,24 @@ def _sum_span(width: int, cols: slice) -> slice:
 def _leaf_plan(width: int, cols: slice):
     """How a row of `width` non-negative entries that is zero outside the
     columns `cols` is summed from those columns alone, with the bits of
-    numpy's sum of the whole row; None where no plan is known to keep them.
+    numpy's sum of the whole row. `cols` starts at a multiple of
+    _PAIRWISE_UNROLL and stops at one or at `width`, as every hull does.
 
     A plan is a leaf part, the columns where `cols` meets a leaf of numpy's
     pairwise summation tree, counted from cols.start, or a pair (left,
     right) of the plans of a node's two subtrees, added left + right as
     numpy adds them. A subtree outside `cols` is dropped: it sums to +0.0,
-    which adds exactly. numpy sums a leaf of at least _PAIRWISE_UNROLL
-    entries in _PAIRWISE_UNROLL interleaved accumulators, adds them in a
-    fixed tree and then adds the ragged end one by one; a part that starts a
-    multiple of _PAIRWISE_UNROLL from its leaf's start, holds at least
-    _PAIRWISE_UNROLL entries and ends at the leaf's end or after a multiple
-    of _PAIRWISE_UNROLL entries meets the same accumulators after exact
-    zeros, and the same ragged end, so its sum has the bits of the leaf's.
-    Hulls start on multiples of _HULL_ALIGN, so a plan is missing only for
-    a width below _PAIRWISE_UNROLL, or for a hull of fewer than
-    _PAIRWISE_UNROLL rows at the end of a width that is not a multiple of
-    _PAIRWISE_UNROLL."""
+    which adds exactly. Every node of the tree starts at a multiple of
+    _PAIRWISE_UNROLL, so a part starts a multiple of _PAIRWISE_UNROLL from
+    its leaf's start and ends at the leaf's end or after a multiple of
+    _PAIRWISE_UNROLL entries. numpy sums a leaf of fewer than
+    _PAIRWISE_UNROLL entries one by one from zero; it sums a longer one in
+    _PAIRWISE_UNROLL interleaved accumulators, adds them in a fixed tree and
+    then adds the ragged end one by one. A part of at least
+    _PAIRWISE_UNROLL entries meets the same accumulators after exact zeros,
+    and the same ragged end; a shorter part is the whole leaf, or its
+    ragged end, which numpy adds one by one to the +0.0 of the zeros before
+    it. Either way the part's sum has the bits of the leaf's."""
     return _node_plan(cols, 0, width) if cols.start < cols.stop else slice(0, 0)
 
 
@@ -412,13 +411,8 @@ def _node_plan(cols: slice, lo: int, hi: int):
             return _node_plan(cols, lo, mid)
         if cols.start >= mid:
             return _node_plan(cols, mid, hi)
-        left, right = _node_plan(cols, lo, mid), _node_plan(cols, mid, hi)
-        return None if left is None or right is None else (left, right)
-    a, b = max(lo, cols.start), min(hi, cols.stop)
-    unroll = _PAIRWISE_UNROLL
-    if (a - lo) % unroll or b - a < unroll or b < hi and (b - a) % unroll:
-        return None
-    return slice(a - cols.start, b - cols.start)
+        return _node_plan(cols, lo, mid), _node_plan(cols, mid, hi)
+    return slice(max(lo, cols.start) - cols.start, min(hi, cols.stop) - cols.start)
 
 
 def _plan_sum(a: np.ndarray, plan) -> np.ndarray:
@@ -554,33 +548,46 @@ def _shifted(cols: slice, start: int) -> slice:
     return slice(cols.start - start, cols.stop - start) if cols.start < cols.stop else slice(0, 0)
 
 
-def _hull_layout(maps) -> tuple[slice, slice, object, int]:
-    """How _hull_norms forms a block of the maps' sums: the union of their
-    hulls, the target columns the block holds, the plan of its final sum
-    (see _abs_norms_block) and the row width that bounds a block.
+def _reads_every_column(spec: NormSpec) -> bool:
+    """Whether a norm's final reduction reads every target column: the l2
+    norm's stacked dot, whose bits depend on the BLAS dot's grouping over
+    the full width, and the max-abs functionals. Every other norm ends in a
+    sum or a max."""
+    return isinstance(spec, MaxAbsFunctionals) or isinstance(spec, Lp) and spec.p == 2.0
 
-    A lone map whose norm ends in a sum with a leaf plan for its hull (see
-    _leaf_plan), or in a max, which needs none, has its abs hull product
+
+def _hull_layout(maps) -> tuple[slice, slice, int]:
+    """How _hull_norms forms a block of the maps' sums: the union of their
+    hulls, the target columns the block holds and the row width that bounds
+    a block.
+
+    A lone map whose norm ends in a sum or a max has its abs hull product
     for the block: the block holds the hull's columns and is as wide as the
-    hull. Any other block is a buffer, summed whole (plan None), on the node
-    of numpy's pairwise summation tree that holds the union (see _sum_span)
-    for a sum or a max, and on every column for the l2 norm's stacked dot
-    and the max-abs functionals (whose width counts their products); its
-    row width is the buffer's plus every hull's product, so that the buffer
-    and the products stay within BATCH_ELEMENTS."""
+    hull. Any other block is a buffer, on the node of numpy's pairwise
+    summation tree that holds the union (see _sum_span) for a sum or a max,
+    and on every column for the l2 norm's stacked dot and the max-abs
+    functionals (whose width counts their products); its row width is the
+    buffer's plus every hull's product, so that the buffer and the products
+    stay within BATCH_ELEMENTS."""
     hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
     union = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
     target = maps[0].target
-    spec = target.norm
     products = sum(len(m.hull) for m in maps)
-    if isinstance(spec, Lp) and spec.p == 2.0 or isinstance(spec, MaxAbsFunctionals):
-        return union, slice(0, target.dim), None, _block_width(target) + products
+    if _reads_every_column(target.norm):
+        return union, slice(0, target.dim), _block_width(target) + products
     if len(maps) == 1:
-        plan = slice(0, products) if spec.p == math.inf else _leaf_plan(target.dim, union)
-        if plan is not None:
-            return union, union, plan, products
+        return union, union, products
     span = _sum_span(target.dim, union)
-    return union, span, None, span.stop - span.start + products
+    return union, span, span.stop - span.start + products
+
+
+def _hull_product(c, m: LinearMap, U: np.ndarray, block: slice) -> np.ndarray:
+    """The images of the rows U[block] on m's hull, times c (None for 1, or
+    one coefficient per row): a contiguous (rows, len(m.hull)) array."""
+    product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
+    if c is not None:
+        product *= c[block, None]
+    return product
 
 
 def _hull_norms(terms, U) -> np.ndarray:
@@ -588,40 +595,40 @@ def _hull_norms(terms, U) -> np.ndarray:
     rows of a (k, source.dim) array, bit for bit, where c is None (for 1) or
     one coefficient per row, in the blocks of _hull_layout.
 
-    A lone term whose norm ends in a sum or a max, with a plan, takes its
-    block straight from its contiguous hull product: abs and the norm's
-    elementwise passes run on it in place, and the final sum adds its leaf
-    parts in the tree's order (see _leaf_plan). Otherwise one buffer of a
-    block's sums is reused for every block. Per block, the first term's
-    hull product, times c, is written into its hull's columns, and each
-    later term's is added into its own, zeroed first; the columns outside
-    the union are never written and stay zero. Outside a hull the
-    full-width sum adds c*0, which changes at most the sign of a zero: abs
-    removes it, and a max-abs dot passes it only to an all-zero sum. abs
-    runs on the smallest contiguous array, a lone term's product or else the
-    whole block (a ufunc writing into strided columns takes a buffer of up
-    to a block's size), and a max-abs norm takes its own products of the
-    signed sums. The norm's elementwise passes run on the union's columns
-    only (see _abs_norms_block)."""
+    A lone term whose norm ends in a sum or a max takes its block straight
+    from its contiguous hull product: abs and the norm's elementwise passes
+    run on it in place, and the final sum adds its leaf parts in the tree's
+    order (see _leaf_plan). Otherwise one buffer of a block's sums is
+    reused for every block. Per block, the first term's hull product, times
+    c, is written into its hull's columns, and each later term's is added
+    into its own, zeroed first; the columns outside the union are never
+    written and stay zero. Outside a hull the full-width sum adds c*0, which
+    changes at most the sign of a zero: abs removes it, and a max-abs dot
+    passes it only to an all-zero sum. abs runs on the smallest contiguous
+    array, a lone term's product or else the whole block (a ufunc writing
+    into strided columns takes a buffer of up to a block's size), and a
+    max-abs norm takes its own products of the signed sums. The norm's
+    elementwise passes run on the union's columns only (see
+    _abs_norms_block)."""
     maps = [m for _, m in terms]
     U = as_rows(U, maps[0].source.dim)
-    spec = maps[0].target.norm
+    target = maps[0].target
+    spec = target.norm
     signed = isinstance(spec, MaxAbsFunctionals)
     lone = len(terms) == 1
-    union, span, plan, width = _hull_layout(maps)
-    union = _shifted(union, span.start)
+    union, span, width = _hull_layout(maps)
     out = np.empty(len(U))
-    if plan is not None:
+    if lone and not _reads_every_column(spec):
         ((c, m),) = terms
+        plan = _leaf_plan(target.dim, union)
         for block in row_blocks(len(U), width):
-            product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
-            if c is not None:
-                product *= c[block, None]
+            product = _hull_product(c, m, U, block)
             np.abs(product, out=product)
-            out[block] = _abs_norms_block(spec, product, union, span.start, plan)
+            out[block] = _abs_norms_block(spec, product, slice(0, len(m.hull)), span.start, plan)
             # not alive through the next block's product
             del product
         return out
+    union = _shifted(union, span.start)
     cols = [_shifted(m.rows, span.start) for m in maps]
     blocks = list(row_blocks(len(U), width))
     buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
@@ -632,9 +639,7 @@ def _hull_norms(terms, U) -> np.ndarray:
         for k, ((c, m), at) in enumerate(zip(terms, cols)):
             # each product is dropped once written, so that it is not alive
             # through the next product or the norm's passes
-            product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
-            if c is not None:
-                product *= c[block, None]
+            product = _hull_product(c, m, U, block)
             if lone and not signed:
                 np.abs(product, out=product)
             if k == 0:
@@ -664,7 +669,7 @@ def image_chunks(rows: int, m: LinearMap):
     _hull_layout's), where one fits: only the last chunk then ends in a
     short block of images."""
     step = max(1, BATCH_ELEMENTS // m.source.dim)
-    images = max(1, BATCH_ELEMENTS // max(_hull_layout([m])[3], 1))
+    images = max(1, BATCH_ELEMENTS // max(_hull_layout([m])[2], 1))
     if images < step:
         step -= step % images
     for start in range(0, rows, step):

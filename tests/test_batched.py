@@ -1005,7 +1005,7 @@ def test_image_chunks_are_whole_image_blocks(wide):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
         for m in maps:
-            images = budget // sg.spaces._hull_layout([m])[3]
+            images = budget // sg.spaces._hull_layout([m])[2]
             assert 1 <= images <= step
             chunks = list(sg.spaces.image_chunks(rows, m))
             assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
@@ -1100,10 +1100,11 @@ def _leaf_parts(plan) -> list[slice]:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_leaf_plan_sum_has_the_bits_of_the_full_width_sum(data):
-    # hulls as maps have them, 16-aligned and the last one capped at the
-    # width, and columns at any offset
+    # columns as hulls have them: starting at a multiple of 8 (a hull's at a
+    # multiple of 16) and stopping at one or capped at the width, so that
+    # short leaf parts, a whole narrow row or a leaf's ragged end, are met
     width = data.draw(st.integers(1, 5000))
-    align = data.draw(st.sampled_from([16, 1]))
+    align = data.draw(st.sampled_from([16, 8]))
     lo = align * data.draw(st.integers(0, (width - 1) // align))
     hi = min(lo + align * data.draw(st.integers(1, 640 // align)), width)
     rows = data.draw(st.integers(0, 5))
@@ -1115,20 +1116,10 @@ def test_leaf_plan_sum_has_the_bits_of_the_full_width_sum(data):
     if rows:
         a[rng.integers(0, rows)] = 0.0
     plan = sg.spaces._leaf_plan(width, slice(lo, hi))
-    # each leaf the hull meets, cut to the hull, counted from its start
+    # each leaf the columns meet, cut to them, counted from their start
     leaves = [(a0, b0) for a0, b0 in _pairwise_nodes(width) if b0 - a0 <= 128]
-    met = sorted((a0, max(a0, lo), min(b0, hi), b0) for a0, b0 in leaves if a0 < hi and lo < b0)
-    keeps = [
-        (start - a0) % 8 == 0 and stop - start >= 8 and (stop == b0 or (stop - start) % 8 == 0)
-        for a0, start, stop, b0 in met
-    ]
-    if not all(keeps):
-        assert plan is None
-        if align == 16:
-            # a hull's only misses: a narrow target, or a short last part
-            assert width < 8 or not keeps[-1] and all(keeps[:-1])
-        return
-    assert [(p.start + lo, p.stop + lo) for p in _leaf_parts(plan)] == [m[1:3] for m in met]
+    met = sorted((max(a0, lo), min(b0, hi)) for a0, b0 in leaves if a0 < hi and lo < b0)
+    assert [(p.start + lo, p.stop + lo) for p in _leaf_parts(plan)] == met
     with np.errstate(over="ignore"):
         got = sg.spaces._plan_sum(np.ascontiguousarray(a[:, lo:hi]), plan)
         assert got.tobytes() == a.sum(axis=1).tobytes()
@@ -1138,29 +1129,33 @@ def test_leaf_plan_sum_has_the_bits_of_the_full_width_sum(data):
     "width, rows",
     [
         (7, slice(0, 7)),  # a target narrower than 8: one leaf summed entry by entry
-        (133, slice(128, 133)),  # a 5-column last part of the leaf [64, 133)
+        (133, slice(128, 133)),  # the 5-entry ragged end of the leaf [64, 133)
         (1029, slice(1024, 1029)),  # the same at the end of a wider tree
     ],
 )
-def test_leaf_plan_falls_back_to_the_node_buffer(width, rows):
-    # no plan: a lone map's sums keep the buffer on the node of its hull,
-    # with the bits of norms of its images
-    assert sg.spaces._leaf_plan(width, rows) is None
+def test_short_leaf_parts_keep_the_bits_of_the_full_width_sum(width, rows):
+    # a part shorter than 8 is a whole leaf or a leaf's ragged end, which
+    # numpy adds entry by entry after the leaf's zeros: a lone map's norms
+    # on its product alone have the bits of norms of its images
+    plan = sg.spaces._leaf_plan(width, rows)
+    assert _leaf_parts(plan) == [slice(0, rows.stop - rows.start)]
     rng = np.random.default_rng(width)
+    a = np.zeros((200, width))
+    for k, kind in enumerate(("unit", "subnormal", "huge", "mixed")):
+        a[50 * k : 50 * k + 50, rows] = _magnitudes(rng, kind, (50, rows.stop - rows.start))
+    with np.errstate(over="ignore"):
+        got = sg.spaces._plan_sum(np.ascontiguousarray(a[:, rows]), plan)
+        assert got.tobytes() == a.sum(axis=1).tobytes()
     band = rng.standard_normal((rows.stop - rows.start, 2))
-    for spec in (sg.Lp(1.0), sg.Lp(3.0), sg.WeightedLp(1.5, rng.uniform(0.5, 2.0, width))):
+    weights = rng.uniform(0.5, 2.0, width)
+    specs = (sg.Lp(1.0), sg.Lp(3.0), sg.WeightedLp(1.5, weights), sg.Lp(math.inf))
+    for spec in specs:
         target = sg.Space(width, spec)
         m = sg.LinearMap.from_band(band, rows.start, sg.Space(2), target)
         assert m.rows == rows
-        span = sg.spaces._sum_span(width, rows)
-        width_of_block = span.stop - span.start + len(m.hull)
-        assert sg.spaces._hull_layout([m]) == (rows, span, None, width_of_block)
+        assert sg.spaces._hull_layout([m]) == (rows, rows, len(m.hull))
         X = _rows_with_signed_zeros(rng, 40, 2)
         assert sg.image_norms(m, X).tobytes() == sg.norms(target, sg.apply(m, X)).tobytes()
-    # a max needs no plan
-    target = sg.Space(width, sg.Lp(math.inf))
-    m = sg.LinearMap.from_band(band, rows.start, sg.Space(2), target)
-    assert sg.spaces._hull_layout([m]) == (rows, rows, slice(0, len(m.hull)), len(m.hull))
 
 
 @functools.cache

@@ -146,17 +146,21 @@ def test_sweep_without_pair_table_keeps_no_column_per_pair():
 def test_weighted_image_norms_take_no_buffer_beside_the_product():
     # a lone map's norm is taken on its contiguous hull product: no zero
     # buffer of the node beside it, and no ufunc buffers for passes on
-    # strided columns; what is left is the block of products, the one numpy
+    # strided columns. What is left is the block of products, the one numpy
     # iterator buffer that a pass with a broadcast operand (the row maxima,
-    # the weights) takes, and the result: about 211 KB with numpy 2.4.6,
-    # where the node buffer and the strided passes peaked at 215 to 246 KB
+    # the weights) takes, and the result: 8 * (BATCH_ELEMENTS + getbufsize +
+    # rows) = 205 KB, and 211 KB in all with numpy 2.4.6 on every map. The
+    # node buffer with its strided passes peaked at 246 KB on maps 0, 2, 3
+    # and 5 (384-column nodes) and at 215 KB on maps 1 and 4 (768-column
+    # nodes); the slack puts the bound at 229 KB, about halfway between 211
+    # and 246 KB, so those four maps exceed it
     source = sg.Space(2, sg.Lp(2.0))
     target = sg.Space(1536, sg.WeightedLp(3.0, np.linspace(0.5, 2.0, 1536)))
     maps = bank_module._quadrature_maps(
         source, sg.Space(1536, sg.Lp(1.0)), 6, sg.QuadratureL2toL1(256, seed=3)
     )
     X = np.random.default_rng(4).standard_normal((1024, 2))
-    bound = 8 * (sg.spaces.BATCH_ELEMENTS + np.getbufsize() + len(X)) + 16_000
+    bound = 8 * (sg.spaces.BATCH_ELEMENTS + np.getbufsize() + len(X)) + 24_000
     for m in maps:
         lin = sg.LinearMap.from_band(m.hull, m.rows.start, source, target)
         _, _, peak = _traced(sg.image_norms, lin, X)
