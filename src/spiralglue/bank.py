@@ -36,7 +36,6 @@ from .spaces import (  # noqa: F401
     blend_apply,
     direction_gain,
     distinct_rows,
-    image_chunks,
     image_norms,
     norm,
     norms,
@@ -178,7 +177,8 @@ def build_bank(
     Each distinct nonzero vector (by bit pattern, see distinct_rows) is
     normed and imaged once per map, in order of first occurrence, so the
     margins and the first worst vector are those of evaluating every vector
-    (see _certify_rows).
+    (see _certify_rows). A map images them all in one image_norms call,
+    whose blocks are whole but the last.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -198,10 +198,8 @@ def build_bank(
     eps_n = (1.0 + gamma) ** (1.0 / count) - 1.0
     lo_margins = []
     hi_margins = []
-    image = np.empty(len(rows))
     for n, lin in enumerate(maps):
-        for chunk in image_chunks(len(rows), lin):
-            image[chunk] = image_norms(lin, rows[chunk])
+        image = image_norms(lin, rows)
         # norm(target, lin v) / norm(source, v) over the distinct nonzero rows
         # v; groups are in order of their first rows, so the first extreme
         # group holds the first extreme nonzero row
@@ -214,6 +212,7 @@ def build_bank(
             raise CertificationFailed(n, int(first[k_hi]), float(ratios[k_hi]))
         lo_margins.append(float(ratios[k_lo]) - 1.0)
         hi_margins.append((1.0 + eps_n) - float(ratios[k_hi]))
+        del image, ratios  # not alive while the next map images
     slots = (eps_n,) * count
     assert np.prod(1.0 + np.array(slots)) <= (1.0 + gamma) * (1.0 + _TOL)
     return EmbeddingBank(tuple(maps), slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))

@@ -29,21 +29,19 @@ blends, as `direction_gain` needs them. numpy reduces each row over its
 pairwise summation tree from column 0; every subtree that holds only
 zeros sums to +0.0, and adding +0.0 to a non-negative sum is exact, so a
 sum of a row that is zero outside the hulls can skip those subtrees and
-keep the full-width sum's bits, in the same order. A lone map whose norm
-ends in a sum (lp with p other than 2, every weighted lp) or in a max
-(l-infinity) takes its block straight from its contiguous hull product:
-abs and the norm's elementwise passes (max, rescaling, power, weights) run
-on it in place, the max is exact over any columns, and the sum adds the
-hull's parts of the tree's leaves in the tree's order (`_leaf_plan`), each
-with the bits of its whole leaf. Every other call (a blend, or an l2 or
-max-abs norm) writes its sums into one zero buffer of a block, reused for
-every block, in which only the hulls' columns are ever written and the
-passes run on those columns. For a sum or a max the buffer is only as
-wide as the node of the tree that holds the union of the hulls
-(`_sum_span`). The l2 norm's stacked dot (whose bits depend on the BLAS
-dot's grouping over the full width) and the max-abs functionals keep a
-full-width buffer. Outside a term's hull the full-width sum adds c*0,
-which changes at most the sign of a zero, and abs removes it.
+keep the full-width sum's bits, in the same order. For a norm that ends
+in a sum (lp with p other than 2, every weighted lp) or in a max
+(l-infinity), a block holds the union of the hulls alone: a lone map's
+contiguous hull product, or else one zero buffer as wide as the union,
+reused for every block, into which the terms' products are written. abs
+and the norm's elementwise passes (max, rescaling, power, weights) run on
+the whole block in place, the max is exact over any columns, and the sum
+adds the union's parts of the tree's leaves in the tree's order
+(`_leaf_plan`), each with the bits of its whole leaf. The l2 norm's
+stacked dot (whose bits depend on the BLAS dot's grouping over the full
+width) and the max-abs functionals keep a full-width buffer, whose passes
+run on the union's columns. Outside a term's hull the full-width sum adds
+c*0, which changes at most the sign of a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
@@ -297,14 +295,11 @@ def _abs_norms_block(
     column of `a`, and the final sum too, or by `plan` where one is given
     (see _plan_sum). The bits are those of the full-width passes: max is
     exact, 0/m, 0**p and w*0 are 0, so the final reduction sees the same
-    entries. A sum or max may run on a narrower `a`: a buffer on the node of
-    numpy's pairwise summation tree that holds `cols` (see _sum_span),
-    because the zeros outside it add +0.0 to the node's sum, or a lone map's
-    product, `cols` alone, summed by its leaf plan (see _leaf_plan). The l2
-    norm's stacked dot groups its terms by the full width (the BLAS dot's
-    grouping), so its `a` spans every target column. The passes are
-    contiguous only when `cols` is every column of `a`: on a strided view,
-    numpy gives each in-place ufunc iterator buffers."""
+    entries. A sum or a max runs on the union of the hulls alone, summed by
+    its leaf plan (see _leaf_plan): `cols` is then every column of `a`, and
+    the passes are contiguous. The l2 norm's stacked dot groups its terms by
+    the full width (the BLAS dot's grouping), so its `a` spans every target
+    column, and its passes run on the strided view of `cols`."""
     h = a[:, cols]
     p = spec.p
     weights = None
@@ -354,28 +349,6 @@ def _pairwise_split(lo: int, hi: int) -> int:
     than _PAIRWISE_LEAF entries."""
     half = (hi - lo) // 2
     return lo + half - half % _PAIRWISE_UNROLL
-
-
-def _sum_span(width: int, cols: slice) -> slice:
-    """The smallest node of numpy's pairwise summation tree over `width`
-    entries that holds the columns `cols` (an empty slice for empty cols).
-
-    numpy sums each row of a block over that tree from column 0, so when a
-    row of non-negative entries is zero outside `cols`, every subtree outside
-    the node sums to +0.0, which adds exactly to the node's sum: the sum over
-    the node alone has the bits of the full-width sum."""
-    lo, hi = 0, width
-    if cols.start >= cols.stop:
-        return slice(0, 0)
-    while hi - lo > _PAIRWISE_LEAF:
-        mid = _pairwise_split(lo, hi)
-        if cols.stop <= mid:
-            hi = mid
-        elif cols.start >= mid:
-            lo = mid
-        else:
-            break
-    return slice(lo, hi)
 
 
 def _leaf_plan(width: int, cols: slice):
@@ -556,29 +529,29 @@ def _reads_every_column(spec: NormSpec) -> bool:
     return isinstance(spec, MaxAbsFunctionals) or isinstance(spec, Lp) and spec.p == 2.0
 
 
-def _hull_layout(maps) -> tuple[slice, slice, int]:
-    """How _hull_norms forms a block of the maps' sums: the union of their
-    hulls, the target columns the block holds and the row width that bounds
-    a block.
-
-    A lone map whose norm ends in a sum or a max has its abs hull product
-    for the block: the block holds the hull's columns and is as wide as the
-    hull. Any other block is a buffer, on the node of numpy's pairwise
-    summation tree that holds the union (see _sum_span) for a sum or a max,
-    and on every column for the l2 norm's stacked dot and the max-abs
-    functionals (whose width counts their products); its row width is the
-    buffer's plus every hull's product, so that the buffer and the products
-    stay within BATCH_ELEMENTS."""
+def _union(maps) -> slice:
+    """The target columns from the maps' first hull start to their last hull
+    stop: empty when every map is zero."""
     hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
-    union = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
+    return slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
+
+
+def _hull_layout(maps) -> tuple[slice, int]:
+    """The target columns that a block of _hull_norms holds for the maps'
+    sums, and the row width that bounds a block.
+
+    A norm that ends in a sum or a max has a block on the union of the
+    hulls: a lone map's abs hull product, or else a buffer as wide as the
+    union. The l2 norm's stacked dot and the max-abs functionals have a
+    buffer on every column (whose width counts the functionals' products).
+    The row width is the buffer's, if any, plus every hull's product, so
+    that the buffer and the products stay within BATCH_ELEMENTS."""
     target = maps[0].target
     products = sum(len(m.hull) for m in maps)
     if _reads_every_column(target.norm):
-        return union, slice(0, target.dim), _block_width(target) + products
-    if len(maps) == 1:
-        return union, union, products
-    span = _sum_span(target.dim, union)
-    return union, span, span.stop - span.start + products
+        return slice(0, target.dim), _block_width(target) + products
+    union = _union(maps)
+    return union, products + (union.stop - union.start if len(maps) > 1 else 0)
 
 
 def _hull_product(c, m: LinearMap, U: np.ndarray, block: slice) -> np.ndarray:
@@ -595,64 +568,58 @@ def _hull_norms(terms, U) -> np.ndarray:
     rows of a (k, source.dim) array, bit for bit, where c is None (for 1) or
     one coefficient per row, in the blocks of _hull_layout.
 
-    A lone term whose norm ends in a sum or a max takes its block straight
-    from its contiguous hull product: abs and the norm's elementwise passes
-    run on it in place, and the final sum adds its leaf parts in the tree's
-    order (see _leaf_plan). Otherwise one buffer of a block's sums is
-    reused for every block. Per block, the first term's hull product, times
-    c, is written into its hull's columns, and each later term's is added
-    into its own, zeroed first; the columns outside the union are never
-    written and stay zero. Outside a hull the full-width sum adds c*0, which
-    changes at most the sign of a zero: abs removes it, and a max-abs dot
-    passes it only to an all-zero sum. abs runs on the smallest contiguous
-    array, a lone term's product or else the whole block (a ufunc writing
-    into strided columns takes a buffer of up to a block's size), and a
-    max-abs norm takes its own products of the signed sums. The norm's
-    elementwise passes run on the union's columns only (see
-    _abs_norms_block)."""
+    A lone term whose hull is the block's columns has its contiguous hull
+    product for the block. Otherwise one zero buffer of a block is reused
+    for every block: per block, the first term's hull product, times c, is
+    written into its hull's columns, and each later term's is added into
+    its own, zeroed first; the columns outside the hulls are never written
+    and stay zero. Outside a hull the full-width sum adds c*0, which changes
+    at most the sign of a zero: abs removes it, and a max-abs dot passes it
+    only to an all-zero sum. abs runs on the smallest contiguous array, a
+    lone term's product or else the whole block (a ufunc writing into
+    strided columns takes a buffer of up to a block's size), and a max-abs
+    norm takes its own products of the signed sums. The norm's elementwise
+    passes run on the union's columns, and a sum adds the block's leaf
+    parts in the tree's order (see _abs_norms_block)."""
     maps = [m for _, m in terms]
     U = as_rows(U, maps[0].source.dim)
-    target = maps[0].target
-    spec = target.norm
+    spec = maps[0].target.norm
     signed = isinstance(spec, MaxAbsFunctionals)
     lone = len(terms) == 1
-    union, span, width = _hull_layout(maps)
+    cols, width = _hull_layout(maps)
+    own = lone and maps[0].rows == cols
+    union = _shifted(_union(maps), cols.start)
+    at = [_shifted(m.rows, cols.start) for m in maps]
+    plan = None if _reads_every_column(spec) else _leaf_plan(maps[0].target.dim, cols)
+    rows = next(row_blocks(len(U), width), slice(0, 0)).stop
+    buffer = None if own else np.zeros((rows, cols.stop - cols.start))
     out = np.empty(len(U))
-    if lone and not _reads_every_column(spec):
-        ((c, m),) = terms
-        plan = _leaf_plan(target.dim, union)
-        for block in row_blocks(len(U), width):
-            product = _hull_product(c, m, U, block)
-            np.abs(product, out=product)
-            out[block] = _abs_norms_block(spec, product, slice(0, len(m.hull)), span.start, plan)
-            # not alive through the next block's product
-            del product
-        return out
-    union = _shifted(union, span.start)
-    cols = [_shifted(m.rows, span.start) for m in maps]
-    blocks = list(row_blocks(len(U), width))
-    buffer = np.zeros((blocks[0].stop if blocks else 0, span.stop - span.start))
-    for block in blocks:
-        sums = buffer[: block.stop - block.start]
-        for later in cols[1:]:
-            sums[:, later] = 0.0
-        for k, ((c, m), at) in enumerate(zip(terms, cols)):
+    for block in row_blocks(len(U), width):
+        if not own:
+            sums = buffer[: block.stop - block.start]
+            for later in at[1:]:
+                sums[:, later] = 0.0
+        for k, ((c, m), into) in enumerate(zip(terms, at)):
             # each product is dropped once written, so that it is not alive
             # through the next product or the norm's passes
             product = _hull_product(c, m, U, block)
             if lone and not signed:
                 np.abs(product, out=product)
-            if k == 0:
-                sums[:, at] = product
+            if own:
+                sums = product
+            elif k == 0:
+                sums[:, into] = product
             else:
-                sums[:, at] += product
+                sums[:, into] += product
             del product
         if signed:
             out[block] = _norms_block(spec, sums)
         else:
             if not lone:
                 np.abs(sums, out=sums)
-            out[block] = _abs_norms_block(spec, sums, union, span.start)
+            out[block] = _abs_norms_block(spec, sums, union, cols.start, plan)
+        # a lone term's product is not alive through the next block's product
+        del sums
     return out
 
 
@@ -661,19 +628,6 @@ def image_norms(m: LinearMap, X) -> np.ndarray:
     bit for bit, without forming the images anew per block: the one-term
     call of _hull_norms."""
     return _hull_norms(((None, m),), X)
-
-
-def image_chunks(rows: int, m: LinearMap):
-    """row_blocks(rows, m.source.dim), each cut down to a whole number of the
-    blocks in which image_norms images rows under m (their row width is
-    _hull_layout's), where one fits: only the last chunk then ends in a
-    short block of images."""
-    step = max(1, BATCH_ELEMENTS // m.source.dim)
-    images = max(1, BATCH_ELEMENTS // max(_hull_layout([m])[2], 1))
-    if images < step:
-        step -= step % images
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
 
 
 def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:

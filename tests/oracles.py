@@ -11,8 +11,9 @@ the generated banks' dense matrices. The pipeline uses
 the row kernels `spaces.norms`, `spaces.apply` and `spaces.blend_apply`,
 one kernel for the norms of images and blends (`spaces.image_norms` and
 `spaces.blend_norms`, the one- and two-term calls of `spaces._hull_norms`),
-whose norms run their elementwise passes in place on the columns that can
-be nonzero, a decompose that groups its unit differences by bit pattern
+which holds a norm that ends in a sum or a max on the union of the hulls
+alone and sums it over the leaves of numpy's pairwise tree that the union
+meets, a decompose that groups its unit differences by bit pattern
 with `spaces.distinct_rows` and the directions by sort-and-sweep instead,
 and a certification and row gain that evaluate each distinct row once
 (`spaces.distinct_rows`), and maps built from their nonzero band alone

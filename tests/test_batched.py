@@ -1,7 +1,8 @@
 """Batched kernels against the scalar computations they replace.
 
-The row kernel `norms`, the certification kernel `image_norms`, the blend
-kernel `blend_norms` on the node of the pairwise sum, the batched
+The row kernel `norms`, the certification kernel `image_norms` and the blend
+kernel `blend_norms` on the leaves of the pairwise sum that the hulls meet,
+the batched
 `decompose` with its sort-and-sweep direction grouping, the certification
 blocks, the row gain with cos and sin once per distinct angle, the selection's level judge, the array ramp angle
 and weight evaluator, the one-call weight table, the row embedding with the
@@ -802,12 +803,15 @@ def test_apply_and_blend_bit_equal_to_scalar_bodies(data):
 _POWERS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
 
-def _target_norms(dim: int) -> list:
+def _target_norms(dim: int, max_abs: bool = True) -> list:
     """A norm of every kind on a dim-wide target: lp and weighted lp at each
-    of _POWERS, and the max of the coordinates and two more functionals."""
+    of _POWERS, and, unless max_abs is False, the max of the coordinates and
+    two more functionals."""
     rng = np.random.default_rng(dim)
     lp = [sg.Lp(p) for p in _POWERS]
     weighted = [sg.WeightedLp(p, rng.uniform(1e-3, 1e3, dim)) for p in _POWERS]
+    if not max_abs:
+        return lp + weighted
     functionals = np.vstack([np.eye(dim), rng.standard_normal((2, dim))])
     return lp + weighted + [sg.MaxAbsFunctionals(functionals)]
 
@@ -932,13 +936,15 @@ def _sized(sizes, fn):
 
 
 def _temporaries_case(wide: bool):
-    """(budget, maps, rows): where a lone map's norm ends in a sum or a
-    max, 64 elements hold four rows of the 16-row hull's products and 4096
-    sixteen rows of a 256-row quadrature hull's products; else 64 hold one
-    row of the 18-wide buffer (20 wide for the functionals' products) and
-    the hulls' products, and 4096 one to three rows of a 1536-wide
-    target's buffer (the node of the hulls, 768 or 1536 columns, or all
-    1536 for an l2 or max-abs norm) and the hulls' products."""
+    """(budget, maps, rows): a lone map whose norm ends in a sum or a max
+    has its hull's products for a block, four rows of the 16-row hull in 64
+    elements and sixteen rows of a 256-row quadrature hull in 4096. A blend
+    of two such maps has a buffer as wide as the union of the hulls beside
+    their products: one row of the 16-column union in 64, and two to four
+    rows of a union of 512 to 1536 columns in 4096. Any other norm has a
+    full-width buffer beside the hulls' products: one row of the 18-wide
+    target (20 wide for the functionals' products) in 64, and one or two
+    rows of the 1536-wide target in 4096."""
     if wide:
         source = sg.Space(2, sg.Lp(2.0))
         quadrature = spiralglue.bank._quadrature_maps(
@@ -994,23 +1000,16 @@ def _hull_products(hull, rows, fn):
 
 
 @pytest.mark.parametrize("wide", [False, True])
-def test_image_chunks_are_whole_image_blocks(wide):
-    # for a target norm of every kind, on the quadrature bank too, every
-    # chunk but the last is the most whole blocks of _hull_layout's row
-    # width that a chunk of the source width holds, and image_norms forms
-    # exactly those blocks: only the last chunk ends in a short block
+def test_image_norms_blocks_are_whole_but_the_last(wide):
+    # for a target norm of every kind, on the quadrature bank too,
+    # image_norms forms the blocks of _hull_layout's row width: only the
+    # last block is short
     budget, maps, X = _temporaries_case(wide)
-    step = budget // maps[0].source.dim
-    rows = 2 * step + 5
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
         for m in maps:
-            images = budget // sg.spaces._hull_layout([m])[2]
-            assert 1 <= images <= step
-            chunks = list(sg.spaces.image_chunks(rows, m))
-            assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
-            assert (chunks[0].start, chunks[-1].stop) == (0, rows)
-            assert {c.stop - c.start for c in chunks[:-1]} == {step - step % images}
+            images = budget // sg.spaces._hull_layout([m])[1]
+            assert images >= 1
             blocks = []
             with pytest.MonkeyPatch.context() as counted:
                 counted.setattr(np, "matmul", _hull_products(m.hull, blocks, np.matmul))
@@ -1029,7 +1028,7 @@ def test_blend_norms_temporaries_stay_within_batch():
     _assert_temporaries_within_batch(blend_norms)
 
 
-# ------------------------------------------- the node of the pairwise sum
+# ----------------------------------------- the leaves of the pairwise sum
 
 
 def _pairwise_nodes(width: int) -> list[tuple[int, int]]:
@@ -1060,41 +1059,16 @@ def _magnitudes(rng, kind: str, shape) -> np.ndarray:
     return rng.random(shape)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_sum_over_the_node_has_the_bits_of_the_full_width_sum(data):
-    width = data.draw(st.integers(1, 5000))
-    lo = data.draw(st.integers(0, width))
-    hi = data.draw(st.integers(lo, width))
-    rows = data.draw(st.integers(0, 5))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    kind = data.draw(st.sampled_from(["unit", "subnormal", "huge", "mixed"]))
-    a = np.zeros((rows, width))
-    a[:, lo:hi] = _magnitudes(rng, kind, (rows, hi - lo))
-    a[:, lo:hi][rng.random((rows, hi - lo)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
-    if rows:
-        a[rng.integers(0, rows)] = 0.0
-    span = sg.spaces._sum_span(width, slice(lo, hi))
-    if lo == hi:
-        assert span == slice(0, 0)
-    else:
-        # the smallest node that holds the columns
-        nodes = _pairwise_nodes(width)
-        assert (span.start, span.stop) in nodes and span.start <= lo and hi <= span.stop
-        assert not any(
-            a0 <= lo and hi <= b0 and b0 - a0 < span.stop - span.start for a0, b0 in nodes
-        )
-    with np.errstate(over="ignore"):
-        want = a.sum(axis=1).tobytes()
-        assert a[:, span].sum(axis=1).tobytes() == want
-        assert np.ascontiguousarray(a[:, span]).sum(axis=1).tobytes() == want
-
-
 def _leaf_parts(plan) -> list[slice]:
     """The leaf parts of a plan of spaces._leaf_plan, left to right."""
     if isinstance(plan, slice):
         return [plan]
     return [part for half in plan for part in _leaf_parts(half)]
+
+
+def _leaf_widths(width: int, cols: slice) -> list[int]:
+    """The widths of the leaf parts of spaces._leaf_plan(width, cols)."""
+    return [p.stop - p.start for p in _leaf_parts(sg.spaces._leaf_plan(width, cols))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1153,25 +1127,25 @@ def test_short_leaf_parts_keep_the_bits_of_the_full_width_sum(width, rows):
         target = sg.Space(width, spec)
         m = sg.LinearMap.from_band(band, rows.start, sg.Space(2), target)
         assert m.rows == rows
-        assert sg.spaces._hull_layout([m]) == (rows, rows, len(m.hull))
+        assert sg.spaces._hull_layout([m]) == (rows, len(m.hull))
         X = _rows_with_signed_zeros(rng, 40, 2)
         assert sg.image_norms(m, X).tobytes() == sg.norms(target, sg.apply(m, X)).tobytes()
 
 
 @functools.cache
-def _targets(dim: int) -> list:
-    """A dim-wide space for each of _target_norms(dim), built once: the rank
-    check of a wide max-abs norm takes about a second."""
-    return [sg.Space(dim, spec) for spec in _target_norms(dim)]
+def _targets(dim: int, max_abs: bool = True) -> list:
+    """A dim-wide space for each of _target_norms(dim, max_abs), built once:
+    the rank check of a wide max-abs norm takes about a second."""
+    return [sg.Space(dim, spec) for spec in _target_norms(dim, max_abs)]
 
 
-def _assert_node_norms_bit_equal(first, second, X, angles):
+def _assert_hull_norms_bit_equal(first, second, X, angles, max_abs: bool = True):
     """image_norms and blend_norms give the bits of the norms of apply's
     images and of blend_apply's blends, for a target norm of every kind,
     also in blocks of at least three rows with a short last one."""
     c = np.array([math.cos(t) for t in angles])
     s = np.array([math.sin(t) for t in angles])
-    for target in _targets(first.target.dim):
+    for target in _targets(first.target.dim, max_abs):
         maps = _retarget(target, first, second)
         want = [sg.norms(target, sg.apply(m, X)).tobytes() for m in maps]
         want_blend = sg.norms(target, sg.blend_apply(c, s, *maps, X)).tobytes()
@@ -1191,30 +1165,48 @@ def _rows_with_signed_zeros(rng, k: int, dim: int) -> np.ndarray:
     return X
 
 
-def test_node_norms_on_a_wide_quadrature_bank():
-    # six 256-row maps in a 1536-wide target: the maps' nodes are 384 or 768
-    # wide (maps 1 and 4 straddle a split), and the unions of two hulls
-    # reach every level of the tree, up to the root
+def test_hull_norms_on_a_wide_quadrature_bank():
+    # six 256-row maps in a 1536-wide target, whose tree has leaves of 96
+    # columns: a map's hull meets three or four of them, and the union of
+    # two hulls, the columns of a blend's block, up to all sixteen, those
+    # between two hulls apart holding only zeros
     source, target = sg.Space(2, sg.Lp(2.0)), sg.Space(1536, sg.Lp(1.0))
     spec = sg.QuadratureL2toL1(256, seed=3)
     maps = spiralglue.bank._quadrature_maps(source, target, 6, spec)
-    nodes = [sg.spaces._sum_span(1536, m.rows) for m in maps]
-    assert [n.stop - n.start for n in nodes] == [384, 768, 384, 384, 768, 384]
+    parts = [_leaf_widths(1536, m.rows) for m in maps]
+    assert parts == [[96, 96, 64], [32, 96, 96, 32], [64, 96, 96]] * 2
+    unions = {
+        (0, 1): [96] * 5 + [32],
+        (1, 4): [32] + [96] * 10 + [32],
+        (2, 3): [64] + [96] * 4 + [64],
+        (4, 5): [32] + [96] * 5,
+        (3, 3): [96, 96, 64],
+        (5, 0): [96] * 16,
+    }
+    for (i, j), want in unions.items():
+        cols, width = sg.spaces._hull_layout([maps[i], maps[j]])
+        assert width == cols.stop - cols.start + 512
+        assert _leaf_widths(1536, cols) == want
     empty = sg.LinearMap.from_band(np.zeros((1, 2)), 700, source, target)
     rng = np.random.default_rng(11)
     X = _rows_with_signed_zeros(rng, 20, 2)
     # c < 0 and s < 0 on some rows; one pair repeats a map, so the hulls overlap
     angles = rng.uniform(0.0, 2.0 * math.pi, len(X)).tolist()
-    for i, j in ((0, 1), (1, 4), (2, 3), (4, 5), (3, 3), (5, 0)):
-        _assert_node_norms_bit_equal(maps[i], maps[j], X, angles)
+    for i, j in unions:
+        _assert_hull_norms_bit_equal(maps[i], maps[j], X, angles)
     for pair in ((empty, maps[2]), (maps[4], empty), (empty, empty)):
-        _assert_node_norms_bit_equal(*pair, X, angles)
+        _assert_hull_norms_bit_equal(*pair, X, angles)
 
 
-@pytest.mark.parametrize("target_dim", [130, 257, 640, 1100])
-def test_node_norms_on_block_bands_straddling_a_split(target_dim):
+@pytest.mark.parametrize("target_dim", [130, 257, 640, 1100, 4500])
+def test_hull_norms_on_block_bands_straddling_a_split(target_dim):
     # bands across the split of a node at every level of the tree, next to
-    # it, overlapping each other, and the empty hull; entries include -0.0
+    # it, overlapping each other, and the empty hull; entries include -0.0.
+    # The bands at the two ends make a union of every column, whose leaves
+    # between them hold only zeros. Past 4096 columns the max-abs norm is
+    # left out: its functionals alone would take 160 MB, and its full-width
+    # buffer is held at 1536 columns
+    max_abs = target_dim <= 4096
     rng = np.random.default_rng(target_dim)
     source_dim = 3
     splits = sorted(
@@ -1234,8 +1226,8 @@ def test_node_norms_on_block_bands_straddling_a_split(target_dim):
     X = _rows_with_signed_zeros(rng, 12, source_dim)
     angles = rng.uniform(0.0, 2.0 * math.pi, len(X)).tolist()
     for first, second in zip(bands, bands[1:] + bands[:1]):
-        _assert_node_norms_bit_equal(first, second, X, angles)
-    _assert_node_norms_bit_equal(bands[0], bands[0], X, angles)
+        _assert_hull_norms_bit_equal(first, second, X, angles, max_abs)
+    _assert_hull_norms_bit_equal(bands[0], bands[0], X, angles, max_abs)
 
 
 def test_row_gain_matches_scalar_and_rejects_non_unit_rows(l1_pipeline):

@@ -3,7 +3,8 @@
 A generated map keeps only its hull, certification forms its vectors (every
 pair difference among them) a block at a time and keeps only the distinct
 ones, a lone map's norms are taken on its hull product without a buffer
-beside it, and a sweep that keeps no pair table holds no array of one entry
+beside it and a blend's on a buffer as wide as the union of its hulls, and
+a sweep that keeps no pair table holds no array of one entry
 per pair, also when `run` spools a pairs CSV. The bounds here are fixed
 numbers of bytes for fixed small inputs: a dense map, an array of every
 certification vector, a buffer beside the product or a column per pair
@@ -164,6 +165,30 @@ def test_weighted_image_norms_take_no_buffer_beside_the_product():
     for m in maps:
         lin = sg.LinearMap.from_band(m.hull, m.rows.start, source, target)
         _, _, peak = _traced(sg.image_norms, lin, X)
+        assert peak <= bound
+
+
+def test_weighted_blend_norms_take_no_node_buffer():
+    # a blend's buffer is as wide as the union of the two hulls, 512
+    # columns for adjacent maps, and the norm's passes run on it whole. The
+    # buffer on the node of the pairwise tree that holds the union (768 or
+    # 1536 columns) with its strided passes peaked at 222 to 242 KB, above
+    # the bound of the lone map's test above (229 KB) on four of the five
+    # pairs; the union's buffer peaks at about 175 KB on all five
+    source = sg.Space(2, sg.Lp(2.0))
+    target = sg.Space(1536, sg.WeightedLp(3.0, np.linspace(0.5, 2.0, 1536)))
+    maps = bank_module._quadrature_maps(
+        source, sg.Space(1536, sg.Lp(1.0)), 6, sg.QuadratureL2toL1(256, seed=3)
+    )
+    maps = [sg.LinearMap.from_band(m.hull, m.rows.start, source, target) for m in maps]
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((1024, 2))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    angles = rng.uniform(0.0, 2.0 * np.pi, len(U))
+    c, s = np.cos(angles), np.sin(angles)
+    bound = 8 * (sg.spaces.BATCH_ELEMENTS + np.getbufsize() + len(U)) + 24_000
+    for first, second in zip(maps, maps[1:]):
+        _, _, peak = _traced(sg.blend_norms, c, s, first, second, U)
         assert peak <= bound
 
 
