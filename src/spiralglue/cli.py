@@ -553,19 +553,22 @@ class _PairsSpool:
 def _write_pairs_csv(path: str, pairs: _PairsSpool) -> None:
     """One row per pair, as csv.writer writes ids, kinds and float reprs
     (none needs quoting), from the pairs spooled during the sweep, read back
-    a block of rows at a time, each distinct float of a block formatted
-    once. A spool error is raised before path is opened; path is opened
-    and written like every other output, so a device, a FIFO or a link
-    there is written through."""
+    a block of rows at a time, each distinct id and float of a block
+    formatted once and the block's rows joined into one string. A spool
+    error is raised before path is opened; path is opened and written like
+    every other output, so a device, a FIFO or a link there is written
+    through."""
     tables = pairs.tables()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_PAIRS_HEADER) + "\r\n")
         for table in tables:
-            ids = (table.x_id.tolist(), table.y_id.tolist())
+            # each distinct id's text once, gathered for both id columns
+            k = len(table)
+            distinct, inverse = np.unique(np.append(table.x_id, table.y_id), return_inverse=True)
+            ids = np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
             columns = (table.ratio, table.lower_slack, table.upper_slack)
-            floats = (_float_texts(c) for c in columns)
-            rows = zip(*ids, table.kinds(), *floats)
-            fh.write("".join([f"{x},{y},{k},{r},{lo},{hi}\r\n" for x, y, k, r, lo, hi in rows]))
+            rows = zip(ids[:k], ids[k:], table.kinds(), *map(_float_texts, columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):

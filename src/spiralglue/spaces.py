@@ -38,20 +38,25 @@ and the norm's elementwise passes (max, rescaling, power, weights) run on
 the whole block in place, the max is exact over any columns, and the sum
 adds the union's parts of the tree's leaves in the tree's order
 (`_leaf_plan`), each with the bits of its whole leaf. The l2 norm's
-stacked dot (whose bits depend on the BLAS dot's grouping over the full
-width) and the max-abs functionals keep a full-width buffer, whose passes
-run on the union's columns. Outside a term's hull the full-width sum adds
-c*0, which changes at most the sign of a zero, and abs removes it.
+stacked dot groups its terms in blocks of _DOT_ALIGN columns from column
+0, so its block is the union widened to multiples of _DOT_ALIGN
+(`_dot_window`), whose dot has the full width's bits; its passes run on
+the whole block as well. Only the max-abs functionals and an l2 norm wider
+than _DOT_WINDOW_MAX (where OpenBLAS splits a dot across threads) keep a
+full-width buffer, whose passes run on the union's columns. Outside a
+term's hull the full-width sum adds c*0, which changes at most the sign of
+a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
 groups a level's unit differences with it, certification images each
 distinct nonzero certify row once per map (grouping a `RowBlocks` stream
-block by block, then the blocks' first rows together), and the sweep's
-sandwich blends each distinct (theta, u) row once. `direction_gain` itself
-does not group: selection's level checks never repeat a row. Every kernel
-here is row-wise, so the gathered values are the bits of evaluating every
-row.
+block by block, then the blocks' first rows together), and the sweep
+groups its points' unit rows once per sweep, so that its sandwich blends
+each distinct (sigma, u) row once and each (theta, group of y) once.
+`direction_gain` itself does not group: selection's level checks never
+repeat a row. Every kernel here is row-wise, so the gathered values are
+the bits of evaluating every row.
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ BATCH_ELEMENTS = 1 << 14  # element budget of any batched temporary
 # the row alignment of a map's hull: a multiple of the BLAS kernel's group of
 # output rows, with headroom for wider kernels
 _HULL_ALIGN = 16
+# the column alignment of an l2 norm's window: a multiple of the BLAS dot
+# kernel's block of terms (32 in OpenBLAS's ddot), so that a row's dot over a
+# window holding its nonzeros has the bits of its dot over the whole row
+_DOT_ALIGN = 32
+# the widest l2 target whose norms take a window: above 10 000 terms OpenBLAS
+# splits a dot across threads, which groups the terms by the whole width
+_DOT_WINDOW_MAX = 10_000
 
 
 def row_blocks(rows: int, width: int):
@@ -296,10 +308,12 @@ def _abs_norms_block(
     (see _plan_sum). The bits are those of the full-width passes: max is
     exact, 0/m, 0**p and w*0 are 0, so the final reduction sees the same
     entries. A sum or a max runs on the union of the hulls alone, summed by
-    its leaf plan (see _leaf_plan): `cols` is then every column of `a`, and
-    the passes are contiguous. The l2 norm's stacked dot groups its terms by
-    the full width (the BLAS dot's grouping), so its `a` spans every target
-    column, and its passes run on the strided view of `cols`."""
+    its leaf plan (see _leaf_plan), and an l2 norm on the union's
+    _dot_window, whose stacked dot has the bits of the full width's: `cols`
+    is then every column of `a`, and the passes are contiguous. Only an l2
+    norm wider than _DOT_WINDOW_MAX has an `a` on every target column (its
+    dot groups the terms by the full width), whose passes run on the
+    strided view of `cols`."""
     h = a[:, cols]
     p = spec.p
     weights = None
@@ -314,12 +328,17 @@ def _abs_norms_block(
     m = h.max(axis=1, initial=0.0)
     h /= np.where(m > 0.0, m, 1.0)[:, None]
     if p == 2.0 and weights is None:
-        # stacked row dot products: the same kernel as np.dot(a, a)
-        return m * np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+        return m * np.sqrt(_row_dots(a))
     h **= p
     if weights is not None:
         h *= weights
     return m * _root(_plan_sum(a, plan), p)
+
+
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, as stacked row dot products: the
+    same kernel as np.dot(row, row)."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
 def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
@@ -522,11 +541,21 @@ def _shifted(cols: slice, start: int) -> slice:
 
 
 def _reads_every_column(spec: NormSpec) -> bool:
-    """Whether a norm's final reduction reads every target column: the l2
-    norm's stacked dot, whose bits depend on the BLAS dot's grouping over
-    the full width, and the max-abs functionals. Every other norm ends in a
-    sum or a max."""
+    """Whether a norm's final reduction reads every column of its block, with
+    no leaf plan: the l2 norm's stacked dot, whose bits depend on the BLAS
+    dot's grouping of the terms (see _dot_window), and the max-abs
+    functionals. Every other norm ends in a sum or a max."""
     return isinstance(spec, MaxAbsFunctionals) or isinstance(spec, Lp) and spec.p == 2.0
+
+
+def _full_width(target: Space) -> bool:
+    """Whether a block of _hull_norms spans every target column: a max-abs
+    norm's, whose functionals span every column, and an l2 norm's wider than
+    _DOT_WINDOW_MAX, whose dot groups its terms by the whole width."""
+    spec = target.norm
+    return isinstance(spec, MaxAbsFunctionals) or (
+        _reads_every_column(spec) and target.dim > _DOT_WINDOW_MAX
+    )
 
 
 def _union(maps) -> slice:
@@ -536,22 +565,41 @@ def _union(maps) -> slice:
     return slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
 
 
+def _dot_window(cols: slice, width: int) -> slice:
+    """The columns of an l2 norm's block for rows of `width` entries that are
+    zero outside `cols`: cols widened to multiples of _DOT_ALIGN, capped at
+    width; empty for empty cols. OpenBLAS's ddot sums each block of
+    _DOT_ALIGN terms in fixed accumulators and then the ragged end one term
+    at a time, so a window that starts at a multiple of _DOT_ALIGN gives
+    every nonzero term the accumulator it has in the whole row, and the terms
+    it leaves out are zeros, which add exactly: the window's dot has the
+    bits of the whole row's (a property test guards this)."""
+    if cols.start >= cols.stop:
+        return slice(0, 0)
+    lo = cols.start // _DOT_ALIGN * _DOT_ALIGN
+    return slice(lo, min(-(-cols.stop // _DOT_ALIGN) * _DOT_ALIGN, width))
+
+
 def _hull_layout(maps) -> tuple[slice, int]:
     """The target columns that a block of _hull_norms holds for the maps'
     sums, and the row width that bounds a block.
 
     A norm that ends in a sum or a max has a block on the union of the
-    hulls: a lone map's abs hull product, or else a buffer as wide as the
-    union. The l2 norm's stacked dot and the max-abs functionals have a
+    hulls, and an l2 norm one on the union's _dot_window: a lone map's abs
+    hull product when its hull is those columns, or else a buffer on them.
+    The max-abs functionals and an l2 norm wider than _DOT_WINDOW_MAX have a
     buffer on every column (whose width counts the functionals' products).
     The row width is the buffer's, if any, plus every hull's product, so
     that the buffer and the products stay within BATCH_ELEMENTS."""
     target = maps[0].target
     products = sum(len(m.hull) for m in maps)
-    if _reads_every_column(target.norm):
+    if _full_width(target):
         return slice(0, target.dim), _block_width(target) + products
-    union = _union(maps)
-    return union, products + (union.stop - union.start if len(maps) > 1 else 0)
+    cols = _union(maps)
+    if _reads_every_column(target.norm):
+        cols = _dot_window(cols, target.dim)
+    own = len(maps) == 1 and maps[0].rows == cols
+    return cols, products + (0 if own else cols.stop - cols.start)
 
 
 def _hull_product(c, m: LinearMap, U: np.ndarray, block: slice) -> np.ndarray:
@@ -571,26 +619,32 @@ def _hull_norms(terms, U) -> np.ndarray:
     A lone term whose hull is the block's columns has its contiguous hull
     product for the block. Otherwise one zero buffer of a block is reused
     for every block: per block, the first term's hull product, times c, is
-    written into its hull's columns, and each later term's is added into
-    its own, zeroed first; the columns outside the hulls are never written
-    and stay zero. Outside a hull the full-width sum adds c*0, which changes
-    at most the sign of a zero: abs removes it, and a max-abs dot passes it
-    only to an all-zero sum. abs runs on the smallest contiguous array, a
-    lone term's product or else the whole block (a ufunc writing into
-    strided columns takes a buffer of up to a block's size), and a max-abs
-    norm takes its own products of the signed sums. The norm's elementwise
-    passes run on the union's columns, and a sum adds the block's leaf
-    parts in the tree's order (see _abs_norms_block)."""
+    written into its hull's columns, and each later term's is added to its
+    hull's columns of the buffer (zeroed first) and written back; the
+    columns outside the hulls are never written and stay zero. Outside a
+    hull the full-width sum adds c*0, which changes at most the sign of a
+    zero: abs removes it, and a max-abs dot passes it only to an all-zero
+    sum. abs runs on the smallest contiguous array, a lone term's product or
+    else the whole block (a ufunc writing into strided columns takes a
+    buffer of up to a block's size), and a max-abs norm takes its own
+    products of the signed sums. The norm's elementwise passes run on the
+    whole block, but for a full-width buffer on the union's columns, and a
+    sum adds the block's leaf parts in the tree's order (see
+    _abs_norms_block)."""
     maps = [m for _, m in terms]
     U = as_rows(U, maps[0].source.dim)
-    spec = maps[0].target.norm
+    target = maps[0].target
+    spec = target.norm
     signed = isinstance(spec, MaxAbsFunctionals)
     lone = len(terms) == 1
     cols, width = _hull_layout(maps)
     own = lone and maps[0].rows == cols
-    union = _shifted(_union(maps), cols.start)
     at = [_shifted(m.rows, cols.start) for m in maps]
-    plan = None if _reads_every_column(spec) else _leaf_plan(maps[0].target.dim, cols)
+    if _full_width(target):
+        passes = _shifted(_union(maps), cols.start)
+    else:
+        passes = slice(0, cols.stop - cols.start)
+    plan = None if _reads_every_column(spec) else _leaf_plan(target.dim, cols)
     rows = next(row_blocks(len(U), width), slice(0, 0)).stop
     buffer = None if own else np.zeros((rows, cols.stop - cols.start))
     out = np.empty(len(U))
@@ -610,14 +664,18 @@ def _hull_norms(terms, U) -> np.ndarray:
             elif k == 0:
                 sums[:, into] = product
             else:
-                sums[:, into] += product
+                # added into the contiguous product, which only reads the
+                # buffer's strided columns: numpy takes half the iterator
+                # buffers of an add into them, and a + b == b + a
+                product += sums[:, into]
+                sums[:, into] = product
             del product
         if signed:
             out[block] = _norms_block(spec, sums)
         else:
             if not lone:
                 np.abs(sums, out=sums)
-            out[block] = _abs_norms_block(spec, sums, union, cols.start, plan)
+            out[block] = _abs_norms_block(spec, sums, passes, cols.start, plan)
         # a lone term's product is not alive through the next block's product
         del sums
     return out

@@ -151,7 +151,9 @@ def _plateau_index(sched, log_t: np.ndarray) -> np.ndarray:
 class _Points:
     """What the pair judge reads of each point, computed once per point: the
     coordinates, ids, source norms and their log radii, the level interval
-    [lo, hi] and the plateau index (0 off the plateaus)."""
+    [lo, hi], the plateau index (0 off the plateaus), and the point's unit
+    row coords / norms as `units[ray]`: units holds each distinct unit row
+    once (see _rays), so points on one ray share it."""
 
     coords: np.ndarray
     ids: np.ndarray
@@ -160,15 +162,28 @@ class _Points:
     lo: np.ndarray
     hi: np.ndarray
     plateau: np.ndarray
+    units: np.ndarray
+    ray: np.ndarray
+
+
+def _rays(coords: np.ndarray, source_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(units, ray): each distinct row of coords / source_norms once, by bit
+    pattern (distinct_rows), and the index of each point's row in it. A
+    point of norm 0 has the zero row."""
+    rows = np.divide(
+        coords, source_norms[:, None], out=np.zeros(coords.shape), where=source_norms[:, None] > 0.0
+    )
+    take, ray = distinct_rows(rows)
+    return rows[take], ray
 
 
 def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
     sched = g.schedule
     logs = log_radius(source_norms)
     lo, hi = level_intervals(sched, logs)
-    return _Points(
-        coords, np.asarray(ids), source_norms, logs, lo, hi, _plateau_index(sched, logs)
-    )
+    plateau = _plateau_index(sched, logs)
+    units, ray = _rays(coords, source_norms)
+    return _Points(coords, np.asarray(ids), source_norms, logs, lo, hi, plateau, units, ray)
 
 
 # pair kinds by class code, formatted with the code's levels, and class names
@@ -249,30 +264,35 @@ class PairTable(Sequence):
         return next(self._checks(slice(j, j + 1)))
 
 
-def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, y, ny):
+def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, units, y_ray):
     """The per-pair sandwich of shared-shell pairs on one level, for rows of
     pairs with log radii log_x >= log_y > -inf: the angles sigma and theta of
-    each pair, the gains G_sigma(diff/ndiff) and G_theta(y/ny), and the
-    bracket G_sigma -+ eps G_theta. The unit rows go to direction_gain in
-    row blocks, each distinct (theta, u) row of a block once."""
+    each pair, the gains G_sigma(diff/ndiff) and G_theta(y/|y|), and the
+    bracket G_sigma -+ eps G_theta, where y/|y| is units[y_ray] (see
+    _rays). The rows go to direction_gain in row blocks of pairs, each
+    distinct (sigma, diff/ndiff) row of a block once, then each distinct
+    (theta, y_ray) pair once: rows of one ray are bit-equal, so these are
+    the (theta, y/|y|) rows' bit groups, and no unit row of y is formed or
+    hashed per pair. A one-pair call passes its sigma row before its theta
+    row, so a non-unit row is the first of its pair."""
     sigma, _, theta = sandwich_angles_log(g.schedule, level, log_x, log_y)
     k, dim = diff.shape
-    # sigma and theta rows alternate, so a non-unit row is reported in pair order
-    turns = np.empty(2 * k)
-    turns[0::2], turns[1::2] = sigma, theta
-    gains = np.empty(2 * k)
+    first, second = g.map_at(level), g.map_at(level + 1)
+    gsw, gtv = np.empty(k), np.empty(k)
     for block in row_blocks(k, 2 * dim):
-        units = np.empty((2 * (block.stop - block.start), dim))
-        units[0::2] = diff[block] / ndiff[block, None]
-        units[1::2] = y[block] / ny[block, None]
-        both = slice(2 * block.start, 2 * block.stop)
-        # each distinct (theta, u) row is blended once; groups are numbered by
-        # their first row, so the first non-unit group holds the first non-unit row
-        take, inverse = distinct_rows(turns[both], units)
-        gains[both] = direction_gain(
-            turns[both][take], units[take], g.map_at(level), g.map_at(level + 1)
-        )[inverse]
-    gsw, gtv = gains[0::2], gains[1::2]
+        units_sigma = diff[block] / ndiff[block, None]
+        # groups are numbered by their first rows, so the first non-unit
+        # group holds the first non-unit row
+        s_take, s_inverse = distinct_rows(sigma[block], units_sigma)
+        t_take, t_inverse = distinct_rows(theta[block], y_ray[block])
+        gains = direction_gain(
+            np.concatenate((sigma[block][s_take], theta[block][t_take])),
+            np.concatenate((units_sigma[s_take], units[y_ray[block][t_take]])),
+            first,
+            second,
+        )
+        gsw[block] = gains[: len(s_take)][s_inverse]
+        gtv[block] = gains[len(s_take) :][t_inverse]
     eps = g.schedule.params.eps
     return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
@@ -374,7 +394,7 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out,
         (
             sigma[rows], theta[rows], gsw[rows], gtv[rows], sandwich_lo[rows], sandwich_hi[rows]
         ) = _sandwich(
-            g, lv, pts.logs[xr], pts.logs[yr], diff[rows], ndiff[rows], pts.coords[yr], ny[rows]
+            g, lv, pts.logs[xr], pts.logs[yr], diff[rows], ndiff[rows], pts.units, pts.ray[yr]
         )
 
     gap = delta * nx - ny
@@ -533,23 +553,14 @@ class _Summaries:
         return {_CLASSES[c]: ClassSummary(*summary) for c, summary in self.classes.items()}
 
 
-def _image_norms(target: Space, images, a: int, block: slice, out) -> None:
-    """out[j] = the target norm of images[a_j] - images[b_j] for the j-th
-    pair (a_j, b_j) of a block of the row-major pairs of the n images that
-    starts in row a. Each run of equal a is a broadcast difference of slice
-    views, in blocks of rows of the target width."""
-    n = len(images)
-    at = block.start
-    first = a * (2 * n - a - 1) // 2  # the index of pair (a, a + 1)
-    while at < block.stop:
-        end = first + n - 1 - a
-        stop = min(end, block.stop)
-        b = a + 1 + at - first
-        j = at - block.start
-        for rows in row_blocks(stop - at, target.dim):
-            others = images[b + rows.start : b + rows.stop]
-            out[j + rows.start : j + rows.stop] = norms(target, images[a] - others)
-        at, a, first = stop, a + 1, end
+def _image_norms(target: Space, images, a, b, out) -> None:
+    """out[j] = the target norm of images[a[j]] - images[b[j]] for the pairs
+    of a block, in row blocks of the target width: each row block's
+    differences are one gather of its a rows less one of its b rows."""
+    for rows in row_blocks(len(a), target.dim):
+        differences = images[a[rows]]
+        differences -= images[b[rows]]
+        out[rows] = norms(target, differences)
 
 
 def distortion_report(
@@ -596,7 +607,7 @@ def distortion_report(
     nimage = np.empty(step)
     summaries = _Summaries()
     for block, a, b in pair_blocks(n, width):
-        _image_norms(g.target, images, int(a[0]), block, nimage)
+        _image_norms(g.target, images, a, b, nimage)
         keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
         diff = coords[a] - coords[b]
         np.negative(diff, out=diff, where=~keep[:, None])
@@ -705,7 +716,7 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
             ny = norms(g.source, y)
             ratio = norms(g.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
             logs = log_radius(nx), log_radius(ny)
-            *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, ndiff, y, ny)
+            *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, ndiff, *_rays(y, ny))
             worst_lo = min(worst_lo, float(np.min(ratio - lo_b)))
             worst_hi = min(worst_hi, float(np.min(hi_b - ratio)))
             residuals = blend_decomposition_residual(g, level, x, y)

@@ -468,15 +468,22 @@ def test_leaders_chain_and_first_leader():
 # ---------------------------------------------------------------- sweep
 
 
-def _assert_sweep_matches_check_pair(g, pts):
-    rep = sg.distortion_report(g, pts)
+def _check_pairs(g, pts) -> list:
+    """check_pair on every pair in the sweep's order: row-major, larger own
+    norm first, the smaller id on ties."""
     logs = sg.log_norms(pts)
     ids, coords = pts.ids, pts.coords
-    expected = []
+    checks = []
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
             x, y = (a, b) if (logs[a], -ids[a]) >= (logs[b], -ids[b]) else (b, a)
-            expected.append(sg.check_pair(g, coords[x], coords[y], ids[x], ids[y]))
+            checks.append(sg.check_pair(g, coords[x], coords[y], ids[x], ids[y]))
+    return checks
+
+
+def _assert_sweep_matches_check_pair(g, pts):
+    rep = sg.distortion_report(g, pts)
+    expected = _check_pairs(g, pts)
     assert len(rep.pair_checks) == len(expected)
     for got, want in zip(rep.pair_checks, expected):
         assert (got.x_id, got.y_id, got.kind) == (want.x_id, want.y_id, want.kind)
@@ -685,6 +692,43 @@ def _block_glue(space, sched, pts):
     certify = np.vstack([pts.coords, pts.coords[first] - pts.coords[second], *dirs])
     bank = sg.build_bank(sg.BlockShift(), space, target, sched.params.gamma, count, certify)
     return sg.GlueEmbedding(sched, bank, sg.select_subsequence(bank, decomp, sched.params.zeta))
+
+
+def test_sweep_on_shared_rays_matches_check_pair(plateau_pipeline):
+    # points of one ray have bit-equal unit rows y/|y|, so the sweep blends
+    # each (theta, ray) once: the plateau points and each of y, 2y and 4y,
+    # whose unit rows are bit-equal; every column of the sweep's table has
+    # the bits of check_pair's
+    g, pts = plateau_pipeline
+    coords = np.vstack([pts.coords, 2.0 * pts.coords[1:5], 4.0 * pts.coords[1:5]])
+    rays = sg.make_point_set(pts.space, coords)
+    n = len(pts)
+    _, ray = sg.verify._rays(coords, sg.norms(g.source, coords))
+    assert ray[1:5].tolist() == ray[n : n + 4].tolist() == ray[n + 4 :].tolist()
+    assert ray.max() + 1 == n
+    got = sg.distortion_report(g, rays).pair_checks
+    assert [_fields(pc) for pc in got] == [_fields(pc) for pc in _check_pairs(g, rays)]
+
+
+def test_sweep_reports_a_non_unit_theta_row_as_the_per_pair_judge(plateau_pipeline):
+    # a subnormal y = (t, t, 0, ...) has the norm t (sqrt(2) t rounds to t),
+    # so its unit row y/|y| = (1, 1, 0, ...) has the norm sqrt(2): its first
+    # shared-shell pair raises the per-pair judge's ValueError, named by the
+    # sweep, with and without a kept table, and by check_pair. The origin is
+    # left out: its pair with y, a plateau pair, would be judged first
+    g, pts = plateau_pipeline
+    source_norms = sg.norms(g.source, pts.coords)
+    points = pts.coords[source_norms > 0.0]
+    tiny = np.zeros(g.source.dim)
+    tiny[:2] = 5e-324
+    assert sg.norm(g.source, tiny) == 5e-324
+    bad = sg.make_point_set(pts.space, np.vstack([points, tiny, 2.0 * points[:2]]))
+    text = f"u must be a unit vector, got norm {math.sqrt(2.0)!r}"
+    assert _outcome(lambda: sweep_oracle(g, bad))[:2] == (ValueError, text)
+    _assert_sweep_matches_oracle(g, bad)
+    # the smallest point shares the first level's shell with y
+    x = pts.coords[np.argmin(np.where(source_norms > 0.0, source_norms, math.inf))]
+    assert _outcome(lambda: sg.check_pair(g, x, tiny))[:2] == (ValueError, text)
 
 
 _MID_WS = sg.build_schedule(sg.Params(0.1, 0.1, 0.01, 0.01), 1.0, 3)
@@ -1097,6 +1141,56 @@ def test_leaf_plan_sum_has_the_bits_of_the_full_width_sum(data):
     with np.errstate(over="ignore"):
         got = sg.spaces._plan_sum(np.ascontiguousarray(a[:, lo:hi]), plan)
         assert got.tobytes() == a.sum(axis=1).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dot_window_has_the_bits_of_the_full_width_dot(data):
+    # an l2 norm's block holds only the _dot_window of the hulls' union: a
+    # row's stacked dot over columns that start at a multiple of 32 and hold
+    # every nonzero has the bits of its dot over the whole row, at every
+    # width that takes a window (a 16-aligned start fails)
+    width = data.draw(st.integers(1, sg.spaces._DOT_WINDOW_MAX))
+    lo = data.draw(st.integers(0, width - 1))
+    hi = data.draw(st.integers(lo + 1, width))
+    window = sg.spaces._dot_window(slice(lo, hi), width)
+    assert window.start % 32 == 0 and window.start <= lo < hi <= window.stop <= width
+    assert window.stop == width or window.stop % 32 == 0
+    rows = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["unit", "subnormal"]))
+    a = np.zeros((rows, width))
+    a[:, lo:hi] = _magnitudes(rng, kind, (rows, hi - lo))
+    a[:, lo:hi][rng.random((rows, hi - lo)) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    got = sg.spaces._row_dots(np.ascontiguousarray(a[:, window]))
+    assert got.tobytes() == sg.spaces._row_dots(a).tobytes()
+
+
+@pytest.mark.parametrize("width", [10_000, 10_048])
+def test_l2_hull_norms_at_the_window_bound(width):
+    # up to 10 000 columns an l2 norm's block is the 32-aligned window of the
+    # hulls' union; wider, OpenBLAS splits the dot across threads, and the
+    # block keeps every column: either way the norms have the bits of norms
+    # of apply's images and of blend_apply's blends
+    rng = np.random.default_rng(width)
+    source, target = sg.Space(3), sg.Space(width, sg.Lp(2.0))
+    # hulls [5008, 5056) and [5056, 5088): the first's window is wider than
+    # its hull, the second's is its hull, whose product is then the block
+    first = sg.LinearMap.from_band(rng.standard_normal((40, 3)), 5010, source, target)
+    second = sg.LinearMap.from_band(rng.standard_normal((24, 3)), 5056, source, target)
+    layouts = [sg.spaces._hull_layout(maps)[0] for maps in ([first, second], [first], [second])]
+    full = slice(0, width)
+    if width <= sg.spaces._DOT_WINDOW_MAX:
+        assert layouts == [slice(4992, 5088), slice(4992, 5056), second.rows]
+    else:
+        assert layouts == [full, full, full]
+    X = _rows_with_signed_zeros(rng, 30, 3)
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(X))
+    c, s = np.cos(angles), np.sin(angles)
+    for m in (first, second):
+        assert sg.image_norms(m, X).tobytes() == sg.norms(target, sg.apply(m, X)).tobytes()
+    want = sg.norms(target, sg.blend_apply(c, s, first, second, X))
+    assert sg.blend_norms(c, s, first, second, X).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -263,7 +263,8 @@ def fuzz_per_pair(seed: int, n_pairs: int, levels: int = 3) -> FuzzReport:
         ratio = sg.norm(bank.target, image) / ndiff
         logs = np.array([math.log(nx)]), np.array([math.log(ny)])
         diff, nd = (x - y)[None], np.array([ndiff])
-        *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, nd, y[None], np.array([ny]))
+        # the pair's one unit row y/|y|, and its index
+        *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, nd, (y / ny)[None], np.array([0]))
         worst_lo = min(worst_lo, ratio - float(lo_b[0]))
         worst_hi = min(worst_hi, float(hi_b[0]) - ratio)
         worst_res = max(worst_res, blend_decomposition_residual_scalar(g, level, x, y))
