@@ -76,8 +76,10 @@ BATCH_ELEMENTS = 1 << 14  # element budget of any batched temporary
 # output rows, with headroom for wider kernels
 _HULL_ALIGN = 16
 # the column alignment of an l2 norm's window: a multiple of the BLAS dot
-# kernel's block of terms (32 in OpenBLAS's ddot), so that a row's dot over a
-# window holding its nonzeros has the bits of its dot over the whole row
+# kernel's block of terms (32 in OpenBLAS's SkylakeX ddot), so that a row's
+# dot over a window holding its nonzeros has the bits of its dot over the
+# whole row. OpenBLAS 0.3.31's Nehalem, Sandybridge, Haswell and SkylakeX
+# kernels keep these bits; its generic Katmai kernel does not (see README)
 _DOT_ALIGN = 32
 # the widest l2 target whose norms take a window: above 10 000 terms OpenBLAS
 # splits a dot across threads, which groups the terms by the whole width
@@ -568,12 +570,13 @@ def _union(maps) -> slice:
 def _dot_window(cols: slice, width: int) -> slice:
     """The columns of an l2 norm's block for rows of `width` entries that are
     zero outside `cols`: cols widened to multiples of _DOT_ALIGN, capped at
-    width; empty for empty cols. OpenBLAS's ddot sums each block of
-    _DOT_ALIGN terms in fixed accumulators and then the ragged end one term
-    at a time, so a window that starts at a multiple of _DOT_ALIGN gives
-    every nonzero term the accumulator it has in the whole row, and the terms
-    it leaves out are zeros, which add exactly: the window's dot has the
-    bits of the whole row's (a property test guards this)."""
+    width; empty for empty cols. OpenBLAS's ddot (SkylakeX kernel) sums
+    each block of _DOT_ALIGN terms in fixed accumulators and then the
+    ragged end one term at a time, so a window that starts at a multiple of
+    _DOT_ALIGN gives every nonzero term the accumulator it has in the whole
+    row, and the terms it leaves out are zeros, which add exactly: the
+    window's dot has the bits of the whole row's (a property test guards
+    this)."""
     if cols.start >= cols.stop:
         return slice(0, 0)
     lo = cols.start // _DOT_ALIGN * _DOT_ALIGN

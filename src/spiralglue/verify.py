@@ -151,9 +151,8 @@ def _plateau_index(sched, log_t: np.ndarray) -> np.ndarray:
 class _Points:
     """What the pair judge reads of each point, computed once per point: the
     coordinates, ids, source norms and their log radii, the level interval
-    [lo, hi], the plateau index (0 off the plateaus), and the point's unit
-    row coords / norms as `units[ray]`: units holds each distinct unit row
-    once (see _rays), so points on one ray share it."""
+    [lo, hi], the plateau index (0 off the plateaus), and the unit rows
+    coords / norms (see _unit_rows)."""
 
     coords: np.ndarray
     ids: np.ndarray
@@ -163,18 +162,13 @@ class _Points:
     hi: np.ndarray
     plateau: np.ndarray
     units: np.ndarray
-    ray: np.ndarray
 
 
-def _rays(coords: np.ndarray, source_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(units, ray): each distinct row of coords / source_norms once, by bit
-    pattern (distinct_rows), and the index of each point's row in it. A
-    point of norm 0 has the zero row."""
-    rows = np.divide(
+def _unit_rows(coords: np.ndarray, source_norms: np.ndarray) -> np.ndarray:
+    """The rows coords / source_norms; a point of norm 0 has the zero row."""
+    return np.divide(
         coords, source_norms[:, None], out=np.zeros(coords.shape), where=source_norms[:, None] > 0.0
     )
-    take, ray = distinct_rows(rows)
-    return rows[take], ray
 
 
 def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
@@ -182,8 +176,8 @@ def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
     logs = log_radius(source_norms)
     lo, hi = level_intervals(sched, logs)
     plateau = _plateau_index(sched, logs)
-    units, ray = _rays(coords, source_norms)
-    return _Points(coords, np.asarray(ids), source_norms, logs, lo, hi, plateau, units, ray)
+    units = _unit_rows(coords, source_norms)
+    return _Points(coords, np.asarray(ids), source_norms, logs, lo, hi, plateau, units)
 
 
 # pair kinds by class code, formatted with the code's levels, and class names
@@ -264,17 +258,18 @@ class PairTable(Sequence):
         return next(self._checks(slice(j, j + 1)))
 
 
-def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, units, y_ray):
+def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, units, y_index):
     """The per-pair sandwich of shared-shell pairs on one level, for rows of
     pairs with log radii log_x >= log_y > -inf: the angles sigma and theta of
     each pair, the gains G_sigma(diff/ndiff) and G_theta(y/|y|), and the
-    bracket G_sigma -+ eps G_theta, where y/|y| is units[y_ray] (see
-    _rays). The rows go to direction_gain in row blocks of pairs, each
-    distinct (sigma, diff/ndiff) row of a block once, then each distinct
-    (theta, y_ray) pair once: rows of one ray are bit-equal, so these are
-    the (theta, y/|y|) rows' bit groups, and no unit row of y is formed or
-    hashed per pair. A one-pair call passes its sigma row before its theta
-    row, so a non-unit row is the first of its pair."""
+    bracket G_sigma -+ eps G_theta, where y/|y| is the unit row
+    units[y_index] of its point (see _unit_rows). The rows go to direction_gain in row
+    blocks of pairs, each distinct (sigma, diff/ndiff) row of a block once,
+    then each distinct (theta, y_index) pair once, so no unit row of y is
+    formed or hashed per pair; direction_gain's gains are row by row, so
+    the grouping does not change their bits. A one-pair call passes its
+    sigma row before its theta row, so a non-unit row is the first of its
+    pair."""
     sigma, _, theta = sandwich_angles_log(g.schedule, level, log_x, log_y)
     k, dim = diff.shape
     first, second = g.map_at(level), g.map_at(level + 1)
@@ -284,10 +279,10 @@ def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, units, y_
         # groups are numbered by their first rows, so the first non-unit
         # group holds the first non-unit row
         s_take, s_inverse = distinct_rows(sigma[block], units_sigma)
-        t_take, t_inverse = distinct_rows(theta[block], y_ray[block])
+        t_take, t_inverse = distinct_rows(theta[block], y_index[block])
         gains = direction_gain(
             np.concatenate((sigma[block][s_take], theta[block][t_take])),
-            np.concatenate((units_sigma[s_take], units[y_ray[block][t_take]])),
+            np.concatenate((units_sigma[s_take], units[y_index[block][t_take]])),
             first,
             second,
         )
@@ -394,7 +389,7 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out,
         (
             sigma[rows], theta[rows], gsw[rows], gtv[rows], sandwich_lo[rows], sandwich_hi[rows]
         ) = _sandwich(
-            g, lv, pts.logs[xr], pts.logs[yr], diff[rows], ndiff[rows], pts.units, pts.ray[yr]
+            g, lv, pts.logs[xr], pts.logs[yr], diff[rows], ndiff[rows], pts.units, yr
         )
 
     gap = delta * nx - ny
@@ -553,14 +548,27 @@ class _Summaries:
         return {_CLASSES[c]: ClassSummary(*summary) for c, summary in self.classes.items()}
 
 
+def _image_differences(images, a, y: int) -> np.ndarray:
+    """images[a[j]] - images[b[j]] for consecutive row-major pairs (a[j],
+    b[j]) of the images whose first b is y: one gather of the a rows, less
+    the slice of images that each run of equal a covers. No b row is
+    gathered, and no operand is broadcast (which takes numpy iterator
+    buffers)."""
+    differences = images[a]
+    j = 0
+    while j < len(a):
+        k = min(len(images) - y, len(a) - j)
+        differences[j : j + k] -= images[y : y + k]
+        y, j = int(a[j]) + 2, j + k
+    return differences
+
+
 def _image_norms(target: Space, images, a, b, out) -> None:
     """out[j] = the target norm of images[a[j]] - images[b[j]] for the pairs
-    of a block, in row blocks of the target width: each row block's
-    differences are one gather of its a rows less one of its b rows."""
+    (a[j], b[j]) of a block of consecutive row-major pairs of the images, in
+    row blocks of the target width, one array of differences at a time."""
     for rows in row_blocks(len(a), target.dim):
-        differences = images[a[rows]]
-        differences -= images[b[rows]]
-        out[rows] = norms(target, differences)
+        out[rows] = norms(target, _image_differences(images, a[rows], int(b[rows.start])))
 
 
 def distortion_report(
@@ -716,7 +724,8 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
             ny = norms(g.source, y)
             ratio = norms(g.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
             logs = log_radius(nx), log_radius(ny)
-            *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, ndiff, *_rays(y, ny))
+            units = _unit_rows(y, ny)
+            *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, ndiff, units, np.arange(len(y)))
             worst_lo = min(worst_lo, float(np.min(ratio - lo_b)))
             worst_hi = min(worst_hi, float(np.min(hi_b - ratio)))
             residuals = blend_decomposition_residual(g, level, x, y)

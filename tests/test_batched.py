@@ -695,17 +695,12 @@ def _block_glue(space, sched, pts):
 
 
 def test_sweep_on_shared_rays_matches_check_pair(plateau_pipeline):
-    # points of one ray have bit-equal unit rows y/|y|, so the sweep blends
-    # each (theta, ray) once: the plateau points and each of y, 2y and 4y,
-    # whose unit rows are bit-equal; every column of the sweep's table has
-    # the bits of check_pair's
+    # the sweep blends each (theta, point) of a row block once: on the
+    # plateau points and each of y, 2y and 4y, whose unit rows are bit-equal,
+    # every column of the sweep's table has the bits of check_pair's
     g, pts = plateau_pipeline
     coords = np.vstack([pts.coords, 2.0 * pts.coords[1:5], 4.0 * pts.coords[1:5]])
     rays = sg.make_point_set(pts.space, coords)
-    n = len(pts)
-    _, ray = sg.verify._rays(coords, sg.norms(g.source, coords))
-    assert ray[1:5].tolist() == ray[n : n + 4].tolist() == ray[n + 4 :].tolist()
-    assert ray.max() + 1 == n
     got = sg.distortion_report(g, rays).pair_checks
     assert [_fields(pc) for pc in got] == [_fields(pc) for pc in _check_pairs(g, rays)]
 
@@ -1149,7 +1144,8 @@ def test_dot_window_has_the_bits_of_the_full_width_dot(data):
     # an l2 norm's block holds only the _dot_window of the hulls' union: a
     # row's stacked dot over columns that start at a multiple of 32 and hold
     # every nonzero has the bits of its dot over the whole row, at every
-    # width that takes a window (a 16-aligned start fails)
+    # width that takes a window (a 16-aligned start fails under OpenBLAS's
+    # SkylakeX kernel; OpenBLAS's generic Katmai kernel fails 32 as well)
     width = data.draw(st.integers(1, sg.spaces._DOT_WINDOW_MAX))
     lo = data.draw(st.integers(0, width - 1))
     hi = data.draw(st.integers(lo + 1, width))

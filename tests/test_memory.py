@@ -144,6 +144,24 @@ def test_sweep_without_pair_table_keeps_no_column_per_pair():
     assert peak <= 1.0 * MB
 
 
+def test_sweep_image_differences_take_one_block(monkeypatch):
+    # a row block of the sweep's image differences is one array of at most
+    # BATCH_ELEMENTS entries, the a rows gathered less a slice of the images
+    # per run of equal a. With the norm replaced by a read of one column,
+    # the peak is that array, 131 KB. A gather of the b rows beside it held
+    # two such arrays at once (266 KB), and a run's a row broadcast over its
+    # b rows took a numpy iterator buffer (199 KB), both above the bound
+    target = sg.Space(512, sg.Lp(2.0))
+    images = np.random.default_rng(1).standard_normal((64, 512))
+    a, b = sg.pointset.pairs_at(len(images), np.arange(37, len(images) * (len(images) - 1) // 2))
+    out = np.empty(len(a))
+    sg.verify._image_norms(target, images, a, b, out)
+    assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
+    monkeypatch.setattr(sg.verify, "norms", lambda space, X: X[:, 0])
+    _, _, peak = _traced(sg.verify._image_norms, target, images, a, b, out)
+    assert peak <= 8 * sg.spaces.BATCH_ELEMENTS + 24_000
+
+
 def test_weighted_image_norms_take_no_buffer_beside_the_product():
     # a lone map's norm is taken on its contiguous hull product: no zero
     # buffer of the node beside it, and no ufunc buffers for passes on
