@@ -186,14 +186,21 @@ def level_weights_log(sched: RadiiSchedule, level, log_t):
     return np.array(c), np.array(s)
 
 
+def sandwich_theta(sigma, alpha):
+    """The per-pair sandwich's theta = pi/2 + (sigma + alpha)/2 from the ramp
+    angles sigma at x and alpha at y. Floats give a float; arrays give an
+    array, each entry bit-equal to the float call."""
+    return 0.5 * math.pi + 0.5 * (sigma + alpha)
+
+
 def sandwich_angles_log(sched: RadiiSchedule, level: int, log_x, log_y):
     """Ramp angles (sigma, alpha) of the level at log radii log_x >= log_y,
-    and theta = pi/2 + (sigma + alpha)/2: the angles of the per-pair sandwich.
+    and sandwich_theta(sigma, alpha): the angles of the per-pair sandwich.
     Floats give floats; arrays of pairs give arrays, each bit-equal to the
     float call."""
     sigma = ramp_angle_log(sched, level, log_x)
     alpha = ramp_angle_log(sched, level, log_y)
-    return sigma, alpha, 0.5 * math.pi + 0.5 * (sigma + alpha)
+    return sigma, alpha, sandwich_theta(sigma, alpha)
 
 
 def active_weights_log(sched: RadiiSchedule, log_t):

@@ -49,14 +49,14 @@ a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
-groups a level's unit differences with it, certification images each
+groups a level's unit differences with it, and certification images each
 distinct nonzero certify row once per map (grouping a `RowBlocks` stream
-block by block, then the blocks' first rows together), and the sweep
-groups its points' unit rows once per sweep, so that its sandwich blends
-each distinct (sigma, u) row once and each (theta, group of y) once.
-`direction_gain` itself does not group: selection's level checks never
-repeat a row. Every kernel here is row-wise, so the gathered values are
-the bits of evaluating every row.
+block by block, then the blocks' first rows together). The sweep hashes
+no rows: its repeated sandwich rows are those of one point (x/|x| at the
+ramp angle of x, y/|y| at a clamped angle), whose gains it keeps in
+per-point tables (see `verify._sandwich`). `direction_gain` itself does
+not group: selection's level checks never repeat a row. Every kernel here
+is row-wise, so the gathered values are the bits of evaluating every row.
 """
 
 from __future__ import annotations
@@ -723,8 +723,8 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     angles gives the k gains as an array, each bit-equal to the one-row call:
     cos and sin come from cos_sin, and blend_norms takes the norms of the
     blends. The first non-unit row raises ValueError. Rows are not grouped
-    here: a caller whose rows repeat groups them with distinct_rows and
-    gathers the gains back.
+    here: a caller whose rows repeat passes each once and gathers the gains
+    back.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:

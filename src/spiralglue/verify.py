@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +19,15 @@ from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, bu
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
 from .pointset import LocallyFiniteSet, classify_levels, level_intervals, pair_blocks
-from .schedule import Params, build_schedule, log_radius, sandwich_angles_log
-from .spaces import Lp, Space, direction_gain, distinct_rows, norm, norms, row_blocks
+from .schedule import (
+    HALF_PI,
+    Params,
+    build_schedule,
+    log_radius,
+    ramp_angle_log,
+    sandwich_theta,
+)
+from .spaces import Lp, Space, direction_gain, norm, norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_TOL = 1e-9
@@ -147,12 +154,29 @@ def _plateau_index(sched, log_t: np.ndarray) -> np.ndarray:
     return np.where((k == 0) | (log_t >= sched.log_R[k - 1]), k + 1, 0)
 
 
+# the two clamped ramp angles c, by the c of a _LevelGains theta entry
+_CLAMPS = np.array([0.0, HALF_PI])
+
+
+class _LevelGains:
+    """One level's sandwich gains per point, each NaN until a pair first
+    needs it: sigma[x] = G_sigma(x/|x|) at the ramp angle sigma_x of point
+    x, and theta[2 y + c] = G_theta(y/|y|) at theta(_CLAMPS[c], alpha_y) of
+    point y, where angle holds each point's ramp angle."""
+
+    def __init__(self, g: GlueEmbedding, level: int, logs: np.ndarray):
+        self.angle = ramp_angle_log(g.schedule, level, logs)
+        self.sigma = np.full(len(logs), math.nan)
+        self.theta = np.full(2 * len(logs), math.nan)
+
+
 @dataclass(frozen=True, eq=False)
 class _Points:
     """What the pair judge reads of each point, computed once per point: the
     coordinates, ids, source norms and their log radii, the level interval
-    [lo, hi], the plateau index (0 off the plateaus), and the unit rows
-    coords / norms (see _unit_rows)."""
+    [lo, hi], the plateau index (0 off the plateaus), the unit rows
+    coords / norms, and per level the sandwich gains of the points, filled
+    as the pairs need them (see _sandwich)."""
 
     coords: np.ndarray
     ids: np.ndarray
@@ -162,13 +186,12 @@ class _Points:
     hi: np.ndarray
     plateau: np.ndarray
     units: np.ndarray
+    gains: dict = field(default_factory=dict)
 
-
-def _unit_rows(coords: np.ndarray, source_norms: np.ndarray) -> np.ndarray:
-    """The rows coords / source_norms; a point of norm 0 has the zero row."""
-    return np.divide(
-        coords, source_norms[:, None], out=np.zeros(coords.shape), where=source_norms[:, None] > 0.0
-    )
+    def level_gains(self, g: GlueEmbedding, level: int) -> _LevelGains:
+        if level not in self.gains:
+            self.gains[level] = _LevelGains(g, level, self.logs)
+        return self.gains[level]
 
 
 def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
@@ -176,7 +199,10 @@ def _points(g: GlueEmbedding, coords, ids, source_norms) -> _Points:
     logs = log_radius(source_norms)
     lo, hi = level_intervals(sched, logs)
     plateau = _plateau_index(sched, logs)
-    units = _unit_rows(coords, source_norms)
+    # the origin's unit row is the zero row
+    units = np.divide(
+        coords, source_norms[:, None], out=np.zeros(coords.shape), where=source_norms[:, None] > 0.0
+    )
     return _Points(coords, np.asarray(ids), source_norms, logs, lo, hi, plateau, units)
 
 
@@ -258,36 +284,74 @@ class PairTable(Sequence):
         return next(self._checks(slice(j, j + 1)))
 
 
-def _sandwich(g: GlueEmbedding, level: int, log_x, log_y, diff, ndiff, units, y_index):
-    """The per-pair sandwich of shared-shell pairs on one level, for rows of
-    pairs with log radii log_x >= log_y > -inf: the angles sigma and theta of
-    each pair, the gains G_sigma(diff/ndiff) and G_theta(y/|y|), and the
-    bracket G_sigma -+ eps G_theta, where y/|y| is the unit row
-    units[y_index] of its point (see _unit_rows). The rows go to direction_gain in row
-    blocks of pairs, each distinct (sigma, diff/ndiff) row of a block once,
-    then each distinct (theta, y_index) pair once, so no unit row of y is
-    formed or hashed per pair; direction_gain's gains are row by row, so
-    the grouping does not change their bits. A one-pair call passes its
-    sigma row before its theta row, so a non-unit row is the first of its
-    pair."""
-    sigma, _, theta = sandwich_angles_log(g.schedule, level, log_x, log_y)
+def _unfilled(keys: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending, whose entries of gains are NaN."""
+    keys = keys[np.isnan(gains[keys])]
+    # most blocks find every entry they need filled
+    return np.unique(keys) if keys.size else keys
+
+
+def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, diff, ndiff):
+    """The per-pair sandwich of the shared-shell pairs (xs[j], ys[j]) of the
+    point table on one level, with norm(x) >= norm(y) > 0 and diff[j] =
+    x - y of source norm ndiff[j]: the angles sigma and theta of each pair,
+    the gains G_sigma(diff/ndiff) and G_theta(y/|y|), and the bracket
+    G_sigma -+ eps G_theta.
+
+    A pair whose diff has the bits of x (the smaller point rounds away)
+    has the sigma row x/|x| of its point at the angle sigma_x, so it takes
+    the point's gain of the level's table; a pair whose sigma is clamped
+    (0 or pi/2) has the theta angle theta(sigma, alpha_y) of its point's
+    table. In row blocks of pairs, the table entries the block needs that
+    no earlier block filled, then the block's other sigma rows, then those
+    entries of the theta table, then its other theta rows go to one
+    direction_gain call. A table entry has the bits of every pair row it
+    stands for (the same norms row kernel, division and sandwich_theta),
+    and direction_gain is row by row, so no bit moves. An entry is filled
+    only by a call that passed the unit check, so a non-unit unit row
+    raises at the first block that needs it, and a one-pair call passes
+    its sigma row before its theta row, so a non-unit row is the first of
+    its pair."""
+    table = pts.level_gains(g, level)
+    sigma, alpha = table.angle[xs], table.angle[ys]
+    theta = sandwich_theta(sigma, alpha)
+    # each pair's entry of the theta table, read where sigma is clamped
+    entry = 2 * ys + (sigma != 0.0)
+    clamped = (sigma == 0.0) | (sigma == HALF_PI)
     k, dim = diff.shape
     first, second = g.map_at(level), g.map_at(level + 1)
     gsw, gtv = np.empty(k), np.empty(k)
     for block in row_blocks(k, 2 * dim):
-        units_sigma = diff[block] / ndiff[block, None]
-        # groups are numbered by their first rows, so the first non-unit
-        # group holds the first non-unit row
-        s_take, s_inverse = distinct_rows(sigma[block], units_sigma)
-        t_take, t_inverse = distinct_rows(theta[block], y_index[block])
-        gains = direction_gain(
-            np.concatenate((sigma[block][s_take], theta[block][t_take])),
-            np.concatenate((units_sigma[s_take], units[y_index[block][t_take]])),
-            first,
-            second,
+        xb, eb = xs[block], entry[block]
+        # bit-equal rows: a uint64 compare tells -0.0 from 0.0
+        at_x = (diff[block].view(np.uint64) == pts.coords[xb].view(np.uint64)).all(axis=1)
+        fill_s = _unfilled(xb[at_x], table.sigma)
+        own = np.flatnonzero(~at_x)
+        fill_t = _unfilled(eb[clamped[block]], table.theta)
+        free = np.flatnonzero(~clamped[block])
+        angles = (
+            table.angle[fill_s],
+            sigma[block][own],
+            sandwich_theta(_CLAMPS[fill_t % 2], table.angle[fill_t // 2]),
+            theta[block][free],
         )
-        gsw[block] = gains[: len(s_take)][s_inverse]
-        gtv[block] = gains[len(s_take) :][t_inverse]
+        rows = (
+            pts.units[fill_s],
+            diff[block][own] / ndiff[block][own, None],
+            pts.units[fill_t // 2],
+            pts.units[ys[block][free]],
+        )
+        counts = np.cumsum([len(a) for a in angles])
+        gains = np.empty(0)
+        if counts[-1]:
+            gains = direction_gain(np.concatenate(angles), np.concatenate(rows), first, second)
+        sigma_fill, sigma_own, theta_fill, theta_free = np.split(gains, counts[:-1])
+        table.sigma[fill_s] = sigma_fill
+        table.theta[fill_t] = theta_fill
+        gsw[block] = table.sigma[xb]
+        gsw[block.start + own] = sigma_own
+        gtv[block] = table.theta[eb]
+        gtv[block.start + free] = theta_free
     eps = g.schedule.params.eps
     return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
@@ -324,7 +388,7 @@ def check_pair(
     table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
     out = PairTable(1)
     pair = np.array([0]), np.array([1])
-    _judge_pairs(
+    _judge_block(
         g, bounds, table, *pair, diff[None], np.array([ndiff]), np.array([nimage]), tol, out, 0
     )
     return out[0]
@@ -335,18 +399,22 @@ def _judge_pairs(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out,
     point table into rows at, at + 1, ... of the PairTable out, given
     diff[j] = x - y, its source norm ndiff[j] and the target norm nimage[j]
     of embed(x) - embed(y). Raises the error of the first offending pair,
-    and within it of its first failing check, as check_pair would."""
+    and within it of its first failing check, as check_pair would; a
+    ValueError's message is prefixed with the pair, as `pair (x_id, y_id): `."""
     try:
         _judge_block(g, bounds, pts, xs, ys, diff, ndiff, nimage, tol, out, at)
     except ValueError:
         # the order and distinctness checks and the gains run over the whole
         # block before any bracket, so a ValueError at pair j may hide a
         # bracket violation at an earlier pair: judge one pair at a time
-        if len(xs) > 1:
-            for j in range(len(xs)):
-                one = slice(j, j + 1)
-                pair = (xs[one], ys[one], diff[one], ndiff[one], nimage[one])
+        for j in range(len(xs)):
+            one = slice(j, j + 1)
+            pair = (xs[one], ys[one], diff[one], ndiff[one], nimage[one])
+            try:
                 _judge_block(g, bounds, pts, *pair, tol, PairTable(1), 0)
+            except ValueError as exc:
+                where = f"pair ({pts.ids[xs[j]]}, {pts.ids[ys[j]]})"
+                raise ValueError(f"{where}: {exc}") from exc
         raise
 
 
@@ -388,9 +456,7 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out,
         xr, yr = xs[rows], ys[rows]
         (
             sigma[rows], theta[rows], gsw[rows], gtv[rows], sandwich_lo[rows], sandwich_hi[rows]
-        ) = _sandwich(
-            g, lv, pts.logs[xr], pts.logs[yr], diff[rows], ndiff[rows], pts.units, yr
-        )
+        ) = _sandwich(g, lv, pts, xr, yr, diff[rows], ndiff[rows])
 
     gap = delta * nx - ny
     lo_gap = ndiff - nx * (1.0 - delta)
@@ -723,9 +789,10 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
             x, y, nx, diff, ndiff = x[keep], y[keep], nx[keep], diff[keep], ndiff[keep]
             ny = norms(g.source, y)
             ratio = norms(g.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
-            logs = log_radius(nx), log_radius(ny)
-            units = _unit_rows(y, ny)
-            *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, ndiff, units, np.arange(len(y)))
+            k = len(x)
+            pts = _points(g, np.vstack((x, y)), np.arange(2 * k), np.concatenate((nx, ny)))
+            xs, ys = np.arange(k), np.arange(k, 2 * k)
+            *_, lo_b, hi_b = _sandwich(g, level, pts, xs, ys, diff, ndiff)
             worst_lo = min(worst_lo, float(np.min(ratio - lo_b)))
             worst_hi = min(worst_hi, float(np.min(hi_b - ratio)))
             residuals = blend_decomposition_residual(g, level, x, y)

@@ -631,7 +631,8 @@ def judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol):
 
 def sweep_oracle(g, pts, tol=DEFAULT_TOL):
     """judge_pair on every pair in row-major order, larger own norm first (the
-    smaller id on ties), fed the norms the sweep computes."""
+    smaller id on ties), fed the norms the sweep computes; a ValueError is
+    prefixed with the pair, as `pair (x_id, y_id): `."""
     bounds = sg.embedding_bounds(g)
     coords, ids = pts.coords, pts.ids
     source_norms = sg.norms(g.source, coords).tolist()
@@ -643,12 +644,14 @@ def sweep_oracle(g, pts, tol=DEFAULT_TOL):
         image_norms = sg.norms(g.target, images[a] - images[a + 1 :]).tolist()
         for b, ndiff, nimage in zip(range(a + 1, len(pts)), diff_norms, image_norms):
             x, y = (a, b) if (own[a], -ids[a]) >= (own[b], -ids[b]) else (b, a)
-            out.append(
-                judge_pair(
+            try:
+                pc = judge_pair(
                     g, bounds, coords[x], coords[y], source_norms[x], source_norms[y],
                     ndiff, nimage, ids[x], ids[y], tol,
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"pair ({ids[x]}, {ids[y]}): {exc}") from exc
+            out.append(pc)
     return out
 
 
@@ -709,8 +712,9 @@ def test_sweep_reports_a_non_unit_theta_row_as_the_per_pair_judge(plateau_pipeli
     # a subnormal y = (t, t, 0, ...) has the norm t (sqrt(2) t rounds to t),
     # so its unit row y/|y| = (1, 1, 0, ...) has the norm sqrt(2): its first
     # shared-shell pair raises the per-pair judge's ValueError, named by the
-    # sweep, with and without a kept table, and by check_pair. The origin is
-    # left out: its pair with y, a plateau pair, would be judged first
+    # sweep, with and without a kept table, and by check_pair; the sweep
+    # prefixes it with the pair (point 0 and y). The origin is left out: its
+    # pair with y, a plateau pair, would be judged first
     g, pts = plateau_pipeline
     source_norms = sg.norms(g.source, pts.coords)
     points = pts.coords[source_norms > 0.0]
@@ -719,11 +723,83 @@ def test_sweep_reports_a_non_unit_theta_row_as_the_per_pair_judge(plateau_pipeli
     assert sg.norm(g.source, tiny) == 5e-324
     bad = sg.make_point_set(pts.space, np.vstack([points, tiny, 2.0 * points[:2]]))
     text = f"u must be a unit vector, got norm {math.sqrt(2.0)!r}"
-    assert _outcome(lambda: sweep_oracle(g, bad))[:2] == (ValueError, text)
+    named = f"pair (0, {len(points)}): {text}"
+    assert _outcome(lambda: sweep_oracle(g, bad))[:2] == (ValueError, named)
     _assert_sweep_matches_oracle(g, bad)
     # the smallest point shares the first level's shell with y
     x = pts.coords[np.argmin(np.where(source_norms > 0.0, source_norms, math.inf))]
     assert _outcome(lambda: sg.check_pair(g, x, tiny))[:2] == (ValueError, text)
+
+
+def test_sandwich_tables_are_exact_in_every_row_case(l1_pipeline, monkeypatch):
+    # at 64 elements a pair block holds 4 pairs, so the per-point gain tables
+    # fill across many blocks. The mixed points, with each of the three
+    # smallest nonzero points y also as 2y and 4y on its ray, hit every row
+    # case: a difference with the bits of x, sigma 0, sigma pi/2 and sigma
+    # on the ramp. Every column has the bits of check_pair's and the oracle's
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    g, pts, _ = l1_pipeline
+    source_norms = sg.norms(g.source, pts.coords)
+    small = pts.coords[np.argsort(np.where(source_norms > 0.0, source_norms, math.inf))[:3]]
+    coords = np.vstack([pts.coords, 2.0 * small, 4.0 * small])
+    rays = sg.make_point_set(pts.space, coords)
+    table = sg.distortion_report(g, rays).pair_checks
+    rows = np.flatnonzero(~np.isnan(table.sigma))
+    sigma = table.sigma[rows]
+    assert (sigma == 0.0).any() and (sigma == HALF_PI).any()
+    assert ((sigma > 0.0) & (sigma < HALF_PI)).any()
+    x, y = coords[table.x_id[rows]], coords[table.y_id[rows]]
+    at_x = ((x - y).view(np.uint64) == x.view(np.uint64)).all(axis=1)
+    assert at_x.any() and not at_x.all()
+    got = [_fields(pc) for pc in table]
+    assert got == [_fields(pc) for pc in _check_pairs(g, rays)]
+    assert got == [_fields(pc) for pc in sweep_oracle(g, rays)]
+
+
+def test_sweep_and_check_pair_group_no_rows(l1_pipeline, plateau_pipeline, monkeypatch):
+    def grouped(*arrays):
+        raise AssertionError("distinct_rows called")
+
+    monkeypatch.setattr(sg.spaces, "distinct_rows", grouped)
+    monkeypatch.setattr(spiralglue.verify, "distinct_rows", grouped, raising=False)
+    for g, pts in (l1_pipeline[:2], plateau_pipeline):
+        for keep_pairs in (True, False):
+            sg.distortion_report(g, pts, keep_pairs=keep_pairs)
+        order = np.argsort(sg.norms(g.source, pts.coords))
+        x, y = pts.coords[order[-1]], pts.coords[order[-2]]
+        assert sg.check_pair(g, x, y).sigma is not None
+
+
+@pytest.mark.parametrize("keep_pairs", [True, False])
+def test_non_unit_point_raises_at_its_first_pair_after_tables_fill(
+    plateau_pipeline, monkeypatch, keep_pairs
+):
+    # the subnormal y of the test above comes last, after 38 points: its
+    # first pair, with point 0, is the sweep's pair 37, in the tenth block of
+    # 4 pairs, after earlier blocks filled the level's tables. y never
+    # enters a table, and the sweep raises the oracle's error
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    g, pts = plateau_pipeline
+    points = pts.coords[sg.norms(g.source, pts.coords) > 0.0]
+    tiny = np.zeros(g.source.dim)
+    tiny[:2] = 5e-324
+    bad = sg.make_point_set(pts.space, np.vstack([points, 2.0 * points[:2], tiny]))
+    want = _outcome(lambda: sweep_oracle(g, bad))
+    assert want[:2] == (
+        ValueError,
+        f"pair (0, {len(points) + 2}): u must be a unit vector, got norm {math.sqrt(2.0)!r}",
+    )
+    calls = []
+    gain = spiralglue.verify.direction_gain
+
+    def counted(theta, u, first, second):
+        calls.append(len(u))
+        return gain(theta, u, first, second)
+
+    monkeypatch.setattr(spiralglue.verify, "direction_gain", counted)
+    assert _outcome(lambda: sg.distortion_report(g, bad, keep_pairs=keep_pairs)) == want
+    # earlier blocks evaluated gains before the failing one
+    assert len(calls) > 2
 
 
 _MID_WS = sg.build_schedule(sg.Params(0.1, 0.1, 0.01, 0.01), 1.0, 3)

@@ -553,6 +553,17 @@ def test_run_rejects_non_finite_points(tmp_path, capsys, key, bad):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_run_names_the_pair_of_a_non_unit_sandwich_row(tmp_path, capsys):
+    # the subnormal point's norm is its coordinate (sqrt(2) t rounds to t),
+    # so its unit row has the norm sqrt(2): the sweep names its first pair
+    inline = [[5e-324, 5e-324], [1.0, 0.0], [0.0, 2.0]]
+    source = {"dim": 2, "norm": {"norm": "lp", "p": 2.0}}
+    path, _ = _base_config(tmp_path, source=source, points={"inline": inline})
+    assert main(["run", "--config", str(path)]) == 2
+    text = f"u must be a unit vector, got norm {math.sqrt(2.0)!r}"
+    assert capsys.readouterr().err == f"config error: pair (1, 0): {text}\n"
+
+
 def test_run_orders_pairs_on_norms_with_tied_log_radii(tmp_path, capsys):
     # two norms one ulp apart share a math.log: the pair is still ordered
     # larger norm first

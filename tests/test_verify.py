@@ -6,7 +6,7 @@ import pytest
 import spiralglue as sg
 import spiralglue.verify
 from spiralglue.errors import BoundViolated, NonPositiveLowerBound
-from spiralglue.verify import FuzzReport, _fuzz_banks, _sandwich
+from spiralglue.verify import FuzzReport, _fuzz_banks, _points, _sandwich
 
 from oracles import (
     SameLevel,
@@ -261,10 +261,10 @@ def fuzz_per_pair(seed: int, n_pairs: int, levels: int = 3) -> FuzzReport:
             continue
         image = level_map_scalar(g, level, x) - level_map_scalar(g, level, y)
         ratio = sg.norm(bank.target, image) / ndiff
-        logs = np.array([math.log(nx)]), np.array([math.log(ny)])
+        # the pair as the two points of a point table
+        pair = _points(g, np.array([x, y]), (0, 1), np.array([nx, ny]))
         diff, nd = (x - y)[None], np.array([ndiff])
-        # the pair's one unit row y/|y|, and its index
-        *_, lo_b, hi_b = _sandwich(g, level, *logs, diff, nd, (y / ny)[None], np.array([0]))
+        *_, lo_b, hi_b = _sandwich(g, level, pair, np.array([0]), np.array([1]), diff, nd)
         worst_lo = min(worst_lo, ratio - float(lo_b[0]))
         worst_hi = min(worst_hi, float(hi_b[0]) - ratio)
         worst_res = max(worst_res, blend_decomposition_residual_scalar(g, level, x, y))
