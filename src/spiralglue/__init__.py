@@ -47,7 +47,6 @@ from .schedule import (
 )
 from .pointset import (
     AnnulusDecomposition,
-    DirectionAngles,
     LocallyFiniteSet,
     decompose,
     generate_annular,

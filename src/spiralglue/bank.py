@@ -343,19 +343,12 @@ def _level_ok(bank, checks, n_lo, n_hi, threshold):
     directions as rows and one angle per row, judged in one direction_gain
     call. The first of equal worst margins is the witness."""
     units, angles = checks
-    if not angles:
+    if not len(angles):
         return math.inf, None
     vals = direction_gain(angles, units, bank.maps[n_lo], bank.maps[n_hi])
     margins = vals - threshold
     k = int(np.argmin(margins))
-    return float(margins[k]), (units[k], angles[k], float(vals[k]))
-
-
-def _level_checks(directions, dim: int):
-    """A level's (direction, angle) checks as (k, dim) unit rows and k angles."""
-    angles = [angle for da in directions for angle in da.angles]
-    units = [da.u for da in directions for _ in da.angles]
-    return np.reshape(units, (len(angles), dim)), angles
+    return float(margins[k]), (units[k], float(angles[k]), float(vals[k]))
 
 
 def select_subsequence(
@@ -373,7 +366,8 @@ def select_subsequence(
     if bank.size < m + 1:
         raise ValueError(f"bank size {bank.size} < levels + 1 = {m + 1}")
     threshold = blend_threshold(zeta)
-    per_level = [_level_checks(decomp.directions[i], bank.source.dim) for i in range(m)]
+    # each level's checks with their direction rows, gathered once
+    per_level = [(units[k], angle) for units, (k, angle) in zip(decomp.directions, decomp.checks)]
 
     chosen: list[int] = []
     margins: list[float] = []

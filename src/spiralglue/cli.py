@@ -354,7 +354,7 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
     then k2 rows consume the generator exactly as one draw of k1 + k2 rows."""
     coords = pts.coords
     n, dim = coords.shape
-    dirs = [da.u for level_dirs in decomp.directions for da in level_dirs]
+    dirs = np.concatenate(decomp.directions)
     pairs = n * (n - 1) // 2
     # the first row of each part: points, differences, directions, random rows
     starts = np.cumsum([0, n, pairs, len(dirs), cfg.certify_random]).tolist()
@@ -376,7 +376,7 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
                     np.take(coords, a, axis=0, out=rows)
                     rows -= coords[b]
                 elif part == 2:
-                    rows[:] = np.reshape(dirs[lo:hi], (-1, dim))
+                    rows[:] = dirs[lo:hi]
                 else:
                     rng.standard_normal(out=rows)
             yield out
@@ -663,12 +663,24 @@ def _with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     return replace(cfg, raw=raw, generator={**cfg.generator, "seed": seed})
 
 
+def _seed_ok(seed, prefix: str) -> bool:
+    """Whether --seed is absent or an integer >= 0; if not, an error naming
+    --seed is printed after prefix."""
+    try:
+        return seed is None or _integer(0)(seed) >= 0
+    except ValueError as exc:
+        print(f"{prefix}--seed: {exc}", file=sys.stderr)
+        return False
+
+
 def cmd_run(args) -> int:
     if not (0.0 <= args.tolerance < math.inf):
         print(
             f"config error: --tolerance must be finite and >= 0, got {args.tolerance!r}",
             file=sys.stderr,
         )
+        return 2
+    if not _seed_ok(args.seed, "config error: "):
         return 2
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -753,8 +765,10 @@ def cmd_theory(args) -> int:
     if args.pairs < 1:
         print(f"error: --pairs must be >= 1, got {args.pairs}", file=sys.stderr)
         return 2
+    if not _seed_ok(args.seed, "error: "):
+        return 2
     # both computations run before any verdict is printed, so that a bad
-    # --grid or --seed exits 2 alone
+    # --grid exits 2 alone
     try:
         good, detail = _spreading_verdict(args.grid)
         fuzz = fuzz_pair_inequalities(args.seed, args.pairs)
@@ -840,7 +854,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_gen_points(args) -> int:
-    if not _out_ok(args.out):
+    if not (_out_ok(args.out) and _seed_ok(args.seed, "error: ")):
         return 2
     try:
         pts = generate_annular(

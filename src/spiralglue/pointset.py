@@ -20,7 +20,6 @@ from .spaces import (  # noqa: F401
     Lp,
     NormSpec,
     Space,
-    Vector,
     distinct_rows,
     norm,
     norm_from_dict,
@@ -123,24 +122,20 @@ def pair_blocks(n: int, width: int):
 
 
 @dataclass(frozen=True, eq=False)
-class DirectionAngles:
-    """A unit difference direction with the ramp angles recorded against it."""
-
-    u: Vector
-    angles: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class AnnulusDecomposition:
     """Per-level shell membership and the direction/angle bookkeeping.
 
     member_ids lists input points only; the origin is adjoined to every shell
-    implicitly (and explicitly when the input contains it).
+    implicitly (and explicitly when the input contains it). directions[i] is
+    level i's (k_i, dim) array of distinct unit rows, and checks[i] =
+    (direction, angle) its distinct recorded pairs of a row index and a ramp
+    angle as two 1-d arrays, sorted by both; every array is read-only.
     """
 
     levels: int
     member_ids: tuple[tuple[int, ...], ...]
-    directions: tuple[tuple[DirectionAngles, ...], ...]
+    directions: tuple[np.ndarray, ...]
+    checks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecomposition:
@@ -158,16 +153,16 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     row blocks of at most BATCH_ELEMENTS elements into one array, whose
     bitwise distinct rows `distinct_rows` numbers in order of first
     occurrence. `_leaders` groups the distinct rows by sort-and-sweep on
-    their coordinate of widest spread, and the sorted distinct (direction,
-    angle) pairs are one sort of an integer key.
+    their coordinate of widest spread; the leaders, in that order, are the
+    level's directions. The sorted distinct (direction, angle) pairs, its
+    checks, are one sort of an integer key.
     """
     m = sched.levels
     logs = log_norms(pts)
     check_log_radius(sched, logs)
     order = np.argsort(np.asarray(pts.ids))
     dim = pts.space.dim
-    members: list[tuple[int, ...]] = []
-    dirs: list[tuple[DirectionAngles, ...]] = []
+    members, dirs, checks = [], [], []
     for level in range(1, m + 1):
         shell_lo = sched.log_R[level - 2] if level >= 2 else -math.inf
         shell_hi = sched.log_r[level] if level < m else sched.log_coverage
@@ -197,19 +192,14 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
         # the direction and the angle's rank (ramp angles are never NaN or -0.0)
         values, rank = np.unique(ramp_angle_log(sched, level, logs_here), return_inverse=True)
         direction, angle = np.divmod(np.unique(direction * len(values) + rank[src]), len(values))
-        angle = values[angle].tolist()
-        cuts = np.flatnonzero(np.diff(direction)) + 1
-        bounds = [0, *cuts.tolist(), len(angle)]
+        angle = values[angle]
         found = distinct[is_leader]
-        found.flags.writeable = False
+        for array in (found, direction, angle):
+            array.flags.writeable = False
         members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
-        dirs.append(
-            tuple(
-                DirectionAngles(u, tuple(angle[bounds[k] : bounds[k + 1]]))
-                for k, u in enumerate(found)
-            )
-        )
-    return AnnulusDecomposition(m, tuple(members), tuple(dirs))
+        dirs.append(found)
+        checks.append((direction, angle))
+    return AnnulusDecomposition(m, tuple(members), tuple(dirs), tuple(checks))
 
 
 def _leaders(rows: np.ndarray) -> np.ndarray:

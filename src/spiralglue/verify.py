@@ -74,10 +74,11 @@ def solve_params(eps_target: float) -> Params:
     Shrinks a common scale s geometrically (eps = delta = s/2, gamma = zeta = s)
     until both lower bounds clear sqrt(2)/(3 sqrt(1 + eps_target/3)) and both
     upper bounds stay below sqrt(2) sqrt(1 + eps_target/3); the limits are
-    sqrt(2)/3 and sqrt(2), so the loop always terminates.
+    sqrt(2)/3 and sqrt(2), so the loop terminates for every finite
+    eps_target > 0; any other (at NaN no comparison holds) raises ValueError.
     """
-    if eps_target <= 0.0:
-        raise ValueError(f"eps_target must be positive, got {eps_target!r}")
+    if not (0.0 < eps_target < math.inf):
+        raise ValueError(f"eps_target must be finite and positive, got {eps_target!r}")
     bump = math.sqrt(1.0 + eps_target / 3.0)
     lo_target = SQRT2 / (3.0 * bump)
     hi_target = SQRT2 * bump

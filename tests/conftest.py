@@ -32,8 +32,7 @@ def l1_pipeline(wide_ws):
         for b in range(a + 1, n):
             certify.append(pts.coords[a] - pts.coords[b])
     for dirs in decomp.directions:
-        for da in dirs:
-            certify.append(da.u)
+        certify.extend(dirs)
     bank = sg.build_bank(sg.BlockShift(), source, target, sched.params.gamma, 6, certify)
     selection = sg.select_subsequence(bank, decomp, sched.params.zeta)
     return sg.GlueEmbedding(sched, bank, selection), pts, decomp

@@ -30,7 +30,6 @@ from spiralglue.errors import CertificationFailed
 from spiralglue.pointset import (
     _DIR_TOL,
     AnnulusDecomposition,
-    DirectionAngles,
     classify_levels,
     level_intervals,
     log_norms,
@@ -262,6 +261,7 @@ def decompose_first_match(pts, sched) -> AnnulusDecomposition:
     dim = pts.space.dim
     members = []
     dirs = []
+    checks = []
     for level in range(1, m + 1):
         shell_lo = sched.log_R[level - 2] if level >= 2 else -math.inf
         shell_hi = sched.log_r[level] if level < m else sched.log_coverage
@@ -297,15 +297,15 @@ def decompose_first_match(pts, sched) -> AnnulusDecomposition:
                         seen[key] = k
                     angles[k].append(ramp[a])
         found = found[: len(angles)].copy()
-        found.flags.writeable = False
+        pairs = [(k, a) for k, ang in enumerate(angles) for a in sorted(set(ang))]
+        direction = np.array([k for k, _ in pairs], dtype=np.intp)
+        angle = np.array([a for _, a in pairs], dtype=float)
+        for array in (found, direction, angle):
+            array.flags.writeable = False
         members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
-        dirs.append(
-            tuple(
-                DirectionAngles(u, tuple(sorted(set(ang))))
-                for u, ang in zip(found, angles)
-            )
-        )
-    return AnnulusDecomposition(m, tuple(members), tuple(dirs))
+        dirs.append(found)
+        checks.append((direction, angle))
+    return AnnulusDecomposition(m, tuple(members), tuple(dirs), tuple(checks))
 
 
 def _first_match(found: np.ndarray, u: np.ndarray) -> int:

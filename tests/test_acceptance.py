@@ -31,8 +31,7 @@ def _certify_vectors(pts, decomp):
         for b in range(a + 1, n):
             vecs.append(pts.coords[a] - pts.coords[b])
     for dirs in decomp.directions:
-        for da in dirs:
-            vecs.append(da.u)
+        vecs.extend(dirs)
     return vecs
 
 

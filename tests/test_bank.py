@@ -180,8 +180,7 @@ def test_selection_accepts_first_indices_for_block_shift(small_ws):
     dec = sg.decompose(pts, sched)
     certify = [row for row in pts.coords if np.any(row)]
     for dirs in dec.directions:
-        for da in dirs:
-            certify.append(da.u)
+        certify.extend(dirs)
     bank = sg.build_bank(sg.BlockShift(), src, tgt, 0.01, 5, certify)
     sel = sg.select_subsequence(bank, dec, 0.01)
     assert sel.chosen_indices == (0, 1, 2, 3)
@@ -215,6 +214,12 @@ def test_selection_exhausts_on_negated_pair():
     assert exc.value.level == 1
     assert exc.value.achieved < 1e-12
     assert exc.value.angle == pytest.approx(math.pi / 4, rel=1e-12)
+    # a Python float, so the message prints the angle's repr, not np.float64(...)
+    assert type(exc.value.angle) is float
+    assert str(exc.value) == (
+        "no admissible pair at level 1: best achieved norm 1.1102230246251565e-16 "
+        "< threshold 0.46673714929805116 (worst angle 0.7853981633974483)"
+    )
 
 
 def test_selection_exhausts_at_a_later_level():
@@ -241,6 +246,11 @@ def test_selection_exhausts_at_a_later_level():
     assert exc.value.achieved == pytest.approx(math.sqrt(1.0 - math.cos(0.3)), rel=1e-12)
     assert exc.value.achieved < exc.value.threshold
     assert exc.value.direction.tolist() == [1.0, 0.0]
+    assert type(exc.value.angle) is float
+    assert str(exc.value) == (
+        "no admissible pair at level 2: best achieved norm 0.21133743367987123 "
+        "< threshold 0.46673714929805116 (worst angle 0.7853981633974483)"
+    )
 
 
 def test_selection_skips_poisoned_candidate():

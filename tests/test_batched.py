@@ -198,8 +198,7 @@ def _certify_list(cfg, pts, decomp):
         for b in range(a + 1, n):
             vecs.append(pts.coords[a] - pts.coords[b])
     for level_dirs in decomp.directions:
-        for da in level_dirs:
-            vecs.append(da.u)
+        vecs.extend(level_dirs)
     rng = np.random.default_rng(cfg.certify_seed)
     for _ in range(cfg.certify_random):
         vecs.append(rng.standard_normal(cfg.source.dim))
@@ -321,7 +320,12 @@ def decompose_scan(pts, sched):
 
 
 def _directions_bytes(decomp):
-    return [[(da.u.tobytes(), da.angles) for da in level] for level in decomp.directions]
+    """Per level, the direction rows' shape and bytes and the bytes of the
+    checks' direction and angle arrays."""
+    return [
+        (units.shape, units.tobytes(), direction.tobytes(), angle.tobytes())
+        for units, (direction, angle) in zip(decomp.directions, decomp.checks)
+    ]
 
 
 def _assert_decompositions_agree(pts, sched):
@@ -329,16 +333,19 @@ def _assert_decompositions_agree(pts, sched):
     members, dirs = decompose_scan(pts, sched)
     assert dec.member_ids == members
     assert [len(level) for level in dec.directions] == [len(level) for level in dirs]
-    for got_level, want_level in zip(dec.directions, dirs):
-        for got, (u, angles) in zip(got_level, want_level):
-            assert got.angles == angles
-            assert np.max(np.abs(got.u - u)) <= 1e-15 * max(1.0, np.max(np.abs(u)))
+    for units, (direction, angle), want_level in zip(dec.directions, dec.checks, dirs):
+        # the checks list each direction's angles in turn, sorted
+        assert direction.tolist() == [k for k, (_, angles) in enumerate(want_level) for _ in angles]
+        assert angle.tolist() == [a for _, angles in want_level for a in angles]
+        for got, (u, _) in zip(units, want_level):
+            assert np.max(np.abs(got - u)) <= 1e-15 * max(1.0, np.max(np.abs(u)))
     # the sort-and-sweep grouping reproduces the per-difference loop bit for bit
     want = decompose_first_match(pts, sched)
     assert dec.member_ids == want.member_ids
     assert _directions_bytes(dec) == _directions_bytes(want)
-    for level in dec.directions:
-        assert all(not da.u.flags.writeable for da in level)
+    for units, (direction, angle) in zip(dec.directions, dec.checks):
+        assert units.shape == (len(units), pts.space.dim)
+        assert not (units.flags.writeable or direction.flags.writeable or angle.flags.writeable)
 
 
 @settings(max_examples=60, deadline=None)
@@ -691,8 +698,7 @@ def _block_glue(space, sched, pts):
     decomp = sg.decompose(pts, sched)
     n = len(pts)
     first, second = np.triu_indices(n, 1)
-    dirs = [da.u for level in decomp.directions for da in level]
-    certify = np.vstack([pts.coords, pts.coords[first] - pts.coords[second], *dirs])
+    certify = np.vstack([pts.coords, pts.coords[first] - pts.coords[second], *decomp.directions])
     bank = sg.build_bank(sg.BlockShift(), space, target, sched.params.gamma, count, certify)
     return sg.GlueEmbedding(sched, bank, sg.select_subsequence(bank, decomp, sched.params.zeta))
 
@@ -1480,8 +1486,8 @@ def test_level_judge_matches_check_loop(l1_pipeline):
     g, _, decomp = l1_pipeline
     bank = g.bank
     threshold = blend_threshold(0.01)
-    for directions in decomp.directions:
-        checks = [(da.u, angle) for da in directions for angle in da.angles]
+    for units, (direction, angle) in zip(decomp.directions, decomp.checks):
+        checks = list(zip(units[direction], angle.tolist()))
         worst_u, worst_angle, _ = level_ok_scalar(bank, checks, 0, 1, threshold)[1]
         # -u has the same gain as u: the first of the two tied worst checks wins
         for extra in ([], [(-worst_u, worst_angle)]):

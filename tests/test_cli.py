@@ -3,6 +3,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -45,6 +47,24 @@ def test_bounds_solves_target(capsys):
     out = capsys.readouterr().out
     ratio = float(next(l for l in out.splitlines() if l.startswith("ratio=")).split("=")[1])
     assert ratio <= 3.5
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_bounds_rejects_non_finite_target(target):
+    # at NaN the target solve used to halve its scale forever, and at inf it
+    # returned parameters; a child process with a timeout fails on a hang
+    src = os.path.dirname(os.path.dirname(spiralglue.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiralglue.cli", "bounds", "--target", target],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: eps_target must be finite and positive, got {float(target)!r}\n"
 
 
 def test_run_writes_report_and_csv(tmp_path, capsys):
@@ -236,8 +256,7 @@ def test_theory_spreading_bound_passes_on_every_grid(capsys, grid):
         (["--grid", "2"], "error: grid_size must be >= 3"),
         (["--pairs", "-3"], "error: --pairs must be >= 1, got -3"),
         (["--pairs", "0"], "error: --pairs must be >= 1, got 0"),
-        # numpy's seed check words the message
-        (["--seed", "-1"], "error: "),
+        (["--seed", "-1"], "error: --seed: expected an integer >= 0, got -1"),
     ],
 )
 def test_theory_rejects_bad_arguments(capsys, argv, message):
@@ -496,6 +515,22 @@ def test_run_rejects_seed_with_given_points(tmp_path, capsys, monkeypatch, key):
     assert out == ""
     assert err.startswith(f"config error: --seed: the points come from points.{key}")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_rejects_negative_seed_naming_flag(tmp_path, capsys, monkeypatch):
+    # numpy's seed check used to word the error, once the pipeline had started
+    path, _ = _base_config(tmp_path)
+    _forbid_pipeline(monkeypatch)
+    assert main(["run", "--config", str(path), "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "config error: --seed: expected an integer >= 0, got -1\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_gen_points_rejects_negative_seed_naming_flag(tmp_path, capsys):
+    out = tmp_path / "points.json"
+    assert main(["gen-points", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --seed: expected an integer >= 0, got -1\n")
+    assert not out.exists()
 
 
 def test_run_times_each_stage(tmp_path):

@@ -40,9 +40,10 @@ def test_decompose_origin_only(small_ws):
     pts = sg.make_point_set(space, [[0.0, 0.0]])
     dec = sg.decompose(pts, small_ws)
     assert dec.levels == 3
-    for ids, dirs in zip(dec.member_ids, dec.directions):
+    for ids, dirs, (direction, angle) in zip(dec.member_ids, dec.directions, dec.checks):
         assert ids == (0,)
-        assert dirs == ()
+        assert dirs.shape == (0, 2)
+        assert len(direction) == len(angle) == 0
 
 
 def test_decompose_two_point_example(small_ws):
@@ -57,15 +58,16 @@ def test_decompose_two_point_example(small_ws):
     dec = sg.decompose(pts, sched)
     assert set(dec.member_ids[0]) == {0, 1}
     dirs = dec.directions[0]
+    direction, angle = dec.checks[0]
     u_expected = (x - y) / sg.norm(space, x - y)
-    hits = [da for da in dirs if np.max(np.abs(da.u - u_expected)) <= 1e-12]
+    hits = [k for k, u in enumerate(dirs) if np.max(np.abs(u - u_expected)) <= 1e-12]
     assert len(hits) == 1
     # 50 lies beyond R_1, so the recorded angle is the clamp value pi/2
-    assert math.pi / 2 in hits[0].angles
+    assert math.pi / 2 in angle[direction == hits[0]].tolist()
     # the origin is adjoined implicitly: x/|x| and y/|y| also appear
     for pt in (x, y):
         u = pt / sg.norm(space, pt)
-        assert any(np.max(np.abs(da.u - u)) <= 1e-12 for da in dirs)
+        assert any(np.max(np.abs(d - u)) <= 1e-12 for d in dirs)
 
 
 def test_shell_membership_boundary_strict(small_ws):

@@ -73,6 +73,13 @@ def test_solve_params_vacuous_for_huge_target():
     assert sg.theoretical_bounds(params).ratio > 3.0
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_solve_params_rejects_bad_target(target):
+    # at NaN every comparison of the search failed, and it never returned
+    with pytest.raises(ValueError, match="eps_target must be finite and positive, got "):
+        sg.solve_params(target)
+
+
 def test_spreading_lower_bound_values():
     assert sg.spreading_lower_bound(1.0, 0.0) == 1.0
     assert sg.spreading_lower_bound(0.0, 1.0) == 1.0
