@@ -35,11 +35,11 @@ from .spaces import (  # noqa: F401
     as_rows,
     blend_apply,
     direction_gain,
-    distinct_rows,
     image_norms,
     norm,
     norms,
     row_blocks,
+    row_keys,
 )
 
 _TOL = 1e-12
@@ -176,8 +176,10 @@ def build_bank(
 
     Each distinct nonzero vector (by bit pattern, see distinct_rows) is
     normed and imaged once per map, in order of first occurrence, so the
-    margins and the first worst vector are those of evaluating every vector
-    (see _certify_rows). A map images them all in one image_norms call,
+    margins and the first worst vector are those of evaluating every vector.
+    A stream is read twice, for its rows' keys and then for its rows, so
+    each iteration must yield the same rows (see _certify_rows); only the
+    distinct rows are kept. A map images them all in one image_norms call,
     whose blocks are whole but the last.
     """
     if count < 2:
@@ -225,39 +227,125 @@ def _certify_rows(source: Space, certify_set):
     positive norm of one distinct_rows call on every row.
 
     An array or a sequence of vectors is one block; a RowBlocks stream is
-    grouped a block at a time. Each block keeps the first rows of its
-    groups, with their norms and indices, and these are grouped together
-    once more: the first of a group's first rows in its blocks is its first
-    row in the stream, so no array of every row is formed."""
-    blocks = certify_set if isinstance(certify_set, RowBlocks) else [certify_set]
-    heads, firsts, head_norms = [], [], []
-    nonzero_rows = 0
-    for block in blocks:
-        block = as_rows(block, source.dim)
-        take, inverse = distinct_rows(block)
-        heads.append(block[take])
-        head_norms.append(norms(source, heads[-1]))
+    read twice, a block at a time (once, if its rows fit in one block).
+    Pass 1 keys every row as distinct_rows does (row_keys) and sorts the
+    keys once; each row's predecessor in that order gives its provisional
+    group, the rows of its hash (_hash_heads). Pass 2 forms the blocks
+    anew, copies each group's first row into the array of distinct rows,
+    and checks every other row bit for bit against the kept row of its
+    predecessor's group. A mismatch is a hash collision: the row then
+    starts a group of its own, which splits the run of equal hashes exactly
+    as distinct_rows does. Neither pass holds more than a block of rows,
+    the distinct rows and two entries per row."""
+    dim = source.dim
+    if isinstance(certify_set, RowBlocks):
+        total = len(certify_set)
+        # a stream whose rows fit in one block is formed once, for both passes
+        stream = certify_set if len(list(row_blocks(total, dim))) > 1 else list(certify_set)
+    else:
+        stream = [as_rows(certify_set, dim)]
+        total = len(stream[0])
+    key, shift = row_keys(([as_rows(block, dim)] for block in stream), total)
+    head, groups = _hash_heads(key, shift)
+    del key
+    # groups are numbered in order of their first rows, as pass 2 meets them.
+    # head[r] of a first row r becomes the group that the next row of r's
+    # hash joins if its bits are those of that group's kept row
+    kept = np.empty((groups, dim))
+    kept_norms = np.empty(groups)
+    first = np.empty(groups, dtype=np.intp)
+    start = done = nonzero_rows = 0
+    for block in stream:
+        block = as_rows(block, dim)
+        stop = start + len(block)
+        heads = head[start:stop]
+        at = np.flatnonzero(heads < 0)
+        fresh = done + len(at)
+        head[start + at] = np.arange(done, fresh)
+        np.take(block, at, axis=0, out=kept[done:fresh])
+        kept_norms[done:fresh] = norms(source, kept[done:fresh])
+        # a row's group is that of its first row; a first row's entry in the
+        # view heads now holds its own group
+        own = head[heads]
+        own[at] = heads[at]
+        bad = _first_mismatch(block, kept, own)
+        if bad is not None:
+            # a hash collision: settle the rest of the block row by row,
+            # numbering the groups its rows start in row order
+            firsts = set(at.tolist())
+            at = at[at < bad].tolist()
+            fresh = done + len(at)
+            for i in range(bad, len(block)):
+                if i in firsts:
+                    r = start + i
+                else:
+                    r = heads[i]
+                    if np.array_equal(block[i].view(np.uint64), kept[head[r]].view(np.uint64)):
+                        own[i] = head[r]
+                        continue
+                    # one group more than pass 1 counted: grown in place
+                    # (no view of these arrays is alive here), without a
+                    # copy beside them
+                    kept.resize((len(kept) + 1, dim), refcheck=False)
+                    kept_norms.resize(len(kept), refcheck=False)
+                    first.resize(len(kept), refcheck=False)
+                head[r] = own[i] = fresh
+                kept[fresh] = block[i]
+                kept_norms[fresh] = norms(source, block[i : i + 1])[0]
+                at.append(i)
+                fresh += 1
         # the index of each of the block's rows among the nonzero rows
-        counted = (head_norms[-1] > 0.0)[inverse]
-        firsts.append((np.cumsum(counted) + (nonzero_rows - 1))[take])
-        nonzero_rows += int(np.count_nonzero(counted))
-        del block  # not alive while the next block is formed
+        positions = np.cumsum(np.take(kept_norms, own) > 0.0)
+        first[done:fresh] = positions[at] + (nonzero_rows - 1)
+        nonzero_rows += int(positions[-1]) if len(positions) else 0
+        start, done = stop, fresh
+        del block, heads, own, positions  # not alive while the next block is formed
+    del head
     if not nonzero_rows:
         raise ValueError("certify_set must contain at least one nonzero vector")
-    if len(heads) == 1:
-        rows, first, source_norms = heads[0], firsts[0], head_norms[0]
-        take = np.arange(len(rows))
-    else:
-        rows = np.concatenate(heads)
-        del heads
-        first, source_norms = np.concatenate(firsts), np.concatenate(head_norms)
-        take = distinct_rows(rows)[0]
-    take = take[source_norms[take] > 0.0]
+    take = np.flatnonzero(kept_norms > 0.0)
     # gather the kept rows to the front in place: take ascends, so take[i]
     # >= i, and no block reads a row that an earlier block wrote
-    for block in row_blocks(len(take), source.dim):
-        rows[block] = rows[take[block]]
-    return rows[: len(take)], first[take], source_norms[take]
+    for block in row_blocks(len(take), dim):
+        kept[block] = kept[take[block]]
+    return kept[: len(take)], first[take], kept_norms[take]
+
+
+def _hash_heads(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, int]:
+    """From the sorted keys of row_keys: (head, groups), the first row of
+    each row's hash (the first of its run of equal hashes in key order, where
+    rows of one hash follow in row order), -1 for that first row itself, and
+    the number of hashes. The keys are read in row blocks; head is the only
+    array of one entry per row."""
+    index_bits = (np.uint64(1) << shift) - np.uint64(1)
+    # the narrowest signed integers that hold every row index and -1
+    head = np.empty(len(key), dtype=np.min_scalar_type(-len(key)))
+    groups, last, run_head = 0, None, 0
+    for block in row_blocks(len(key), 1):
+        hashes = key[block] >> shift
+        new = np.empty(len(hashes), dtype=bool)
+        new[0] = last is None or hashes[0] != last
+        np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
+        at = (key[block] & index_bits).view(np.intp)
+        # runs[j] numbers the runs that start in the block up to j; 0 is
+        # the run that the block continues
+        runs = np.cumsum(new)
+        run_heads = np.append(run_head, at[new])
+        head[at] = run_heads[runs]
+        head[at[new]] = -1
+        groups += int(runs[-1])
+        last, run_head = hashes[-1], run_heads[-1]
+    return head, groups
+
+
+def _first_mismatch(block: np.ndarray, kept: np.ndarray, own: np.ndarray):
+    """The first row of block whose bits differ from those of its kept row
+    kept[own], or None; compared in row blocks."""
+    for rows in row_blocks(len(block), 2 * block.shape[1]):
+        unequal = block[rows].view(np.uint64) != np.take(kept, own[rows], axis=0).view(np.uint64)
+        if unequal.any():
+            return rows.start + int(np.argmax(unequal.any(axis=1)))
+    return None
 
 
 def spreading_limit_estimate(

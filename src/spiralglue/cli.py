@@ -233,6 +233,13 @@ def _points_in(path: str, source: Space) -> LocallyFiniteSet:
     return pts
 
 
+def _two_or_more(pts: LocallyFiniteSet) -> LocallyFiniteSet:
+    """pts, which must hold at least two points: the sweep judges pairs."""
+    if len(pts) < 2:
+        raise ValueError(f"needs at least two points, got {len(pts)}")
+    return pts
+
+
 def _user_matrices(matrices, source: Space) -> UserMatrices:
     """The caller's matrices: a non-empty list of 2-d arrays of one shape,
     each with a column per source coordinate."""
@@ -310,9 +317,13 @@ def parse_config(raw: dict) -> RunConfig:
     points = None
     generator = None
     if "file" in pts_cfg:
-        points = _read(pts_cfg, "points", "file", lambda path: _points_in(path, source))
+        points = _read(
+            pts_cfg, "points", "file", lambda path: _two_or_more(_points_in(path, source))
+        )
     elif "inline" in pts_cfg:
-        points = _read(pts_cfg, "points", "inline", lambda rows: make_point_set(source, rows))
+        points = _read(
+            pts_cfg, "points", "inline", lambda rows: _two_or_more(make_point_set(source, rows))
+        )
     elif "generator" in pts_cfg:
         gen = _section(pts_cfg, "points.generator")
         generator = {
@@ -351,7 +362,9 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
     counts every row, and no array of them all is formed. A block's pair
     differences are formed at once from their pairs (pairs_at, as the sweep
     derives them), and its random rows are drawn into it: draws of k1 and
-    then k2 rows consume the generator exactly as one draw of k1 + k2 rows."""
+    then k2 rows consume the generator exactly as one draw of k1 + k2 rows.
+    Each iteration forms the same blocks anew, bit for bit, which
+    certification's second pass over them relies on."""
     coords = pts.coords
     n, dim = coords.shape
     dirs = np.concatenate(decomp.directions)
@@ -374,7 +387,7 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
                 elif part == 1:
                     a, b = pairs_at(n, np.arange(lo, hi))
                     np.take(coords, a, axis=0, out=rows)
-                    rows -= coords[b]
+                    rows -= np.take(coords, b, axis=0)
                 elif part == 2:
                     rows[:] = dirs[lo:hi]
                 else:
@@ -576,8 +589,8 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
     glue -> sweep, with the time of each stage under `timings`.
 
     No stage holds an array of one row per pair or per certification
-    vector. build_bank groups the certification vectors a block at a time
-    as _certify_vectors forms them and keeps only the distinct ones; the
+    vector. build_bank reads the certification vectors twice, a block at a
+    time as _certify_vectors forms them, and keeps only the distinct ones; the
     decomposition lives only until selection; the sweep keeps no pair table
     and passes each judged block of pairs to on_block, when given (see
     distortion_report), which is how `run` spools the pairs for its CSV."""
@@ -725,6 +738,8 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
             "status": type(exc).__name__,
             "error": str(exc),
         }
+        if not isinstance(exc, NonPositiveLowerBound):
+            failure["failure"] = exc.fields()
         if report_path and not _written(report_key, _write_json, report_path, failure):
             return 2
         print(f"run failed: {exc}", file=sys.stderr)

@@ -27,6 +27,13 @@ class CertificationFailed(SpiralGlueError):
             f"ratio {ratio!r} outside the allowed sandwich"
         )
 
+    def fields(self) -> dict:
+        return {
+            "map_index": self.map_index,
+            "vector_index": self.vector_index,
+            "ratio": self.ratio,
+        }
+
 
 class NotStabilized(SpiralGlueError):
     """A spreading estimate did not settle within the requested tolerance."""
@@ -46,6 +53,18 @@ class BankExhausted(SpiralGlueError):
             f"< threshold {threshold!r} (worst angle {angle!r})"
         )
 
+    def fields(self) -> dict:
+        """The fields, with the direction as a list (None when no check was
+        judged)."""
+        direction = None if self.direction is None else [float(x) for x in self.direction]
+        return {
+            "level": self.level,
+            "direction": direction,
+            "angle": self.angle,
+            "achieved": self.achieved,
+            "threshold": self.threshold,
+        }
+
 
 class BoundViolated(SpiralGlueError):
     """A verified inequality failed beyond tolerance."""
@@ -57,6 +76,9 @@ class BoundViolated(SpiralGlueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def fields(self) -> dict:
+        return {"name": self.name, "slack": self.slack}
 
 
 class NonPositiveLowerBound(SpiralGlueError):

@@ -64,6 +64,8 @@ class LocallyFiniteSet:
 
 def make_point_set(space: Space, coords, ids=None) -> LocallyFiniteSet:
     c = np.asarray(coords, dtype=float)
+    if c.shape == (0,):  # an empty list of rows: no points
+        c = c.reshape(0, space.dim)
     if c.ndim != 2:
         raise ValueError(f"coords must be 2-d, got shape {c.shape}")
     if ids is None:

@@ -49,10 +49,12 @@ a zero, and abs removes it.
 
 `distinct_rows` groups rows by bit pattern, exactly, so that a caller can
 evaluate each distinct row once and gather the results back: decompose
-groups a level's unit differences with it, and certification images each
-distinct nonzero certify row once per map (grouping a `RowBlocks` stream
-block by block, then the blocks' first rows together). The sweep hashes
-no rows: its repeated sandwich rows are those of one point (x/|x| at the
+groups a level's unit differences with it. Its keys (`row_keys`) can be
+formed a block at a time: certification, which images each distinct
+nonzero certify row once per map, keys a `RowBlocks` stream in one pass
+and keeps each group's first row in a second (see `bank._certify_rows`),
+and neither pass holds more than a block of rows. The sweep hashes no
+rows: its repeated sandwich rows are those of one point (x/|x| at the
 ramp angle of x, y/|y| at a clamped angle), whose gains it keeps in
 per-point tables (see `verify._sandwich`). `direction_gain` itself does
 not group: selection's level checks never repeat a row. Every kernel here
@@ -114,6 +116,47 @@ class RowBlocks:
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
+def row_keys(blocks, rows: int) -> tuple[np.ndarray, np.uint64]:
+    """The sorted keys by which distinct_rows groups `rows` rows, given a
+    block at a time, and the number of low bits holding the row index.
+
+    Each block of `blocks` is a sequence of equal-length 1-d or 2-d float
+    arrays, whose i-th rows together make the block's i-th row; the blocks
+    follow each other in row order. Each row's bits are folded into a hash
+    (each column's bits xored with their high half, times the column's
+    power of _HASH_MULTIPLIER, summed), whose top bits, with the row index
+    in the low `shift` bits, make the row's key. Sorted, the keys order the
+    rows by hash and, within a hash, by index. Rows are hashed in row
+    blocks, so the only array of one entry per row is the keys."""
+    key = np.zeros(rows, dtype=np.uint64)
+    start, weights = 0, None
+    for tables in blocks:
+        bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
+        count = len(bits[0])
+        if weights is None:
+            weights = np.cumprod(np.full(sum(b.shape[1] for b in bits), _HASH_MULTIPLIER))
+        into = key[start : start + count]
+        if len(into) != count:
+            raise ValueError(f"blocks hold more than {rows} rows")
+        for block in row_blocks(count, 2 * len(weights)):
+            col = 0
+            for b in bits:
+                mixed = b[block] >> np.uint64(32)
+                mixed ^= b[block]
+                into[block] += mixed @ weights[col : col + b.shape[1]]
+                col += b.shape[1]
+        start += count
+    if start != rows:
+        raise ValueError(f"blocks hold {start} rows, not {rows}")
+    shift = np.uint64(max(rows - 1, 1).bit_length())
+    key >>= shift
+    key <<= shift
+    for block in row_blocks(rows, 1):
+        key[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
+    key.sort()
+    return key, shift
+
+
 def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of equal-length 1-d or 2-d float arrays by bit pattern.
 
@@ -123,35 +166,20 @@ def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
     has the bits of `a`. Rows of one group have equal bits in every column
     (so -0.0 and 0.0, and NaNs of different payloads, stay apart).
 
-    Each row's bits are folded into a hash (each column's bits xored with
-    their high half, times the column's power of _HASH_MULTIPLIER, summed),
-    whose top bits, with the row index in the low bits, make one sort key
-    per row. Sorting the keys orders the rows by hash and, within a hash,
-    by index; a row joins its predecessor's group only when the bits of the
-    two rows are equal, so a collision costs a missed merge, never a wrong
-    group. Rows are hashed and compared in row blocks, so the extra memory
-    is a few arrays of one entry per row."""
+    The rows are sorted by their keys (row_keys): by hash and, within a
+    hash, by index. A row joins its predecessor's group only when the bits
+    of the two rows are equal, so a collision costs a missed merge, never a
+    wrong group. Rows are hashed and compared in row blocks, so the extra
+    memory is a few arrays of one entry per row."""
     tables = [np.ascontiguousarray(a, dtype=float) for a in arrays]
     rows = len(tables[0])
     if any(t.ndim not in (1, 2) or len(t) != rows for t in tables):
         raise ValueError("distinct_rows needs 1-d or 2-d arrays of equal length")
+    key, shift = row_keys([tables], rows)
     bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
     # each row's bits as one item: a gather of items copies one block per row
     items = [b.view(f"V{8 * b.shape[1]}")[:, 0] for b in bits]
-    spans = np.cumsum([0] + [b.shape[1] for b in bits])
-    width = int(spans[-1])
-    weights = np.cumprod(np.full(width, _HASH_MULTIPLIER))
-    key = np.zeros(rows, dtype=np.uint64)
-    for block in row_blocks(rows, 2 * width):
-        for b, start, stop in zip(bits, spans, spans[1:]):
-            mixed = b[block] >> np.uint64(32)
-            mixed ^= b[block]
-            key[block] += mixed @ weights[start:stop]
-    shift = np.uint64(max(rows - 1, 1).bit_length())
-    key >>= shift
-    key <<= shift
-    key |= np.arange(rows, dtype=np.uint64)
-    key.sort()
+    width = sum(b.shape[1] for b in bits)
     order = (key & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
     key >>= shift
     new = np.ones(rows, dtype=bool)

@@ -254,6 +254,22 @@ def test_certify_blocks_bit_equal_to_list_in_small_blocks(batch, monkeypatch):
     _assert_blocks_are_list(*case)
 
 
+def test_certify_stream_iterates_twice_with_the_same_blocks(monkeypatch):
+    # certification reads the stream twice, for the rows' keys and then for
+    # the rows: each iteration forms its blocks anew, random rows included,
+    # and both yield the same blocks, bit for bit
+    cfg, pts, decomp = _certify_case()
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    certify = _certify_vectors(cfg, pts, decomp)
+    once, again = list(certify), list(certify)
+    assert len(once) == len(again) > 30
+    assert cfg.certify_random >= len(once[-1])  # the last block holds random rows only
+    assert sum(map(len, once)) == len(certify)
+    for a, b in zip(once, again):
+        assert a is not b
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("cuts", [[], [1], [5, 6, 40], list(range(1, 40))])
 def test_random_rows_drawn_in_blocks_are_one_draw(cuts):
     # the certify stream draws its random rows a block at a time, which must

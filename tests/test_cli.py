@@ -13,7 +13,7 @@ import pytest
 
 import spiralglue as sg
 import spiralglue.cli
-from spiralglue.cli import main, parse_config
+from spiralglue.cli import main, parse_config, run_pipeline
 
 
 def _base_config(tmp_path, **overrides):
@@ -157,6 +157,17 @@ def test_run_adversarial_bank_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "BankExhausted"
+    # the report carries the exception's fields
+    with pytest.raises(sg.BankExhausted) as exc:
+        run_pipeline(parse_config(json.loads(path.read_text())))
+    assert exc.value.level == 1
+    assert report["failure"] == {
+        "level": exc.value.level,
+        "direction": exc.value.direction.tolist(),
+        "angle": exc.value.angle,
+        "achieved": exc.value.achieved,
+        "threshold": exc.value.threshold,
+    }
 
 
 def test_run_certification_failure_exits_nonzero(tmp_path):
@@ -172,6 +183,13 @@ def test_run_certification_failure_exits_nonzero(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "CertificationFailed"
+    # the report carries the exception's (map, index, ratio)
+    with pytest.raises(sg.CertificationFailed) as exc:
+        run_pipeline(parse_config(json.loads(path.read_text())))
+    failed = (exc.value.map_index, exc.value.vector_index, exc.value.ratio)
+    assert failed == (0, 0, 0.5)
+    assert report["failure"] == dict(zip(["map_index", "vector_index", "ratio"], failed))
+    assert report["error"] == str(exc.value)
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):
@@ -500,6 +518,24 @@ def test_placements_have_one_owner():
         )
 
 
+@pytest.mark.parametrize("rows", [[], [[1.0, 0.0, 0.0]]], ids=["none", "one"])
+@pytest.mark.parametrize("key", ["inline", "file"])
+def test_run_rejects_fewer_than_two_points_naming_key(tmp_path, capsys, monkeypatch, key, rows):
+    # such a point set used to run every stage up to the sweep, whose error
+    # named no key; an empty inline list failed on the shape of its array
+    count = len(rows)
+    if key == "file":
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"dim": 3, "norm": {"norm": "lp", "p": 1.0}, "points": rows}))
+        rows = str(points)
+    path, _ = _base_config(tmp_path, points={key: rows})
+    _forbid_pipeline(monkeypatch)
+    assert main(["run", "--config", str(path)]) == 2
+    message = f"config error: points.{key}: needs at least two points, got {count}\n"
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("key", ["inline", "file"])
 def test_run_rejects_seed_with_given_points(tmp_path, capsys, monkeypatch, key):
     # --seed used to be ignored in silence when no generator makes the points
@@ -684,7 +720,10 @@ def test_failed_run_leaves_existing_pairs_csv_untouched(tmp_path, capsys, monkey
     (tmp_path / "pairs.csv").write_bytes(old)
     before = set(tmp_path.iterdir())
     assert main(["run", "--config", str(path), "--tolerance", "0"]) == 1
-    assert "BoundViolated" in (tmp_path / "report.json").read_text()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "BoundViolated"
+    assert report["failure"]["name"] == "plateau_bracket"
+    assert f"slack {report['failure']['slack']!r}" in report["error"]
     assert capsys.readouterr().err.startswith("run failed: inequality 'plateau_bracket'")
     assert (tmp_path / "pairs.csv").read_bytes() == old
     # the failure report is the only new file

@@ -2,12 +2,12 @@
 
 `spaces.distinct_rows` must put two rows in one group only when every bit
 of them is equal, and gathering each group's first row back must give the
-input's bits. Certification groups a stream of rows a block at a time and
-then the blocks' first rows together, which must give the groups of one
-call on all rows. Certification and the row gain evaluate each
-distinct row once and must match `tests/oracles.py`, which evaluates every
-row (the row gain's bit-equality on repeated rows is held in
-`tests/test_batched.py`).
+input's bits. Certification keys a stream of rows in one pass and keeps
+each group's first row in a second, which must give the groups of one
+call on all rows, also when hashes collide. Certification and the row
+gain evaluate each distinct row once and must match `tests/oracles.py`,
+which evaluates every row (the row gain's bit-equality on repeated rows
+is held in `tests/test_batched.py`).
 """
 
 import math
@@ -169,6 +169,35 @@ def test_certify_rows_in_blocks_match_one_call_under_forced_collisions(case):
     # rows (zero rows among them) and in one call alike
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(0))
+        _check_certify_rows_in_blocks(*case)
+
+
+def _three_hashes(row_keys):
+    """row_keys with each row's hash cut to its value mod 3: rows of other
+    bits share a hash often, beside rows whose hashes still differ."""
+
+    def keys(blocks, rows):
+        key, shift = row_keys(blocks, rows)
+        index = key & ((np.uint64(1) << shift) - np.uint64(1))
+        key = ((key >> shift) % np.uint64(3)) << shift | index
+        key.sort()
+        return key, shift
+
+    return keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cut_rows())
+def test_certify_rows_in_blocks_match_one_call_under_partial_collisions(case):
+    # three hashes: several groups each, some split by collisions and some
+    # not, their first rows and splits interleaved within and across blocks;
+    # with 64-element batches the stream is read twice and its blocks are
+    # compared a few rows at a time
+    keys = _three_hashes(spiralglue.spaces.row_keys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", 64)
+        mp.setattr(spiralglue.spaces, "row_keys", keys)
+        mp.setattr(spiralglue.bank, "row_keys", keys)
         _check_certify_rows_in_blocks(*case)
 
 

@@ -111,11 +111,31 @@ def test_sweep_starts_without_certification_arrays(monkeypatch):
     assert seen["held"] - start < CERTIFY_ARRAY_BYTES
 
 
+def test_certification_holds_distinct_rows_and_a_few_bytes_per_row():
+    # certification reads the stream twice: it keys every row, then keeps
+    # the first row of each group. Its peak is the distinct rows (4107 of
+    # 11 608), 16 bytes per certify row for the keys and each row's group,
+    # and three batch budgets: the block being formed, a temporary of its
+    # forming, and the block compared. Grouping each block, then the
+    # blocks' first rows together (4869 rows, concatenated while the list
+    # of them was alive) peaked at about 1.34 MB, some 233 KB above the bound
+    cfg = _config(16, 2.0, 50, "plateau")
+    sched = sg.build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
+    pts = sg.generate_annular(7, sched, 50, 16, "plateau", cfg.source.norm)
+    certify = cli._certify_vectors(cfg, pts, sg.decompose(pts, sched))
+    (rows, first, norms), kept, peak = _traced(bank_module._certify_rows, cfg.source, certify)
+    assert (len(certify), len(rows)) == (11_608, 4107)
+    budget = 8 * sg.spaces.BATCH_ELEMENTS
+    assert peak <= rows.nbytes + 16 * len(certify) + 3 * budget
+    # what it returns holds the distinct rows, not the blocks' first rows
+    assert kept <= rows.nbytes + first.nbytes + norms.nbytes + budget
+
+
 def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):
     # with a pairs CSV the run used to hold the table of all 11 325 pairs
     # (0.92 MB) in the sweep and peak at 2.32 MB; the pairs are now spooled
-    # to a file, and the whole run, writes included, peaks at about 1.41 MB,
-    # in certification and in the sweep alike
+    # to a file, and the whole run, writes included, peaks at about 1.15 MB,
+    # in the sweep (certification peaks at about 1.0 MB above its start)
     cfg = {
         "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
         "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
