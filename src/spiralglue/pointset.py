@@ -153,9 +153,9 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     Each level is a few array passes. One mask of x rows against the shell
     gives the pairs in row-major order; their unit differences are formed in
     row blocks of at most BATCH_ELEMENTS elements into one array, whose
-    bitwise distinct rows `distinct_rows` numbers in order of first
-    occurrence. `_leaders` groups the distinct rows by sort-and-sweep on
-    their coordinate of widest spread; the leaders, in that order, are the
+    bitwise distinct rows `distinct_rows` keeps, as one block, in order of
+    first occurrence. `_leaders` groups the distinct rows by sort-and-sweep
+    on their coordinate of widest spread; the leaders, in that order, are the
     level's directions. The sorted distinct (direction, angle) pairs, its
     checks, are one sort of an integer key.
     """
@@ -184,12 +184,11 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
         for block in row_blocks(len(src), dim):
             diff = rows[src[block]] - rows[ys[block]]
             units[block] = diff / norms(pts.space, diff)[:, None]
-        take, keys = distinct_rows(units)
-        distinct = units[take]
+        distinct, _, group = distinct_rows([units], len(units), dim)
         del units
         lead = _leaders(distinct)
         is_leader = lead == np.arange(len(lead))
-        direction = (np.cumsum(is_leader) - 1)[lead][keys]
+        direction = (np.cumsum(is_leader) - 1)[lead][group]
         # the distinct (direction, angle) pairs, sorted, as one integer key of
         # the direction and the angle's rank (ramp angles are never NaN or -0.0)
         values, rank = np.unique(ramp_angle_log(sched, level, logs_here), return_inverse=True)
@@ -259,8 +258,8 @@ def generate_annular(
     placement selects the norm sub-region per level: "plateau" lands in
     [R_{i-1}, r_i], "ramp" in (r_i, R_i), "mixed" alternates. The origin is
     always included, as point id 0. Each point draws its log norm, then its
-    direction (drawn again while zero); the directions are normed in one
-    call and each row is scaled by math.exp(log norm - math.log(its norm)).
+    direction (drawn again while zero); the directions are scaled to their
+    norms in one at_log_norms call.
     """
     if per_level < 1:
         raise ValueError("per_level must be >= 1")
@@ -290,12 +289,16 @@ def generate_annular(
                 d = rng.standard_normal(dim)
             log_targets.append(log_target)
             rows[len(log_targets)] = d
-    drawn = rows[1:]
-    scale = [
-        math.exp(t - math.log(nd)) for t, nd in zip(log_targets, norms(space, drawn).tolist())
-    ]
-    drawn *= np.array(scale)[:, None]
+    rows[1:] = at_log_norms(space, log_targets, rows[1:])
     return make_point_set(space, rows)
+
+
+def at_log_norms(space: Space, logs, rows: np.ndarray) -> np.ndarray:
+    """Each nonzero row rescaled to the norm exp(log) of its entry in logs,
+    by the scalar factor math.exp(log - math.log(norm(row))): the one
+    rescaling rule of generated points and of sampled pairs."""
+    scale = [math.exp(t - math.log(n)) for t, n in zip(logs, norms(space, rows).tolist())]
+    return rows * np.array(scale)[:, None]
 
 
 def points_to_dict(pts: LocallyFiniteSet) -> dict:

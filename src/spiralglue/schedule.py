@@ -80,6 +80,9 @@ class RadiiSchedule:
         m = self.levels
         if m < 1 or lr.shape != (m,) or lR.shape != (m,):
             raise ValueError("log_r and log_R must both have length levels >= 1")
+        finite = np.isfinite(lr).all() and np.isfinite(lR).all()
+        if not (finite and math.isfinite(self.log_coverage)):
+            raise ValueError("log_r, log_R and log_coverage must be finite")
         eps, delta = self.params.eps, self.params.delta
         gap = -math.log(delta)
         for i in range(m):
@@ -100,10 +103,12 @@ def build_schedule(params: Params, r1: float, levels: int, margin: float = 0.01)
         raise ValueError(f"r1 must be a positive real, got {r1!r}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if margin < 0.0:
-        raise ValueError(f"margin must be >= 0, got {margin!r}")
+    if not (margin >= 0.0 and math.isfinite(margin)):
+        raise ValueError(f"margin must be a finite real >= 0, got {margin!r}")
     ramp = HALF_PI / params.eps
     step = math.log((1.0 + margin) / params.delta)
+    if not math.isfinite(step):
+        raise ValueError(f"margin {margin!r} makes the level step infinite")
     log_r = np.empty(levels)
     log_R = np.empty(levels)
     log_r[0] = math.log(r1)

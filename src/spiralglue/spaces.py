@@ -47,18 +47,19 @@ full-width buffer, whose passes run on the union's columns. Outside a
 term's hull the full-width sum adds c*0, which changes at most the sign of
 a zero, and abs removes it.
 
-`distinct_rows` groups rows by bit pattern, exactly, so that a caller can
-evaluate each distinct row once and gather the results back: decompose
-groups a level's unit differences with it. Its keys (`row_keys`) can be
-formed a block at a time: certification, which images each distinct
-nonzero certify row once per map, keys a `RowBlocks` stream in one pass
-and keeps each group's first row in a second (see `bank._certify_rows`),
-and neither pass holds more than a block of rows. The sweep hashes no
-rows: its repeated sandwich rows are those of one point (x/|x| at the
-ramp angle of x, y/|y| at a clamped angle), whose gains it keeps in
-per-point tables (see `verify._sandwich`). `direction_gain` itself does
-not group: selection's level checks never repeat a row. Every kernel here
-is row-wise, so the gathered values are the bits of evaluating every row.
+`distinct_rows` is the one exact grouping of rows by bit pattern, so that
+a caller can evaluate each distinct row once and gather the results back.
+It reads a stream of row blocks twice: pass 1 keys every row (`row_keys`)
+and pass 2 keeps each group's first row and each row's group, and neither
+pass holds more than a block of rows. Decompose groups a level's unit
+differences with it as one block; certification groups a `RowBlocks`
+stream of certify rows and images each distinct nonzero row once per map
+(see `bank._certify_rows`). The sweep hashes no rows: its repeated
+sandwich rows are those of one point (x/|x| at the ramp angle of x, y/|y|
+at a clamped angle), whose gains it keeps in per-point tables (see
+`verify._sandwich`). `direction_gain` itself does not group: selection's
+level checks never repeat a row. Every kernel here is row-wise, so the
+gathered values are the bits of evaluating every row.
 """
 
 from __future__ import annotations
@@ -111,41 +112,36 @@ class RowBlocks:
         return iter(self.blocks())
 
 
-# the odd multiplier of distinct_rows' hash (the 64-bit golden ratio); column
-# j of a row is weighted by its (j + 1)-th power
+# the odd multiplier of row_keys' hash (the 64-bit golden ratio); column j of
+# a row is weighted by its (j + 1)-th power
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def row_keys(blocks, rows: int) -> tuple[np.ndarray, np.uint64]:
     """The sorted keys by which distinct_rows groups `rows` rows, given a
-    block at a time, and the number of low bits holding the row index.
+    block at a time as 2-d float arrays in row order, and the number of low
+    bits holding the row index.
 
-    Each block of `blocks` is a sequence of equal-length 1-d or 2-d float
-    arrays, whose i-th rows together make the block's i-th row; the blocks
-    follow each other in row order. Each row's bits are folded into a hash
-    (each column's bits xored with their high half, times the column's
-    power of _HASH_MULTIPLIER, summed), whose top bits, with the row index
-    in the low `shift` bits, make the row's key. Sorted, the keys order the
-    rows by hash and, within a hash, by index. Rows are hashed in row
-    blocks, so the only array of one entry per row is the keys."""
-    key = np.zeros(rows, dtype=np.uint64)
+    Each row's bits are folded into a hash (each column's bits xored with
+    their high half, times the column's power of _HASH_MULTIPLIER, summed),
+    whose top bits, with the row index in the low `shift` bits, make the
+    row's key. Sorted, the keys order the rows by hash and, within a hash,
+    by index. Rows are hashed in row blocks, so the only array of one entry
+    per row is the keys."""
+    key = np.empty(rows, dtype=np.uint64)
     start, weights = 0, None
-    for tables in blocks:
-        bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
-        count = len(bits[0])
+    for block in blocks:
+        bits = block.view(np.uint64)
         if weights is None:
-            weights = np.cumprod(np.full(sum(b.shape[1] for b in bits), _HASH_MULTIPLIER))
-        into = key[start : start + count]
-        if len(into) != count:
+            weights = np.cumprod(np.full(bits.shape[1], _HASH_MULTIPLIER))
+        into = key[start : start + len(bits)]
+        if len(into) != len(bits):
             raise ValueError(f"blocks hold more than {rows} rows")
-        for block in row_blocks(count, 2 * len(weights)):
-            col = 0
-            for b in bits:
-                mixed = b[block] >> np.uint64(32)
-                mixed ^= b[block]
-                into[block] += mixed @ weights[col : col + b.shape[1]]
-                col += b.shape[1]
-        start += count
+        for part in row_blocks(len(bits), 2 * len(weights)):
+            mixed = bits[part] >> np.uint64(32)
+            mixed ^= bits[part]
+            into[part] = mixed @ weights
+        start += len(bits)
     if start != rows:
         raise ValueError(f"blocks hold {start} rows, not {rows}")
     shift = np.uint64(max(rows - 1, 1).bit_length())
@@ -157,51 +153,122 @@ def row_keys(blocks, rows: int) -> tuple[np.ndarray, np.uint64]:
     return key, shift
 
 
-def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of equal-length 1-d or 2-d float arrays by bit pattern.
+def distinct_rows(blocks, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group `rows` rows of width `dim` by bit pattern. `blocks` yields them
+    in row order as 2-d float arrays; it is iterated twice, and each
+    iteration must yield the same rows.
 
-    Row i is the concatenation of row i of every array. Returns (take,
-    inverse): take holds the first row of each group, ascending, and
-    inverse[i] the group of row i, so that each array's `a[take][inverse]`
-    has the bits of `a`. Rows of one group have equal bits in every column
-    (so -0.0 and 0.0, and NaNs of different payloads, stay apart).
+    Returns (kept, take, group): kept[g] has the bits of group g's first
+    row, take[g] is that row's index (ascending), and group[i] is row i's
+    group, so that kept[group] has the bits of the rows. Rows of one group
+    have equal bits in every column (so -0.0 and 0.0, and NaNs of different
+    payloads, stay apart). take and group are in the narrowest signed
+    integers that hold a row index.
 
-    The rows are sorted by their keys (row_keys): by hash and, within a
-    hash, by index. A row joins its predecessor's group only when the bits
-    of the two rows are equal, so a collision costs a missed merge, never a
-    wrong group. Rows are hashed and compared in row blocks, so the extra
-    memory is a few arrays of one entry per row."""
-    tables = [np.ascontiguousarray(a, dtype=float) for a in arrays]
-    rows = len(tables[0])
-    if any(t.ndim not in (1, 2) or len(t) != rows for t in tables):
-        raise ValueError("distinct_rows needs 1-d or 2-d arrays of equal length")
-    key, shift = row_keys([tables], rows)
-    bits = [(t if t.ndim == 2 else t[:, None]).view(np.uint64) for t in tables]
-    # each row's bits as one item: a gather of items copies one block per row
-    items = [b.view(f"V{8 * b.shape[1]}")[:, 0] for b in bits]
-    width = sum(b.shape[1] for b in bits)
-    order = (key & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
-    key >>= shift
-    new = np.ones(rows, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    # only a row whose hash equals its predecessor's may join its group
-    ties = np.flatnonzero(~new)
-    for block in row_blocks(len(ties), 2 * width):
-        at = ties[block]
-        here, before = order[at], order[at - 1]
-        differ = np.zeros(len(at), dtype=bool)
-        for b, item in zip(bits, items):
-            unequal = item[here].view(np.uint64) != item[before].view(np.uint64)
-            # a boolean matrix-vector product is the row-wise any
-            differ |= unequal.reshape(len(at), b.shape[1]) @ np.ones(b.shape[1], dtype=bool)
-        new[at] = differ
-    # number the groups by their first rows, which the sort put first
-    heads = order[new]
-    first = np.zeros(rows, dtype=bool)
-    first[heads] = True
-    inverse = np.empty(rows, dtype=np.intp)
-    inverse[order] = (np.cumsum(first) - 1)[heads][np.cumsum(new) - 1]
-    return np.flatnonzero(first), inverse
+    Pass 1 keys every row (row_keys) and sorts the keys once; each row's
+    predecessor in that order, the row before it of its hash, gives its
+    provisional group (_hash_heads). Pass 2 forms the blocks anew, copies
+    each hash's first row into kept, and checks every other row bit for bit
+    against the kept row of its predecessor's group (_first_mismatch). A
+    mismatch is a hash collision: the row then starts a group of its own,
+    so a collision costs a missed merge, never a wrong group. Pass 2 settles
+    the rows in blocks of row_blocks, so that a collision leaves at most a
+    block to settle row by row, and writes each row's group over its entry
+    of pass 1's array of hash heads. Neither pass holds more than a block
+    of rows beside the keys, the kept rows and group."""
+
+    def stream():
+        for block in blocks:
+            block = as_rows(block, dim)
+            for part in row_blocks(len(block), dim):
+                yield block[part]
+
+    key, shift = row_keys(stream(), rows)
+    head, groups = _hash_heads(key, shift)
+    del key
+    kept = np.empty((groups, dim))
+    take = np.empty(groups, dtype=head.dtype)
+    # the current group of each run of equal hashes that a collision split,
+    # by the run's first row: the group of the run's latest row
+    split = {}
+    start = done = 0
+    for block in stream():
+        stop = start + len(block)
+        heads = head[start:stop]
+        at = np.flatnonzero(heads < 0)
+        late = np.flatnonzero(np.isin(heads, list(split))) if split else at[:0]
+        # groups are numbered in order of their first rows; a first row's
+        # entry of head, read by the later rows of its hash, holds its group
+        fresh = done + len(at)
+        heads[at] = np.arange(done, fresh)
+        np.take(block, at, axis=0, out=kept[done:fresh])
+        take[done:fresh] = at + start
+        own = head[heads]
+        own[at] = heads[at]
+        own[late] = [split[r] for r in heads[late].tolist()]
+        bad = _first_mismatch(block, kept, own)
+        if bad is not None:
+            # a hash collision: settle the rest of the block row by row,
+            # numbering the groups its rows start in row order
+            firsts = set(at.tolist())
+            fresh = done + int(np.searchsorted(at, bad))
+            for i in range(bad, len(block)):
+                if i not in firsts:
+                    run = int(heads[i])
+                    g = split.get(run, head[run])
+                    if np.array_equal(block[i].view(np.uint64), kept[g].view(np.uint64)):
+                        own[i] = g
+                        continue
+                    # one group more than pass 1 counted: grown in place (no
+                    # view of these arrays is alive here), without a copy
+                    kept.resize((len(kept) + 1, dim), refcheck=False)
+                    take.resize(len(kept), refcheck=False)
+                    split[run] = fresh
+                heads[i] = own[i] = fresh
+                kept[fresh] = block[i]
+                take[fresh] = start + i
+                fresh += 1
+        heads[:] = own
+        start, done = stop, fresh
+        del heads, own  # not alive while the next block is formed
+    return kept, take, head
+
+
+def _hash_heads(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, int]:
+    """From the sorted keys of row_keys: (head, groups), the first row of
+    each row's hash (the first of its run of equal hashes in key order, where
+    rows of one hash follow in row order), -1 for that first row itself, and
+    the number of hashes. The keys are read in row blocks; head, in the
+    narrowest signed integers that hold every row index and -1, is the only
+    array of one entry per row."""
+    index_bits = (np.uint64(1) << shift) - np.uint64(1)
+    head = np.empty(len(key), dtype=np.min_scalar_type(-len(key)))
+    groups, last, run_head = 0, None, 0
+    for block in row_blocks(len(key), 1):
+        hashes = key[block] >> shift
+        new = np.empty(len(hashes), dtype=bool)
+        new[0] = last is None or hashes[0] != last
+        np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
+        at = (key[block] & index_bits).view(np.intp)
+        # runs[j] numbers the runs that start in the block up to j; 0 is
+        # the run that the block continues
+        runs = np.cumsum(new)
+        run_heads = np.append(run_head, at[new])
+        head[at] = run_heads[runs]
+        head[at[new]] = -1
+        groups += int(runs[-1])
+        last, run_head = hashes[-1], run_heads[-1]
+    return head, groups
+
+
+def _first_mismatch(block: np.ndarray, kept: np.ndarray, own: np.ndarray):
+    """The first row of block whose bits differ from those of its kept row
+    kept[own], or None; compared in row blocks."""
+    for rows in row_blocks(len(block), 2 * block.shape[1]):
+        unequal = block[rows].view(np.uint64) != np.take(kept, own[rows], axis=0).view(np.uint64)
+        if unequal.any():
+            return rows.start + int(np.argmax(unequal.any(axis=1)))
+    return None
 
 
 def cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:

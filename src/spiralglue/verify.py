@@ -18,7 +18,7 @@ import numpy as np
 from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
-from .pointset import LocallyFiniteSet, classify_levels, level_intervals, pair_blocks
+from .pointset import LocallyFiniteSet, at_log_norms, classify_levels, level_intervals, pair_blocks
 from .schedule import (
     HALF_PI,
     Params,
@@ -779,8 +779,8 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
         for (b, level), pairs in draws.items():
             g = GlueEmbedding(sched, banks[b], sel)
             lx, ly, dx, dy = zip(*pairs)
-            x = _at_log_norms(g.source, lx, np.array(dx))
-            y = _at_log_norms(g.source, ly, np.array(dy))
+            x = at_log_norms(g.source, lx, np.array(dx))
+            y = at_log_norms(g.source, ly, np.array(dy))
             nx = norms(g.source, x)
             diff = x - y
             ndiff = norms(g.source, diff)
@@ -799,10 +799,3 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
             residuals = blend_decomposition_residual(g, level, x, y)
             worst_res = max(worst_res, float(np.max(residuals)))
     return FuzzReport(n_pairs, worst_lo, worst_hi, worst_res)
-
-
-def _at_log_norms(space: Space, logs, rows: np.ndarray) -> np.ndarray:
-    """Each row rescaled to the norm exp(log) of its entry in logs, by the
-    scalar factor math.exp(log - math.log(norm(row)))."""
-    scale = [math.exp(t - math.log(n)) for t, n in zip(logs, norms(space, rows).tolist())]
-    return rows * np.array(scale)[:, None]

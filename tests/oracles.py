@@ -5,7 +5,8 @@ blend, level map and decomposition residual, the row norms with every
 elementwise pass over every column, the decompose that scans every
 direction found so far for each distinct unit difference, and the
 certification and row gain that evaluate every row, repeats included, and
-the generated banks' dense matrices. The pipeline uses
+the generated banks' dense matrices; `directions_bytes` gives the bytes by
+which two decompositions are compared. The pipeline uses
 `pointset.classify_levels` on arrays of level intervals,
 `schedule.ramp_angle_log` and `schedule.sandwich_angles_log` on log radii,
 the row kernels `spaces.norms`, `spaces.apply` and `spaces.blend_apply`,
@@ -15,8 +16,9 @@ which holds a norm that ends in a sum or a max on the union of the hulls
 alone and sums it over the leaves of numpy's pairwise tree that the union
 meets, a decompose that groups its unit differences by bit pattern
 with `spaces.distinct_rows` and the directions by sort-and-sweep instead,
-and a certification and row gain that evaluate each distinct row once
-(`spaces.distinct_rows`), and maps built from their nonzero band alone
+a certification that evaluates each distinct row once (the groups of
+`spaces.distinct_rows` of positive norm), a row gain whose callers pass
+each row once, and maps built from their nonzero band alone
 (`LinearMap.from_band`).
 """
 
@@ -247,6 +249,16 @@ def blend_decomposition_residual_scalar(g, level: int, x, y) -> float:
         math.cos(theta), math.sin(theta), first, second, y
     )
     return norm(g.target, lhs - rhs) / (nx + ny)
+
+
+def directions_bytes(decomp):
+    """Per level, the direction rows' shape and bytes and the bytes of the
+    checks' direction and angle arrays: two decompositions agree bit for bit
+    when these do."""
+    return [
+        (units.shape, units.tobytes(), direction.tobytes(), angle.tobytes())
+        for units, (direction, angle) in zip(decomp.directions, decomp.checks)
+    ]
 
 
 def decompose_first_match(pts, sched) -> AnnulusDecomposition:

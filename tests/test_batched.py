@@ -65,6 +65,7 @@ from oracles import (
     blend_apply_scalar,
     decompose_first_match,
     direction_gain_all_rows,
+    directions_bytes,
     leaders_scan,
     norm_scalar,
     norms_full_width,
@@ -335,15 +336,6 @@ def decompose_scan(pts, sched):
     return tuple(members), tuple(dirs)
 
 
-def _directions_bytes(decomp):
-    """Per level, the direction rows' shape and bytes and the bytes of the
-    checks' direction and angle arrays."""
-    return [
-        (units.shape, units.tobytes(), direction.tobytes(), angle.tobytes())
-        for units, (direction, angle) in zip(decomp.directions, decomp.checks)
-    ]
-
-
 def _assert_decompositions_agree(pts, sched):
     dec = sg.decompose(pts, sched)
     members, dirs = decompose_scan(pts, sched)
@@ -358,7 +350,7 @@ def _assert_decompositions_agree(pts, sched):
     # the sort-and-sweep grouping reproduces the per-difference loop bit for bit
     want = decompose_first_match(pts, sched)
     assert dec.member_ids == want.member_ids
-    assert _directions_bytes(dec) == _directions_bytes(want)
+    assert directions_bytes(dec) == directions_bytes(want)
     for units, (direction, angle) in zip(dec.directions, dec.checks):
         assert units.shape == (len(units), pts.space.dim)
         assert not (units.flags.writeable or direction.flags.writeable or angle.flags.writeable)
@@ -396,7 +388,7 @@ def test_decompose_matches_first_match_at_481_points(wide_ws):
     dec = sg.decompose(pts, wide_ws)
     want = decompose_first_match(pts, wide_ws)
     assert dec.member_ids == want.member_ids
-    assert _directions_bytes(dec) == _directions_bytes(want)
+    assert directions_bytes(dec) == directions_bytes(want)
 
 
 def test_decompose_matches_first_match_in_a_coordinate_plane(wide_ws):
@@ -407,14 +399,14 @@ def test_decompose_matches_first_match_in_a_coordinate_plane(wide_ws):
     coords[:, 0] = 0.0
     pts = sg.make_point_set(pts.space, coords)
     dec = sg.decompose(pts, wide_ws)
-    assert _directions_bytes(dec) == _directions_bytes(decompose_first_match(pts, wide_ws))
+    assert directions_bytes(dec) == directions_bytes(decompose_first_match(pts, wide_ws))
 
 
 def test_decompose_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
     # every array of differences decompose forms is blocked: only the point
     # norms, the 1-d per-difference columns and the distinct rows are not
     g, pts, _ = l1_pipeline
-    want = _directions_bytes(decompose_first_match(pts, g.schedule))
+    want = directions_bytes(decompose_first_match(pts, g.schedule))
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     sizes = []
 
@@ -428,7 +420,7 @@ def test_decompose_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
     assert sizes and max(sizes) <= 64
     # the running dedup and the grouping hold across many blocks
     assert len(sizes) > 3 * len(dec.directions) // 2
-    assert _directions_bytes(dec) == want
+    assert directions_bytes(dec) == want
 
 
 _HALF_TOL = _DIR_TOL / 2

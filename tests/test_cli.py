@@ -569,6 +569,19 @@ def test_gen_points_rejects_negative_seed_naming_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["weights", "gen-points"])
+@pytest.mark.parametrize("levels", ["1", "3"])
+def test_non_finite_margin_exits_2_naming_margin(tmp_path, capsys, command, levels):
+    # at one level a NaN margin used to write a file, since its coverage
+    # passed every radius; at more, the error named log_r
+    out = tmp_path / "out.file"
+    assert main([command, "--levels", levels, "--margin", "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: margin must be a finite real >= 0, got nan\n")
+    assert main([command, "--levels", levels, "--margin", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: margin 1e+308 makes the level step")
+    assert not out.exists()
+
+
 def test_run_times_each_stage(tmp_path):
     path, _ = _base_config(tmp_path)
     assert main(["run", "--config", str(path)]) == 0

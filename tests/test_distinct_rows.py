@@ -1,13 +1,15 @@
-"""Exact grouping of rows by bit pattern, and the two kernels built on it.
+"""Exact grouping of rows by bit pattern, and the kernels built on it.
 
-`spaces.distinct_rows` must put two rows in one group only when every bit
-of them is equal, and gathering each group's first row back must give the
-input's bits. Certification keys a stream of rows in one pass and keeps
-each group's first row in a second, which must give the groups of one
-call on all rows, also when hashes collide. Certification and the row
-gain evaluate each distinct row once and must match `tests/oracles.py`,
-which evaluates every row (the row gain's bit-equality on repeated rows
-is held in `tests/test_batched.py`).
+`spaces.distinct_rows` reads a stream of row blocks twice: it keys every
+row in one pass and keeps each group's first row in a second. It must put
+two rows in one group only when every bit of them is equal, give the
+groups of one block however the rows are cut into blocks, also when hashes
+collide, and keep each group's first row with its bits. Decompose groups
+its unit differences with it, and must find the directions of
+`tests/oracles.py` through any collision. Certification keeps the groups of
+positive norm, and certification and the row gain evaluate each distinct
+row once and must match `tests/oracles.py`, which evaluates every row (the
+row gain's bit-equality on repeated rows is held in `tests/test_batched.py`).
 """
 
 import math
@@ -19,12 +21,18 @@ from hypothesis import strategies as st
 
 import spiralglue as sg
 import spiralglue.bank
+import spiralglue.pointset
 import spiralglue.spaces
 from spiralglue.errors import CertificationFailed
 from spiralglue.bank import _certify_rows
 from spiralglue.spaces import RowBlocks, distinct_rows, norms, row_blocks
 
-from oracles import certify_all_rows, direction_gain_all_rows
+from oracles import (
+    certify_all_rows,
+    decompose_first_match,
+    direction_gain_all_rows,
+    directions_bytes,
+)
 
 # floats whose bits tell apart what == does not: signed zeros, NaNs of
 # different payloads and signs, and infinities
@@ -42,72 +50,65 @@ _SPECIAL = [
 _FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(-3.0, 3.0))
 
 
-def _bits(a) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    return (a if a.ndim == 2 else a[:, None]).view(np.uint64)
-
-
 @st.composite
 def _row_arrays(draw, max_rows=40):
-    """One to three equal-length arrays (1-d or 2-d), their rows drawn from
-    a small pool so that rows repeat."""
-    widths = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=3))
-    total = sum(max(w, 1) for w in widths)
+    """One 2-d array of one to four columns, its rows drawn from a small
+    pool so that rows repeat."""
+    width = draw(st.integers(1, 4))
     pool = draw(
         st.lists(
-            st.lists(_FLOATS, min_size=total, max_size=total), min_size=1, max_size=5
+            st.lists(_FLOATS, min_size=width, max_size=width), min_size=1, max_size=5
         )
     )
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_rows))
-    rows = np.array([pool[k] for k in picks], dtype=float).reshape(len(picks), total)
-    arrays, start = [], 0
-    for w in widths:
-        part = rows[:, start : start + max(w, 1)]
-        arrays.append(np.ascontiguousarray(part[:, 0] if w == 0 else part))
-        start += max(w, 1)
-    return arrays
+    return np.array([pool[k] for k in picks], dtype=float).reshape(len(picks), width)
 
 
-def _row_keys(arrays) -> list[bytes]:
+def _row_keys(X) -> list[bytes]:
     """Each row's bits, as bytes."""
-    bits = np.concatenate([_bits(a) for a in arrays], axis=1)
-    return [row.tobytes() for row in bits]
+    return [row.tobytes() for row in X.view(np.uint64)]
 
 
-def _check_groups(arrays, take, inverse, merged: bool):
-    keys = _row_keys(arrays)
+def _grouped(X):
+    """distinct_rows on the rows of X as one block."""
+    return distinct_rows([X], len(X), X.shape[1])
+
+
+def _check_groups(X, kept, take, group, merged: bool):
+    keys = _row_keys(X)
     n = len(keys)
-    assert take.shape == (len(take),) and inverse.shape == (n,)
-    # take is ascending, each group's first row, and gathers every array back
+    assert take.shape == (len(take),) and group.shape == (n,)
+    assert kept.shape == (len(take), X.shape[1])
+    # take is ascending, each group's first row, kept holds their bits, and
+    # gathering kept by group gives every row's bits back
     assert np.all(np.diff(take) > 0)
-    assert inverse[take].tolist() == list(range(len(take)))
-    assert all(take[inverse[i]] <= i for i in range(n))
-    for a in arrays:
-        assert _bits(np.asarray(a)[take][inverse]).tobytes() == _bits(a).tobytes()
+    assert group[take].tolist() == list(range(len(take)))
+    assert all(take[group[i]] <= i for i in range(n))
+    assert kept.view(np.uint64).tobytes() == X[take].view(np.uint64).tobytes()
+    assert kept[group].view(np.uint64).tobytes() == X.view(np.uint64).tobytes()
     # one group holds one bit pattern; with merged, one bit pattern one group
     for i in range(n):
-        assert keys[i] == keys[take[inverse[i]]]
+        assert keys[i] == keys[take[group[i]]]
     if merged:
         assert len(take) == len(set(keys))
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays=_row_arrays())
-def test_distinct_rows_groups_by_bit_pattern(arrays):
-    take, inverse = distinct_rows(*arrays)
-    _check_groups(arrays, take, inverse, merged=True)
+@given(X=_row_arrays())
+def test_distinct_rows_groups_by_bit_pattern(X):
+    _check_groups(X, *_grouped(X), merged=True)
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays=_row_arrays())
-def test_distinct_rows_exact_under_forced_collisions(arrays):
+@given(X=_row_arrays())
+def test_distinct_rows_exact_under_forced_collisions(X):
     # with the multiplier 0 every row hashes to 0: the grouping then rests on
     # the bit comparison alone, and only consecutive repeats merge
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(0))
-        take, inverse = distinct_rows(*arrays)
-    _check_groups(arrays, take, inverse, merged=False)
-    keys = _row_keys(arrays)
+        kept, take, group = _grouped(X)
+    _check_groups(X, kept, take, group, merged=False)
+    keys = _row_keys(X)
     runs = 1 + sum(a != b for a, b in zip(keys, keys[1:])) if keys else 0
     assert len(take) == runs
 
@@ -144,7 +145,7 @@ def _check_certify_rows_in_blocks(X, cuts):
         with pytest.raises(ValueError, match="nonzero"):
             _certify_rows(source, _stream(X, cuts))
         return
-    take, _ = distinct_rows(X)
+    _, take, _ = _grouped(X)
     take = take[nonzero[take]]
     rows, first, source_norms = _certify_rows(source, _stream(X, cuts))
     assert first.tolist() == (np.cumsum(nonzero) - 1)[take].tolist()
@@ -193,28 +194,73 @@ def test_certify_rows_in_blocks_match_one_call_under_partial_collisions(case):
     # not, their first rows and splits interleaved within and across blocks;
     # with 64-element batches the stream is read twice and its blocks are
     # compared a few rows at a time
-    keys = _three_hashes(spiralglue.spaces.row_keys)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", 64)
-        mp.setattr(spiralglue.spaces, "row_keys", keys)
-        mp.setattr(spiralglue.bank, "row_keys", keys)
+        mp.setattr(spiralglue.spaces, "row_keys", _three_hashes(spiralglue.spaces.row_keys))
         _check_certify_rows_in_blocks(*case)
 
 
+# the spaces attribute patched, and its value
+_COLLISIONS = {
+    "one-hash": ("_HASH_MULTIPLIER", np.uint64(0)),
+    "three-hashes": ("row_keys", _three_hashes(spiralglue.spaces.row_keys)),
+}
+
+
+@pytest.mark.parametrize("collision", sorted(_COLLISIONS))
+@pytest.mark.parametrize(
+    "dim, p, placement", [(3, 1.0, "mixed"), (16, 2.0, "plateau"), (2, 2.0, "mixed")]
+)
+def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wide_ws):
+    # with one hash for every row, or three, rows of other bits share a hash
+    # and the grouping rests on the bit comparison: decompose still finds
+    # the directions and checks of the unpatched run and of the oracle, and
+    # distinct_rows gives its unit differences the groups of one block
+    # however they are cut
+    pts = sg.generate_annular(7, wide_ws, 8, dim, placement, sg.Lp(p))
+    want = directions_bytes(sg.decompose(pts, wide_ws))
+    assert want == directions_bytes(decompose_first_match(pts, wide_ws))
+    seen = []
+
+    def recorded(blocks, rows, width):
+        seen.extend(blocks)
+        return distinct_rows(blocks, rows, width)
+
+    name, value = _COLLISIONS[collision]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.spaces, name, value)
+        mp.setattr(spiralglue.pointset, "distinct_rows", recorded)
+        assert directions_bytes(sg.decompose(pts, wide_ws)) == want
+        # four distinct rows among three hashes, or two among one, collide
+        assert any(len(set(_row_keys(units))) >= 4 for units in seen)
+        for units in seen:
+            kept, take, group = _grouped(units)
+            for size in (1, 2, 3, 5):
+                blocks = [units[lo : lo + size] for lo in range(0, len(units), size)]
+                got = distinct_rows(blocks, len(units), dim)
+                assert got[1].tolist() == take.tolist()
+                assert got[2].tolist() == group.tolist()
+                assert got[0].tobytes() == kept.tobytes()
+
+
 def test_distinct_rows_edge_cases():
-    empty_take, empty_inverse = distinct_rows(np.empty(0), np.empty((0, 3)))
-    assert empty_take.shape == empty_inverse.shape == (0,)
-    take, inverse = distinct_rows(np.array([[1.0, -0.0]]))
-    assert take.tolist() == [0] and inverse.tolist() == [0]
-    same = np.tile([0.5, -2.0], (7, 1))
-    take, inverse = distinct_rows(same, np.full(7, math.pi))
-    assert take.tolist() == [0] and inverse.tolist() == [0] * 7
+    kept, take, group = _grouped(np.empty((0, 3)))
+    assert kept.shape == (0, 3) and take.shape == group.shape == (0,)
+    kept, take, group = _grouped(np.array([[1.0, -0.0]]))
+    assert take.tolist() == [0] and group.tolist() == [0]
+    assert kept.view(np.uint64).tolist() == [[np.float64(1.0).view(np.uint64), 1 << 63]]
+    kept, take, group = _grouped(np.tile([0.5, -2.0, math.pi], (7, 1)))
+    assert take.tolist() == [0] and group.tolist() == [0] * 7
     # -0.0 and 0.0 compare equal but stay apart; NaN payloads too
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(float)
-    take, inverse = distinct_rows(np.array([0.0, -0.0, 0.0, nans[0], nans[1], nans[0]]))
-    assert take.tolist() == [0, 1, 3, 4] and inverse.tolist() == [0, 1, 0, 2, 3, 2]
-    with pytest.raises(ValueError, match="equal length"):
-        distinct_rows(np.zeros(3), np.zeros((2, 2)))
+    X = np.array([0.0, -0.0, 0.0, nans[0], nans[1], nans[0]])[:, None]
+    kept, take, group = _grouped(X)
+    assert take.tolist() == [0, 1, 3, 4] and group.tolist() == [0, 1, 0, 2, 3, 2]
+    # a stream of another row count than it claims
+    with pytest.raises(ValueError, match="blocks hold 3 rows, not 4"):
+        distinct_rows([np.zeros((1, 2)), np.ones((2, 2))], 4, 2)
+    with pytest.raises(ValueError, match="blocks hold more than 2 rows"):
+        distinct_rows([np.zeros((1, 2)), np.ones((2, 2))], 2, 2)
 
 
 # ---------------------------------------------------------------- certification

@@ -144,6 +144,31 @@ def test_generator_overflow_guard():
         sg.generate_annular(1, sched, 2, 2, "ramp")
 
 
+def test_at_log_norms_is_the_generator_and_fuzz_rescaling(small_ws, monkeypatch):
+    # one rule scales a row to the norm exp(log): the scalar factor
+    # math.exp(log - math.log(norm)), applied to the row
+    space = sg.Space(3, sg.Lp(1.0))
+    rows = np.random.default_rng(2).standard_normal((6, 3))
+    logs = np.linspace(-2.0, 40.0, 6).tolist()
+    want = np.array(
+        [row * math.exp(t - math.log(sg.norm(space, row))) for t, row in zip(logs, rows)]
+    )
+    assert sg.pointset.at_log_norms(space, logs, rows).tobytes() == want.tobytes()
+    # the generator and the pair fuzz both rescale through it
+    calls, rescale = [], sg.pointset.at_log_norms
+
+    def counted(*args):
+        calls.append(args[1])
+        return rescale(*args)
+
+    monkeypatch.setattr(sg.pointset, "at_log_norms", counted)
+    monkeypatch.setattr(sg.verify, "at_log_norms", counted)
+    sg.generate_annular(3, small_ws, 2, 3, "mixed", sg.Lp(1.0))
+    assert len(calls) == 1 and len(calls[0]) == 6
+    sg.verify.fuzz_pair_inequalities(3, 5)
+    assert len(calls) > 1
+
+
 def test_classify_same_level(small_ws):
     sched = small_ws
     space = sg.Space(2, sg.Lp(2.0))

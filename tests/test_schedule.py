@@ -50,6 +50,16 @@ def test_build_validates_arguments():
         sg.build_schedule(params, 1.0, 3, margin=-0.5)
 
 
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("margin", [math.nan, math.inf, 1e308])
+def test_build_rejects_margin_with_non_finite_step(levels, margin):
+    # a NaN or infinite level step used to give one level a NaN or infinite
+    # coverage, which every radius passed, and more levels a message about
+    # log_r that does not name the margin
+    with pytest.raises(ValueError, match="^margin "):
+        sg.build_schedule(sg.Params(0.01, 0.01, 0.01, 0.01), 1.0, levels, margin)
+
+
 def test_radii_overflow_guard():
     # five ramps at eps = 0.01 push log R_5 past ln(float max) ~ 709.8
     sched = sg.build_schedule(sg.Params(0.01, 0.01, 0.01, 0.01), 1.0, 5)
@@ -74,6 +84,18 @@ def test_schedule_invariants_rejected():
         bad_r = good.log_r.copy()
         bad_r[1] = good.log_R[0] + 0.1 * math.log(1.0 / params.delta)
         sg.RadiiSchedule(2, bad_r, good.log_R, good.log_coverage, params)
+
+
+@pytest.mark.parametrize("field", ["log_r", "log_R", "log_coverage"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_schedule_rejects_non_finite_radii(small_ws, field, value):
+    d = sg.schedule_to_dict(small_ws)
+    if field == "log_coverage":
+        d[field] = value
+    else:
+        d[field] = [value, *d[field][1:]]
+    with pytest.raises(ValueError, match="must be finite"):
+        sg.schedule_from_dict(d)
 
 
 def test_ramp_angle_clamps(small_ws):
