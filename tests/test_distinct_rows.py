@@ -7,9 +7,9 @@ groups of one block however the rows are cut into blocks, also when hashes
 collide, and keep each group's first row with its bits. Decompose groups
 its unit differences with it, and must find the directions of
 `tests/oracles.py` through any collision. Certification keeps the groups of
-positive norm, and certification and the row gain evaluate each distinct
-row once and must match `tests/oracles.py`, which evaluates every row (the
-row gain's bit-equality on repeated rows is held in `tests/test_batched.py`).
+positive norm and evaluates each distinct row once; it and the row gain
+must match `tests/oracles.py`, which evaluates every row (the row gain's
+bit-equality on repeated rows is held in `tests/test_batched.py`).
 """
 
 import math
