@@ -54,6 +54,7 @@ from .schedule import (
     Params,
     RadiiSchedule,
     build_schedule,
+    level_step,
     schedule_to_dict,
     weight_grid,
 )
@@ -186,6 +187,19 @@ def _real(rule: str, holds):
     return convert
 
 
+def _margin(delta: float):
+    """A converter of schedule.margin: a real >= 0 whose level step at delta
+    is finite."""
+    real = _real(">= 0", lambda v: v >= 0.0)
+
+    def convert(value) -> float:
+        margin = real(value)
+        level_step(delta, margin)
+        return margin
+
+    return convert
+
+
 def _output_path(path) -> str:
     """A file path whose directory exists, so the run's outputs can be
     written once it has run."""
@@ -286,7 +300,7 @@ def parse_config(raw: dict) -> RunConfig:
     sched_cfg = _section(raw, "schedule")
     r1 = _read(sched_cfg, "schedule", "r1", _real("> 0", lambda v: v > 0.0), 1.0)
     levels = _read(sched_cfg, "schedule", "levels", _integer(1), 3)
-    margin = _read(sched_cfg, "schedule", "margin", _real(">= 0", lambda v: v >= 0.0), 0.01)
+    margin = _read(sched_cfg, "schedule", "margin", _margin(params.delta), 0.01)
 
     bank_cfg = _section(raw, "bank")
     strategy, block = _build_strategy(bank_cfg, source)
@@ -385,7 +399,7 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
                 if part == 0:
                     rows[:] = coords[lo:hi]
                 elif part == 1:
-                    a, b = pairs_at(n, np.arange(lo, hi))
+                    a, b = pairs_at(n, lo, hi)
                     np.take(coords, a, axis=0, out=rows)
                     rows -= np.take(coords, b, axis=0)
                 elif part == 2:

@@ -28,7 +28,6 @@ from .spaces import (  # noqa: F401
     Vector,
     as_rows,
     blend_apply,
-    cos_sin,
     norm,
     norms,
     row_blocks,
@@ -127,7 +126,7 @@ def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y):
     G_phi the cos/sin blend at angle phi. Returns the floating-point defect
     of this identity scaled by norm(x) + norm(y): a float for 1-d x and y,
     or one residual per row pair of two (k, source.dim) arrays, each
-    bit-equal to the one-row call (cos and sin come from cos_sin).
+    bit-equal to the one-row call (cos and sin come from numpy's).
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     X, Y = (as_rows(v[None] if v.ndim == 1 else v, g.source.dim) for v in (x, y))
@@ -139,9 +138,10 @@ def blend_decomposition_residual(g: GlueEmbedding, level: int, x, y):
     out = np.empty(len(X))
     for block in row_blocks(len(X), 2 * g.target.dim):
         lhs = level_map(g, level, X[block]) - level_map(g, level, Y[block])
-        turn = 2.0 * cos_sin(0.5 * (ax[block] - ay[block]))[1]
-        rhs = blend_apply(*cos_sin(ax[block]), first, second, X[block] - Y[block])
-        rhs = rhs + turn[:, None] * blend_apply(*cos_sin(theta[block]), first, second, Y[block])
+        sigma, th = ax[block], theta[block]
+        turn = 2.0 * np.sin(0.5 * (sigma - ay[block]))
+        rhs = blend_apply(np.cos(sigma), np.sin(sigma), first, second, X[block] - Y[block])
+        rhs = rhs + turn[:, None] * blend_apply(np.cos(th), np.sin(th), first, second, Y[block])
         out[block] = norms(g.target, lhs - rhs) / (nx[block] + ny[block])
     return float(out[0]) if x.ndim == 1 else out
 

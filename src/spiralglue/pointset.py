@@ -106,13 +106,23 @@ def classify_levels(lo_x, hi_x, lo_y, hi_y):
     return level <= np.minimum(hi_x, hi_y), level, hi_y, lo_x - 1
 
 
-def pairs_at(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (a, b > a) of n points at the given indices of their
-    row-major order: pair (a, b) has index row_start[a] + (b - a - 1),
-    row_start[a] the sum of the row lengths n - 1 - k for k < a."""
-    row_start = np.cumsum(np.arange(n, 0, -1)) - n
-    a = np.searchsorted(row_start, index, side="right") - 1
-    return a, index - row_start[a] + a + 1
+def pairs_at(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b > a) of n points at the indices start, ..., stop - 1
+    of their row-major order: row a holds the n - 1 - a pairs of a, and pair
+    (a, b) has index starts[a] + (b - a - 1), starts[a] the sum of the
+    lengths of the rows before a. The first points are runs, one per row
+    that the range meets."""
+    if stop <= start:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    lengths = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(lengths)
+    first, last = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+    rows = np.arange(first, last + 1)
+    starts = ends[first : last + 1] - lengths[first : last + 1]
+    counts = np.minimum(ends[first : last + 1], stop) - np.maximum(starts, start)
+    a = np.repeat(rows, counts)
+    # b - index is constant along a row: a + 1 - the row's first index
+    return a, np.arange(start, stop) + np.repeat(rows + 1 - starts, counts)
 
 
 def pair_blocks(n: int, width: int):
@@ -120,7 +130,7 @@ def pair_blocks(n: int, width: int):
     row_blocks(n (n - 1) / 2, width): yields (block, a, b), the block's
     slice of the pair indices and its pairs' two index arrays."""
     for block in row_blocks(n * (n - 1) // 2, width):
-        yield (block, *pairs_at(n, np.arange(block.start, block.stop)))
+        yield (block, *pairs_at(n, block.start, block.stop))
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,6 +97,15 @@ class RadiiSchedule:
             raise ValueError("coverage must extend at least R_m/delta past the last ramp")
 
 
+def level_step(delta: float, margin: float) -> float:
+    """log((1 + margin) / delta), the log-radius step from R_i to r_{i+1};
+    raises ValueError when it overflows."""
+    step = math.log((1.0 + margin) / delta)
+    if not math.isfinite(step):
+        raise ValueError(f"margin {margin!r} makes the level step infinite at delta {delta!r}")
+    return step
+
+
 def build_schedule(params: Params, r1: float, levels: int, margin: float = 0.01) -> RadiiSchedule:
     """Minimal-feasible schedule: R_i = r_i e^(pi/(2 eps)), r_{i+1} = (R_i/delta)(1+margin)."""
     if r1 <= 0.0 or not math.isfinite(r1):
@@ -106,9 +115,7 @@ def build_schedule(params: Params, r1: float, levels: int, margin: float = 0.01)
     if not (margin >= 0.0 and math.isfinite(margin)):
         raise ValueError(f"margin must be a finite real >= 0, got {margin!r}")
     ramp = HALF_PI / params.eps
-    step = math.log((1.0 + margin) / params.delta)
-    if not math.isfinite(step):
-        raise ValueError(f"margin {margin!r} makes the level step infinite")
+    step = level_step(params.delta, margin)
     log_r = np.empty(levels)
     log_R = np.empty(levels)
     log_r[0] = math.log(r1)
@@ -178,17 +185,16 @@ def level_weights_log(sched: RadiiSchedule, level, log_t):
     At the clamp endpoints the pair is exactly (1.0, 0.0) or (0.0, 1.0), so
     supports and plateaus hold exactly in floating point. A float log_t gives
     floats; an array (with one level, or a level per entry) gives arrays,
-    each entry bit-equal to the float call: cos and sin come from math per
-    angle (numpy's vectorized cos may differ in the last ulp).
+    each entry bit-equal to the float call: both take numpy's cos and sin of
+    the whole array.
     """
     angle = ramp_angle_log(sched, level, log_t)
-    one = isinstance(angle, float)
-    angles = [angle] if one else angle.tolist()
-    c = [1.0 if a <= 0.0 else 0.0 if a >= HALF_PI else math.cos(a) for a in angles]
-    s = [0.0 if a <= 0.0 else 1.0 if a >= HALF_PI else math.sin(a) for a in angles]
-    if one:
-        return c[0], s[0]
-    return np.array(c), np.array(s)
+    a = np.asarray(angle)
+    c = np.where(a <= 0.0, 1.0, np.where(a >= HALF_PI, 0.0, np.cos(a)))
+    s = np.where(a <= 0.0, 0.0, np.where(a >= HALF_PI, 1.0, np.sin(a)))
+    if isinstance(angle, float):
+        return float(c), float(s)
+    return c, s
 
 
 def sandwich_theta(sigma, alpha):

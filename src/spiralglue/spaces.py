@@ -11,41 +11,29 @@ two-map blend of rows from it. Batched code bounds each block of rows it
 forms by BATCH_ELEMENTS elements via `row_blocks`.
 
 A map stores and multiplies only its hull: the rows from its first to its
-last nonzero row, widened to multiples of _HULL_ALIGN. `LinearMap.from_band`
-builds a map from its nonzero band alone, so a generated bank never forms a
-dense matrix; `LinearMap(matrix, ...)` keeps a copy of a dense matrix's hull,
-and `.matrix` forms the dense matrix anew on each read. The rows outside the
-hull are zero, so their images are the zeros `apply` starts from. The
-images inside it are bit-equal to the full product's because the BLAS
-matrix-vector kernel forms outputs in aligned groups (of 4 in OpenBLAS's
-dgemv_t), and a row's bits depend on its place in its group; a property
-test guards this.
+last nonzero row. `LinearMap.from_band` builds a map from its nonzero band
+alone, so a generated bank never forms a dense matrix; `LinearMap(matrix,
+...)` keeps a copy of a dense matrix's hull, and `.matrix` forms the dense
+matrix anew on each read. The rows outside the hull are zero, so their
+images are the zeros `apply` starts from.
 
-One kernel, `_hull_norms`, gives the norms of sums of maps' images,
-bit-equal to `norms` of the same sums formed by `apply`: `image_norms` is
-its one-term call, the norms of a map's images, as certification needs
-them, and `blend_norms` its two-term call, the norms of `blend_apply`'s
-blends, as `direction_gain` needs them. numpy reduces each row over its
-pairwise summation tree from column 0; every subtree that holds only
-zeros sums to +0.0, and adding +0.0 to a non-negative sum is exact, so a
-sum of a row that is zero outside the hulls can skip those subtrees and
-keep the full-width sum's bits, in the same order. For a norm that ends
-in a sum (lp with p other than 2, every weighted lp) or in a max
-(l-infinity), a block holds the union of the hulls alone: a lone map's
-contiguous hull product, or else one zero buffer as wide as the union,
-reused for every block, into which the terms' products are written. abs
-and the norm's elementwise passes (max, rescaling, power, weights) run on
-the whole block in place, the max is exact over any columns, and the sum
-adds the union's parts of the tree's leaves in the tree's order
-(`_leaf_plan`), each with the bits of its whole leaf. The l2 norm's
-stacked dot groups its terms in blocks of _DOT_ALIGN columns from column
-0, so its block is the union widened to multiples of _DOT_ALIGN
-(`_dot_window`), whose dot has the full width's bits; its passes run on
-the whole block as well. Only the max-abs functionals and an l2 norm wider
-than _DOT_WINDOW_MAX (where OpenBLAS splits a dot across threads) keep a
-full-width buffer, whose passes run on the union's columns. Outside a
-term's hull the full-width sum adds c*0, which changes at most the sign of
-a zero, and abs removes it.
+One kernel, `_hull_norms`, gives the norms of sums of maps' images:
+`image_norms` is its one-term call, the norms of a map's images, as
+certification needs them, and `blend_norms` its two-term call, the norms of
+`blend_apply`'s blends, as `direction_gain` needs them. A row of such a sum
+is zero outside the union of the terms' hulls, so for an lp or weighted lp
+norm a block holds the union alone: a lone map's contiguous hull product,
+or else one zero buffer as wide as the union, reused for every block, into
+which the terms' products are written. abs and the norm's elementwise
+passes (max, rescaling, power, weights) run on the whole block in place,
+and a plain row sum, max or stacked row dot over the block ends each row.
+Only the max-abs functionals, which span every column, keep a full-width
+buffer. These norms are the reference arithmetic of certification, of
+selection's level checks and of the pair sweep alike. They may differ from
+`norms` of the full-width images in the last bits, since a sum or dot over
+the union groups its terms otherwise than one over every column; both stay
+within the summation's forward error bound, which a property test checks
+against exact sums.
 
 `distinct_rows` is the one exact grouping of rows by bit pattern, so that
 a caller can evaluate each distinct row once and gather the results back.
@@ -75,18 +63,6 @@ from .errors import DimensionMismatch
 Vector = np.ndarray
 
 BATCH_ELEMENTS = 1 << 14  # element budget of any batched temporary
-# the row alignment of a map's hull: a multiple of the BLAS kernel's group of
-# output rows, with headroom for wider kernels
-_HULL_ALIGN = 16
-# the column alignment of an l2 norm's window: a multiple of the BLAS dot
-# kernel's block of terms (32 in OpenBLAS's SkylakeX ddot), so that a row's
-# dot over a window holding its nonzeros has the bits of its dot over the
-# whole row. OpenBLAS 0.3.31's Nehalem, Sandybridge, Haswell and SkylakeX
-# kernels keep these bits; its generic Katmai kernel does not (see README)
-_DOT_ALIGN = 32
-# the widest l2 target whose norms take a window: above 10 000 terms OpenBLAS
-# splits a dot across threads, which groups the terms by the whole width
-_DOT_WINDOW_MAX = 10_000
 
 
 def row_blocks(rows: int, width: int):
@@ -271,19 +247,6 @@ def _first_mismatch(block: np.ndarray, kept: np.ndarray, own: np.ndarray):
     return None
 
 
-def cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin from math (numpy's may differ in the last ulp) of each
-    angle of a 1-d array, evaluated once per distinct bit pattern (so -0.0
-    and 0.0 stay apart) and gathered back."""
-    bits, inverse = np.unique(
-        np.asarray(angles, dtype=float).reshape(-1).view(np.uint64), return_inverse=True
-    )
-    values = bits.view(float).tolist()
-    c = np.array([math.cos(a) for a in values], dtype=float)
-    s = np.array([math.sin(a) for a in values], dtype=float)
-    return c[inverse], s[inverse]
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -387,54 +350,45 @@ def as_rows(vectors, dim: int) -> np.ndarray:
 
 
 def _root(sums: np.ndarray, p: float) -> np.ndarray:
-    # scalar pow per row: numpy's vectorized pow may differ in the last ulp
-    inv = 1.0 / p
-    return np.array([s**inv for s in sums.tolist()])
+    return sums ** (1 / p)
 
 
-def _abs_norms_block(
-    spec: NormSpec, a: np.ndarray, cols: slice, start: int = 0, plan=None
-) -> np.ndarray:
-    """Row norms of a block `a` of absolute values that are zero outside the
-    columns `cols`, for an Lp or weighted Lp norm; `a` holds the target
-    columns start, start + 1, ... and is overwritten.
+def _abs_norms_block(spec: NormSpec, a: np.ndarray, start: int = 0) -> np.ndarray:
+    """Row norms of a block `a` of absolute values, for an Lp or weighted Lp
+    norm; `a` holds the target columns start, start + 1, ... (every other
+    column is zero) and is overwritten.
 
     The row maxima, the division by them, the p-th power and the weights run
-    in place on a[:, cols] only; the final max or stacked dot runs over every
-    column of `a`, and the final sum too, or by `plan` where one is given
-    (see _plan_sum). The bits are those of the full-width passes: max is
-    exact, 0/m, 0**p and w*0 are 0, so the final reduction sees the same
-    entries. A sum or a max runs on the union of the hulls alone, summed by
-    its leaf plan (see _leaf_plan), and an l2 norm on the union's
-    _dot_window, whose stacked dot has the bits of the full width's: `cols`
-    is then every column of `a`, and the passes are contiguous. Only an l2
-    norm wider than _DOT_WINDOW_MAX has an `a` on every target column (its
-    dot groups the terms by the full width), whose passes run on the
-    strided view of `cols`."""
-    h = a[:, cols]
+    in place on the whole block, and a plain row sum, max or stacked row dot
+    ends each row."""
     p = spec.p
     weights = None
     if isinstance(spec, WeightedLp):
-        weights = spec.weights[start + cols.start : start + cols.stop]
+        weights = spec.weights[start : start + a.shape[1]]
     if p == math.inf:
         if weights is not None:
-            h *= weights
-        return h.max(axis=1, initial=0.0)
+            a *= weights
+        return a.max(axis=1, initial=0.0)
     if p == 1.0 and weights is None:
-        return _plan_sum(a, plan)
-    m = h.max(axis=1, initial=0.0)
-    h /= np.where(m > 0.0, m, 1.0)[:, None]
+        return a.sum(axis=1)
+    m = a.max(axis=1, initial=0.0)
+    a /= np.where(m > 0.0, m, 1.0)[:, None]
     if p == 2.0 and weights is None:
         return m * np.sqrt(_row_dots(a))
-    h **= p
+    a **= p
     if weights is not None:
-        h *= weights
-    return m * _root(_plan_sum(a, plan), p)
+        a *= weights
+    return m * _root(a.sum(axis=1), p)
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
     """Each row's dot product with itself, as stacked row dot products: the
-    same kernel as np.dot(row, row)."""
+    same kernel as np.dot(row, row). A block of an odd width first gets a
+    zero column, so that every row starts 16-byte aligned: OpenBLAS's
+    generic kernel peels a term off a row that does not, which would make a
+    row's dot depend on its place in the block."""
+    if a.shape[1] % 2:
+        a = np.pad(a, ((0, 0), (0, 1)))
     return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
@@ -442,7 +396,7 @@ def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     if isinstance(spec, MaxAbsFunctionals):
         # stacked matrix-vector products: the same kernel as functionals @ x
         return np.abs(np.matmul(spec.functionals, X[:, :, None])[:, :, 0]).max(axis=1)
-    return _abs_norms_block(spec, np.abs(X), slice(0, X.shape[1]))
+    return _abs_norms_block(spec, np.abs(X))
 
 
 def _block_width(space: Space) -> int:
@@ -451,69 +405,6 @@ def _block_width(space: Space) -> int:
     if isinstance(space.norm, MaxAbsFunctionals):
         return max(space.dim, space.norm.functionals.shape[0])
     return space.dim
-
-
-# numpy's pairwise summation: a range of at most _PAIRWISE_LEAF entries is
-# summed as a leaf; a longer one splits after half its length, rounded down to
-# a multiple of _PAIRWISE_UNROLL
-_PAIRWISE_LEAF = 128
-_PAIRWISE_UNROLL = 8
-
-
-def _pairwise_split(lo: int, hi: int) -> int:
-    """Where numpy's pairwise summation splits the range [lo, hi) of more
-    than _PAIRWISE_LEAF entries."""
-    half = (hi - lo) // 2
-    return lo + half - half % _PAIRWISE_UNROLL
-
-
-def _leaf_plan(width: int, cols: slice):
-    """How a row of `width` non-negative entries that is zero outside the
-    columns `cols` is summed from those columns alone, with the bits of
-    numpy's sum of the whole row. `cols` starts at a multiple of
-    _PAIRWISE_UNROLL and stops at one or at `width`, as every hull does.
-
-    A plan is a leaf part, the columns where `cols` meets a leaf of numpy's
-    pairwise summation tree, counted from cols.start, or a pair (left,
-    right) of the plans of a node's two subtrees, added left + right as
-    numpy adds them. A subtree outside `cols` is dropped: it sums to +0.0,
-    which adds exactly. Every node of the tree starts at a multiple of
-    _PAIRWISE_UNROLL, so a part starts a multiple of _PAIRWISE_UNROLL from
-    its leaf's start and ends at the leaf's end or after a multiple of
-    _PAIRWISE_UNROLL entries. numpy sums a leaf of fewer than
-    _PAIRWISE_UNROLL entries one by one from zero; it sums a longer one in
-    _PAIRWISE_UNROLL interleaved accumulators, adds them in a fixed tree and
-    then adds the ragged end one by one. A part of at least
-    _PAIRWISE_UNROLL entries meets the same accumulators after exact zeros,
-    and the same ragged end; a shorter part is the whole leaf, or its
-    ragged end, which numpy adds one by one to the +0.0 of the zeros before
-    it. Either way the part's sum has the bits of the leaf's."""
-    return _node_plan(cols, 0, width) if cols.start < cols.stop else slice(0, 0)
-
-
-def _node_plan(cols: slice, lo: int, hi: int):
-    """_leaf_plan's plan for the node [lo, hi) of the tree, which meets the
-    non-empty columns `cols`."""
-    if hi - lo > _PAIRWISE_LEAF:
-        mid = _pairwise_split(lo, hi)
-        if cols.stop <= mid:
-            return _node_plan(cols, lo, mid)
-        if cols.start >= mid:
-            return _node_plan(cols, mid, hi)
-        return _node_plan(cols, lo, mid), _node_plan(cols, mid, hi)
-    return slice(max(lo, cols.start) - cols.start, min(hi, cols.stop) - cols.start)
-
-
-def _plan_sum(a: np.ndarray, plan) -> np.ndarray:
-    """The row sums of a block: over every column for plan None, or else
-    each leaf part of the plan (see _leaf_plan) summed on its own and the
-    parts added in the tree's order."""
-    if plan is None:
-        return a.sum(axis=1)
-    if isinstance(plan, slice):
-        return a[:, plan].sum(axis=1)
-    left, right = plan
-    return _plan_sum(a, left) + _plan_sum(a, right)
 
 
 def norms(space: Space, X) -> np.ndarray:
@@ -535,24 +426,15 @@ def norm(space: Space, x) -> float:
     return float(norms(space, x[None])[0])
 
 
-def _hull_rows(band: np.ndarray, start: int = 0, total: int | None = None) -> slice:
-    """The hull of a matrix of `total` rows (by default len(band)) whose rows
-    start, start + 1, ... are those of `band` and whose other rows are zero:
-    the rows [lo, hi) from the first to the last row holding a nonzero bit
-    pattern (so -0.0 counts), with lo rounded down and hi rounded up to a
-    multiple of _HULL_ALIGN and capped at the row count; empty for a zero band.
-    A one-row hull short of the whole matrix takes one more aligned group
-    below it: numpy sends a one-row product to dot, not to the matrix-vector
-    kernel that forms the full product's rows."""
-    total = len(band) if total is None else total
+def _hull_rows(band: np.ndarray, start: int = 0) -> slice:
+    """The hull of a matrix whose rows start, start + 1, ... are those of
+    `band` and whose other rows are zero: the rows from the first to the
+    last row holding a nonzero bit pattern (so -0.0 counts); empty for a
+    zero band."""
     rows = np.flatnonzero(np.any(band.view(np.uint64) != 0, axis=1))
     if rows.size == 0:
         return slice(0, 0)
-    lo = (start + int(rows[0])) // _HULL_ALIGN * _HULL_ALIGN
-    hi = min(-(-(start + int(rows[-1]) + 1) // _HULL_ALIGN) * _HULL_ALIGN, total)
-    if hi - lo == 1 and total > 1:
-        lo -= _HULL_ALIGN
-    return slice(lo, hi)
+    return slice(start + int(rows[0]), start + int(rows[-1]) + 1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -595,12 +477,8 @@ class LinearMap:
     def _keep(self, band: np.ndarray, start: int, source: Space, target: Space) -> None:
         if not np.all(np.isfinite(band)):
             raise ValueError("matrix has non-finite entries")
-        rows = _hull_rows(band, start, target.dim)
-        hull = np.zeros((rows.stop - rows.start, source.dim))
-        # the band's rows outside the hull are zero
-        lo, hi = max(rows.start, start), min(rows.stop, start + len(band))
-        if lo < hi:
-            hull[lo - rows.start : hi - rows.start] = band[lo - start : hi - start]
+        rows = _hull_rows(band, start)
+        hull = np.array(band[rows.start - start : rows.stop - start] if rows.stop else band[:0])
         hull.flags.writeable = False
         for name, value in (("source", source), ("target", target), ("rows", rows), ("hull", hull)):
             object.__setattr__(self, name, value)
@@ -621,8 +499,7 @@ def apply(m: LinearMap, x) -> Vector:
 
     The images start as zeros, and one stacked matrix-vector product of the
     map's hull writes the hull's columns, so each row's image is bit-equal to
-    the one-row call and, for finite rows, to the product of the whole
-    matrix. A dense matrix's hull is all its rows."""
+    the one-row call."""
     x = np.asarray(x, dtype=float)
     X = x[None] if x.ndim == 1 else x
     if X.ndim != 2 or X.shape[1] != m.source.dim:
@@ -632,117 +509,49 @@ def apply(m: LinearMap, x) -> Vector:
     return images[0] if x.ndim == 1 else images
 
 
-def _shifted(cols: slice, start: int) -> slice:
-    """The columns cols of a buffer whose column 0 is target column start."""
-    return slice(cols.start - start, cols.stop - start) if cols.start < cols.stop else slice(0, 0)
-
-
-def _reads_every_column(spec: NormSpec) -> bool:
-    """Whether a norm's final reduction reads every column of its block, with
-    no leaf plan: the l2 norm's stacked dot, whose bits depend on the BLAS
-    dot's grouping of the terms (see _dot_window), and the max-abs
-    functionals. Every other norm ends in a sum or a max."""
-    return isinstance(spec, MaxAbsFunctionals) or isinstance(spec, Lp) and spec.p == 2.0
-
-
-def _full_width(target: Space) -> bool:
-    """Whether a block of _hull_norms spans every target column: a max-abs
-    norm's, whose functionals span every column, and an l2 norm's wider than
-    _DOT_WINDOW_MAX, whose dot groups its terms by the whole width."""
-    spec = target.norm
-    return isinstance(spec, MaxAbsFunctionals) or (
-        _reads_every_column(spec) and target.dim > _DOT_WINDOW_MAX
-    )
-
-
-def _union(maps) -> slice:
-    """The target columns from the maps' first hull start to their last hull
-    stop: empty when every map is zero."""
-    hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
-    return slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
-
-
-def _dot_window(cols: slice, width: int) -> slice:
-    """The columns of an l2 norm's block for rows of `width` entries that are
-    zero outside `cols`: cols widened to multiples of _DOT_ALIGN, capped at
-    width; empty for empty cols. OpenBLAS's ddot (SkylakeX kernel) sums
-    each block of _DOT_ALIGN terms in fixed accumulators and then the
-    ragged end one term at a time, so a window that starts at a multiple of
-    _DOT_ALIGN gives every nonzero term the accumulator it has in the whole
-    row, and the terms it leaves out are zeros, which add exactly: the
-    window's dot has the bits of the whole row's (a property test guards
-    this)."""
-    if cols.start >= cols.stop:
-        return slice(0, 0)
-    lo = cols.start // _DOT_ALIGN * _DOT_ALIGN
-    return slice(lo, min(-(-cols.stop // _DOT_ALIGN) * _DOT_ALIGN, width))
-
-
 def _hull_layout(maps) -> tuple[slice, int]:
     """The target columns that a block of _hull_norms holds for the maps'
     sums, and the row width that bounds a block.
 
-    A norm that ends in a sum or a max has a block on the union of the
-    hulls, and an l2 norm one on the union's _dot_window: a lone map's abs
-    hull product when its hull is those columns, or else a buffer on them.
-    The max-abs functionals and an l2 norm wider than _DOT_WINDOW_MAX have a
-    buffer on every column (whose width counts the functionals' products).
-    The row width is the buffer's, if any, plus every hull's product, so
-    that the buffer and the products stay within BATCH_ELEMENTS."""
+    An lp or weighted lp norm has a block on the union of the hulls, from
+    their first start to their last stop (empty when every map is zero): a
+    lone map's abs hull product, or else a buffer on those columns. The
+    max-abs functionals have a buffer on every column (whose width counts
+    the functionals' products). The row width is the buffer's, if any, plus
+    every hull's product, so that the buffer and the products stay within
+    BATCH_ELEMENTS."""
     target = maps[0].target
     products = sum(len(m.hull) for m in maps)
-    if _full_width(target):
+    if isinstance(target.norm, MaxAbsFunctionals):
         return slice(0, target.dim), _block_width(target) + products
-    cols = _union(maps)
-    if _reads_every_column(target.norm):
-        cols = _dot_window(cols, target.dim)
-    own = len(maps) == 1 and maps[0].rows == cols
-    return cols, products + (0 if own else cols.stop - cols.start)
-
-
-def _hull_product(c, m: LinearMap, U: np.ndarray, block: slice) -> np.ndarray:
-    """The images of the rows U[block] on m's hull, times c (None for 1, or
-    one coefficient per row): a contiguous (rows, len(m.hull)) array."""
-    product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
-    if c is not None:
-        product *= c[block, None]
-    return product
+    hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
+    cols = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
+    return cols, products + (0 if len(maps) == 1 else cols.stop - cols.start)
 
 
 def _hull_norms(terms, U) -> np.ndarray:
-    """norms(target, sum of c * apply(m, U) over the terms (c, m)) for the
-    rows of a (k, source.dim) array, bit for bit, where c is None (for 1) or
-    one coefficient per row, in the blocks of _hull_layout.
+    """The target norms of the sum of c * apply(m, U) over the terms (c, m)
+    for the rows of a (k, source.dim) array, where c is None (for 1) or one
+    coefficient per row, in the blocks of _hull_layout, and with the norm's
+    passes on the union of the hulls alone (see the module docstring).
 
-    A lone term whose hull is the block's columns has its contiguous hull
-    product for the block. Otherwise one zero buffer of a block is reused
-    for every block: per block, the first term's hull product, times c, is
-    written into its hull's columns, and each later term's is added to its
-    hull's columns of the buffer (zeroed first) and written back; the
-    columns outside the hulls are never written and stay zero. Outside a
-    hull the full-width sum adds c*0, which changes at most the sign of a
-    zero: abs removes it, and a max-abs dot passes it only to an all-zero
-    sum. abs runs on the smallest contiguous array, a lone term's product or
-    else the whole block (a ufunc writing into strided columns takes a
-    buffer of up to a block's size), and a max-abs norm takes its own
-    products of the signed sums. The norm's elementwise passes run on the
-    whole block, but for a full-width buffer on the union's columns, and a
-    sum adds the block's leaf parts in the tree's order (see
-    _abs_norms_block)."""
+    A lone term has its contiguous hull product for the block. Otherwise one
+    zero buffer of a block is reused for every block: per block, the first
+    term's hull product, times c, is written into its hull's columns, and
+    each later term's is added to its hull's columns of the buffer (zeroed
+    first) and written back; the columns outside the hulls are never written
+    and stay zero. abs runs on the smallest contiguous array, a lone term's
+    product or else the whole block (a ufunc writing into strided columns
+    takes a buffer of up to a block's size), and a max-abs norm takes its
+    own products of the signed sums."""
     maps = [m for _, m in terms]
     U = as_rows(U, maps[0].source.dim)
-    target = maps[0].target
-    spec = target.norm
+    spec = maps[0].target.norm
     signed = isinstance(spec, MaxAbsFunctionals)
-    lone = len(terms) == 1
+    own = len(terms) == 1 and not signed
     cols, width = _hull_layout(maps)
-    own = lone and maps[0].rows == cols
-    at = [_shifted(m.rows, cols.start) for m in maps]
-    if _full_width(target):
-        passes = _shifted(_union(maps), cols.start)
-    else:
-        passes = slice(0, cols.stop - cols.start)
-    plan = None if _reads_every_column(spec) else _leaf_plan(target.dim, cols)
+    # each hull's columns of the block (an empty hull's are empty)
+    at = [slice(m.rows.start - cols.start, m.rows.stop - cols.start) for m in maps]
     rows = next(row_blocks(len(U), width), slice(0, 0)).stop
     buffer = None if own else np.zeros((rows, cols.stop - cols.start))
     out = np.empty(len(U))
@@ -754,11 +563,11 @@ def _hull_norms(terms, U) -> np.ndarray:
         for k, ((c, m), into) in enumerate(zip(terms, at)):
             # each product is dropped once written, so that it is not alive
             # through the next product or the norm's passes
-            product = _hull_product(c, m, U, block)
-            if lone and not signed:
-                np.abs(product, out=product)
+            product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
+            if c is not None:
+                product *= c[block, None]
             if own:
-                sums = product
+                sums = np.abs(product, out=product)
             elif k == 0:
                 sums[:, into] = product
             else:
@@ -771,18 +580,18 @@ def _hull_norms(terms, U) -> np.ndarray:
         if signed:
             out[block] = _norms_block(spec, sums)
         else:
-            if not lone:
+            if not own:
                 np.abs(sums, out=sums)
-            out[block] = _abs_norms_block(spec, sums, passes, cols.start, plan)
+            out[block] = _abs_norms_block(spec, sums, cols.start)
         # a lone term's product is not alive through the next block's product
         del sums
     return out
 
 
 def image_norms(m: LinearMap, X) -> np.ndarray:
-    """norms(m.target, apply(m, X)) for the rows of a (k, source.dim) array,
-    bit for bit, without forming the images anew per block: the one-term
-    call of _hull_norms."""
+    """The norms of apply(m, X) for the rows of a (k, source.dim) array,
+    without forming the images anew per block: the one-term call of
+    _hull_norms."""
     return _hull_norms(((None, m),), X)
 
 
@@ -804,9 +613,9 @@ def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:
 
 
 def blend_norms(c, s, first: LinearMap, second: LinearMap, U) -> np.ndarray:
-    """norms(first.target, blend_apply(c, s, first, second, U)) for the rows
-    of a (k, source.dim) array with one (c, s) pair per row, bit for bit:
-    the two-term call of _hull_norms."""
+    """The norms of blend_apply(c, s, first, second, U) for the rows of a
+    (k, source.dim) array with one (c, s) pair per row: the two-term call of
+    _hull_norms."""
     c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
     return _hull_norms(((c, first), (s, second)), U)
 
@@ -816,7 +625,7 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
 
     A 1-d u with one angle gives a float. A (k, dim) array of rows with k
     angles gives the k gains as an array, each bit-equal to the one-row call:
-    cos and sin come from cos_sin, and blend_norms takes the norms of the
+    cos and sin come from numpy's, and blend_norms takes the norms of the
     blends. The first non-unit row raises ValueError. Rows are not grouped
     here: a caller whose rows repeat passes each once and gathers the gains
     back.
@@ -830,7 +639,7 @@ def direction_gain(theta, u, first: LinearMap, second: LinearMap):
     _check_unit(norms(first.source, U))
     if theta.size != len(U):
         raise ValueError(f"need one angle per row, got {theta.size} for {len(U)} rows")
-    return blend_norms(*cos_sin(theta), first, second, U)
+    return blend_norms(np.cos(theta), np.sin(theta), first, second, U)
 
 
 def _check_unit(nu: np.ndarray) -> None:

@@ -12,9 +12,8 @@ which two decompositions are compared. The pipeline uses
 the row kernels `spaces.norms`, `spaces.apply` and `spaces.blend_apply`,
 one kernel for the norms of images and blends (`spaces.image_norms` and
 `spaces.blend_norms`, the one- and two-term calls of `spaces._hull_norms`),
-which holds a norm that ends in a sum or a max on the union of the hulls
-alone and sums it over the leaves of numpy's pairwise tree that the union
-meets, a decompose that groups its unit differences by bit pattern
+which takes a norm on the union of the hulls alone, a decompose that groups
+its unit differences by bit pattern
 with `spaces.distinct_rows` and the directions by sort-and-sweep instead,
 a certification that evaluates each distinct row once (the groups of
 `spaces.distinct_rows` of positive norm), a row gain whose callers pass
@@ -49,9 +48,10 @@ from spiralglue.spaces import (
     MaxAbsFunctionals,
     WeightedLp,
     _root,
-    apply,
+    _row_dots,
     as_rows,
-    blend_apply,
+    blend_norms,
+    image_norms,
     norm,
     norms,
     row_blocks,
@@ -162,13 +162,14 @@ def _norms_block_full_width(spec, X: np.ndarray) -> np.ndarray:
         return a.sum(axis=1)
     m, a = _rescaled(a)
     if p == 2.0:
-        return m * np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+        return m * np.sqrt(_row_dots(a))
     return m * _root(np.sum(a**p, axis=1), p)
 
 
 def norms_full_width(space, X) -> np.ndarray:
     """Row norms with every elementwise pass (max, rescaling, power, weights)
-    forming a new array over every column, in blocks of the batch budget."""
+    forming a new array over every column, in blocks of the batch budget,
+    and the same root and row dot as `norms`."""
     X = np.ascontiguousarray(as_rows(X, space.dim))
     spec = space.norm
     width = space.dim
@@ -181,10 +182,13 @@ def norms_full_width(space, X) -> np.ndarray:
 
 
 def apply_scalar(m, x) -> np.ndarray:
-    """The image of one vector, by a matrix-vector product."""
+    """The image of one vector, by a matrix-vector product of the map's
+    hull, zero outside it."""
     x = np.asarray(x, dtype=float)
     assert x.shape == (m.source.dim,)
-    return m.matrix @ x
+    image = np.zeros(m.target.dim)
+    image[m.rows] = m.hull @ x
+    return image
 
 
 def blend_apply_scalar(c: float, s: float, first, second, x) -> np.ndarray:
@@ -203,7 +207,7 @@ def certify_all_rows(matrices, source, target, gamma: float, vectors):
     X, source_norms = X[source_norms > 0.0], source_norms[source_norms > 0.0]
     lower, upper = [], []
     for n, lin in enumerate(maps):
-        ratios = norms(target, apply(lin, X)) / source_norms
+        ratios = image_norms(lin, X) / source_norms
         k_lo, k_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
         if ratios[k_lo] < 1.0 - 1e-12:
             raise CertificationFailed(n, k_lo, float(ratios[k_lo]))
@@ -216,16 +220,14 @@ def certify_all_rows(matrices, source, target, gamma: float, vectors):
 
 def direction_gain_all_rows(theta, U, first, second) -> np.ndarray:
     """The row gain with every row evaluated, repeats included: the unit
-    check on every row, cos and sin from math per angle, and one blend and
-    norm of all rows."""
+    check on every row, and one blend_norms call on all rows."""
     U = np.asarray(U, dtype=float)
     nu = norms(first.source, U)
     bad = np.flatnonzero(np.abs(nu - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"u must be a unit vector, got norm {float(nu[bad[0]])!r}")
-    c = np.array([math.cos(t) for t in theta], dtype=float)
-    s = np.array([math.sin(t) for t in theta], dtype=float)
-    return norms(first.target, blend_apply(c, s, first, second, U))
+    theta = np.asarray(theta, dtype=float)
+    return blend_norms(np.cos(theta), np.sin(theta), first, second, U)
 
 
 def level_map_scalar(g, level: int, x) -> np.ndarray:
@@ -244,9 +246,9 @@ def blend_decomposition_residual_scalar(g, level: int, x, y) -> float:
     ax, ay, theta = sandwich_angles(g.schedule, level, nx, ny)
     first, second = g.map_at(level), g.map_at(level + 1)
     lhs = level_map_scalar(g, level, x) - level_map_scalar(g, level, y)
-    rhs = blend_apply_scalar(math.cos(ax), math.sin(ax), first, second, x - y)
-    rhs = rhs + 2.0 * math.sin(0.5 * (ax - ay)) * blend_apply_scalar(
-        math.cos(theta), math.sin(theta), first, second, y
+    rhs = blend_apply_scalar(np.cos(ax), np.sin(ax), first, second, x - y)
+    rhs = rhs + 2.0 * np.sin(0.5 * (ax - ay)) * blend_apply_scalar(
+        np.cos(theta), np.sin(theta), first, second, y
     )
     return norm(g.target, lhs - rhs) / (nx + ny)
 

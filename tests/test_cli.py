@@ -841,6 +841,7 @@ def test_run_unwritable_failure_report_exits_2_naming_key(tmp_path, capsys):
         ("schedule.margin", True, "expected a finite real number, got True"),
         ("schedule.margin", -0.5, "expected a real number >= 0, got -0.5"),
         ("schedule.margin", 10**400, "expected a finite real number, got 1000"),
+        ("schedule.margin", 1e308, "margin 1e+308 makes the level step infinite at delta 0.01"),
         ("bank.count", 3, "3 < schedule.levels + 1 = 4"),
         ("bank.block_width", 2, "expected an integer >= 3, got 2"),
     ],

@@ -354,10 +354,9 @@ def test_certification_images_each_distinct_nonzero_row_once(case):
 
 
 def test_certification_chunks_are_whole_image_blocks(monkeypatch):
-    # at 64 elements image_norms images 6 rows of the 10-wide target a
-    # block (the 10-row hull's products, summed by its leaf plan);
-    # certification images the 100 distinct rows in one call a map, so only
-    # the last block of each map is short
+    # at 64 elements image_norms images 32 rows a block (the 2-row hull's
+    # products); certification images the 100 distinct rows in one call a
+    # map, so only the last block of each map is short
     source, target = sg.Space(2, sg.Lp(1.0)), sg.Space(10, sg.Lp(1.0))
     vectors = np.random.default_rng(3).standard_normal((100, 2))
     want = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)
@@ -370,7 +369,7 @@ def test_certification_chunks_are_whole_image_blocks(monkeypatch):
         return sg.image_norms(lin, X)
 
     def products(a, b, *args, **kwargs):
-        if a.shape == (10, 2):
+        if a.shape == (2, 2):
             blocks.append(len(b))
         return matmul(a, b, *args, **kwargs)
 
@@ -378,7 +377,7 @@ def test_certification_chunks_are_whole_image_blocks(monkeypatch):
     monkeypatch.setattr(np, "matmul", products)
     got = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)
     assert seen == [100] * 4
-    assert blocks == ([6] * 16 + [4]) * 4
+    assert blocks == ([32] * 3 + [4]) * 4
     margins = (want.cert_lower_margin, want.cert_upper_margin)
     assert repr((got.cert_lower_margin, got.cert_upper_margin)) == repr(margins)
 

@@ -173,7 +173,7 @@ def test_sweep_image_differences_take_one_block(monkeypatch):
     # b rows took a numpy iterator buffer (199 KB), both above the bound
     target = sg.Space(512, sg.Lp(2.0))
     images = np.random.default_rng(1).standard_normal((64, 512))
-    a, b = sg.pointset.pairs_at(len(images), np.arange(37, len(images) * (len(images) - 1) // 2))
+    a, b = sg.pointset.pairs_at(len(images), 37, len(images) * (len(images) - 1) // 2)
     out = np.empty(len(a))
     sg.verify._image_norms(target, images, a, b, out)
     assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
@@ -258,8 +258,8 @@ def test_block_shift_maps_are_their_dense_matrices(dim, width, count, extra):
     target = sg.Space(count * (width or dim) + extra, sg.Lp(1.0))
     maps = bank_module._block_shift_maps(source, target, count, width)
     _assert_maps_match_dense(maps, block_shift_matrices(source, target, count, width))
-    if dim == 1 and extra == 0 and target.dim % 16 == 1:
-        assert maps[-1].rows == slice(target.dim - 17, target.dim)
+    if dim == 1 and extra == 0:
+        assert maps[-1].rows == slice(target.dim - 1, target.dim)
 
 
 @pytest.mark.parametrize(
@@ -277,7 +277,7 @@ def test_quadrature_maps_are_their_dense_matrices(dim, directions, count, extra)
 def test_from_band_checks_its_band():
     source, target = sg.Space(2), sg.Space(10)
     band = np.ones((3, 2))
-    assert sg.LinearMap.from_band(band, 7, source, target).rows == slice(0, 10)
+    assert sg.LinearMap.from_band(band, 7, source, target).rows == slice(7, 10)
     for start in (-1, 8):
         with pytest.raises(sg.DimensionMismatch):
             sg.LinearMap.from_band(band, start, source, target)

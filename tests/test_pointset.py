@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spiralglue as sg
 from spiralglue.errors import OutOfScheduleRange
@@ -25,6 +27,20 @@ def test_make_point_set_rejects_non_finite_coordinates(bad):
     space = sg.Space(3, sg.Lp(2.0))
     with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
         sg.make_point_set(space, [[0.0, 0.0, 0.0], [1.0, bad, 0.0]])
+
+
+@given(data=st.data())
+def test_pairs_at_is_a_slice_of_the_row_major_pairs(data):
+    # any range of pair indices, empty ones and those that start or stop
+    # mid-row or at a row's end included
+    n = data.draw(st.integers(0, 60))
+    a, b = np.triu_indices(n, 1)
+    start = data.draw(st.integers(0, len(a)))
+    stop = data.draw(st.integers(start, len(a)))
+    got = sg.pointset.pairs_at(n, start, stop)
+    assert [v.dtype for v in got] == [np.dtype(np.intp)] * 2
+    assert got[0].tolist() == a[start:stop].tolist()
+    assert got[1].tolist() == b[start:stop].tolist()
 
 
 def test_origin_detection():
