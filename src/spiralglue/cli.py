@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -479,12 +480,13 @@ def _write_json(path: str, payload: dict) -> None:
 _JSON_NON_FINITE = {"inf": "null", "-inf": "null", "nan": "NaN"}
 
 
-def _float_texts(values: np.ndarray, spelling: dict | None = None) -> list[str]:
-    """repr(v), or spelling[repr(v)] where given, for each float v of a 1-d
-    array, in order: each distinct bit pattern (np.unique on the uint64 view,
-    so -0.0 and 0.0 stay apart) is formatted once and gathered back."""
+def _texts(values: np.ndarray, spelling: dict | None = None) -> list[str]:
+    """repr(v), or spelling[repr(v)] where given, for each value v of a 1-d
+    array of 64-bit floats or integers, in order: each distinct bit pattern
+    (np.unique on the uint64 view, so -0.0 and 0.0 stay apart) is formatted
+    once and gathered back."""
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = list(map(repr, bits.view(float).tolist()))
+    texts = list(map(repr, bits.view(values.dtype).tolist()))
     if spelling:
         texts = [spelling.get(t, t) for t in texts]
     return np.array(texts, dtype=object)[inverse].tolist()
@@ -507,7 +509,7 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
         width = images.shape[1]
         for block in row_blocks(len(order), width):
             rows = order[block]
-            texts = _float_texts(images[rows].ravel(), _JSON_NON_FINITE)
+            texts = _texts(images[rows].ravel(), _JSON_NON_FINITE)
             for j, k in enumerate(rows.tolist()):
                 values = texts[j * width : (j + 1) * width]
                 fh.write(f'{sep}  "{keys[k]}": [\n    ' + ",\n    ".join(values) + "\n  ]")
@@ -515,27 +517,21 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
         fh.write("\n}\n")
 
 
-_PAIRS_HEADER = ("x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack")
-
-
-# the columns of a PairTable that the pairs CSV reads, and the binary record
-# of one pair's values in them that _PairsSpool writes
-_PAIRS_COLUMNS = ("x_id", "y_id", "code", "level", "x_level", "ratio", "lower_slack", "upper_slack")
-_PAIRS_RECORD = np.dtype([(name, getattr(PairTable(0), name).dtype) for name in _PAIRS_COLUMNS])
+_PAIRS_HEADER = b"x_id,y_id,class,ratio,lower_slack,upper_slack\r\n"
 
 
 class _PairsSpool:
-    """The pairs of a sweep, spooled for the pairs CSV. Called as the
-    sweep's on_block, it appends each judged block's pairs, as binary
-    records of the CSV's columns, to an anonymous temporary file (in
-    tempfile's directory), which is gone once closed or once the process
-    ends. So the sweep keeps no array of one entry per pair, and nothing is
-    written at the CSV's path until _write_pairs_csv reads the spool back at
-    the CSV's turn among the outputs. An OSError of the spool is kept and
-    raised there."""
+    """The rows of the pairs CSV, spooled during the sweep. Called as the
+    sweep's on_block, it formats each judged block's pairs as CSV lines, as
+    csv.writer writes ids, kinds and float reprs (none needs quoting), each
+    distinct id and float of the block once, and appends their bytes to an
+    anonymous temporary file (in tempfile's directory), which is gone once
+    closed or once the process ends. So the sweep keeps no array of one entry
+    per pair, and nothing is written at the CSV's path until
+    _write_pairs_csv copies the spool at the CSV's turn among the outputs.
+    An OSError of the spool is kept and raised there."""
 
     def __init__(self):
-        self.rows = 0
         self.error: OSError | None = None
         self.fh = None
         try:
@@ -543,34 +539,18 @@ class _PairsSpool:
         except OSError as exc:
             self.error = exc
 
-    def __call__(self, pairs: PairTable, rows: slice) -> None:
-        if self.error is not None:
+    def __call__(self, table: PairTable, rows: slice) -> None:
+        k = rows.stop - rows.start
+        if self.error is not None or not k:
             return
-        record = np.empty(rows.stop - rows.start, dtype=_PAIRS_RECORD)
-        for name in _PAIRS_COLUMNS:
-            record[name] = getattr(pairs, name)[rows]
+        # each distinct id's text once, for both id columns
+        ids = _texts(np.append(table.x_id[rows], table.y_id[rows]))
+        columns = (table.ratio[rows], table.lower_slack[rows], table.upper_slack[rows])
+        lines = zip(ids[:k], ids[k:], table.kinds(rows), *map(_texts, columns))
         try:
-            self.fh.write(record.tobytes())
+            self.fh.write(("\r\n".join(map(",".join, lines)) + "\r\n").encode())
         except OSError as exc:
             self.error = exc
-        self.rows += len(record)
-
-    def tables(self):
-        """The spooled pairs in order, as PairTables of the CSV's columns
-        (their sandwich columns are not set), one per row block of the CSV;
-        the spool's error, if any, is raised at once."""
-        if self.error is not None:
-            raise self.error
-        self.fh.seek(0)
-        blocks = row_blocks(self.rows, len(_PAIRS_HEADER))
-        return (self._table(block.stop - block.start) for block in blocks)
-
-    def _table(self, rows: int) -> PairTable:
-        record = np.frombuffer(self.fh.read(rows * _PAIRS_RECORD.itemsize), dtype=_PAIRS_RECORD)
-        table = PairTable(rows)
-        for name in _PAIRS_COLUMNS:
-            getattr(table, name)[:] = record[name]
-        return table
 
     def close(self) -> None:
         if self.fh is not None:
@@ -578,24 +558,16 @@ class _PairsSpool:
 
 
 def _write_pairs_csv(path: str, pairs: _PairsSpool) -> None:
-    """One row per pair, as csv.writer writes ids, kinds and float reprs
-    (none needs quoting), from the pairs spooled during the sweep, read back
-    a block of rows at a time, each distinct id and float of a block
-    formatted once and the block's rows joined into one string. A spool
-    error is raised before path is opened; path is opened and written like
-    every other output, so a device, a FIFO or a link there is written
-    through."""
-    tables = pairs.tables()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_PAIRS_HEADER) + "\r\n")
-        for table in tables:
-            # each distinct id's text once, gathered for both id columns
-            k = len(table)
-            distinct, inverse = np.unique(np.append(table.x_id, table.y_id), return_inverse=True)
-            ids = np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
-            columns = (table.ratio, table.lower_slack, table.upper_slack)
-            rows = zip(ids[:k], ids[k:], table.kinds(), *map(_float_texts, columns))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    """The header and then the rows spooled during the sweep, copied as they
+    are. A spool error is raised before path is opened; path is opened and
+    written like every other output, so a device, a FIFO or a link there is
+    written through."""
+    if pairs.error is not None:
+        raise pairs.error
+    pairs.fh.seek(0)
+    with open(path, "wb") as fh:
+        fh.write(_PAIRS_HEADER)
+        shutil.copyfileobj(pairs.fh, fh)
 
 
 def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
@@ -607,7 +579,8 @@ def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
     time as _certify_vectors forms them, and keeps only the distinct ones; the
     decomposition lives only until selection; the sweep keeps no pair table
     and passes each judged block of pairs to on_block, when given (see
-    distortion_report), which is how `run` spools the pairs for its CSV."""
+    distortion_report), which is how `run` spools the rows of its pairs CSV
+    as text (_PairsSpool)."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 

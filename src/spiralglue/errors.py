@@ -67,18 +67,23 @@ class BankExhausted(SpiralGlueError):
 
 
 class BoundViolated(SpiralGlueError):
-    """A verified inequality failed beyond tolerance."""
+    """A verified inequality failed beyond tolerance, at the pair (x_id,
+    y_id) when one pair broke it."""
 
-    def __init__(self, name: str, slack: float, detail: str = ""):
+    def __init__(self, name: str, slack: float, detail: str = "", pair=None):
         self.name = name
         self.slack = slack
+        self.pair = pair
         msg = f"inequality '{name}' violated with slack {slack!r}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
 
     def fields(self) -> dict:
-        return {"name": self.name, "slack": self.slack}
+        """The fields, with the pair as a list (None when no one pair broke
+        the inequality)."""
+        pair = None if self.pair is None else list(self.pair)
+        return {"name": self.name, "slack": self.slack, "pair": pair}
 
 
 class NonPositiveLowerBound(SpiralGlueError):

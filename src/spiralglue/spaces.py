@@ -392,6 +392,18 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
+def _products(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """matrix @ x for each row x of a (k, dim) array, as (k, len(matrix))
+    stacked matrix-vector products. numpy takes a one-row matrix's products
+    by dot, whose bits under OpenBLAS's generic kernel depend on the row's
+    16-byte alignment (rows of an odd width alternate): so they are taken on
+    a copy of the rows at an even row stride, where every row starts 16-byte
+    aligned, as a row alone does."""
+    if len(matrix) == 1:
+        X = np.pad(X, ((0, 0), (0, X.shape[1] % 2)))[:, : X.shape[1]]
+    return np.matmul(matrix, X[:, :, None])[:, :, 0]
+
+
 def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     if isinstance(spec, MaxAbsFunctionals):
         # stacked matrix-vector products: the same kernel as functionals @ x
@@ -505,7 +517,7 @@ def apply(m: LinearMap, x) -> Vector:
     if X.ndim != 2 or X.shape[1] != m.source.dim:
         raise DimensionMismatch(f"shape {x.shape} != ({m.source.dim},) or (k, {m.source.dim})")
     images = np.zeros((len(X), m.target.dim))
-    images[:, m.rows] = np.matmul(m.hull, X[:, :, None])[:, :, 0]
+    images[:, m.rows] = _products(m.hull, X)
     return images[0] if x.ndim == 1 else images
 
 
@@ -518,10 +530,13 @@ def _hull_layout(maps) -> tuple[slice, int]:
     lone map's abs hull product, or else a buffer on those columns. The
     max-abs functionals have a buffer on every column (whose width counts
     the functionals' products). The row width is the buffer's, if any, plus
-    every hull's product, so that the buffer and the products stay within
+    every hull's product, and the copy of the rows that a one-row hull's
+    products take (see _products), so that these stay within
     BATCH_ELEMENTS."""
     target = maps[0].target
     products = sum(len(m.hull) for m in maps)
+    if any(len(m.hull) == 1 for m in maps):
+        products += maps[0].source.dim + 1
     if isinstance(target.norm, MaxAbsFunctionals):
         return slice(0, target.dim), _block_width(target) + products
     hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
@@ -563,7 +578,7 @@ def _hull_norms(terms, U) -> np.ndarray:
         for k, ((c, m), into) in enumerate(zip(terms, at)):
             # each product is dropped once written, so that it is not alive
             # through the next product or the norm's passes
-            product = np.matmul(m.hull, U[block, :, None])[:, :, 0]
+            product = _products(m.hull, U[block])
             if c is not None:
                 product *= c[block, None]
             if own:

@@ -8,7 +8,6 @@ reflects what was actually built, not what was requested.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -482,15 +481,18 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out,
 
     if bad.any():
         j = int(np.argmax(bad))
-        where = f"pair ({pts.ids[xs[j]]}, {pts.ids[ys[j]]})"
+        pair = (int(pts.ids[xs[j]]), int(pts.ids[ys[j]]))
+        where = f"pair {pair}"
         nxj = float(nx[j])
         if gap_bad[j]:
-            raise BoundViolated("far_norm_gap", float(gap[j]) / nxj, f"{where}: |y| > delta |x|")
+            slack = float(gap[j]) / nxj
+            raise BoundViolated("far_norm_gap", slack, f"{where}: |y| > delta |x|", pair)
         if norm_bad[j]:
             raise BoundViolated(
                 "far_norm_bracket",
                 min(float(lo_gap[j]), float(hi_gap[j])) / nxj,
                 f"{where}: |x-y| outside (1 +- delta)|x|",
+                pair,
             )
         r = float(ratio[j])
         for name, applies, lo, hi in checks:
@@ -498,9 +500,9 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out,
                 continue
             lo, hi = (float(v[j]) if isinstance(v, np.ndarray) else v for v in (lo, hi))
             if r - lo < -tol:
-                raise BoundViolated(name, r - lo, f"{where}: ratio {r!r} below {lo!r}")
+                raise BoundViolated(name, r - lo, f"{where}: ratio {r!r} below {lo!r}", pair)
             if hi - r < -tol:
-                raise BoundViolated(name, hi - r, f"{where}: ratio {r!r} above {hi!r}")
+                raise BoundViolated(name, hi - r, f"{where}: ratio {r!r} above {hi!r}", pair)
 
     rows = slice(at, at + k)
     out.x_id[rows], out.y_id[rows] = pts.ids[xs], pts.ids[ys]
@@ -548,71 +550,57 @@ def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
     return bounds_from_values(sched.params.eps, sched.params.delta, g.bank.gamma, g.selection.zeta)
 
 
-def _keeps_min(kept: float, new: float) -> bool:
-    """Whether argmin over (kept, new), in that order, picks kept: it wins
-    ties, and the first NaN wins over any number."""
-    return kept <= new or kept != kept
-
-
-def _keeps_max(kept: float, new: float) -> bool:
-    return kept >= new or kept != kept
-
-
-# the rule of each running extreme of a ClassSummary, after its count
-_SUMMARY_KEEPS = (_keeps_min, _keeps_max, _keeps_min, _keeps_min)
-
-
 class _Summaries:
     """The class summaries and ratio witnesses of a sweep, fed one block of
     judged pairs at a time, equal to reductions over the whole sweep's
     columns: classes in order of first appearance, and the first extreme
     pair (the first NaN, as argmin and argmax take it) wins ties.
 
-    A block's classes are reduced as the contiguous runs of a stable sort by
-    class, with np.minimum/np.maximum.reduceat. Where values tie, any of
-    them has the bits of the first: ratios are norms over positive norms and
-    slacks are differences that round an exact 0 to +0.0, so no column holds
-    a -0.0 (and a NaN propagates, as it does through argmin)."""
+    Per class code, arrays hold the count, the sweep index of the class's
+    first pair and the four running extremes. A block's classes are reduced
+    as the contiguous runs of a stable sort by class, with reduceat, and
+    folded in with np.minimum and np.maximum, which propagate a NaN. Where
+    values tie, any of them has the bits of the first: ratios are norms over
+    positive norms and slacks are differences that round an exact 0 to +0.0,
+    so no column holds a -0.0."""
 
     def __init__(self):
-        # class code -> [count, min ratio, max ratio, min lower slack, min upper slack]
-        self.classes: dict[int, list] = {}
-        self.lo = self.hi = None  # (ratio, (x_id, y_id)) of the witnesses
+        classes = len(_CLASSES)
+        self.pairs = 0  # the pairs folded in so far
+        self.count = np.zeros(classes, dtype=np.int64)
+        self.first = np.full(classes, np.iinfo(np.int64).max)
+        # min ratio, max ratio, min lower slack, min upper slack
+        self.extremes = np.full((4, classes), math.inf)
+        self.extremes[1] = -math.inf
+        self.witnesses = [None, None]  # (ratio, (x_id, y_id)) of the min and the max
 
     def add(self, table: PairTable, rows: slice) -> None:
         code, ratio = table.code[rows], table.ratio[rows]
         order = np.argsort(code, kind="stable")
-        counts = np.bincount(code, minlength=len(_CLASSES)).tolist()
-        present = [c for c, count in enumerate(counts) if count]
-        starts = list(itertools.accumulate((counts[c] for c in present[:-1]), initial=0))
-        ratios = ratio[order]
-        extremes = zip(
-            np.minimum.reduceat(ratios, starts).tolist(),
-            np.maximum.reduceat(ratios, starts).tolist(),
-            np.minimum.reduceat(table.lower_slack[rows][order], starts).tolist(),
-            np.minimum.reduceat(table.upper_slack[rows][order], starts).tolist(),
-        )
-        found = []
-        for c, first, values in zip(present, order[starts].tolist(), extremes):
-            kept = self.classes.get(c)
-            if kept is None:
-                found.append((first, c, [counts[c], *values]))
-                continue
-            kept[0] += counts[c]
-            for k, (keeps, new) in enumerate(zip(_SUMMARY_KEEPS, values), 1):
-                if not keeps(kept[k], new):
-                    kept[k] = new
-        for _, c, summary in sorted(found):
-            self.classes[c] = summary
+        counts = np.bincount(code, minlength=len(_CLASSES))
+        present = np.flatnonzero(counts)
+        starts = np.cumsum(counts[present]) - counts[present]
+        self.count += counts
+        self.first[present] = np.minimum(self.first[present], self.pairs + order[starts])
+        self.pairs += len(code)
+        folds = (np.minimum, np.maximum, np.minimum, np.minimum)
+        columns = (ratio, ratio, table.lower_slack[rows], table.upper_slack[rows])
+        for fold, kept, column in zip(folds, self.extremes, columns):
+            kept[present] = fold(kept[present], fold.reduceat(column[order], starts))
         x_id, y_id = table.x_id[rows], table.y_id[rows]
-        lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
-        if self.lo is None or not _keeps_min(self.lo[0], float(ratio[lo])):
-            self.lo = (float(ratio[lo]), (int(x_id[lo]), int(y_id[lo])))
-        if self.hi is None or not _keeps_max(self.hi[0], float(ratio[hi])):
-            self.hi = (float(ratio[hi]), (int(x_id[hi]), int(y_id[hi])))
+        for side, pick in enumerate((np.argmin, np.argmax)):
+            j = int(pick(ratio))
+            kept = self.witnesses[side]
+            # over (kept, new), argmin and argmax take kept on a tie and the first NaN
+            if kept is None or pick((kept[0], ratio[j])) == 1:
+                self.witnesses[side] = (float(ratio[j]), (int(x_id[j]), int(y_id[j])))
 
     def by_class(self) -> dict:
-        return {_CLASSES[c]: ClassSummary(*summary) for c, summary in self.classes.items()}
+        present = np.flatnonzero(self.count)
+        return {
+            _CLASSES[c]: ClassSummary(int(self.count[c]), *self.extremes[:, c].tolist())
+            for c in present[np.argsort(self.first[present])].tolist()
+        }
 
 
 def _image_differences(images, a, y: int) -> np.ndarray:
@@ -652,13 +640,15 @@ def distortion_report(
     once. The pairs (a, b > a) are taken in row-major order and judged in
     blocks of pairs (pointset.pair_blocks), with check_pair's verdict on
     every pair written into the columns of a PairTable, and each block's
-    columns are folded into the class summaries and witnesses. With
+    columns are folded into the per-class arrays of the class summaries
+    and into the witnesses (_Summaries). With
     keep_pairs the table holds every pair and is the report's pair_checks;
     without it, one table of a block is reused, the report's pair_checks is
     empty, and the sweep keeps no array of one entry per pair. on_block,
     when given, is called as on_block(table, rows) with each judged block's
     rows of the table, in sweep order, before the next block overwrites a
-    reused table; a block that raises is not passed. Every temporary of
+    reused table (`run` formats them as the rows of its pairs CSV there);
+    a block that raises is not passed. Every temporary of
     pairs times a row width is formed in row blocks. A tol that is not
     finite and >= 0 raises ValueError.
     """
@@ -699,7 +689,7 @@ def distortion_report(
         out = PairTable(0)
     out._freeze()
 
-    (min_ratio, witness_min), (max_ratio, witness_max) = summaries.lo, summaries.hi
+    (min_ratio, witness_min), (max_ratio, witness_max) = summaries.witnesses
     distortion = max_ratio / min_ratio
     if distortion > bounds.ratio + tol:
         raise BoundViolated(

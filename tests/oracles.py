@@ -119,7 +119,14 @@ def _lp_value(a: np.ndarray, p: float) -> float:
     a = a / m
     if p == 2.0:
         return m * float(math.sqrt(np.dot(a, a)))
-    return m * float(np.sum(a**p) ** (1.0 / p))
+    return m * _root_of(np.sum(a**p), p)
+
+
+def _root_of(total, p: float) -> float:
+    """The p-th root of a sum, taken as spaces._root takes it, on an array
+    (here of one element): numpy's SIMD power on an array can differ by an
+    ulp from libm's pow, which a power of a numpy scalar calls."""
+    return float(_root(np.array([total]), p)[0])
 
 
 def norm_scalar(space, x) -> float:
@@ -136,7 +143,7 @@ def norm_scalar(space, x) -> float:
         m = float(a.max(initial=0.0))
         if m == 0.0:
             return 0.0
-        return m * float(np.sum(spec.weights * (a / m) ** spec.p) ** (1.0 / spec.p))
+        return m * _root_of(np.sum(spec.weights * (a / m) ** spec.p), spec.p)
     return float(np.max(np.abs(spec.functionals @ x)))
 
 

@@ -624,7 +624,7 @@ def judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol):
         gap = delta * nx - ny
         if gap < -tol * nx:
             raise BoundViolated(
-                "far_norm_gap", gap / nx, f"pair ({x_id}, {y_id}): |y| > delta |x|"
+                "far_norm_gap", gap / nx, f"pair ({x_id}, {y_id}): |y| > delta |x|", (x_id, y_id)
             )
         lo_gap = ndiff - nx * (1.0 - delta)
         hi_gap = nx * (1.0 + delta) - ndiff
@@ -633,17 +633,19 @@ def judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol):
                 "far_norm_bracket",
                 min(lo_gap, hi_gap) / nx,
                 f"pair ({x_id}, {y_id}): |x-y| outside (1 +- delta)|x|",
+                (x_id, y_id),
             )
         checks.append(("far_bracket", bounds.l_far, bounds.u_far))
 
     lower_slack = math.inf
     upper_slack = math.inf
+    where = f"pair ({x_id}, {y_id})"
     for name, lo, hi in checks:
         sl, su = ratio - lo, hi - ratio
         if sl < -tol:
-            raise BoundViolated(name, sl, f"pair ({x_id}, {y_id}): ratio {ratio!r} below {lo!r}")
+            raise BoundViolated(name, sl, f"{where}: ratio {ratio!r} below {lo!r}", (x_id, y_id))
         if su < -tol:
-            raise BoundViolated(name, su, f"pair ({x_id}, {y_id}): ratio {ratio!r} above {hi!r}")
+            raise BoundViolated(name, su, f"{where}: ratio {ratio!r} above {hi!r}", (x_id, y_id))
         lower_slack = min(lower_slack, sl)
         upper_slack = min(upper_slack, su)
 
@@ -683,7 +685,8 @@ def _outcome(run):
     try:
         return run()
     except (BoundViolated, ValueError) as exc:
-        return (type(exc), str(exc), getattr(exc, "name", None), getattr(exc, "slack", None))
+        fields = (getattr(exc, name, None) for name in ("name", "slack", "pair"))
+        return (type(exc), str(exc), *fields)
 
 
 def _fields(pc):
@@ -884,7 +887,8 @@ def test_failure_matches_scalar_judge(own_norm):
     assert want[0] is BoundViolated and want[3] < 0.0
     with pytest.raises(BoundViolated) as exc:
         sg.distortion_report(g, pts)
-    assert (type(exc.value), str(exc.value), exc.value.name, exc.value.slack) == want
+    error = exc.value
+    assert (type(error), str(error), error.name, error.slack, error.pair) == want
     # the single pair through check_pair raises the same
     x, y = (pts.coords[0], pts.coords[1])
     assert _outcome(lambda: sg.check_pair(g, x, y, 0, 1)) == want
@@ -1137,6 +1141,44 @@ def test_apply_on_hull_edge_cases(target_dim, support):
     support = list(support)
     want = slice(support[0], support[-1] + 1) if support else slice(0, 0)
     assert maps[0].rows == want and maps[0].hull.shape == (want.stop - want.start, 3)
+
+
+def _alone(x: np.ndarray, offset: int) -> np.ndarray:
+    """A one-row array of x's entries, freshly allocated, whose row starts
+    offset bytes (0 or 8) past a 16-byte boundary."""
+    buffer = np.empty(len(x) + 1)
+    at = (offset - buffer.ctypes.data % 16) % 16 // 8
+    row = buffer[at : at + len(x)]
+    row[:] = x
+    assert row.ctypes.data % 16 == offset
+    return row[None]
+
+
+@pytest.mark.parametrize("source_dim", [3, 5, 7, 9])
+def test_one_row_hull_products_are_row_invariant(source_dim):
+    # numpy multiplies a one-row hull by dot, whose bits under OpenBLAS's
+    # generic kernel (OPENBLAS_CORETYPE=Prescott) depend on the row's
+    # 16-byte alignment; the rows of an odd width alternate between
+    # alignments in a block. Each row's image, image norm and blend norm in
+    # a block has the bits of the row alone, at either alignment
+    rng = np.random.default_rng(source_dim)
+    source, target = sg.Space(source_dim), sg.Space(20, sg.Lp(3.0))
+    first, second = (
+        sg.LinearMap.from_band(rng.standard_normal((1, source_dim)), start, source, target)
+        for start in (7, 12)
+    )
+    X = rng.standard_normal((64, source_dim))
+    c, s = rng.standard_normal((2, len(X)))
+
+    def results(U, rows):
+        blend = sg.blend_norms(c[rows], s[rows], first, second, U)
+        return sg.apply(first, U), sg.image_norms(first, U), blend
+
+    block = results(X, slice(None))
+    for j in range(len(X)):
+        want = [v[j : j + 1].tobytes() for v in block]
+        for offset in (0, 8):
+            assert [v.tobytes() for v in results(_alone(X[j], offset), slice(j, j + 1))] == want
 
 
 def _sized(sizes, fn):
@@ -1591,17 +1633,9 @@ def test_weight_grid_matches_row_loop(eps, delta, levels, grid):
         assert [repr(sg.weight(sched, k, t)) for k in range(1, levels + 2)] == list(map(repr, want))
 
 
-@pytest.mark.parametrize("batch", [None, 64], ids=["default-batch", "batch-64"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_row_embed_bit_equal_to_point_embed(data, batch, wide_ws):
-    sched = data.draw(st.sampled_from([wide_ws, _MID_WS]))
-    space = data.draw(_spaces())
-    placement = data.draw(st.sampled_from(PLACEMENTS))
-    per_level = data.draw(st.integers(1, 4))
-    seed = data.draw(st.integers(0, 2**32 - 1))
+def _assert_row_embed_bit_equal(batch, sched, space, placement, per_level, seed, drop_origin):
     pts = sg.generate_annular(seed, sched, per_level, space.dim, placement, space.norm)
-    if data.draw(st.booleans()):
+    if drop_origin:
         pts = sg.make_point_set(space, pts.coords[1:], pts.ids[1:])
     g = _block_glue(space, sched, pts)
     want = [embed_point(g, row) for row in pts.coords]
@@ -1613,6 +1647,34 @@ def test_row_embed_bit_equal_to_point_embed(data, batch, wide_ws):
     assert got.shape == (len(pts), g.target.dim)
     assert got.tobytes() == np.array(want).tobytes()
     assert [v.tobytes() for v in one] == [v.tobytes() for v in want]
+
+
+@pytest.mark.parametrize("batch", [None, 64], ids=["default-batch", "batch-64"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_embed_bit_equal_to_point_embed(data, batch, wide_ws):
+    _assert_row_embed_bit_equal(
+        batch,
+        data.draw(st.sampled_from([wide_ws, _MID_WS])),
+        data.draw(_spaces()),
+        data.draw(st.sampled_from(PLACEMENTS)),
+        data.draw(st.integers(1, 4)),
+        data.draw(st.integers(0, 2**32 - 1)),
+        data.draw(st.booleans()),
+    )
+
+
+# draws on which the point oracle once took its root through libm's pow on
+# a numpy scalar, which differs by an ulp from numpy's SIMD power on an
+# array (the program's root) on some inputs
+@pytest.mark.parametrize("batch", [None, 64], ids=["default-batch", "batch-64"])
+@pytest.mark.parametrize(
+    "space, per_level, seed",
+    [(sg.Space(3, sg.Lp(1.5)), 2, 5541), (sg.Space(1, sg.WeightedLp(3.0, [0.001])), 1, 3)],
+    ids=["l1.5-seed-5541", "weighted-l3-seed-3"],
+)
+def test_row_embed_bit_equal_to_point_embed_on_pinned_draws(batch, space, per_level, seed):
+    _assert_row_embed_bit_equal(batch, _MID_WS, space, "ramp", per_level, seed, False)
 
 
 def test_row_embed_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
@@ -1808,8 +1870,8 @@ def _pair_table(rng, size, ratio, lower, upper):
 
 
 def _edge_float_report():
-    """A report of only a pair table, of several row blocks with a short last
-    one: a column of distinct floats across the float range, one of a few
+    """A report of only a pair table, of twice BATCH_ELEMENTS // 6 rows and
+    17 more: a column of distinct floats across the float range, one of a few
     repeated values with -0.0 and 0.0, infinities and NaN, and one that mixes
     both."""
     rng = np.random.default_rng(11)
@@ -1823,8 +1885,9 @@ def _edge_float_report():
 
 
 def _write_in_blocks(path, dist, cuts):
-    """The pairs CSV of a report's pair table, spooled as the sweep spools
-    it, with the table cut at cuts, and written from the spool."""
+    """The pairs CSV of a report's pair table, its rows spooled as the
+    sweep spools them, with the table cut at cuts, and copied from the
+    spool."""
     pairs = spiralglue.cli._PairsSpool()
     size = len(dist.pair_checks)
     try:
@@ -1838,7 +1901,7 @@ def _write_in_blocks(path, dist, cuts):
 def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_pipeline):
     reports = {**_reports(l1_pipeline, plateau_pipeline), "edge-floats": _edge_float_report()}
     for name, dist in reports.items():
-        # blocks of one row, and blocks across the writer's own row blocks
+        # blocks of one row, and blocks of thousands of rows
         size = len(dist.pair_checks)
         _write_in_blocks(str(tmp_path / f"{name}.csv"), dist, [1, 2, size // 3, size - 17])
         write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), dist)
@@ -1871,6 +1934,38 @@ def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_pipeline, monkey
     assert np.count_nonzero(ratios == ratios.min()) > 1
     assert np.count_nonzero(ratios == ratios.max()) > 1
     assert np.count_nonzero(ratios == 1.0) > len(ratios) // 2
+
+
+@pytest.mark.parametrize("with_nan", [False, True], ids=["ties", "nan"])
+def test_summaries_fold_equals_whole_column_reductions(with_nan):
+    # the class summaries and witnesses folded in blocks of one row and of
+    # hundreds equal reductions over the whole columns: classes in order of
+    # first appearance, the first of tied extremes, and NaN propagated (the
+    # first NaN ratio is both witnesses, as argmin and argmax take it). The
+    # values tie often, and none is -0.0, which no judged column holds
+    rng = np.random.default_rng(5)
+    size = 2000
+    ratio, lower, upper = rng.choice([0.5, 1.0, 2.0, 0.0, math.inf, -math.inf], (3, size))
+    if with_nan:
+        ratio[[1500, 1700]] = lower[[40, 900]] = math.nan
+    table = _pair_table(rng, size, ratio, lower, upper)
+    table.code[:] = rng.choice([2, 0, 3], size)
+    summaries = sg.verify._Summaries()
+    for lo, hi in zip([0, 1, 2, 700], [1, 2, 700, size]):
+        summaries.add(table, slice(lo, hi))
+    codes, firsts = np.unique(table.code, return_index=True)
+    want = {}
+    for c in codes[np.argsort(firsts)].tolist():
+        of = table.code == c
+        extremes = (np.min(ratio[of]), np.max(ratio[of]), np.min(lower[of]), np.min(upper[of]))
+        want[sg.verify._CLASSES[c]] = sg.verify.ClassSummary(int(of.sum()), *map(float, extremes))
+    assert repr(list(summaries.by_class().items())) == repr(list(want.items()))
+    witnesses = [
+        (float(ratio[j]), (int(table.x_id[j]), int(table.y_id[j])))
+        for j in (int(np.argmin(ratio)), int(np.argmax(ratio)))
+    ]
+    assert repr(summaries.witnesses) == repr(witnesses)
+    assert with_nan == math.isnan(summaries.witnesses[0][0])
 
 
 def test_pair_table_builds_pair_checks_on_demand(l1_pipeline, monkeypatch):

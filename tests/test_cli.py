@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -737,11 +738,30 @@ def test_failed_run_leaves_existing_pairs_csv_untouched(tmp_path, capsys, monkey
     assert report["status"] == "BoundViolated"
     assert report["failure"]["name"] == "plateau_bracket"
     assert f"slack {report['failure']['slack']!r}" in report["error"]
+    # the failure names the pair whose ratio broke the bracket
+    assert report["failure"]["pair"] == [24, 14]
+    assert "(pair (24, 14): ratio " in report["error"]
     assert capsys.readouterr().err.startswith("run failed: inequality 'plateau_bracket'")
     assert (tmp_path / "pairs.csv").read_bytes() == old
     # the failure report is the only new file
     assert set(tmp_path.iterdir()) == before | {tmp_path / "report.json"}
     assert list(spool.iterdir()) == []
+
+
+def test_distortion_failure_names_no_pair(tmp_path, capsys, monkeypatch):
+    # every pair passes its brackets, but the distortion exceeds a ratio
+    # bound of 1: the failure is of the witnesses, not of one pair
+    real = sg.verify.embedding_bounds
+    monkeypatch.setattr(
+        sg.verify, "embedding_bounds", lambda g: dataclasses.replace(real(g), ratio=1.0)
+    )
+    path, _ = _base_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "BoundViolated"
+    assert report["failure"]["name"] == "distortion_vs_bounds"
+    assert report["failure"]["pair"] is None
+    assert capsys.readouterr().err.startswith("run failed: inequality 'distortion_vs_bounds'")
 
 
 def test_run_leaves_only_its_outputs(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ pair difference among them) a block at a time and keeps only the distinct
 ones, a lone map's norms are taken on its hull product without a buffer
 beside it and a blend's on a buffer as wide as the union of its hulls, and
 a sweep that keeps no pair table holds no array of one entry
-per pair, also when `run` spools a pairs CSV. The bounds here are fixed
+per pair, also when `run` spools the rows of a pairs CSV. The bounds here are fixed
 numbers of bytes for fixed small inputs: a dense map, an array of every
 certification vector, a buffer beside the product or a column per pair
 exceeds them.
@@ -133,9 +133,10 @@ def test_certification_holds_distinct_rows_and_a_few_bytes_per_row():
 
 def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):
     # with a pairs CSV the run used to hold the table of all 11 325 pairs
-    # (0.92 MB) in the sweep and peak at 2.32 MB; the pairs are now spooled
-    # to a file, and the whole run, writes included, peaks at about 1.15 MB,
-    # in the sweep (certification peaks at about 1.0 MB above its start)
+    # (0.92 MB) in the sweep and peak at 2.32 MB; the CSV's rows are now
+    # formatted a judged block at a time and spooled to a file as text, and
+    # the whole run, writes included, peaks at about 1.13 MB, in the sweep
+    # (certification peaks at about 1.0 MB above its start)
     cfg = {
         "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
         "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
