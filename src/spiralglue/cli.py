@@ -18,7 +18,7 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .bank import (
     BlockShift,
     QuadratureL2toL1,
     UserMatrices,
+    blend_threshold,
     build_bank,
     select_subsequence,
 )
@@ -61,6 +62,7 @@ from .schedule import (
 )
 from .spaces import NormSpec, RowBlocks, Space, norm_from_dict, row_blocks, space_to_dict
 from .verify import (
+    DEFAULT_TOL,
     DistortionReport,
     PairTable,
     distortion_report,
@@ -141,7 +143,7 @@ def _read(section: dict, path: str, key: str, convert, *default):
         raise ValueError(f"{name}: missing")
     try:
         return convert(section[key])
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OSError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
@@ -256,8 +258,8 @@ def _two_or_more(pts: LocallyFiniteSet) -> LocallyFiniteSet:
 
 
 def _user_matrices(matrices, source: Space) -> UserMatrices:
-    """The caller's matrices: a non-empty list of 2-d arrays of one shape,
-    each with a column per source coordinate."""
+    """The caller's matrices: a non-empty list of finite 2-d arrays of one
+    shape, each with a column per source coordinate."""
     strategy = UserMatrices(tuple(matrices))
     if not strategy.matrices or strategy.matrices[0].ndim != 2:
         raise ValueError("expected a non-empty list of 2-d matrices")
@@ -265,6 +267,9 @@ def _user_matrices(matrices, source: Space) -> UserMatrices:
     bad = next((m.shape for m in strategy.matrices if m.shape != want), None)
     if bad is not None:
         raise ValueError(f"matrix shape {bad} != {want}")
+    bad = next((k for k, m in enumerate(strategy.matrices) if not np.all(np.isfinite(m))), None)
+    if bad is not None:
+        raise ValueError(f"matrix {bad} has non-finite entries")
     return strategy
 
 
@@ -436,35 +441,15 @@ def _report_dict(cfg, sched, bank, selection, dist: DistortionReport) -> dict:
             "cert_lower_margin": list(bank.cert_lower_margin),
             "cert_upper_margin": list(bank.cert_upper_margin),
         },
-        "selection": {
-            "chosen_indices": list(selection.chosen_indices),
-            "worst_margins": list(selection.worst_margins),
-            "zeta": selection.zeta,
-            "threshold": selection.threshold,
-        },
+        "selection": asdict(selection),
         "distortion": {
             "min_ratio": dist.min_ratio,
             "max_ratio": dist.max_ratio,
             "distortion": dist.distortion,
             "witness_min": list(dist.witness_min),
             "witness_max": list(dist.witness_max),
-            "bounds": {
-                "l_same": dist.bounds.l_same,
-                "u_same": dist.bounds.u_same,
-                "l_far": dist.bounds.l_far,
-                "u_far": dist.bounds.u_far,
-                "ratio": dist.bounds.ratio,
-            },
-            "by_class": {
-                k: {
-                    "count": v.count,
-                    "min_ratio": v.min_ratio,
-                    "max_ratio": v.max_ratio,
-                    "min_lower_slack": v.min_lower_slack,
-                    "min_upper_slack": v.min_upper_slack,
-                }
-                for k, v in sorted(dist.by_class.items())
-            },
+            "bounds": asdict(dist.bounds),
+            "by_class": {k: asdict(v) for k, v in sorted(dist.by_class.items())},
         },
         "status": "ok",
     }
@@ -570,7 +555,7 @@ def _write_pairs_csv(path: str, pairs: _PairsSpool) -> None:
         shutil.copyfileobj(pairs.fh, fh)
 
 
-def run_pipeline(cfg: RunConfig, tolerance: float = 1e-9, on_block=None):
+def run_pipeline(cfg: RunConfig, tolerance: float = DEFAULT_TOL, on_block=None):
     """schedule -> points -> decomposition -> certified bank -> selection ->
     glue -> sweep, with the time of each stage under `timings`.
 
@@ -759,7 +744,7 @@ def _spreading_verdict(grid: int) -> tuple[bool, str]:
         value, arg = spreading_bound_minimum(grid)
     except SpiralGlueError as exc:
         return False, str(exc)
-    return abs(value - math.sqrt(2.0) / 3.0) <= 1e-6, f"minimum {value!r} at {arg!r}"
+    return abs(value - blend_threshold(0.0)) <= 1e-6, f"minimum {value!r} at {arg!r}"
 
 
 def cmd_theory(args) -> int:
@@ -906,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the report path")
     p.add_argument("--seed", type=int, default=None, help="override the generator seed")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("theory", help="run the closed-form and identity checks")

@@ -37,17 +37,18 @@ against exact sums.
 
 `distinct_rows` is the one exact grouping of rows by bit pattern, so that
 a caller can evaluate each distinct row once and gather the results back.
-It reads a stream of row blocks twice: pass 1 keys every row (`row_keys`)
-and pass 2 keeps each group's first row and each row's group, and neither
-pass holds more than a block of rows. Decompose groups a level's unit
-differences with it as one block; certification groups a `RowBlocks`
-stream of certify rows and images each distinct nonzero row once per map
-(see `bank._certify_rows`). The sweep hashes no rows: its repeated
-sandwich rows are those of one point (x/|x| at the ramp angle of x, y/|y|
-at a clamped angle), whose gains it keeps in per-point tables (see
-`verify._sandwich`). `direction_gain` itself does not group: selection's
-level checks never repeat a row. Every kernel here is row-wise, so the
-gathered values are the bits of evaluating every row.
+A row joins the group of its hash's first row when their bits are equal,
+and starts a group of its own otherwise. The grouping reads a stream of
+row blocks twice, pass 1 for each row's hash's first row and pass 2 for
+the groups, and neither pass holds more than a block of rows. Decompose
+groups a level's unit differences with it as one block; certification
+groups a `RowBlocks` stream of certify rows and images each distinct
+nonzero row once per map (see `bank._certify_rows`). The sweep hashes no
+rows: its repeated sandwich rows are those of one point (x/|x| at the ramp
+angle of x, y/|y| at a clamped angle), whose gains it keeps in per-point
+tables (see `verify._sandwich`). `direction_gain` itself does not group:
+selection's level checks never repeat a row. Every kernel here is
+row-wise, so the gathered values are the bits of evaluating every row.
 """
 
 from __future__ import annotations
@@ -88,45 +89,23 @@ class RowBlocks:
         return iter(self.blocks())
 
 
-# the odd multiplier of row_keys' hash (the 64-bit golden ratio); column j of
-# a row is weighted by its (j + 1)-th power
+# the odd multiplier of _row_hashes (the 64-bit golden ratio); column j of a
+# row is weighted by its (j + 1)-th power
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def row_keys(blocks, rows: int) -> tuple[np.ndarray, np.uint64]:
-    """The sorted keys by which distinct_rows groups `rows` rows, given a
-    block at a time as 2-d float arrays in row order, and the number of low
-    bits holding the row index.
-
-    Each row's bits are folded into a hash (each column's bits xored with
-    their high half, times the column's power of _HASH_MULTIPLIER, summed),
-    whose top bits, with the row index in the low `shift` bits, make the
-    row's key. Sorted, the keys order the rows by hash and, within a hash,
-    by index. Rows are hashed in row blocks, so the only array of one entry
-    per row is the keys."""
-    key = np.empty(rows, dtype=np.uint64)
-    start, weights = 0, None
-    for block in blocks:
-        bits = block.view(np.uint64)
-        if weights is None:
-            weights = np.cumprod(np.full(bits.shape[1], _HASH_MULTIPLIER))
-        into = key[start : start + len(bits)]
-        if len(into) != len(bits):
-            raise ValueError(f"blocks hold more than {rows} rows")
-        for part in row_blocks(len(bits), 2 * len(weights)):
-            mixed = bits[part] >> np.uint64(32)
-            mixed ^= bits[part]
-            into[part] = mixed @ weights
-        start += len(bits)
-    if start != rows:
-        raise ValueError(f"blocks hold {start} rows, not {rows}")
-    shift = np.uint64(max(rows - 1, 1).bit_length())
-    key >>= shift
-    key <<= shift
-    for block in row_blocks(rows, 1):
-        key[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
-    key.sort()
-    return key, shift
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    """The 64-bit hash of each row of a 2-d block of rows' bits (uint64):
+    each column's bits xored with their high half, times the column's power
+    of _HASH_MULTIPLIER, summed; distinct_rows keys the rows by its top
+    bits. The rows are hashed in row blocks of half the element budget."""
+    weights = np.cumprod(np.full(bits.shape[1], _HASH_MULTIPLIER))
+    hashes = np.empty(len(bits), dtype=np.uint64)
+    for part in row_blocks(len(bits), 2 * len(weights)):
+        mixed = bits[part] >> np.uint64(32)
+        mixed ^= bits[part]
+        hashes[part] = mixed @ weights
+    return hashes
 
 
 def distinct_rows(blocks, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,17 +120,18 @@ def distinct_rows(blocks, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, 
     payloads, stay apart). take and group are in the narrowest signed
     integers that hold a row index.
 
-    Pass 1 keys every row (row_keys) and sorts the keys once; each row's
-    predecessor in that order, the row before it of its hash, gives its
-    provisional group (_hash_heads). Pass 2 forms the blocks anew, copies
-    each hash's first row into kept, and checks every other row bit for bit
-    against the kept row of its predecessor's group (_first_mismatch). A
-    mismatch is a hash collision: the row then starts a group of its own,
-    so a collision costs a missed merge, never a wrong group. Pass 2 settles
-    the rows in blocks of row_blocks, so that a collision leaves at most a
-    block to settle row by row, and writes each row's group over its entry
-    of pass 1's array of hash heads. Neither pass holds more than a block
-    of rows beside the keys, the kept rows and group."""
+    One rule makes the groups: a row starts a group when it is the first
+    row of its hash, or when its bits differ from that first row's bits (a
+    hash collision); otherwise it joins that row's group. Groups are
+    numbered in row order. Pass 1 finds each row's hash's first row
+    (_hash_heads). Pass 2 forms the blocks anew; per block it numbers the
+    first rows of their hashes and copies them into kept, compares every
+    row bit for bit with the kept row of its hash, and only when some row
+    differs numbers the block's groups once more, with those rows among
+    them. A collision thus costs at most a missed merge, never a wrong
+    group. Pass 2 writes each row's group over its entry of pass 1's array
+    of hash heads, and neither pass holds more than a block of rows beside
+    the keys, the kept rows and group."""
 
     def stream():
         for block in blocks:
@@ -159,68 +139,77 @@ def distinct_rows(blocks, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, 
             for part in row_blocks(len(block), dim):
                 yield block[part]
 
-    key, shift = row_keys(stream(), rows)
-    head, groups = _hash_heads(key, shift)
-    del key
+    head, groups = _hash_heads(stream(), rows)
     kept = np.empty((groups, dim))
     take = np.empty(groups, dtype=head.dtype)
-    # the current group of each run of equal hashes that a collision split,
-    # by the run's first row: the group of the run's latest row
-    split = {}
     start = done = 0
     for block in stream():
         stop = start + len(block)
         heads = head[start:stop]
         at = np.flatnonzero(heads < 0)
-        late = np.flatnonzero(np.isin(heads, list(split))) if split else at[:0]
-        # groups are numbered in order of their first rows; a first row's
-        # entry of head, read by the later rows of its hash, holds its group
+        # groups are numbered in row order; a first row's entry of head,
+        # read by the later rows of its hash, holds its group
         fresh = done + len(at)
         heads[at] = np.arange(done, fresh)
         np.take(block, at, axis=0, out=kept[done:fresh])
         take[done:fresh] = at + start
         own = head[heads]
         own[at] = heads[at]
-        own[late] = [split[r] for r in heads[late].tolist()]
-        bad = _first_mismatch(block, kept, own)
-        if bad is not None:
-            # a hash collision: settle the rest of the block row by row,
-            # numbering the groups its rows start in row order
-            firsts = set(at.tolist())
-            fresh = done + int(np.searchsorted(at, bad))
-            for i in range(bad, len(block)):
-                if i not in firsts:
-                    run = int(heads[i])
-                    g = split.get(run, head[run])
-                    if np.array_equal(block[i].view(np.uint64), kept[g].view(np.uint64)):
-                        own[i] = g
-                        continue
-                    # one group more than pass 1 counted: grown in place (no
-                    # view of these arrays is alive here), without a copy
-                    kept.resize((len(kept) + 1, dim), refcheck=False)
-                    take.resize(len(kept), refcheck=False)
-                    split[run] = fresh
-                heads[i] = own[i] = fresh
-                kept[fresh] = block[i]
-                take[fresh] = start + i
-                fresh += 1
+        new = np.zeros(len(block), dtype=bool)
+        for part in row_blocks(len(block), 2 * dim):
+            unequal = block[part].view(np.uint64) != np.take(kept, own[part], axis=0).view(np.uint64)
+            if unequal.any():
+                new[part] = unequal.any(axis=1)
+        if new.any():
+            # a hash collision: the rows that differ start groups too, and
+            # the block's groups are numbered once more in row order; a row
+            # that joins a first row of this block takes that row's group
+            kept.resize((len(kept) + int(np.count_nonzero(new)), dim), refcheck=False)
+            take.resize(len(kept), refcheck=False)
+            new[at] = True
+            number = np.cumsum(new) + (done - 1)
+            join = ~new & (heads >= start)
+            own[join] = number[heads[join] - start]
+            own[new] = number[new]
+            at = np.flatnonzero(new)
+            fresh = done + len(at)
+            np.take(block, at, axis=0, out=kept[done:fresh])
+            take[done:fresh] = at + start
         heads[:] = own
         start, done = stop, fresh
         del heads, own  # not alive while the next block is formed
     return kept, take, head
 
 
-def _hash_heads(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, int]:
-    """From the sorted keys of row_keys: (head, groups), the first row of
-    each row's hash (the first of its run of equal hashes in key order, where
-    rows of one hash follow in row order), -1 for that first row itself, and
-    the number of hashes. The keys are read in row blocks; head, in the
-    narrowest signed integers that hold every row index and -1, is the only
-    array of one entry per row."""
+def _hash_heads(blocks, rows: int) -> tuple[np.ndarray, int]:
+    """Pass 1 of distinct_rows on `rows` rows, given a block at a time as
+    2-d float arrays in row order: (head, groups), the first row of each
+    row's hash, -1 for that first row itself, and the number of hashes.
+
+    A row's key is its hash's top bits (_row_hashes) with its index in the
+    low bits, so the sorted keys order the rows by hash and, within a hash,
+    by index. The keys are read in row blocks; they and head, in the
+    narrowest signed integers that hold every row index and -1, are the
+    only arrays of one entry per row."""
+    key = np.empty(rows, dtype=np.uint64)
+    start = 0
+    for block in blocks:
+        into = key[start : start + len(block)]
+        if len(into) != len(block):
+            raise ValueError(f"blocks hold more than {rows} rows")
+        into[:] = _row_hashes(block.view(np.uint64))
+        start += len(block)
+    if start != rows:
+        raise ValueError(f"blocks hold {start} rows, not {rows}")
+    shift = np.uint64(max(rows - 1, 1).bit_length())
     index_bits = (np.uint64(1) << shift) - np.uint64(1)
-    head = np.empty(len(key), dtype=np.min_scalar_type(-len(key)))
+    key &= ~index_bits
+    for block in row_blocks(rows, 1):
+        key[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
+    key.sort()
+    head = np.empty(rows, dtype=np.min_scalar_type(-max(rows, 1)))
     groups, last, run_head = 0, None, 0
-    for block in row_blocks(len(key), 1):
+    for block in row_blocks(rows, 1):
         hashes = key[block] >> shift
         new = np.empty(len(hashes), dtype=bool)
         new[0] = last is None or hashes[0] != last
@@ -235,16 +224,6 @@ def _hash_heads(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, int]:
         groups += int(runs[-1])
         last, run_head = hashes[-1], run_heads[-1]
     return head, groups
-
-
-def _first_mismatch(block: np.ndarray, kept: np.ndarray, own: np.ndarray):
-    """The first row of block whose bits differ from those of its kept row
-    kept[own], or None; compared in row blocks."""
-    for rows in row_blocks(len(block), 2 * block.shape[1]):
-        unequal = block[rows].view(np.uint64) != np.take(kept, own[rows], axis=0).view(np.uint64)
-        if unequal.any():
-            return rows.start + int(np.argmax(unequal.any(axis=1)))
-    return None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

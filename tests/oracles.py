@@ -190,8 +190,11 @@ def norms_full_width(space, X) -> np.ndarray:
 
 def apply_scalar(m, x) -> np.ndarray:
     """The image of one vector, by a matrix-vector product of the map's
-    hull, zero outside it."""
-    x = np.asarray(x, dtype=float)
+    hull, zero outside it. The product is taken on a copy of x, a vector
+    alone: under OpenBLAS's generic kernel a one-row hull's product depends
+    on the vector's 16-byte alignment, which a row of an array of an odd
+    width need not have."""
+    x = np.array(x, dtype=float)
     assert x.shape == (m.source.dim,)
     image = np.zeros(m.target.dim)
     image[m.rows] = m.hull @ x

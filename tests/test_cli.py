@@ -392,6 +392,7 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys, dotted):
 
 
 _EYE3 = np.eye(3).tolist()
+_NON_FINITE = (math.nan, math.inf, -math.inf)
 # the l1 norm of each 3-wide block of the 18-wide target, as a max of functionals
 _L1_BLOCKS = np.kron(np.eye(6), [[a, b, 1.0] for a in (1.0, -1.0) for b in (1.0, -1.0)])
 
@@ -417,9 +418,19 @@ def test_run_rejects_unknown_norm_key(tmp_path, capsys, norm, stray):
 
 
 @pytest.mark.parametrize(
-    "matrices", [[], [1], [[1.0, 0.0, 0.0]], [_EYE3, np.eye(2).tolist()]], ids=repr
+    "matrices",
+    [
+        [],
+        [1],
+        [[1.0, 0.0, 0.0]],
+        [_EYE3, np.eye(2).tolist()],
+        *([_EYE3, [[1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 1.0]]] for bad in _NON_FINITE),
+    ],
+    ids=repr,
 )
 def test_run_rejects_bad_user_matrices(tmp_path, capsys, matrices):
+    # a non-finite entry is rejected as the config is parsed, not once the
+    # schedule, the points and the decomposition are built
     bank = {"strategy": "user_matrices", "count": 2, "matrices": matrices}
     path, _ = _base_config(tmp_path, bank=bank)
     assert main(["run", "--config", str(path)]) == 2
@@ -621,7 +632,7 @@ def test_run_point_beyond_coverage_names_a_float(tmp_path, capsys):
     assert "np.float64(" not in err
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["inline", "file"])
 def test_run_rejects_non_finite_points(tmp_path, capsys, key, bad):
     # a NaN point used to fail late with a -inf norm, and an infinite one
@@ -635,6 +646,21 @@ def test_run_rejects_non_finite_points(tmp_path, capsys, key, bad):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: points.{key}: point 1 has a non-finite coordinate")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_run_names_points_file_that_cannot_be_read(tmp_path, capsys, kind):
+    # a file that cannot be opened is a config error naming the key, as a
+    # file of bad contents is
+    points = tmp_path / "points.json"
+    if kind == "directory":
+        points.mkdir()
+    path, _ = _base_config(tmp_path, points={"file": str(points)})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: points.file: [Errno ")
+    assert str(points) in err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,12 +1,14 @@
 """Exact grouping of rows by bit pattern, and the kernels built on it.
 
-`spaces.distinct_rows` reads a stream of row blocks twice: it keys every
-row in one pass and keeps each group's first row in a second. It must put
-two rows in one group only when every bit of them is equal, give the
-groups of one block however the rows are cut into blocks, also when hashes
-collide, and keep each group's first row with its bits. Decompose groups
-its unit differences with it, and must find the directions of
-`tests/oracles.py` through any collision. Certification keeps the groups of
+`spaces.distinct_rows` groups rows by one rule: a row joins the group of
+its hash's first row when their bits are equal, and starts a group of its
+own otherwise. It reads a stream of row blocks twice, and must put two rows
+in one group only when every bit of them is equal, follow the rule when
+hashes collide (tests patch the hash, `spaces._row_hashes`, to one value or
+three), give the groups of one block however the rows are cut into blocks,
+and keep each group's first row with its bits. Decompose groups its unit
+differences with it, and must find the directions of `tests/oracles.py`
+through any collision. Certification keeps the groups of
 positive norm and evaluates each distinct row once; it and the row gain
 must match `tests/oracles.py`, which evaluates every row (the row gain's
 bit-equality on repeated rows is held in `tests/test_batched.py`).
@@ -64,7 +66,7 @@ def _row_arrays(draw, max_rows=40):
     return np.array([pool[k] for k in picks], dtype=float).reshape(len(picks), width)
 
 
-def _row_keys(X) -> list[bytes]:
+def _row_bits(X) -> list[bytes]:
     """Each row's bits, as bytes."""
     return [row.tobytes() for row in X.view(np.uint64)]
 
@@ -75,7 +77,7 @@ def _grouped(X):
 
 
 def _check_groups(X, kept, take, group, merged: bool):
-    keys = _row_keys(X)
+    keys = _row_bits(X)
     n = len(keys)
     assert take.shape == (len(take),) and group.shape == (n,)
     assert kept.shape == (len(take), X.shape[1])
@@ -99,18 +101,73 @@ def test_distinct_rows_groups_by_bit_pattern(X):
     _check_groups(X, *_grouped(X), merged=True)
 
 
+def _cut_hashes(count):
+    """_row_hashes cut to its value mod count, in the top bits, which the
+    grouping keys rows by: with one hash every row's hash's first row is
+    row 0; with three, rows of other bits share a hash often, beside rows
+    whose hashes still differ."""
+    row_hashes = spiralglue.spaces._row_hashes
+
+    def hashes(bits):
+        return row_hashes(bits) % np.uint64(count) << np.uint64(62)
+
+    return hashes
+
+
+# the patched hashes of spaces._row_hashes, by name
+_COLLISIONS = {"one-hash": _cut_hashes(1), "three-hashes": _cut_hashes(3)}
+
+
+def _rule_groups(X, hashes):
+    """(take, group) by the rule, row by row: a row joins the group of its
+    hash's first row when their bits are equal, and starts a group
+    otherwise."""
+    keys = _row_bits(X)
+    firsts, take, group = {}, [], []
+    for i, h in enumerate(hashes.tolist()):
+        j = firsts.setdefault(h, i)
+        if j < i and keys[j] == keys[i]:
+            group.append(group[j])
+        else:
+            group.append(len(take))
+            take.append(i)
+    return take, group
+
+
 @settings(max_examples=200, deadline=None)
 @given(X=_row_arrays())
 def test_distinct_rows_exact_under_forced_collisions(X):
-    # with the multiplier 0 every row hashes to 0: the grouping then rests on
-    # the bit comparison alone, and only consecutive repeats merge
+    # every row hashes to 0, so row 0 is every row's hash's first row: the
+    # rows of its bits join it, and every other row starts a group
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(0))
+        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["one-hash"])
         kept, take, group = _grouped(X)
     _check_groups(X, kept, take, group, merged=False)
-    keys = _row_keys(X)
-    runs = 1 + sum(a != b for a, b in zip(keys, keys[1:])) if keys else 0
-    assert len(take) == runs
+    keys = _row_bits(X)
+    assert len(take) == (1 + sum(key != keys[0] for key in keys) if keys else 0)
+
+
+@pytest.mark.parametrize("collision", sorted(_COLLISIONS))
+@settings(max_examples=150, deadline=None)
+@given(case=st.tuples(_row_arrays(max_rows=60), st.sampled_from([64, 1 << 14])))
+def test_distinct_rows_follows_the_rule_in_any_blocks_under_collisions(collision, case):
+    # the groups are those of the rule, row by row, and the rows cut into
+    # blocks of 1, 2, 3 and 5 rows (and, at 64 elements, compared a few rows
+    # at a time) give the groups of one call
+    X, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS[collision])
+        mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", budget)
+        kept, take, group = _grouped(X)
+        hashes = spiralglue.spaces._row_hashes(X.view(np.uint64))
+        for size in (1, 2, 3, 5):
+            blocks = [X[lo : lo + size] for lo in range(0, len(X), size)]
+            got = distinct_rows(blocks, len(X), X.shape[1])
+            assert got[1].tolist() == take.tolist()
+            assert got[2].tolist() == group.tolist()
+            assert got[0].tobytes() == kept.tobytes()
+    _check_groups(X, kept, take, group, merged=False)
+    assert (take.tolist(), group.tolist()) == _rule_groups(X, hashes)
 
 
 def _stream(X, cuts):
@@ -165,46 +222,25 @@ def test_certify_rows_in_blocks_match_one_call(case):
 @settings(max_examples=200, deadline=None)
 @given(case=_cut_rows())
 def test_certify_rows_in_blocks_match_one_call_under_forced_collisions(case):
-    # every row hashes to 0, so only the bit comparison separates groups and
-    # only consecutive repeats merge: in a block, among the blocks' first
-    # rows (zero rows among them) and in one call alike
+    # every row hashes to 0, so only the bit comparison with row 0 separates
+    # groups: the rows of row 0's bits merge, and every other row starts a
+    # group, zero rows among them, in blocks and in one call alike
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spiralglue.spaces, "_HASH_MULTIPLIER", np.uint64(0))
+        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["one-hash"])
         _check_certify_rows_in_blocks(*case)
-
-
-def _three_hashes(row_keys):
-    """row_keys with each row's hash cut to its value mod 3: rows of other
-    bits share a hash often, beside rows whose hashes still differ."""
-
-    def keys(blocks, rows):
-        key, shift = row_keys(blocks, rows)
-        index = key & ((np.uint64(1) << shift) - np.uint64(1))
-        key = ((key >> shift) % np.uint64(3)) << shift | index
-        key.sort()
-        return key, shift
-
-    return keys
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_cut_rows())
 def test_certify_rows_in_blocks_match_one_call_under_partial_collisions(case):
-    # three hashes: several groups each, some split by collisions and some
-    # not, their first rows and splits interleaved within and across blocks;
-    # with 64-element batches the stream is read twice and its blocks are
-    # compared a few rows at a time
+    # three hashes: rows of other bits share a hash, and the first rows of
+    # the hashes and the rows that differ from them interleave within and
+    # across blocks; with 64-element batches the stream is read twice and
+    # its blocks are compared a few rows at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", 64)
-        mp.setattr(spiralglue.spaces, "row_keys", _three_hashes(spiralglue.spaces.row_keys))
+        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["three-hashes"])
         _check_certify_rows_in_blocks(*case)
-
-
-# the spaces attribute patched, and its value
-_COLLISIONS = {
-    "one-hash": ("_HASH_MULTIPLIER", np.uint64(0)),
-    "three-hashes": ("row_keys", _three_hashes(spiralglue.spaces.row_keys)),
-}
 
 
 @pytest.mark.parametrize("collision", sorted(_COLLISIONS))
@@ -226,13 +262,12 @@ def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wid
         seen.extend(blocks)
         return distinct_rows(blocks, rows, width)
 
-    name, value = _COLLISIONS[collision]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spiralglue.spaces, name, value)
+        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS[collision])
         mp.setattr(spiralglue.pointset, "distinct_rows", recorded)
         assert directions_bytes(sg.decompose(pts, wide_ws)) == want
         # four distinct rows among three hashes, or two among one, collide
-        assert any(len(set(_row_keys(units))) >= 4 for units in seen)
+        assert any(len(set(_row_bits(units))) >= 4 for units in seen)
         for units in seen:
             kept, take, group = _grouped(units)
             for size in (1, 2, 3, 5):
@@ -246,6 +281,7 @@ def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wid
 def test_distinct_rows_edge_cases():
     kept, take, group = _grouped(np.empty((0, 3)))
     assert kept.shape == (0, 3) and take.shape == group.shape == (0,)
+    assert take.dtype == group.dtype == np.int8
     kept, take, group = _grouped(np.array([[1.0, -0.0]]))
     assert take.tolist() == [0] and group.tolist() == [0]
     assert kept.view(np.uint64).tolist() == [[np.float64(1.0).view(np.uint64), 1 << 63]]
