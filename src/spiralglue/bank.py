@@ -177,8 +177,9 @@ def build_bank(
     Each distinct nonzero vector (by bit pattern, see distinct_rows) is
     normed and imaged once per map, in order of first occurrence, so the
     margins and the first worst vector are those of evaluating every vector.
-    distinct_rows reads a stream twice, so each iteration must yield the
-    same rows; only the distinct rows are kept (see _certify_rows). A map
+    distinct_rows reads a stream twice, a block at a time, however few its
+    rows, so each iteration must yield the same rows, cut into blocks
+    anywhere; only the distinct rows are kept (see _certify_rows). A map
     images them all in one image_norms call, whose blocks are whole but the
     last.
     """
@@ -227,31 +228,16 @@ def _certify_rows(source: Space, certify_set):
     distinct_rows whose kept row has a positive norm.
 
     An array or a sequence of vectors is one block; a RowBlocks stream is
-    read twice by distinct_rows, a block at a time (once, if its rows fit in
-    one block). The kept rows are normed in one call; a first row's index
-    among the nonzero rows is its index less the zero rows before it, which
-    group tells, a row block at a time."""
+    read twice by distinct_rows, a block at a time. The kept rows are normed
+    in one call; a first row's index among the nonzero rows is its index
+    less the zero rows before it, which one searchsorted finds among the
+    indices of the zero rows."""
     dim = source.dim
-    if isinstance(certify_set, RowBlocks):
-        total = len(certify_set)
-        # a stream whose rows fit in one block is formed once, for both passes
-        stream = certify_set if len(list(row_blocks(total, dim))) > 1 else list(certify_set)
-    else:
-        stream = [as_rows(certify_set, dim)]
-        total = len(stream[0])
-    kept, first, group = distinct_rows(stream, total, dim)
+    stream = certify_set if isinstance(certify_set, RowBlocks) else [as_rows(certify_set, dim)]
+    kept, first, group = distinct_rows(stream, len(certify_set), dim)
     kept_norms = norms(source, kept)
     zero = ~(kept_norms > 0.0)
-    # first rows, in place: each one's index less the zero rows before it.
-    # Groups are numbered in order of their first rows, so a row block's
-    # first rows are those of the groups after the last block's, up to its
-    # largest group
-    zeros = lo = 0
-    for block in row_blocks(total, 1):
-        hi = max(lo, int(group[block].max()) + 1)
-        counts = np.cumsum(zero[group[block]])
-        first[lo:hi] -= counts[first[lo:hi] - block.start] + zeros
-        zeros, lo = zeros + int(counts[-1]), hi
+    first -= np.searchsorted(np.flatnonzero(zero[group]), first)
     del group, zero
     take = np.flatnonzero(kept_norms > 0.0)
     if not len(take):

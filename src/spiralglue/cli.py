@@ -49,7 +49,7 @@ from .pointset import (
     generate_annular,
     load_points,
     make_point_set,
-    pairs_at,
+    pair_blocks,
     save_points,
 )
 from .schedule import (
@@ -60,7 +60,7 @@ from .schedule import (
     schedule_to_dict,
     weight_grid,
 )
-from .spaces import NormSpec, RowBlocks, Space, norm_from_dict, row_blocks, space_to_dict
+from .spaces import Lp, NormSpec, RowBlocks, Space, norm_from_dict, row_blocks, space_to_dict
 from .verify import (
     DEFAULT_TOL,
     DistortionReport,
@@ -114,7 +114,8 @@ _CONFIG_KEYS = {
 
 # the most matrix elements of a generated bank (block_shift, quadrature):
 # count maps of target.dim x source.dim each (1 GiB dense). The maps keep only
-# their hulls, but the target width sets the width of every image a run forms
+# their hulls, but the target width sets the width of every image a run forms.
+# It bounds the random certification rows too: certify_random x source.dim
 MAX_BANK_ELEMENTS = 1 << 27
 
 
@@ -149,11 +150,15 @@ def _read(section: dict, path: str, key: str, convert, *default):
 
 def _read_norm(section: dict, path: str, *default) -> NormSpec:
     """The norm object at path.norm, or default[0] when absent and given; it
-    may hold only the keys of its kind (an unknown kind is reported as such)."""
+    must hold exactly the keys of its kind (an unknown kind is reported as
+    such)."""
     raw = section.get("norm")
     kind = raw.get("norm") if isinstance(raw, dict) else None
     if f"norm={kind}" in _CONFIG_KEYS:
-        _section(section, f"{path}.norm", f"norm={kind}")
+        spec = _section(section, f"{path}.norm", f"norm={kind}")
+        for key in _CONFIG_KEYS[f"norm={kind}"].split():
+            if key not in spec:
+                raise ValueError(f"{path}.norm.{key}: missing")
     return _read(section, path, "norm", norm_from_dict, *default)
 
 
@@ -314,6 +319,12 @@ def parse_config(raw: dict) -> RunConfig:
     # selection takes one map per level and one more
     if count < levels + 1:
         raise ValueError(f"bank.count: {count} < schedule.levels + 1 = {levels + 1}")
+    certify_random = _read(bank_cfg, "bank", "certify_random", _integer(0), 32)
+    if certify_random * source.dim > MAX_BANK_ELEMENTS:
+        raise ValueError(
+            f"bank.certify_random: {certify_random} rows of {source.dim} hold "
+            f"{certify_random * source.dim} elements, more than {MAX_BANK_ELEMENTS}"
+        )
     target_cfg = _section(raw, "target")
     if isinstance(strategy, UserMatrices):
         if len(strategy.matrices) < count:
@@ -332,8 +343,15 @@ def parse_config(raw: dict) -> RunConfig:
                 f"elements, more than {MAX_BANK_ELEMENTS}"
             )
     target = _space("target", tdim, _read_norm(target_cfg, "target", source.norm))
+    if isinstance(strategy, QuadratureL2toL1):
+        for path, space, p in (("source", source, 2.0), ("target", target, 1.0)):
+            if space.norm != Lp(p):
+                raise ValueError(f"{path}.norm: quadrature_l2_to_l1 requires an l{p:g} norm")
 
     pts_cfg = _section(raw, "points")
+    given = [key for key in ("file", "inline", "generator") if key in pts_cfg]
+    if len(given) != 1:
+        raise ValueError(f"points: give exactly one of file, inline, generator; got {given}")
     points = None
     generator = None
     if "file" in pts_cfg:
@@ -344,15 +362,13 @@ def parse_config(raw: dict) -> RunConfig:
         points = _read(
             pts_cfg, "points", "inline", lambda rows: _two_or_more(make_point_set(source, rows))
         )
-    elif "generator" in pts_cfg:
+    else:
         gen = _section(pts_cfg, "points.generator")
         generator = {
             "seed": _read(gen, "points.generator", "seed", _integer(0), 0),
             "per_level": _read(gen, "points.generator", "per_level", _integer(1), 10),
             "placement": _read(gen, "points.generator", "placement", _placement, "mixed"),
         }
-    else:
-        raise ValueError("config 'points' must provide one of file/inline/generator")
 
     out_cfg = _section(raw, "output")
     return RunConfig(
@@ -365,7 +381,7 @@ def parse_config(raw: dict) -> RunConfig:
         margin=margin,
         strategy=strategy,
         bank_count=count,
-        certify_random=_read(bank_cfg, "bank", "certify_random", _integer(0), 32),
+        certify_random=certify_random,
         certify_seed=_read(bank_cfg, "bank", "certify_seed", _integer(0), 0),
         points=points,
         generator=generator,
@@ -377,45 +393,35 @@ def parse_config(raw: dict) -> RunConfig:
 
 def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks:
     """All points, all pairwise differences (a < b, row-major), all recorded
-    directions, plus seeded random unit-scale vectors, as the (k, dim) blocks
-    of row_blocks over all of them, each formed only as it is read: len()
-    counts every row, and no array of them all is formed. A block's pair
-    differences are formed at once from their pairs (pairs_at, as the sweep
-    derives them), and its random rows are drawn into it: draws of k1 and
-    then k2 rows consume the generator exactly as one draw of k1 + k2 rows.
-    Each iteration forms the same blocks anew, bit for bit, which
-    certification's second pass over them relies on."""
+    directions, plus seeded random unit-scale vectors, as (k, dim) blocks
+    formed only as they are read: len() counts every row, and no array of
+    them all is formed. Each part yields its own row blocks in turn, so no
+    block holds rows of two parts: views of the points, the differences of
+    each pair_blocks block (formed at once from its pairs, as the sweep
+    derives them), views of each level's directions, and the random rows,
+    drawn a row block at a time: draws of k1 and then k2 rows consume the
+    generator exactly as one draw of k1 + k2 rows. Each iteration forms the
+    same blocks anew, bit for bit, which certification's second pass over
+    them relies on."""
     coords = pts.coords
     n, dim = coords.shape
-    dirs = np.concatenate(decomp.directions)
-    pairs = n * (n - 1) // 2
-    # the first row of each part: points, differences, directions, random rows
-    starts = np.cumsum([0, n, pairs, len(dirs), cfg.certify_random]).tolist()
 
     def blocks():
+        for block in row_blocks(n, dim):
+            yield coords[block]
+        for _, a, b in pair_blocks(n, dim):
+            diffs = np.take(coords, a, axis=0)
+            diffs -= np.take(coords, b, axis=0)
+            yield diffs
+        for level in decomp.directions:
+            for block in row_blocks(len(level), dim):
+                yield level[block]
         rng = np.random.default_rng(cfg.certify_seed)
-        for block in row_blocks(starts[-1], dim):
-            out = np.empty((block.stop - block.start, dim))
-            for part, (lo, hi) in enumerate(zip(starts, starts[1:])):
-                lo, hi = max(lo, block.start), min(hi, block.stop)
-                if lo >= hi:
-                    continue
-                rows = out[lo - block.start : hi - block.start]
-                lo, hi = lo - starts[part], hi - starts[part]
-                if part == 0:
-                    rows[:] = coords[lo:hi]
-                elif part == 1:
-                    a, b = pairs_at(n, lo, hi)
-                    np.take(coords, a, axis=0, out=rows)
-                    rows -= np.take(coords, b, axis=0)
-                elif part == 2:
-                    rows[:] = dirs[lo:hi]
-                else:
-                    rng.standard_normal(out=rows)
-            yield out
-            del out, rows  # not alive while the next block is formed
+        for block in row_blocks(cfg.certify_random, dim):
+            yield rng.standard_normal((block.stop - block.start, dim))
 
-    return RowBlocks(starts[-1], blocks)
+    dirs = sum(map(len, decomp.directions))
+    return RowBlocks(n + n * (n - 1) // 2 + dirs + cfg.certify_random, blocks)
 
 
 def _json_safe(value):

@@ -251,8 +251,9 @@ def test_certify_array_bit_equal_to_list():
 
 @pytest.mark.parametrize("batch", [64, 100])
 def test_certify_blocks_bit_equal_to_list_in_small_blocks(batch, monkeypatch):
-    # blocks of 21 and 33 rows straddle the points, differences, directions
-    # and random rows, whose draws then come a few at a time
+    # blocks of at most 21 and 33 rows cut each part (the points, the
+    # differences, each level's directions and the random rows, whose draws
+    # then come a few at a time) into several blocks
     case = _certify_case()
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", batch)
     _assert_blocks_are_list(*case)

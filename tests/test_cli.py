@@ -35,6 +35,12 @@ def _base_config(tmp_path, **overrides):
     return path, cfg
 
 
+def _child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(spiralglue.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_bounds_exit_codes(capsys):
     assert main(["bounds", "--eps", "0.01", "--delta", "0.01", "--gamma", "0.01", "--zeta", "0.01"]) == 0
     out = capsys.readouterr().out
@@ -54,14 +60,12 @@ def test_bounds_solves_target(capsys):
 def test_bounds_rejects_non_finite_target(target):
     # at NaN the target solve used to halve its scale forever, and at inf it
     # returned parameters; a child process with a timeout fails on a hang
-    src = os.path.dirname(os.path.dirname(spiralglue.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "spiralglue.cli", "bounds", "--target", target],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -482,17 +486,23 @@ def test_run_rejects_oversized_generated_bank(tmp_path, capsys, strategy):
     # a generated bank holds count dense target.dim x source.dim matrices:
     # one element over the cap is a config error before any is built, and
     # the cap itself parses (running it would build 1 GiB of matrices)
-    # (one level, so that two maps are enough for selection)
+    # (one level, so that two maps are enough for selection; an l2 source
+    # and an l1 target, as the quadrature strategy requires)
     cap = spiralglue.cli.MAX_BANK_ELEMENTS
     source = {"dim": 1, "norm": {"norm": "lp", "p": 2.0}}
+    l1 = {"norm": "lp", "p": 1.0}
     schedule = {"r1": 1.0, "levels": 1, "margin": 0.01}
     bank = {**strategy, "count": 2}
     _, cfg = _base_config(
-        tmp_path, source=source, schedule=schedule, bank=bank, target={"dim": cap // 2}
+        tmp_path, source=source, schedule=schedule, bank=bank, target={"dim": cap // 2, "norm": l1}
     )
     assert parse_config(cfg).target.dim * 2 == cap
     path, _ = _base_config(
-        tmp_path, source=source, schedule=schedule, bank=bank, target={"dim": cap // 2 + 1}
+        tmp_path,
+        source=source,
+        schedule=schedule,
+        bank=bank,
+        target={"dim": cap // 2 + 1, "norm": l1},
     )
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: bank.count: 2 maps of ")
@@ -948,3 +958,86 @@ def test_run_rejects_fewer_user_matrices_than_count(tmp_path, capsys, monkeypatc
     _forbid_pipeline(monkeypatch)
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "config error: bank.count: 6 > 5 matrices given\n"
+
+
+_L2_SOURCE = {"dim": 2, "norm": {"norm": "lp", "p": 2.0}}
+_QUADRATURE = {"strategy": "quadrature_l2_to_l1", "count": 5}
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("source.norm", {"bank": _QUADRATURE}),
+        ("target.norm", {"bank": _QUADRATURE, "source": _L2_SOURCE}),
+    ],
+    ids=["source", "target"],
+)
+def test_run_rejects_quadrature_norms_before_running(tmp_path, capsys, monkeypatch, key, overrides):
+    # a source that is not l2, or a target that is not l1 (its norm defaults
+    # to the source's), ran points, decomposition and the grouping of the
+    # certify set, and then failed naming no key
+    path, _ = _base_config(tmp_path, **overrides)
+    _forbid_pipeline(monkeypatch)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+# `main` in a child process whose address space is capped at 1 GiB (or the
+# hard limit, when lower), so that an unbounded allocation fails fast
+_CAPPED_MAIN = """\
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from spiralglue.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        # 10**12 random rows: the run died with a MemoryError traceback
+        ("bank.certify_random", {"bank": {"strategy": "block_shift", "certify_random": 10**12}}),
+        ("points", {"points": {"generator": {"seed": 7}, "inline": [[0.0] * 3, [1.0] * 3]}}),
+        ("points", {"points": {}}),
+        ("source.norm", {"bank": _QUADRATURE}),
+        ("target.norm", {"bank": _QUADRATURE, "source": _L2_SOURCE}),
+        # a norm object without a key of its kind: the error read
+        # "source.norm: 'p'", a KeyError's repr
+        ("source.norm.p", {"source": {"dim": 3, "norm": {"norm": "lp"}}}),
+        ("target.norm.weights", {"target": {"norm": {"norm": "weighted_lp", "p": 1.0}}}),
+        ("source.norm.functionals", {"source": {"dim": 3, "norm": {"norm": "max_abs"}}}),
+        ("points.inline", {"points": {"inline": [[0.0, 0.0, 0.0], [1.0, 0.0]]}}),
+        ("source", {"source": {"dim": 3, "norm": {"norm": "max_abs", "functionals": _EYE3[:2]}}}),
+        ("bank.cuont", {"bank": {"strategy": "block_shift", "cuont": 6}}),
+    ],
+    ids=[
+        "huge-certify-random",
+        "two-point-sources",
+        "no-point-source",
+        "quadrature-source",
+        "quadrature-target",
+        "lp-without-p",
+        "weighted-lp-without-weights",
+        "max-abs-without-functionals",
+        "ragged-inline",
+        "non-spanning-max-abs",
+        "unknown-key",
+    ],
+)
+def test_run_malformed_config_exits_2_naming_key(tmp_path, key, overrides):
+    # each malformed config fails at parse time in a capped child process:
+    # exit 2, a config error naming the key, no traceback and no report
+    path, _ = _base_config(tmp_path, **overrides)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "run", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"config error: {key}: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
