@@ -175,13 +175,19 @@ def build_bank(
     falls outside its sandwich; its index counts the nonzero vectors.
 
     Each distinct nonzero vector (by bit pattern, see distinct_rows) is
-    normed and imaged once per map, in order of first occurrence, so the
-    margins and the first worst vector are those of evaluating every vector.
+    normed once and imaged in order of first occurrence, so the margins and
+    the first worst vector are those of evaluating every vector.
     distinct_rows reads a stream twice, a block at a time, however few its
     rows, so each iteration must yield the same rows, cut into blocks
-    anywhere; only the distinct rows are kept (see _certify_rows). A map
-    images them all in one image_norms call, whose blocks are whole but the
-    last.
+    anywhere; only the distinct rows are kept (see _certify_rows).
+
+    Maps whose _image_key is equal image every row to the same bits, so
+    only the first of them images the rows, in one image_norms call whose
+    blocks are whole but the last, and the others take its extreme rows and
+    ratios: a block-shift bank into an lp target images them once. A later
+    map's margins are then the same floats, and it cannot fail where its
+    twin passed, so the failing (map, vector, ratio) is the one that imaging
+    every map would raise. Only the extremes are kept, never an image.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -201,24 +207,39 @@ def build_bank(
     eps_n = (1.0 + gamma) ** (1.0 / count) - 1.0
     lo_margins = []
     hi_margins = []
+    extremes = {}  # per _image_key: (k_lo, lowest ratio, k_hi, highest ratio)
     for n, lin in enumerate(maps):
-        image = image_norms(lin, rows)
-        # norm(target, lin v) / norm(source, v) over the distinct nonzero rows
-        # v; groups are in order of their first rows, so the first extreme
-        # group holds the first extreme nonzero row
-        ratios = image / source_norms
-        k_lo = int(np.argmin(ratios))
-        k_hi = int(np.argmax(ratios))
-        if ratios[k_lo] < 1.0 - _TOL:
-            raise CertificationFailed(n, int(first[k_lo]), float(ratios[k_lo]))
-        if ratios[k_hi] > (1.0 + eps_n) * (1.0 + _TOL):
-            raise CertificationFailed(n, int(first[k_hi]), float(ratios[k_hi]))
-        lo_margins.append(float(ratios[k_lo]) - 1.0)
-        hi_margins.append((1.0 + eps_n) - float(ratios[k_hi]))
-        del image, ratios  # not alive while the next map images
+        key = _image_key(lin)
+        if key not in extremes:
+            # norm(target, lin v) / norm(source, v) over the distinct nonzero
+            # rows v; groups are in order of their first rows, so the first
+            # extreme group holds the first extreme nonzero row
+            ratios = image_norms(lin, rows) / source_norms
+            k_lo = int(np.argmin(ratios))
+            k_hi = int(np.argmax(ratios))
+            extremes[key] = (k_lo, float(ratios[k_lo]), k_hi, float(ratios[k_hi]))
+            del ratios  # not alive while the next map images
+        k_lo, lo, k_hi, hi = extremes[key]
+        if lo < 1.0 - _TOL:
+            raise CertificationFailed(n, int(first[k_lo]), lo)
+        if hi > (1.0 + eps_n) * (1.0 + _TOL):
+            raise CertificationFailed(n, int(first[k_hi]), hi)
+        lo_margins.append(lo - 1.0)
+        hi_margins.append((1.0 + eps_n) - hi)
     slots = (eps_n,) * count
     assert np.prod(1.0 + np.array(slots)) <= (1.0 + gamma) * (1.0 + _TOL)
     return EmbeddingBank(tuple(maps), slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
+
+
+def _image_key(lin: LinearMap) -> tuple:
+    """What the bits of image_norms(lin, X) depend on beside X, for the maps
+    of one bank (one source, one target): the hull's shape and bytes (so
+    -0.0 and 0.0 differ), and its first target row unless the target norm is
+    lp, whose norm of a hull product reads no position. A weighted lp norm
+    reads the hull's slice of the weights, and max-abs functionals read every
+    column."""
+    at = None if isinstance(lin.target.norm, Lp) else lin.rows.start
+    return lin.hull.shape, lin.hull.tobytes(), at
 
 
 def _certify_rows(source: Space, certify_set):

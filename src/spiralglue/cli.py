@@ -237,11 +237,25 @@ def _placement(name) -> str:
 
 
 def _space(path: str, dim: int, spec: NormSpec) -> Space:
-    """Space(dim, spec), with a mismatch between the two named by path."""
+    """Space(dim, spec): a norm whose shape does not fit the dimension is
+    named by path, and max-abs functionals that do not span the space (dim
+    is read >= 1, so no other ValueError arises) by path.norm.functionals."""
     try:
         return Space(dim, spec)
-    except (ValueError, DimensionMismatch) as exc:
+    except DimensionMismatch as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}.norm.functionals: {exc}") from None
+
+
+def _inline_rows(rows, dim: int):
+    """The inline points' rows, each list of which must hold dim
+    coordinates, so that a ragged list names its first bad row."""
+    if isinstance(rows, list):
+        for k, row in enumerate(rows):
+            if isinstance(row, list) and len(row) != dim:
+                raise ValueError(f"row {k} has {len(row)} coordinates, expected {dim}")
+    return rows
 
 
 def _points_in(path: str, source: Space) -> LocallyFiniteSet:
@@ -360,7 +374,10 @@ def parse_config(raw: dict) -> RunConfig:
         )
     elif "inline" in pts_cfg:
         points = _read(
-            pts_cfg, "points", "inline", lambda rows: _two_or_more(make_point_set(source, rows))
+            pts_cfg,
+            "points",
+            "inline",
+            lambda rows: _two_or_more(make_point_set(source, _inline_rows(rows, source.dim))),
         )
     else:
         gen = _section(pts_cfg, "points.generator")

@@ -43,10 +43,10 @@ row blocks twice, pass 1 for each row's hash's first row and pass 2 for
 the groups, and neither pass holds more than a block of rows. Decompose
 groups a level's unit differences with it as one block; certification
 groups a `RowBlocks` stream of certify rows and images each distinct
-nonzero row once per map (see `bank._certify_rows`). The sweep hashes no
-rows: its repeated sandwich rows are those of one point (x/|x| at the ramp
-angle of x, y/|y| at a clamped angle), whose gains it keeps in per-point
-tables (see `verify._sandwich`). `direction_gain` itself does not group:
+nonzero row once per distinct map hull (see `bank.build_bank`). The
+sweep hashes no rows: its repeated sandwich rows are those of one point
+(x/|x| at the ramp angle of x, y/|y| at a clamped angle), whose gains it
+keeps in per-point tables (see `verify._sandwich`). `direction_gain` itself does not group:
 selection's level checks never repeat a row. Every kernel here is
 row-wise, so the gathered values are the bits of evaluating every row.
 """

@@ -994,23 +994,48 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+_L1 = {"norm": "lp", "p": 1.0}
+_EYE18 = np.eye(18).tolist()
+
+
 @pytest.mark.parametrize(
-    "key, overrides",
+    "error, overrides",
     [
         # 10**12 random rows: the run died with a MemoryError traceback
-        ("bank.certify_random", {"bank": {"strategy": "block_shift", "certify_random": 10**12}}),
-        ("points", {"points": {"generator": {"seed": 7}, "inline": [[0.0] * 3, [1.0] * 3]}}),
-        ("points", {"points": {}}),
-        ("source.norm", {"bank": _QUADRATURE}),
-        ("target.norm", {"bank": _QUADRATURE, "source": _L2_SOURCE}),
+        ("bank.certify_random: ", {"bank": {"strategy": "block_shift", "certify_random": 10**12}}),
+        ("points: ", {"points": {"generator": {"seed": 7}, "inline": [[0.0] * 3, [1.0] * 3]}}),
+        ("points: ", {"points": {}}),
+        ("source.norm: ", {"bank": _QUADRATURE}),
+        ("target.norm: ", {"bank": _QUADRATURE, "source": _L2_SOURCE}),
         # a norm object without a key of its kind: the error read
         # "source.norm: 'p'", a KeyError's repr
-        ("source.norm.p", {"source": {"dim": 3, "norm": {"norm": "lp"}}}),
-        ("target.norm.weights", {"target": {"norm": {"norm": "weighted_lp", "p": 1.0}}}),
-        ("source.norm.functionals", {"source": {"dim": 3, "norm": {"norm": "max_abs"}}}),
-        ("points.inline", {"points": {"inline": [[0.0, 0.0, 0.0], [1.0, 0.0]]}}),
-        ("source", {"source": {"dim": 3, "norm": {"norm": "max_abs", "functionals": _EYE3[:2]}}}),
-        ("bank.cuont", {"bank": {"strategy": "block_shift", "cuont": 6}}),
+        ("source.norm.p: ", {"source": {"dim": 3, "norm": {"norm": "lp"}}}),
+        ("target.norm.weights: ", {"target": {"norm": {"norm": "weighted_lp", "p": 1.0}}}),
+        ("source.norm.functionals: ", {"source": {"dim": 3, "norm": {"norm": "max_abs"}}}),
+        # a ragged list read "setting an array element with a sequence. The
+        # requested array has an inhomogeneous shape ...", naming no row
+        (
+            "points.inline: row 1 has 2 coordinates, expected 3\n",
+            {"points": {"inline": [[0.0, 0.0, 0.0], [1.0, 0.0]]}},
+        ),
+        (
+            "points.inline: row 1 has 1 coordinates, expected 2\n",
+            {"source": {"dim": 2, "norm": _L1}, "points": {"inline": [[1, 2], [3]]}},
+        ),
+        # functionals that do not span the space named the space alone
+        # ("source: functionals do not span the space"); a bad dim keeps its
+        # own key, and a norm of another width than the dim still names the
+        # space (see test_run_rejects_norm_not_fitting_space)
+        (
+            "source.norm.functionals: functionals do not span the space\n",
+            {"source": {"dim": 3, "norm": {"norm": "max_abs", "functionals": _EYE3[:2]}}},
+        ),
+        (
+            "target.norm.functionals: functionals do not span the space\n",
+            {"target": {"dim": 18, "norm": {"norm": "max_abs", "functionals": _EYE18[:17]}}},
+        ),
+        ("source.dim: expected an integer >= 1, got 0\n", {"source": {"dim": 0, "norm": _L1}}),
+        ("bank.cuont: ", {"bank": {"strategy": "block_shift", "cuont": 6}}),
     ],
     ids=[
         "huge-certify-random",
@@ -1022,13 +1047,17 @@ sys.exit(main(sys.argv[1:]))
         "weighted-lp-without-weights",
         "max-abs-without-functionals",
         "ragged-inline",
+        "ragged-inline-dim-2",
         "non-spanning-max-abs",
+        "non-spanning-max-abs-target",
+        "zero-dim",
         "unknown-key",
     ],
 )
-def test_run_malformed_config_exits_2_naming_key(tmp_path, key, overrides):
+def test_run_malformed_config_exits_2_naming_key(tmp_path, error, overrides):
     # each malformed config fails at parse time in a capped child process:
-    # exit 2, a config error naming the key, no traceback and no report
+    # exit 2, a config error naming the key (the whole line where it ends
+    # in a newline), no traceback and no report
     path, _ = _base_config(tmp_path, **overrides)
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, "run", "--config", str(path)],
@@ -1038,6 +1067,6 @@ def test_run_malformed_config_exits_2_naming_key(tmp_path, key, overrides):
         env=_child_env(),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"config error: {key}: ")
+    assert proc.stderr.startswith(f"config error: {error}")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "report.json").exists()

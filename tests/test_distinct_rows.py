@@ -9,16 +9,17 @@ three), give the groups of one block however the rows are cut into blocks,
 and keep each group's first row with its bits. Decompose groups its unit
 differences with it, and must find the directions of `tests/oracles.py`
 through any collision. Certification keeps the groups of
-positive norm and evaluates each distinct row once; it and the row gain
-must match `tests/oracles.py`, which evaluates every row (the row gain's
-bit-equality on repeated rows is held in `tests/test_batched.py`).
+positive norm and images them once per distinct map hull; it and the row
+gain must match `tests/oracles.py`, which evaluates every row under every
+map (the row gain's bit-equality on repeated rows is held in
+`tests/test_batched.py`).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiralglue as sg
@@ -302,20 +303,61 @@ def test_distinct_rows_edge_cases():
 # ---------------------------------------------------------------- certification
 
 
+def _spaces(kind: str, dim: int, rng, p: float, weights) -> tuple[sg.Space, sg.Space]:
+    """A source of dim and a target of twice its dim, under a target norm of
+    the given kind: lp, weighted lp with one weight per block of dim rows,
+    or max-abs functionals (the coordinates and two small seeded rows). The
+    source norm is lp of the same p (of p = inf for max-abs), so that
+    near-identity maps pass or fail about as often."""
+    if kind == "lp":
+        return sg.Space(dim, sg.Lp(p)), sg.Space(2 * dim, sg.Lp(p))
+    if kind == "weighted":
+        weighted = sg.WeightedLp(p, np.repeat(weights, dim))
+        return sg.Space(dim, sg.Lp(p)), sg.Space(2 * dim, weighted)
+    functionals = np.vstack([np.eye(2 * dim), 0.25 / dim * rng.standard_normal((2, 2 * dim))])
+    return sg.Space(dim, sg.Lp(math.inf)), sg.Space(2 * dim, sg.MaxAbsFunctionals(functionals))
+
+
 @st.composite
 def _certification(draw):
-    """Near-identity matrices, and certify rows drawn from a small pool with
-    zero rows (of either sign) at the front, in the middle and at the end."""
+    """Near-identity maps between the spaces of _spaces, with an lp (p = 1,
+    2, inf), weighted lp (p = 1, 2, 3) or max-abs target, and certify rows
+    drawn from a small pool with zero rows (of either sign) at the front,
+    in the middle and at the end.
+
+    A map is a band of near-identity rows, dense on every target row or on
+    one block of half of them, with some entries left zero. After the first,
+    a map may repeat an earlier one's hull: bit for bit, moved to the other
+    block of target rows, or with one of its zeros made -0.0 (which counts
+    as nonzero, so it may widen the hull)."""
     dim = draw(st.integers(1, 3))
-    count = draw(st.integers(2, 4))
-    scales = draw(
-        st.lists(st.sampled_from([0.999, 1.0, 1.0, 1.001, 1.01]), min_size=count, max_size=count)
-    )
+    count = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    matrices = [
-        scale * (np.eye(2 * dim, dim) + 1e-4 * rng.standard_normal((2 * dim, dim)))
-        for scale in scales
-    ]
+    kind = draw(st.sampled_from(["lp", "weighted", "max_abs"]))
+    p = draw(st.sampled_from([1.0, 2.0, math.inf] if kind == "lp" else [1.0, 2.0, 3.0]))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 1.0, 1.0, 2.0]), min_size=2, max_size=2))
+    spaces = _spaces(kind, dim, rng, p, weights)
+    matrices, bands = [], []
+    for n in range(count):
+        how = draw(st.sampled_from(["fresh"] + ["repeat", "moved", "signed-zero"] * (n > 0)))
+        if how == "fresh":
+            rows = draw(st.sampled_from([dim, 2 * dim]))
+            scale = draw(st.sampled_from([0.999, 1.0, 1.0, 1.001, 1.01]))
+            noise = rng.standard_normal((rows, dim)) * (rng.random((rows, dim)) < 0.5)
+            band = scale * (np.eye(rows, dim) + 1e-4 * noise)
+            start = draw(st.sampled_from([0, 2 * dim - rows]))
+        else:
+            band, start = bands[draw(st.integers(0, n - 1))]
+            if how == "moved":
+                start = 2 * dim - len(band) - start
+        m = np.zeros((2 * dim, dim))
+        m[start : start + len(band)] = band
+        if how == "signed-zero":
+            zeros = np.flatnonzero(m.view(np.uint64) == 0)
+            if len(zeros):
+                m.flat[zeros[draw(st.integers(0, len(zeros) - 1))]] = -0.0
+        matrices.append(m)
+        bands.append((band, start))
     pool = rng.standard_normal((draw(st.integers(1, 6)), dim))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
     zero = np.zeros(dim)
@@ -323,14 +365,15 @@ def _certification(draw):
     for place in draw(st.lists(st.sampled_from(["front", "middle", "end"]), max_size=4)):
         z = -zero if draw(st.booleans()) else zero
         rows.insert({"front": 0, "middle": len(rows) // 2, "end": len(rows)}[place], z)
-    return dim, matrices, np.array(rows)
+    return dim, matrices, np.array(rows), spaces
 
 
-def _certify(dim, matrices, vectors, gamma, in_blocks=False):
+def _certify(dim, matrices, vectors, gamma, in_blocks=False, spaces=None):
     """(build_bank's margins or failure, the oracle's) on the vectors, passed
     to build_bank as an array, or in_blocks as a RowBlocks stream in the
-    blocks of row_blocks."""
-    source, target = sg.Space(dim), sg.Space(2 * dim, sg.Lp(1.0))
+    blocks of row_blocks; the spaces are (source, target), by default l2 of
+    dim and l1 of twice dim."""
+    source, target = spaces or (sg.Space(dim), sg.Space(2 * dim, sg.Lp(1.0)))
     certify_set = vectors
     if in_blocks:
         certify_set = RowBlocks(
@@ -350,11 +393,26 @@ def _certify(dim, matrices, vectors, gamma, in_blocks=False):
     return got, want
 
 
-@settings(max_examples=200, deadline=None)
+# an identity band on the l1 target's first row, where the weight is 1, and
+# the same band moved to its second, where it is 0.5: the copy fails, at
+# ratio 0.5, where its twin passed; keyed by its bytes alone, the copy
+# would take its twin's margins and pass
+_MOVED_FAILS = (
+    1,
+    [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])],
+    np.array([[0.0], [2.0], [-1.0]]),
+    (sg.Space(1, sg.Lp(1.0)), sg.Space(2, sg.WeightedLp(1.0, np.array([1.0, 0.5])))),
+)
+
+
+@settings(max_examples=300, deadline=None)
 @given(case=_certification(), gamma=st.sampled_from([0.01, 0.5, 4.0]))
+@example(case=_MOVED_FAILS, gamma=0.01)
 def test_build_bank_matches_all_rows_oracle(case, gamma):
-    # margins, or the failing (map, nonzero-row index, ratio), bit for bit
-    got, want = _certify(*case, gamma)
+    # margins, or the failing (map, nonzero-row index, ratio), bit for bit,
+    # with hulls repeated, moved and signed under every kind of target norm
+    dim, matrices, vectors, spaces = case
+    got, want = _certify(dim, matrices, vectors, gamma, spaces=spaces)
     assert repr(got) == repr(want)
 
 
@@ -372,7 +430,7 @@ def test_build_bank_failure_index_counts_repeated_and_zero_rows():
 @settings(max_examples=100, deadline=None)
 @given(case=_certification())
 def test_certification_images_each_distinct_nonzero_row_once(case):
-    dim, matrices, vectors = case
+    dim, matrices, vectors, spaces = case
     seen = []
 
     def counted(lin, X):
@@ -381,7 +439,7 @@ def test_certification_images_each_distinct_nonzero_row_once(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.bank, "image_norms", counted)
-        _certify(dim, matrices, vectors, 4.0)
+        _certify(dim, matrices, vectors, 4.0, spaces=spaces)
     distinct = {row.tobytes() for row in vectors if np.any(row != 0.0)}
     assert seen
     for X in seen:
@@ -389,33 +447,86 @@ def test_certification_images_each_distinct_nonzero_row_once(case):
         assert {row.tobytes() for row in X} == distinct
 
 
-def test_certification_chunks_are_whole_image_blocks(monkeypatch):
+def _counted_blocks(*args):
+    """build_bank(*args) at 64 elements a block, with the rows of each
+    image_norms call and of each product of a 2-row hull (the blocks of the
+    certify rows) recorded."""
+    calls, blocks = [], []
+    matmul = np.matmul
+
+    def counted(lin, X):
+        calls.append(len(X))
+        return sg.image_norms(lin, X)
+
+    def products(a, b, *rest, **kwargs):
+        if a.shape == (2, 2):
+            blocks.append(len(b))
+        return matmul(a, b, *rest, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+        mp.setattr(spiralglue.bank, "image_norms", counted)
+        mp.setattr(np, "matmul", products)
+        bank = sg.build_bank(*args)
+    return bank, calls, blocks
+
+
+def test_certification_chunks_are_whole_image_blocks():
     # at 64 elements image_norms images 32 rows a block (the 2-row hull's
-    # products); certification images the 100 distinct rows in one call a
-    # map, so only the last block of each map is short
+    # products), and certification images the 100 distinct rows in one call
+    # per distinct hull, so only the last block of each call is short: the
+    # four identity bands of a block-shift bank into l1 are imaged once, and
+    # four bands of other scales once each, with the margins of the default
+    # batch bit for bit
     source, target = sg.Space(2, sg.Lp(1.0)), sg.Space(10, sg.Lp(1.0))
     vectors = np.random.default_rng(3).standard_normal((100, 2))
-    want = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)
-    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
-    seen, blocks = [], []
-    matmul = np.matmul
+    scaled = [np.zeros((10, 2)) for _ in range(4)]
+    for n, m in enumerate(scaled):
+        m[2 * n : 2 * n + 2] = (1.0 + 5e-4 * n) * np.eye(2)
+    for strategy, calls in ((sg.BlockShift(), 1), (sg.UserMatrices(tuple(scaled)), 4)):
+        args = (strategy, source, target, 0.01, 4, vectors)
+        want = sg.build_bank(*args)
+        got, seen, blocks = _counted_blocks(*args)
+        assert seen == [100] * calls
+        assert blocks == ([32] * 3 + [4]) * calls
+        margins = (want.cert_lower_margin, want.cert_upper_margin)
+        assert repr((got.cert_lower_margin, got.cert_upper_margin)) == repr(margins)
+
+
+@pytest.mark.parametrize(
+    "strategy, source, target, calls",
+    [
+        (sg.BlockShift(), sg.Space(2, sg.Lp(1.0)), sg.Space(12, sg.Lp(1.0)), 1),
+        (sg.BlockShift(), sg.Space(2), sg.Space(12), 1),
+        (sg.BlockShift(), sg.Space(2, sg.Lp(math.inf)), sg.Space(12, sg.Lp(math.inf)), 1),
+        (sg.BlockShift(), sg.Space(2), sg.Space(12, sg.WeightedLp(2.0, np.ones(12))), 6),
+        (
+            sg.BlockShift(),
+            sg.Space(2, sg.Lp(math.inf)),
+            sg.Space(12, sg.MaxAbsFunctionals(np.eye(12))),
+            6,
+        ),
+        (sg.QuadratureL2toL1(directions=8), sg.Space(2), sg.Space(48, sg.Lp(1.0)), 6),
+    ],
+    ids=["l1", "l2", "linf", "weighted-l2", "max-abs", "quadrature"],
+)
+def test_certification_images_each_distinct_hull_once(strategy, source, target, calls):
+    # six maps: a block-shift bank's identity bands into lp are one hull,
+    # imaged once; a weighted lp or max-abs target reads where a hull sits,
+    # so each band is imaged (though these norms equal l2 and l-infinity),
+    # as is each of a quadrature bank's six hulls, whose seeded rotations
+    # differ
+    vectors = np.random.default_rng(4).standard_normal((50, 2))
+    seen = []
 
     def counted(lin, X):
         seen.append(len(X))
         return sg.image_norms(lin, X)
 
-    def products(a, b, *args, **kwargs):
-        if a.shape == (2, 2):
-            blocks.append(len(b))
-        return matmul(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(spiralglue.bank, "image_norms", counted)
-    monkeypatch.setattr(np, "matmul", products)
-    got = sg.build_bank(sg.BlockShift(), source, target, 0.01, 4, vectors)
-    assert seen == [100] * 4
-    assert blocks == ([32] * 3 + [4]) * 4
-    margins = (want.cert_lower_margin, want.cert_upper_margin)
-    assert repr((got.cert_lower_margin, got.cert_upper_margin)) == repr(margins)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.bank, "image_norms", counted)
+        sg.build_bank(strategy, source, target, 4.0, 6, vectors)
+    assert seen == [50] * calls
 
 
 @st.composite
