@@ -9,6 +9,7 @@ from .errors import (
     BoundViolated,
     CertificationFailed,
     DimensionMismatch,
+    FloatRangeExceeded,
     NonPositiveLowerBound,
     NotStabilized,
     OutOfScheduleRange,

@@ -37,6 +37,7 @@ from .errors import (
     BoundViolated,
     CertificationFailed,
     DimensionMismatch,
+    FloatRangeExceeded,
     NonPositiveLowerBound,
     SpiralGlueError,
 )
@@ -742,6 +743,9 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
     except SpiralGlueError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    except FloatRangeExceeded as exc:
+        print(f"config error: schedule.levels: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -854,6 +858,9 @@ def cmd_weights(args) -> int:
         return 2
     try:
         ts, table = weight_grid(_schedule_from_args(args), args.grid)
+    except FloatRangeExceeded as exc:
+        print(f"error: --levels: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -870,6 +877,9 @@ def cmd_gen_points(args) -> int:
         pts = generate_annular(
             args.seed, _schedule_from_args(args), args.per_level, args.dim, args.placement
         )
+    except FloatRangeExceeded as exc:
+        print(f"error: --levels: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,17 @@ class OutOfScheduleRange(SpiralGlueError):
     """A norm falls outside the range covered by a finite schedule."""
 
 
+class FloatRangeExceeded(OverflowError):
+    """Norms or radii that a schedule asks for leave the float range, from
+    `level` on (the schedule's level count + 1 for the radius past its last
+    level). An OverflowError, like every other overflow of the inputs: a
+    schedule that cannot be represented, not a failed check."""
+
+    def __init__(self, what: str, level: int):
+        self.level = level
+        super().__init__(f"{what} exceed the floating range from level {level} on")
+
+
 class CertificationFailed(SpiralGlueError):
     """A candidate map violates the near-isometry sandwich on the certification set."""
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FloatRangeExceeded
 from .schedule import RadiiSchedule, check_log_radius, log_radius, ramp_angle_log
 # norm is not called here, but bench/spans.py wraps pointset.norm
 from .spaces import (  # noqa: F401
@@ -292,7 +293,7 @@ def generate_annular(
             pad = 0.05 * (hi - lo)
             log_target = rng.uniform(lo + pad, hi - pad)
             if log_target > math.log(np.finfo(float).max) - 1.0:
-                raise OverflowError("requested norms exceed the floating range")
+                raise FloatRangeExceeded("requested norms", level)
             d = rng.standard_normal(dim)
             # a norm is zero exactly on the zero vector
             while not d.any():  # pragma: no cover - probability zero

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfScheduleRange
+from .errors import FloatRangeExceeded, OutOfScheduleRange
 
 HALF_PI = math.pi / 2.0
 _MAX_LOG = math.log(sys.float_info.max)  # ~709.78; beyond this, no linear-domain export
@@ -335,6 +335,8 @@ def weight_grid(
     hi = sched.log_coverage if log_hi is None else float(log_hi)
     check_log_radius(sched, hi)
     if hi > _MAX_LOG:
-        raise OverflowError("grid radii exceed the floating range")
+        # the first level whose R_i leaves the range; levels + 1 past them all
+        level = 1 + int(np.searchsorted(sched.log_R, _MAX_LOG, side="right"))
+        raise FloatRangeExceeded("grid radii", level)
     logs = np.linspace(lo, hi, grid_size)
     return np.exp(logs), _weight_table(sched, logs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -211,10 +212,13 @@ _KINDS = ("plateau:{}", "same:{}", "ray:{}", "far:{}-{}")
 _CLASSES = tuple(kind.split(":")[0] for kind in _KINDS)
 _PLATEAU, _SAME, _RAY, _FAR = range(4)
 _SANDWICH_FIELDS = ("sigma", "theta", "g_sigma_w", "g_theta_v")
-# blocks of pairs are sized as rows of at least this many elements: the block
-# judge keeps a few dozen 1-d arrays of its block alive at once, which for a
-# narrow source would otherwise be many times the batch budget
-_PAIR_WIDTH = 16
+# blocks of pairs are sized as rows of this many elements: the block judge
+# keeps only 1-d arrays of its block alive at once (the table's columns, the
+# pairs' point indices and norms, a class's rows), and forms every temporary
+# of pairs times a row width (differences, unit rows, blends, image
+# differences) in row blocks of that width inside the block, so the source's
+# width does not size a block
+_PAIR_WIDTH = 8
 
 
 class PairTable(Sequence):
@@ -224,11 +228,14 @@ class PairTable(Sequence):
     level (the plateau index, the shared level, or a far pair's y level)
     and x_level (a far pair's x level, else 0); ratio; sigma, theta,
     g_sigma_w and g_theta_v, NaN where the pair has no sandwich; and the
-    lower and upper slacks. As a sequence it holds PairCheck objects, built
-    only when indexed or iterated.
+    lower and upper slacks. A table built with sandwich=False has no
+    sandwich columns (each is None, and so is each PairCheck's sandwich
+    field): the sweep's reused block table, whose readers take only the
+    other columns. As a sequence it holds PairCheck objects, built only
+    when indexed or iterated.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, sandwich: bool = True):
         self.x_id = np.empty(size, dtype=np.int64)
         self.y_id = np.empty(size, dtype=np.int64)
         self.code = np.empty(size, dtype=np.int8)
@@ -236,13 +243,14 @@ class PairTable(Sequence):
         self.x_level = np.empty(size, dtype=np.int64)
         self.ratio = np.empty(size)
         for name in _SANDWICH_FIELDS:
-            setattr(self, name, np.empty(size))
+            setattr(self, name, np.empty(size) if sandwich else None)
         self.lower_slack = np.empty(size)
         self.upper_slack = np.empty(size)
 
     def _freeze(self) -> None:
         for column in vars(self).values():
-            column.flags.writeable = False
+            if column is not None:
+                column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ratio)
@@ -261,7 +269,10 @@ class PairTable(Sequence):
 
     def _checks(self, rows: slice):
         def optional(name):
-            return [None if math.isnan(v) else v for v in getattr(self, name)[rows].tolist()]
+            column = getattr(self, name)
+            if column is None:
+                return repeat(None)
+            return [None if math.isnan(v) else v for v in column[rows].tolist()]
 
         columns = (
             self.x_id[rows].tolist(),
@@ -291,40 +302,43 @@ def _unfilled(keys: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return np.unique(keys) if keys.size else keys
 
 
-def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, diff, ndiff):
+def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, ndiff):
     """The per-pair sandwich of the shared-shell pairs (xs[j], ys[j]) of the
-    point table on one level, with norm(x) >= norm(y) > 0 and diff[j] =
-    x - y of source norm ndiff[j]: the angles sigma and theta of each pair,
-    the gains G_sigma(diff/ndiff) and G_theta(y/|y|), and the bracket
+    point table on one level, with norm(x) >= norm(y) > 0 and x - y of
+    source norm ndiff[j]: the angles sigma and theta of each pair, the
+    gains G_sigma((x - y)/ndiff) and G_theta(y/|y|), and the bracket
     G_sigma -+ eps G_theta.
 
-    A pair whose diff has the bits of x (the smaller point rounds away)
-    has the sigma row x/|x| of its point at the angle sigma_x, so it takes
-    the point's gain of the level's table; a pair whose sigma is clamped
-    (0 or pi/2) has the theta angle theta(sigma, alpha_y) of its point's
-    table. In row blocks of pairs, the table entries the block needs that
-    no earlier block filled, then the block's other sigma rows, then those
-    entries of the theta table, then its other theta rows go to one
-    direction_gain call. A table entry has the bits of every pair row it
-    stands for (the same norms row kernel, division and sandwich_theta),
-    and direction_gain is row by row, so no bit moves. An entry is filled
-    only by a call that passed the unit check, so a non-unit unit row
-    raises at the first block that needs it, and a one-pair call passes
-    its sigma row before its theta row, so a non-unit row is the first of
-    its pair."""
+    A pair whose difference x - y has the bits of x (the smaller point
+    rounds away) has the sigma row x/|x| of its point at the angle sigma_x,
+    so it takes the point's gain of the level's table; a pair whose sigma
+    is clamped (0 or pi/2) has the theta angle theta(sigma, alpha_y) of its
+    point's table. In row blocks of pairs, the block's differences are
+    formed, and the table entries the block needs that no earlier block
+    filled, then the block's other sigma rows, then those entries of the
+    theta table, then its other theta rows go to one direction_gain call.
+    A table entry has the bits of every pair row it stands for (the same
+    norms row kernel, division and sandwich_theta), and direction_gain is
+    row by row, so no bit moves. An entry is filled only by a call that
+    passed the unit check, so a non-unit unit row raises at the first block
+    that needs it, and a one-pair call passes its sigma row before its
+    theta row, so a non-unit row is the first of its pair."""
     table = pts.level_gains(g, level)
     sigma, alpha = table.angle[xs], table.angle[ys]
     theta = sandwich_theta(sigma, alpha)
     # each pair's entry of the theta table, read where sigma is clamped
     entry = 2 * ys + (sigma != 0.0)
     clamped = (sigma == 0.0) | (sigma == HALF_PI)
-    k, dim = diff.shape
+    k, dim = len(xs), pts.coords.shape[1]
     first, second = g.map_at(level), g.map_at(level + 1)
     gsw, gtv = np.empty(k), np.empty(k)
     for block in row_blocks(k, 2 * dim):
         xb, eb = xs[block], entry[block]
+        x = pts.coords[xb]
+        diff = x - pts.coords[ys[block]]
         # bit-equal rows: a uint64 compare tells -0.0 from 0.0
-        at_x = (diff[block].view(np.uint64) == pts.coords[xb].view(np.uint64)).all(axis=1)
+        at_x = (diff.view(np.uint64) == x.view(np.uint64)).all(axis=1)
+        del x
         fill_s = _unfilled(xb[at_x], table.sigma)
         own = np.flatnonzero(~at_x)
         fill_t = _unfilled(eb[clamped[block]], table.theta)
@@ -337,14 +351,16 @@ def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, diff, ndiff):
         )
         rows = (
             pts.units[fill_s],
-            diff[block][own] / ndiff[block][own, None],
+            diff[own] / ndiff[block][own, None],
             pts.units[fill_t // 2],
             pts.units[ys[block][free]],
         )
+        del diff
         counts = np.cumsum([len(a) for a in angles])
         gains = np.empty(0)
         if counts[-1]:
             gains = direction_gain(np.concatenate(angles), np.concatenate(rows), first, second)
+        del angles, rows
         sigma_fill, sigma_own, theta_fill, theta_free = np.split(gains, counts[:-1])
         table.sigma[fill_s] = sigma_fill
         table.theta[fill_t] = theta_fill
@@ -379,140 +395,198 @@ def check_pair(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     bounds = embedding_bounds(g)
-    space = g.source
-    nx, ny = norm(space, x), norm(space, y)
-    diff = x - y
-    ndiff = norm(space, diff)
+    nx, ny = norm(g.source, x), norm(g.source, y)
     images = embed(g, np.array([x, y]))
     nimage = norm(g.target, images[0] - images[1])
     table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
     out = PairTable(1)
-    pair = np.array([0]), np.array([1])
-    _judge_block(
-        g, bounds, table, *pair, diff[None], np.array([ndiff]), np.array([nimage]), tol, out, 0
-    )
+    _judge_block(g, bounds, table, np.array([0]), np.array([1]), np.array([nimage]), tol, out, 0)
     return out[0]
 
 
-def _judge_pairs(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out, at) -> None:
+def _judge_pairs(g, bounds, pts: _Points, xs, ys, nimage, tol, out, at) -> None:
     """Write check_pair's verdict on each ordered pair (xs[j], ys[j]) of the
-    point table into rows at, at + 1, ... of the PairTable out, given
-    diff[j] = x - y, its source norm ndiff[j] and the target norm nimage[j]
-    of embed(x) - embed(y). Raises the error of the first offending pair,
-    and within it of its first failing check, as check_pair would; a
-    ValueError's message is prefixed with the pair, as `pair (x_id, y_id): `."""
+    point table into rows at, at + 1, ... of the PairTable out, given the
+    target norm nimage[j] of embed(x) - embed(y). Raises the error of the
+    first offending pair, and within it of its first failing check, as
+    check_pair would; a ValueError's message is prefixed with the pair, as
+    `pair (x_id, y_id): `."""
     try:
-        _judge_block(g, bounds, pts, xs, ys, diff, ndiff, nimage, tol, out, at)
+        _judge_block(g, bounds, pts, xs, ys, nimage, tol, out, at)
     except ValueError:
-        # the order and distinctness checks and the gains run over the whole
-        # block before any bracket, so a ValueError at pair j may hide a
-        # bracket violation at an earlier pair: judge one pair at a time
+        # the order and distinctness checks run over the whole block first,
+        # and the gains before any violation is raised, so a ValueError at
+        # pair j may hide a bracket violation at an earlier pair: judge one
+        # pair at a time
         for j in range(len(xs)):
             one = slice(j, j + 1)
-            pair = (xs[one], ys[one], diff[one], ndiff[one], nimage[one])
             try:
-                _judge_block(g, bounds, pts, *pair, tol, PairTable(1), 0)
+                _judge_block(g, bounds, pts, xs[one], ys[one], nimage[one], tol, PairTable(1), 0)
             except ValueError as exc:
                 where = f"pair ({pts.ids[xs[j]]}, {pts.ids[ys[j]]})"
                 raise ValueError(f"{where}: {exc}") from exc
         raise
 
 
-def _judge_block(g, bounds, pts: _Points, xs, ys, diff, ndiff, nimage, tol, out, at) -> None:
+def _diff_norms(space: Space, coords, xs, ys) -> np.ndarray:
+    """The source norms of coords[xs[j]] - coords[ys[j]], the differences
+    formed in row blocks of the source width."""
+    out = np.empty(len(xs))
+    for rows in row_blocks(len(xs), space.dim):
+        diff = coords[xs[rows]]
+        diff -= coords[ys[rows]]
+        out[rows] = norms(space, diff)
+        del diff
+    return out
+
+
+# check_pair's checks, in the order in which a pair's first failing one is named
+_CHECKS = (
+    "far_norm_gap",
+    "far_norm_bracket",
+    "plateau_bracket",
+    "pair_sandwich",
+    "shell_bracket",
+    "ray_bracket",
+    "far_bracket",
+)
+
+
+def _judge_block(g, bounds, pts: _Points, xs, ys, nimage, tol, out, at) -> None:
     """_judge_pairs over the whole block at once: a BoundViolated is that of
-    the first offending pair, a ValueError may be of any pair."""
+    the first offending pair, a ValueError may be of any pair.
+
+    Each class is judged on its own rows, and each bracket folds its slacks
+    straight into the table's slack columns: far rows take the norm-gap
+    chain and the far bracket, plateau and ray rows their own brackets, and
+    sandwich rows (shared-shell pairs with y != 0, among them the plateau
+    pairs off the origin) the shell bracket and, level by level in row
+    blocks, the pair sandwich. Each check notes its first offending row;
+    once every gain is taken, the earliest row's first check in _CHECKS
+    order is raised. The sandwich columns are written only into a table
+    that has them."""
     sched = g.schedule
-    nx, ny = pts.norms[xs], pts.norms[ys]
-    if np.any(ny > nx):
+    gamma = g.bank.gamma
+    rows = slice(at, at + len(xs))
+    if np.any(pts.norms[ys] > pts.norms[xs]):
         raise ValueError("caller must order the pair so that norm(x) >= norm(y)")
+    ndiff = _diff_norms(g.source, pts.coords, xs, ys)
     if np.any(ndiff == 0.0):
         raise ValueError("points must be distinct")
-    ratio = nimage / ndiff
-    gamma = g.bank.gamma
-    delta = sched.params.delta
-    k = len(xs)
+    ratio = np.divide(nimage, ndiff, out=out.ratio[rows])
+    code, level, x_level = out.code[rows], out.level[rows], out.x_level[rows]
+    lower, upper = out.lower_slack[rows], out.upper_slack[rows]
+    lower.fill(math.inf)
+    upper.fill(math.inf)
+    found = []  # (row, check, error) of each check's first offending row
 
-    kx, ky = pts.plateau[xs], pts.plateau[ys]
-    same, level, y_level, x_level = classify_levels(
+    def note(check: str, on, bad, error) -> None:
+        if bad.any():
+            j = int(np.argmax(bad))
+            row = int(on[j])
+            pair = (int(pts.ids[xs[row]]), int(pts.ids[ys[row]]))
+            found.append((row, _CHECKS.index(check), error(j, pair)))
+
+    def bracket(check: str, on, lo, hi) -> None:
+        r = ratio[on]
+        sl, su = r - lo, hi - r
+        lower[on] = np.minimum(lower[on], sl)
+        upper[on] = np.minimum(upper[on], su)
+
+        def error(j, pair):
+            # the lower side first, as check_pair raises it
+            rj = float(r[j])
+            lo_j, hi_j = (float(v[j]) if isinstance(v, np.ndarray) else v for v in (lo, hi))
+            where = f"pair {pair}: ratio {rj!r}"
+            if rj - lo_j < -tol:
+                return BoundViolated(check, rj - lo_j, f"{where} below {lo_j!r}", pair)
+            return BoundViolated(check, hi_j - rj, f"{where} above {hi_j!r}", pair)
+
+        note(check, on, (sl < -tol) | (su < -tol), error)
+
+    same, level[:], y_level, x_level[:] = classify_levels(
         pts.lo[xs], pts.hi[xs], pts.lo[ys], pts.hi[ys]
     )
+    far = np.flatnonzero(~same)
+    # level is the shared level until the sandwich rows have read it
+    code.fill(_SAME)
+    code[far] = _FAR
+    x_level[same] = 0
+    if far.size:
+        nx, ny, nd = pts.norms[xs[far]], pts.norms[ys[far]], ndiff[far]
+        delta = sched.params.delta
+        gap = delta * nx - ny
+        note(
+            "far_norm_gap",
+            far,
+            gap < -tol * nx,
+            lambda j, pair: BoundViolated(
+                "far_norm_gap", float(gap[j]) / float(nx[j]), f"pair {pair}: |y| > delta |x|", pair
+            ),
+        )
+        lo_gap = nd - nx * (1.0 - delta)
+        hi_gap = nx * (1.0 + delta) - nd
+        note(
+            "far_norm_bracket",
+            far,
+            np.minimum(lo_gap, hi_gap) < -tol * nx,
+            lambda j, pair: BoundViolated(
+                "far_norm_bracket",
+                min(float(lo_gap[j]), float(hi_gap[j])) / float(nx[j]),
+                f"pair {pair}: |x-y| outside (1 +- delta)|x|",
+                pair,
+            ),
+        )
+        del nx, ny, nd, gap, lo_gap, hi_gap
+        bracket("far_bracket", far, bounds.l_far, bounds.u_far)
+    level[far] = y_level[far]
+    del far, y_level
+
+    near = np.flatnonzero(same)
+    del same
+    kx, ny = pts.plateau[xs[near]], pts.norms[ys[near]]
+    origin = ny == 0.0
     # the sharp bracket needs a single active certified map: either both
     # points share a plateau, or the smaller one is the origin
-    plateau = same & (kx > 0) & ((kx == ky) | (ny == 0.0))
-    sandwich = same & (ny > 0.0)
-    # smaller point is the origin and the larger sits on a ramp
-    ray = same & (ny == 0.0) & (kx == 0)
-    far = ~same
-    shell = (
-        sandwich
-        & (pts.logs[ys] <= sched.log_R[level - 1])
-        & (pts.logs[xs] > sched.log_r[level - 1])
+    plateau = near[(kx > 0) & ((kx == pts.plateau[ys[near]]) | origin)]
+    # the smaller point is the origin and the larger sits on a ramp
+    ray = near[origin & (kx == 0)]
+    sandwich = near[ny > 0.0]
+    del near, kx, ny, origin
+    code[plateau] = _PLATEAU
+    code[ray] = _RAY
+    bracket("plateau_bracket", plateau, 1.0, 1.0 + gamma)
+    bracket("ray_bracket", ray, blend_threshold(g.selection.zeta), SQRT2 * (1.0 + gamma))
+    del ray
+
+    shared = level[sandwich]
+    level[plateau] = pts.plateau[xs[plateau]]
+    del plateau
+    shell = (pts.logs[ys[sandwich]] <= sched.log_R[shared - 1]) & (
+        pts.logs[xs[sandwich]] > sched.log_r[shared - 1]
     )
+    bracket("shell_bracket", sandwich[shell], bounds.l_same, bounds.u_same)
+    del shell
+    columns = []
+    if out.sigma is not None:
+        columns = [getattr(out, name)[rows] for name in _SANDWICH_FIELDS]
+        for column in columns:
+            column.fill(math.nan)
+    # a sandwich row is two gain rows of the source width, and its 1-d
+    # arrays count as two pair widths
+    width = 2 * max(g.source.dim, _PAIR_WIDTH)
+    for lv in np.unique(shared).tolist():
+        on_level = sandwich[shared == lv]
+        for part in row_blocks(len(on_level), width):
+            on = on_level[part]
+            *gains, lo, hi = _sandwich(g, lv, pts, xs[on], ys[on], ndiff[on])
+            bracket("pair_sandwich", on, lo, hi)
+            for column, values in zip(columns, gains):
+                column[on] = values
 
-    sigma, theta, gsw, gtv = (np.full(k, math.nan) for _ in _SANDWICH_FIELDS)
-    sandwich_lo, sandwich_hi = np.zeros(k), np.zeros(k)
-    for lv in np.unique(level[sandwich]).tolist():
-        rows = np.flatnonzero(sandwich & (level == lv))
-        xr, yr = xs[rows], ys[rows]
-        (
-            sigma[rows], theta[rows], gsw[rows], gtv[rows], sandwich_lo[rows], sandwich_hi[rows]
-        ) = _sandwich(g, lv, pts, xr, yr, diff[rows], ndiff[rows])
-
-    gap = delta * nx - ny
-    lo_gap = ndiff - nx * (1.0 - delta)
-    hi_gap = nx * (1.0 + delta) - ndiff
-    gap_bad = far & (gap < -tol * nx)
-    norm_bad = far & (np.minimum(lo_gap, hi_gap) < -tol * nx)
-    checks = (
-        ("plateau_bracket", plateau, 1.0, 1.0 + gamma),
-        ("pair_sandwich", sandwich, sandwich_lo, sandwich_hi),
-        ("shell_bracket", shell, bounds.l_same, bounds.u_same),
-        ("ray_bracket", ray, blend_threshold(g.selection.zeta), SQRT2 * (1.0 + gamma)),
-        ("far_bracket", far, bounds.l_far, bounds.u_far),
-    )
-    lower_slack = np.full(k, math.inf)
-    upper_slack = np.full(k, math.inf)
-    bad = gap_bad | norm_bad
-    for _, applies, lo, hi in checks:
-        sl, su = ratio - lo, hi - ratio
-        bad |= applies & ((sl < -tol) | (su < -tol))
-        lower_slack = np.minimum(lower_slack, np.where(applies, sl, math.inf))
-        upper_slack = np.minimum(upper_slack, np.where(applies, su, math.inf))
-
-    if bad.any():
-        j = int(np.argmax(bad))
-        pair = (int(pts.ids[xs[j]]), int(pts.ids[ys[j]]))
-        where = f"pair {pair}"
-        nxj = float(nx[j])
-        if gap_bad[j]:
-            slack = float(gap[j]) / nxj
-            raise BoundViolated("far_norm_gap", slack, f"{where}: |y| > delta |x|", pair)
-        if norm_bad[j]:
-            raise BoundViolated(
-                "far_norm_bracket",
-                min(float(lo_gap[j]), float(hi_gap[j])) / nxj,
-                f"{where}: |x-y| outside (1 +- delta)|x|",
-                pair,
-            )
-        r = float(ratio[j])
-        for name, applies, lo, hi in checks:
-            if not applies[j]:
-                continue
-            lo, hi = (float(v[j]) if isinstance(v, np.ndarray) else v for v in (lo, hi))
-            if r - lo < -tol:
-                raise BoundViolated(name, r - lo, f"{where}: ratio {r!r} below {lo!r}", pair)
-            if hi - r < -tol:
-                raise BoundViolated(name, hi - r, f"{where}: ratio {r!r} above {hi!r}", pair)
-
-    rows = slice(at, at + k)
+    if found:
+        raise min(found, key=lambda f: f[:2])[2]
     out.x_id[rows], out.y_id[rows] = pts.ids[xs], pts.ids[ys]
-    out.code[rows] = np.where(plateau, _PLATEAU, np.where(ray, _RAY, np.where(same, _SAME, _FAR)))
-    out.level[rows] = np.where(plateau, kx, np.where(same, level, y_level))
-    out.x_level[rows] = np.where(far, x_level, 0)
-    out.ratio[rows] = ratio
-    for name, column in zip(_SANDWICH_FIELDS, (sigma, theta, gsw, gtv)):
-        getattr(out, name)[rows] = column
-    out.lower_slack[rows], out.upper_slack[rows] = lower_slack, upper_slack
 
 
 @dataclass(frozen=True)
@@ -638,19 +712,24 @@ def distortion_report(
 
     The points are embedded in one call, and each is normed and classified
     once. The pairs (a, b > a) are taken in row-major order and judged in
-    blocks of pairs (pointset.pair_blocks), with check_pair's verdict on
+    blocks of BATCH_ELEMENTS // _PAIR_WIDTH pairs (pointset.pair_blocks),
+    each class on its own rows (_judge_block), with check_pair's verdict on
     every pair written into the columns of a PairTable, and each block's
     columns are folded into the per-class arrays of the class summaries
-    and into the witnesses (_Summaries). With
-    keep_pairs the table holds every pair and is the report's pair_checks;
-    without it, one table of a block is reused, the report's pair_checks is
-    empty, and the sweep keeps no array of one entry per pair. on_block,
-    when given, is called as on_block(table, rows) with each judged block's
-    rows of the table, in sweep order, before the next block overwrites a
-    reused table (`run` formats them as the rows of its pairs CSV there);
-    a block that raises is not passed. Every temporary of
-    pairs times a row width is formed in row blocks. A tol that is not
-    finite and >= 0 raises ValueError.
+    and into the witnesses (_Summaries). With keep_pairs the table holds
+    every pair, sandwich columns included, and is the report's
+    pair_checks; without it, one table of a block without the sandwich
+    columns (which neither the summaries nor a pairs CSV read) is reused,
+    the report's pair_checks is empty, and the sweep keeps no array of one
+    entry per pair. on_block, when given, is called as on_block(table,
+    rows) with each judged block's rows of the table, in sweep order,
+    before the next block overwrites a reused table (`run` formats them as
+    the rows of its pairs CSV there); a block that raises is not passed.
+    A block keeps only 1-d arrays of its pairs alive: each array is
+    dropped once its last reader is done, and every temporary of pairs
+    times a row width (image differences, source differences and their
+    norms, sandwich rows) is formed in row blocks of its own width inside
+    the block. A tol that is not finite and >= 0 raises ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -666,22 +745,19 @@ def distortion_report(
     images = embed(g, coords)
     images.flags.writeable = False
     size = n * (n - 1) // 2
-    width = max(g.source.dim, _PAIR_WIDTH)
-    step = next(row_blocks(size, width)).stop
-    out = PairTable(size if keep_pairs else step)
+    step = next(row_blocks(size, _PAIR_WIDTH)).stop
+    out = PairTable(size if keep_pairs else step, sandwich=keep_pairs)
     nimage = np.empty(step)
     summaries = _Summaries()
-    for block, a, b in pair_blocks(n, width):
+    for block, a, b in pair_blocks(n, _PAIR_WIDTH):
+        k = block.stop - block.start
         _image_norms(g.target, images, a, b, nimage)
         keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
-        diff = coords[a] - coords[b]
-        np.negative(diff, out=diff, where=~keep[:, None])
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)
-        k = block.stop - block.start
+        del a, b, keep
         at = block.start if keep_pairs else 0
-        _judge_pairs(
-            g, bounds, table, xs, ys, diff, norms(g.source, diff), nimage[:k], tol, out, at
-        )
+        _judge_pairs(g, bounds, table, xs, ys, nimage[:k], tol, out, at)
+        del xs, ys
         summaries.add(out, slice(at, at + k))
         if on_block is not None:
             on_block(out, slice(at, at + k))
@@ -772,18 +848,17 @@ def fuzz_pair_inequalities(seed: int, n_pairs: int, levels: int = 3) -> FuzzRepo
             x = at_log_norms(g.source, lx, np.array(dx))
             y = at_log_norms(g.source, ly, np.array(dy))
             nx = norms(g.source, x)
-            diff = x - y
-            ndiff = norms(g.source, diff)
+            ndiff = norms(g.source, x - y)
             keep = ~(ndiff < 1e-6 * nx)
             if not keep.any():
                 continue
-            x, y, nx, diff, ndiff = x[keep], y[keep], nx[keep], diff[keep], ndiff[keep]
+            x, y, nx, ndiff = x[keep], y[keep], nx[keep], ndiff[keep]
             ny = norms(g.source, y)
             ratio = norms(g.target, level_map(g, level, x) - level_map(g, level, y)) / ndiff
             k = len(x)
             pts = _points(g, np.vstack((x, y)), np.arange(2 * k), np.concatenate((nx, ny)))
             xs, ys = np.arange(k), np.arange(k, 2 * k)
-            *_, lo_b, hi_b = _sandwich(g, level, pts, xs, ys, diff, ndiff)
+            *_, lo_b, hi_b = _sandwich(g, level, pts, xs, ys, ndiff)
             worst_lo = min(worst_lo, float(np.min(ratio - lo_b)))
             worst_hi = min(worst_hi, float(np.min(hi_b - ratio)))
             residuals = blend_decomposition_residual(g, level, x, y)

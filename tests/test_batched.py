@@ -758,7 +758,7 @@ def test_sweep_reports_a_non_unit_theta_row_as_the_per_pair_judge(plateau_pipeli
 
 
 def test_sandwich_tables_are_exact_in_every_row_case(l1_pipeline, monkeypatch):
-    # at 64 elements a pair block holds 4 pairs, so the per-point gain tables
+    # at 64 elements a pair block holds 8 pairs, so the per-point gain tables
     # fill across many blocks. The mixed points, with each of the three
     # smallest nonzero points y also as 2y and 4y on its ray, hit every row
     # case: a difference with the bits of x, sigma 0, sigma pi/2 and sigma
@@ -801,8 +801,8 @@ def test_non_unit_point_raises_at_its_first_pair_after_tables_fill(
     plateau_pipeline, monkeypatch, keep_pairs
 ):
     # the subnormal y of the test above comes last, after 38 points: its
-    # first pair, with point 0, is the sweep's pair 37, in the tenth block of
-    # 4 pairs, after earlier blocks filled the level's tables. y never
+    # first pair, with point 0, is the sweep's pair 37, in the fifth block of
+    # 8 pairs, after earlier blocks filled the level's tables. y never
     # enters a table, and the sweep raises the oracle's error
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     g, pts = plateau_pipeline
@@ -1916,7 +1916,7 @@ def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_pipeli
 def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_pipeline, monkeypatch):
     reports = _reports(l1_pipeline, plateau_pipeline)
     # without the table, the summaries are folded in block by block: blocks
-    # of 4 pairs put every class and extreme in many blocks
+    # of 8 pairs put every class and extreme in many blocks
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     streamed = _reports(l1_pipeline, plateau_pipeline, keep_pairs=False)
     assert {"plateau", "same", "ray", "far"} <= set(reports["mixed-l1"].by_class)
@@ -1995,6 +1995,12 @@ def test_pair_table_builds_pair_checks_on_demand(l1_pipeline, monkeypatch):
         sandwich = not pc.kind.startswith(("far", "ray")) and pc.y_id != pts.ids[0]
         fields = (pc.sigma, pc.theta, pc.g_sigma_w, pc.g_theta_v)
         assert all((v is not None) == sandwich for v in fields)
+    # the reused block table of a sweep without keep_pairs has no sandwich
+    # columns, and its PairChecks hold None there
+    streamed = []
+    sg.distortion_report(g, pts, keep_pairs=False, on_block=lambda t, rows: streamed.extend(t[rows]))
+    blank = dict.fromkeys(("sigma", "theta", "g_sigma_w", "g_theta_v"))
+    assert streamed == [dataclasses.replace(pc, **blank) for pc in every]
 
 
 def test_run_builds_no_pair_check(tmp_path, monkeypatch):
@@ -2015,7 +2021,7 @@ def test_run_builds_no_pair_check(tmp_path, monkeypatch):
 
 
 def test_tolerance_zero_violation_same_with_and_without_pairs_csv(tmp_path, monkeypatch, capsys):
-    # blocks of 4 pairs, so that the first violation lies many blocks into the sweep
+    # blocks of 8 pairs, so that the first violation lies many blocks into the sweep
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     outcomes = []
     for outputs in (("report",), ("report", "pairs_csv")):
@@ -2058,3 +2064,68 @@ def test_sweep_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
     monkeypatch.setattr(spiralglue.verify, "direction_gain", sized(sg.direction_gain))
     sg.distortion_report(g, pts)
     assert sizes and max(sizes) <= 64
+
+
+def _summarized(dist) -> str:
+    """The class summaries and witnesses of a report, by repr."""
+    return repr(
+        (dist.by_class, dist.witness_min, dist.witness_max, dist.min_ratio, dist.max_ratio)
+    )
+
+
+def _swept(g, pts, pair_block):
+    """What a sweep in pair blocks of pair_block pairs gives: its spooled
+    pairs CSV bytes, its class summaries and witnesses with and without a
+    kept table, every field of its kept table, and the outcome of a sweep
+    at tolerance 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.verify, "_PAIR_WIDTH", sg.spaces.BATCH_ELEMENTS // pair_block)
+        spool = spiralglue.cli._PairsSpool()
+        try:
+            streamed = sg.distortion_report(g, pts, keep_pairs=False, on_block=spool)
+            spool.fh.seek(0)
+            spooled = spool.fh.read()
+        finally:
+            spool.close()
+        kept = sg.distortion_report(g, pts)
+        strict = _outcome(
+            lambda: _summarized(sg.distortion_report(g, pts, tol=0.0, keep_pairs=False))
+        )
+    summaries = [_summarized(dist) for dist in (streamed, kept)]
+    return spooled, summaries, [_fields(pc) for pc in kept.pair_checks], strict
+
+
+@pytest.fixture(scope="module")
+def default_sweeps(l1_pipeline, plateau_pipeline):
+    runs = {"mixed-l1": l1_pipeline[:2], "plateau-l2": plateau_pipeline}
+    return runs, {name: _swept(g, pts, 2048) for name, (g, pts) in runs.items()}
+
+
+_PRIMES = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_pair_block_size_moves_nothing(data, default_sweeps):
+    # the kernels are row-wise and the summaries equal whole-sweep
+    # reductions, so one pair a block, a prime count, the default 2048 and
+    # one whole block give the same spool, summaries, table and error at
+    # tolerance 0
+    runs, want = default_sweeps
+    name = data.draw(st.sampled_from(sorted(runs)))
+    g, pts = runs[name]
+    pairs = len(pts) * (len(pts) - 1) // 2
+    pair_block = data.draw(st.sampled_from([1, data.draw(st.sampled_from(_PRIMES)), 2048, pairs]))
+    width = sg.spaces.BATCH_ELEMENTS // pair_block
+    # the drawn width gives blocks of pair_block pairs, or one whole block
+    assert next(sg.spaces.row_blocks(pairs, width)).stop == min(pair_block, pairs)
+    got = _swept(g, pts, pair_block)
+    assert got == want[name]
+    spooled, summaries, table, strict = got
+    assert spooled.count(b"\r\n") == len(table) == pairs
+    assert summaries[0] == summaries[1]
+    # the plateau pairs' ratios against 1 rest on the BLAS kernel's bits,
+    # so only the l1 run's violation is the same under every kernel
+    if name == "mixed-l1":
+        assert strict[0] is BoundViolated and strict[2] == "plateau_bracket"
+        assert strict[4] == (24, 14)

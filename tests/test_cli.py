@@ -1070,3 +1070,48 @@ def test_run_malformed_config_exits_2_naming_key(tmp_path, error, overrides):
     assert proc.stderr.startswith(f"config error: {error}")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (
+            ["run", "--config", "{config}"],
+            "config error: schedule.levels: requested norms exceed the floating range"
+            " from level 5 on\n",
+        ),
+        (
+            ["gen-points", "--levels", "5", "--out", "{out}"],
+            "error: --levels: requested norms exceed the floating range from level 5 on\n",
+        ),
+        (
+            ["weights", "--levels", "6", "--out", "{out}"],
+            "error: --levels: grid radii exceed the floating range from level 5 on\n",
+        ),
+    ],
+    ids=["run", "gen-points", "weights"],
+)
+def test_radii_beyond_float_range_exit_2_naming_levels(tmp_path, command, want):
+    # at eps = 0.01, log R_5 is about 804, past log(DBL_MAX) ~ 709.8: the
+    # error used to name neither the key nor the flag. A child process:
+    # exit 2, the key and the first level out of range, no traceback
+    path, _ = _base_config(tmp_path, schedule={"r1": 1.0, "levels": 5, "margin": 0.01})
+    out = tmp_path / "out.file"
+    args = [a.format(config=path, out=out) for a in command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiralglue.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+    assert not out.exists() and not (tmp_path / "report.json").exists()
+
+
+def test_plateau_points_within_float_range_still_generate(tmp_path, capsys):
+    # at five levels the plateaus end at r_5 (log about 647), inside the
+    # range: only the ramp of level 5 leaves it, so plateau points generate
+    out = tmp_path / "points.json"
+    assert main(["gen-points", "--levels", "5", "--placement", "plateau", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 51 points to {out}\n"

@@ -165,6 +165,37 @@ def test_sweep_without_pair_table_keeps_no_column_per_pair():
     assert peak <= 1.0 * MB
 
 
+@pytest.mark.parametrize(
+    "dim, p, per_level, placement, bound",
+    [(3, 1.0, 40, "mixed", 0.534), (16, 2.0, 50, "plateau", 1.079)],
+    ids=["dense-l1", "plateau-l2"],
+)
+def test_sweep_judges_2048_pairs_a_block_within_the_old_peak(
+    monkeypatch, dim, p, per_level, placement, bound
+):
+    # the sweep peaked at 0.534 MB (dense) and 1.079 MB (plateau) above its
+    # start with blocks of 1024 pairs: the block table held the sandwich
+    # columns, the source differences were alive whole through the judge,
+    # and every check formed full-block arrays. With 1-d columns only and
+    # every row temporary in its own row blocks, blocks of 2048 pairs peak
+    # at about 0.50 and 0.71 MB
+    _, _, g, pts = cli.run_pipeline(_config(dim, p, per_level, placement))
+    sizes = []
+    judge = sg.verify._judge_pairs
+
+    def counted(g, bounds, table, xs, *rest):
+        sizes.append(len(xs))
+        return judge(g, bounds, table, xs, *rest)
+
+    monkeypatch.setattr(sg.verify, "_judge_pairs", counted)
+    _, _, peak = _traced(sg.distortion_report, g, pts, sg.verify.DEFAULT_TOL, False)
+    # _traced sweeps twice: the second sweep's blocks
+    blocks = sizes[len(sizes) // 2 :]
+    assert sum(blocks) == len(pts) * (len(pts) - 1) // 2
+    assert len(blocks) > 1 and min(blocks[:-1]) >= 2048
+    assert peak <= bound * MB
+
+
 def test_sweep_image_differences_take_one_block(monkeypatch):
     # a row block of the sweep's image differences is one array of at most
     # BATCH_ELEMENTS entries, the a rows gathered less a slice of the images

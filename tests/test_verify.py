@@ -270,8 +270,8 @@ def fuzz_per_pair(seed: int, n_pairs: int, levels: int = 3) -> FuzzReport:
         ratio = sg.norm(bank.target, image) / ndiff
         # the pair as the two points of a point table
         pair = _points(g, np.array([x, y]), (0, 1), np.array([nx, ny]))
-        diff, nd = (x - y)[None], np.array([ndiff])
-        *_, lo_b, hi_b = _sandwich(g, level, pair, np.array([0]), np.array([1]), diff, nd)
+        nd = np.array([ndiff])
+        *_, lo_b, hi_b = _sandwich(g, level, pair, np.array([0]), np.array([1]), nd)
         worst_lo = min(worst_lo, ratio - float(lo_b[0]))
         worst_hi = min(worst_hi, float(hi_b[0]) - ratio)
         worst_res = max(worst_res, blend_decomposition_residual_scalar(g, level, x, y))
