@@ -632,13 +632,14 @@ def run_pipeline(cfg: RunConfig, tolerance: float = DEFAULT_TOL, on_block=None):
     return report, dist, g, pts
 
 
-def _written(key: str, write, path: str, *payload) -> bool:
-    """write(path, *payload); False, with a config error naming key, when the
-    file cannot be written."""
+def _written(where: str, write, *args) -> bool:
+    """write(*args), which writes an output file; False, with the error
+    printed after where (`config error: output.report`, say), when the file
+    cannot be written."""
     try:
-        write(path, *payload)
+        write(*args)
     except OSError as exc:
-        print(f"config error: {key}: {exc}", file=sys.stderr)
+        print(f"{where}: {exc}", file=sys.stderr)
         return False
     return True
 
@@ -736,7 +737,8 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
         }
         if not isinstance(exc, NonPositiveLowerBound):
             failure["failure"] = exc.fields()
-        if report_path and not _written(report_key, _write_json, report_path, failure):
+        where = f"config error: {report_key}"
+        if report_path and not _written(where, _write_json, report_path, failure):
             return 2
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -755,7 +757,7 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
         ("output.images", _write_images, cfg.images_path, pts.ids, dist.images),
     )
     for key, write, path, *payload in outputs:
-        if path and not _written(key, write, path, *payload):
+        if path and not _written(f"config error: {key}", write, path, *payload):
             return 2
     print(
         f"distortion {dist.distortion!r} <= bound {dist.bounds.ratio!r} "
@@ -834,17 +836,6 @@ def _out_ok(path) -> bool:
     return True
 
 
-def _wrote_out(write) -> bool:
-    """write(), which writes the --out file; False, with an error naming
-    --out, when the file cannot be written (a directory, say)."""
-    try:
-        write()
-    except OSError as exc:
-        print(f"error: --out: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _write_weights(path: str, ts, table) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -864,7 +855,7 @@ def cmd_weights(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _wrote_out(lambda: _write_weights(args.out, ts, table)):
+    if not _written("error: --out", _write_weights, args.out, ts, table):
         return 2
     print(f"wrote {len(ts)} rows x {table.shape[1]} weights to {args.out}")
     return 0
@@ -883,7 +874,7 @@ def cmd_gen_points(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _wrote_out(lambda: save_points(pts, args.out)):
+    if not _written("error: --out", save_points, pts, args.out):
         return 2
     print(f"wrote {len(pts)} points to {args.out}")
     return 0

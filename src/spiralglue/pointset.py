@@ -154,7 +154,9 @@ class AnnulusDecomposition:
 def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecomposition:
     """Build the shells, unit difference directions, and recorded ramp angles.
 
-    A direction enters level i for every ordered pair (x, y) of shell members
+    Shell i holds the points whose level interval (level_intervals, the
+    sweep's rule, which also checks the schedule's coverage) contains i. A
+    direction enters level i for every ordered pair (x, y) of shell members
     with norm(x) > r_i, norm(y) <= R_i, norm(x) >= norm(y), x != y; the origin
     participates as y at every level whether or not the input contains it.
     Pairs are taken in row-major (x, y) order over the shell sorted by id, and
@@ -172,14 +174,12 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     """
     m = sched.levels
     logs = log_norms(pts)
-    check_log_radius(sched, logs)
+    lo, hi = level_intervals(sched, logs)
     order = np.argsort(np.asarray(pts.ids))
     dim = pts.space.dim
     members, dirs, checks = [], [], []
     for level in range(1, m + 1):
-        shell_lo = sched.log_R[level - 2] if level >= 2 else -math.inf
-        shell_hi = sched.log_r[level] if level < m else sched.log_coverage
-        in_shell = (logs == -math.inf) | ((shell_lo < logs) & (logs <= shell_hi))
+        in_shell = (lo <= level) & (level <= hi)
         here = order[in_shell[order]]
         rows = pts.coords[here]
         logs_here = logs[here]

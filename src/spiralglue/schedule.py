@@ -146,15 +146,17 @@ def check_log_radius(sched: RadiiSchedule, log_t) -> None:
     """Raise OutOfScheduleRange when log_t, a float or an array, lies beyond
     the schedule's coverage; the message names the first offending value."""
     limit = sched.log_coverage + 1e-12 * max(1.0, abs(sched.log_coverage))
-    if np.ndim(log_t) == 0:
-        bad = [float(log_t)] if log_t > limit else []
-    else:
-        log_t = np.asarray(log_t, dtype=float).ravel()
-        bad = log_t[np.flatnonzero(log_t > limit)[:1]].tolist()
+    log_t = np.asarray(log_t, dtype=float).ravel()
+    bad = log_t[np.flatnonzero(log_t > limit)[:1]].tolist()
     if bad:
         raise OutOfScheduleRange(
             f"log norm {bad[0]!r} exceeds schedule coverage {sched.log_coverage!r}"
         )
+
+
+def _plain(values):
+    """A 0-d result as a Python float or int; an array as it is."""
+    return values.item() if np.ndim(values) == 0 else values
 
 
 def ramp_angle_log(sched: RadiiSchedule, level: int, log_t):
@@ -162,21 +164,15 @@ def ramp_angle_log(sched: RadiiSchedule, level: int, log_t):
     r_level and exactly pi/2 from R_level on, where the ramp ends even when
     eps * (log R_level - log r_level) rounds below pi/2.
 
-    A float log_t gives a float; an array gives the angles as an array, each
-    bit-equal to the float call (never -0.0; the origin, -inf, gives 0.0).
-    The float call runs the same IEEE operations on Python floats.
+    One array body serves every call: a float log_t (with one level) gives
+    a float, an array (with one level, or a level per entry) gives the
+    angles as an array, each entry bit-equal to the float call at it (never
+    -0.0; the origin, -inf, gives 0.0).
     """
-    if np.ndim(log_t) == 0 and np.ndim(level) == 0:
-        log_t = float(log_t)
-        if log_t >= float(sched.log_R[level - 1]):
-            return HALF_PI
-        a = sched.params.eps * (log_t - float(sched.log_r[level - 1]))
-        return min(a, HALF_PI) if a > 0.0 else 0.0
     log_t = np.asarray(log_t, dtype=float)
     a = sched.params.eps * (log_t - sched.log_r[level - 1])
-    return np.where(
-        log_t >= sched.log_R[level - 1], HALF_PI, np.where(a > 0.0, np.minimum(a, HALF_PI), 0.0)
-    )
+    a = np.where(a > 0.0, np.minimum(a, HALF_PI), 0.0)
+    return _plain(np.where(log_t >= sched.log_R[level - 1], HALF_PI, a))
 
 
 def level_weights_log(sched: RadiiSchedule, level, log_t):
@@ -188,13 +184,10 @@ def level_weights_log(sched: RadiiSchedule, level, log_t):
     each entry bit-equal to the float call: both take numpy's cos and sin of
     the whole array.
     """
-    angle = ramp_angle_log(sched, level, log_t)
-    a = np.asarray(angle)
+    a = np.asarray(ramp_angle_log(sched, level, log_t))
     c = np.where(a <= 0.0, 1.0, np.where(a >= HALF_PI, 0.0, np.cos(a)))
     s = np.where(a <= 0.0, 0.0, np.where(a >= HALF_PI, 1.0, np.sin(a)))
-    if isinstance(angle, float):
-        return float(c), float(s)
-    return c, s
+    return _plain(c), _plain(s)
 
 
 def sandwich_theta(sigma, alpha):
@@ -224,12 +217,8 @@ def active_weights_log(sched: RadiiSchedule, log_t):
     to the float call.
     """
     check_log_radius(sched, log_t)
-    level = np.searchsorted(sched.log_r, log_t, side="left")
-    if np.ndim(level) == 0:
-        level = min(max(int(level), 1), sched.levels)
-    else:
-        level = np.clip(level, 1, sched.levels)
-    return (level, *level_weights_log(sched, level, log_t))
+    level = np.clip(np.searchsorted(sched.log_r, log_t, side="left"), 1, sched.levels)
+    return (_plain(level), *level_weights_log(sched, level, log_t))
 
 
 def _weight_table(sched: RadiiSchedule, log_t: np.ndarray) -> np.ndarray:

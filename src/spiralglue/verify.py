@@ -94,13 +94,19 @@ def solve_params(eps_target: float) -> Params:
         s /= 2.0
 
 
+def _spreading_branches(c, s):
+    """The two branches of the spreading lower bound at the coefficients c
+    and s, floats or arrays; the bound is their maximum."""
+    return c * (c + s) / (c + 2.0 * s), s * (c + s) / (2.0 * c + s)
+
+
 def spreading_lower_bound(c: float, s: float) -> float:
     """Closed-form lower bound on the two-coefficient spreading limit."""
     if c < 0.0 or s < 0.0:
         raise ValueError("coefficients must be non-negative")
     if c + s == 0.0:
         raise ValueError("coefficients must not both be zero")
-    return max(c * (c + s) / (c + 2.0 * s), s * (c + s) / (2.0 * c + s))
+    return max(_spreading_branches(c, s))
 
 
 def spreading_bound_minimum(grid_size: int) -> tuple[float, float]:
@@ -117,9 +123,7 @@ def spreading_bound_minimum(grid_size: int) -> tuple[float, float]:
         raise ValueError("grid_size must be >= 3")
     quarter = 0.25 * math.pi
     taus = np.union1d(np.linspace(0.0, 0.5 * math.pi, grid_size), [quarter])
-    c, s = np.cos(taus), np.sin(taus)
-    left = c * (c + s) / (c + 2.0 * s)
-    right = s * (c + s) / (2.0 * c + s)
+    left, right = _spreading_branches(np.cos(taus), np.sin(taus))
     dl = np.diff(left[taus <= quarter])
     if dl.size and dl.max() > 1e-12:
         raise BoundViolated("left_branch_monotone", float(-dl.max()))
@@ -231,16 +235,19 @@ class PairTable(Sequence):
     lower and upper slacks. A table built with sandwich=False has no
     sandwich columns (each is None, and so is each PairCheck's sandwich
     field): the sweep's reused block table, whose readers take only the
-    other columns. As a sequence it holds PairCheck objects, built only
-    when indexed or iterated.
+    other columns. The levels are int16, as no point with finite
+    coordinates sits above about level 925 (a level spans at least pi/2 in
+    log radius), so a pair takes 45 bytes, or 77 with the sandwich
+    columns. As a sequence it holds PairCheck objects, built only when
+    indexed or iterated.
     """
 
     def __init__(self, size: int, sandwich: bool = True):
         self.x_id = np.empty(size, dtype=np.int64)
         self.y_id = np.empty(size, dtype=np.int64)
         self.code = np.empty(size, dtype=np.int8)
-        self.level = np.empty(size, dtype=np.int64)
-        self.x_level = np.empty(size, dtype=np.int64)
+        self.level = np.empty(size, dtype=np.int16)
+        self.x_level = np.empty(size, dtype=np.int16)
         self.ratio = np.empty(size)
         for name in _SANDWICH_FIELDS:
             setattr(self, name, np.empty(size) if sandwich else None)
@@ -397,22 +404,24 @@ def check_pair(
     bounds = embedding_bounds(g)
     nx, ny = norm(g.source, x), norm(g.source, y)
     images = embed(g, np.array([x, y]))
-    nimage = norm(g.target, images[0] - images[1])
+    ndiff, nimage = norm(g.source, x - y), norm(g.target, images[0] - images[1])
     table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
     out = PairTable(1)
-    _judge_block(g, bounds, table, np.array([0]), np.array([1]), np.array([nimage]), tol, out, 0)
+    pair = np.array([0]), np.array([1]), np.array([ndiff]), np.array([nimage])
+    _judge_block(g, bounds, table, *pair, tol, out, 0)
     return out[0]
 
 
-def _judge_pairs(g, bounds, pts: _Points, xs, ys, nimage, tol, out, at) -> None:
+def _judge_pairs(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out, at) -> None:
     """Write check_pair's verdict on each ordered pair (xs[j], ys[j]) of the
     point table into rows at, at + 1, ... of the PairTable out, given the
-    target norm nimage[j] of embed(x) - embed(y). Raises the error of the
+    source norm ndiff[j] of x - y and the target norm nimage[j] of
+    embed(x) - embed(y). Raises the error of the
     first offending pair, and within it of its first failing check, as
     check_pair would; a ValueError's message is prefixed with the pair, as
     `pair (x_id, y_id): `."""
     try:
-        _judge_block(g, bounds, pts, xs, ys, nimage, tol, out, at)
+        _judge_block(g, bounds, pts, xs, ys, ndiff, nimage, tol, out, at)
     except ValueError:
         # the order and distinctness checks run over the whole block first,
         # and the gains before any violation is raised, so a ValueError at
@@ -420,24 +429,13 @@ def _judge_pairs(g, bounds, pts: _Points, xs, ys, nimage, tol, out, at) -> None:
         # pair at a time
         for j in range(len(xs)):
             one = slice(j, j + 1)
+            pair = xs[one], ys[one], ndiff[one], nimage[one]
             try:
-                _judge_block(g, bounds, pts, xs[one], ys[one], nimage[one], tol, PairTable(1), 0)
+                _judge_block(g, bounds, pts, *pair, tol, PairTable(1), 0)
             except ValueError as exc:
                 where = f"pair ({pts.ids[xs[j]]}, {pts.ids[ys[j]]})"
                 raise ValueError(f"{where}: {exc}") from exc
         raise
-
-
-def _diff_norms(space: Space, coords, xs, ys) -> np.ndarray:
-    """The source norms of coords[xs[j]] - coords[ys[j]], the differences
-    formed in row blocks of the source width."""
-    out = np.empty(len(xs))
-    for rows in row_blocks(len(xs), space.dim):
-        diff = coords[xs[rows]]
-        diff -= coords[ys[rows]]
-        out[rows] = norms(space, diff)
-        del diff
-    return out
 
 
 # check_pair's checks, in the order in which a pair's first failing one is named
@@ -452,7 +450,7 @@ _CHECKS = (
 )
 
 
-def _judge_block(g, bounds, pts: _Points, xs, ys, nimage, tol, out, at) -> None:
+def _judge_block(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out, at) -> None:
     """_judge_pairs over the whole block at once: a BoundViolated is that of
     the first offending pair, a ValueError may be of any pair.
 
@@ -470,7 +468,6 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, nimage, tol, out, at) -> None:
     rows = slice(at, at + len(xs))
     if np.any(pts.norms[ys] > pts.norms[xs]):
         raise ValueError("caller must order the pair so that norm(x) >= norm(y)")
-    ndiff = _diff_norms(g.source, pts.coords, xs, ys)
     if np.any(ndiff == 0.0):
         raise ValueError("points must be distinct")
     ratio = np.divide(nimage, ndiff, out=out.ratio[rows])
@@ -677,27 +674,27 @@ class _Summaries:
         }
 
 
-def _image_differences(images, a, y: int) -> np.ndarray:
-    """images[a[j]] - images[b[j]] for consecutive row-major pairs (a[j],
-    b[j]) of the images whose first b is y: one gather of the a rows, less
-    the slice of images that each run of equal a covers. No b row is
-    gathered, and no operand is broadcast (which takes numpy iterator
-    buffers)."""
-    differences = images[a]
+def _differences(rows, a, y: int) -> np.ndarray:
+    """rows[a[j]] - rows[b[j]] for consecutive row-major pairs (a[j], b[j])
+    of the rows whose first b is y: one gather of the a rows, less the
+    slice of rows that each run of equal a covers. No b row is gathered,
+    and no operand is broadcast (which takes numpy iterator buffers)."""
+    differences = rows[a]
     j = 0
     while j < len(a):
-        k = min(len(images) - y, len(a) - j)
-        differences[j : j + k] -= images[y : y + k]
+        k = min(len(rows) - y, len(a) - j)
+        differences[j : j + k] -= rows[y : y + k]
         y, j = int(a[j]) + 2, j + k
     return differences
 
 
-def _image_norms(target: Space, images, a, b, out) -> None:
-    """out[j] = the target norm of images[a[j]] - images[b[j]] for the pairs
-    (a[j], b[j]) of a block of consecutive row-major pairs of the images, in
-    row blocks of the target width, one array of differences at a time."""
-    for rows in row_blocks(len(a), target.dim):
-        out[rows] = norms(target, _image_differences(images, a[rows], int(b[rows.start])))
+def _difference_norms(space: Space, rows, a, b, out) -> None:
+    """out[j] = the norm in space of rows[a[j]] - rows[b[j]], for the pairs
+    (a[j], b[j]) of a block of consecutive row-major pairs of the rows (the
+    points or their images), in row blocks of the space's width, one array
+    of differences at a time."""
+    for part in row_blocks(len(a), space.dim):
+        out[part] = norms(space, _differences(rows, a[part], int(b[part.start])))
 
 
 def distortion_report(
@@ -727,9 +724,12 @@ def distortion_report(
     the rows of its pairs CSV there); a block that raises is not passed.
     A block keeps only 1-d arrays of its pairs alive: each array is
     dropped once its last reader is done, and every temporary of pairs
-    times a row width (image differences, source differences and their
-    norms, sandwich rows) is formed in row blocks of its own width inside
-    the block. A tol that is not finite and >= 0 raises ValueError.
+    times a row width (source and image differences, sandwich rows) is
+    formed in row blocks of its own width inside the block. One kernel,
+    _difference_norms, norms the source and the image differences of the
+    pairs (a, b) before they are ordered: a norm reads only |x - y|, and
+    negation is exact, so y - x has the norm bits of x - y. A tol that is
+    not finite and >= 0 raises ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -747,16 +747,17 @@ def distortion_report(
     size = n * (n - 1) // 2
     step = next(row_blocks(size, _PAIR_WIDTH)).stop
     out = PairTable(size if keep_pairs else step, sandwich=keep_pairs)
-    nimage = np.empty(step)
+    ndiff, nimage = np.empty(step), np.empty(step)
     summaries = _Summaries()
     for block, a, b in pair_blocks(n, _PAIR_WIDTH):
         k = block.stop - block.start
-        _image_norms(g.target, images, a, b, nimage)
+        _difference_norms(g.source, coords, a, b, ndiff)
+        _difference_norms(g.target, images, a, b, nimage)
         keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)
         del a, b, keep
         at = block.start if keep_pairs else 0
-        _judge_pairs(g, bounds, table, xs, ys, nimage[:k], tol, out, at)
+        _judge_pairs(g, bounds, table, xs, ys, ndiff[:k], nimage[:k], tol, out, at)
         del xs, ys
         summaries.add(out, slice(at, at + k))
         if on_block is not None:

@@ -207,10 +207,10 @@ def test_sweep_image_differences_take_one_block(monkeypatch):
     images = np.random.default_rng(1).standard_normal((64, 512))
     a, b = sg.pointset.pairs_at(len(images), 37, len(images) * (len(images) - 1) // 2)
     out = np.empty(len(a))
-    sg.verify._image_norms(target, images, a, b, out)
+    sg.verify._difference_norms(target, images, a, b, out)
     assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
     monkeypatch.setattr(sg.verify, "norms", lambda space, X: X[:, 0])
-    _, _, peak = _traced(sg.verify._image_norms, target, images, a, b, out)
+    _, _, peak = _traced(sg.verify._difference_norms, target, images, a, b, out)
     assert peak <= 8 * sg.spaces.BATCH_ELEMENTS + 24_000
 
 

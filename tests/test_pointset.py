@@ -97,6 +97,22 @@ def test_shell_membership_boundary_strict(small_ws):
     assert 0 not in dec.member_ids[1]  # excluded: shells open at R_{i-1}
 
 
+def test_shells_are_the_level_intervals_in_the_coverage_slack():
+    # point 1 lies past log_coverage but within check_log_radius's 1e-12
+    # slack: accepted, so the last shell holds it, as the sweep's
+    # level_intervals says
+    sched = sg.build_schedule(sg.Params(0.3, 0.3, 0.01, 0.01), 1.0, 2)
+    t = sched.log_coverage + 0.5e-12 * abs(sched.log_coverage)
+    coords = [[0.0, 0.0], [math.exp(t), 0.0], [0.0, math.exp(sched.log_R[1] + 0.01)]]
+    pts = sg.make_point_set(sg.Space(2, sg.Lp(2.0)), coords)
+    assert sg.log_norms(pts)[1] > sched.log_coverage
+    dec = sg.decompose(pts, sched)
+    lo, hi = sg.pointset.level_intervals(sched, sg.log_norms(pts))
+    for level, members in enumerate(dec.member_ids, start=1):
+        assert members == tuple(k for k in pts.ids if lo[k] <= level <= hi[k])
+    assert dec.member_ids == ((0,), (0, 1, 2))
+
+
 def test_decompose_rejects_uncovered_points(small_ws):
     space = sg.Space(2, sg.Lp(2.0))
     cov = math.exp(small_ws.log_coverage)
