@@ -880,12 +880,11 @@ def cmd_gen_points(args) -> int:
     return 0
 
 
-def _add_param_flags(p, with_gamma_zeta=True):
+def _add_param_flags(p):
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
-    if with_gamma_zeta:
-        p.add_argument("--gamma", type=float, default=0.01)
-        p.add_argument("--zeta", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--zeta", type=float, default=0.01)
 
 
 def _add_schedule_flags(p):

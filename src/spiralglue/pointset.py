@@ -29,7 +29,6 @@ from .spaces import (  # noqa: F401
     row_blocks,
 )
 
-_DIR_TOL = 1e-12  # unit directions matching coordinatewise within this are identified
 PLACEMENTS = ("plateau", "ramp", "mixed")  # the norm sub-regions generate_annular draws from
 
 
@@ -159,18 +158,19 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     direction enters level i for every ordered pair (x, y) of shell members
     with norm(x) > r_i, norm(y) <= R_i, norm(x) >= norm(y), x != y; the origin
     participates as y at every level whether or not the input contains it.
-    Pairs are taken in row-major (x, y) order over the shell sorted by id, and
-    a direction within _DIR_TOL (max-abs) of an earlier one joins the first
-    such direction instead of starting its own.
+    Pairs are taken in row-major (x, y) order over the shell sorted by id.
+    The level's directions are its bit-distinct unit differences in order of
+    first occurrence, and each check pairs a direction with the ramp angle
+    of x for a pair whose unit difference has that direction's bits.
 
     Each level is a few array passes. One mask of x rows against the shell
     gives the pairs in row-major order; their unit differences are formed in
     row blocks of at most BATCH_ELEMENTS elements into one array, whose
     bitwise distinct rows `distinct_rows` keeps, as one block, in order of
-    first occurrence. `_leaders` groups the distinct rows by sort-and-sweep
-    on their coordinate of widest spread; the leaders, in that order, are the
-    level's directions. The sorted distinct (direction, angle) pairs, its
-    checks, are one sort of an integer key.
+    first occurrence. One `np.unique` on the kept rows' bytes rejoins the
+    groups of equal bits that a hash collision split (distinct_rows' missed
+    merge), numbered by first row. The sorted distinct (direction, angle)
+    pairs, its checks, are one sort of an integer key.
     """
     m = sched.levels
     logs = log_norms(pts)
@@ -197,63 +197,26 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
             units[block] = diff / norms(pts.space, diff)[:, None]
         distinct, _, group = distinct_rows([units], len(units), dim)
         del units
-        lead = _leaders(distinct)
-        is_leader = lead == np.arange(len(lead))
-        direction = (np.cumsum(is_leader) - 1)[lead][group]
+        _, first, pattern = np.unique(
+            distinct.view(f"V{8 * dim}").ravel(), return_index=True, return_inverse=True
+        )
+        number = np.empty(len(first), dtype=np.intp)
+        number[np.argsort(first)] = np.arange(len(first))
+        # indexing an intp array widens group (int8 or int16 for few rows),
+        # so the key below cannot overflow
+        direction = number[pattern][group]
         # the distinct (direction, angle) pairs, sorted, as one integer key of
         # the direction and the angle's rank (ramp angles are never NaN or -0.0)
         values, rank = np.unique(ramp_angle_log(sched, level, logs_here), return_inverse=True)
         direction, angle = np.divmod(np.unique(direction * len(values) + rank[src]), len(values))
         angle = values[angle]
-        found = distinct[is_leader]
+        found = distinct[np.sort(first)]
         for array in (found, direction, angle):
             array.flags.writeable = False
         members.append(tuple(int(pts.ids[k]) for k in here.tolist()))
         dirs.append(found)
         checks.append((direction, angle))
     return AnnulusDecomposition(m, tuple(members), tuple(dirs), tuple(checks))
-
-
-def _leaders(rows: np.ndarray) -> np.ndarray:
-    """Per row, the index of the direction row it joins.
-
-    Rows are taken in order: a row joins the first earlier leader within
-    _DIR_TOL (max-abs), and leads its own direction when there is none, so a
-    row maps to itself exactly when it is a leader. Close pairs are found by
-    sort-and-sweep on one coordinate: a close pair's coordinates differ by at
-    most _DIR_TOL, so a window of 2 * _DIR_TOL in the sorted order holds every
-    close partner (the doubling absorbs the rounding of the difference and of
-    the window bound), and the exact max-abs test decides. The candidate pairs are tested in
-    blocks of at most BATCH_ELEMENTS elements of differences.
-    """
-    n, dim = rows.shape
-    if n < 2:
-        return np.arange(n)
-    # sweep the coordinate of widest spread: a coordinate the rows share (the
-    # differences of points in a plane x_k = c) would put every row in one window
-    key = rows[:, int(np.argmax(rows.max(axis=0) - rows.min(axis=0)))]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    width = np.searchsorted(key, key + 2 * _DIR_TOL, side="right") - np.arange(n) - 1
-    ends = np.cumsum(width)
-    later, earlier = [], []
-    for block in row_blocks(int(ends[-1]), dim):
-        f = np.arange(block.start, block.stop)
-        p = np.searchsorted(ends, f, side="right")
-        i, j = order[p], order[p + 1 + f - (ends[p] - width[p])]
-        # every |difference| <= _DIR_TOL: the max-abs test, NaN never close
-        close = (np.abs(rows[i] - rows[j]) <= _DIR_TOL).all(axis=1)
-        later.append(np.maximum(i, j)[close])
-        earlier.append(np.minimum(i, j)[close])
-    lead = list(range(n))
-    if later:
-        # the close pairs by later row, then earlier row (each pair occurs
-        # once): each row is settled before any later row asks whether it leads
-        pairs = np.sort(np.concatenate(later) * n + np.concatenate(earlier))
-        for j, i in zip((pairs // n).tolist(), (pairs % n).tolist()):
-            if lead[j] == j and lead[i] == i:
-                lead[j] = i
-    return np.array(lead, dtype=np.intp)
 
 
 def generate_annular(

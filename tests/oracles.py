@@ -2,8 +2,8 @@
 oracles: the pair classification by its shell rule, the ramp angle and the
 sandwich angles at linear radii, the one-vector norm, map image, two-map
 blend, level map and decomposition residual, the row norms with every
-elementwise pass over every column, the decompose that scans every
-direction found so far for each distinct unit difference, and the
+elementwise pass over every column, the decompose that looks up each
+unit difference's bytes in a dict of those seen so far, and the
 certification and row gain that evaluate every row, repeats included, and
 the generated banks' dense matrices; `directions_bytes` gives the bytes by
 which two decompositions are compared. The pipeline uses
@@ -13,8 +13,7 @@ the row kernels `spaces.norms`, `spaces.apply` and `spaces.blend_apply`,
 one kernel for the norms of images and blends (`spaces.image_norms` and
 `spaces.blend_norms`, the one- and two-term calls of `spaces._hull_norms`),
 which takes a norm on the union of the hulls alone, a decompose that groups
-its unit differences by bit pattern
-with `spaces.distinct_rows` and the directions by sort-and-sweep instead,
+its unit differences by bit pattern with `spaces.distinct_rows` instead,
 a certification that evaluates each distinct row once (the groups of
 `spaces.distinct_rows` of positive norm), a row gain whose callers pass
 each row once, and maps built from their nonzero band alone
@@ -29,7 +28,6 @@ import numpy as np
 
 from spiralglue.errors import CertificationFailed
 from spiralglue.pointset import (
-    _DIR_TOL,
     AnnulusDecomposition,
     classify_levels,
     level_intervals,
@@ -276,8 +274,7 @@ def directions_bytes(decomp):
 def decompose_first_match(pts, sched) -> AnnulusDecomposition:
     """The decompose with a per-difference loop: a bitwise repeat joins the
     direction of its first occurrence (the `seen` dict), and every other
-    difference scans the directions found so far for the first within
-    _DIR_TOL."""
+    difference starts a direction of its own."""
     m = sched.levels
     logs = log_norms(pts)
     check_log_radius(sched, logs)
@@ -299,7 +296,7 @@ def decompose_first_match(pts, sched) -> AnnulusDecomposition:
         log_ri = sched.log_r[level - 1]
         log_Ri = sched.log_R[level - 1]
         ramp = ramp_angle_log(sched, level, logs_here).tolist()
-        found = np.empty((16, dim))  # directions in order of discovery; grows by doubling
+        found = []  # directions in order of discovery
         angles = []
         seen = {}
         for a in np.flatnonzero(logs_here > log_ri).tolist():
@@ -311,16 +308,11 @@ def decompose_first_match(pts, sched) -> AnnulusDecomposition:
                     key = u.tobytes()
                     k = seen.get(key)
                     if k is None:
-                        k = _first_match(found[: len(angles)], u)
-                        if k < 0:
-                            k = len(angles)
-                            if k == len(found):
-                                found = np.concatenate([found, np.empty_like(found)])
-                            found[k] = u
-                            angles.append([])
-                        seen[key] = k
+                        k = seen[key] = len(found)
+                        found.append(u)
+                        angles.append([])
                     angles[k].append(ramp[a])
-        found = found[: len(angles)].copy()
+        found = np.array(found).reshape(len(found), dim)
         pairs = [(k, a) for k, ang in enumerate(angles) for a in sorted(set(ang))]
         direction = np.array([k for k, _ in pairs], dtype=np.intp)
         angle = np.array([a for _, a in pairs], dtype=float)
@@ -330,31 +322,6 @@ def decompose_first_match(pts, sched) -> AnnulusDecomposition:
         dirs.append(found)
         checks.append((direction, angle))
     return AnnulusDecomposition(m, tuple(members), tuple(dirs), tuple(checks))
-
-
-def _first_match(found: np.ndarray, u: np.ndarray) -> int:
-    """Index of the first row of found within _DIR_TOL of u (max-abs), else -1."""
-    for block in row_blocks(len(found), u.size):
-        hit = np.flatnonzero(np.abs(found[block] - u).max(axis=1) <= _DIR_TOL)
-        if hit.size:
-            return block.start + int(hit[0])
-    return -1
-
-
-def leaders_scan(rows) -> list[int]:
-    """Per row, in order, the first earlier leader within _DIR_TOL, found by
-    scanning the leaders so far; a row without one leads itself."""
-    rows = np.asarray(rows, dtype=float)
-    leaders: list[int] = []
-    lead = []
-    for j, u in enumerate(rows):
-        k = _first_match(rows[leaders], u)
-        if k < 0:
-            leaders.append(j)
-            lead.append(j)
-        else:
-            lead.append(leaders[k])
-    return lead
 
 
 def block_shift_matrices(source, target, count: int, width) -> list[np.ndarray]:

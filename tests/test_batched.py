@@ -53,7 +53,7 @@ from spiralglue.errors import (
     DimensionMismatch,
     OutOfScheduleRange,
 )
-from spiralglue.pointset import _DIR_TOL, PLACEMENTS, _leaders
+from spiralglue.pointset import PLACEMENTS
 from spiralglue.schedule import (
     HALF_PI,
     active_weights_log,
@@ -69,7 +69,6 @@ from oracles import (
     decompose_first_match,
     direction_gain_all_rows,
     directions_bytes,
-    leaders_scan,
     norm_scalar,
     norms_full_width,
     sandwich_angles,
@@ -292,7 +291,7 @@ def test_random_rows_drawn_in_blocks_are_one_draw(cuts):
 
 def decompose_scan(pts, sched):
     """The pair-by-pair decompose: a scalar norm per difference and a linear
-    scan over the directions found so far."""
+    scan over the directions found so far for one of the same bits."""
     m = sched.levels
     logs = sg.log_norms(pts)
     for ln in logs:
@@ -328,7 +327,7 @@ def decompose_scan(pts, sched):
                 diff = xa - yb
                 u = diff / sg.norm(pts.space, diff)
                 for vec, angles in found:
-                    if np.max(np.abs(vec - u)) <= _DIR_TOL:
+                    if vec.tobytes() == u.tobytes():
                         angles.append(angle)
                         break
                 else:
@@ -351,7 +350,7 @@ def _assert_decompositions_agree(pts, sched):
         assert angle.tolist() == [a for _, angles in want_level for a in angles]
         for got, (u, _) in zip(units, want_level):
             assert np.max(np.abs(got - u)) <= 1e-15 * max(1.0, np.max(np.abs(u)))
-    # the sort-and-sweep grouping reproduces the per-difference loop bit for bit
+    # the grouping by distinct_rows reproduces the per-difference loop bit for bit
     want = decompose_first_match(pts, sched)
     assert dec.member_ids == want.member_ids
     assert directions_bytes(dec) == directions_bytes(want)
@@ -376,8 +375,8 @@ def test_decompose_matches_scan(data, small_ws, wide_ws):
 
 
 def test_decompose_matches_scan_on_collinear_points(small_ws):
-    # differences along one ray agree only up to rounding, which exercises
-    # the tolerance match rather than bitwise repeats
+    # differences along one ray agree only up to rounding: each bit pattern
+    # is a direction of its own
     sched = small_ws
     base = np.array([0.3, -0.7, 1.1])
     radii = np.exp(np.linspace(sched.log_r[0] - 1.0, sched.log_R[2], 25))
@@ -387,7 +386,7 @@ def test_decompose_matches_scan_on_collinear_points(small_ws):
 
 
 def test_decompose_matches_first_match_at_481_points(wide_ws):
-    # about 7000 directions over three levels, most differences bitwise repeats
+    # about 10 000 directions over three levels, most differences bitwise repeats
     pts = sg.generate_annular(7, wide_ws, 160, 3, "mixed", sg.Lp(1.0))
     dec = sg.decompose(pts, wide_ws)
     want = decompose_first_match(pts, wide_ws)
@@ -396,8 +395,8 @@ def test_decompose_matches_first_match_at_481_points(wide_ws):
 
 
 def test_decompose_matches_first_match_in_a_coordinate_plane(wide_ws):
-    # every difference has coordinate 0 equal to 0.0, so the grouping sweeps
-    # another coordinate
+    # every difference has coordinate 0 equal to 0.0: rows are told apart by
+    # their other coordinates alone
     pts = sg.generate_annular(7, wide_ws, 40, 3, "mixed", sg.Lp(1.0))
     coords = pts.coords.copy()
     coords[:, 0] = 0.0
@@ -425,63 +424,6 @@ def test_decompose_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
     # the running dedup and the grouping hold across many blocks
     assert len(sizes) > 3 * len(dec.directions) // 2
     assert directions_bytes(dec) == want
-
-
-_HALF_TOL = _DIR_TOL / 2
-
-
-@st.composite
-def _clustered_rows(draw):
-    """Rows near a few centres, jittered by multiples of _DIR_TOL / 2.
-
-    Where a coordinate's centre is 0.0 its gaps are exact multiples of
-    _DIR_TOL / 2, so draws hold gaps of exactly _DIR_TOL (close), twice that
-    (not close) and, with the one-ulp nudge of coordinate 0, one ulp above
-    _DIR_TOL; chains A~B~C with A, C apart, and rows close to two leaders,
-    follow."""
-    dim = draw(st.integers(1, 3))
-    centres = draw(
-        st.lists(
-            hnp.arrays(float, dim, elements=st.sampled_from([0.0, 0.5, -0.75, 1e-3])),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    n = draw(st.integers(0, 24))
-    rows = []
-    for _ in range(n):
-        centre = draw(st.sampled_from(centres))
-        steps = draw(hnp.arrays(np.int64, dim, elements=st.integers(-4, 4)))
-        row = centre + steps * _HALF_TOL
-        if draw(st.booleans()):
-            row[0] = np.nextafter(row[0], math.inf)
-        rows.append(row)
-    rows = np.array(rows).reshape(n, dim)
-    # decompose groups distinct rows only, in order of first occurrence
-    _, first = np.unique(rows, axis=0, return_index=True)
-    return rows[np.sort(first)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(rows=_clustered_rows())
-def test_leaders_match_scan(rows):
-    assert _leaders(rows).tolist() == leaders_scan(rows)
-
-
-def test_leaders_chain_and_first_leader():
-    t = _DIR_TOL
-    # B is within tol of A and of C, A and C are 2 tol apart: B joins A and
-    # C leads, since its only close earlier row does not lead; D lies within
-    # tol of both leaders and joins the first
-    rows = np.array([[0.0, 1.0], [t, 1.0], [2 * t, 1.0], [t, 1.0 + t / 2]])
-    assert _leaders(rows).tolist() == leaders_scan(rows) == [0, 0, 2, 0]
-    # a gap of exactly tol is close; one ulp above it is not
-    above = np.nextafter(t, math.inf)
-    assert above - 0.0 > t
-    rows = np.array([[0.0], [t], [above]])
-    assert _leaders(rows).tolist() == leaders_scan(rows) == [0, 0, 2]
-    rows = np.array([[above], [0.0], [t]])
-    assert _leaders(rows).tolist() == leaders_scan(rows) == [0, 1, 0]
 
 
 # ---------------------------------------------------------------- sweep

@@ -1,8 +1,8 @@
-"""Memory of certification and of the maps, measured with tracemalloc.
+"""Memory of decompose, certification and the maps, measured with tracemalloc.
 
-A generated map keeps only its hull, certification forms its vectors (every
-pair difference among them) a block at a time and keeps only the distinct
-ones, a lone map's norms are taken on its hull product without a buffer
+A generated map keeps only its hull, decompose holds no list of pairs of
+close directions, certification forms its vectors (every pair difference
+among them) a block at a time and keeps only the distinct ones, a lone map's norms are taken on its hull product without a buffer
 beside it and a blend's on a buffer as wide as the union of its hulls, and
 a sweep that keeps no pair table holds no array of one entry
 per pair, also when `run` spools the rows of a pairs CSV. The bounds here are fixed
@@ -129,6 +129,20 @@ def test_certification_holds_distinct_rows_and_a_few_bytes_per_row():
     assert peak <= rows.nbytes + 16 * len(certify) + 3 * budget
     # what it returns holds the distinct rows, not the blocks' first rows
     assert kept <= rows.nbytes + first.nbytes + norms.nbytes + budget
+
+
+def test_decompose_holds_no_list_of_close_directions():
+    # 961 points of the dense l1 config: decompose peaked at 22.1 MB above
+    # its start while it grouped directions within 1e-12 of each other, most
+    # of it the list of close pairs; with the bit-distinct rows as the
+    # directions it peaks at about 8.4 MB, in the per-pair index and key
+    # columns and the unit differences
+    cfg = _config(3, 1.0, 320, "mixed")
+    sched = sg.build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
+    pts = sg.generate_annular(7, sched, 320, 3, "mixed", cfg.source.norm)
+    _, _, peak = _traced(sg.decompose, pts, sched)
+    assert len(pts) == 961
+    assert peak <= 12 * MB
 
 
 def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):

@@ -130,6 +130,30 @@ def test_direction_count_bound(small_ws):
         assert len(dirs) <= n * (n - 1)
 
 
+def test_directions_are_the_bit_distinct_unit_differences(small_ws):
+    # unit differences of points along one ray agree only up to rounding:
+    # each bit pattern is a direction of its own, however close to another
+    sched = small_ws
+    radii = np.exp(np.linspace(sched.log_r[0] - 1.0, sched.log_R[2], 25))
+    coords = np.vstack([np.zeros(3), np.outer(radii, [0.3, -0.7, 1.1])])
+    pts = sg.make_point_set(sg.Space(3, sg.Lp(2.0)), coords)
+    logs = sg.log_norms(pts)
+    dec = sg.decompose(pts, sched)
+    for level, (ids, units) in enumerate(zip(dec.member_ids, dec.directions), start=1):
+        # the shell's pairs in row-major (x, y) order; ids are row indices
+        first = {}
+        for x in ids:
+            if logs[x] <= sched.log_r[level - 1]:
+                continue
+            for y in ids:
+                if y != x and logs[y] <= min(sched.log_R[level - 1], logs[x]):
+                    diff = pts.coords[x] - pts.coords[y]
+                    first.setdefault((diff / sg.norm(pts.space, diff)).tobytes(), None)
+        assert [u.tobytes() for u in units] == list(first)
+        gaps = np.abs(units[:, None] - units[None]).max(axis=2)
+        assert np.any(gaps[np.triu_indices(len(units), 1)] <= 1e-12)
+
+
 @pytest.mark.parametrize("placement", ["plateau", "ramp", "mixed"])
 def test_generator_counts_and_determinism(small_ws, placement):
     pts1 = sg.generate_annular(9, small_ws, 2, 3, placement)
