@@ -51,6 +51,7 @@ from .pointset import (
     load_points,
     make_point_set,
     pair_blocks,
+    pair_differences,
     save_points,
 )
 from .schedule import (
@@ -116,8 +117,15 @@ _CONFIG_KEYS = {
 # the most matrix elements of a generated bank (block_shift, quadrature):
 # count maps of target.dim x source.dim each (1 GiB dense). The maps keep only
 # their hulls, but the target width sets the width of every image a run forms.
-# It bounds the random certification rows too: certify_random x source.dim
+# It bounds, before they are formed, the random certification rows, the
+# generated points and the grids of `weights` and `theory` too (_bounded)
 MAX_BANK_ELEMENTS = 1 << 27
+
+
+def _bounded(key: str, what: str, elements: int) -> None:
+    """Raise ValueError naming key if what holds more than MAX_BANK_ELEMENTS."""
+    if elements > MAX_BANK_ELEMENTS:
+        raise ValueError(f"{key}: {what} hold {elements} elements, more than {MAX_BANK_ELEMENTS}")
 
 
 def _section(parent: dict, path: str, table: str | None = None) -> dict:
@@ -335,11 +343,9 @@ def parse_config(raw: dict) -> RunConfig:
     if count < levels + 1:
         raise ValueError(f"bank.count: {count} < schedule.levels + 1 = {levels + 1}")
     certify_random = _read(bank_cfg, "bank", "certify_random", _integer(0), 32)
-    if certify_random * source.dim > MAX_BANK_ELEMENTS:
-        raise ValueError(
-            f"bank.certify_random: {certify_random} rows of {source.dim} hold "
-            f"{certify_random * source.dim} elements, more than {MAX_BANK_ELEMENTS}"
-        )
+    _bounded(
+        "bank.certify_random", f"{certify_random} rows of {source.dim}", certify_random * source.dim
+    )
     target_cfg = _section(raw, "target")
     if isinstance(strategy, UserMatrices):
         if len(strategy.matrices) < count:
@@ -387,6 +393,8 @@ def parse_config(raw: dict) -> RunConfig:
             "per_level": _read(gen, "points.generator", "per_level", _integer(1), 10),
             "placement": _read(gen, "points.generator", "placement", _placement, "mixed"),
         }
+        n = 1 + levels * generator["per_level"]
+        _bounded("points.generator.per_level", f"{n} points of {source.dim}", n * source.dim)
 
     out_cfg = _section(raw, "output")
     return RunConfig(
@@ -415,12 +423,11 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
     formed only as they are read: len() counts every row, and no array of
     them all is formed. Each part yields its own row blocks in turn, so no
     block holds rows of two parts: views of the points, the differences of
-    each pair_blocks block (formed at once from its pairs, as the sweep
-    derives them), views of each level's directions, and the random rows,
-    drawn a row block at a time: draws of k1 and then k2 rows consume the
-    generator exactly as one draw of k1 + k2 rows. Each iteration forms the
-    same blocks anew, bit for bit, which certification's second pass over
-    them relies on."""
+    each pair_blocks block (pair_differences, the sweep's kernel), views of
+    each level's directions, and the random rows, drawn a row block at a
+    time: draws of k1 and then k2 rows consume the generator exactly as one
+    draw of k1 + k2 rows. Each iteration forms the same blocks anew, bit for
+    bit, which certification's second pass over them relies on."""
     coords = pts.coords
     n, dim = coords.shape
 
@@ -428,9 +435,7 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
         for block in row_blocks(n, dim):
             yield coords[block]
         for _, a, b in pair_blocks(n, dim):
-            diffs = np.take(coords, a, axis=0)
-            diffs -= np.take(coords, b, axis=0)
-            yield diffs
+            yield pair_differences(coords, a, b)
         for level in decomp.directions:
             for block in row_blocks(len(level), dim):
                 yield level[block]
@@ -624,7 +629,7 @@ def run_pipeline(cfg: RunConfig, tolerance: float = DEFAULT_TOL, on_block=None):
     del decomp
     lap("select")
     g = GlueEmbedding(sched, bank, selection)
-    dist = distortion_report(g, pts, tol=tolerance, keep_pairs=False, on_block=on_block)
+    dist = distortion_report(g, pts, tol=tolerance, on_block=on_block)
     lap("sweep")
 
     report = _report_dict(cfg, sched, bank, selection, dist)
@@ -786,6 +791,7 @@ def cmd_theory(args) -> int:
     # both computations run before any verdict is printed, so that a bad
     # --grid exits 2 alone
     try:
+        _bounded("--grid", f"{args.grid} angles", args.grid)
         good, detail = _spreading_verdict(args.grid)
         fuzz = fuzz_pair_inequalities(args.seed, args.pairs)
     except ValueError as exc:
@@ -848,7 +854,10 @@ def cmd_weights(args) -> int:
     if not _out_ok(args.out):
         return 2
     try:
-        ts, table = weight_grid(_schedule_from_args(args), args.grid)
+        sched = _schedule_from_args(args)
+        width = sched.levels + 2  # the radius and the levels + 1 weights
+        _bounded("--grid", f"{args.grid} rows of {width}", args.grid * width)
+        ts, table = weight_grid(sched, args.grid)
     except FloatRangeExceeded as exc:
         print(f"error: --levels: {exc}", file=sys.stderr)
         return 2
@@ -865,9 +874,10 @@ def cmd_gen_points(args) -> int:
     if not (_out_ok(args.out) and _seed_ok(args.seed, "error: ")):
         return 2
     try:
-        pts = generate_annular(
-            args.seed, _schedule_from_args(args), args.per_level, args.dim, args.placement
-        )
+        sched = _schedule_from_args(args)
+        n = 1 + sched.levels * args.per_level
+        _bounded("--per-level", f"{n} points of {args.dim}", n * args.dim)
+        pts = generate_annular(args.seed, sched, args.per_level, args.dim, args.placement)
     except FloatRangeExceeded as exc:
         print(f"error: --levels: {exc}", file=sys.stderr)
         return 2

@@ -133,6 +133,21 @@ def pair_blocks(n: int, width: int):
         yield (block, *pairs_at(n, block.start, block.stop))
 
 
+def pair_differences(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rows[a] - rows[b], bit for bit, for consecutive row-major pairs (a
+    slice of a pair_blocks block): one gather of the a rows, less the slice
+    of rows that each run of equal a covers. No b row is gathered, and no
+    operand is broadcast (which takes numpy iterator buffers)."""
+    differences = rows[a]
+    j = 0
+    while j < len(a):
+        y = int(b[j])
+        k = min(len(rows) - y, len(a) - j)
+        differences[j : j + k] -= rows[y : y + k]
+        j += k
+    return differences
+
+
 @dataclass(frozen=True, eq=False)
 class AnnulusDecomposition:
     """Per-level shell membership and the direction/angle bookkeeping.

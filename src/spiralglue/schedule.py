@@ -50,11 +50,6 @@ class Params:
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {v!r}")
 
-    def scaled(self, factor: float) -> "Params":
-        return Params(
-            self.eps * factor, self.delta * factor, self.gamma * factor, self.zeta * factor
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RadiiSchedule:

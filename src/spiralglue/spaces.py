@@ -226,7 +226,7 @@ def _hash_heads(blocks, rows: int) -> tuple[np.ndarray, int]:
     return head, groups
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -256,7 +256,7 @@ class WeightedLp:
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p!r}")
-        w = _freeze(self.weights)
+        w = _read_only(self.weights)
         if w.ndim != 1 or w.size == 0 or not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be a non-empty vector of finite positive reals")
         object.__setattr__(self, "weights", w)
@@ -276,7 +276,7 @@ class MaxAbsFunctionals:
     functionals: np.ndarray
 
     def __post_init__(self):
-        f = _freeze(self.functionals)
+        f = _read_only(self.functionals)
         if f.ndim != 2 or f.size == 0 or not np.all(np.isfinite(f)):
             raise ValueError("functionals must be a non-empty finite 2-d array")
         object.__setattr__(self, "functionals", f)

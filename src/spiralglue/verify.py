@@ -18,7 +18,8 @@ import numpy as np
 from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
-from .pointset import LocallyFiniteSet, at_log_norms, classify_levels, level_intervals, pair_blocks
+from .pointset import LocallyFiniteSet, at_log_norms, classify_levels, level_intervals
+from .pointset import pair_blocks, pair_differences
 from .schedule import (
     HALF_PI,
     Params,
@@ -232,14 +233,14 @@ class PairTable(Sequence):
     level (the plateau index, the shared level, or a far pair's y level)
     and x_level (a far pair's x level, else 0); ratio; sigma, theta,
     g_sigma_w and g_theta_v, NaN where the pair has no sandwich; and the
-    lower and upper slacks. A table built with sandwich=False has no
-    sandwich columns (each is None, and so is each PairCheck's sandwich
-    field): the sweep's reused block table, whose readers take only the
-    other columns. The levels are int16, as no point with finite
-    coordinates sits above about level 925 (a level spans at least pi/2 in
-    log radius), so a pair takes 45 bytes, or 77 with the sandwich
-    columns. As a sequence it holds PairCheck objects, built only when
-    indexed or iterated.
+    lower and upper slacks. The sweep's reused block table is built with
+    sandwich=False and has no sandwich columns (each is None, and so is
+    each PairCheck's sandwich field), as its readers take only the others;
+    check_pair's one-pair table has them. The levels are int16, as no point
+    with finite coordinates sits above about level 925 (a level spans at
+    least pi/2 in log radius), so a pair takes 45 bytes, or 77 with the
+    sandwich columns. As a sequence it holds PairCheck objects, built only
+    when indexed or iterated.
     """
 
     def __init__(self, size: int, sandwich: bool = True):
@@ -253,11 +254,6 @@ class PairTable(Sequence):
             setattr(self, name, np.empty(size) if sandwich else None)
         self.lower_slack = np.empty(size)
         self.upper_slack = np.empty(size)
-
-    def _freeze(self) -> None:
-        for column in vars(self).values():
-            if column is not None:
-                column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ratio)
@@ -408,20 +404,19 @@ def check_pair(
     table = _points(g, np.array([x, y]), (x_id, y_id), np.array([nx, ny]))
     out = PairTable(1)
     pair = np.array([0]), np.array([1]), np.array([ndiff]), np.array([nimage])
-    _judge_block(g, bounds, table, *pair, tol, out, 0)
+    _judge_block(g, bounds, table, *pair, tol, out)
     return out[0]
 
 
-def _judge_pairs(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out, at) -> None:
+def _judge_pairs(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out) -> None:
     """Write check_pair's verdict on each ordered pair (xs[j], ys[j]) of the
-    point table into rows at, at + 1, ... of the PairTable out, given the
-    source norm ndiff[j] of x - y and the target norm nimage[j] of
-    embed(x) - embed(y). Raises the error of the
-    first offending pair, and within it of its first failing check, as
-    check_pair would; a ValueError's message is prefixed with the pair, as
-    `pair (x_id, y_id): `."""
+    point table into row j of the PairTable out, given the source norm
+    ndiff[j] of x - y and the target norm nimage[j] of embed(x) - embed(y).
+    Raises the error of the first offending pair, and within it of its
+    first failing check, as check_pair would; a ValueError's message is
+    prefixed with the pair, as `pair (x_id, y_id): `."""
     try:
-        _judge_block(g, bounds, pts, xs, ys, ndiff, nimage, tol, out, at)
+        _judge_block(g, bounds, pts, xs, ys, ndiff, nimage, tol, out)
     except ValueError:
         # the order and distinctness checks run over the whole block first,
         # and the gains before any violation is raised, so a ValueError at
@@ -431,7 +426,7 @@ def _judge_pairs(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out, at) -
             one = slice(j, j + 1)
             pair = xs[one], ys[one], ndiff[one], nimage[one]
             try:
-                _judge_block(g, bounds, pts, *pair, tol, PairTable(1), 0)
+                _judge_block(g, bounds, pts, *pair, tol, PairTable(1))
             except ValueError as exc:
                 where = f"pair ({pts.ids[xs[j]]}, {pts.ids[ys[j]]})"
                 raise ValueError(f"{where}: {exc}") from exc
@@ -450,7 +445,7 @@ _CHECKS = (
 )
 
 
-def _judge_block(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out, at) -> None:
+def _judge_block(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out) -> None:
     """_judge_pairs over the whole block at once: a BoundViolated is that of
     the first offending pair, a ValueError may be of any pair.
 
@@ -465,7 +460,7 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out, at) -
     that has them."""
     sched = g.schedule
     gamma = g.bank.gamma
-    rows = slice(at, at + len(xs))
+    rows = slice(0, len(xs))
     if np.any(pts.norms[ys] > pts.norms[xs]):
         raise ValueError("caller must order the pair so that norm(x) >= norm(y)")
     if np.any(ndiff == 0.0):
@@ -600,9 +595,9 @@ class DistortionReport:
     """All pair ratios of a point set under the embedding, with witnesses.
 
     by_class holds one ClassSummary per class, in order of first appearance
-    in the sweep. pair_checks holds every judged pair as columns when the
-    sweep kept them, else it is an empty PairTable; images holds the
-    read-only (n, target.dim) images of the points in point-set order."""
+    in the sweep; images holds the read-only (n, target.dim) images of the
+    points in point-set order. The verdict on each pair is not kept: the
+    sweep passes each judged block to its on_block."""
 
     min_ratio: float
     max_ratio: float
@@ -611,7 +606,6 @@ class DistortionReport:
     witness_max: tuple[int, int]
     bounds: TheoreticalBounds
     by_class: dict
-    pair_checks: PairTable
     images: np.ndarray
 
 
@@ -674,34 +668,19 @@ class _Summaries:
         }
 
 
-def _differences(rows, a, y: int) -> np.ndarray:
-    """rows[a[j]] - rows[b[j]] for consecutive row-major pairs (a[j], b[j])
-    of the rows whose first b is y: one gather of the a rows, less the
-    slice of rows that each run of equal a covers. No b row is gathered,
-    and no operand is broadcast (which takes numpy iterator buffers)."""
-    differences = rows[a]
-    j = 0
-    while j < len(a):
-        k = min(len(rows) - y, len(a) - j)
-        differences[j : j + k] -= rows[y : y + k]
-        y, j = int(a[j]) + 2, j + k
-    return differences
-
-
 def _difference_norms(space: Space, rows, a, b, out) -> None:
     """out[j] = the norm in space of rows[a[j]] - rows[b[j]], for the pairs
     (a[j], b[j]) of a block of consecutive row-major pairs of the rows (the
     points or their images), in row blocks of the space's width, one array
     of differences at a time."""
     for part in row_blocks(len(a), space.dim):
-        out[part] = norms(space, _differences(rows, a[part], int(b[part.start])))
+        out[part] = norms(space, pair_differences(rows, a[part], b[part]))
 
 
 def distortion_report(
     g: GlueEmbedding,
     pts: LocallyFiniteSet,
     tol: float = DEFAULT_TOL,
-    keep_pairs: bool = True,
     on_block=None,
 ) -> DistortionReport:
     """Sweep all unordered pairs, check every applicable inequality, and
@@ -711,25 +690,23 @@ def distortion_report(
     once. The pairs (a, b > a) are taken in row-major order and judged in
     blocks of BATCH_ELEMENTS // _PAIR_WIDTH pairs (pointset.pair_blocks),
     each class on its own rows (_judge_block), with check_pair's verdict on
-    every pair written into the columns of a PairTable, and each block's
-    columns are folded into the per-class arrays of the class summaries
-    and into the witnesses (_Summaries). With keep_pairs the table holds
-    every pair, sandwich columns included, and is the report's
-    pair_checks; without it, one table of a block without the sandwich
-    columns (which neither the summaries nor a pairs CSV read) is reused,
-    the report's pair_checks is empty, and the sweep keeps no array of one
-    entry per pair. on_block, when given, is called as on_block(table,
-    rows) with each judged block's rows of the table, in sweep order,
-    before the next block overwrites a reused table (`run` formats them as
-    the rows of its pairs CSV there); a block that raises is not passed.
-    A block keeps only 1-d arrays of its pairs alive: each array is
-    dropped once its last reader is done, and every temporary of pairs
-    times a row width (source and image differences, sandwich rows) is
-    formed in row blocks of its own width inside the block. One kernel,
-    _difference_norms, norms the source and the image differences of the
-    pairs (a, b) before they are ordered: a norm reads only |x - y|, and
-    negation is exact, so y - x has the norm bits of x - y. A tol that is
-    not finite and >= 0 raises ValueError.
+    every pair written into one reused PairTable of a block, without the
+    sandwich columns (which neither the summaries nor a pairs CSV read).
+    Each block's columns are folded into the per-class arrays of the class
+    summaries and into the witnesses (_Summaries), so the sweep keeps no
+    array of one entry per pair. on_block, when given, is called as
+    on_block(table, rows) with each judged block's rows of the table, in
+    sweep order, before the next block overwrites them (`run` formats them
+    as the rows of its pairs CSV there; table[rows] are their PairCheck
+    objects); a block that raises is not passed. A block keeps only 1-d
+    arrays of its pairs alive: each array is dropped once its last reader
+    is done, and every temporary of pairs times a row width (source and
+    image differences, sandwich rows) is formed in row blocks of its own
+    width inside the block. One kernel, _difference_norms, norms the
+    source and the image differences of the pairs (a, b) before they are
+    ordered: a norm reads only |x - y|, and negation is exact, so y - x has
+    the norm bits of x - y. A tol that is not finite and >= 0 raises
+    ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -738,33 +715,27 @@ def distortion_report(
     bounds = embedding_bounds(g)
     coords = pts.coords
     table = _points(g, coords, pts.ids, norms(g.source, coords))
-    # each pair is ordered by the point set's own norm, larger first, and by
-    # the smaller id on ties
-    own = norms(pts.space, coords)
-    ids = table.ids
+    # each pair is ordered by the source norms that the judge checks, larger
+    # first, and by the smaller id on ties
+    lengths, ids = table.norms, table.ids
     images = embed(g, coords)
     images.flags.writeable = False
-    size = n * (n - 1) // 2
-    step = next(row_blocks(size, _PAIR_WIDTH)).stop
-    out = PairTable(size if keep_pairs else step, sandwich=keep_pairs)
+    step = next(row_blocks(n * (n - 1) // 2, _PAIR_WIDTH)).stop
+    out = PairTable(step, sandwich=False)
     ndiff, nimage = np.empty(step), np.empty(step)
     summaries = _Summaries()
     for block, a, b in pair_blocks(n, _PAIR_WIDTH):
-        k = block.stop - block.start
+        rows = slice(0, block.stop - block.start)
         _difference_norms(g.source, coords, a, b, ndiff)
         _difference_norms(g.target, images, a, b, nimage)
-        keep = (own[a] > own[b]) | ((own[a] == own[b]) & (ids[a] <= ids[b]))
+        keep = (lengths[a] > lengths[b]) | ((lengths[a] == lengths[b]) & (ids[a] <= ids[b]))
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)
         del a, b, keep
-        at = block.start if keep_pairs else 0
-        _judge_pairs(g, bounds, table, xs, ys, ndiff[:k], nimage[:k], tol, out, at)
+        _judge_pairs(g, bounds, table, xs, ys, ndiff[rows], nimage[rows], tol, out)
         del xs, ys
-        summaries.add(out, slice(at, at + k))
+        summaries.add(out, rows)
         if on_block is not None:
-            on_block(out, slice(at, at + k))
-    if not keep_pairs:
-        out = PairTable(0)
-    out._freeze()
+            on_block(out, rows)
 
     (min_ratio, witness_min), (max_ratio, witness_max) = summaries.witnesses
     distortion = max_ratio / min_ratio
@@ -776,7 +747,7 @@ def distortion_report(
         )
     by_class = summaries.by_class()
     return DistortionReport(
-        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, out, images
+        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, images
     )
 
 

@@ -25,7 +25,6 @@ import json
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,6 +257,20 @@ def test_certify_blocks_bit_equal_to_list_in_small_blocks(batch, monkeypatch):
     _assert_blocks_are_list(*case)
 
 
+@pytest.mark.parametrize("n, width", [(2, 1), (7, 3), (40, 16), (40, 64)])
+def test_pair_differences_bit_equal_to_two_gathers(n, width):
+    # the one difference kernel of certification and the sweep: each block
+    # of row-major pairs, whole and cut anywhere, has the bits of rows[a] -
+    # rows[b], -0.0 included
+    rows = np.random.default_rng(n).standard_normal((n, 3))
+    rows[1::3, 0], rows[2::3, 0] = 0.0, -0.0
+    rows[::5, 1] *= 1e-310
+    for _, a, b in sg.pointset.pair_blocks(n, width):
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(len(a) // 2, None)):
+            got = sg.pointset.pair_differences(rows, a[cut], b[cut])
+            assert got.tobytes() == (rows[a[cut]] - rows[b[cut]]).tobytes()
+
+
 def test_certify_stream_iterates_twice_with_the_same_blocks(monkeypatch):
     # certification reads the stream twice, for the rows' keys and then for
     # the rows: each iteration forms its blocks anew, random rows included,
@@ -429,9 +442,38 @@ def test_decompose_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
 # ---------------------------------------------------------------- sweep
 
 
+_SANDWICH_FIELDS = ("sigma", "theta", "g_sigma_w", "g_theta_v")
+
+
+def sweep_checks(g, pts, tol=DEFAULT_TOL):
+    """The sweep's report and its verdict on every pair as PairCheck objects,
+    in sweep order: the rows it passes to on_block (`t[rows]`), whose block
+    table has no sandwich columns, with the sandwich fields of each pair that
+    `_sandwich` judged set to what it returned for the pair (NaN as None, as
+    a table with those columns gives them)."""
+    checks, gains = [], {}
+    sandwich = spiralglue.verify._sandwich
+
+    def recorded(g, level, table, xs, ys, ndiff):
+        result = sandwich(g, level, table, xs, ys, ndiff)
+        pairs = zip(table.ids[xs].tolist(), table.ids[ys].tolist())
+        gains.update(zip(pairs, zip(*(column.tolist() for column in result[:4]))))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.verify, "_sandwich", recorded)
+        report = sg.distortion_report(g, pts, tol, on_block=lambda t, rows: checks.extend(t[rows]))
+    for j, pc in enumerate(checks):
+        values = gains.get((pc.x_id, pc.y_id))
+        if values is not None:
+            values = (None if math.isnan(v) else v for v in values)
+            checks[j] = dataclasses.replace(pc, **dict(zip(_SANDWICH_FIELDS, values)))
+    return report, checks
+
+
 def _check_pairs(g, pts) -> list:
-    """check_pair on every pair in the sweep's order: row-major, larger own
-    norm first, the smaller id on ties."""
+    """check_pair on every pair in the sweep's order: row-major, larger
+    source norm first, the smaller id on ties."""
     logs = sg.log_norms(pts)
     ids, coords = pts.ids, pts.coords
     checks = []
@@ -443,10 +485,10 @@ def _check_pairs(g, pts) -> list:
 
 
 def _assert_sweep_matches_check_pair(g, pts):
-    rep = sg.distortion_report(g, pts)
+    _, swept = sweep_checks(g, pts)
     expected = _check_pairs(g, pts)
-    assert len(rep.pair_checks) == len(expected)
-    for got, want in zip(rep.pair_checks, expected):
+    assert len(swept) == len(expected)
+    for got, want in zip(swept, expected):
         assert (got.x_id, got.y_id, got.kind) == (want.x_id, want.y_id, want.kind)
         assert (got.sigma, got.theta) == (want.sigma, want.theta)
         assert (got.g_sigma_w, got.g_theta_v) == (want.g_sigma_w, want.g_theta_v)
@@ -598,20 +640,19 @@ def judge_pair(g, bounds, x, y, nx, ny, ndiff, nimage, x_id, y_id, tol):
 
 
 def sweep_oracle(g, pts, tol=DEFAULT_TOL):
-    """judge_pair on every pair in row-major order, larger own norm first (the
-    smaller id on ties), fed the norms the sweep computes; a ValueError is
-    prefixed with the pair, as `pair (x_id, y_id): `."""
+    """judge_pair on every pair in row-major order, larger source norm first
+    (the smaller id on ties), fed the norms the sweep computes; a ValueError
+    is prefixed with the pair, as `pair (x_id, y_id): `."""
     bounds = sg.embedding_bounds(g)
     coords, ids = pts.coords, pts.ids
     source_norms = sg.norms(g.source, coords).tolist()
-    own = sg.norms(pts.space, coords).tolist()
     images = np.array([sg.embed(g, row) for row in coords])
     out = []
     for a in range(len(pts) - 1):
         diff_norms = sg.norms(g.source, coords[a] - coords[a + 1 :]).tolist()
         image_norms = sg.norms(g.target, images[a] - images[a + 1 :]).tolist()
         for b, ndiff, nimage in zip(range(a + 1, len(pts)), diff_norms, image_norms):
-            x, y = (a, b) if (own[a], -ids[a]) >= (own[b], -ids[b]) else (b, a)
+            x, y = (a, b) if (source_norms[a], -ids[a]) >= (source_norms[b], -ids[b]) else (b, a)
             try:
                 pc = judge_pair(
                     g, bounds, coords[x], coords[y], source_norms[x], source_norms[y],
@@ -639,10 +680,9 @@ def _fields(pc):
 
 def _assert_sweep_matches_oracle(g, pts):
     want = _outcome(lambda: sweep_oracle(g, pts))
-    got = _outcome(lambda: list(sg.distortion_report(g, pts).pair_checks))
+    got = _outcome(lambda: sweep_checks(g, pts)[1])
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
-        assert _outcome(lambda: sg.distortion_report(g, pts, keep_pairs=False)) == want
         return
     assert [_fields(pc) for pc in got] == [_fields(pc) for pc in want]
 
@@ -668,11 +708,12 @@ def _block_glue(space, sched, pts):
 def test_sweep_on_shared_rays_matches_check_pair(plateau_pipeline):
     # the sweep blends each (theta, point) of a row block once: on the
     # plateau points and each of y, 2y and 4y, whose unit rows are bit-equal,
-    # every column of the sweep's table has the bits of check_pair's
+    # every field of the sweep's rows and of its sandwich gains has the bits
+    # of check_pair's
     g, pts = plateau_pipeline
     coords = np.vstack([pts.coords, 2.0 * pts.coords[1:5], 4.0 * pts.coords[1:5]])
     rays = sg.make_point_set(pts.space, coords)
-    got = sg.distortion_report(g, rays).pair_checks
+    _, got = sweep_checks(g, rays)
     assert [_fields(pc) for pc in got] == [_fields(pc) for pc in _check_pairs(g, rays)]
 
 
@@ -680,7 +721,7 @@ def test_sweep_reports_a_non_unit_theta_row_as_the_per_pair_judge(plateau_pipeli
     # a subnormal y = (t, t, 0, ...) has the norm t (sqrt(2) t rounds to t),
     # so its unit row y/|y| = (1, 1, 0, ...) has the norm sqrt(2): its first
     # shared-shell pair raises the per-pair judge's ValueError, named by the
-    # sweep, with and without a kept table, and by check_pair; the sweep
+    # sweep and by check_pair; the sweep
     # prefixes it with the pair (point 0 and y). The origin is left out: its
     # pair with y, a plateau pair, would be judged first
     g, pts = plateau_pipeline
@@ -704,22 +745,24 @@ def test_sandwich_tables_are_exact_in_every_row_case(l1_pipeline, monkeypatch):
     # fill across many blocks. The mixed points, with each of the three
     # smallest nonzero points y also as 2y and 4y on its ray, hit every row
     # case: a difference with the bits of x, sigma 0, sigma pi/2 and sigma
-    # on the ramp. Every column has the bits of check_pair's and the oracle's
+    # on the ramp. Every field of the sweep's rows and of its sandwich gains
+    # has the bits of check_pair's and the oracle's
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     g, pts, _ = l1_pipeline
     source_norms = sg.norms(g.source, pts.coords)
     small = pts.coords[np.argsort(np.where(source_norms > 0.0, source_norms, math.inf))[:3]]
     coords = np.vstack([pts.coords, 2.0 * small, 4.0 * small])
     rays = sg.make_point_set(pts.space, coords)
-    table = sg.distortion_report(g, rays).pair_checks
-    rows = np.flatnonzero(~np.isnan(table.sigma))
-    sigma = table.sigma[rows]
+    _, checks = sweep_checks(g, rays)
+    sandwiched = [pc for pc in checks if pc.sigma is not None]
+    sigma = np.array([pc.sigma for pc in sandwiched])
     assert (sigma == 0.0).any() and (sigma == HALF_PI).any()
     assert ((sigma > 0.0) & (sigma < HALF_PI)).any()
-    x, y = coords[table.x_id[rows]], coords[table.y_id[rows]]
+    x = coords[[pc.x_id for pc in sandwiched]]
+    y = coords[[pc.y_id for pc in sandwiched]]
     at_x = ((x - y).view(np.uint64) == x.view(np.uint64)).all(axis=1)
     assert at_x.any() and not at_x.all()
-    got = [_fields(pc) for pc in table]
+    got = [_fields(pc) for pc in checks]
     assert got == [_fields(pc) for pc in _check_pairs(g, rays)]
     assert got == [_fields(pc) for pc in sweep_oracle(g, rays)]
 
@@ -731,17 +774,13 @@ def test_sweep_and_check_pair_group_no_rows(l1_pipeline, plateau_pipeline, monke
     monkeypatch.setattr(sg.spaces, "distinct_rows", grouped)
     monkeypatch.setattr(spiralglue.verify, "distinct_rows", grouped, raising=False)
     for g, pts in (l1_pipeline[:2], plateau_pipeline):
-        for keep_pairs in (True, False):
-            sg.distortion_report(g, pts, keep_pairs=keep_pairs)
+        sg.distortion_report(g, pts)
         order = np.argsort(sg.norms(g.source, pts.coords))
         x, y = pts.coords[order[-1]], pts.coords[order[-2]]
         assert sg.check_pair(g, x, y).sigma is not None
 
 
-@pytest.mark.parametrize("keep_pairs", [True, False])
-def test_non_unit_point_raises_at_its_first_pair_after_tables_fill(
-    plateau_pipeline, monkeypatch, keep_pairs
-):
+def test_non_unit_point_raises_at_its_first_pair_after_tables_fill(plateau_pipeline, monkeypatch):
     # the subnormal y of the test above comes last, after 38 points: its
     # first pair, with point 0, is the sweep's pair 37, in the fifth block of
     # 8 pairs, after earlier blocks filled the level's tables. y never
@@ -765,7 +804,7 @@ def test_non_unit_point_raises_at_its_first_pair_after_tables_fill(
         return gain(theta, u, first, second)
 
     monkeypatch.setattr(spiralglue.verify, "direction_gain", counted)
-    assert _outcome(lambda: sg.distortion_report(g, bad, keep_pairs=keep_pairs)) == want
+    assert _outcome(lambda: sg.distortion_report(g, bad)) == want
     # earlier blocks evaluated gains before the failing one
     assert len(calls) > 2
 
@@ -816,8 +855,9 @@ def _negated_case(own_norm):
         quarter * np.array([1.0, 1.0]) / math.sqrt(2.0),
         math.exp(5.0) * np.array([0.6, -0.8]),
         np.zeros(2),
-        # larger than the first point in l2, smaller in l1: ordered by an l1
-        # point set, this pair fails the order check after the rows above
+        # larger than the first point in l2, smaller in l1: the sweep orders
+        # each pair by the source (l2) norms that the judge checks, so an l1
+        # point set gets the verdict of an l2 one
         1.2 * quarter * np.array([1.0, 0.0]),
     ]
     return _negated_glue(sched), sg.make_point_set(sg.Space(2, own_norm), coords)
@@ -835,6 +875,38 @@ def test_failure_matches_scalar_judge(own_norm):
     # the single pair through check_pair raises the same
     x, y = (pts.coords[0], pts.coords[1])
     assert _outcome(lambda: sg.check_pair(g, x, y, 0, 1)) == want
+
+
+def test_violation_before_a_value_error_of_its_block_is_raised():
+    # the negated case's first pair violates a bracket, and a subnormal
+    # point, whose unit row has the norm sqrt(2), raises the judge's
+    # ValueError at a later pair of the same block, before any violation is
+    # raised: the sweep judges that block one pair at a time, and raises the
+    # first pair's violation, as the oracle does
+    g, pts = _negated_case(sg.Lp(2.0))
+    tiny = np.full(2, 5e-324)
+    bad = sg.make_point_set(pts.space, np.vstack([pts.coords, tiny]))
+    want = _outcome(lambda: sweep_oracle(g, bad))
+    assert want[0] is BoundViolated and want[4] == (0, 1)
+    assert _outcome(lambda: sg.distortion_report(g, bad)) == want
+    text = f"u must be a unit vector, got norm {math.sqrt(2.0)!r}"
+    assert _outcome(lambda: sg.check_pair(g, bad.coords[0], tiny))[:2] == (ValueError, text)
+
+
+def test_sweep_orders_pairs_by_the_source_norm(l1_pipeline):
+    # the l1 run's points taken as points of l2: the sweep orders each pair
+    # by the l1 source norms that the judge checks, not by the point set's
+    # own norm, and gives the l1 set's rows and summaries. Some pair is
+    # ordered otherwise by the l2 norms, which the judge rejected ("caller
+    # must order the pair")
+    g, pts, _ = l1_pipeline
+    as_l2 = sg.make_point_set(sg.Space(3, sg.Lp(2.0)), pts.coords, pts.ids)
+    l1, l2 = sg.norms(g.source, pts.coords), sg.norms(as_l2.space, pts.coords)
+    a, b = np.triu_indices(len(pts), 1)
+    assert ((l1[a] > l1[b]) != (l2[a] > l2[b])).any()
+    (want, want_rows), (got, got_rows) = (sweep_checks(g, p) for p in (pts, as_l2))
+    assert _summarized(got) == _summarized(want)
+    assert [_fields(pc) for pc in got_rows] == [_fields(pc) for pc in want_rows]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=repr)
@@ -1735,22 +1807,22 @@ def test_run_embeds_once(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- pair table
 
 
-def write_pairs_csv_rows(path, dist):
+def write_pairs_csv_rows(path, checks):
     """The csv.writer loop over PairCheck objects that the column writer replaced."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_id", "y_id", "class", "ratio", "lower_slack", "upper_slack"])
-        for pc in dist.pair_checks:
+        for pc in checks:
             floats = (pc.ratio, pc.lower_slack, pc.upper_slack)
             writer.writerow([pc.x_id, pc.y_id, pc.kind, *map(repr, floats)])
 
 
-def stats_loop(pair_checks):
+def stats_loop(checks):
     """The first-wins loop that the column reductions replaced: the class
     summaries and the pairs of smallest and largest ratio."""
-    lo = hi = pair_checks[0]
+    lo = hi = checks[0]
     stats = {}
-    for pc in pair_checks:
+    for pc in checks:
         r = pc.ratio
         if r < lo.ratio:
             lo = pc
@@ -1776,8 +1848,7 @@ def stats_loop(pair_checks):
 @pytest.fixture(scope="module")
 def plateau_pipeline():
     """The glue and points of a plateau-only l2 run whose plateau pairs tie
-    at ratio exactly 1.0. The run names no pairs CSV, so its own report keeps
-    no pair table: the tests sweep again."""
+    at ratio exactly 1.0. The tests sweep again to see its pairs."""
     cfg = parse_config(
         {
             "source": {"dim": 16, "norm": {"norm": "lp", "p": 2.0}},
@@ -1790,11 +1861,8 @@ def plateau_pipeline():
     return g, pts
 
 
-def _reports(l1_pipeline, plateau_pipeline, keep_pairs=True):
-    runs = {"mixed-l1": l1_pipeline[:2], "plateau-l2": plateau_pipeline}
-    return {
-        name: sg.distortion_report(g, pts, keep_pairs=keep_pairs) for name, (g, pts) in runs.items()
-    }
+def _runs(l1_pipeline, plateau_pipeline):
+    return {"mixed-l1": l1_pipeline[:2], "plateau-l2": plateau_pipeline}
 
 
 def _pair_table(rng, size, ratio, lower, upper):
@@ -1807,16 +1875,15 @@ def _pair_table(rng, size, ratio, lower, upper):
     table.level[:] = rng.integers(1, 4, size)
     table.x_level[:] = rng.integers(1, 4, size)
     table.ratio[:], table.lower_slack[:], table.upper_slack[:] = ratio, lower, upper
-    for name in ("sigma", "theta", "g_sigma_w", "g_theta_v"):
+    for name in _SANDWICH_FIELDS:
         getattr(table, name)[:] = math.nan
     return table
 
 
-def _edge_float_report():
-    """A report of only a pair table, of twice BATCH_ELEMENTS // 6 rows and
-    17 more: a column of distinct floats across the float range, one of a few
-    repeated values with -0.0 and 0.0, infinities and NaN, and one that mixes
-    both."""
+def _edge_float_table():
+    """A pair table of twice BATCH_ELEMENTS // 6 rows and 17 more: a column
+    of distinct floats across the float range, one of a few repeated values
+    with -0.0 and 0.0, infinities and NaN, and one that mixes both."""
     rng = np.random.default_rng(11)
     size = 2 * (sg.spaces.BATCH_ELEMENTS // 6) + 17
     distinct = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
@@ -1824,56 +1891,63 @@ def _edge_float_report():
     repeated = rng.choice(special, size)
     mixed = np.where(rng.random(size) < 0.5, distinct, repeated)
     assert len(np.unique(distinct)) == size
-    return SimpleNamespace(pair_checks=_pair_table(rng, size, distinct, repeated, mixed))
+    return _pair_table(rng, size, distinct, repeated, mixed)
 
 
-def _write_in_blocks(path, dist, cuts):
-    """The pairs CSV of a report's pair table, its rows spooled as the
-    sweep spools them, with the table cut at cuts, and copied from the
+def _write_spooled(path, blocks):
+    """The pairs CSV of the blocks that blocks(on_block) passes to on_block
+    as (table, rows), spooled as the sweep spools them, and copied from the
     spool."""
     pairs = spiralglue.cli._PairsSpool()
-    size = len(dist.pair_checks)
     try:
-        for lo, hi in zip([0, *cuts], [*cuts, size]):
-            pairs(dist.pair_checks, slice(lo, hi))
+        blocks(pairs)
         spiralglue.cli._write_pairs_csv(path, pairs)
     finally:
         pairs.close()
 
 
 def test_pairs_csv_matches_csv_writer_loop(tmp_path, l1_pipeline, plateau_pipeline):
-    reports = {**_reports(l1_pipeline, plateau_pipeline), "edge-floats": _edge_float_report()}
-    for name, dist in reports.items():
+    table = _edge_float_table()
+
+    def edge_blocks(on_block):
         # blocks of one row, and blocks of thousands of rows
-        size = len(dist.pair_checks)
-        _write_in_blocks(str(tmp_path / f"{name}.csv"), dist, [1, 2, size // 3, size - 17])
-        write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), dist)
+        cuts = [1, 2, len(table) // 3, len(table) - 17]
+        for lo, hi in zip([0, *cuts], [*cuts, len(table)]):
+            on_block(table, slice(lo, hi))
+
+    cases = {"edge-floats": (edge_blocks, table)}
+    for name, (g, pts) in _runs(l1_pipeline, plateau_pipeline).items():
+        sweep = functools.partial(sg.distortion_report, g, pts, DEFAULT_TOL)
+        cases[name] = (sweep, sweep_checks(g, pts)[1])
+    for name, (blocks, checks) in cases.items():
+        _write_spooled(str(tmp_path / f"{name}.csv"), blocks)
+        write_pairs_csv_rows(str(tmp_path / f"{name}-rows.csv"), checks)
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}-rows.csv").read_bytes()
-        assert got.count(b"\r\n") == len(dist.pair_checks) + 1
+        assert got.count(b"\r\n") == len(checks) + 1
     edge = (tmp_path / "edge-floats.csv").read_bytes()
     assert b",-0.0," in edge and b",nan," in edge and b",-inf\r\n" in edge
 
 
 def test_class_stats_match_first_wins_loop(l1_pipeline, plateau_pipeline, monkeypatch):
-    reports = _reports(l1_pipeline, plateau_pipeline)
-    # without the table, the summaries are folded in block by block: blocks
-    # of 8 pairs put every class and extreme in many blocks
+    runs = _runs(l1_pipeline, plateau_pipeline)
+    swept = {name: sweep_checks(g, pts) for name, (g, pts) in runs.items()}
+    # the summaries are folded in block by block: blocks of 8 pairs put
+    # every class and extreme in many blocks
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
-    streamed = _reports(l1_pipeline, plateau_pipeline, keep_pairs=False)
-    assert {"plateau", "same", "ray", "far"} <= set(reports["mixed-l1"].by_class)
-    for name, dist in reports.items():
-        by_class, lo, hi = stats_loop(dist.pair_checks)
-        for got in (dist, streamed[name]):
+    small = {name: sg.distortion_report(g, pts) for name, (g, pts) in runs.items()}
+    assert {"plateau", "same", "ray", "far"} <= set(swept["mixed-l1"][0].by_class)
+    for name, (dist, checks) in swept.items():
+        by_class, lo, hi = stats_loop(checks)
+        for got in (dist, small[name]):
             # repr tells a float from a numpy scalar; dicts compare in insertion order
             assert repr(list(got.by_class.items())) == repr(list(by_class.items()))
             assert got.witness_min == (lo.x_id, lo.y_id)
             assert got.witness_max == (hi.x_id, hi.y_id)
             assert repr((got.min_ratio, got.max_ratio)) == repr((lo.ratio, hi.ratio))
             assert repr(got.distortion) == repr(hi.ratio / lo.ratio)
-        assert len(streamed[name].pair_checks) == 0
     # ties at both extremes, and most plateau pairs at exactly 1.0
-    ratios = reports["plateau-l2"].pair_checks.ratio
+    ratios = np.array([pc.ratio for pc in swept["plateau-l2"][1]])
     assert np.count_nonzero(ratios == ratios.min()) > 1
     assert np.count_nonzero(ratios == ratios.max()) > 1
     assert np.count_nonzero(ratios == 1.0) > len(ratios) // 2
@@ -1920,29 +1994,31 @@ def test_pair_table_builds_pair_checks_on_demand(l1_pipeline, monkeypatch):
         return sg.PairCheck(*args)
 
     monkeypatch.setattr(spiralglue.verify, "PairCheck", counted)
-    table = sg.distortion_report(g, pts).pair_checks
+    # at one element a pair, the sweep is one block: its table outlives it
+    monkeypatch.setattr(spiralglue.verify, "_PAIR_WIDTH", 1)
+    blocks = []
+    sg.distortion_report(g, pts, on_block=lambda t, rows: blocks.append((t, rows)))
     n = len(pts)
-    assert len(table) == n * (n - 1) // 2 and built == []
+    [(table, rows)] = blocks
+    assert rows == slice(0, n * (n - 1) // 2) and len(table) == rows.stop
+    assert built == []
     every = list(table)
     assert len(built) == len(every) == len(table)
     assert table[0] == every[0] and table[-1] == every[-1]
     assert table[3:9:2] == tuple(every[3:9:2])
     with pytest.raises(IndexError):
         table[len(every)]
-    with pytest.raises(ValueError):
-        table.ratio[0] = 2.0
-    # the sandwich fields are None exactly where the pair has no sandwich
+    # the sweep's table has no sandwich columns, and its PairChecks hold
+    # None there; _sandwich judges exactly the pairs that have a sandwich
+    blank = dict.fromkeys(_SANDWICH_FIELDS)
+    assert all(getattr(table, name) is None for name in _SANDWICH_FIELDS)
+    _, checks = sweep_checks(g, pts)
+    assert every == [dataclasses.replace(pc, **blank) for pc in checks]
     assert not pts.coords[0].any()
-    for pc in every:
+    for pc in checks:
         sandwich = not pc.kind.startswith(("far", "ray")) and pc.y_id != pts.ids[0]
         fields = (pc.sigma, pc.theta, pc.g_sigma_w, pc.g_theta_v)
         assert all((v is not None) == sandwich for v in fields)
-    # the reused block table of a sweep without keep_pairs has no sandwich
-    # columns, and its PairChecks hold None there
-    streamed = []
-    sg.distortion_report(g, pts, keep_pairs=False, on_block=lambda t, rows: streamed.extend(t[rows]))
-    blank = dict.fromkeys(("sigma", "theta", "g_sigma_w", "g_theta_v"))
-    assert streamed == [dataclasses.replace(pc, **blank) for pc in every]
 
 
 def test_run_builds_no_pair_check(tmp_path, monkeypatch):
@@ -2017,29 +2093,27 @@ def _summarized(dist) -> str:
 
 def _swept(g, pts, pair_block):
     """What a sweep in pair blocks of pair_block pairs gives: its spooled
-    pairs CSV bytes, its class summaries and witnesses with and without a
-    kept table, every field of its kept table, and the outcome of a sweep
-    at tolerance 0."""
+    pairs CSV bytes, the class summaries and witnesses of it and of a
+    sweep that records its sandwich gains, every field of the recorded
+    rows (sweep_checks), and the outcome of a sweep at tolerance 0."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.verify, "_PAIR_WIDTH", sg.spaces.BATCH_ELEMENTS // pair_block)
         spool = spiralglue.cli._PairsSpool()
         try:
-            streamed = sg.distortion_report(g, pts, keep_pairs=False, on_block=spool)
+            streamed = sg.distortion_report(g, pts, on_block=spool)
             spool.fh.seek(0)
             spooled = spool.fh.read()
         finally:
             spool.close()
-        kept = sg.distortion_report(g, pts)
-        strict = _outcome(
-            lambda: _summarized(sg.distortion_report(g, pts, tol=0.0, keep_pairs=False))
-        )
-    summaries = [_summarized(dist) for dist in (streamed, kept)]
-    return spooled, summaries, [_fields(pc) for pc in kept.pair_checks], strict
+        recorded, checks = sweep_checks(g, pts)
+        strict = _outcome(lambda: _summarized(sg.distortion_report(g, pts, tol=0.0)))
+    summaries = [_summarized(dist) for dist in (streamed, recorded)]
+    return spooled, summaries, [_fields(pc) for pc in checks], strict
 
 
 @pytest.fixture(scope="module")
 def default_sweeps(l1_pipeline, plateau_pipeline):
-    runs = {"mixed-l1": l1_pipeline[:2], "plateau-l2": plateau_pipeline}
+    runs = _runs(l1_pipeline, plateau_pipeline)
     return runs, {name: _swept(g, pts, 2048) for name, (g, pts) in runs.items()}
 
 
@@ -2051,7 +2125,7 @@ _PRIMES = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
 def test_pair_block_size_moves_nothing(data, default_sweeps):
     # the kernels are row-wise and the summaries equal whole-sweep
     # reductions, so one pair a block, a prime count, the default 2048 and
-    # one whole block give the same spool, summaries, table and error at
+    # one whole block give the same spool, summaries, rows and error at
     # tolerance 0
     runs, want = default_sweeps
     name = data.draw(st.sampled_from(sorted(runs)))
@@ -2063,8 +2137,8 @@ def test_pair_block_size_moves_nothing(data, default_sweeps):
     assert next(sg.spaces.row_blocks(pairs, width)).stop == min(pair_block, pairs)
     got = _swept(g, pts, pair_block)
     assert got == want[name]
-    spooled, summaries, table, strict = got
-    assert spooled.count(b"\r\n") == len(table) == pairs
+    spooled, summaries, rows, strict = got
+    assert spooled.count(b"\r\n") == len(rows) == pairs
     assert summaries[0] == summaries[1]
     # the plateau pairs' ratios against 1 rest on the BLAS kernel's bits,
     # so only the l1 run's violation is the same under every kernel

@@ -1003,6 +1003,12 @@ _EYE18 = np.eye(18).tolist()
     [
         # 10**12 random rows: the run died with a MemoryError traceback
         ("bank.certify_random: ", {"bank": {"strategy": "block_shift", "certify_random": 10**12}}),
+        # 3 * 10**9 + 1 generated points: the run died with a MemoryError
+        # traceback allocating their coordinates
+        (
+            "points.generator.per_level: 3000000001 points of 3 hold 9000000003 elements",
+            {"points": {"generator": {"seed": 7, "per_level": 10**9}}},
+        ),
         ("points: ", {"points": {"generator": {"seed": 7}, "inline": [[0.0] * 3, [1.0] * 3]}}),
         ("points: ", {"points": {}}),
         ("source.norm: ", {"bank": _QUADRATURE}),
@@ -1039,6 +1045,7 @@ _EYE18 = np.eye(18).tolist()
     ],
     ids=[
         "huge-certify-random",
+        "huge-per-level",
         "two-point-sources",
         "no-point-source",
         "quadrature-source",
@@ -1070,6 +1077,38 @@ def test_run_malformed_config_exits_2_naming_key(tmp_path, error, overrides):
     assert proc.stderr.startswith(f"config error: {error}")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (
+            ["weights", "--grid", "1000000000", "--out", "{out}"],
+            "--grid: 1000000000 rows of 5 hold 5000000000 elements",
+        ),
+        (["theory", "--grid", "1000000000"], "--grid: 1000000000 angles hold 1000000000 elements"),
+        (
+            ["gen-points", "--per-level", "1000000000", "--out", "{out}"],
+            "--per-level: 3000000001 points of 3 hold 9000000003 elements",
+        ),
+    ],
+    ids=["weights", "theory", "gen-points"],
+)
+def test_oversized_flag_exits_2_naming_it(tmp_path, command, want):
+    # each size died with a MemoryError traceback allocating its arrays;
+    # each is now checked against MAX_BANK_ELEMENTS first. A capped child
+    # process: exit 2, the flag named, no traceback and no output file
+    out = tmp_path / "out.file"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *(a.format(out=out) for a in command)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {want}, more than {spiralglue.cli.MAX_BANK_ELEMENTS}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,13 @@
 
 A generated map keeps only its hull, decompose holds no list of pairs of
 close directions, certification forms its vectors (every pair difference
-among them) a block at a time and keeps only the distinct ones, a lone map's norms are taken on its hull product without a buffer
-beside it and a blend's on a buffer as wide as the union of its hulls, and
-a sweep that keeps no pair table holds no array of one entry
-per pair, also when `run` spools the rows of a pairs CSV. The bounds here are fixed
-numbers of bytes for fixed small inputs: a dense map, an array of every
-certification vector, a buffer beside the product or a column per pair
-exceeds them.
+among them) a block at a time and keeps only the distinct ones, a lone
+map's norms are taken on its hull product without a buffer beside it and a
+blend's on a buffer as wide as the union of its hulls, and the sweep holds
+no array of one entry per pair, also when `run` spools the rows of a pairs
+CSV. The bounds here are fixed numbers of bytes for fixed small inputs: a
+dense map, an array of every certification vector, a buffer beside the
+product or a column per pair exceeds them.
 """
 
 import json
@@ -170,11 +170,13 @@ def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):
 def test_sweep_without_pair_table_keeps_no_column_per_pair():
     # 121 points make 7260 pairs; a table of them (89 bytes a pair) and a
     # column of their image difference norms (8 bytes) took the sweep's peak
-    # to 1.31 MB above its start
-    _, dist, g, pts = cli.run_pipeline(_config(3, 1.0, 40, "mixed"))
-    assert len(pts) == 121 and len(dist.pair_checks) == 0
-    report, kept, peak = _traced(sg.distortion_report, g, pts, sg.verify.DEFAULT_TOL, False)
-    assert len(report.pair_checks) == 0
+    # to 1.31 MB above its start. A library call with the defaults kept a
+    # table of every pair (77 bytes a pair) as its report's pair_checks; it
+    # now sweeps as `run` does
+    _, _, g, pts = cli.run_pipeline(_config(3, 1.0, 40, "mixed"))
+    assert len(pts) == 121
+    report, kept, peak = _traced(sg.distortion_report, g, pts)
+    assert sum(c.count for c in report.by_class.values()) == 7260
     assert kept <= 0.1 * MB
     assert peak <= 1.0 * MB
 
@@ -202,7 +204,7 @@ def test_sweep_judges_2048_pairs_a_block_within_the_old_peak(
         return judge(g, bounds, table, xs, *rest)
 
     monkeypatch.setattr(sg.verify, "_judge_pairs", counted)
-    _, _, peak = _traced(sg.distortion_report, g, pts, sg.verify.DEFAULT_TOL, False)
+    _, _, peak = _traced(sg.distortion_report, g, pts)
     # _traced sweeps twice: the second sweep's blocks
     blocks = sizes[len(sizes) // 2 :]
     assert sum(blocks) == len(pts) * (len(pts) - 1) // 2

@@ -42,23 +42,34 @@ def _rotation_config(tmp_path, cos_phi: float, count: int) -> dict:
     }
 
 
-def test_rotation_bank_gains_match_closed_form(tmp_path):
+def test_rotation_bank_gains_match_closed_form(tmp_path, monkeypatch):
     phi = math.acos(-0.77)
     _, dist, g, pts = run_pipeline(parse_config(_rotation_config(tmp_path, -0.77, 8)))
     assert g.selection.chosen_indices == (0, 1, 2, 3)
     assert round(dist.distortion, 3) == 2.085
-    table = sg.distortion_report(g, pts).pair_checks
-    sandwich = np.flatnonzero(~np.isnan(table.sigma))
-    assert len(sandwich) > 1000
+    # the sweep's sandwich angles and gains, (sigma, theta, G_sigma,
+    # G_theta), as the per-pair sandwich returns them
+    sandwiches = []
+    sandwich = sg.verify._sandwich
+
+    def recorded(*args):
+        result = sandwich(*args)
+        sandwiches.append(result[:4])
+        return result
+
+    monkeypatch.setattr(sg.verify, "_sandwich", recorded)
+    sg.distortion_report(g, pts)
+    sigma, theta, g_sigma, g_theta = map(np.concatenate, zip(*sandwiches))
+    assert len(sigma) > 1000
     # selection picks consecutive maps, so every blend has delta = phi; the
     # closed form is exact but for sin and its root, so that its own
     # rounding stays small where 1 + sin(2 t) cos(delta) cancels
     cos_delta = Fraction(math.cos(phi))
-    for angle, gain in (("sigma", "g_sigma_w"), ("theta", "g_theta_v")):
-        t = getattr(table, angle)[sandwich].tolist()
+    for name, angles, gains in (("g_sigma_w", sigma, g_sigma), ("g_theta_v", theta, g_theta)):
+        t = angles.tolist()
         want = np.array([math.sqrt(1 + Fraction(math.sin(2.0 * a)) * cos_delta) for a in t])
-        error = np.abs(getattr(table, gain)[sandwich] - want) / want
-        assert error.max() <= _GAIN_RTOL, (gain, error.max() / 2.0**-52)
+        error = np.abs(gains - want) / want
+        assert error.max() <= _GAIN_RTOL, (name, error.max() / 2.0**-52)
 
 
 def test_rotation_bank_exhausted_reports_level(tmp_path, capsys):

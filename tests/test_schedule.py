@@ -19,8 +19,11 @@ def test_params_validation():
         sg.Params(0.0, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
         sg.Params(0.1, 1.0, 0.1, 0.1)
-    p = sg.Params(0.5, 0.1, 0.2, 0.3).scaled(0.5)
-    assert p == sg.Params(0.25, 0.05, 0.1, 0.15)
+    for bad in (math.nan, -0.1, math.inf):
+        with pytest.raises(ValueError, match="zeta must lie strictly in"):
+            sg.Params(0.1, 0.1, 0.1, bad)
+    p = sg.Params(0.25, 0.05, 0.1, 0.15)
+    assert (p.eps, p.delta, p.gamma, p.zeta) == (0.25, 0.05, 0.1, 0.15)
 
 
 def test_build_minimal_ramp_one_level():

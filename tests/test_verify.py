@@ -141,18 +141,26 @@ def test_check_pair_requires_order_and_distinct(l1_pipeline):
         sg.check_pair(g, pts.coords[hi], pts.coords[hi])
 
 
+def _swept(g, pts):
+    """The report of a sweep, and its judged pairs as the PairCheck objects
+    of the rows it passes to on_block."""
+    checks = []
+    rep = sg.distortion_report(g, pts, on_block=lambda t, rows: checks.extend(t[rows]))
+    return rep, checks
+
+
 def test_distortion_report_coherence(l1_pipeline):
     g, pts, _ = l1_pipeline
-    rep = sg.distortion_report(g, pts)
-    ratios = [pc.ratio for pc in rep.pair_checks]
+    rep, checks = _swept(g, pts)
+    ratios = [pc.ratio for pc in checks]
     assert rep.min_ratio == min(ratios)
     assert rep.max_ratio == max(ratios)
     assert rep.distortion == rep.max_ratio / rep.min_ratio
     assert rep.distortion >= 1.0
     assert rep.distortion <= rep.bounds.ratio + 1e-9
     n = len(pts)
-    assert len(rep.pair_checks) == n * (n - 1) // 2
-    assert sum(v.count for v in rep.by_class.values()) == len(rep.pair_checks)
+    assert len(checks) == n * (n - 1) // 2
+    assert sum(v.count for v in rep.by_class.values()) == len(checks)
     ids = set(pts.ids)
     assert set(rep.witness_min) <= ids and set(rep.witness_max) <= ids
 
@@ -168,9 +176,9 @@ def test_distortion_report_classes_present(l1_pipeline):
 
 def test_far_pair_brackets(l1_pipeline):
     g, pts, _ = l1_pipeline
-    rep = sg.distortion_report(g, pts)
+    rep, checks = _swept(g, pts)
     sched = g.schedule
-    far = [pc for pc in rep.pair_checks if pc.kind.startswith("far")]
+    far = [pc for pc in checks if pc.kind.startswith("far")]
     assert far
     b = rep.bounds
     for pc in far:
@@ -180,8 +188,8 @@ def test_far_pair_brackets(l1_pipeline):
 
 def test_plateau_pairs_sharp_bracket(l1_pipeline):
     g, pts, _ = l1_pipeline
-    rep = sg.distortion_report(g, pts)
-    plateau = [pc for pc in rep.pair_checks if pc.kind.startswith("plateau")]
+    _, checks = _swept(g, pts)
+    plateau = [pc for pc in checks if pc.kind.startswith("plateau")]
     assert plateau
     for pc in plateau:
         assert 1.0 - 1e-9 <= pc.ratio <= 1.0 + g.bank.gamma + 1e-9
