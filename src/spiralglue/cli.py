@@ -128,6 +128,12 @@ def _bounded(key: str, what: str, elements: int) -> None:
         raise ValueError(f"{key}: {what} hold {elements} elements, more than {MAX_BANK_ELEMENTS}")
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    """Raise ValueError naming flag if value is below least."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _section(parent: dict, path: str, table: str | None = None) -> dict:
     """The object at dotted `path` under parent ({} when absent; parent itself
     for the top level), checked to hold only the keys that _CONFIG_KEYS lists
@@ -393,8 +399,12 @@ def parse_config(raw: dict) -> RunConfig:
             "per_level": _read(gen, "points.generator", "per_level", _integer(1), 10),
             "placement": _read(gen, "points.generator", "placement", _placement, "mixed"),
         }
-        n = 1 + levels * generator["per_level"]
-        _bounded("points.generator.per_level", f"{n} points of {source.dim}", n * source.dim)
+        key, n = "points.generator.per_level", 1 + levels * generator["per_level"]
+        _bounded(key, f"{n} points of {source.dim}", n * source.dim)
+    if points is not None:
+        key, n = f"points.{given[0]}", len(points)
+    # certification keys every pair difference, a few bytes each
+    _bounded(key, f"the pairs of {n} points", n * (n - 1) // 2)
 
     out_cfg = _section(raw, "output")
     return RunConfig(
@@ -511,7 +521,9 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
     gives (keys sorted as strings, so "10" before "9"; inf as null, NaN as
     NaN), written one row at a time: json.dump with an indent runs the
     stdlib's pure-Python encoder. The rows are formatted a block at a time,
-    each distinct float once."""
+    each distinct float of the block once. A block is counted as eight
+    times its floats (row_blocks of width 8 * width), since a float's text
+    and the list entries that hold it take several times its 8 bytes."""
     keys = [str(i) for i in ids]
     with open(path, "w", encoding="utf-8") as fh:
         if not keys:
@@ -521,7 +533,7 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
         sep = "\n"
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
         width = images.shape[1]
-        for block in row_blocks(len(order), width):
+        for block in row_blocks(len(order), 8 * width):
             rows = order[block]
             texts = _texts(images[rows].ravel(), _JSON_NON_FINITE)
             for j, k in enumerate(rows.tolist()):
@@ -791,6 +803,7 @@ def cmd_theory(args) -> int:
     # both computations run before any verdict is printed, so that a bad
     # --grid exits 2 alone
     try:
+        _at_least("--grid", args.grid, 3)
         _bounded("--grid", f"{args.grid} angles", args.grid)
         good, detail = _spreading_verdict(args.grid)
         fuzz = fuzz_pair_inequalities(args.seed, args.pairs)
@@ -856,6 +869,7 @@ def cmd_weights(args) -> int:
     try:
         sched = _schedule_from_args(args)
         width = sched.levels + 2  # the radius and the levels + 1 weights
+        _at_least("--grid", args.grid, 2)
         _bounded("--grid", f"{args.grid} rows of {width}", args.grid * width)
         ts, table = weight_grid(sched, args.grid)
     except FloatRangeExceeded as exc:
@@ -875,6 +889,7 @@ def cmd_gen_points(args) -> int:
         return 2
     try:
         sched = _schedule_from_args(args)
+        _at_least("--per-level", args.per_level, 1)
         n = 1 + sched.levels * args.per_level
         _bounded("--per-level", f"{n} points of {args.dim}", n * args.dim)
         pts = generate_annular(args.seed, sched, args.per_level, args.dim, args.placement)

@@ -178,14 +178,18 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     first occurrence, and each check pairs a direction with the ramp angle
     of x for a pair whose unit difference has that direction's bits.
 
-    Each level is a few array passes. One mask of x rows against the shell
-    gives the pairs in row-major order; their unit differences are formed in
-    row blocks of at most BATCH_ELEMENTS elements into one array, whose
-    bitwise distinct rows `distinct_rows` keeps, as one block, in order of
-    first occurrence. One `np.unique` on the kept rows' bytes rejoins the
-    groups of equal bits that a hash collision split (distinct_rows' missed
-    merge), numbered by first row. The sorted distinct (direction, angle)
-    pairs, its checks, are one sort of an integer key.
+    Each level is formed a block at a time: the mask of x rows against the
+    shell for a chunk of x rows (row_blocks of the shell's width), and the
+    unit differences of the chunk's pairs in row blocks of at most
+    BATCH_ELEMENTS elements, each grouped alone by `distinct_rows`. A block
+    leaves only its bitwise distinct rows and its distinct (row, angle)
+    keys, of the row's index among all kept rows and the angle's rank; no
+    array of one entry per pair outlives its block. At the level's end, one
+    `np.unique` on the kept rows' bytes joins the rows of equal bits that
+    several blocks kept, or that a hash collision split (distinct_rows'
+    missed merge), numbered by first row, which is their order of first
+    occurrence among the pairs. The checks are one sort of the keys with
+    their rows so numbered.
     """
     m = sched.levels
     logs = log_norms(pts)
@@ -202,28 +206,42 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
             rows = np.vstack([rows, np.zeros(dim)])
             logs_here = np.append(logs_here, -math.inf)
         xs = np.flatnonzero(logs_here > sched.log_r[level - 1])
-        pair_ok = (logs_here <= sched.log_R[level - 1]) & (logs_here <= logs_here[xs, None])
-        pair_ok[np.arange(len(xs)), xs] = False
-        xi, ys = np.nonzero(pair_ok)
-        src = xs[xi]
-        units = np.empty((len(src), dim))
-        for block in row_blocks(len(src), dim):
-            diff = rows[src[block]] - rows[ys[block]]
-            units[block] = diff / norms(pts.space, diff)[:, None]
-        distinct, _, group = distinct_rows([units], len(units), dim)
-        del units
+        is_y = logs_here <= sched.log_R[level - 1]
+        values, rank = np.unique(ramp_angle_log(sched, level, logs_here), return_inverse=True)
+        # each block's distinct rows, and its distinct (row, angle) pairs as
+        # one integer key of the row's index among all kept rows and the
+        # angle's rank (ramp angles are never NaN or -0.0)
+        kept, keys, done = [np.empty((0, dim))], [np.empty(0, dtype=np.intp)], 0
+        for chunk in row_blocks(len(xs), len(rows)):
+            x = xs[chunk]
+            pair_ok = is_y & (logs_here <= logs_here[x, None])
+            pair_ok[np.arange(len(x)), x] = False
+            xi, ys = np.nonzero(pair_ok)
+            src = x[xi]
+            for block in row_blocks(len(src), dim):
+                units = rows[src[block]]
+                units -= rows[ys[block]]
+                units /= norms(pts.space, units)[:, None]
+                distinct, _, group = distinct_rows([units], len(units), dim)
+                # widened to intp (group is int8 or int16 for few rows), so
+                # the key cannot overflow
+                key = group.astype(np.intp)
+                key += done
+                keys.append(np.unique(key * len(values) + rank[src[block]]))
+                kept.append(distinct)
+                done += len(distinct)
+        distinct = np.concatenate(kept)
+        del kept
         _, first, pattern = np.unique(
             distinct.view(f"V{8 * dim}").ravel(), return_index=True, return_inverse=True
         )
         number = np.empty(len(first), dtype=np.intp)
         number[np.argsort(first)] = np.arange(len(first))
-        # indexing an intp array widens group (int8 or int16 for few rows),
-        # so the key below cannot overflow
-        direction = number[pattern][group]
-        # the distinct (direction, angle) pairs, sorted, as one integer key of
-        # the direction and the angle's rank (ramp angles are never NaN or -0.0)
-        values, rank = np.unique(ramp_angle_log(sched, level, logs_here), return_inverse=True)
-        direction, angle = np.divmod(np.unique(direction * len(values) + rank[src]), len(values))
+        row, angle = np.divmod(np.concatenate(keys), len(values))
+        del keys
+        direction, angle = np.divmod(
+            np.unique(number[pattern][row] * len(values) + angle), len(values)
+        )
         angle = values[angle]
         found = distinct[np.sort(first)]
         for array in (found, direction, angle):

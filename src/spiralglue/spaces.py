@@ -41,9 +41,10 @@ A row joins the group of its hash's first row when their bits are equal,
 and starts a group of its own otherwise. The grouping reads a stream of
 row blocks twice, pass 1 for each row's hash's first row and pass 2 for
 the groups, and neither pass holds more than a block of rows. Decompose
-groups a level's unit differences with it as one block; certification
-groups a `RowBlocks` stream of certify rows and images each distinct
-nonzero row once per distinct map hull (see `bank.build_bank`). The
+groups each block of a level's unit differences with it alone, and joins
+the blocks' groups by their bytes; certification groups a `RowBlocks`
+stream of certify rows and images each distinct nonzero row once per
+distinct map hull (see `bank.build_bank`). The
 sweep hashes no rows: its repeated sandwich rows are those of one point
 (x/|x| at the ramp angle of x, y/|y| at a clamped angle), whose gains it
 keeps in per-point tables (see `verify._sandwich`). `direction_gain` itself does not group:

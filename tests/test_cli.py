@@ -276,7 +276,7 @@ def test_theory_spreading_bound_passes_on_every_grid(capsys, grid):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--grid", "2"], "error: grid_size must be >= 3"),
+        (["--grid", "2"], "error: --grid must be >= 3, got 2"),
         (["--pairs", "-3"], "error: --pairs must be >= 1, got -3"),
         (["--pairs", "0"], "error: --pairs must be >= 1, got 0"),
         (["--seed", "-1"], "error: --seed: expected an integer >= 0, got -1"),
@@ -997,6 +997,17 @@ sys.exit(main(sys.argv[1:]))
 _L1 = {"norm": "lp", "p": 1.0}
 _EYE18 = np.eye(18).tolist()
 
+# 16 385 points on a line: 134 225 920 pairs, just above MAX_BANK_ELEMENTS
+_LINE = {"dim": 1, "norm": _L1}
+_LINE_ROWS = [[float(k)] for k in range(16_385)]
+
+
+def _line_file(tmp_path) -> dict:
+    """The overrides that read the points on a line from a saved file."""
+    path = tmp_path / "points.json"
+    sg.save_points(sg.make_point_set(sg.Space(1, sg.Lp(1.0)), _LINE_ROWS), str(path))
+    return {"source": _LINE, "points": {"file": str(path)}}
+
 
 @pytest.mark.parametrize(
     "error, overrides",
@@ -1009,6 +1020,17 @@ _EYE18 = np.eye(18).tolist()
             "points.generator.per_level: 3000000001 points of 3 hold 9000000003 elements",
             {"points": {"generator": {"seed": 7, "per_level": 10**9}}},
         ),
+        # 3 * 10**6 + 1 generated points fit the coordinate bound, but their
+        # 4.5 * 10**12 pairs died with a MemoryError traceback in decompose
+        (
+            "points.generator.per_level: the pairs of 3000001 points hold 4500001500000 elements",
+            {"points": {"generator": {"seed": 7, "per_level": 10**6}}},
+        ),
+        (
+            "points.inline: the pairs of 16385 points hold 134225920 elements",
+            {"source": _LINE, "points": {"inline": _LINE_ROWS}},
+        ),
+        ("points.file: the pairs of 16385 points hold 134225920 elements", _line_file),
         ("points: ", {"points": {"generator": {"seed": 7}, "inline": [[0.0] * 3, [1.0] * 3]}}),
         ("points: ", {"points": {}}),
         ("source.norm: ", {"bank": _QUADRATURE}),
@@ -1046,6 +1068,9 @@ _EYE18 = np.eye(18).tolist()
     ids=[
         "huge-certify-random",
         "huge-per-level",
+        "huge-pair-count",
+        "huge-inline-pair-count",
+        "huge-file-pair-count",
         "two-point-sources",
         "no-point-source",
         "quadrature-source",
@@ -1064,7 +1089,10 @@ _EYE18 = np.eye(18).tolist()
 def test_run_malformed_config_exits_2_naming_key(tmp_path, error, overrides):
     # each malformed config fails at parse time in a capped child process:
     # exit 2, a config error naming the key (the whole line where it ends
-    # in a newline), no traceback and no report
+    # in a newline), no traceback and no report. Overrides given as a
+    # function of tmp_path write the files they name
+    if callable(overrides):
+        overrides = overrides(tmp_path)
     path, _ = _base_config(tmp_path, **overrides)
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, "run", "--config", str(path)],
@@ -1108,6 +1136,23 @@ def test_oversized_flag_exits_2_naming_it(tmp_path, command, want):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {want}, more than {spiralglue.cli.MAX_BANK_ELEMENTS}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (["weights", "--grid", "1", "--out", "{out}"], "--grid must be >= 2, got 1"),
+        (["gen-points", "--per-level", "0", "--out", "{out}"], "--per-level must be >= 1, got 0"),
+    ],
+    ids=["weights", "gen-points"],
+)
+def test_undersized_flag_exits_2_naming_it(tmp_path, capsys, command, want):
+    # the messages named the library's parameters, grid_size and per_level,
+    # not the flags (theory's --grid: test_theory_rejects_bad_arguments)
+    out = tmp_path / "out.file"
+    assert main([a.format(out=out) for a in command]) == 2
+    assert capsys.readouterr() == ("", f"error: {want}\n")
     assert not out.exists()
 
 

@@ -279,6 +279,37 @@ def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wid
                 assert got[0].tobytes() == kept.tobytes()
 
 
+
+def test_decompose_rejoins_directions_split_across_blocks():
+    # with 64-element batches decompose groups its unit differences in
+    # blocks of 21 rows, and with one hash for every row each block's rows
+    # collide with its first row: a direction that first occurred in an
+    # earlier block is kept again in a later one, where it differs from
+    # that block's first row. The np.unique on the kept rows' bytes rejoins
+    # it, and the directions and checks are the oracle's. One level, so
+    # that every block is of the same level
+    sched = sg.build_schedule(sg.Params(0.01, 0.01, 0.01, 0.01), 1.0, 1)
+    pts = sg.generate_annular(7, sched, 30, 3, "mixed", sg.Lp(1.0))
+    want = directions_bytes(decompose_first_match(pts, sched))
+    seen = []
+
+    def recorded(blocks, rows, width):
+        seen.extend(blocks)
+        return distinct_rows(blocks, rows, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", 64)
+        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["one-hash"])
+        mp.setattr(spiralglue.pointset, "distinct_rows", recorded)
+        assert directions_bytes(sg.decompose(pts, sched)) == want
+    assert len(seen) > 1 and max(map(len, seen)) == 21
+    earlier, split = set(), 0
+    for units in seen:
+        bits = _row_bits(units)
+        split += sum(key in earlier and key != bits[0] for key in bits)
+        earlier.update(bits)
+    assert split > 0
+
 def test_distinct_rows_edge_cases():
     kept, take, group = _grouped(np.empty((0, 3)))
     assert kept.shape == (0, 3) and take.shape == group.shape == (0,)

@@ -1,14 +1,16 @@
-"""Memory of decompose, certification and the maps, measured with tracemalloc.
+"""Memory of decompose, certification, the maps, the sweep and the images
+writer, measured with tracemalloc.
 
 A generated map keeps only its hull, decompose holds no list of pairs of
-close directions, certification forms its vectors (every pair difference
-among them) a block at a time and keeps only the distinct ones, a lone
-map's norms are taken on its hull product without a buffer beside it and a
-blend's on a buffer as wide as the union of its hulls, and the sweep holds
-no array of one entry per pair, also when `run` spools the rows of a pairs
-CSV. The bounds here are fixed numbers of bytes for fixed small inputs: a
-dense map, an array of every certification vector, a buffer beside the
-product or a column per pair exceeds them.
+close directions and forms its unit differences a block at a time,
+certification forms its vectors (every pair difference among them) a block
+at a time and keeps only the distinct ones, a lone map's norms are taken on
+its hull product without a buffer beside it and a blend's on a buffer as
+wide as the union of its hulls, the sweep holds no array of one entry per
+pair, also when `run` spools the rows of a pairs CSV, and the images file
+is formatted a few rows at a time. The bounds here are fixed numbers of
+bytes for fixed small inputs: a dense map, an array of every certification
+vector, a buffer beside the product or a column per pair exceeds them.
 """
 
 import json
@@ -135,14 +137,40 @@ def test_decompose_holds_no_list_of_close_directions():
     # 961 points of the dense l1 config: decompose peaked at 22.1 MB above
     # its start while it grouped directions within 1e-12 of each other, most
     # of it the list of close pairs; with the bit-distinct rows as the
-    # directions it peaks at about 8.4 MB, in the per-pair index and key
-    # columns and the unit differences
+    # directions it peaked at about 8.4 MB, in the per-pair index and key
+    # columns and the unit differences, and at about 3.5 MB with those
+    # formed a block at a time (the next test)
     cfg = _config(3, 1.0, 320, "mixed")
     sched = sg.build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
     pts = sg.generate_annular(7, sched, 320, 3, "mixed", cfg.source.norm)
     _, _, peak = _traced(sg.decompose, pts, sched)
     assert len(pts) == 961
     assert peak <= 12 * MB
+
+
+def test_decompose_forms_unit_differences_a_block_at_a_time():
+    # the same 961 points: with a level's pair mask, index columns, unit
+    # differences and key column formed whole, decompose peaked at 8.4 MB
+    # above its start; with the mask built for a few x rows at a time and
+    # each block of unit differences grouped alone, only the blocks'
+    # distinct rows and distinct keys stay, and it peaks at about 3.5 MB
+    cfg = _config(3, 1.0, 320, "mixed")
+    sched = sg.build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
+    pts = sg.generate_annular(7, sched, 320, 3, "mixed", cfg.source.norm)
+    _, _, peak = _traced(sg.decompose, pts, sched)
+    assert peak <= 5 * MB
+
+
+def test_images_file_is_formatted_in_small_blocks(tmp_path):
+    # the 151 images of 96 floats of the plateau run: formatted all at once
+    # (one row block of 96-float rows), their texts took the writer to
+    # 0.75 MB above its start; in blocks of at most 2048 floats it peaks at
+    # about 0.17 MB
+    _, dist, _, pts = cli.run_pipeline(_config(16, 2.0, 50, "plateau"))
+    assert dist.images.shape == (151, 96)
+    path = str(tmp_path / "images.json")
+    _, _, peak = _traced(cli._write_images, path, pts.ids, dist.images)
+    assert peak <= 0.4 * MB
 
 
 def test_run_with_pairs_csv_keeps_no_pair_table(tmp_path):
