@@ -35,11 +35,9 @@ from .spaces import (  # noqa: F401
     as_rows,
     blend_apply,
     direction_gain,
-    distinct_rows,
     image_norms,
     norm,
     norms,
-    row_blocks,
 )
 
 _TOL = 1e-12
@@ -168,32 +166,34 @@ def build_bank(
     certify_set: Sequence | RowBlocks,
 ) -> EmbeddingBank:
     """Construct `count` maps and certify each one on the given vector set:
-    rows as an array or a sequence of vectors, or a RowBlocks stream of them.
+    rows as an array or a sequence of vectors, one block, or a RowBlocks
+    stream of them, read once, a block at a time.
 
     The per-map slack is the uniform split eps_n = (1+gamma)^(1/count) - 1.
     Raises CertificationFailed with the worst offending vector if any map
     falls outside its sandwich; its index counts the nonzero vectors.
 
-    Each distinct nonzero vector (by bit pattern, see distinct_rows) is
-    normed once and imaged in order of first occurrence, so the margins and
-    the first worst vector are those of evaluating every vector.
-    distinct_rows reads a stream twice, a block at a time, however few its
-    rows, so each iteration must yield the same rows, cut into blocks
-    anywhere; only the distinct rows are kept (see _certify_rows).
+    Certification is one fold over the blocks: per block, the source norms,
+    the nonzero rows (gathered only when some row is zero), and per map the
+    ratios norm(target, lin v) / norm(source, v), of which each map keeps
+    its lowest and highest with the index of the first nonzero row that
+    reaches it. Every kernel is row-wise, so the margins and the first
+    worst vector are those of evaluating every vector at once. The maps
+    are then checked in map order. Only the extremes are kept, never an
+    image or a row of an earlier block.
 
     Maps whose _image_key is equal image every row to the same bits, so
-    only the first of them images the rows, in one image_norms call whose
-    blocks are whole but the last, and the others take its extreme rows and
-    ratios: a block-shift bank into an lp target images them once. A later
-    map's margins are then the same floats, and it cannot fail where its
-    twin passed, so the failing (map, vector, ratio) is the one that imaging
-    every map would raise. Only the extremes are kept, never an image.
+    only the first of them images the rows, and the others take its
+    extremes: a block-shift bank into an lp target images them once. A
+    later map's margins are then the same floats, and it cannot fail where
+    its twin passed, so the failing (map, vector, ratio) is the one that
+    imaging every map would raise.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    rows, first, source_norms = _certify_rows(source, certify_set)
+    blocks = certify_set if isinstance(certify_set, RowBlocks) else [certify_set]
 
     if isinstance(strategy, BlockShift):
         maps = _block_shift_maps(source, target, count, strategy.block_width)
@@ -204,26 +204,48 @@ def build_bank(
             raise ValueError(f"strategy provides {len(strategy.matrices)} < count {count} maps")
         maps = [LinearMap(m, source, target) for m in strategy.matrices[:count]]
 
+    keys = [_image_key(lin) for lin in maps]
+    imaging = {}  # per _image_key, the first map that has it
+    for key, lin in zip(keys, maps):
+        imaging.setdefault(key, lin)
+    # per _image_key: [lowest ratio, its index, highest ratio, its index]
+    extremes = {}
+    done = 0  # the nonzero rows of earlier blocks
+    for block in blocks:
+        block = as_rows(block, source.dim)
+        source_norms = norms(source, block)
+        nonzero = source_norms > 0.0
+        if not nonzero.all():
+            block, source_norms = block[nonzero], source_norms[nonzero]
+        if not len(block):
+            continue
+        for key, lin in imaging.items():
+            ratios = image_norms(lin, block) / source_norms
+            k_lo, k_hi = int(ratios.argmin()), int(ratios.argmax())
+            lo, hi = float(ratios[k_lo]), float(ratios[k_hi])
+            del ratios  # not alive while the next map images
+            kept = extremes.setdefault(key, [lo, done + k_lo, hi, done + k_hi])
+            # a block's extreme replaces the kept one when strictly beyond
+            # it, or NaN where the kept one is not: the first of equal
+            # ratios and the first NaN win, as argmin and argmax over every
+            # ratio at once have it
+            if kept[0] == kept[0] and not kept[0] <= lo:
+                kept[:2] = lo, done + k_lo
+            if kept[2] == kept[2] and not kept[2] >= hi:
+                kept[2:] = hi, done + k_hi
+        done += len(block)
+    if not done:
+        raise ValueError("certify_set must contain at least one nonzero vector")
+
     eps_n = (1.0 + gamma) ** (1.0 / count) - 1.0
     lo_margins = []
     hi_margins = []
-    extremes = {}  # per _image_key: (k_lo, lowest ratio, k_hi, highest ratio)
-    for n, lin in enumerate(maps):
-        key = _image_key(lin)
-        if key not in extremes:
-            # norm(target, lin v) / norm(source, v) over the distinct nonzero
-            # rows v; groups are in order of their first rows, so the first
-            # extreme group holds the first extreme nonzero row
-            ratios = image_norms(lin, rows) / source_norms
-            k_lo = int(np.argmin(ratios))
-            k_hi = int(np.argmax(ratios))
-            extremes[key] = (k_lo, float(ratios[k_lo]), k_hi, float(ratios[k_hi]))
-            del ratios  # not alive while the next map images
-        k_lo, lo, k_hi, hi = extremes[key]
+    for n, key in enumerate(keys):
+        lo, k_lo, hi, k_hi = extremes[key]
         if lo < 1.0 - _TOL:
-            raise CertificationFailed(n, int(first[k_lo]), lo)
+            raise CertificationFailed(n, k_lo, lo)
         if hi > (1.0 + eps_n) * (1.0 + _TOL):
-            raise CertificationFailed(n, int(first[k_hi]), hi)
+            raise CertificationFailed(n, k_hi, hi)
         lo_margins.append(lo - 1.0)
         hi_margins.append((1.0 + eps_n) - hi)
     slots = (eps_n,) * count
@@ -240,37 +262,6 @@ def _image_key(lin: LinearMap) -> tuple:
     column."""
     at = None if isinstance(lin.target.norm, Lp) else lin.rows.start
     return lin.hull.shape, lin.hull.tobytes(), at
-
-
-def _certify_rows(source: Space, certify_set):
-    """The distinct nonzero rows of a certify set, in order of their first
-    rows: (rows, first, source_norms), with the index of each one's first
-    row among the nonzero rows, and its source norm. They are the groups of
-    distinct_rows whose kept row has a positive norm.
-
-    An array or a sequence of vectors is one block; a RowBlocks stream is
-    read twice by distinct_rows, a block at a time. The kept rows are normed
-    in one call; a first row's index among the nonzero rows is its index
-    less the zero rows before it, which one searchsorted finds among the
-    indices of the zero rows."""
-    dim = source.dim
-    stream = certify_set if isinstance(certify_set, RowBlocks) else [as_rows(certify_set, dim)]
-    kept, first, group = distinct_rows(stream, len(certify_set), dim)
-    kept_norms = norms(source, kept)
-    zero = ~(kept_norms > 0.0)
-    first -= np.searchsorted(np.flatnonzero(zero[group]), first)
-    del group, zero
-    take = np.flatnonzero(kept_norms > 0.0)
-    if not len(take):
-        raise ValueError("certify_set must contain at least one nonzero vector")
-    # gather the nonzero groups to the front in place: take ascends, so
-    # take[i] >= i, and no block reads a row that an earlier block wrote
-    for block in row_blocks(len(take), dim):
-        kept[block] = kept[take[block]]
-        first[block] = first[take[block]]
-        kept_norms[block] = kept_norms[take[block]]
-    n = len(take)
-    return kept[:n], first[:n], kept_norms[:n]
 
 
 def spreading_limit_estimate(

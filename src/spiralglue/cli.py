@@ -403,7 +403,8 @@ def parse_config(raw: dict) -> RunConfig:
         _bounded(key, f"{n} points of {source.dim}", n * source.dim)
     if points is not None:
         key, n = f"points.{given[0]}", len(points)
-    # certification keys every pair difference, a few bytes each
+    # decompose keeps each level's distinct directions and checks, up to one
+    # per pair, and certification and the sweep read every pair
     _bounded(key, f"the pairs of {n} points", n * (n - 1) // 2)
 
     out_cfg = _section(raw, "output")
@@ -431,26 +432,26 @@ def _certify_vectors(cfg: RunConfig, pts: LocallyFiniteSet, decomp) -> RowBlocks
     """All points, all pairwise differences (a < b, row-major), all recorded
     directions, plus seeded random unit-scale vectors, as (k, dim) blocks
     formed only as they are read: len() counts every row, and no array of
-    them all is formed. Each part yields its own row blocks in turn, so no
-    block holds rows of two parts: views of the points, the differences of
-    each pair_blocks block (pair_differences, the sweep's kernel), views of
-    each level's directions, and the random rows, drawn a row block at a
-    time: draws of k1 and then k2 rows consume the generator exactly as one
-    draw of k1 + k2 rows. Each iteration forms the same blocks anew, bit for
-    bit, which certification's second pass over them relies on."""
+    them all is formed. Each part yields its own row blocks of half the
+    element budget in turn (row_blocks at width 2 * dim), so no block holds
+    rows of two parts: views of the points, the differences of each
+    pair_blocks block (pair_differences, the sweep's kernel), views of each
+    level's directions, and the random rows, drawn a row block at a time:
+    draws of k1 and then k2 rows consume the generator exactly as one draw
+    of k1 + k2 rows."""
     coords = pts.coords
     n, dim = coords.shape
 
     def blocks():
-        for block in row_blocks(n, dim):
+        for block in row_blocks(n, 2 * dim):
             yield coords[block]
-        for _, a, b in pair_blocks(n, dim):
+        for _, a, b in pair_blocks(n, 2 * dim):
             yield pair_differences(coords, a, b)
         for level in decomp.directions:
-            for block in row_blocks(len(level), dim):
+            for block in row_blocks(len(level), 2 * dim):
                 yield level[block]
         rng = np.random.default_rng(cfg.certify_seed)
-        for block in row_blocks(cfg.certify_random, dim):
+        for block in row_blocks(cfg.certify_random, 2 * dim):
             yield rng.standard_normal((block.stop - block.start, dim))
 
     dirs = sum(map(len, decomp.directions))
@@ -601,12 +602,12 @@ def run_pipeline(cfg: RunConfig, tolerance: float = DEFAULT_TOL, on_block=None):
     glue -> sweep, with the time of each stage under `timings`.
 
     No stage holds an array of one row per pair or per certification
-    vector. build_bank reads the certification vectors twice, a block at a
-    time as _certify_vectors forms them, and keeps only the distinct ones; the
-    decomposition lives only until selection; the sweep keeps no pair table
-    and passes each judged block of pairs to on_block, when given (see
-    distortion_report), which is how `run` spools the rows of its pairs CSV
-    as text (_PairsSpool)."""
+    vector. build_bank reads the certification vectors once, a block at a
+    time as _certify_vectors forms them, and keeps only each map's extreme
+    ratios; the decomposition lives only until selection; the sweep keeps
+    no pair table and passes each judged block of pairs to on_block, when
+    given (see distortion_report), which is how `run` spools the rows of
+    its pairs CSV as text (_PairsSpool)."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 

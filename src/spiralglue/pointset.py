@@ -181,15 +181,16 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
     Each level is formed a block at a time: the mask of x rows against the
     shell for a chunk of x rows (row_blocks of the shell's width), and the
     unit differences of the chunk's pairs in row blocks of at most
-    BATCH_ELEMENTS elements, each grouped alone by `distinct_rows`. A block
-    leaves only its bitwise distinct rows and its distinct (row, angle)
-    keys, of the row's index among all kept rows and the angle's rank; no
-    array of one entry per pair outlives its block. At the level's end, one
-    `np.unique` on the kept rows' bytes joins the rows of equal bits that
-    several blocks kept, or that a hash collision split (distinct_rows'
-    missed merge), numbered by first row, which is their order of first
-    occurrence among the pairs. The checks are one sort of the keys with
-    their rows so numbered.
+    BATCH_ELEMENTS elements, each grouped alone by `distinct_rows`, which
+    takes one array. A block leaves only its bitwise distinct rows and its
+    distinct (row, angle) keys, of the row's index among all kept rows and
+    the angle's rank; no array of one entry per pair outlives its block. At
+    the level's end, one `np.unique` on the kept rows' bytes joins the rows
+    of equal bits that several blocks kept, or that a hash collision split
+    (distinct_rows' missed merge: a collided row is a group of its own),
+    numbered by first row, which is their order of first occurrence among
+    the pairs. The checks are one sort of the keys with their rows so
+    numbered.
     """
     m = sched.levels
     logs = log_norms(pts)
@@ -222,7 +223,7 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
                 units = rows[src[block]]
                 units -= rows[ys[block]]
                 units /= norms(pts.space, units)[:, None]
-                distinct, _, group = distinct_rows([units], len(units), dim)
+                distinct, _, group = distinct_rows(units)
                 # widened to intp (group is int8 or int16 for few rows), so
                 # the key cannot overflow
                 key = group.astype(np.intp)

@@ -35,21 +35,18 @@ the union groups its terms otherwise than one over every column; both stay
 within the summation's forward error bound, which a property test checks
 against exact sums.
 
-`distinct_rows` is the one exact grouping of rows by bit pattern, so that
-a caller can evaluate each distinct row once and gather the results back.
-A row joins the group of its hash's first row when their bits are equal,
-and starts a group of its own otherwise. The grouping reads a stream of
-row blocks twice, pass 1 for each row's hash's first row and pass 2 for
-the groups, and neither pass holds more than a block of rows. Decompose
-groups each block of a level's unit differences with it alone, and joins
-the blocks' groups by their bytes; certification groups a `RowBlocks`
-stream of certify rows and images each distinct nonzero row once per
-distinct map hull (see `bank.build_bank`). The
-sweep hashes no rows: its repeated sandwich rows are those of one point
-(x/|x| at the ramp angle of x, y/|y| at a clamped angle), whose gains it
-keeps in per-point tables (see `verify._sandwich`). `direction_gain` itself does not group:
-selection's level checks never repeat a row. Every kernel here is
-row-wise, so the gathered values are the bits of evaluating every row.
+`distinct_rows` is the one exact grouping of the rows of an array by bit
+pattern. A row joins the group of its hash's first row when their bits
+are equal, and starts a group of its own otherwise. Decompose groups each
+block of a level's unit differences with it alone, and joins the blocks'
+groups by their bytes. Certification groups no rows: it folds each block
+of certify rows into each map's extreme ratios, imaging a repeated row
+again (see `bank.build_bank`). The sweep hashes no rows: its repeated
+sandwich rows are those of one point (x/|x| at the ramp angle of x, y/|y|
+at a clamped angle), whose gains it keeps in per-point tables (see
+`verify._sandwich`). `direction_gain` itself does not group: selection's
+level checks never repeat a row. Every kernel here is row-wise, so a row's
+values have the same bits wherever it sits in a block.
 """
 
 from __future__ import annotations
@@ -76,8 +73,8 @@ def row_blocks(rows: int, width: int):
 
 
 class RowBlocks:
-    """Rows formed a block at a time: len() counts them, and each iteration
-    calls blocks() anew, which yields them in order as 2-d arrays."""
+    """Rows formed a block at a time: len() counts them, and iterating
+    calls blocks(), which yields them in order as 2-d arrays."""
 
     def __init__(self, rows: int, blocks):
         self.rows = rows
@@ -109,10 +106,8 @@ def _row_hashes(bits: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def distinct_rows(blocks, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group `rows` rows of width `dim` by bit pattern. `blocks` yields them
-    in row order as 2-d float arrays; it is iterated twice, and each
-    iteration must yield the same rows.
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of a 2-d float array by bit pattern.
 
     Returns (kept, take, group): kept[g] has the bits of group g's first
     row, take[g] is that row's index (ascending), and group[i] is row i's
@@ -121,110 +116,42 @@ def distinct_rows(blocks, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, 
     payloads, stay apart). take and group are in the narrowest signed
     integers that hold a row index.
 
-    One rule makes the groups: a row starts a group when it is the first
-    row of its hash, or when its bits differ from that first row's bits (a
-    hash collision); otherwise it joins that row's group. Groups are
-    numbered in row order. Pass 1 finds each row's hash's first row
-    (_hash_heads). Pass 2 forms the blocks anew; per block it numbers the
-    first rows of their hashes and copies them into kept, compares every
-    row bit for bit with the kept row of its hash, and only when some row
-    differs numbers the block's groups once more, with those rows among
-    them. A collision thus costs at most a missed merge, never a wrong
-    group. Pass 2 writes each row's group over its entry of pass 1's array
-    of hash heads, and neither pass holds more than a block of rows beside
-    the keys, the kept rows and group."""
-
-    def stream():
-        for block in blocks:
-            block = as_rows(block, dim)
-            for part in row_blocks(len(block), dim):
-                yield block[part]
-
-    head, groups = _hash_heads(stream(), rows)
-    kept = np.empty((groups, dim))
-    take = np.empty(groups, dtype=head.dtype)
-    start = done = 0
-    for block in stream():
-        stop = start + len(block)
-        heads = head[start:stop]
-        at = np.flatnonzero(heads < 0)
-        # groups are numbered in row order; a first row's entry of head,
-        # read by the later rows of its hash, holds its group
-        fresh = done + len(at)
-        heads[at] = np.arange(done, fresh)
-        np.take(block, at, axis=0, out=kept[done:fresh])
-        take[done:fresh] = at + start
-        own = head[heads]
-        own[at] = heads[at]
-        new = np.zeros(len(block), dtype=bool)
-        for part in row_blocks(len(block), 2 * dim):
-            unequal = block[part].view(np.uint64) != np.take(kept, own[part], axis=0).view(np.uint64)
-            if unequal.any():
-                new[part] = unequal.any(axis=1)
-        if new.any():
-            # a hash collision: the rows that differ start groups too, and
-            # the block's groups are numbered once more in row order; a row
-            # that joins a first row of this block takes that row's group
-            kept.resize((len(kept) + int(np.count_nonzero(new)), dim), refcheck=False)
-            take.resize(len(kept), refcheck=False)
-            new[at] = True
-            number = np.cumsum(new) + (done - 1)
-            join = ~new & (heads >= start)
-            own[join] = number[heads[join] - start]
-            own[new] = number[new]
-            at = np.flatnonzero(new)
-            fresh = done + len(at)
-            np.take(block, at, axis=0, out=kept[done:fresh])
-            take[done:fresh] = at + start
-        heads[:] = own
-        start, done = stop, fresh
-        del heads, own  # not alive while the next block is formed
-    return kept, take, head
-
-
-def _hash_heads(blocks, rows: int) -> tuple[np.ndarray, int]:
-    """Pass 1 of distinct_rows on `rows` rows, given a block at a time as
-    2-d float arrays in row order: (head, groups), the first row of each
-    row's hash, -1 for that first row itself, and the number of hashes.
-
-    A row's key is its hash's top bits (_row_hashes) with its index in the
-    low bits, so the sorted keys order the rows by hash and, within a hash,
-    by index. The keys are read in row blocks; they and head, in the
-    narrowest signed integers that hold every row index and -1, are the
-    only arrays of one entry per row."""
-    key = np.empty(rows, dtype=np.uint64)
-    start = 0
-    for block in blocks:
-        into = key[start : start + len(block)]
-        if len(into) != len(block):
-            raise ValueError(f"blocks hold more than {rows} rows")
-        into[:] = _row_hashes(block.view(np.uint64))
-        start += len(block)
-    if start != rows:
-        raise ValueError(f"blocks hold {start} rows, not {rows}")
+    One rule makes the groups: a row joins the group of its hash's first
+    row when their bits are equal, and starts a group of its own otherwise
+    (a hash collision), so a collision costs at most a missed merge, never
+    a wrong group. Groups are numbered in row order. A row's key is its
+    hash's top bits (_row_hashes) with its index in the low bits, so the
+    sorted keys order the rows by hash and, within a hash, by index."""
+    rows = len(X)
+    bits = X.view(np.uint64)
+    index = np.min_scalar_type(-max(rows, 1))
     shift = np.uint64(max(rows - 1, 1).bit_length())
     index_bits = (np.uint64(1) << shift) - np.uint64(1)
+    key = _row_hashes(bits)
     key &= ~index_bits
-    for block in row_blocks(rows, 1):
-        key[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
+    key |= np.arange(rows, dtype=np.uint64)
     key.sort()
-    head = np.empty(rows, dtype=np.min_scalar_type(-max(rows, 1)))
-    groups, last, run_head = 0, None, 0
-    for block in row_blocks(rows, 1):
-        hashes = key[block] >> shift
-        new = np.empty(len(hashes), dtype=bool)
-        new[0] = last is None or hashes[0] != last
-        np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
-        at = (key[block] & index_bits).view(np.intp)
-        # runs[j] numbers the runs that start in the block up to j; 0 is
-        # the run that the block continues
-        runs = np.cumsum(new)
-        run_heads = np.append(run_head, at[new])
-        head[at] = run_heads[runs]
-        head[at[new]] = -1
-        groups += int(runs[-1])
-        last, run_head = hashes[-1], run_heads[-1]
-    return head, groups
+    hashes = key >> shift
+    key &= index_bits
+    at = key.view(np.intp)
+    first = np.empty(rows, dtype=bool)
+    first[:1] = True
+    np.not_equal(hashes[1:], hashes[:-1], out=first[1:])
+    starts = at[first]
+    # each row's hash's first row: the first row of its run of the sorted keys
+    head = np.empty(rows, dtype=np.intp)
+    head[at] = np.repeat(starts, np.diff(np.append(np.flatnonzero(first), rows)))
+    new = np.zeros(rows, dtype=bool)
+    new[starts] = True
+    unequal = bits != np.take(bits, head, axis=0)
+    if unequal.any():
+        # a hash collision: a row whose bits differ from its hash's first
+        # row's is the first row of a group of its own
+        new |= unequal.any(axis=1)
+        head[new] = np.flatnonzero(new)
+    take = np.flatnonzero(new)
+    group = (np.cumsum(new) - 1)[head]
+    return X[take], take.astype(index), group.astype(index)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

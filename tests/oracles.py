@@ -14,9 +14,9 @@ one kernel for the norms of images and blends (`spaces.image_norms` and
 `spaces.blend_norms`, the one- and two-term calls of `spaces._hull_norms`),
 which takes a norm on the union of the hulls alone, a decompose that groups
 its unit differences by bit pattern with `spaces.distinct_rows` instead,
-a certification that evaluates each distinct row once (the groups of
-`spaces.distinct_rows` of positive norm), a row gain whose callers pass
-each row once, and maps built from their nonzero band alone
+a certification that folds each block of rows into each map's extreme
+ratios, imaging a row once per distinct map hull, a row gain whose callers
+pass each row once, and maps built from their nonzero band alone
 (`LinearMap.from_band`).
 """
 

@@ -1,18 +1,17 @@
 """Exact grouping of rows by bit pattern, and the kernels built on it.
 
-`spaces.distinct_rows` groups rows by one rule: a row joins the group of
-its hash's first row when their bits are equal, and starts a group of its
-own otherwise. It reads a stream of row blocks twice, and must put two rows
-in one group only when every bit of them is equal, follow the rule when
-hashes collide (tests patch the hash, `spaces._row_hashes`, to one value or
-three), give the groups of one block however the rows are cut into blocks,
-and keep each group's first row with its bits. Decompose groups its unit
+`spaces.distinct_rows` groups the rows of one array by one rule: a row
+joins the group of its hash's first row when their bits are equal, and
+starts a group of its own otherwise. It must put two rows in one group only
+when every bit of them is equal, follow the rule when hashes collide (tests
+patch the hash, `spaces._row_hashes`, to one value or three), and keep each
+group's first row with its bits. Decompose groups each block of its unit
 differences with it, and must find the directions of `tests/oracles.py`
-through any collision. Certification keeps the groups of
-positive norm and images them once per distinct map hull; it and the row
-gain must match `tests/oracles.py`, which evaluates every row under every
-map (the row gain's bit-equality on repeated rows is held in
-`tests/test_batched.py`).
+through any collision. Certification groups no rows: it images each
+nonzero row once per distinct map hull, a block at a time, and keeps each
+map's extreme ratios; it and the row gain must match `tests/oracles.py`,
+which evaluates every row under every map at once (the row gain's
+bit-equality on repeated rows is held in `tests/test_batched.py`).
 """
 
 import math
@@ -27,8 +26,8 @@ import spiralglue.bank
 import spiralglue.pointset
 import spiralglue.spaces
 from spiralglue.errors import CertificationFailed
-from spiralglue.bank import _certify_rows
-from spiralglue.spaces import RowBlocks, distinct_rows, norms, row_blocks
+from spiralglue.bank import _image_key
+from spiralglue.spaces import RowBlocks, distinct_rows, row_blocks
 
 from oracles import (
     certify_all_rows,
@@ -72,11 +71,6 @@ def _row_bits(X) -> list[bytes]:
     return [row.tobytes() for row in X.view(np.uint64)]
 
 
-def _grouped(X):
-    """distinct_rows on the rows of X as one block."""
-    return distinct_rows([X], len(X), X.shape[1])
-
-
 def _check_groups(X, kept, take, group, merged: bool):
     keys = _row_bits(X)
     n = len(keys)
@@ -99,7 +93,7 @@ def _check_groups(X, kept, take, group, merged: bool):
 @settings(max_examples=300, deadline=None)
 @given(X=_row_arrays())
 def test_distinct_rows_groups_by_bit_pattern(X):
-    _check_groups(X, *_grouped(X), merged=True)
+    _check_groups(X, *distinct_rows(X), merged=True)
 
 
 def _cut_hashes(count):
@@ -142,106 +136,35 @@ def test_distinct_rows_exact_under_forced_collisions(X):
     # rows of its bits join it, and every other row starts a group
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["one-hash"])
-        kept, take, group = _grouped(X)
+        kept, take, group = distinct_rows(X)
     _check_groups(X, kept, take, group, merged=False)
     keys = _row_bits(X)
     assert len(take) == (1 + sum(key != keys[0] for key in keys) if keys else 0)
 
 
+# rows whose bits == does not tell apart: signed zeros and NaNs of
+# different payloads, each repeated
+_SIGNED_ZEROS_AND_NANS = np.array(
+    [0.0, -0.0, *_SPECIAL[-3:], 0.0, -0.0, *_SPECIAL[-3:]], dtype=float
+)[:, None]
+
+
 @pytest.mark.parametrize("collision", sorted(_COLLISIONS))
 @settings(max_examples=150, deadline=None)
 @given(case=st.tuples(_row_arrays(max_rows=60), st.sampled_from([64, 1 << 14])))
+@example(case=(_SIGNED_ZEROS_AND_NANS, 64))
 def test_distinct_rows_follows_the_rule_in_any_blocks_under_collisions(collision, case):
-    # the groups are those of the rule, row by row, and the rows cut into
-    # blocks of 1, 2, 3 and 5 rows (and, at 64 elements, compared a few rows
-    # at a time) give the groups of one call
+    # the groups are those of the rule, row by row, in a dict of each
+    # hash's first row and its bytes, whether the rows are hashed in one
+    # row block or (at 64 elements) a few rows at a time
     X, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS[collision])
         mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", budget)
-        kept, take, group = _grouped(X)
+        kept, take, group = distinct_rows(X)
         hashes = spiralglue.spaces._row_hashes(X.view(np.uint64))
-        for size in (1, 2, 3, 5):
-            blocks = [X[lo : lo + size] for lo in range(0, len(X), size)]
-            got = distinct_rows(blocks, len(X), X.shape[1])
-            assert got[1].tolist() == take.tolist()
-            assert got[2].tolist() == group.tolist()
-            assert got[0].tobytes() == kept.tobytes()
     _check_groups(X, kept, take, group, merged=False)
     assert (take.tolist(), group.tolist()) == _rule_groups(X, hashes)
-
-
-def _stream(X, cuts):
-    """The rows of X as a RowBlocks stream, cut into blocks at the row
-    indices cuts."""
-    bounds = list(zip([0, *cuts], [*cuts, len(X)]))
-    return RowBlocks(len(X), lambda: (X[lo:hi] for lo, hi in bounds))
-
-
-@st.composite
-def _cut_rows(draw):
-    """Rows of one to three columns drawn from a small pool (signed zeros,
-    NaNs of different payloads and infinities among their entries, and a
-    zero row of either sign), so that rows repeat within and across blocks,
-    and the cuts of a RowBlocks stream of them."""
-    width = draw(st.integers(1, 3))
-    pool = draw(st.lists(st.lists(_FLOATS, min_size=width, max_size=width), min_size=1, max_size=5))
-    pool += [[0.0] * width, [-0.0] * width]
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
-    X = np.array([pool[k] for k in picks], dtype=float).reshape(len(picks), width)
-    cuts = sorted(draw(st.lists(st.integers(0, len(X)), max_size=8)))
-    return X, cuts
-
-
-@np.errstate(invalid="ignore")  # the norm of a row with an inf or a NaN may be NaN
-def _check_certify_rows_in_blocks(X, cuts):
-    # the groups of one call on every row, those of positive norm (each row
-    # normed on its own), with their first rows' index among such rows
-    source = sg.Space(X.shape[1])
-    nonzero = norms(source, X) > 0.0
-    if not nonzero.any():
-        with pytest.raises(ValueError, match="nonzero"):
-            _certify_rows(source, _stream(X, cuts))
-        return
-    _, take, _ = _grouped(X)
-    take = take[nonzero[take]]
-    rows, first, source_norms = _certify_rows(source, _stream(X, cuts))
-    assert first.tolist() == (np.cumsum(nonzero) - 1)[take].tolist()
-    assert rows.view(np.uint64).tobytes() == X[take].view(np.uint64).tobytes()
-    assert source_norms.tobytes() == norms(source, X[take]).tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_cut_rows())
-def test_certify_rows_in_blocks_match_one_call(case):
-    # blocks cut anywhere (empty blocks, one-row blocks, repeats across
-    # blocks) give the groups of one call, with their first rows' bits,
-    # indices among the nonzero rows, and norms
-    _check_certify_rows_in_blocks(*case)
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=_cut_rows())
-def test_certify_rows_in_blocks_match_one_call_under_forced_collisions(case):
-    # every row hashes to 0, so only the bit comparison with row 0 separates
-    # groups: the rows of row 0's bits merge, and every other row starts a
-    # group, zero rows among them, in blocks and in one call alike
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["one-hash"])
-        _check_certify_rows_in_blocks(*case)
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=_cut_rows())
-def test_certify_rows_in_blocks_match_one_call_under_partial_collisions(case):
-    # three hashes: rows of other bits share a hash, and the first rows of
-    # the hashes and the rows that differ from them interleave within and
-    # across blocks; with 64-element batches the stream is read twice and
-    # its blocks are compared a few rows at a time
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", 64)
-        mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["three-hashes"])
-        _check_certify_rows_in_blocks(*case)
 
 
 @pytest.mark.parametrize("collision", sorted(_COLLISIONS))
@@ -252,16 +175,16 @@ def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wid
     # with one hash for every row, or three, rows of other bits share a hash
     # and the grouping rests on the bit comparison: decompose still finds
     # the directions and checks of the unpatched run and of the oracle, and
-    # distinct_rows gives its unit differences the groups of one block
-    # however they are cut
+    # distinct_rows gives each block of its unit differences the groups of
+    # the rule
     pts = sg.generate_annular(7, wide_ws, 8, dim, placement, sg.Lp(p))
     want = directions_bytes(sg.decompose(pts, wide_ws))
     assert want == directions_bytes(decompose_first_match(pts, wide_ws))
     seen = []
 
-    def recorded(blocks, rows, width):
-        seen.extend(blocks)
-        return distinct_rows(blocks, rows, width)
+    def recorded(units):
+        seen.append(units)
+        return distinct_rows(units)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS[collision])
@@ -270,14 +193,10 @@ def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wid
         # four distinct rows among three hashes, or two among one, collide
         assert any(len(set(_row_bits(units))) >= 4 for units in seen)
         for units in seen:
-            kept, take, group = _grouped(units)
-            for size in (1, 2, 3, 5):
-                blocks = [units[lo : lo + size] for lo in range(0, len(units), size)]
-                got = distinct_rows(blocks, len(units), dim)
-                assert got[1].tolist() == take.tolist()
-                assert got[2].tolist() == group.tolist()
-                assert got[0].tobytes() == kept.tobytes()
-
+            kept, take, group = distinct_rows(units)
+            hashes = spiralglue.spaces._row_hashes(units.view(np.uint64))
+            _check_groups(units, kept, take, group, merged=False)
+            assert (take.tolist(), group.tolist()) == _rule_groups(units, hashes)
 
 
 def test_decompose_rejoins_directions_split_across_blocks():
@@ -293,9 +212,9 @@ def test_decompose_rejoins_directions_split_across_blocks():
     want = directions_bytes(decompose_first_match(pts, sched))
     seen = []
 
-    def recorded(blocks, rows, width):
-        seen.extend(blocks)
-        return distinct_rows(blocks, rows, width)
+    def recorded(units):
+        seen.append(units)
+        return distinct_rows(units)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", 64)
@@ -310,25 +229,25 @@ def test_decompose_rejoins_directions_split_across_blocks():
         earlier.update(bits)
     assert split > 0
 
+
 def test_distinct_rows_edge_cases():
-    kept, take, group = _grouped(np.empty((0, 3)))
+    kept, take, group = distinct_rows(np.empty((0, 3)))
     assert kept.shape == (0, 3) and take.shape == group.shape == (0,)
     assert take.dtype == group.dtype == np.int8
-    kept, take, group = _grouped(np.array([[1.0, -0.0]]))
+    kept, take, group = distinct_rows(np.array([[1.0, -0.0]]))
     assert take.tolist() == [0] and group.tolist() == [0]
     assert kept.view(np.uint64).tolist() == [[np.float64(1.0).view(np.uint64), 1 << 63]]
-    kept, take, group = _grouped(np.tile([0.5, -2.0, math.pi], (7, 1)))
+    kept, take, group = distinct_rows(np.tile([0.5, -2.0, math.pi], (7, 1)))
     assert take.tolist() == [0] and group.tolist() == [0] * 7
     # -0.0 and 0.0 compare equal but stay apart; NaN payloads too
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(float)
     X = np.array([0.0, -0.0, 0.0, nans[0], nans[1], nans[0]])[:, None]
-    kept, take, group = _grouped(X)
+    kept, take, group = distinct_rows(X)
     assert take.tolist() == [0, 1, 3, 4] and group.tolist() == [0, 1, 0, 2, 3, 2]
-    # a stream of another row count than it claims
-    with pytest.raises(ValueError, match="blocks hold 3 rows, not 4"):
-        distinct_rows([np.zeros((1, 2)), np.ones((2, 2))], 4, 2)
-    with pytest.raises(ValueError, match="blocks hold more than 2 rows"):
-        distinct_rows([np.zeros((1, 2)), np.ones((2, 2))], 2, 2)
+    # 128 distinct rows: groups 0 to 127, in int8
+    kept, take, group = distinct_rows(np.arange(128.0)[:, None])
+    assert take.dtype == group.dtype == np.int8
+    assert take.tolist() == group.tolist() == list(range(128))
 
 
 # ---------------------------------------------------------------- certification
@@ -459,23 +378,29 @@ def test_build_bank_failure_index_counts_repeated_and_zero_rows():
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_certification())
-def test_certification_images_each_distinct_nonzero_row_once(case):
+@given(case=_certification(), in_blocks=st.booleans())
+def test_certification_images_each_nonzero_row_once_per_hull(case, in_blocks):
+    # per block (one for an array, or the 64-element blocks of a RowBlocks
+    # stream), the first map of each distinct _image_key images the block's
+    # nonzero rows, in map order: so each key images every nonzero row
+    # once, repeats included, in stream order, and no other map images
     dim, matrices, vectors, spaces = case
     seen = []
 
     def counted(lin, X):
-        seen.append(np.array(X))
+        seen.append((_image_key(lin), np.array(X)))
         return sg.image_norms(lin, X)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.spaces, "BATCH_ELEMENTS", 64 if in_blocks else 1 << 14)
         mp.setattr(spiralglue.bank, "image_norms", counted)
-        _certify(dim, matrices, vectors, 4.0, spaces=spaces)
-    distinct = {row.tobytes() for row in vectors if np.any(row != 0.0)}
-    assert seen
-    for X in seen:
-        assert len(X) == len(distinct)
-        assert {row.tobytes() for row in X} == distinct
+        _certify(dim, matrices, vectors, 4.0, in_blocks, spaces)
+    source, target = spaces
+    keys = list(dict.fromkeys(_image_key(sg.LinearMap(m, source, target)) for m in matrices))
+    assert seen and [key for key, _ in seen] == keys * (len(seen) // len(keys))
+    nonzero = b"".join(row.tobytes() for row in vectors if np.any(row != 0.0))
+    for key in keys:
+        assert b"".join(X.tobytes() for k, X in seen if k == key) == nonzero
 
 
 def _counted_blocks(*args):
@@ -610,6 +535,33 @@ def test_build_bank_failure_index_counts_rows_of_earlier_blocks(monkeypatch):
     rows[70] = rows[99] = [0.0, 3.0]
     got, want = _certify(2, [good, bad], np.array(rows, dtype=float), 0.1, in_blocks=True)
     assert got == want == (1, 64, 0.5)
+
+
+def test_build_bank_needs_a_nonzero_row():
+    # no rows, zero rows of either sign, or a stream of empty and zero
+    # blocks: no ratio to certify by; rows of another width are refused
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]])
+    stream = RowBlocks(5, lambda: iter([zeros[:0], zeros, zeros[:2]]))
+    for certify_set in (np.empty((0, 2)), zeros, [np.zeros(2)], stream):
+        with pytest.raises(ValueError, match="at least one nonzero vector"):
+            sg.build_bank(sg.BlockShift(), sg.Space(2), sg.Space(8), 0.1, 4, certify_set)
+    with pytest.raises(sg.DimensionMismatch):
+        sg.build_bank(sg.BlockShift(), sg.Space(2), sg.Space(8), 0.1, 4, np.ones((3, 3)))
+
+
+@np.errstate(invalid="ignore")  # an infinite row's image and ratio are NaN
+def test_build_bank_keeps_the_first_nan_ratio_across_blocks(monkeypatch):
+    # 32 rows of 2 a block: an infinite l1 row has norm inf and a NaN
+    # ratio, first in the third block and again in the fourth, after
+    # finite rows: a NaN replaces a finite extreme of an earlier block, so
+    # the margins are NaN, as argmin and argmax over every ratio give
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    spaces = (sg.Space(2, sg.Lp(1.0)), sg.Space(4, sg.Lp(1.0)))
+    maps = [np.eye(4, 2), np.eye(4, 2) * [1.0, 1.001]]
+    rows = np.tile([[1.0, 0.0], [0.0, 1.0]], (50, 1))
+    rows[70] = rows[99] = [math.inf, 0.0]
+    got, want = _certify(2, maps, rows, 0.1, in_blocks=True, spaces=spaces)
+    assert repr(got) == repr(want) == repr(((math.nan,) * 2, (math.nan,) * 2))
 
 
 # ---------------------------------------------------------------- row gain

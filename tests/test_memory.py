@@ -4,7 +4,7 @@ writer, measured with tracemalloc.
 A generated map keeps only its hull, decompose holds no list of pairs of
 close directions and forms its unit differences a block at a time,
 certification forms its vectors (every pair difference among them) a block
-at a time and keeps only the distinct ones, a lone map's norms are taken on
+at a time and keeps only each map's extreme ratios, a lone map's norms are taken on
 its hull product without a buffer beside it and a blend's on a buffer as
 wide as the union of its hulls, the sweep holds no array of one entry per
 pair, also when `run` spools the rows of a pairs CSV, and the images file
@@ -113,24 +113,20 @@ def test_sweep_starts_without_certification_arrays(monkeypatch):
     assert seen["held"] - start < CERTIFY_ARRAY_BYTES
 
 
-def test_certification_holds_distinct_rows_and_a_few_bytes_per_row():
-    # certification reads the stream twice: it keys every row, then keeps
-    # the first row of each group. Its peak is the distinct rows (4107 of
-    # 11 608), 16 bytes per certify row for the keys and each row's group,
-    # and three batch budgets: the block being formed, a temporary of its
-    # forming, and the block compared. Grouping each block, then the
-    # blocks' first rows together (4869 rows, concatenated while the list
-    # of them was alive) peaked at about 1.34 MB, some 233 KB above the bound
-    cfg = _config(16, 2.0, 50, "plateau")
+def test_certification_peaks_within_a_few_batch_budgets():
+    # 961 points of the dense l1 config: 502 789 certify rows. Certification
+    # folds each block of them into each map's extreme ratios and holds one
+    # block with its norms, nonzero rows and ratios, some two batch
+    # budgets; grouping the whole stream first (a key and a group per row,
+    # and a copy of every distinct row) peaked at 8.4 MB
+    cfg = _config(3, 1.0, 320, "mixed")
     sched = sg.build_schedule(cfg.params, cfg.r1, cfg.levels, cfg.margin)
-    pts = sg.generate_annular(7, sched, 50, 16, "plateau", cfg.source.norm)
+    pts = sg.generate_annular(7, sched, 320, 3, "mixed", cfg.source.norm)
     certify = cli._certify_vectors(cfg, pts, sg.decompose(pts, sched))
-    (rows, first, norms), kept, peak = _traced(bank_module._certify_rows, cfg.source, certify)
-    assert (len(certify), len(rows)) == (11_608, 4107)
-    budget = 8 * sg.spaces.BATCH_ELEMENTS
-    assert peak <= rows.nbytes + 16 * len(certify) + 3 * budget
-    # what it returns holds the distinct rows, not the blocks' first rows
-    assert kept <= rows.nbytes + first.nbytes + norms.nbytes + budget
+    args = (cfg.strategy, cfg.source, cfg.target, cfg.params.gamma, cfg.bank_count, certify)
+    _, _, peak = _traced(sg.build_bank, *args)
+    assert len(certify) == 502_789
+    assert peak <= 3 * 8 * sg.spaces.BATCH_ELEMENTS
 
 
 def test_decompose_holds_no_list_of_close_directions():
