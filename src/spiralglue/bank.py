@@ -242,9 +242,10 @@ def build_bank(
     hi_margins = []
     for n, key in enumerate(keys):
         lo, k_lo, hi, k_hi = extremes[key]
-        if lo < 1.0 - _TOL:
+        # written so that a NaN ratio fails, as no comparison with it holds
+        if not lo >= 1.0 - _TOL:
             raise CertificationFailed(n, k_lo, lo)
-        if hi > (1.0 + eps_n) * (1.0 + _TOL):
+        if not hi <= (1.0 + eps_n) * (1.0 + _TOL):
             raise CertificationFailed(n, k_hi, hi)
         lo_margins.append(lo - 1.0)
         hi_margins.append((1.0 + eps_n) - hi)

@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .pointset import (
     load_points,
     make_point_set,
     pair_blocks,
-    pair_differences,
     save_points,
 )
 from .schedule import (
@@ -62,7 +62,16 @@ from .schedule import (
     schedule_to_dict,
     weight_grid,
 )
-from .spaces import Lp, NormSpec, RowBlocks, Space, norm_from_dict, row_blocks, space_to_dict
+from .spaces import (
+    Lp,
+    NormSpec,
+    RowBlocks,
+    Space,
+    norm_from_dict,
+    pair_differences,
+    row_blocks,
+    space_to_dict,
+)
 from .verify import (
     DEFAULT_TOL,
     DistortionReport,
@@ -547,14 +556,20 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
 _PAIRS_HEADER = b"x_id,y_id,class,ratio,lower_slack,upper_slack\r\n"
 
 
+# the CSV lines that _PairsSpool joins, encodes and writes at once
+_SPOOL_LINES = 512
+
+
 class _PairsSpool:
     """The rows of the pairs CSV, spooled during the sweep. Called as the
     sweep's on_block, it formats each judged block's pairs as CSV lines, as
     csv.writer writes ids, kinds and float reprs (none needs quoting), each
-    distinct id and float of the block once, and appends their bytes to an
+    distinct id and float of the block once (one _texts call per column of
+    the block). It joins, encodes and appends the lines _SPOOL_LINES at a
+    time, so that the text of a whole block's lines is never formed, to an
     anonymous temporary file (in tempfile's directory), which is gone once
-    closed or once the process ends. So the sweep keeps no array of one entry
-    per pair, and nothing is written at the CSV's path until
+    closed or once the process ends. So the sweep keeps no array of one
+    entry per pair, and nothing is written at the CSV's path until
     _write_pairs_csv copies the spool at the CSV's turn among the outputs.
     An OSError of the spool is kept and raised there."""
 
@@ -573,9 +588,11 @@ class _PairsSpool:
         # each distinct id's text once, for both id columns
         ids = _texts(np.append(table.x_id[rows], table.y_id[rows]))
         columns = (table.ratio[rows], table.lower_slack[rows], table.upper_slack[rows])
-        lines = zip(ids[:k], ids[k:], table.kinds(rows), *map(_texts, columns))
+        lines = map(",".join, zip(ids[:k], ids[k:], table.kinds(rows), *map(_texts, columns)))
         try:
-            self.fh.write(("\r\n".join(map(",".join, lines)) + "\r\n").encode())
+            for _ in range(0, k, _SPOOL_LINES):
+                piece = "\r\n".join(islice(lines, _SPOOL_LINES)) + "\r\n"
+                self.fh.write(piece.encode())
         except OSError as exc:
             self.error = exc
 

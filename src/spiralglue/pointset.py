@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatRangeExceeded
-from .schedule import RadiiSchedule, check_log_radius, log_radius, ramp_angle_log
+from .schedule import MAX_LOG, RadiiSchedule, check_log_radius, log_radius, ramp_angle_log
 # norm is not called here, but bench/spans.py wraps pointset.norm
 from .spaces import (  # noqa: F401
     Lp,
@@ -131,21 +131,6 @@ def pair_blocks(n: int, width: int):
     slice of the pair indices and its pairs' two index arrays."""
     for block in row_blocks(n * (n - 1) // 2, width):
         yield (block, *pairs_at(n, block.start, block.stop))
-
-
-def pair_differences(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rows[a] - rows[b], bit for bit, for consecutive row-major pairs (a
-    slice of a pair_blocks block): one gather of the a rows, less the slice
-    of rows that each run of equal a covers. No b row is gathered, and no
-    operand is broadcast (which takes numpy iterator buffers)."""
-    differences = rows[a]
-    j = 0
-    while j < len(a):
-        y = int(b[j])
-        k = min(len(rows) - y, len(a) - j)
-        differences[j : j + k] -= rows[y : y + k]
-        j += k
-    return differences
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +262,8 @@ def generate_annular(
     rng = np.random.default_rng(seed)
     rows = np.zeros((1 + sched.levels * per_level, dim))
     log_targets = []
+    # the largest log norm requested, kept one below the float range
+    log_ceiling = MAX_LOG - 1.0
     for level in range(1, sched.levels + 1):
         plateau_lo = sched.log_R[level - 2] if level >= 2 else sched.log_r[0] - math.log(4.0)
         plateau_hi = sched.log_r[level - 1]
@@ -289,7 +276,7 @@ def generate_annular(
                 lo, hi = ramp_lo, ramp_hi
             pad = 0.05 * (hi - lo)
             log_target = rng.uniform(lo + pad, hi - pad)
-            if log_target > math.log(np.finfo(float).max) - 1.0:
+            if log_target > log_ceiling:
                 raise FloatRangeExceeded("requested norms", level)
             d = rng.standard_normal(dim)
             # a norm is zero exactly on the zero vector

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import FloatRangeExceeded, OutOfScheduleRange
 
 HALF_PI = math.pi / 2.0
-_MAX_LOG = math.log(sys.float_info.max)  # ~709.78; beyond this, no linear-domain export
+# ~709.78, the log of the largest float: beyond it, no linear-domain export
+MAX_LOG = math.log(sys.float_info.max)
 _REL_TOL = 1e-12
 
 
@@ -123,7 +124,7 @@ def build_schedule(params: Params, r1: float, levels: int, margin: float = 0.01)
 
 def radii(sched: RadiiSchedule) -> tuple[np.ndarray, np.ndarray]:
     """Linear-domain (r_i, R_i); raises OverflowError when outside float range."""
-    if sched.log_R[-1] > _MAX_LOG:
+    if sched.log_R[-1] > MAX_LOG:
         raise OverflowError("schedule radii exceed the floating range; use the log-domain fields")
     return np.exp(sched.log_r), np.exp(sched.log_R)
 
@@ -318,9 +319,9 @@ def weight_grid(
     lo = sched.log_r[0] - math.log(100.0) if log_lo is None else float(log_lo)
     hi = sched.log_coverage if log_hi is None else float(log_hi)
     check_log_radius(sched, hi)
-    if hi > _MAX_LOG:
+    if hi > MAX_LOG:
         # the first level whose R_i leaves the range; levels + 1 past them all
-        level = 1 + int(np.searchsorted(sched.log_R, _MAX_LOG, side="right"))
+        level = 1 + int(np.searchsorted(sched.log_R, MAX_LOG, side="right"))
         raise FloatRangeExceeded("grid radii", level)
     logs = np.linspace(lo, hi, grid_size)
     return np.exp(logs), _weight_table(sched, logs)

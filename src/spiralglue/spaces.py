@@ -10,6 +10,14 @@ rows by one stacked matrix-vector product and `blend_apply` forms the
 two-map blend of rows from it. Batched code bounds each block of rows it
 forms by BATCH_ELEMENTS elements via `row_blocks`.
 
+`norms` reads its rows and takes the abs of a copy of each block. A block
+formed here that no one else reads is normed in place instead, the abs
+running into the block itself, with the same arithmetic: each row block of
+`pair_difference_norms`'s differences (the sweep's source and image
+differences, from `pair_differences`), and each block of `_hull_norms`'s
+products or sums. The max-abs functionals read a block through their
+products and leave it as it is.
+
 A map stores and multiplies only its hull: the rows from its first to its
 last nonzero row. `LinearMap.from_band` builds a map from its nonzero band
 alone, so a generated bank never forms a dense matrix; `LinearMap(matrix,
@@ -318,6 +326,15 @@ def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     return _abs_norms_block(spec, np.abs(X))
 
 
+def _norms_in_place(spec: NormSpec, X: np.ndarray) -> np.ndarray:
+    """_norms_block of a block X that no one else reads, overwritten: the
+    abs runs into X itself, so no copy of the block is made. The max-abs
+    functionals read X only, through their products."""
+    if isinstance(spec, MaxAbsFunctionals):
+        return _norms_block(spec, X)
+    return _abs_norms_block(spec, np.abs(X, out=X))
+
+
 def _block_width(space: Space) -> int:
     """The row width that bounds a block of norms: the dimension, or the
     count of functionals of a max-abs norm when larger."""
@@ -343,6 +360,31 @@ def norm(space: Space, x) -> float:
     if x.shape != (space.dim,):
         raise DimensionMismatch(f"vector shape {x.shape} != ({space.dim},)")
     return float(norms(space, x[None])[0])
+
+
+def pair_differences(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rows[a] - rows[b], bit for bit, for consecutive row-major pairs (a
+    slice of a pointset.pair_blocks block): one gather of the a rows, less
+    the slice of rows that each run of equal a covers. No b row is gathered,
+    and no operand is broadcast (which takes numpy iterator buffers)."""
+    differences = rows[a]
+    j = 0
+    while j < len(a):
+        y = int(b[j])
+        k = min(len(rows) - y, len(a) - j)
+        differences[j : j + k] -= rows[y : y + k]
+        j += k
+    return differences
+
+
+def pair_difference_norms(space: Space, rows: np.ndarray, a, b, out: np.ndarray) -> None:
+    """out[j] = the norm in space of rows[a[j]] - rows[b[j]], bit-equal to
+    norms(space, rows[a] - rows[b]), for consecutive row-major pairs (a, b)
+    as pair_differences takes them. Each row block of the space's width
+    has its differences formed by pair_differences and normed in place, so
+    the block is the only copy of its rows."""
+    for part in row_blocks(len(a), _block_width(space)):
+        out[part] = _norms_in_place(space.norm, pair_differences(rows, a[part], b[part]))
 
 
 def _hull_rows(band: np.ndarray, start: int = 0) -> slice:

@@ -19,7 +19,7 @@ from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, bu
 from .errors import BoundViolated, NonPositiveLowerBound
 from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
 from .pointset import LocallyFiniteSet, at_log_norms, classify_levels, level_intervals
-from .pointset import pair_blocks, pair_differences
+from .pointset import pair_blocks
 from .schedule import (
     HALF_PI,
     Params,
@@ -28,7 +28,7 @@ from .schedule import (
     ramp_angle_log,
     sandwich_theta,
 )
-from .spaces import Lp, Space, direction_gain, norm, norms, row_blocks
+from .spaces import Lp, Space, direction_gain, norm, norms, pair_difference_norms, row_blocks
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_TOL = 1e-9
@@ -320,9 +320,11 @@ def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, ndiff):
     formed, and the table entries the block needs that no earlier block
     filled, then the block's other sigma rows, then those entries of the
     theta table, then its other theta rows go to one direction_gain call.
-    A table entry has the bits of every pair row it stands for (the same
-    norms row kernel, division and sandwich_theta), and direction_gain is
-    row by row, so no bit moves. An entry is filled only by a call that
+    Their angles and rows are each joined into one array, and the pieces
+    dropped, before the call, so that no piece is alive beside the joined
+    rows through the gains. A table entry has the bits of every pair row
+    it stands for (the same norms row kernel, division and sandwich_theta),
+    and direction_gain is row by row, so no bit moves. An entry is filled only by a call that
     passed the unit check, so a non-unit unit row raises at the first block
     that needs it, and a one-pair call passes its sigma row before its
     theta row, so a non-unit row is the first of its pair."""
@@ -346,23 +348,27 @@ def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, ndiff):
         own = np.flatnonzero(~at_x)
         fill_t = _unfilled(eb[clamped[block]], table.theta)
         free = np.flatnonzero(~clamped[block])
-        angles = (
-            table.angle[fill_s],
-            sigma[block][own],
-            sandwich_theta(_CLAMPS[fill_t % 2], table.angle[fill_t // 2]),
-            theta[block][free],
+        counts = np.cumsum([len(fill_s), len(own), len(fill_t), len(free)])
+        angles = np.concatenate(
+            (
+                table.angle[fill_s],
+                sigma[block][own],
+                sandwich_theta(_CLAMPS[fill_t % 2], table.angle[fill_t // 2]),
+                theta[block][free],
+            )
         )
-        rows = (
-            pts.units[fill_s],
-            diff[own] / ndiff[block][own, None],
-            pts.units[fill_t // 2],
-            pts.units[ys[block][free]],
+        rows = np.concatenate(
+            (
+                pts.units[fill_s],
+                diff[own] / ndiff[block][own, None],
+                pts.units[fill_t // 2],
+                pts.units[ys[block][free]],
+            )
         )
         del diff
-        counts = np.cumsum([len(a) for a in angles])
         gains = np.empty(0)
         if counts[-1]:
-            gains = direction_gain(np.concatenate(angles), np.concatenate(rows), first, second)
+            gains = direction_gain(angles, rows, first, second)
         del angles, rows
         sigma_fill, sigma_own, theta_fill, theta_free = np.split(gains, counts[:-1])
         table.sigma[fill_s] = sigma_fill
@@ -668,15 +674,6 @@ class _Summaries:
         }
 
 
-def _difference_norms(space: Space, rows, a, b, out) -> None:
-    """out[j] = the norm in space of rows[a[j]] - rows[b[j]], for the pairs
-    (a[j], b[j]) of a block of consecutive row-major pairs of the rows (the
-    points or their images), in row blocks of the space's width, one array
-    of differences at a time."""
-    for part in row_blocks(len(a), space.dim):
-        out[part] = norms(space, pair_differences(rows, a[part], b[part]))
-
-
 def distortion_report(
     g: GlueEmbedding,
     pts: LocallyFiniteSet,
@@ -702,11 +699,13 @@ def distortion_report(
     arrays of its pairs alive: each array is dropped once its last reader
     is done, and every temporary of pairs times a row width (source and
     image differences, sandwich rows) is formed in row blocks of its own
-    width inside the block. One kernel, _difference_norms, norms the
-    source and the image differences of the pairs (a, b) before they are
-    ordered: a norm reads only |x - y|, and negation is exact, so y - x has
-    the norm bits of x - y. A tol that is not finite and >= 0 raises
-    ValueError.
+    width inside the block, and is the only copy of its rows. One kernel,
+    spaces.pair_difference_norms, norms the source and the image
+    differences of the pairs (a, b) before they are ordered, each row block
+    of differences in place: a norm reads only |x - y|, and negation is
+    exact, so y - x has the norm bits of x - y. The sandwich joins its gain
+    rows before it takes their gains (_sandwich). A tol that is not finite
+    and >= 0 raises ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -726,8 +725,8 @@ def distortion_report(
     summaries = _Summaries()
     for block, a, b in pair_blocks(n, _PAIR_WIDTH):
         rows = slice(0, block.stop - block.start)
-        _difference_norms(g.source, coords, a, b, ndiff)
-        _difference_norms(g.target, images, a, b, nimage)
+        pair_difference_norms(g.source, coords, a, b, ndiff)
+        pair_difference_norms(g.target, images, a, b, nimage)
         keep = (lengths[a] > lengths[b]) | ((lengths[a] == lengths[b]) & (ids[a] <= ids[b]))
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)
         del a, b, keep

@@ -217,9 +217,9 @@ def certify_all_rows(matrices, source, target, gamma: float, vectors):
     for n, lin in enumerate(maps):
         ratios = image_norms(lin, X) / source_norms
         k_lo, k_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
-        if ratios[k_lo] < 1.0 - 1e-12:
+        if not ratios[k_lo] >= 1.0 - 1e-12:
             raise CertificationFailed(n, k_lo, float(ratios[k_lo]))
-        if ratios[k_hi] > (1.0 + eps_n) * (1.0 + 1e-12):
+        if not ratios[k_hi] <= (1.0 + eps_n) * (1.0 + 1e-12):
             raise CertificationFailed(n, k_hi, float(ratios[k_hi]))
         lower.append(float(ratios[k_lo]) - 1.0)
         upper.append((1.0 + eps_n) - float(ratios[k_hi]))

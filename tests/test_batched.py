@@ -269,8 +269,26 @@ def test_pair_differences_bit_equal_to_two_gathers(n, width):
     rows[::5, 1] *= 1e-310
     for _, a, b in sg.pointset.pair_blocks(n, width):
         for cut in (slice(None), slice(1, None), slice(None, -1), slice(len(a) // 2, None)):
-            got = sg.pointset.pair_differences(rows, a[cut], b[cut])
+            got = sg.spaces.pair_differences(rows, a[cut], b[cut])
             assert got.tobytes() == (rows[a[cut]] - rows[b[cut]]).tobytes()
+
+
+@pytest.mark.parametrize("batch", [16, 1 << 14])
+@pytest.mark.parametrize("spec", _SPECS, ids=repr)
+def test_pair_difference_norms_bit_equal_to_norms(monkeypatch, spec, batch):
+    # the sweep's difference norms, each row block normed in place, have the
+    # bits of norms of the differences formed whole, and leave the rows as
+    # they were; a small batch cuts the runs of equal a across blocks
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", batch)
+    space = sg.Space(3, spec)
+    rows = np.random.default_rng(3).standard_normal((23, 3))
+    rows[1::4, 0], rows[2::4, 1] = 0.0, -0.0
+    rows[::5, 2] *= 1e300
+    rows.flags.writeable = False
+    for _, a, b in sg.pointset.pair_blocks(len(rows), 8):
+        got = np.empty(len(a))
+        sg.spaces.pair_difference_norms(space, rows, a, b, got)
+        assert got.tobytes() == sg.norms(space, rows[a] - rows[b]).tobytes()
 
 
 def test_certify_stream_iterates_twice_with_the_same_blocks(monkeypatch):

@@ -549,19 +549,36 @@ def test_build_bank_needs_a_nonzero_row():
         sg.build_bank(sg.BlockShift(), sg.Space(2), sg.Space(8), 0.1, 4, np.ones((3, 3)))
 
 
-@np.errstate(invalid="ignore")  # an infinite row's image and ratio are NaN
-def test_build_bank_keeps_the_first_nan_ratio_across_blocks(monkeypatch):
-    # 32 rows of 2 a block: an infinite l1 row has norm inf and a NaN
-    # ratio, first in the third block and again in the fourth, after
-    # finite rows: a NaN replaces a finite extreme of an earlier block, so
-    # the margins are NaN, as argmin and argmax over every ratio give
-    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+def _nan_rows():
+    """An l1 case whose rows 70 and 99 have norm inf and a NaN ratio: the
+    spaces, the maps and the rows."""
     spaces = (sg.Space(2, sg.Lp(1.0)), sg.Space(4, sg.Lp(1.0)))
     maps = [np.eye(4, 2), np.eye(4, 2) * [1.0, 1.001]]
     rows = np.tile([[1.0, 0.0], [0.0, 1.0]], (50, 1))
     rows[70] = rows[99] = [math.inf, 0.0]
+    return spaces, maps, rows
+
+
+@np.errstate(invalid="ignore")  # an infinite row's image and ratio are NaN
+def test_build_bank_keeps_the_first_nan_ratio_across_blocks(monkeypatch):
+    # 32 rows of 2 a block: the NaN ratio comes first in the third block
+    # and again in the fourth, after finite rows: a NaN replaces a finite
+    # extreme of an earlier block, as argmin and argmax over every ratio
+    # give, and a NaN extreme fails certification (it used to pass, with
+    # NaN margins, as no comparison with NaN holds): the first map fails
+    # at the first NaN row, 70
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    spaces, maps, rows = _nan_rows()
     got, want = _certify(2, maps, rows, 0.1, in_blocks=True, spaces=spaces)
-    assert repr(got) == repr(want) == repr(((math.nan,) * 2, (math.nan,) * 2))
+    assert repr(got) == repr(want) == repr((0, 70, math.nan))
+
+
+@np.errstate(invalid="ignore")
+def test_build_bank_fails_a_nan_ratio_of_an_array():
+    # the same rows passed as one array: one block, the same failure
+    spaces, maps, rows = _nan_rows()
+    got, want = _certify(2, maps, rows, 0.1, spaces=spaces)
+    assert repr(got) == repr(want) == repr((0, 70, math.nan))
 
 
 # ---------------------------------------------------------------- row gain

@@ -7,10 +7,12 @@ certification forms its vectors (every pair difference among them) a block
 at a time and keeps only each map's extreme ratios, a lone map's norms are taken on
 its hull product without a buffer beside it and a blend's on a buffer as
 wide as the union of its hulls, the sweep holds no array of one entry per
-pair, also when `run` spools the rows of a pairs CSV, and the images file
-is formatted a few rows at a time. The bounds here are fixed numbers of
-bytes for fixed small inputs: a dense map, an array of every certification
-vector, a buffer beside the product or a column per pair exceeds them.
+pair, also when `run` spools the rows of a pairs CSV, norms each block of
+differences in place and writes a block's CSV lines a piece at a time, and
+the images file is formatted a few rows at a time. The bounds here are
+fixed numbers of bytes for fixed small inputs: a dense map, an array of
+every certification vector, a buffer or a copy beside a block, or a column
+per pair exceeds them.
 """
 
 import json
@@ -247,11 +249,85 @@ def test_sweep_image_differences_take_one_block(monkeypatch):
     images = np.random.default_rng(1).standard_normal((64, 512))
     a, b = sg.pointset.pairs_at(len(images), 37, len(images) * (len(images) - 1) // 2)
     out = np.empty(len(a))
-    sg.verify._difference_norms(target, images, a, b, out)
+    sg.spaces.pair_difference_norms(target, images, a, b, out)
     assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
-    monkeypatch.setattr(sg.verify, "norms", lambda space, X: X[:, 0])
-    _, _, peak = _traced(sg.verify._difference_norms, target, images, a, b, out)
+    monkeypatch.setattr(sg.spaces, "_norms_in_place", lambda spec, X: X[:, 0])
+    _, _, peak = _traced(sg.spaces.pair_difference_norms, target, images, a, b, out)
     assert peak <= 8 * sg.spaces.BATCH_ELEMENTS + 24_000
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0], ids=["l1", "l2"])
+def test_difference_norms_take_no_copy_of_their_block(p):
+    # each row block of differences is normed in place: the abs runs into
+    # the block itself. With the real norms the peak is the block (131 KB),
+    # the one numpy iterator buffer that the l2 norm's division by the row
+    # maxima takes, and the result; the abs copy of the block beside it
+    # took the peak to 262 KB (l1) and 279 KB (l2)
+    target = sg.Space(512, sg.Lp(p))
+    images = np.random.default_rng(1).standard_normal((64, 512))
+    a, b = sg.pointset.pairs_at(len(images), 37, len(images) * (len(images) - 1) // 2)
+    out = np.empty(len(a))
+    sg.spaces.pair_difference_norms(target, images, a, b, out)
+    assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
+    _, _, peak = _traced(sg.spaces.pair_difference_norms, target, images, a, b, out)
+    assert peak <= 8 * (sg.spaces.BATCH_ELEMENTS + np.getbufsize()) + 24_000
+
+
+def test_pairs_spool_writes_a_block_in_pieces():
+    # a block of 2048 CSV lines with distinct floats: their texts (each
+    # distinct float's once) stay alive through the block, but the lines
+    # are joined, encoded and written 512 at a time, and the call peaks at
+    # about 0.87 MB above its start. Joined whole, the block's lines, their
+    # text and its bytes took the peak to 1.13 MB
+    rng = np.random.default_rng(2)
+    table = sg.verify.PairTable(2048, sandwich=False)
+    table.x_id[:] = rng.integers(0, 10_000, 2048)
+    table.y_id[:] = rng.integers(0, 10_000, 2048)
+    table.code[:], table.level[:], table.x_level[:] = 1, 2, 0
+    for column in (table.ratio, table.lower_slack, table.upper_slack):
+        column[:] = rng.uniform(0.5, 1.5, 2048)
+    spool = cli._PairsSpool()
+    try:
+        _, _, peak = _traced(spool, table, slice(0, 2048))
+        spool.fh.seek(0)
+        lines = spool.fh.read().split(b"\r\n")
+    finally:
+        spool.close()
+    columns = (table.x_id, table.y_id, table.ratio, table.lower_slack, table.upper_slack)
+    want = [
+        f"{x},{y},same:2,{r!r},{lo!r},{hi!r}".encode()
+        for x, y, r, lo, hi in zip(*(c.tolist() for c in columns))
+    ]
+    # _traced writes the block twice, each line ended by CRLF
+    assert lines == want + want + [b""]
+    assert peak <= 1.0 * MB
+
+
+def test_wide_sweep_norms_its_image_differences_in_place():
+    # l2-to-l1-wide's config: 31 points of l2 dim 2 imaged into l1 dim
+    # 1536, whose images (381 KB) the sweep holds. A block of 10 pairs'
+    # image differences (123 KB) and the abs copy of it took the sweep's
+    # peak to 0.67 MB above its start; normed in place, it peaks at about
+    # 0.59 MB
+    raw = {
+        "source": {"dim": 2, "norm": {"norm": "lp", "p": 2.0}},
+        "target": {"dim": 1536, "norm": {"norm": "lp", "p": 1.0}},
+        "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
+        "schedule": {"r1": 1.0, "levels": 3, "margin": 0.01},
+        "bank": {
+            "strategy": "quadrature_l2_to_l1",
+            "count": 6,
+            "directions": 256,
+            "seed": 3,
+            "certify_random": 4096,
+        },
+        "points": {"generator": {"seed": 7, "per_level": 10, "placement": "mixed"}},
+    }
+    _, _, g, pts = cli.run_pipeline(cli.parse_config(raw))
+    assert len(pts) == 31
+    report, _, peak = _traced(sg.distortion_report, g, pts)
+    assert report.images.shape == (31, 1536)
+    assert peak <= 0.63 * MB
 
 
 def test_weighted_image_norms_take_no_buffer_beside_the_product():
