@@ -75,6 +75,7 @@ from .glue import (
     blend_decomposition_residual,
     embed,
     embed_all,
+    embed_window,
     level_map,
 )
 from .verify import (

@@ -526,14 +526,17 @@ def _texts(values: np.ndarray, spelling: dict | None = None) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _write_images(path: str, ids, images: np.ndarray) -> None:
+def _write_images(path: str, ids, images: np.ndarray, pad: tuple[int, int]) -> None:
     """The images file, {str(id): image row}, with the bytes _write_json
     gives (keys sorted as strings, so "10" before "9"; inf as null, NaN as
     NaN), written one row at a time: json.dump with an indent runs the
-    stdlib's pure-Python encoder. The rows are formatted a block at a time,
-    each distinct float of the block once. A block is counted as eight
-    times its floats (row_blocks of width 8 * width), since a float's text
-    and the list entries that hold it take several times its 8 bytes."""
+    stdlib's pure-Python encoder. Each row of images is written with
+    pad[0] +0.0 entries before it and pad[1] after it, so that a report's
+    images on its image columns give the full-width rows. The rows are
+    zero-padded and formatted a block at a time, each distinct float of the
+    block once. A block is counted as eight times its floats (row_blocks of
+    width 8 * width, the padded width), since a float's text and the list
+    entries that hold it take several times its 8 bytes."""
     keys = [str(i) for i in ids]
     with open(path, "w", encoding="utf-8") as fh:
         if not keys:
@@ -542,10 +545,10 @@ def _write_images(path: str, ids, images: np.ndarray) -> None:
         fh.write("{")
         sep = "\n"
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
-        width = images.shape[1]
+        width = pad[0] + images.shape[1] + pad[1]
         for block in row_blocks(len(order), 8 * width):
             rows = order[block]
-            texts = _texts(images[rows].ravel(), _JSON_NON_FINITE)
+            texts = _texts(np.pad(images[rows], ((0, 0), pad)).ravel(), _JSON_NON_FINITE)
             for j, k in enumerate(rows.tolist()):
                 values = texts[j * width : (j + 1) * width]
                 fh.write(f'{sep}  "{keys[k]}": [\n    ' + ",\n    ".join(values) + "\n  ]")
@@ -763,7 +766,7 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
     (spooled during the sweep by pairs, a _PairsSpool, and written from it
     here) and the images."""
     try:
-        report, dist, _, pts = run_pipeline(cfg, tolerance=tolerance, on_block=pairs)
+        report, dist, g, pts = run_pipeline(cfg, tolerance=tolerance, on_block=pairs)
     except (BankExhausted, CertificationFailed, BoundViolated, NonPositiveLowerBound) as exc:
         failure = {
             "config": cfg.raw,
@@ -786,10 +789,12 @@ def _run(cfg: RunConfig, tolerance: float, report_key: str, report_path, pairs) 
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    cols = dist.image_columns
+    pad = (cols.start, g.target.dim - cols.stop)
     outputs = (
         (report_key, _write_json, report_path, report),
         ("output.pairs_csv", _write_pairs_csv, cfg.pairs_csv_path, pairs),
-        ("output.images", _write_images, cfg.images_path, pts.ids, dist.images),
+        ("output.images", _write_images, cfg.images_path, pts.ids, dist.images, pad),
     )
     for key, write, path, *payload in outputs:
         if path and not _written(f"config error: {key}", write, path, *payload):

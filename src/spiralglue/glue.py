@@ -28,6 +28,7 @@ from .spaces import (  # noqa: F401
     Vector,
     as_rows,
     blend_apply,
+    hull_columns,
     norm,
     norms,
     row_blocks,
@@ -65,14 +66,20 @@ class GlueEmbedding:
         """The selected map used by 1-based level (1..levels+1)."""
         return self.bank.maps[self.selection.chosen_indices[level - 1]]
 
+    @property
+    def image_columns(self) -> slice:
+        """The target columns that hold every image's nonzero entries: the
+        union of the selected maps' hulls (spaces.hull_columns)."""
+        return hull_columns([self.bank.maps[k] for k in self.selection.chosen_indices])
+
 
 def level_map(g: GlueEmbedding, level: int, x) -> Vector:
     """The level's interpolated map: blend of maps `level` and `level+1` at the
     ramp angle of norm(x). Agrees with embed() on the level's shell exactly.
 
     A 1-d x gives its image. A (k, source.dim) array gives the k images, each
-    bit-equal to the one-row call, blended in row blocks of at most
-    BATCH_ELEMENTS elements.
+    bit-equal to the one-row call, blended by embed's body (_blend_window)
+    and padded to full rows as embed pads them.
     """
     sched = g.schedule
     if not (1 <= level <= sched.levels):
@@ -82,31 +89,58 @@ def level_map(g: GlueEmbedding, level: int, x) -> Vector:
     log_t = log_radius(norms(g.source, X))
     check_log_radius(sched, log_t)
     c, s = level_weights_log(sched, level, log_t)
-    first, second = g.map_at(level), g.map_at(level + 1)
-    out = np.empty((len(X), g.target.dim))
-    for block in row_blocks(len(X), max(g.source.dim, 2 * g.target.dim)):
-        out[block] = blend_apply(c[block], s[block], first, second, X[block])
+    out = _full_rows(g, _blend_window(g, np.full(len(X), level), c, s, X))
     return out[0] if x.ndim == 1 else out
+
+
+def _blend_window(g: GlueEmbedding, level: np.ndarray, c, s, X: np.ndarray) -> np.ndarray:
+    """The (k, len(g.image_columns)) blends of the rows of X on the image
+    columns: row i is blend_apply(c[i], s[i], map_at(level[i]),
+    map_at(level[i] + 1), X[i]) on those columns. This is the one blend
+    body of the embedding: per level, one blend_apply of that level's rows,
+    in row blocks of at most BATCH_ELEMENTS elements."""
+    cols = g.image_columns
+    out = np.empty((len(X), cols.stop - cols.start))
+    for lv in np.unique(level).tolist():
+        here = np.flatnonzero(level == lv)
+        first, second = g.map_at(lv), g.map_at(lv + 1)
+        for block in row_blocks(len(here), max(g.source.dim, 2 * out.shape[1])):
+            k = here[block]
+            out[k] = blend_apply(c[k], s[k], first, second, X[k], cols)
+    return out
+
+
+def _full_rows(g: GlueEmbedding, window: np.ndarray) -> np.ndarray:
+    """The (k, target.dim) rows that hold a (k, len(g.image_columns)) window
+    on the image columns and +0.0 elsewhere."""
+    out = np.zeros((len(window), g.target.dim))
+    out[:, g.image_columns] = window
+    return out
+
+
+def embed_window(g: GlueEmbedding, X) -> np.ndarray:
+    """The images of the rows of a (k, source.dim) array on the image
+    columns: the (k, len(g.image_columns)) columns g.image_columns of
+    embed's images, outside which every image is +0.0. One
+    active_weights_log call on the log radii of all rows, then
+    _blend_window."""
+    X = as_rows(np.asarray(X, dtype=float), g.source.dim)
+    level, c, s = active_weights_log(g.schedule, log_radius(norms(g.source, X)))
+    return _blend_window(g, level, c, s, X)
 
 
 def embed(g: GlueEmbedding, x) -> Vector:
     """Evaluate the glued embedding at x; the origin maps to the origin.
 
     A 1-d x gives its image. A (k, source.dim) array gives the (k, target.dim)
-    images, each bit-equal to the one-row call: one active_weights_log call
-    on the log radii of all rows, then per active level one blend_apply of its
-    rows, in row blocks of at most BATCH_ELEMENTS elements.
+    images, each bit-equal to the one-row call: embed_window's images on the
+    image columns, padded with +0.0. Each entry outside the image columns is
+    the +0.0 blend of two +0.0 entries by weights >= +0, so the padding has
+    the bits of a blend over every column.
     """
     x = np.asarray(x, dtype=float)
     X = as_rows(x[None] if x.ndim == 1 else x, g.source.dim)
-    level, c, s = active_weights_log(g.schedule, log_radius(norms(g.source, X)))
-    out = np.empty((len(X), g.target.dim))
-    for lv in np.unique(level).tolist():
-        here = np.flatnonzero(level == lv)
-        first, second = g.map_at(lv), g.map_at(lv + 1)
-        for block in row_blocks(len(here), max(g.source.dim, 2 * g.target.dim)):
-            k = here[block]
-            out[k] = blend_apply(c[k], s[k], first, second, X[k])
+    out = _full_rows(g, embed_window(g, X))
     return out[0] if x.ndim == 1 else out
 
 

@@ -25,6 +25,16 @@ alone, so a generated bank never forms a dense matrix; `LinearMap(matrix,
 matrix anew on each read. The rows outside the hull are zero, so their
 images are the zeros `apply` starts from.
 
+Images are held on a window of columns too. `apply` and `blend_apply`
+take a slice of target columns that holds the maps' hulls (such as
+`hull_columns`, the union of the hulls) and form the images on those
+columns alone; every other entry of an image is +0.0. So the sweep keeps
+its images on the selected maps' columns, and `pair_difference_norms`
+takes rows that hold a window of full-width rows, +0.0 elsewhere: it copies
+each part's window differences into a reused full-width block, +0.0
+outside the window, and norms the block's full rows in place, so that each
+norm has the bits of the full-width rows' difference.
+
 One kernel, `_hull_norms`, gives the norms of sums of maps' images:
 `image_norms` is its one-term call, the norms of a map's images, as
 certification needs them, and `blend_norms` its two-term call, the norms of
@@ -377,14 +387,38 @@ def pair_differences(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return differences
 
 
-def pair_difference_norms(space: Space, rows: np.ndarray, a, b, out: np.ndarray) -> None:
-    """out[j] = the norm in space of rows[a[j]] - rows[b[j]], bit-equal to
-    norms(space, rows[a] - rows[b]), for consecutive row-major pairs (a, b)
-    as pair_differences takes them. Each row block of the space's width
-    has its differences formed by pair_differences and normed in place, so
-    the block is the only copy of its rows."""
-    for part in row_blocks(len(a), _block_width(space)):
-        out[part] = _norms_in_place(space.norm, pair_differences(rows, a[part], b[part]))
+def pair_difference_norms(
+    space: Space, rows: np.ndarray, a, b, out: np.ndarray, cols: slice
+) -> None:
+    """out[j] = the norm in space of the difference of full-width rows a[j]
+    and b[j], for consecutive row-major pairs (a, b) as pair_differences
+    takes them. `rows` holds the columns `cols` of the full-width rows,
+    whose other columns are +0.0, so each norm is bit-equal to
+    norms(space, full[a] - full[b]).
+
+    With every column, each row block of the space's width has its
+    differences formed by pair_differences and normed in place, so the block
+    is the only copy of its rows. On a narrower window, each part's window
+    differences are formed contiguously by pair_differences and copied into
+    the window of one reused full-width block that is +0.0 elsewhere (a
+    subtraction or take into the strided window would take a temporary of
+    the window's size), and the block's full rows are normed in place: +0
+    less +0 is +0, so its rows have the bits of the full-width differences.
+    A part's rows are sized so that the block and the window differences
+    stay within BATCH_ELEMENTS. The norm's in-place passes keep the +0.0
+    columns +0.0 (abs, division by a row maximum or by 1, powers and
+    weights), so the block needs no zeroing between parts."""
+    width = _block_width(space)
+    window = cols.stop - cols.start
+    if window == space.dim:
+        for part in row_blocks(len(a), width):
+            out[part] = _norms_in_place(space.norm, pair_differences(rows, a[part], b[part]))
+        return
+    block = np.zeros((next(row_blocks(len(a), width + window), slice(0, 0)).stop, space.dim))
+    for part in row_blocks(len(a), width + window):
+        k = part.stop - part.start
+        block[:k, cols] = pair_differences(rows, a[part], b[part])
+        out[part] = _norms_in_place(space.norm, block[:k])
 
 
 def _hull_rows(band: np.ndarray, start: int = 0) -> slice:
@@ -454,29 +488,41 @@ class LinearMap:
         return m
 
 
-def apply(m: LinearMap, x) -> Vector:
+def apply(m: LinearMap, x, cols: slice | None = None) -> Vector:
     """The image of x in the map's target space: m x for a 1-d x, or the
-    (k, target.dim) images of the rows of a (k, source.dim) array.
+    (k, target.dim) images of the rows of a (k, source.dim) array. With
+    cols, a slice of the target columns that holds the map's hull, the
+    images on those columns alone: (len(cols),) or (k, len(cols)).
 
     The images start as zeros, and one stacked matrix-vector product of the
     map's hull writes the hull's columns, so each row's image is bit-equal to
-    the one-row call."""
+    the one-row call, and on cols to those columns of the full image."""
     x = np.asarray(x, dtype=float)
     X = x[None] if x.ndim == 1 else x
     if X.ndim != 2 or X.shape[1] != m.source.dim:
         raise DimensionMismatch(f"shape {x.shape} != ({m.source.dim},) or (k, {m.source.dim})")
-    images = np.zeros((len(X), m.target.dim))
-    images[:, m.rows] = _products(m.hull, X)
+    start = 0 if cols is None else cols.start
+    images = np.zeros((len(X), m.target.dim if cols is None else cols.stop - start))
+    images[:, m.rows.start - start : m.rows.stop - start] = _products(m.hull, X)
     return images[0] if x.ndim == 1 else images
+
+
+def hull_columns(maps) -> slice:
+    """The union of the maps' hulls, from their first start to their last
+    stop: the target columns outside which every sum of the maps' images
+    is zero (empty when every map is zero)."""
+    hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
+    if not hulls:
+        return slice(0, 0)
+    return slice(min(h.start for h in hulls), max(h.stop for h in hulls))
 
 
 def _hull_layout(maps) -> tuple[slice, int]:
     """The target columns that a block of _hull_norms holds for the maps'
     sums, and the row width that bounds a block.
 
-    An lp or weighted lp norm has a block on the union of the hulls, from
-    their first start to their last stop (empty when every map is zero): a
-    lone map's abs hull product, or else a buffer on those columns. The
+    An lp or weighted lp norm has a block on hull_columns(maps): a lone
+    map's abs hull product, or else a buffer on those columns. The
     max-abs functionals have a buffer on every column (whose width counts
     the functionals' products). The row width is the buffer's, if any, plus
     every hull's product, and the copy of the rows that a one-row hull's
@@ -488,8 +534,7 @@ def _hull_layout(maps) -> tuple[slice, int]:
         products += maps[0].source.dim + 1
     if isinstance(target.norm, MaxAbsFunctionals):
         return slice(0, target.dim), _block_width(target) + products
-    hulls = [m.rows for m in maps if m.rows.start < m.rows.stop]
-    cols = slice(min(h.start for h in hulls), max(h.stop for h in hulls)) if hulls else slice(0, 0)
+    cols = hull_columns(maps)
     return cols, products + (0 if len(maps) == 1 else cols.stop - cols.start)
 
 
@@ -559,15 +604,17 @@ def image_norms(m: LinearMap, X) -> np.ndarray:
     return _hull_norms(((None, m),), X)
 
 
-def blend_apply(c, s, first: LinearMap, second: LinearMap, x) -> Vector:
+def blend_apply(c, s, first: LinearMap, second: LinearMap, x, cols: slice | None = None) -> Vector:
     """c*(first x) + s*(second x): floats c and s for a 1-d x, or one (c, s)
-    pair per row of a (k, source.dim) array.
+    pair per row of a (k, source.dim) array; with cols, a slice of the
+    target columns that holds both hulls, on those columns alone (see
+    apply), each entry bit-equal to the full blend's.
 
     Every code path that interpolates two maps goes through this function so
     that results agree bit-for-bit across modules.
     """
-    blend = apply(first, x)
-    other = apply(second, x)
+    blend = apply(first, x, cols)
+    other = apply(second, x, cols)
     if blend.ndim == 2:
         c, s = np.asarray(c)[:, None], np.asarray(s)[:, None]
     blend *= c

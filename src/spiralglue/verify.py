@@ -17,7 +17,7 @@ import numpy as np
 
 from .bank import BlockShift, SelectionResult, UserMatrices, blend_threshold, build_bank
 from .errors import BoundViolated, NonPositiveLowerBound
-from .glue import GlueEmbedding, blend_decomposition_residual, embed, level_map
+from .glue import GlueEmbedding, blend_decomposition_residual, embed, embed_window, level_map
 from .pointset import LocallyFiniteSet, at_log_norms, classify_levels, level_intervals
 from .pointset import pair_blocks
 from .schedule import (
@@ -601,9 +601,11 @@ class DistortionReport:
     """All pair ratios of a point set under the embedding, with witnesses.
 
     by_class holds one ClassSummary per class, in order of first appearance
-    in the sweep; images holds the read-only (n, target.dim) images of the
-    points in point-set order. The verdict on each pair is not kept: the
-    sweep passes each judged block to its on_block."""
+    in the sweep; images holds the read-only (n, len(image_columns)) images
+    of the points in point-set order on the target columns image_columns
+    (the glue's image_columns), outside which every image is +0.0. The
+    verdict on each pair is not kept: the sweep passes each judged block to
+    its on_block."""
 
     min_ratio: float
     max_ratio: float
@@ -613,6 +615,7 @@ class DistortionReport:
     bounds: TheoreticalBounds
     by_class: dict
     images: np.ndarray
+    image_columns: slice
 
 
 def embedding_bounds(g: GlueEmbedding) -> TheoreticalBounds:
@@ -683,9 +686,10 @@ def distortion_report(
     """Sweep all unordered pairs, check every applicable inequality, and
     assert the measured distortion stays below the closed-form ratio.
 
-    The points are embedded in one call, and each is normed and classified
-    once. The pairs (a, b > a) are taken in row-major order and judged in
-    blocks of BATCH_ELEMENTS // _PAIR_WIDTH pairs (pointset.pair_blocks),
+    The points are embedded in one call on the image columns alone
+    (embed_window), and each is normed and classified once. The pairs (a,
+    b > a) are taken in row-major order and judged in blocks of
+    BATCH_ELEMENTS // _PAIR_WIDTH pairs (pointset.pair_blocks),
     each class on its own rows (_judge_block), with check_pair's verdict on
     every pair written into one reused PairTable of a block, without the
     sandwich columns (which neither the summaries nor a pairs CSV read).
@@ -703,9 +707,11 @@ def distortion_report(
     spaces.pair_difference_norms, norms the source and the image
     differences of the pairs (a, b) before they are ordered, each row block
     of differences in place: a norm reads only |x - y|, and negation is
-    exact, so y - x has the norm bits of x - y. The sandwich joins its gain
-    rows before it takes their gains (_sandwich). A tol that is not finite
-    and >= 0 raises ValueError.
+    exact, so y - x has the norm bits of x - y. The image differences are
+    formed on the image columns and normed on full rows, +0.0 elsewhere,
+    so each norm has the bits of the full-width images' difference. The
+    sandwich joins its gain rows before it takes their gains (_sandwich). A
+    tol that is not finite and >= 0 raises ValueError.
     """
     _check_tol(tol)
     n = len(pts)
@@ -717,16 +723,17 @@ def distortion_report(
     # each pair is ordered by the source norms that the judge checks, larger
     # first, and by the smaller id on ties
     lengths, ids = table.norms, table.ids
-    images = embed(g, coords)
+    images = embed_window(g, coords)
     images.flags.writeable = False
+    cols = g.image_columns
     step = next(row_blocks(n * (n - 1) // 2, _PAIR_WIDTH)).stop
     out = PairTable(step, sandwich=False)
     ndiff, nimage = np.empty(step), np.empty(step)
     summaries = _Summaries()
     for block, a, b in pair_blocks(n, _PAIR_WIDTH):
         rows = slice(0, block.stop - block.start)
-        pair_difference_norms(g.source, coords, a, b, ndiff)
-        pair_difference_norms(g.target, images, a, b, nimage)
+        pair_difference_norms(g.source, coords, a, b, ndiff, slice(0, g.source.dim))
+        pair_difference_norms(g.target, images, a, b, nimage, cols)
         keep = (lengths[a] > lengths[b]) | ((lengths[a] == lengths[b]) & (ids[a] <= ids[b]))
         xs, ys = np.where(keep, a, b), np.where(keep, b, a)
         del a, b, keep
@@ -746,7 +753,7 @@ def distortion_report(
         )
     by_class = summaries.by_class()
     return DistortionReport(
-        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, images
+        min_ratio, max_ratio, distortion, witness_min, witness_max, bounds, by_class, images, cols
     )
 
 

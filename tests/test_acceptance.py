@@ -12,8 +12,7 @@ import pytest
 import spiralglue as sg
 from spiralglue.cli import main as cli_main
 from spiralglue.errors import BankExhausted
-
-from oracles import ramp_angle
+from spiralglue.schedule import active_weights_log, log_radius, ramp_angle_log
 
 SQRT2 = math.sqrt(2.0)
 RATIO_AT_001 = 3.252893793614469  # closed forms at eps = delta = gamma = zeta = 0.01
@@ -181,20 +180,27 @@ def test_criterion_6_weight_system_laws():
     sq = (table**2).sum(axis=1)
     partition_ok = bool(np.max(np.abs(sq - 1.0)) <= 1e-12)
 
-    # condition on the paired weight slopes, via linear-domain central differences
+    # condition on the paired weight slopes, via linear-domain central
+    # differences: the weights and ramp angles at t -+ h come from the array
+    # forms of the weight evaluator and the ramp angle, each entry bit-equal
+    # to the float calls weight(sched, i, t) and ramp_angle(sched, i, t)
+    def weights(i, t):
+        level, c, s = active_weights_log(sched, log_radius(t))
+        return np.where(level == i, c, np.where(level + 1 == i, s, 0.0))
+
     slope_ok = True
     angle_ok = True
     for i in range(1, 4):
-        grid = np.exp(np.linspace(sched.log_r[i - 1] + 1e-4, sched.log_R[i - 1] - 1e-4, 1000))
-        for t in grid:
-            h = t * 1e-6
-            d_lo = (sg.weight(sched, i, t + h) - sg.weight(sched, i, t - h)) / (2 * h)
-            d_hi = (sg.weight(sched, i + 1, t + h) - sg.weight(sched, i + 1, t - h)) / (2 * h)
-            if math.hypot(d_lo, d_hi) > eps / t + 1e-6:
-                slope_ok = False
-            da = (ramp_angle(sched, i, t + h) - ramp_angle(sched, i, t - h)) / (2 * h)
-            if not (-1e-9 <= da <= eps / t + 1e-6):
-                angle_ok = False
+        t = np.exp(np.linspace(sched.log_r[i - 1] + 1e-4, sched.log_R[i - 1] - 1e-4, 1000))
+        h = t * 1e-6
+        d_lo = (weights(i, t + h) - weights(i, t - h)) / (2 * h)
+        d_hi = (weights(i + 1, t + h) - weights(i + 1, t - h)) / (2 * h)
+        if np.any(np.hypot(d_lo, d_hi) > eps / t + 1e-6):
+            slope_ok = False
+        up, down = (ramp_angle_log(sched, i, log_radius(v)) for v in (t + h, t - h))
+        da = (up - down) / (2 * h)
+        if not np.all((-1e-9 <= da) & (da <= eps / t + 1e-6)):
+            angle_ok = False
 
     # supports and plateaus hold exactly on the grid
     logs = np.log(ts)

@@ -287,7 +287,7 @@ def test_pair_difference_norms_bit_equal_to_norms(monkeypatch, spec, batch):
     rows.flags.writeable = False
     for _, a, b in sg.pointset.pair_blocks(len(rows), 8):
         got = np.empty(len(a))
-        sg.spaces.pair_difference_norms(space, rows, a, b, got)
+        sg.spaces.pair_difference_norms(space, rows, a, b, got, slice(0, 3))
         assert got.tobytes() == sg.norms(space, rows[a] - rows[b]).tobytes()
 
 
@@ -1713,11 +1713,15 @@ def test_row_embed_bit_equal_to_point_embed_on_pinned_draws(batch, space, per_le
 
 
 def test_row_embed_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
-    # 64 elements hold one row of the two 18-wide blends: every stacked
+    # the images are formed on the 12 image columns of the 18-wide target:
+    # 64 elements hold two rows of the two 12-wide blends. Every stacked
     # product of a selected map's hull takes a block of rows, and the images
     # it fills (zeros outside the hull) hold at most a block of rows
     monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
     g, pts, _ = l1_pipeline
+    cols = g.image_columns
+    width = cols.stop - cols.start
+    assert (width, g.target.dim) == (12, 18)
     hulls = {id(g.map_at(k).hull) for k in range(1, g.schedule.levels + 2)}
     sizes = []
     matmul = np.matmul
@@ -1725,14 +1729,15 @@ def test_row_embed_temporaries_stay_within_batch(l1_pipeline, monkeypatch):
     def sized(a, b, *args, **kwargs):
         out = matmul(a, b, *args, **kwargs)
         if id(a) in hulls:
-            assert out.size <= b.shape[0] * g.target.dim
-            sizes.append((b.size, b.shape[0] * g.target.dim))
+            assert out.size <= b.shape[0] * width
+            sizes.append((b.size, b.shape[0] * width))
         return out
 
     monkeypatch.setattr(np, "matmul", sized)
     sg.embed(g, pts.coords)
-    # one row per block: two stacked products per point
-    assert len(sizes) == 2 * len(pts)
+    # two stacked products per row, a block of at most two rows each
+    assert sum(b for b, _ in sizes) == 2 * pts.coords.size
+    assert len(sizes) < 2 * len(pts)
     # both blends of a block are alive at once
     assert max(b for b, _ in sizes) <= 64 and max(2 * out for _, out in sizes) <= 64
 
@@ -1783,30 +1788,39 @@ def test_images_writer_matches_json_dump(tmp_path):
     # repeated values: each distinct float is formatted once, with -0.0 and
     # 0.0 apart and every NaN and infinity spelled as json writes it
     repeated = rng.choice([0.0, -0.0, 1.5, -2.25e-7, math.inf, -math.inf, math.nan], images.shape)
+    # a pad writes each row between +0.0 entries, as a report's images on
+    # its image columns are written as full rows
     for name, values in (("distinct", images), ("repeated", repeated)):
         for k in (0, 1, len(ids)):
-            for batch in (None, 64):
+            for batch, pad in ((None, (0, 0)), (64, (0, 0)), (None, (2, 3)), (64, (0, 4))):
                 got, want = tmp_path / f"got{k}.json", tmp_path / f"want{k}.json"
                 with pytest.MonkeyPatch.context() as mp:
                     if batch is not None:
                         mp.setattr(sg.spaces, "BATCH_ELEMENTS", batch)
-                    spiralglue.cli._write_images(str(got), ids[:k], values[:k])
-                _write_json(str(want), dict(zip(map(str, ids[:k]), values[:k].tolist())))
-                assert got.read_bytes() == want.read_bytes(), (name, k, batch)
+                    spiralglue.cli._write_images(str(got), ids[:k], values[:k], pad)
+                rows = np.hstack([np.zeros((k, pad[0])), values[:k], np.zeros((k, pad[1]))])
+                _write_json(str(want), dict(zip(map(str, ids[:k]), rows.tolist())))
+                assert got.read_bytes() == want.read_bytes(), (name, k, batch, pad)
 
 
 def test_run_embeds_once(tmp_path, monkeypatch):
+    # the sweep embeds every point in one call on the image columns, and
+    # the full-width embed is not called on the run path
     calls = []
 
-    def counted(g, x):
-        calls.append(np.shape(x))
-        return sg.embed(g, x)
+    def counted(name, fn):
+        def wrapper(g, x):
+            calls.append((name, np.shape(x)))
+            return fn(g, x)
+
+        return wrapper
 
     def forbidden(*args):
         raise AssertionError("embed_all called on the run path")
 
-    monkeypatch.setattr(spiralglue.verify, "embed", counted)
-    monkeypatch.setattr(spiralglue.glue, "embed", counted)
+    for module in (spiralglue.verify, spiralglue.glue):
+        monkeypatch.setattr(module, "embed", counted("embed", sg.embed))
+        monkeypatch.setattr(module, "embed_window", counted("embed_window", sg.embed_window))
     monkeypatch.setattr(spiralglue.glue, "embed_all", forbidden)
     monkeypatch.setattr(spiralglue.cli, "embed_all", forbidden)
     cfg = {
@@ -1819,7 +1833,7 @@ def test_run_embeds_once(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 0
-    assert calls == [(3 * 6 + 1, 3)]
+    assert calls == [("embed_window", (3 * 6 + 1, 3))]
     images = json.loads((tmp_path / "images").read_text())
     assert len(images) == 3 * 6 + 1
 

@@ -6,10 +6,11 @@ close directions and forms its unit differences a block at a time,
 certification forms its vectors (every pair difference among them) a block
 at a time and keeps only each map's extreme ratios, a lone map's norms are taken on
 its hull product without a buffer beside it and a blend's on a buffer as
-wide as the union of its hulls, the sweep holds no array of one entry per
-pair, also when `run` spools the rows of a pairs CSV, norms each block of
-differences in place and writes a block's CSV lines a piece at a time, and
-the images file is formatted a few rows at a time. The bounds here are
+wide as the union of its hulls, the sweep holds the images on the selected
+maps' columns alone and no array of one entry per pair, also when `run`
+spools the rows of a pairs CSV, norms each block of differences in place
+and writes a block's CSV lines a piece at a time, and the images file is
+formatted a few rows at a time. The bounds here are
 fixed numbers of bytes for fixed small inputs: a dense map, an array of
 every certification vector, a buffer or a copy beside a block, or a column
 per pair exceeds them.
@@ -160,14 +161,18 @@ def test_decompose_forms_unit_differences_a_block_at_a_time():
 
 
 def test_images_file_is_formatted_in_small_blocks(tmp_path):
-    # the 151 images of 96 floats of the plateau run: formatted all at once
-    # (one row block of 96-float rows), their texts took the writer to
-    # 0.75 MB above its start; in blocks of at most 2048 floats it peaks at
-    # about 0.17 MB
-    _, dist, _, pts = cli.run_pipeline(_config(16, 2.0, 50, "plateau"))
-    assert dist.images.shape == (151, 96)
+    # the 151 images of 96 floats of the plateau run, which the report keeps
+    # on their 64 image columns: formatted all at once (one row block of
+    # 96-float rows), their texts took the writer to 0.75 MB above its
+    # start; zero-padded and formatted in blocks of at most 2048 floats it
+    # peaks at about 0.17 MB
+    _, dist, g, pts = cli.run_pipeline(_config(16, 2.0, 50, "plateau"))
+    assert dist.images.shape == (151, 64)
+    cols = dist.image_columns
+    pad = (cols.start, g.target.dim - cols.stop)
+    assert pad == (0, 32)
     path = str(tmp_path / "images.json")
-    _, _, peak = _traced(cli._write_images, path, pts.ids, dist.images)
+    _, _, peak = _traced(cli._write_images, path, pts.ids, dist.images, pad)
     assert peak <= 0.4 * MB
 
 
@@ -249,10 +254,10 @@ def test_sweep_image_differences_take_one_block(monkeypatch):
     images = np.random.default_rng(1).standard_normal((64, 512))
     a, b = sg.pointset.pairs_at(len(images), 37, len(images) * (len(images) - 1) // 2)
     out = np.empty(len(a))
-    sg.spaces.pair_difference_norms(target, images, a, b, out)
+    sg.spaces.pair_difference_norms(target, images, a, b, out, slice(0, 512))
     assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
     monkeypatch.setattr(sg.spaces, "_norms_in_place", lambda spec, X: X[:, 0])
-    _, _, peak = _traced(sg.spaces.pair_difference_norms, target, images, a, b, out)
+    _, _, peak = _traced(sg.spaces.pair_difference_norms, target, images, a, b, out, slice(0, 512))
     assert peak <= 8 * sg.spaces.BATCH_ELEMENTS + 24_000
 
 
@@ -267,9 +272,9 @@ def test_difference_norms_take_no_copy_of_their_block(p):
     images = np.random.default_rng(1).standard_normal((64, 512))
     a, b = sg.pointset.pairs_at(len(images), 37, len(images) * (len(images) - 1) // 2)
     out = np.empty(len(a))
-    sg.spaces.pair_difference_norms(target, images, a, b, out)
+    sg.spaces.pair_difference_norms(target, images, a, b, out, slice(0, 512))
     assert out.tobytes() == sg.norms(target, images[a] - images[b]).tobytes()
-    _, _, peak = _traced(sg.spaces.pair_difference_norms, target, images, a, b, out)
+    _, _, peak = _traced(sg.spaces.pair_difference_norms, target, images, a, b, out, slice(0, 512))
     assert peak <= 8 * (sg.spaces.BATCH_ELEMENTS + np.getbufsize()) + 24_000
 
 
@@ -303,31 +308,54 @@ def test_pairs_spool_writes_a_block_in_pieces():
     assert peak <= 1.0 * MB
 
 
-def test_wide_sweep_norms_its_image_differences_in_place():
-    # l2-to-l1-wide's config: 31 points of l2 dim 2 imaged into l1 dim
-    # 1536, whose images (381 KB) the sweep holds. A block of 10 pairs'
-    # image differences (123 KB) and the abs copy of it took the sweep's
-    # peak to 0.67 MB above its start; normed in place, it peaks at about
-    # 0.59 MB
-    raw = {
+def _quadrature_raw(target_dim: int, count: int, per_level: int, certify_random: int) -> dict:
+    """A run config of l2 dim 2 into l1 dim target_dim through a quadrature
+    bank of count maps, each a band of target_dim / count rows."""
+    return {
         "source": {"dim": 2, "norm": {"norm": "lp", "p": 2.0}},
-        "target": {"dim": 1536, "norm": {"norm": "lp", "p": 1.0}},
+        "target": {"dim": target_dim, "norm": {"norm": "lp", "p": 1.0}},
         "params": {"eps": 0.01, "delta": 0.01, "gamma": 0.01, "zeta": 0.01},
         "schedule": {"r1": 1.0, "levels": 3, "margin": 0.01},
         "bank": {
             "strategy": "quadrature_l2_to_l1",
-            "count": 6,
-            "directions": 256,
+            "count": count,
+            "directions": target_dim // count,
             "seed": 3,
-            "certify_random": 4096,
+            "certify_random": certify_random,
         },
-        "points": {"generator": {"seed": 7, "per_level": 10, "placement": "mixed"}},
+        "points": {"generator": {"seed": 7, "per_level": per_level, "placement": "mixed"}},
     }
-    _, _, g, pts = cli.run_pipeline(cli.parse_config(raw))
+
+
+def test_wide_sweep_norms_its_image_differences_in_place():
+    # l2-to-l1-wide's config: 31 points of l2 dim 2 imaged into l1 dim
+    # 1536 by the maps [0, 1, 2, 3] of 6 quadrature maps, whose hulls span
+    # the columns [0, 1024). The sweep holds the images on those columns
+    # (254 KB; 381 KB when it held all 1536), and a part's window
+    # differences beside the full-width block they are copied into, both
+    # within BATCH_ELEMENTS. It peaks at about 0.46 MB above its start: 0.59
+    # MB with the full-width images, and 0.67 MB when an abs copy of each
+    # block of differences was taken as well
+    _, _, g, pts = cli.run_pipeline(cli.parse_config(_quadrature_raw(1536, 6, 10, 4096)))
     assert len(pts) == 31
     report, _, peak = _traced(sg.distortion_report, g, pts)
-    assert report.images.shape == (31, 1536)
-    assert peak <= 0.63 * MB
+    assert report.image_columns == slice(0, 1024)
+    assert report.images.shape == (31, 1024)
+    assert peak <= 0.52 * MB
+
+
+def test_sweep_on_a_count_12_bank_holds_only_the_image_columns():
+    # 301 points of l2 dim 2 imaged into l1 dim 3072 by the maps [0, 1, 2,
+    # 3] of 12 quadrature maps of 256 rows each: the images on the 1024
+    # image columns take 2.47 MB, and the sweep peaks at about 3.0 MB above
+    # its start. Holding the full 3072-wide images (7.4 MB) it peaked at
+    # 7.97 MB
+    _, _, g, pts = cli.run_pipeline(cli.parse_config(_quadrature_raw(3072, 12, 100, 256)))
+    assert len(pts) == 301
+    report, _, peak = _traced(sg.distortion_report, g, pts)
+    assert report.image_columns == slice(0, 1024)
+    assert report.images.shape == (301, 1024)
+    assert peak < 4 * MB
 
 
 def test_weighted_image_norms_take_no_buffer_beside_the_product():
