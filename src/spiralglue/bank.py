@@ -10,8 +10,9 @@ ever evaluate the maps on certification vectors and their two-term blends, so
 finite certification is exactly as strong as the uses require.
 
 The subsequence selection replaces an infinite extraction argument with a
-bounded greedy scan over index pairs; when the bank cannot witness the
-required lower bound the search fails loudly instead of degrading.
+bounded greedy scan over index pairs. The scan keeps each level's first
+passing pair, so when it finds no admissible next index it raises
+BankExhausted, though another subsequence of the bank may pass.
 """
 
 from __future__ import annotations

@@ -172,6 +172,12 @@ def _read(section: dict, path: str, key: str, convert, *default):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _flag(flag: str, convert, value):
+    """convert(value) for a command-line flag; a rejected value raises
+    ValueError naming the flag, as _read names a config key."""
+    return _read({flag: value}, "", flag, convert)
+
+
 def _read_norm(section: dict, path: str, *default) -> NormSpec:
     """The norm object at path.norm, or default[0] when absent and given; it
     must hold exactly the keys of its kind (an unknown kind is reported as
@@ -711,47 +717,28 @@ def _with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     return replace(cfg, raw=raw, generator={**cfg.generator, "seed": seed})
 
 
-def _seed_ok(seed, prefix: str) -> bool:
-    """Whether --seed is absent or an integer >= 0; if not, an error naming
-    --seed is printed after prefix."""
-    try:
-        return seed is None or _integer(0)(seed) >= 0
-    except ValueError as exc:
-        print(f"{prefix}--seed: {exc}", file=sys.stderr)
-        return False
-
-
 def cmd_run(args) -> int:
-    if not (0.0 <= args.tolerance < math.inf):
-        print(
-            f"config error: --tolerance must be finite and >= 0, got {args.tolerance!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if not _seed_ok(args.seed, "config error: "):
-        return 2
     try:
+        if not (0.0 <= args.tolerance < math.inf):
+            raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
+        if args.seed is not None:
+            _flag("--seed", _integer(0), args.seed)
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = parse_config(raw)
+        if args.seed is not None:
+            if cfg.generator is None:
+                given = "file" if "file" in cfg.raw["points"] else "inline"
+                raise ValueError(
+                    f"--seed: the points come from points.{given}; "
+                    "only points.generator takes a seed"
+                )
+            cfg = _with_seed(cfg, args.seed)
+        report_key, report_path = "output.report", cfg.report_path
+        if args.out is not None:
+            report_key, report_path = "--out", _flag("--out", _output_path, args.out)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        if cfg.generator is None:
-            given = "file" if "file" in cfg.raw["points"] else "inline"
-            print(
-                f"config error: --seed: the points come from points.{given}; "
-                "only points.generator takes a seed",
-                file=sys.stderr,
-            )
-            return 2
-        cfg = _with_seed(cfg, args.seed)
-    report_key = "--out" if args.out is not None else "output.report"
-    try:
-        report_path = cfg.report_path if args.out is None else _output_path(args.out)
-    except ValueError as exc:
-        print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     pairs = _PairsSpool() if cfg.pairs_csv_path else None
     try:
@@ -817,15 +804,12 @@ def _spreading_verdict(grid: int) -> tuple[bool, str]:
 
 
 def cmd_theory(args) -> int:
-    # a verdict over no pairs would pass vacuously
-    if args.pairs < 1:
-        print(f"error: --pairs must be >= 1, got {args.pairs}", file=sys.stderr)
-        return 2
-    if not _seed_ok(args.seed, "error: "):
-        return 2
     # both computations run before any verdict is printed, so that a bad
     # --grid exits 2 alone
     try:
+        # a verdict over no pairs would pass vacuously
+        _at_least("--pairs", args.pairs, 1)
+        _flag("--seed", _integer(0), args.seed)
         _at_least("--grid", args.grid, 3)
         _bounded("--grid", f"{args.grid} angles", args.grid)
         good, detail = _spreading_verdict(args.grid)
@@ -867,17 +851,6 @@ def _schedule_from_args(args) -> RadiiSchedule:
     return build_schedule(params, args.r1, args.levels, args.margin)
 
 
-def _out_ok(path) -> bool:
-    """Whether --out names a file path whose directory exists; if not, an
-    error naming --out is printed."""
-    try:
-        _output_path(path)
-    except ValueError as exc:
-        print(f"error: --out: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _write_weights(path: str, ts, table) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -887,9 +860,8 @@ def _write_weights(path: str, ts, table) -> None:
 
 
 def cmd_weights(args) -> int:
-    if not _out_ok(args.out):
-        return 2
     try:
+        _flag("--out", _output_path, args.out)
         sched = _schedule_from_args(args)
         width = sched.levels + 2  # the radius and the levels + 1 weights
         _at_least("--grid", args.grid, 2)
@@ -908,9 +880,9 @@ def cmd_weights(args) -> int:
 
 
 def cmd_gen_points(args) -> int:
-    if not (_out_ok(args.out) and _seed_ok(args.seed, "error: ")):
-        return 2
     try:
+        _flag("--out", _output_path, args.out)
+        _flag("--seed", _integer(0), args.seed)
         sched = _schedule_from_args(args)
         _at_least("--per-level", args.per_level, 1)
         n = 1 + sched.levels * args.per_level

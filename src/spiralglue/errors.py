@@ -51,7 +51,9 @@ class NotStabilized(SpiralGlueError):
 
 
 class BankExhausted(SpiralGlueError):
-    """No admissible map index exists at some level of the subsequence search."""
+    """The greedy subsequence scan found no admissible next index at some
+    level, after the indices it had already fixed. Another subsequence of
+    the bank may still pass every level."""
 
     def __init__(self, level: int, direction, angle: float, achieved: float, threshold: float):
         self.level = level

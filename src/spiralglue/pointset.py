@@ -208,19 +208,18 @@ def decompose(pts: LocallyFiniteSet, sched: RadiiSchedule) -> AnnulusDecompositi
                 units = rows[src[block]]
                 units -= rows[ys[block]]
                 units /= norms(pts.space, units)[:, None]
-                distinct, _, group = distinct_rows(units)
-                # widened to intp (group is int8 or int16 for few rows), so
-                # the key cannot overflow
-                key = group.astype(np.intp)
+                distinct, key = distinct_rows(units)
                 key += done
                 keys.append(np.unique(key * len(values) + rank[src[block]]))
                 kept.append(distinct)
                 done += len(distinct)
         distinct = np.concatenate(kept)
         del kept
-        _, first, pattern = np.unique(
+        # only the indices: np.unique's values, a copy of the distinct rows'
+        # bytes, would otherwise live on through the next level's blocks
+        first, pattern = np.unique(
             distinct.view(f"V{8 * dim}").ravel(), return_index=True, return_inverse=True
-        )
+        )[1:]
         number = np.empty(len(first), dtype=np.intp)
         number[np.argsort(first)] = np.arange(len(first))
         row, angle = np.divmod(np.concatenate(keys), len(values))

@@ -124,15 +124,13 @@ def _row_hashes(bits: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of a 2-d float array by bit pattern.
 
-    Returns (kept, take, group): kept[g] has the bits of group g's first
-    row, take[g] is that row's index (ascending), and group[i] is row i's
-    group, so that kept[group] has the bits of the rows. Rows of one group
-    have equal bits in every column (so -0.0 and 0.0, and NaNs of different
-    payloads, stay apart). take and group are in the narrowest signed
-    integers that hold a row index.
+    Returns (kept, group): kept[g] has the bits of group g's first row, and
+    group[i] (an intp) is row i's group, so that kept[group] has the bits
+    of the rows. Rows of one group have equal bits in every column (so -0.0
+    and 0.0, and NaNs of different payloads, stay apart).
 
     One rule makes the groups: a row joins the group of its hash's first
     row when their bits are equal, and starts a group of its own otherwise
@@ -142,7 +140,6 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sorted keys order the rows by hash and, within a hash, by index."""
     rows = len(X)
     bits = X.view(np.uint64)
-    index = np.min_scalar_type(-max(rows, 1))
     shift = np.uint64(max(rows - 1, 1).bit_length())
     index_bits = (np.uint64(1) << shift) - np.uint64(1)
     key = _row_hashes(bits)
@@ -167,9 +164,7 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # row's is the first row of a group of its own
         new |= unequal.any(axis=1)
         head[new] = np.flatnonzero(new)
-    take = np.flatnonzero(new)
-    group = (np.cumsum(new) - 1)[head]
-    return X[take], take.astype(index), group.astype(index)
+    return X[new], (np.cumsum(new) - 1)[head]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -610,8 +605,10 @@ def blend_apply(c, s, first: LinearMap, second: LinearMap, x, cols: slice | None
     target columns that holds both hulls, on those columns alone (see
     apply), each entry bit-equal to the full blend's.
 
-    Every code path that interpolates two maps goes through this function so
-    that results agree bit-for-bit across modules.
+    The glued embedding (embed and level_map) and the decomposition
+    residual blend through this function. blend_norms does not: _hull_norms
+    forms the same sums itself, equal up to the sign of a zero, which no
+    norm reads.
     """
     blend = apply(first, x, cols)
     other = apply(second, x, cols)

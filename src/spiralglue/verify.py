@@ -316,67 +316,63 @@ def _sandwich(g: GlueEmbedding, level: int, pts: _Points, xs, ys, ndiff):
     rounds away) has the sigma row x/|x| of its point at the angle sigma_x,
     so it takes the point's gain of the level's table; a pair whose sigma
     is clamped (0 or pi/2) has the theta angle theta(sigma, alpha_y) of its
-    point's table. In row blocks of pairs, the block's differences are
-    formed, and the table entries the block needs that no earlier block
-    filled, then the block's other sigma rows, then those entries of the
-    theta table, then its other theta rows go to one direction_gain call.
+    point's table. The caller cuts the pairs into row blocks of at most
+    BATCH_ELEMENTS // (2 source.dim) pairs, so the pairs' differences are
+    formed at once, and the table entries the pairs need that no earlier
+    call filled, then the other sigma rows, then those entries of the
+    theta table, then the other theta rows go to one direction_gain call.
     Their angles and rows are each joined into one array, and the pieces
     dropped, before the call, so that no piece is alive beside the joined
     rows through the gains. A table entry has the bits of every pair row
     it stands for (the same norms row kernel, division and sandwich_theta),
-    and direction_gain is row by row, so no bit moves. An entry is filled only by a call that
-    passed the unit check, so a non-unit unit row raises at the first block
-    that needs it, and a one-pair call passes its sigma row before its
-    theta row, so a non-unit row is the first of its pair."""
+    and direction_gain is row by row, so no bit moves. An entry is filled
+    only by a call that passed the unit check, so a non-unit unit row
+    raises at the first call that needs it, and a one-pair call passes its
+    sigma row before its theta row, so a non-unit row is the first of its
+    pair."""
     table = pts.level_gains(g, level)
     sigma, alpha = table.angle[xs], table.angle[ys]
     theta = sandwich_theta(sigma, alpha)
     # each pair's entry of the theta table, read where sigma is clamped
     entry = 2 * ys + (sigma != 0.0)
     clamped = (sigma == 0.0) | (sigma == HALF_PI)
-    k, dim = len(xs), pts.coords.shape[1]
-    first, second = g.map_at(level), g.map_at(level + 1)
-    gsw, gtv = np.empty(k), np.empty(k)
-    for block in row_blocks(k, 2 * dim):
-        xb, eb = xs[block], entry[block]
-        x = pts.coords[xb]
-        diff = x - pts.coords[ys[block]]
-        # bit-equal rows: a uint64 compare tells -0.0 from 0.0
-        at_x = (diff.view(np.uint64) == x.view(np.uint64)).all(axis=1)
-        del x
-        fill_s = _unfilled(xb[at_x], table.sigma)
-        own = np.flatnonzero(~at_x)
-        fill_t = _unfilled(eb[clamped[block]], table.theta)
-        free = np.flatnonzero(~clamped[block])
-        counts = np.cumsum([len(fill_s), len(own), len(fill_t), len(free)])
-        angles = np.concatenate(
-            (
-                table.angle[fill_s],
-                sigma[block][own],
-                sandwich_theta(_CLAMPS[fill_t % 2], table.angle[fill_t // 2]),
-                theta[block][free],
-            )
+    x = pts.coords[xs]
+    diff = x - pts.coords[ys]
+    # bit-equal rows: a uint64 compare tells -0.0 from 0.0
+    at_x = (diff.view(np.uint64) == x.view(np.uint64)).all(axis=1)
+    del x
+    fill_s = _unfilled(xs[at_x], table.sigma)
+    own = np.flatnonzero(~at_x)
+    fill_t = _unfilled(entry[clamped], table.theta)
+    free = np.flatnonzero(~clamped)
+    counts = np.cumsum([len(fill_s), len(own), len(fill_t), len(free)])
+    angles = np.concatenate(
+        (
+            table.angle[fill_s],
+            sigma[own],
+            sandwich_theta(_CLAMPS[fill_t % 2], table.angle[fill_t // 2]),
+            theta[free],
         )
-        rows = np.concatenate(
-            (
-                pts.units[fill_s],
-                diff[own] / ndiff[block][own, None],
-                pts.units[fill_t // 2],
-                pts.units[ys[block][free]],
-            )
+    )
+    rows = np.concatenate(
+        (
+            pts.units[fill_s],
+            diff[own] / ndiff[own, None],
+            pts.units[fill_t // 2],
+            pts.units[ys[free]],
         )
-        del diff
-        gains = np.empty(0)
-        if counts[-1]:
-            gains = direction_gain(angles, rows, first, second)
-        del angles, rows
-        sigma_fill, sigma_own, theta_fill, theta_free = np.split(gains, counts[:-1])
-        table.sigma[fill_s] = sigma_fill
-        table.theta[fill_t] = theta_fill
-        gsw[block] = table.sigma[xb]
-        gsw[block.start + own] = sigma_own
-        gtv[block] = table.theta[eb]
-        gtv[block.start + free] = theta_free
+    )
+    del diff
+    gains = np.empty(0)
+    if counts[-1]:
+        gains = direction_gain(angles, rows, g.map_at(level), g.map_at(level + 1))
+    del angles, rows
+    sigma_fill, sigma_own, theta_fill, theta_free = np.split(gains, counts[:-1])
+    table.sigma[fill_s] = sigma_fill
+    table.theta[fill_t] = theta_fill
+    gsw, gtv = table.sigma[xs], table.theta[entry]
+    gsw[own] = sigma_own
+    gtv[free] = theta_free
     eps = g.schedule.params.eps
     return sigma, theta, gsw, gtv, gsw - eps * gtv, gsw + eps * gtv
 
@@ -570,6 +566,7 @@ def _judge_block(g, bounds, pts: _Points, xs, ys, ndiff, nimage, tol, out) -> No
         columns = [getattr(out, name)[rows] for name in _SANDWICH_FIELDS]
         for column in columns:
             column.fill(math.nan)
+    # _sandwich forms all its rows at once, so the parts are its row blocks:
     # a sandwich row is two gain rows of the source width, and its 1-d
     # arrays count as two pair widths
     width = 2 * max(g.source.dim, _PAIR_WIDTH)

@@ -591,6 +591,51 @@ def test_gen_points_rejects_negative_seed_naming_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+_SEED_ERROR = "--seed: expected an integer >= 0, got -1"
+_OUT_ERROR = "--out: directory '{missing}' does not exist"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["run", "--config", "{config}", "--tolerance", "nan", "--seed", "-1"],
+            "config error: --tolerance must be finite and >= 0, got nan",
+        ),
+        (
+            ["run", "--config", "{missing}/config.json", "--seed", "-1"],
+            f"config error: {_SEED_ERROR}",
+        ),
+        (["theory", "--pairs", "0", "--seed", "-1"], "error: --pairs must be >= 1, got 0"),
+        (["theory", "--seed", "-1", "--grid", "2"], f"error: {_SEED_ERROR}"),
+        (["gen-points", "--out", "{missing}/x", "--seed", "-1"], f"error: {_OUT_ERROR}"),
+        (["weights", "--out", "{missing}/x", "--grid", "1"], f"error: {_OUT_ERROR}"),
+        (
+            ["gen-points", "--out", "{out}", "--seed", "-1", "--per-level", "0"],
+            f"error: {_SEED_ERROR}",
+        ),
+    ],
+    ids=[
+        "run-tolerance",
+        "run-seed",
+        "theory-pairs",
+        "theory-seed",
+        "gen-points-out",
+        "weights-out",
+        "gen-points-seed",
+    ],
+)
+def test_first_bad_flag_checked_is_named(tmp_path, capsys, monkeypatch, argv, err):
+    # with two bad flags, each command names the one it checks first, and
+    # runs and writes nothing
+    path, _ = _base_config(tmp_path)
+    _forbid_pipeline(monkeypatch)
+    names = {"config": path, "missing": tmp_path / "missing", "out": tmp_path / "out.json"}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", err.format(**names) + "\n")
+    assert not (tmp_path / "report.json").exists() and not names["out"].exists()
+
+
 @pytest.mark.parametrize("command", ["weights", "gen-points"])
 @pytest.mark.parametrize("levels", ["1", "3"])
 def test_non_finite_margin_exits_2_naming_margin(tmp_path, capsys, command, levels):

@@ -71,16 +71,17 @@ def _row_bits(X) -> list[bytes]:
     return [row.tobytes() for row in X.view(np.uint64)]
 
 
-def _check_groups(X, kept, take, group, merged: bool):
+def _check_groups(X, kept, group, merged: bool):
     keys = _row_bits(X)
     n = len(keys)
-    assert take.shape == (len(take),) and group.shape == (n,)
+    assert group.shape == (n,) and group.dtype == np.intp
+    # the groups are 0 to len(kept) - 1, numbered in the order of their
+    # first rows (take), kept holds those rows' bits, and gathering kept by
+    # group gives every row's bits back
+    numbers, take = np.unique(group, return_index=True)
+    assert numbers.tolist() == list(range(len(kept)))
     assert kept.shape == (len(take), X.shape[1])
-    # take is ascending, each group's first row, kept holds their bits, and
-    # gathering kept by group gives every row's bits back
     assert np.all(np.diff(take) > 0)
-    assert group[take].tolist() == list(range(len(take)))
-    assert all(take[group[i]] <= i for i in range(n))
     assert kept.view(np.uint64).tobytes() == X[take].view(np.uint64).tobytes()
     assert kept[group].view(np.uint64).tobytes() == X.view(np.uint64).tobytes()
     # one group holds one bit pattern; with merged, one bit pattern one group
@@ -114,19 +115,19 @@ _COLLISIONS = {"one-hash": _cut_hashes(1), "three-hashes": _cut_hashes(3)}
 
 
 def _rule_groups(X, hashes):
-    """(take, group) by the rule, row by row: a row joins the group of its
-    hash's first row when their bits are equal, and starts a group
+    """Each row's group by the rule, row by row: a row joins the group of
+    its hash's first row when their bits are equal, and starts a group
     otherwise."""
     keys = _row_bits(X)
-    firsts, take, group = {}, [], []
+    firsts, group, groups = {}, [], 0
     for i, h in enumerate(hashes.tolist()):
         j = firsts.setdefault(h, i)
         if j < i and keys[j] == keys[i]:
             group.append(group[j])
         else:
-            group.append(len(take))
-            take.append(i)
-    return take, group
+            group.append(groups)
+            groups += 1
+    return group
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,10 +137,10 @@ def test_distinct_rows_exact_under_forced_collisions(X):
     # rows of its bits join it, and every other row starts a group
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS["one-hash"])
-        kept, take, group = distinct_rows(X)
-    _check_groups(X, kept, take, group, merged=False)
+        kept, group = distinct_rows(X)
+    _check_groups(X, kept, group, merged=False)
     keys = _row_bits(X)
-    assert len(take) == (1 + sum(key != keys[0] for key in keys) if keys else 0)
+    assert len(kept) == (1 + sum(key != keys[0] for key in keys) if keys else 0)
 
 
 # rows whose bits == does not tell apart: signed zeros and NaNs of
@@ -161,10 +162,10 @@ def test_distinct_rows_follows_the_rule_in_any_blocks_under_collisions(collision
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spiralglue.spaces, "_row_hashes", _COLLISIONS[collision])
         mp.setattr(spiralglue.spaces, "BATCH_ELEMENTS", budget)
-        kept, take, group = distinct_rows(X)
+        kept, group = distinct_rows(X)
         hashes = spiralglue.spaces._row_hashes(X.view(np.uint64))
-    _check_groups(X, kept, take, group, merged=False)
-    assert (take.tolist(), group.tolist()) == _rule_groups(X, hashes)
+    _check_groups(X, kept, group, merged=False)
+    assert group.tolist() == _rule_groups(X, hashes)
 
 
 @pytest.mark.parametrize("collision", sorted(_COLLISIONS))
@@ -193,10 +194,10 @@ def test_decompose_exact_under_hash_collisions(collision, dim, p, placement, wid
         # four distinct rows among three hashes, or two among one, collide
         assert any(len(set(_row_bits(units))) >= 4 for units in seen)
         for units in seen:
-            kept, take, group = distinct_rows(units)
+            kept, group = distinct_rows(units)
             hashes = spiralglue.spaces._row_hashes(units.view(np.uint64))
-            _check_groups(units, kept, take, group, merged=False)
-            assert (take.tolist(), group.tolist()) == _rule_groups(units, hashes)
+            _check_groups(units, kept, group, merged=False)
+            assert group.tolist() == _rule_groups(units, hashes)
 
 
 def test_decompose_rejoins_directions_split_across_blocks():
@@ -231,23 +232,24 @@ def test_decompose_rejoins_directions_split_across_blocks():
 
 
 def test_distinct_rows_edge_cases():
-    kept, take, group = distinct_rows(np.empty((0, 3)))
-    assert kept.shape == (0, 3) and take.shape == group.shape == (0,)
-    assert take.dtype == group.dtype == np.int8
-    kept, take, group = distinct_rows(np.array([[1.0, -0.0]]))
-    assert take.tolist() == [0] and group.tolist() == [0]
+    kept, group = distinct_rows(np.empty((0, 3)))
+    assert kept.shape == (0, 3) and group.shape == (0,)
+    assert group.dtype == np.intp
+    kept, group = distinct_rows(np.array([[1.0, -0.0]]))
+    assert group.tolist() == [0]
     assert kept.view(np.uint64).tolist() == [[np.float64(1.0).view(np.uint64), 1 << 63]]
-    kept, take, group = distinct_rows(np.tile([0.5, -2.0, math.pi], (7, 1)))
-    assert take.tolist() == [0] and group.tolist() == [0] * 7
+    kept, group = distinct_rows(np.tile([0.5, -2.0, math.pi], (7, 1)))
+    assert kept.tolist() == [[0.5, -2.0, math.pi]] and group.tolist() == [0] * 7
     # -0.0 and 0.0 compare equal but stay apart; NaN payloads too
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(float)
     X = np.array([0.0, -0.0, 0.0, nans[0], nans[1], nans[0]])[:, None]
-    kept, take, group = distinct_rows(X)
-    assert take.tolist() == [0, 1, 3, 4] and group.tolist() == [0, 1, 0, 2, 3, 2]
-    # 128 distinct rows: groups 0 to 127, in int8
-    kept, take, group = distinct_rows(np.arange(128.0)[:, None])
-    assert take.dtype == group.dtype == np.int8
-    assert take.tolist() == group.tolist() == list(range(128))
+    kept, group = distinct_rows(X)
+    assert kept.view(np.uint64).tobytes() == X[[0, 1, 3, 4]].view(np.uint64).tobytes()
+    assert group.tolist() == [0, 1, 0, 2, 3, 2]
+    # 128 distinct rows: groups 0 to 127, in intp
+    kept, group = distinct_rows(np.arange(128.0)[:, None])
+    assert group.dtype == np.intp
+    assert kept.ravel().tolist() == group.tolist() == list(range(128))
 
 
 # ---------------------------------------------------------------- certification

@@ -245,6 +245,21 @@ def test_fuzz_pair_inequalities_clean():
     assert rep.max_identity_residual <= 1e-9
 
 
+def test_fuzz_gain_rows_stay_within_batch(monkeypatch):
+    # _sandwich forms all the rows it is given at once, so on this path only
+    # the fuzz's chunks of pairs keep each direction_gain call within budget
+    monkeypatch.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
+    sizes = []
+
+    def sized(theta, U, first, second):
+        sizes.append(np.asarray(U).size)
+        return sg.direction_gain(theta, U, first, second)
+
+    monkeypatch.setattr(spiralglue.verify, "direction_gain", sized)
+    sg.fuzz_pair_inequalities(2, 300)
+    assert sizes and max(sizes) <= 64
+
+
 def test_fuzz_pair_inequalities_rejects_a_negative_count():
     with pytest.raises(ValueError, match="n_pairs must be >= 0, got -3"):
         sg.fuzz_pair_inequalities(2, -3)
