@@ -7,7 +7,11 @@ Each map in a bank satisfies the sandwich
 on a designated finite certification set, with the per-map slacks eps_n split
 uniformly so that prod(1 + eps_n) <= 1 + gamma. Downstream inequalities only
 ever evaluate the maps on certification vectors and their two-term blends, so
-finite certification is exactly as strong as the uses require.
+finite certification is exactly as strong as the uses require. The ratios are
+screened with one matrix product per block (`spaces.screen_norms`), and every
+ratio that can be a map's lowest or highest is taken from the reference
+kernel (`spaces.image_norms`), so the margins are those of the reference
+kernel on every row.
 
 The subsequence selection replaces an infinite extraction argument with a
 bounded greedy scan over index pairs. The scan keeps each level's first
@@ -39,6 +43,8 @@ from .spaces import (  # noqa: F401
     image_norms,
     norm,
     norms,
+    screen_bound,
+    screen_norms,
 )
 
 _TOL = 1e-12
@@ -179,13 +185,20 @@ def build_bank(
     ratios norm(target, lin v) / norm(source, v), of which each map keeps
     its lowest and highest with the index of the first nonzero row that
     reaches it. Every kernel is row-wise, so the margins and the first
-    worst vector are those of evaluating every vector at once. The maps
-    are then checked in map order. Only the extremes are kept, never an
-    image or a row of an earlier block.
+    worst vector are those of evaluating every vector at once by
+    image_norms. The maps are then checked in map order. Only the extremes
+    are kept, never an image or a row of an earlier block.
 
-    Maps whose _image_key is equal image every row to the same bits, so
-    only the first of them images the rows, and the others take its
-    extremes: a block-shift bank into an lp target images them once. A
+    A map screens a block's ratios by screen_norms, one matrix product per
+    row block, and images again by image_norms only the rows whose ratio
+    can be the block's lowest or highest (see _certify_ratios): none for a
+    monomial hull, such as a block-shift band, whose screen has the
+    reference bits. Max-abs functionals on either side image every row by
+    image_norms.
+
+    Maps whose _image_key is equal have the same ratios on every row, so
+    only the first of them takes the rows, and the others take its
+    extremes: a block-shift bank into an lp target screens them once. A
     later map's margins are then the same floats, and it cannot fail where
     its twin passed, so the failing (map, vector, ratio) is the one that
     imaging every map would raise.
@@ -206,9 +219,10 @@ def build_bank(
         maps = [LinearMap(m, source, target) for m in strategy.matrices[:count]]
 
     keys = [_image_key(lin) for lin in maps]
-    imaging = {}  # per _image_key, the first map that has it
+    imaging = {}  # per _image_key, the first map that has it, and its screen_bound
     for key, lin in zip(keys, maps):
-        imaging.setdefault(key, lin)
+        if key not in imaging:
+            imaging[key] = lin, screen_bound(lin)
     # per _image_key: [lowest ratio, its index, highest ratio, its index]
     extremes = {}
     done = 0  # the nonzero rows of earlier blocks
@@ -220,8 +234,8 @@ def build_bank(
             block, source_norms = block[nonzero], source_norms[nonzero]
         if not len(block):
             continue
-        for key, lin in imaging.items():
-            ratios = image_norms(lin, block) / source_norms
+        for key, (lin, bound) in imaging.items():
+            ratios = _certify_ratios(lin, bound, block, source_norms)
             k_lo, k_hi = int(ratios.argmin()), int(ratios.argmax())
             lo, hi = float(ratios[k_lo]), float(ratios[k_hi])
             del ratios  # not alive while the next map images
@@ -255,12 +269,49 @@ def build_bank(
     return EmbeddingBank(tuple(maps), slots, gamma, strategy, tuple(lo_margins), tuple(hi_margins))
 
 
+def _certify_ratios(lin: LinearMap, bound, block: np.ndarray, source_norms: np.ndarray):
+    """The ratios of the block's rows under lin, each equal to
+    image_norms(lin, row) / its source norm wherever it can be the block's
+    lowest or highest (the first of equal ratios and the first NaN
+    included), and above the lowest and below the highest elsewhere: so
+    argmin and argmax give the reference extremes and their indices.
+
+    Without a screen_bound, every row is imaged by image_norms. Otherwise
+    screen_norms gives the screened ratios s, within delta of the reference
+    ratios r on every row that the bound covers: its source norm lies in
+    [low, high], and then r is finite. With delta = 0 (a monomial hull) s
+    is r. Otherwise image_norms images again each row that the bound does
+    not cover or whose s is not finite, and each row with s <= lo + 2 delta
+    or s >= hi - 2 delta, lo and hi the least and largest s of the covered
+    rows. Every row that reaches the least reference ratio r* is imaged
+    again: its s <= r* + delta <= lo + 2 delta, since r* is at most the
+    reference ratio of lo's row, itself at most lo + delta. Every row not
+    imaged again has s > lo + 2 delta >= r* + delta > r*, and is not NaN.
+    The highest is the mirror image."""
+    if bound is None:
+        return image_norms(lin, block) / source_norms
+    ratios = screen_norms(lin, block) / source_norms
+    delta, low, high = bound
+    if delta:
+        bounded = np.isfinite(ratios) & (source_norms >= low) & (source_norms <= high)
+        again = ~bounded
+        if bounded.any():
+            screened = ratios[bounded]
+            again |= ratios <= screened.min() + 2 * delta
+            again |= ratios >= screened.max() - 2 * delta
+            del screened
+        at = np.flatnonzero(again)
+        ratios[at] = image_norms(lin, block[at]) / source_norms[at]
+    return ratios
+
+
 def _image_key(lin: LinearMap) -> tuple:
-    """What the bits of image_norms(lin, X) depend on beside X, for the maps
-    of one bank (one source, one target): the hull's shape and bytes (so
-    -0.0 and 0.0 differ), and its first target row unless the target norm is
-    lp, whose norm of a hull product reads no position. A weighted lp norm
-    reads the hull's slice of the weights, and max-abs functionals read every
+    """What the bits of image_norms(lin, X) and screen_norms(lin, X), and
+    screen_bound(lin), depend on beside X, for the maps of one bank (one
+    source, one target): the hull's shape and bytes (so -0.0 and 0.0
+    differ), and its first target row unless the target norm is lp, whose
+    norm of a hull product reads no position. A weighted lp norm reads the
+    hull's slice of the weights, and max-abs functionals read every
     column."""
     at = None if isinstance(lin.target.norm, Lp) else lin.rows.start
     return lin.hull.shape, lin.hull.tobytes(), at

@@ -847,8 +847,18 @@ def cmd_theory(args) -> int:
 
 
 def _schedule_from_args(args) -> RadiiSchedule:
+    """The schedule of the flags. A schedule that the same flags build at
+    one level but not at --levels is refused naming --levels: past some
+    count, the log radii grow too large to hold a ramp's width."""
     params = Params(args.eps, args.delta, args.gamma, args.zeta)
-    return build_schedule(params, args.r1, args.levels, args.margin)
+    try:
+        return build_schedule(params, args.r1, args.levels, args.margin)
+    except ValueError as exc:
+        try:
+            build_schedule(params, args.r1, 1, args.margin)
+        except ValueError:
+            raise exc from None
+        raise ValueError(f"--levels: {exc}") from None
 
 
 def _write_weights(path: str, ts, table) -> None:

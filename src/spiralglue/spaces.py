@@ -53,12 +53,24 @@ the union groups its terms otherwise than one over every column; both stay
 within the summation's forward error bound, which a property test checks
 against exact sums.
 
+`screen_norms` is `image_norms` with each block's products taken by one
+matrix product (a gemm) instead of stacked matrix-vector products: the same
+blocks, abs and norm passes, but a gemm may group a product's terms
+otherwise. `screen_bound` bounds the difference of the two kernels' ratios
+to a source norm by delta, from the dot product's forward error bound,
+which holds for any kernel, summation order or FMA; on a monomial hull,
+whose every product is one rounded product plus exact zeros, delta is 0.
+Certification screens its rows with it and takes from `image_norms` every
+ratio that can be a map's extreme (see `bank.build_bank`), so every value
+it reports comes from the reference arithmetic or, on a monomial hull, has
+its bits. The max-abs functionals have no screen.
+
 `distinct_rows` is the one exact grouping of the rows of an array by bit
 pattern. A row joins the group of its hash's first row when their bits
 are equal, and starts a group of its own otherwise. Decompose groups each
 block of a level's unit differences with it alone, and joins the blocks'
 groups by their bytes. Certification groups no rows: it folds each block
-of certify rows into each map's extreme ratios, imaging a repeated row
+of certify rows into each map's extreme ratios, screening a repeated row
 again (see `bank.build_bank`). The sweep hashes no rows: its repeated
 sandwich rows are those of one point (x/|x| at the ramp angle of x, y/|y|
 at a clamped angle), whose gains it keeps in per-point tables (see
@@ -597,6 +609,168 @@ def image_norms(m: LinearMap, X) -> np.ndarray:
     without forming the images anew per block: the one-term call of
     _hull_norms."""
     return _hull_norms(((None, m),), X)
+
+
+def screen_norms(m: LinearMap, X) -> np.ndarray:
+    """The norms of apply(m, X) for the rows of a (k, source.dim) array, for
+    an lp or weighted lp target, with each block's products taken by one
+    matrix product (X[block] @ hull.T, a gemm) instead of image_norms'
+    stacked matrix-vector products. abs and the norm's passes are
+    image_norms', on the blocks of its one-term layout, so every temporary
+    stays within BATCH_ELEMENTS.
+
+    A gemm may group the terms of a product otherwise than a matrix-vector
+    product, so these norms may differ from image_norms' in the last bits:
+    screen_bound bounds by how much."""
+    if isinstance(m.target.norm, MaxAbsFunctionals):
+        raise ValueError("screen_norms takes an lp or weighted lp target")
+    X = as_rows(X, m.source.dim)
+    cols, width = _hull_layout((m,))
+    transposed = m.hull.T
+    out = np.empty(len(X))
+    for block in row_blocks(len(X), width):
+        product = np.matmul(X[block], transposed)
+        out[block] = _abs_norms_block(m.target.norm, np.abs(product, out=product), cols.start)
+        # not alive through the next block's product
+        del product
+    return out
+
+
+_U = 2.0**-53  # the unit roundoff
+_TINY = 2.0**-1074  # the least subnormal, which bounds any rounding below the normal range
+_POW_U = 16 * _U  # numpy's power, and so a root, errs by at most 4 ulps; doubled
+# the range of source norms on which screen_bound holds; high is divided by
+# the map's constants
+_SCREEN_LOW, _SCREEN_HIGH = 2.0**-900, 2.0**999
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the relative error of a dot
+    product of n terms, or a sum of n + 1 nonnegative terms, in any order,
+    with or without FMA."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _unit_weights(spec: NormSpec, start: int, width: int) -> np.ndarray | None:
+    """The weights of an lp or weighted lp norm on the columns start, ...,
+    start + width - 1, or None for lp (every weight 1)."""
+    if isinstance(spec, WeightedLp):
+        return spec.weights[start : start + width]
+    return None
+
+
+def _unit_norms(spec: NormSpec, start: int, width: int) -> np.ndarray:
+    """The norm of each coordinate's unit vector on the columns start, ...,
+    start + width - 1 of an lp or weighted lp norm: 1 for lp, and w^(1/p),
+    or w for p = inf, for weighted lp. On the unit ball, a coordinate is at
+    most the reciprocal."""
+    weights = _unit_weights(spec, start, width)
+    if weights is None:
+        return np.ones(width)
+    return weights if spec.p == math.inf else weights ** (1.0 / spec.p)
+
+
+def _norm_error(spec: NormSpec, width: int, weights) -> float:
+    """A first-order bound on the relative error of _abs_norms_block's norm
+    of a row of `width` nonnegative floats, with `weights` the norm's
+    weights (None for lp), when nothing overflows. Below the normal range,
+    the last product, m * root, may err by a further _TINY.
+
+    The row maximum m is exact. A plain sum errs by gamma_width. A max reads
+    exact values, each weighted by one rounding. A stacked row dot divides
+    by m (_U each, or _TINY below the normal range, twice in a square),
+    sums width + 1 products at most (gamma_(width + 1)), and the square root
+    and the product by m round once each. Otherwise, after the division by
+    m, the p-th power turns a quotient's _U into (1 + _U)^p - 1 and adds
+    _POW_U, a weight adds _U, the sum gamma_width, the root _POW_U (the root
+    of S(1 + t) errs by at most t, as 1/p <= 1) and m * root _U. A quotient
+    or power below the normal range errs by _TINY, which the power and the
+    weight take to (p + 2) max(1, w) _TINY. Since the maximum's term is its
+    weight times 1, the sum is at least min(w) / 2, so these add 2 (p + 2)
+    width max(1, w) / min(w) _TINY relative to it."""
+    p = spec.p
+    if p == math.inf:
+        return 0.0 if weights is None else _U
+    if weights is None and p == 1.0:
+        return _gamma(width)
+    if weights is None and p == 2.0:
+        return 2 * _U + _gamma(width + 1) + 3 * width * _TINY + 2 * _U
+    w_max, w_min = (1.0, 1.0) if weights is None else (weights.max(), weights.min())
+    underflow = 2 * (p + 2) * width * max(1.0, w_max) / w_min * _TINY
+    # (1 + _U)^p - 1, held at e - 1, which screen_bound refuses, for a huge p
+    power = math.expm1(min(p * math.log1p(_U), 1.0)) + _POW_U
+    weighting = 0.0 if weights is None else _U
+    return power + weighting + _gamma(width) + underflow + _POW_U + 2 * _U
+
+
+def screen_bound(m: LinearMap) -> tuple[float, float, float] | None:
+    """(delta, low, high): on every row x whose source norm n (as norms
+    gives it) lies in [low, high], screen_norms(m, x) / n and
+    image_norms(m, x) / n differ by at most delta, and for delta > 0 both
+    are finite. None where no bound is derived: for max-abs functionals on
+    either side, and where a constant below is too large to be of use.
+
+    A monomial hull, each row of which holds at most one nonzero entry (a
+    -0.0 counts as zero), has delta = 0, low = 0 and high = inf. Each of its
+    products is one rounded product a x_j plus exact zeros, under any kernel
+    and with or without FMA, so both kernels' products have the same values
+    up to the sign of a zero, which abs removes. A zero map, a block-shift
+    band and a rotation band (cos a x, sin a x) are monomial.
+
+    For any other hull A, with d = source.dim and u = 2^-53: any kernel
+    takes a product y_i = sum_j A_ij x_j, in any order and with or without
+    FMA, to within gamma_d sum_j |A_ij| |x_j| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3), and within
+    a further d 2^-1074 for products below the normal range. Let t_i be the
+    target norm of hull row i's unit vector and s_j the bound of |x_j| on
+    the source unit ball (both 1 for lp; see _unit_norms), and
+
+        C = sum_i t_i sum_j |A_ij| s_j,   T = sum_i t_i.
+
+    Since N(e) <= sum_i t_i |e_i| for the target norm N, N(y) <= C |x|, and
+    the error of either kernel's product has N at most gamma_d C |x| + a,
+    where a = 2 d T 2^-1074. So their norms differ by at most
+    2 gamma_d C |x| + 2 a before each norm kernel's own rounding (rho, of
+    _norm_error on the hull's width, relative to a norm of at most
+    B |x| + a with B = (1 + gamma_d) C, and 2^-1074 for m * root) and the
+    division's (u on each quotient, and 2^-1074 below the normal range).
+    The source norm n errs by rho_s (of _norm_error on the source), so
+    |x| <= n / (1 - rho_s), and with n >= low:
+
+        delta = [2 gamma_d C + 2 rho B + 2 u (1 + rho) B] / (1 - rho_s)
+                + (3 a + 3 * 2^-1074) / low + 2 * 2^-1074.
+
+    These terms are first-order. With rho, rho_s and gamma_(r d) (for r
+    hull rows, which bounds the rounding of C) at most 2^-24, the products
+    of two of them and the rounding of this formula stay below 2^-20 of
+    delta, by which delta is enlarged. low = 2^-900 keeps the underflow
+    terms below 2^-170. high = 2^999 / max(1, C, R), with R = max_i sum_j
+    |A_ij| s_j, keeps every product, partial sum and norm of a row finite in
+    either kernel; a weighted target's sum of the hull's weights must stay
+    below 2^900 too. A row with a non-finite entry has a source norm that is
+    not finite, so outside [low, high]."""
+    source, target = m.source, m.target
+    if isinstance(source.norm, MaxAbsFunctionals) or isinstance(target.norm, MaxAbsFunctionals):
+        return None
+    A = np.abs(m.hull)
+    if np.all(np.count_nonzero(A, axis=1) <= 1):
+        return 0.0, 0.0, math.inf
+    d, r = source.dim, len(A)
+    t = _unit_norms(target.norm, m.rows.start, r)
+    row_sums = A @ (1.0 / _unit_norms(source.norm, 0, d))
+    C, R, T = float(t @ row_sums), float(row_sums.max()), float(t.sum())
+    target_weights = _unit_weights(target.norm, m.rows.start, r)
+    rho = _norm_error(target.norm, r, target_weights)
+    rho_s = _norm_error(source.norm, d, _unit_weights(source.norm, 0, d))
+    weight_sum = 0.0 if target_weights is None else float(target_weights.sum())
+    if not (max(rho, rho_s, _gamma(r * d)) <= 2.0**-24 and max(C, R, T, weight_sum) <= 2.0**900):
+        return None
+    gamma = _gamma(d)
+    B = (1.0 + gamma) * C
+    a = 2 * d * T * _TINY
+    delta = (2 * gamma * C + 2 * rho * B + 2 * _U * (1.0 + rho) * B) / (1.0 - rho_s)
+    delta += (3 * a + 3 * _TINY) / _SCREEN_LOW + 2 * _TINY
+    return delta * (1.0 + 2.0**-20), _SCREEN_LOW, _SCREEN_HIGH / max(1.0, C, R)
 
 
 def blend_apply(c, s, first: LinearMap, second: LinearMap, x, cols: slice | None = None) -> Vector:

@@ -60,6 +60,7 @@ from spiralglue.schedule import (
     log_radius,
     ramp_angle_log,
 )
+from spiralglue.spaces import screen_norms
 from spiralglue.verify import DEFAULT_TOL, SQRT2
 
 from oracles import (
@@ -1280,6 +1281,17 @@ def test_image_norms_temporaries_stay_within_batch():
     )
 
 
+def test_screen_norms_temporaries_stay_within_batch():
+    # each block's one product, for every lp and weighted lp target
+    _assert_temporaries_within_batch(
+        lambda maps, X: [
+            screen_norms(lin, X).tobytes()
+            for lin in maps
+            if not isinstance(lin.target.norm, sg.MaxAbsFunctionals)
+        ]
+    )
+
+
 def _hull_products(hull, rows, fn):
     """fn, recording in rows the row count of every product of `hull`."""
 
@@ -1306,6 +1318,31 @@ def test_image_norms_blocks_are_whole_but_the_last(wide):
             with pytest.MonkeyPatch.context() as counted:
                 counted.setattr(np, "matmul", _hull_products(m.hull, blocks, np.matmul))
                 sg.image_norms(m, np.resize(X, (2 * images + 1, X.shape[1])))
+            assert blocks == [images, images, 1]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_screen_norms_takes_the_blocks_of_image_norms(wide):
+    # the screen's one matrix product per block (of the rows and the
+    # transposed hull) covers the blocks of image_norms' one-term layout
+    budget, maps, X = _temporaries_case(wide)
+    matmul = np.matmul
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
+        for m in maps:
+            if isinstance(m.target.norm, sg.MaxAbsFunctionals):
+                continue
+            images = budget // sg.spaces._hull_layout([m])[1]
+            blocks = []
+
+            def products(a, b, *args, **kwargs):
+                if b.base is m.hull:
+                    blocks.append(len(a))
+                return matmul(a, b, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as counted:
+                counted.setattr(np, "matmul", products)
+                screen_norms(m, np.resize(X, (2 * images + 1, X.shape[1])))
             assert blocks == [images, images, 1]
 
 

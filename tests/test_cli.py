@@ -1238,6 +1238,20 @@ def test_radii_beyond_float_range_exit_2_naming_levels(tmp_path, command, want):
     assert not out.exists() and not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["weights", "gen-points"])
+def test_levels_too_many_for_a_ramp_exit_2_naming_levels(tmp_path, capsys, command):
+    # at 100000 levels the log radii grow past 1e7, where a ramp's width of
+    # about 157 no longer survives their subtraction: the schedule's own
+    # check used to be reported without the flag at fault
+    out = tmp_path / "out.file"
+    assert main([command, "--levels", "100000", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: --levels: level 51880: ramp too short for a feasible angle\n",
+    )
+    assert not out.exists()
+
+
 def test_plateau_points_within_float_range_still_generate(tmp_path, capsys):
     # at five levels the plateaus end at r_5 (log about 647), inside the
     # range: only the ramp of level 5 leaves it, so plateau points generate

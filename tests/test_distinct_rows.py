@@ -7,11 +7,13 @@ when every bit of them is equal, follow the rule when hashes collide (tests
 patch the hash, `spaces._row_hashes`, to one value or three), and keep each
 group's first row with its bits. Decompose groups each block of its unit
 differences with it, and must find the directions of `tests/oracles.py`
-through any collision. Certification groups no rows: it images each
-nonzero row once per distinct map hull, a block at a time, and keeps each
-map's extreme ratios; it and the row gain must match `tests/oracles.py`,
-which evaluates every row under every map at once (the row gain's
-bit-equality on repeated rows is held in `tests/test_batched.py`).
+through any collision. Certification groups no rows: it screens each
+nonzero row once per distinct map hull, a block at a time, images again
+those whose ratio may be an extreme, and keeps each map's extreme ratios
+(the screen's own tests are in `tests/test_screen.py`); it and the row
+gain must match `tests/oracles.py`, which evaluates every row under every
+map at once (the row gain's bit-equality on repeated rows is held in
+`tests/test_batched.py`).
 """
 
 import math
@@ -27,7 +29,7 @@ import spiralglue.pointset
 import spiralglue.spaces
 from spiralglue.errors import CertificationFailed
 from spiralglue.bank import _image_key
-from spiralglue.spaces import RowBlocks, distinct_rows, row_blocks
+from spiralglue.spaces import RowBlocks, distinct_rows, row_blocks, screen_bound, screen_norms
 
 from oracles import (
     certify_all_rows,
@@ -379,74 +381,151 @@ def test_build_bank_failure_index_counts_repeated_and_zero_rows():
     assert got == want == (1, 3, 0.5)
 
 
+def _recording(mp, screen=screen_norms) -> list:
+    """Patch build_bank's screen_norms (by `screen`) and image_norms to
+    record each call as (kernel, _image_key, rows, norms) in the list
+    returned."""
+    calls = []
+
+    def recorded(kind, kernel):
+        def call(lin, X):
+            out = kernel(lin, X)
+            calls.append((kind, _image_key(lin), np.array(X), out))
+            return out
+
+        return call
+
+    mp.setattr(spiralglue.bank, "screen_norms", recorded("screen", screen))
+    mp.setattr(spiralglue.bank, "image_norms", recorded("image", sg.image_norms))
+    return calls
+
+
+def _picked(lin, X, screened) -> np.ndarray:
+    """The rows of X that certification images again after the screen
+    gave their norms `screened`: none for a monomial hull; otherwise the
+    rows whose ratio is not finite or whose source norm lies outside the
+    bound's range (every row when that leaves none), and those within 2
+    delta of the least or largest ratio of the others."""
+    delta, low, high = screen_bound(lin)
+    n = sg.norms(lin.source, X)
+    s = screened / n
+    bounded = np.isfinite(s) & (n >= low) & (n <= high)
+    if not delta or not bounded.any():
+        return np.full(len(X), bool(delta))
+    lo, hi = s[bounded].min(), s[bounded].max()
+    return ~bounded | (s <= lo + 2 * delta) | (s >= hi - 2 * delta)
+
+
+def _taken(calls, maps) -> tuple[list, dict]:
+    """Check the recorded calls of a certification of the maps: the first
+    map of each _image_key takes each block's rows in turn, by screen_norms
+    when it has a screen_bound, and then images again by image_norms
+    exactly the rows _picked (no call when none is), or else by image_norms
+    alone. Returns the keys in the order they took blocks, and per key the
+    bytes of the rows it took."""
+    first = {}
+    for lin in maps:
+        first.setdefault(_image_key(lin), lin)
+    order, taken, k = [], {}, 0
+    while k < len(calls):
+        kind, key, X, out = calls[k]
+        lin = first[key]
+        order.append(key)
+        taken[key] = taken.get(key, b"") + X.tobytes()
+        k += 1
+        if screen_bound(lin) is None:
+            assert kind == "image"
+            continue
+        assert kind == "screen"
+        picked = _picked(lin, X, out)
+        if picked.any():
+            assert calls[k][:2] == ("image", key)
+            assert calls[k][2].tobytes() == X[picked].tobytes()
+            k += 1
+    return order, taken
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_certification(), in_blocks=st.booleans())
 def test_certification_images_each_nonzero_row_once_per_hull(case, in_blocks):
     # per block (one for an array, or the 64-element blocks of a RowBlocks
-    # stream), the first map of each distinct _image_key images the block's
-    # nonzero rows, in map order: so each key images every nonzero row
-    # once, repeats included, in stream order, and no other map images
+    # stream), the first map of each distinct _image_key, in map order,
+    # screens the block's nonzero rows, and images again on the reference
+    # kernel exactly the rows that may hold an extreme ratio (none for a
+    # monomial hull); a max-abs target has no screen and images every row.
+    # So each key takes every nonzero row once, repeats included, in stream
+    # order, and no other map images; the margins, or the failure, are the
+    # default batch's, bit for bit
     dim, matrices, vectors, spaces = case
-    seen = []
-
-    def counted(lin, X):
-        seen.append((_image_key(lin), np.array(X)))
-        return sg.image_norms(lin, X)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", 64 if in_blocks else 1 << 14)
-        mp.setattr(spiralglue.bank, "image_norms", counted)
-        _certify(dim, matrices, vectors, 4.0, in_blocks, spaces)
-    source, target = spaces
-    keys = list(dict.fromkeys(_image_key(sg.LinearMap(m, source, target)) for m in matrices))
-    assert seen and [key for key, _ in seen] == keys * (len(seen) // len(keys))
+        calls = _recording(mp)
+        got, _ = _certify(dim, matrices, vectors, 4.0, in_blocks, spaces)
+    want, _ = _certify(dim, matrices, vectors, 4.0, spaces=spaces)
+    assert repr(got) == repr(want)
+    maps = [sg.LinearMap(m, *spaces) for m in matrices]
+    order, taken = _taken(calls, maps)
+    keys = list(dict.fromkeys(_image_key(lin) for lin in maps))
+    assert order and order == keys * (len(order) // len(keys))
     nonzero = b"".join(row.tobytes() for row in vectors if np.any(row != 0.0))
-    for key in keys:
-        assert b"".join(X.tobytes() for k, X in seen if k == key) == nonzero
+    assert taken == {key: nonzero for key in keys}
 
 
 def _counted_blocks(*args):
-    """build_bank(*args) at 64 elements a block, with the rows of each
-    image_norms call and of each product of a 2-row hull (the blocks of the
-    certify rows) recorded."""
-    calls, blocks = [], []
-    matmul = np.matmul
+    """build_bank(*args) at 64 elements a block, with its recorded calls
+    (see _recording) and the rows of each block that screen_norms norms."""
+    blocks, screening = [], []
+    abs_norms_block = sg.spaces._abs_norms_block
 
-    def counted(lin, X):
-        calls.append(len(X))
-        return sg.image_norms(lin, X)
+    def screen(lin, X):
+        screening.append(True)
+        try:
+            return screen_norms(lin, X)
+        finally:
+            screening.pop()
 
-    def products(a, b, *rest, **kwargs):
-        if a.shape == (2, 2):
-            blocks.append(len(b))
-        return matmul(a, b, *rest, **kwargs)
+    def counted(spec, a, start=0):
+        if screening:
+            blocks.append(len(a))
+        return abs_norms_block(spec, a, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", 64)
-        mp.setattr(spiralglue.bank, "image_norms", counted)
-        mp.setattr(np, "matmul", products)
+        mp.setattr(sg.spaces, "_abs_norms_block", counted)
+        calls = _recording(mp, screen)
         bank = sg.build_bank(*args)
     return bank, calls, blocks
 
 
 def test_certification_chunks_are_whole_image_blocks():
-    # at 64 elements image_norms images 32 rows a block (the 2-row hull's
-    # products), and certification images the 100 distinct rows in one call
-    # per distinct hull, so only the last block of each call is short: the
-    # four identity bands of a block-shift bank into l1 are imaged once, and
-    # four bands of other scales once each, with the margins of the default
-    # batch bit for bit
-    source, target = sg.Space(2, sg.Lp(1.0)), sg.Space(10, sg.Lp(1.0))
+    # at 64 elements the screen norms 32 rows a block (the 2-row hull's
+    # products), and certification screens the 100 rows in one call per
+    # distinct hull, so only the last block of each call is short: the four
+    # identity bands of a block-shift bank into l1 are screened once, four
+    # bands of other scales once each, and neither images a row again
+    # (monomial hulls); four rotations once each, imaging again the rows
+    # that the rule picks, in one call. The margins are the default
+    # batch's, bit for bit
+    source, target = sg.Space(2), sg.Space(10, sg.Lp(1.0))
     vectors = np.random.default_rng(3).standard_normal((100, 2))
     scaled = [np.zeros((10, 2)) for _ in range(4)]
-    for n, m in enumerate(scaled):
-        m[2 * n : 2 * n + 2] = (1.0 + 5e-4 * n) * np.eye(2)
-    for strategy, calls in ((sg.BlockShift(), 1), (sg.UserMatrices(tuple(scaled)), 4)):
-        args = (strategy, source, target, 0.01, 4, vectors)
+    rotated = [np.zeros((10, 2)) for _ in range(4)]
+    for n in range(4):
+        scaled[n][2 * n : 2 * n + 2] = (1.0 + 5e-4 * n) * np.eye(2)
+        c, s = math.cos(0.1 + n), math.sin(0.1 + n)
+        rotated[n][2 * n : 2 * n + 2] = [[c, -s], [s, c]]
+    for strategy, calls, again in (
+        (sg.BlockShift(), 1, False),
+        (sg.UserMatrices(tuple(scaled)), 4, False),
+        (sg.UserMatrices(tuple(rotated)), 4, True),
+    ):
+        args = (strategy, source, target, 4.0, 4, vectors)
         want = sg.build_bank(*args)
         got, seen, blocks = _counted_blocks(*args)
-        assert seen == [100] * calls
+        assert [len(X) for kind, _, X, _ in seen if kind == "screen"] == [100] * calls
         assert blocks == ([32] * 3 + [4]) * calls
+        assert sum(kind == "image" for kind, *_ in seen) == (calls if again else 0)
+        _taken(seen, got.maps)
         margins = (want.cert_lower_margin, want.cert_upper_margin)
         assert repr((got.cert_lower_margin, got.cert_upper_margin)) == repr(margins)
 
@@ -470,21 +549,24 @@ def test_certification_chunks_are_whole_image_blocks():
 )
 def test_certification_images_each_distinct_hull_once(strategy, source, target, calls):
     # six maps: a block-shift bank's identity bands into lp are one hull,
-    # imaged once; a weighted lp or max-abs target reads where a hull sits,
-    # so each band is imaged (though these norms equal l2 and l-infinity),
-    # as is each of a quadrature bank's six hulls, whose seeded rotations
-    # differ
+    # screened once; a weighted lp target reads where a hull sits, so each
+    # band is screened (though this norm equals l2). These bands are
+    # monomial: no row is imaged again. A max-abs target has no screen:
+    # each band images every row. Each of a quadrature bank's six hulls,
+    # whose seeded rotations differ, is screened, and images again only the
+    # rows that the rule picks
     vectors = np.random.default_rng(4).standard_normal((50, 2))
-    seen = []
-
-    def counted(lin, X):
-        seen.append(len(X))
-        return sg.image_norms(lin, X)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spiralglue.bank, "image_norms", counted)
-        sg.build_bank(strategy, source, target, 4.0, 6, vectors)
-    assert seen == [50] * calls
+        seen = _recording(mp)
+        bank = sg.build_bank(strategy, source, target, 4.0, 6, vectors)
+    _taken(seen, bank.maps)
+    taking = "image" if isinstance(target.norm, sg.MaxAbsFunctionals) else "screen"
+    assert [len(X) for kind, _, X, _ in seen if kind == taking] == [50] * calls
+    again = [len(X) for kind, _, X, _ in seen if kind == "image" and taking == "screen"]
+    if isinstance(strategy, sg.QuadratureL2toL1):
+        assert len(again) == calls and all(0 < k < 50 for k in again)
+    else:
+        assert again == []
 
 
 @st.composite
