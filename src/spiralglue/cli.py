@@ -225,6 +225,11 @@ def _real(rule: str, holds):
     return convert
 
 
+# the converters of the params keys and of eps_target and schedule.r1
+_UNIT = _real("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_POSITIVE = _real("> 0", lambda v: v > 0.0)
+
+
 def _margin(delta: float):
     """A converter of schedule.margin: a real >= 0 whose level step at delta
     is finite."""
@@ -343,17 +348,15 @@ def parse_config(raw: dict) -> RunConfig:
         raise ValueError("config must set exactly one of 'params' and 'eps_target'")
     if "params" in raw:
         p = _section(raw, "params")
-        unit = _real("in (0, 1)", lambda v: 0.0 < v < 1.0)
-        params = Params(*(_read(p, "params", k, unit) for k in ("eps", "delta", "gamma", "zeta")))
+        params = Params(*(_read(p, "params", k, _UNIT) for k in _CONFIG_KEYS["params"].split()))
     else:
-        eps_target = _read(raw, "", "eps_target", _real("> 0", lambda v: v > 0.0))
-        params = solve_params(eps_target)
+        params = solve_params(_read(raw, "", "eps_target", _POSITIVE))
     source_cfg = _section(raw, "source")
     source = _space(
         "source", _read(source_cfg, "source", "dim", _integer(1)), _read_norm(source_cfg, "source")
     )
     sched_cfg = _section(raw, "schedule")
-    r1 = _read(sched_cfg, "schedule", "r1", _real("> 0", lambda v: v > 0.0), 1.0)
+    r1 = _read(sched_cfg, "schedule", "r1", _POSITIVE, 1.0)
     levels = _read(sched_cfg, "schedule", "levels", _integer(1), 3)
     margin = _read(sched_cfg, "schedule", "margin", _margin(params.delta), 0.01)
 
@@ -691,9 +694,9 @@ def _written(where: str, write, *args) -> bool:
 def cmd_bounds(args) -> int:
     try:
         if args.target is not None:
-            params = solve_params(args.target)
+            params = solve_params(_flag("--target", _POSITIVE, args.target))
         else:
-            params = Params(args.eps, args.delta, args.gamma, args.zeta)
+            params = _params_from_flags(args)
         b = theoretical_bounds(params)
     except (NonPositiveLowerBound, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -846,16 +849,28 @@ def cmd_theory(args) -> int:
     return 0 if ok else 1
 
 
+def _params_from_flags(args) -> Params:
+    """The Params of --eps, --delta, --gamma and --zeta, each checked as its
+    params key is, in that order."""
+    keys = _CONFIG_KEYS["params"].split()
+    return Params(*(_flag(f"--{k}", _UNIT, getattr(args, k)) for k in keys))
+
+
 def _schedule_from_args(args) -> RadiiSchedule:
-    """The schedule of the flags. A schedule that the same flags build at
-    one level but not at --levels is refused naming --levels: past some
-    count, the log radii grow too large to hold a ramp's width."""
-    params = Params(args.eps, args.delta, args.gamma, args.zeta)
+    """The schedule of the flags: the params flags, then --r1, --levels and
+    --margin, each checked as its schedule key is. A schedule that the same
+    flags build at one level but not at --levels is refused naming
+    --levels: past some count, the log radii grow too large to hold a
+    ramp's width."""
+    params = _params_from_flags(args)
+    r1 = _flag("--r1", _POSITIVE, args.r1)
+    levels = _flag("--levels", _integer(1), args.levels)
+    margin = _flag("--margin", _margin(params.delta), args.margin)
     try:
-        return build_schedule(params, args.r1, args.levels, args.margin)
+        return build_schedule(params, r1, levels, margin)
     except ValueError as exc:
         try:
-            build_schedule(params, args.r1, 1, args.margin)
+            build_schedule(params, r1, 1, margin)
         except ValueError:
             raise exc from None
         raise ValueError(f"--levels: {exc}") from None
@@ -895,6 +910,7 @@ def cmd_gen_points(args) -> int:
         _flag("--seed", _integer(0), args.seed)
         sched = _schedule_from_args(args)
         _at_least("--per-level", args.per_level, 1)
+        _flag("--dim", _integer(1), args.dim)
         n = 1 + sched.levels * args.per_level
         _bounded("--per-level", f"{n} points of {args.dim}", n * args.dim)
         pts = generate_annular(args.seed, sched, args.per_level, args.dim, args.placement)

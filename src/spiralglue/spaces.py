@@ -10,13 +10,14 @@ rows by one stacked matrix-vector product and `blend_apply` forms the
 two-map blend of rows from it. Batched code bounds each block of rows it
 forms by BATCH_ELEMENTS elements via `row_blocks`.
 
-`norms` reads its rows and takes the abs of a copy of each block. A block
-formed here that no one else reads is normed in place instead, the abs
-running into the block itself, with the same arithmetic: each row block of
-`pair_difference_norms`'s differences (the sweep's source and image
-differences, from `pair_differences`), and each block of `_hull_norms`'s
-products or sums. The max-abs functionals read a block through their
-products and leave it as it is.
+`norms` reads its rows and takes the abs of a copy of each block. Every
+block formed here, which no one else reads, is normed in place instead by
+`_norms_in_place`, the abs running into the block itself, with the same
+arithmetic: each row block of `pair_difference_norms`'s differences (the
+sweep's source and image differences, from `pair_differences`), of
+`blend_norms`' sums, of `image_norms`' images and of `screen_norms`'
+products. The max-abs functionals read a block through their products and
+leave it as it is.
 
 A map stores and multiplies only its hull: the rows from its first to its
 last nonzero row. `LinearMap.from_band` builds a map from its nonzero band
@@ -35,35 +36,35 @@ each part's window differences into a reused full-width block, +0.0
 outside the window, and norms the block's full rows in place, so that each
 norm has the bits of the full-width rows' difference.
 
-One kernel, `_hull_norms`, gives the norms of sums of maps' images:
-`image_norms` is its one-term call, the norms of a map's images, as
-certification needs them, and `blend_norms` its two-term call, the norms of
-`blend_apply`'s blends, as `direction_gain` needs them. A row of such a sum
-is zero outside the union of the terms' hulls, so for an lp or weighted lp
-norm a block holds the union alone: a lone map's contiguous hull product,
-or else one zero buffer as wide as the union, reused for every block, into
-which the terms' products are written. abs and the norm's elementwise
-passes (max, rescaling, power, weights) run on the whole block in place,
-and a plain row sum, max or stacked row dot over the block ends each row.
-Only the max-abs functionals, which span every column, keep a full-width
-buffer. These norms are the reference arithmetic of certification, of
-selection's level checks and of the pair sweep alike. They may differ from
-`norms` of the full-width images in the last bits, since a sum or dot over
-the union groups its terms otherwise than one over every column; both stay
-within the summation's forward error bound, which a property test checks
-against exact sums.
+Two kernels give the norms of maps' images on the maps' hulls alone.
+`image_norms` norms `apply`'s images, as certification needs them: for an
+lp or weighted lp norm, each block holds the map's hull columns alone.
+`blend_norms` norms the blends of `blend_apply`, as `direction_gain` needs
+them: a row of a blend is zero outside the union of the two hulls, so for
+an lp or weighted lp norm each block is one zero buffer as wide as the
+union, reused for every block, into which both products are written. abs
+and the norm's elementwise passes (max, rescaling, power, weights) run on
+the whole block in place, and a plain row sum, max or stacked row dot over
+the block ends each row. Only the max-abs functionals, which span every
+column, take full-width blocks. These norms are the reference arithmetic of
+certification, of selection's level checks and of the pair sweep alike.
+They may differ from `norms` of the full-width images in the last bits,
+since a sum or dot over the hulls groups its terms otherwise than one over
+every column; both stay within the summation's forward error bound, which a
+property test checks against exact sums.
 
 `screen_norms` is `image_norms` with each block's products taken by one
 matrix product (a gemm) instead of stacked matrix-vector products: the same
-blocks, abs and norm passes, but a gemm may group a product's terms
-otherwise. `screen_bound` bounds the difference of the two kernels' ratios
-to a source norm by delta, from the dot product's forward error bound,
-which holds for any kernel, summation order or FMA; on a monomial hull,
-whose every product is one rounded product plus exact zeros, delta is 0.
-Certification screens its rows with it and takes from `image_norms` every
-ratio that can be a map's extreme (see `bank.build_bank`), so every value
-it reports comes from the reference arithmetic or, on a monomial hull, has
-its bits. The max-abs functionals have no screen.
+abs and norm passes, on blocks of its product alone, but a gemm may group a
+product's terms otherwise. `screen_bound` bounds the difference of the two
+kernels' ratios to a source norm by delta, from the dot product's forward
+error bound, which holds for any kernel, summation order or FMA; on a
+monomial hull, whose every product is one rounded product plus exact
+zeros, delta is 0. Certification screens its rows with it and takes from
+`image_norms` every ratio that can be a map's extreme (see
+`bank.build_bank`), so every value it reports comes from the reference
+arithmetic or, on a monomial hull, has its bits. The max-abs functionals
+have no screen.
 
 `distinct_rows` is the one exact grouping of the rows of an array by bit
 pattern. A row joins the group of its hash's first row when their bits
@@ -343,13 +344,15 @@ def _norms_block(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     return _abs_norms_block(spec, np.abs(X))
 
 
-def _norms_in_place(spec: NormSpec, X: np.ndarray) -> np.ndarray:
+def _norms_in_place(spec: NormSpec, X: np.ndarray, start: int = 0) -> np.ndarray:
     """_norms_block of a block X that no one else reads, overwritten: the
-    abs runs into X itself, so no copy of the block is made. The max-abs
-    functionals read X only, through their products."""
+    abs runs into X itself, so no copy of the block is made. For an lp or
+    weighted lp norm, X holds the target columns start, start + 1, ... (see
+    _abs_norms_block); the max-abs functionals read every column of X, and
+    read it only, through their products."""
     if isinstance(spec, MaxAbsFunctionals):
         return _norms_block(spec, X)
-    return _abs_norms_block(spec, np.abs(X, out=X))
+    return _abs_norms_block(spec, np.abs(X, out=X), start)
 
 
 def _block_width(space: Space) -> int:
@@ -403,24 +406,18 @@ def pair_difference_norms(
     whose other columns are +0.0, so each norm is bit-equal to
     norms(space, full[a] - full[b]).
 
-    With every column, each row block of the space's width has its
-    differences formed by pair_differences and normed in place, so the block
-    is the only copy of its rows. On a narrower window, each part's window
-    differences are formed contiguously by pair_differences and copied into
-    the window of one reused full-width block that is +0.0 elsewhere (a
-    subtraction or take into the strided window would take a temporary of
-    the window's size), and the block's full rows are normed in place: +0
-    less +0 is +0, so its rows have the bits of the full-width differences.
-    A part's rows are sized so that the block and the window differences
-    stay within BATCH_ELEMENTS. The norm's in-place passes keep the +0.0
-    columns +0.0 (abs, division by a row maximum or by 1, powers and
-    weights), so the block needs no zeroing between parts."""
+    Each part's window differences are formed contiguously by
+    pair_differences and copied into the window of one reused full-width
+    block that is +0.0 elsewhere (a subtraction or take into the strided
+    window would take a temporary of the window's size), and the block's
+    full rows are normed in place: +0 less +0 is +0, so its rows have the
+    bits of the full-width differences. A part's rows are sized so that the
+    block and the window differences stay within BATCH_ELEMENTS, at every
+    column too. The norm's in-place passes keep the +0.0 columns +0.0 (abs,
+    division by a row maximum or by 1, powers and weights), so the block
+    needs no zeroing between parts."""
     width = _block_width(space)
     window = cols.stop - cols.start
-    if window == space.dim:
-        for part in row_blocks(len(a), width):
-            out[part] = _norms_in_place(space.norm, pair_differences(rows, a[part], b[part]))
-        return
     block = np.zeros((next(row_blocks(len(a), width + window), slice(0, 0)).stop, space.dim))
     for part in row_blocks(len(a), width + window):
         k = part.stop - part.start
@@ -525,13 +522,13 @@ def hull_columns(maps) -> slice:
 
 
 def _hull_layout(maps) -> tuple[slice, int]:
-    """The target columns that a block of _hull_norms holds for the maps'
-    sums, and the row width that bounds a block.
+    """The target columns that a block of image_norms or blend_norms holds
+    for the maps' sums (a map's images, or a blend), and the row width that
+    bounds a block.
 
-    An lp or weighted lp norm has a block on hull_columns(maps): a lone
-    map's abs hull product, or else a buffer on those columns. The
-    max-abs functionals have a buffer on every column (whose width counts
-    the functionals' products). The row width is the buffer's, if any, plus
+    An lp or weighted lp norm has a block on hull_columns(maps), and the
+    max-abs functionals on every column (whose width counts the
+    functionals' products, as in norms). The row width is the block's plus
     every hull's product, and the copy of the rows that a one-row hull's
     products take (see _products), so that these stay within
     BATCH_ELEMENTS."""
@@ -542,73 +539,20 @@ def _hull_layout(maps) -> tuple[slice, int]:
     if isinstance(target.norm, MaxAbsFunctionals):
         return slice(0, target.dim), _block_width(target) + products
     cols = hull_columns(maps)
-    return cols, products + (0 if len(maps) == 1 else cols.stop - cols.start)
-
-
-def _hull_norms(terms, U) -> np.ndarray:
-    """The target norms of the sum of c * apply(m, U) over the terms (c, m)
-    for the rows of a (k, source.dim) array, where c is None (for 1) or one
-    coefficient per row, in the blocks of _hull_layout, and with the norm's
-    passes on the union of the hulls alone (see the module docstring).
-
-    A lone term has its contiguous hull product for the block. Otherwise one
-    zero buffer of a block is reused for every block: per block, the first
-    term's hull product, times c, is written into its hull's columns, and
-    each later term's is added to its hull's columns of the buffer (zeroed
-    first) and written back; the columns outside the hulls are never written
-    and stay zero. abs runs on the smallest contiguous array, a lone term's
-    product or else the whole block (a ufunc writing into strided columns
-    takes a buffer of up to a block's size), and a max-abs norm takes its
-    own products of the signed sums."""
-    maps = [m for _, m in terms]
-    U = as_rows(U, maps[0].source.dim)
-    spec = maps[0].target.norm
-    signed = isinstance(spec, MaxAbsFunctionals)
-    own = len(terms) == 1 and not signed
-    cols, width = _hull_layout(maps)
-    # each hull's columns of the block (an empty hull's are empty)
-    at = [slice(m.rows.start - cols.start, m.rows.stop - cols.start) for m in maps]
-    rows = next(row_blocks(len(U), width), slice(0, 0)).stop
-    buffer = None if own else np.zeros((rows, cols.stop - cols.start))
-    out = np.empty(len(U))
-    for block in row_blocks(len(U), width):
-        if not own:
-            sums = buffer[: block.stop - block.start]
-            for later in at[1:]:
-                sums[:, later] = 0.0
-        for k, ((c, m), into) in enumerate(zip(terms, at)):
-            # each product is dropped once written, so that it is not alive
-            # through the next product or the norm's passes
-            product = _products(m.hull, U[block])
-            if c is not None:
-                product *= c[block, None]
-            if own:
-                sums = np.abs(product, out=product)
-            elif k == 0:
-                sums[:, into] = product
-            else:
-                # added into the contiguous product, which only reads the
-                # buffer's strided columns: numpy takes half the iterator
-                # buffers of an add into them, and a + b == b + a
-                product += sums[:, into]
-                sums[:, into] = product
-            del product
-        if signed:
-            out[block] = _norms_block(spec, sums)
-        else:
-            if not own:
-                np.abs(sums, out=sums)
-            out[block] = _abs_norms_block(spec, sums, cols.start)
-        # a lone term's product is not alive through the next block's product
-        del sums
-    return out
+    return cols, cols.stop - cols.start + products
 
 
 def image_norms(m: LinearMap, X) -> np.ndarray:
-    """The norms of apply(m, X) for the rows of a (k, source.dim) array,
-    without forming the images anew per block: the one-term call of
-    _hull_norms."""
-    return _hull_norms(((None, m),), X)
+    """The norms of apply(m, X) for the rows of a (k, source.dim) array: per
+    row block of _hull_layout, apply's images on the block's columns (the
+    map's hull, or every column for the max-abs functionals), normed in
+    place."""
+    X = as_rows(X, m.source.dim)
+    cols, width = _hull_layout((m,))
+    out = np.empty(len(X))
+    for block in row_blocks(len(X), width):
+        out[block] = _norms_in_place(m.target.norm, apply(m, X[block], cols), cols.start)
+    return out
 
 
 def screen_norms(m: LinearMap, X) -> np.ndarray:
@@ -616,8 +560,8 @@ def screen_norms(m: LinearMap, X) -> np.ndarray:
     an lp or weighted lp target, with each block's products taken by one
     matrix product (X[block] @ hull.T, a gemm) instead of image_norms'
     stacked matrix-vector products. abs and the norm's passes are
-    image_norms', on the blocks of its one-term layout, so every temporary
-    stays within BATCH_ELEMENTS.
+    image_norms', on blocks of BATCH_ELEMENTS // len(hull) rows, so that the
+    block's product stays within BATCH_ELEMENTS.
 
     A gemm may group the terms of a product otherwise than a matrix-vector
     product, so these norms may differ from image_norms' in the last bits:
@@ -625,12 +569,11 @@ def screen_norms(m: LinearMap, X) -> np.ndarray:
     if isinstance(m.target.norm, MaxAbsFunctionals):
         raise ValueError("screen_norms takes an lp or weighted lp target")
     X = as_rows(X, m.source.dim)
-    cols, width = _hull_layout((m,))
     transposed = m.hull.T
     out = np.empty(len(X))
-    for block in row_blocks(len(X), width):
+    for block in row_blocks(len(X), len(m.hull)):
         product = np.matmul(X[block], transposed)
-        out[block] = _abs_norms_block(m.target.norm, np.abs(product, out=product), cols.start)
+        out[block] = _norms_in_place(m.target.norm, product, m.rows.start)
         # not alive through the next block's product
         del product
     return out
@@ -780,9 +723,10 @@ def blend_apply(c, s, first: LinearMap, second: LinearMap, x, cols: slice | None
     apply), each entry bit-equal to the full blend's.
 
     The glued embedding (embed and level_map) and the decomposition
-    residual blend through this function. blend_norms does not: _hull_norms
-    forms the same sums itself, equal up to the sign of a zero, which no
-    norm reads.
+    residual blend through this function, so the images file prints its
+    signs: `blend += other` turns a -0.0 (a negative product times c = 0)
+    plus +0.0 into +0.0. blend_norms does not: it forms the same sums in its
+    reused buffer, equal up to the sign of a zero, which no norm reads.
     """
     blend = apply(first, x, cols)
     other = apply(second, x, cols)
@@ -796,10 +740,41 @@ def blend_apply(c, s, first: LinearMap, second: LinearMap, x, cols: slice | None
 
 def blend_norms(c, s, first: LinearMap, second: LinearMap, U) -> np.ndarray:
     """The norms of blend_apply(c, s, first, second, U) for the rows of a
-    (k, source.dim) array with one (c, s) pair per row: the two-term call of
-    _hull_norms."""
+    (k, source.dim) array with one (c, s) pair per row, in the blocks of
+    _hull_layout, with the norm's passes on the union of the hulls alone
+    (see the module docstring).
+
+    One zero buffer of a block is reused for every block: per block, the
+    first map's hull product, times c, is written into its hull's columns,
+    and the second's, times s, is added to its hull's columns of the buffer
+    (zeroed first) and written back; the columns outside the hulls are never
+    written and stay zero. The whole block is then normed in place, abs
+    running on the contiguous block (a ufunc writing into strided columns
+    takes a buffer of up to a block's size)."""
     c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
-    return _hull_norms(((c, first), (s, second)), U)
+    U = as_rows(U, first.source.dim)
+    cols, width = _hull_layout((first, second))
+    # each hull's columns of the block (an empty hull's are empty)
+    at = [slice(m.rows.start - cols.start, m.rows.stop - cols.start) for m in (first, second)]
+    buffer = np.zeros((next(row_blocks(len(U), width), slice(0, 0)).stop, cols.stop - cols.start))
+    out = np.empty(len(U))
+    for block in row_blocks(len(U), width):
+        sums = buffer[: block.stop - block.start]
+        sums[:, at[1]] = 0.0
+        for k, (coefficient, m) in enumerate(((c, first), (s, second))):
+            # each product is dropped once written, so that it is not alive
+            # through the next product or the norm's passes
+            product = _products(m.hull, U[block])
+            product *= coefficient[block, None]
+            if k:
+                # added into the contiguous product, which only reads the
+                # buffer's strided columns: numpy takes half the iterator
+                # buffers of an add into them, and a + b == b + a
+                product += sums[:, at[k]]
+            sums[:, at[k]] = product
+            del product
+        out[block] = _norms_in_place(first.target.norm, sums, cols.start)
+    return out
 
 
 def direction_gain(theta, u, first: LinearMap, second: LinearMap):

@@ -700,10 +700,10 @@ def distortion_report(
     arrays of its pairs alive: each array is dropped once its last reader
     is done, and every temporary of pairs times a row width (source and
     image differences, sandwich rows) is formed in row blocks of its own
-    width inside the block, and is the only copy of its rows. One kernel,
-    spaces.pair_difference_norms, norms the source and the image
-    differences of the pairs (a, b) before they are ordered, each row block
-    of differences in place: a norm reads only |x - y|, and negation is
+    width inside the block. One kernel, spaces.pair_difference_norms, norms
+    the source and the image differences of the pairs (a, b) before they
+    are ordered, each row block of differences copied into one reused block
+    and normed there in place: a norm reads only |x - y|, and negation is
     exact, so y - x has the norm bits of x - y. The image differences are
     formed on the image columns and normed on full rows, +0.0 elsewhere,
     so each norm has the bits of the full-width images' difference. The

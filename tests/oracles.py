@@ -10,9 +10,9 @@ which two decompositions are compared. The pipeline uses
 `pointset.classify_levels` on arrays of level intervals,
 `schedule.ramp_angle_log` and `schedule.sandwich_angles_log` on log radii,
 the row kernels `spaces.norms`, `spaces.apply` and `spaces.blend_apply`,
-one kernel for the norms of images and blends (`spaces.image_norms` and
-`spaces.blend_norms`, the one- and two-term calls of `spaces._hull_norms`),
-which takes a norm on the union of the hulls alone, a decompose that groups
+the norms of images and blends on the maps' hulls alone (`spaces.image_norms`
+on `apply`'s images of a map's hull columns, and `spaces.blend_norms` on one
+buffer as wide as the union of two hulls), a decompose that groups
 its unit differences by bit pattern with `spaces.distinct_rows` instead,
 a certification that folds each block of rows into each map's extreme
 ratios, imaging a row once per distinct map hull, a row gain whose callers

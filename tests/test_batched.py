@@ -1076,6 +1076,11 @@ def _assert_hull_norms_within_bound(first, second, X, c, s, max_abs=True, exact_
         cases = [(sg.apply(m, X), sg.image_norms, (m,), [m]) for m in maps]
         blends = sg.blend_apply(c, s, *maps, X)
         cases.append((blends, sg.blend_norms, (c, s, *maps), maps))
+        # a map's image norms are its blend with itself at (c, s) = (1, 0):
+        # the sums differ from the images only in the sign of a zero
+        ones, zeros = np.ones(len(X)), np.zeros(len(X))
+        for m in maps:
+            assert sg.image_norms(m, X).tobytes() == sg.blend_norms(ones, zeros, m, m, X).tobytes()
         width = sg.spaces._block_width(target) + len(first.hull) + len(second.hull)
         for sums, kernel, args, terms in cases:
             got = kernel(*args, X)
@@ -1230,14 +1235,16 @@ def _sized(sizes, fn):
 
 def _temporaries_case(wide: bool):
     """(budget, maps, rows): a lone map whose norm is lp or weighted lp has
-    its hull's products for a block, ten rows of the 6-row hull in 64
-    elements and sixteen rows of a 256-row quadrature hull in 4096. A blend
-    of two such maps has a buffer as wide as the union of the hulls beside
-    their products: three rows of the 6-column union in 64, and two to four
-    rows of a union of 512 to 1536 columns in 4096. A max-abs norm has a
-    full-width buffer beside the hulls' products: one or two rows of the
-    18-wide target (20 wide for the functionals' products) in 64, and one
-    or two rows of the 1536-wide target in 4096."""
+    its images on the hull beside the hull's products for a block, five
+    rows of the 6-row hull in 64 elements and eight rows of a 256-row
+    quadrature hull in 4096 (its screen, the products alone: ten and
+    sixteen rows). A blend of two such maps has a buffer as wide as the
+    union of the hulls beside their products: three rows of the 6-column
+    union in 64, and two to four rows of a union of 512 to 1536 columns in
+    4096. A max-abs norm has full-width images or a full-width buffer beside
+    the hulls' products: one or two rows of the 18-wide target (20 wide for
+    the functionals' products) in 64, and one or two rows of the 1536-wide
+    target in 4096."""
     if wide:
         source = sg.Space(2, sg.Lp(2.0))
         quadrature = spiralglue.bank._quadrature_maps(
@@ -1303,36 +1310,85 @@ def _hull_products(hull, rows, fn):
     return wrapper
 
 
+def _blocks_case(wide: bool):
+    """_temporaries_case, with one more map per target in the narrow case:
+    a one-row hull, whose products take a copy of the rows."""
+    budget, maps, X = _temporaries_case(wide)
+    if not wide:
+        band = np.random.default_rng(4).standard_normal((1, X.shape[1]))
+        maps += [sg.LinearMap.from_band(band, 9, m.source, m.target) for m in maps]
+    return budget, maps, X
+
+
 @pytest.mark.parametrize("wide", [False, True])
 def test_image_norms_blocks_are_whole_but_the_last(wide):
-    # for a target norm of every kind, on the quadrature bank too,
-    # image_norms forms the blocks of _hull_layout's row width: only the
+    # for a target norm of every kind, on the quadrature bank and on one-row
+    # hulls too, image_norms takes apply's images of each block on the
+    # hull's columns (an lp or weighted lp norm, never the target's width)
+    # or on every column (max-abs), in blocks whose row width counts the
+    # images (or the max-abs functionals' products, when wider), the hull's
+    # product and the copy of the rows that a one-row hull takes: only the
     # last block is short
-    budget, maps, X = _temporaries_case(wide)
+    budget, maps, X = _blocks_case(wide)
+    apply = sg.spaces.apply
+    seen = set()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
         for m in maps:
-            images = budget // sg.spaces._hull_layout([m])[1]
-            assert images >= 1
-            blocks = []
+            spec = m.target.norm
+            hull = len(m.hull)
+            max_abs = isinstance(spec, sg.MaxAbsFunctionals)
+            images = m.target.dim if max_abs else hull
+            width = (max(images, len(spec.functionals)) if max_abs else images) + hull
+            if hull == 1:
+                width += m.source.dim + 1
+            rows = budget // width
+            assert rows >= 1
+            seen.add((type(spec), hull, rows))
+            blocks, shapes = [], []
+
+            def applied(lin, x, cols=None):
+                out = apply(lin, x, cols)
+                shapes.append(out.shape)
+                return out
+
             with pytest.MonkeyPatch.context() as counted:
                 counted.setattr(np, "matmul", _hull_products(m.hull, blocks, np.matmul))
-                sg.image_norms(m, np.resize(X, (2 * images + 1, X.shape[1])))
-            assert blocks == [images, images, 1]
+                counted.setattr(sg.spaces, "apply", applied)
+                sg.image_norms(m, np.resize(X, (2 * rows + 1, X.shape[1])))
+            assert blocks == [rows, rows, 1]
+            assert shapes == [(rows, images), (rows, images), (1, images)]
+    max_abs = sg.MaxAbsFunctionals
+    if wide:
+        # 4096 // (256 + 256) and 4096 // (1538 + 256)
+        assert {(kind, rows) for kind, _, rows in seen} == {
+            (sg.Lp, 8), (sg.WeightedLp, 8), (max_abs, 2)
+        }
+    else:
+        # 64 // (6 + 6), 64 // (1 + 1 + 3 + 1), 64 // (20 + 6) and
+        # 64 // (20 + 1 + 3 + 1)
+        assert seen == {
+            (sg.Lp, 6, 5), (sg.WeightedLp, 6, 5), (sg.Lp, 1, 10), (sg.WeightedLp, 1, 10),
+            (max_abs, 6, 2), (max_abs, 1, 2),
+        }
 
 
 @pytest.mark.parametrize("wide", [False, True])
-def test_screen_norms_takes_the_blocks_of_image_norms(wide):
+def test_screen_norms_blocks_hold_batch_over_hull_rows(wide):
     # the screen's one matrix product per block (of the rows and the
-    # transposed hull) covers the blocks of image_norms' one-term layout
-    budget, maps, X = _temporaries_case(wide)
+    # transposed hull) covers blocks of BATCH_ELEMENTS // len(hull) rows,
+    # for every lp and weighted lp target, on the quadrature bank and on
+    # one-row hulls too: only the last block is short
+    budget, maps, X = _blocks_case(wide)
     matmul = np.matmul
+    seen = set()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.spaces, "BATCH_ELEMENTS", budget)
         for m in maps:
             if isinstance(m.target.norm, sg.MaxAbsFunctionals):
                 continue
-            images = budget // sg.spaces._hull_layout([m])[1]
+            rows = budget // len(m.hull)
+            seen.add((len(m.hull), rows))
             blocks = []
 
             def products(a, b, *args, **kwargs):
@@ -1342,8 +1398,9 @@ def test_screen_norms_takes_the_blocks_of_image_norms(wide):
 
             with pytest.MonkeyPatch.context() as counted:
                 counted.setattr(np, "matmul", products)
-                screen_norms(m, np.resize(X, (2 * images + 1, X.shape[1])))
-            assert blocks == [images, images, 1]
+                screen_norms(m, np.resize(X, (2 * rows + 1, X.shape[1])))
+            assert blocks == [rows, rows, 1]
+    assert seen == ({(256, 16)} if wide else {(6, 10), (1, 64)})
 
 
 def test_blend_norms_temporaries_stay_within_batch():

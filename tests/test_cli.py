@@ -69,7 +69,7 @@ def test_bounds_rejects_non_finite_target(target):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"error: eps_target must be finite and positive, got {float(target)!r}\n"
+    assert proc.stderr == f"error: --target: expected a finite real number, got {float(target)!r}\n"
 
 
 def test_run_writes_report_and_csv(tmp_path, capsys):
@@ -643,9 +643,80 @@ def test_non_finite_margin_exits_2_naming_margin(tmp_path, capsys, command, leve
     # passed every radius; at more, the error named log_r
     out = tmp_path / "out.file"
     assert main([command, "--levels", levels, "--margin", "nan", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: margin must be a finite real >= 0, got nan\n")
+    assert capsys.readouterr() == ("", "error: --margin: expected a finite real number, got nan\n")
     assert main([command, "--levels", levels, "--margin", "1e308", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: margin 1e+308 makes the level step")
+    assert capsys.readouterr().err.startswith("error: --margin: margin 1e+308 makes the level step")
+    assert not out.exists()
+
+
+_UNIT_ERROR = "expected a real number in (0, 1), got"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["bounds", "--eps", "2"], f"--eps: {_UNIT_ERROR} 2.0"),
+        (["bounds", "--delta", "0"], f"--delta: {_UNIT_ERROR} 0.0"),
+        (["bounds", "--gamma", "nan"], "--gamma: expected a finite real number, got nan"),
+        (["bounds", "--zeta", "1"], f"--zeta: {_UNIT_ERROR} 1.0"),
+        (["bounds", "--target", "-1"], "--target: expected a real number > 0, got -1.0"),
+        (
+            ["bounds", "--target", "0", "--eps", "2"],
+            "--target: expected a real number > 0, got 0.0",
+        ),
+        (["weights", "--eps", "-0.5"], f"--eps: {_UNIT_ERROR} -0.5"),
+        (["weights", "--r1", "0"], "--r1: expected a real number > 0, got 0.0"),
+        (["weights", "--levels", "0"], "--levels: expected an integer >= 1, got 0"),
+        (["weights", "--margin", "-1"], "--margin: expected a real number >= 0, got -1.0"),
+        (
+            ["weights", "--margin", "nan", "--r1", "inf"],
+            "--r1: expected a finite real number, got inf",
+        ),
+        (["weights", "--margin", "inf", "--zeta", "2"], f"--zeta: {_UNIT_ERROR} 2.0"),
+        (["gen-points", "--gamma", "1"], f"--gamma: {_UNIT_ERROR} 1.0"),
+        (["gen-points", "--r1", "-2"], "--r1: expected a real number > 0, got -2.0"),
+        (["gen-points", "--levels", "-1"], "--levels: expected an integer >= 1, got -1"),
+        (["gen-points", "--margin", "nan"], "--margin: expected a finite real number, got nan"),
+        (["gen-points", "--dim", "0"], "--dim: expected an integer >= 1, got 0"),
+        (
+            ["gen-points", "--dim", "0", "--margin", "-1"],
+            "--margin: expected a real number >= 0, got -1.0",
+        ),
+        (["gen-points", "--dim", "0", "--per-level", "0"], "--per-level must be >= 1, got 0"),
+    ],
+    ids=[
+        "bounds-eps",
+        "bounds-delta",
+        "bounds-gamma",
+        "bounds-zeta",
+        "bounds-target",
+        "bounds-target-first",
+        "weights-eps",
+        "weights-r1",
+        "weights-levels",
+        "weights-margin",
+        "weights-r1-before-margin",
+        "weights-zeta-before-margin",
+        "gen-points-gamma",
+        "gen-points-r1",
+        "gen-points-levels",
+        "gen-points-margin",
+        "gen-points-dim",
+        "gen-points-margin-before-dim",
+        "gen-points-per-level-before-dim",
+    ],
+)
+def test_bad_param_schedule_or_dim_flag_is_named(tmp_path, capsys, argv, err):
+    # the library's checks named its parameters (eps_target, eps, r1,
+    # margin, dim), not the flags; each flag is now checked by its config
+    # key's converter, in a fixed order: --target alone, or --eps, --delta,
+    # --gamma, --zeta, then --r1, --levels, --margin, then --per-level and
+    # --dim. Exit 2, the first bad flag named, and nothing written
+    out = tmp_path / "out.file"
+    if argv[0] != "bounds":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
     assert not out.exists()
 
 

@@ -96,3 +96,50 @@ def test_tracer_wraps_only_existing_attributes():
         if not hasattr(importlib.import_module(f"spiralglue.{module}"), attr)
     ]
     assert missing == []
+
+
+def unread_imports(source: str) -> list[str]:
+    """Every name a module imports from the package (by its bound name) and
+    never reads."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("spiralglue"))
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+def test_guard_flags_unread_imports():
+    src = (
+        "from .spaces import apply, norm as n, norms\n"
+        "from spiralglue.glue import embed\n"
+        "from numpy import pad\n"
+        "x = norms(apply)\n"
+        "def f(v: embed): return v\n"
+    )
+    assert unread_imports(src) == ["n"]
+
+
+def test_unread_imports_are_wrapped_by_the_tracer():
+    # a package name that a module imports but never reads is dead, unless
+    # the tracer reads it: bench/spans.py replaces it in that module while
+    # an op runs (bank.blend_apply, glue.norm, pointset.norm and
+    # cli.embed_all). The package's __init__ imports its names to re-export
+    # them
+    wrapped = set(wrapped_attributes())
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in unread_imports(path.read_text(encoding="utf-8"))
+        if (path.stem, name) not in wrapped
+    ]
+    assert unread == []

@@ -5,7 +5,7 @@ A generated map keeps only its hull, decompose holds no list of pairs of
 close directions and forms its unit differences a block at a time,
 certification forms its vectors (every pair difference among them) a block
 at a time and keeps only each map's extreme ratios, a lone map's norms are taken on
-its hull product without a buffer beside it and a blend's on a buffer as
+apply's images of its hull columns alone and a blend's on a buffer as
 wide as the union of its hulls, the sweep holds the images on the selected
 maps' columns alone and no array of one entry per pair, also when `run`
 spools the rows of a pairs CSV, norms each block of differences in place
@@ -359,12 +359,13 @@ def test_sweep_on_a_count_12_bank_holds_only_the_image_columns():
 
 
 def test_weighted_image_norms_take_no_buffer_beside_the_product():
-    # a lone map's norm is taken on its contiguous hull product: no zero
-    # buffer of the node beside it, and no ufunc buffers for passes on
-    # strided columns. What is left is the block of products, the one numpy
-    # iterator buffer that a pass with a broadcast operand (the row maxima,
-    # the weights) takes, and the result: 8 * (BATCH_ELEMENTS + getbufsize +
-    # rows) = 205 KB, and 211 KB in all with numpy 2.4.6 on every map. The
+    # a lone map's norm is taken on apply's images of its hull columns
+    # alone: no zero buffer of the node beside them, and no ufunc buffers
+    # for passes on strided columns. What is left is a block of images and
+    # its product (half the budget each), the one numpy iterator buffer
+    # that a pass with a broadcast operand (the row maxima, the weights)
+    # takes, and the result: about 142 KB with numpy 2.4.6 on every map.
+    # The block of products alone, at twice the rows, took 211 KB. The
     # node buffer with its strided passes peaked at 246 KB on maps 0, 2, 3
     # and 5 (384-column nodes) and at 215 KB on maps 1 and 4 (768-column
     # nodes); the slack puts the bound at 229 KB, about halfway between 211
